@@ -121,6 +121,17 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   {
     TraceSpan span("authorship", "pipeline");
     RunEvent("stage_start").Str("stage", "authorship").Emit();
+    if (repo != nullptr && !candidates.empty()) {
+      // Replaying history for blame is the bulk of this stage; do it for
+      // every analyzed file across the lanes first, so classification below
+      // only looks blame up. Blame is per-path, so this stays deterministic.
+      std::vector<std::string> paths;
+      paths.reserve(project.unit_order().size());
+      for (size_t m : project.unit_order()) {
+        paths.push_back(project.sources().Path(static_cast<FileId>(m)));
+      }
+      repo->WarmBlame(paths, options_.jobs);
+    }
     AuthorshipAnalyzer authorship(project, repo);
     authorship.ClassifyAll(candidates);
     RunEvent("stage_end").Str("stage", "authorship").Emit();

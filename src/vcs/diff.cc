@@ -19,39 +19,60 @@ std::vector<std::string_view> SplitLines(std::string_view content) {
 
 std::vector<Edit> DiffLines(const std::vector<std::string_view>& a,
                             const std::vector<std::string_view>& b) {
-  const int n = static_cast<int>(a.size());
-  const int m = static_cast<int>(b.size());
+  // The common prefix is exactly the snake Myers follows at d = 0, so keeping
+  // it up front and searching only the rest yields the same script. The
+  // common suffix is NOT trimmed: Myers does not always pair trailing equal
+  // lines ([A] -> [B, A, A] keeps the first A, a suffix trim the last), and
+  // blame would then credit the new commit with a different line.
+  const int total_n = static_cast<int>(a.size());
+  const int total_m = static_cast<int>(b.size());
+  int prefix = 0;
+  while (prefix < total_n && prefix < total_m && a[prefix] == b[prefix]) {
+    ++prefix;
+  }
+  std::vector<Edit> edits;
+  edits.reserve(static_cast<size_t>(total_n + total_m - prefix));
+  for (int i = 0; i < prefix; ++i) {
+    edits.push_back({EditOp::kKeep, i, i});
+  }
+  const int n = total_n - prefix;
+  const int m = total_m - prefix;
   const int max_d = n + m;
+  auto a_at = [&](int x) -> std::string_view { return a[prefix + x]; };
+  auto b_at = [&](int y) -> std::string_view { return b[prefix + y]; };
 
-  // Myers' greedy algorithm. `v[k]` holds the furthest x on diagonal k; we
-  // keep a copy of v per step to backtrack the edit script. One padding slot
-  // on each side keeps the k±1 reads in bounds at the extreme diagonals
-  // (notably k = -d = max_d = 0 when both inputs are empty).
-  std::vector<std::vector<int>> trace;
+  // Myers' greedy algorithm on the remainder. `v[k]` holds the furthest x on
+  // diagonal k. One padding slot on each side keeps the k±1 reads in bounds at
+  // the extreme diagonals (notably k = -d = max_d = 0 when both sides are
+  // empty). Step d reads and writes only diagonals -d-1..d+1, so that slice is
+  // all the backtrack needs of it: `trace` stores step d's slice at offset
+  // d*(d+2), O(D^2) in total instead of a full copy of `v` per step.
   std::vector<int> v(2 * max_d + 3, 0);
-  auto vk = [&](std::vector<int>& vec, int k) -> int& { return vec[k + max_d + 1]; };
+  auto vk = [&](int k) -> int& { return v[k + max_d + 1]; };
+  std::vector<int> trace;
+  auto traced = [&](int d, int k) { return trace[d * (d + 2) + k + d + 1]; };
 
   int final_d = -1;
   for (int d = 0; d <= max_d; ++d) {
     for (int k = -d; k <= d; k += 2) {
       int x;
-      if (k == -d || (k != d && vk(v, k - 1) < vk(v, k + 1))) {
-        x = vk(v, k + 1);  // move down (insert from b)
+      if (k == -d || (k != d && vk(k - 1) < vk(k + 1))) {
+        x = vk(k + 1);  // move down (insert from b)
       } else {
-        x = vk(v, k - 1) + 1;  // move right (delete from a)
+        x = vk(k - 1) + 1;  // move right (delete from a)
       }
       int y = x - k;
-      while (x < n && y < m && a[x] == b[y]) {
+      while (x < n && y < m && a_at(x) == b_at(y)) {
         ++x;
         ++y;
       }
-      vk(v, k) = x;
+      vk(k) = x;
       if (x >= n && y >= m) {
         final_d = d;
         break;
       }
     }
-    trace.push_back(v);
+    trace.insert(trace.end(), v.begin() + (max_d - d), v.begin() + (max_d + d + 3));
     if (final_d >= 0) {
       break;
     }
@@ -62,15 +83,14 @@ std::vector<Edit> DiffLines(const std::vector<std::string_view>& a,
   int x = n;
   int y = m;
   for (int d = final_d; d > 0; --d) {
-    std::vector<int>& prev = trace[d - 1];
     int k = x - y;
     int prev_k;
-    if (k == -d || (k != d && vk(prev, k - 1) < vk(prev, k + 1))) {
+    if (k == -d || (k != d && traced(d - 1, k - 1) < traced(d - 1, k + 1))) {
       prev_k = k + 1;
     } else {
       prev_k = k - 1;
     }
-    int prev_x = vk(prev, prev_k);
+    int prev_x = traced(d - 1, prev_k);
     int prev_y = prev_x - prev_k;
     while (x > prev_x && y > prev_y) {
       reversed.push_back({EditOp::kKeep, x - 1, y - 1});
@@ -99,7 +119,17 @@ std::vector<Edit> DiffLines(const std::vector<std::string_view>& a,
     --y;
   }
 
-  return {reversed.rbegin(), reversed.rend()};
+  for (auto it = reversed.rbegin(); it != reversed.rend(); ++it) {
+    Edit edit = *it;
+    if (edit.old_index >= 0) {
+      edit.old_index += prefix;
+    }
+    if (edit.new_index >= 0) {
+      edit.new_index += prefix;
+    }
+    edits.push_back(edit);
+  }
+  return edits;
 }
 
 std::vector<std::string> ApplyEdits(const std::vector<std::string_view>& a,

@@ -1,6 +1,6 @@
 #include "src/vcs/history_io.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 
 #include "src/support/string_util.h"
@@ -63,6 +63,15 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
     std::map<std::string, std::string> writes;
     std::set<std::string> deletes;
     bool ended = false;
+    // A path written or deleted twice in one commit would be logged twice,
+    // so it is an error.
+    auto named_twice = [&](const std::string& path, int at) {
+      if (writes.count(path) == 0 && deletes.count(path) == 0) {
+        return false;
+      }
+      Fail(error, at, "'" + path + "' named twice in one commit");
+      return true;
+    };
 
     while (!cursor.Done() && !ended) {
       int at = cursor.LineNo();
@@ -75,13 +84,26 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
       } else if (directive.rfind("author ", 0) == 0) {
         author_name = std::string(Trim(directive.substr(7)));
       } else if (directive.rfind("time ", 0) == 0) {
-        timestamp = std::strtoll(std::string(Trim(directive.substr(5))).c_str(), nullptr, 10);
+        std::string_view value = Trim(directive.substr(5));
+        const char* end = value.data() + value.size();
+        auto [parsed_end, status] = std::from_chars(value.data(), end, timestamp);
+        if (status != std::errc() || parsed_end != end) {
+          Fail(error, at, "time '" + std::string(value) + "' is not an integer");
+          return std::nullopt;
+        }
       } else if (directive.rfind("message ", 0) == 0) {
         message = std::string(Trim(directive.substr(8)));
       } else if (directive.rfind("delete ", 0) == 0) {
-        deletes.insert(std::string(Trim(directive.substr(7))));
+        std::string path(Trim(directive.substr(7)));
+        if (named_twice(path, at)) {
+          return std::nullopt;
+        }
+        deletes.insert(std::move(path));
       } else if (directive.rfind("write ", 0) == 0) {
         std::string path(Trim(directive.substr(6)));
+        if (named_twice(path, at)) {
+          return std::nullopt;
+        }
         if (cursor.Done() || Trim(cursor.Take()) != "<<<") {
           Fail(error, at, "expected '<<<' after 'write " + path + "'");
           return std::nullopt;

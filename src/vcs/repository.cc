@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/support/thread_pool.h"
+
 namespace vc {
 
 AuthorId Repository::AddAuthor(std::string name) {
@@ -101,8 +103,8 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
     const Commit& commit = commits_[commit_id];
     if (commit.deleted.count(path) > 0) {
       state.attribution.clear();
-      state.content.clear();
-      state.exists = false;
+      state.line_ends.clear();
+      state.content_commit = kInvalidCommit;
       continue;
     }
     auto file_it = commit.files.find(path);
@@ -110,34 +112,37 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
       continue;
     }
     const std::string& next = file_it->second;
-    if (!state.exists) {
-      // (Re)creation: every line belongs to this commit.
-      state.attribution.assign(SplitLines(next).size(), {commit_id, commit.author});
-      state.content = next;
-      state.exists = true;
-      continue;
-    }
-    std::vector<std::string_view> old_lines = SplitLines(state.content);
     std::vector<std::string_view> new_lines = SplitLines(next);
-    std::vector<Edit> edits = DiffLines(old_lines, new_lines);
-    std::vector<LineOrigin> next_attr;
-    next_attr.reserve(new_lines.size());
-    for (const Edit& edit : edits) {
-      if (edit.op == EditOp::kKeep) {
-        next_attr.push_back(state.attribution[edit.old_index]);
-      } else if (edit.op == EditOp::kInsert) {
-        next_attr.push_back({commit_id, commit.author});
+    if (state.content_commit == kInvalidCommit) {
+      // (Re)creation: every line belongs to this commit.
+      state.attribution.assign(new_lines.size(), {commit_id, commit.author});
+    } else {
+      std::string_view content = commits_[state.content_commit].files.at(path);
+      std::vector<std::string_view> old_lines;
+      old_lines.reserve(state.line_ends.size());
+      size_t begin = 0;
+      for (size_t end : state.line_ends) {
+        old_lines.push_back(content.substr(begin, end - begin));
+        begin = end + 1;
       }
+      std::vector<LineOrigin> next_attr;
+      next_attr.reserve(new_lines.size());
+      for (const Edit& edit : DiffLines(old_lines, new_lines)) {
+        if (edit.op == EditOp::kKeep) {
+          next_attr.push_back(state.attribution[edit.old_index]);
+        } else if (edit.op == EditOp::kInsert) {
+          next_attr.push_back({commit_id, commit.author});
+        }
+      }
+      state.attribution = std::move(next_attr);
     }
-    state.attribution = std::move(next_attr);
-    state.content = next;
+    state.line_ends.clear();
+    state.line_ends.reserve(new_lines.size());
+    for (std::string_view line : new_lines) {
+      state.line_ends.push_back(static_cast<size_t>(line.data() - next.data()) + line.size());
+    }
+    state.content_commit = commit_id;
   }
-}
-
-std::vector<LineOrigin> Repository::ReplayBlame(const std::string& path, CommitId up_to) const {
-  BlameReplayState state;
-  AdvanceBlame(path, up_to, state);
-  return std::move(state.attribution);
 }
 
 const std::vector<LineOrigin>& Repository::Blame(const std::string& path) const {
@@ -148,7 +153,28 @@ const std::vector<LineOrigin>& Repository::Blame(const std::string& path) const 
 }
 
 std::vector<LineOrigin> Repository::BlameAt(const std::string& path, CommitId commit) const {
-  return ReplayBlame(path, commit);
+  BlameReplayState state;
+  AdvanceBlame(path, commit, state);
+  return std::move(state.attribution);
+}
+
+void Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) const {
+  // Serially: every cache entry exists before the parallel loop, because
+  // inserting into blame_cache_ is not thread-safe. The set drops duplicate
+  // paths, which would otherwise fold one state on two lanes.
+  std::vector<std::pair<const std::string*, BlameReplayState*>> behind;
+  for (const std::string& path : std::set<std::string>(paths.begin(), paths.end())) {
+    auto log = file_log_.find(path);
+    auto entry = blame_cache_.try_emplace(path).first;
+    if (log != file_log_.end() && entry->second.log_index < log->second.size()) {
+      behind.emplace_back(&entry->first, &entry->second);
+    }
+  }
+  // In parallel: each lane folds one path's log into that path's own state;
+  // commits_, file_log_ and the shape of blame_cache_ stay read-only.
+  const CommitId head = static_cast<CommitId>(commits_.size()) - 1;
+  ParallelFor(jobs, behind.size(),
+              [&](size_t i) { AdvanceBlame(*behind[i].first, head, *behind[i].second); });
 }
 
 Repository Repository::PrefixCopy(CommitId up_to) const {

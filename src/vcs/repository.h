@@ -47,18 +47,6 @@ struct LineOrigin {
   AuthorId author = kInvalidAuthor;
 };
 
-// Resumable blame replay for one path: the fold state after applying a prefix
-// of the path's commit log. Advancing one commit at a time yields exactly the
-// same attribution as a from-scratch replay — this is what makes per-commit
-// incremental blame O(commit delta) instead of O(history) while staying
-// byte-identical to Blame()/BlameAt().
-struct BlameReplayState {
-  std::vector<LineOrigin> attribution;
-  std::string content;  // file content at the replay point
-  bool exists = false;
-  size_t log_index = 0;  // next entry of the path's commit log to apply
-};
-
 class Repository {
  public:
   AuthorId AddAuthor(std::string name);
@@ -86,10 +74,12 @@ class Repository {
   const std::vector<LineOrigin>& Blame(const std::string& path) const;
   std::vector<LineOrigin> BlameAt(const std::string& path, CommitId commit) const;
 
-  // Advances `state` through every log entry of `path` with id <= up_to.
-  // Starting from a default state this reproduces BlameAt(path, up_to);
-  // callers that keep the state across commits pay only for the new entries.
-  void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
+  // Brings the cached head blame of every path in `paths` up to date across
+  // up to `jobs` lanes, so later Blame() calls on them are lookups. Each
+  // path's fold depends only on its own log, so the result is the same at
+  // any `jobs`. Duplicate and unknown paths are fine. Not safe to call
+  // concurrently with any other call on this repository.
+  void WarmBlame(const std::vector<std::string>& paths, int jobs) const;
 
   // A new repository containing the same authors and commits 0..up_to — the
   // repository as it existed right after `up_to` landed. This is the baseline
@@ -104,7 +94,27 @@ class Repository {
   std::vector<int> ChangedLines(const std::string& path, CommitId commit) const;
 
  private:
-  std::vector<LineOrigin> ReplayBlame(const std::string& path, CommitId up_to) const;
+  // Resumable blame replay for one path: the fold state after applying a
+  // prefix of the path's commit log. Advancing one commit at a time yields
+  // exactly the same attribution as a from-scratch replay, which makes
+  // per-commit blame O(commit delta) instead of O(history).
+  struct BlameReplayState {
+    std::vector<LineOrigin> attribution;
+    // The commit whose content of the path is the content at the replay
+    // point (kInvalidCommit while the path does not exist), and the end
+    // offset of each of its lines, so the next step does not split that
+    // content again. Offsets rather than views keep a copied repository's
+    // cache valid.
+    CommitId content_commit = kInvalidCommit;
+    std::vector<size_t> line_ends;
+    size_t log_index = 0;  // next entry of the path's commit log to apply
+  };
+
+  // Advances `state` through every log entry of `path` with id <= up_to.
+  // Starting from a default state this reproduces BlameAt(path, up_to).
+  // Reads only commits_ and file_log_, so different states may advance on
+  // different threads at once.
+  void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
 
   std::vector<Author> authors_;
   std::vector<Commit> commits_;

@@ -66,6 +66,45 @@ TEST(HistoryIo, ErrorsCarryLineNumbers) {
   EXPECT_NE(error.find("missing 'author'"), std::string::npos);
 }
 
+TEST(HistoryIo, RejectsNonIntegerTime) {
+  std::string error;
+  EXPECT_FALSE(LoadHistory("commit\nauthor a\ntime soon\nend\n", &error).has_value());
+  EXPECT_NE(error.find("line 3: time 'soon' is not an integer"), std::string::npos) << error;
+
+  EXPECT_FALSE(LoadHistory("commit\nauthor a\nend\ncommit\nauthor a\ntime 12x\nend\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("line 6: time '12x' is not an integer"), std::string::npos) << error;
+
+  EXPECT_FALSE(LoadHistory("commit\nauthor a\ntime 99999999999999999999\nend\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+
+  std::optional<Repository> repo = LoadHistory("commit\nauthor a\ntime -42\nend\n", &error);
+  ASSERT_TRUE(repo.has_value()) << error;
+  EXPECT_EQ(repo->GetCommit(0).timestamp, -42);
+}
+
+TEST(HistoryIo, RejectsPathNamedTwiceInOneCommit) {
+  const std::string write_a = "write a.c\n<<<\nint x;\n>>>\n";
+  std::string error;
+  EXPECT_FALSE(
+      LoadHistory("commit\nauthor a\n" + write_a + "delete a.c\nend\n", &error).has_value());
+  EXPECT_NE(error.find("line 7: 'a.c' named twice in one commit"), std::string::npos) << error;
+
+  EXPECT_FALSE(LoadHistory("commit\nauthor a\n" + write_a + write_a + "end\n", &error).has_value());
+  EXPECT_NE(error.find("line 7: 'a.c' named twice"), std::string::npos) << error;
+
+  EXPECT_FALSE(
+      LoadHistory("commit\nauthor a\ndelete a.c\ndelete a.c\nend\n", &error).has_value());
+  EXPECT_NE(error.find("line 4: 'a.c' named twice"), std::string::npos) << error;
+
+  // Once per commit is fine, across any number of commits.
+  std::optional<Repository> repo = LoadHistory(
+      "commit\nauthor a\n" + write_a + "end\ncommit\nauthor b\ndelete a.c\nend\n", &error);
+  ASSERT_TRUE(repo.has_value()) << error;
+  EXPECT_EQ(repo->LogOf("a.c").size(), 2u);
+}
+
 TEST(HistoryIo, EmptyInputIsEmptyRepo) {
   std::string error;
   std::optional<Repository> repo = LoadHistory("", &error);

@@ -400,14 +400,25 @@ TEST_F(ServerTest, DrainShedsQueuedWorkAndFinishesInFlight) {
   options.allow_debug_sleep = true;
   StartServer(std::move(options));
 
+  // Each connection has its own session thread, so the server may read the
+  // two frames in either order: wait for the holder to be admitted before
+  // sending the second request, and for that one to queue before draining.
+  auto wait_for = [](const auto& done) {
+    for (int i = 0; i < 500 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
   auto holder = Connect();
   ASSERT_NE(holder, nullptr);
   ASSERT_TRUE(holder->SendFrame(SimpleRequest("hold", "report", "p", 0.0, 600)));
+  wait_for([&] { return server_->totals().inflight_high_water >= 1; });
+  ASSERT_EQ(server_->totals().inflight_high_water, 1);
 
   auto queued = Connect();
   ASSERT_NE(queued, nullptr);
   ASSERT_TRUE(queued->SendFrame(SimpleRequest("queued", "report", "p")));
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  wait_for([&] { return server_->totals().queue_high_water >= 1; });
+  ASSERT_EQ(server_->totals().queue_high_water, 1);
 
   // Drain now: the queued waiter sheds with reason "draining"; the in-flight
   // holder finishes and responds.

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "src/corpus/generator.h"
+#include "src/corpus/profile.h"
+#include "src/support/rng.h"
+#include "src/support/thread_pool.h"
 #include "src/vcs/diff.h"
 #include "src/vcs/repository.h"
 
@@ -99,6 +106,202 @@ TEST(Diff, ScriptIndicesAreOrderedAndComplete) {
   }
   EXPECT_EQ(next_old, static_cast<int>(a.size()));
   EXPECT_EQ(next_new, static_cast<int>(b.size()));
+}
+
+// --- DiffLines against textbook Myers --------------------------------------------
+
+// Textbook Myers with no trimming and a full copy of `v` per step. DiffLines
+// must match it edit for edit, because blame follows which of several equal
+// lines a script keeps.
+std::vector<Edit> ReferenceMyers(const std::vector<std::string_view>& a,
+                                 const std::vector<std::string_view>& b) {
+  const int n = static_cast<int>(a.size());
+  const int m = static_cast<int>(b.size());
+  const int max_d = n + m;
+
+  // Myers' greedy algorithm. `v[k]` holds the furthest x on diagonal k; we
+  // keep a copy of v per step to backtrack the edit script. One padding slot
+  // on each side keeps the k±1 reads in bounds at the extreme diagonals
+  // (notably k = -d = max_d = 0 when both inputs are empty).
+  std::vector<std::vector<int>> trace;
+  std::vector<int> v(2 * max_d + 3, 0);
+  auto vk = [&](std::vector<int>& vec, int k) -> int& { return vec[k + max_d + 1]; };
+
+  int final_d = -1;
+  for (int d = 0; d <= max_d; ++d) {
+    for (int k = -d; k <= d; k += 2) {
+      int x;
+      if (k == -d || (k != d && vk(v, k - 1) < vk(v, k + 1))) {
+        x = vk(v, k + 1);  // move down (insert from b)
+      } else {
+        x = vk(v, k - 1) + 1;  // move right (delete from a)
+      }
+      int y = x - k;
+      while (x < n && y < m && a[x] == b[y]) {
+        ++x;
+        ++y;
+      }
+      vk(v, k) = x;
+      if (x >= n && y >= m) {
+        final_d = d;
+        break;
+      }
+    }
+    trace.push_back(v);
+    if (final_d >= 0) {
+      break;
+    }
+  }
+
+  // Backtrack from (n, m).
+  std::vector<Edit> reversed;
+  int x = n;
+  int y = m;
+  for (int d = final_d; d > 0; --d) {
+    std::vector<int>& prev = trace[d - 1];
+    int k = x - y;
+    int prev_k;
+    if (k == -d || (k != d && vk(prev, k - 1) < vk(prev, k + 1))) {
+      prev_k = k + 1;
+    } else {
+      prev_k = k - 1;
+    }
+    int prev_x = vk(prev, prev_k);
+    int prev_y = prev_x - prev_k;
+    while (x > prev_x && y > prev_y) {
+      reversed.push_back({EditOp::kKeep, x - 1, y - 1});
+      --x;
+      --y;
+    }
+    if (x == prev_x) {
+      reversed.push_back({EditOp::kInsert, -1, y - 1});
+      --y;
+    } else {
+      reversed.push_back({EditOp::kDelete, x - 1, -1});
+      --x;
+    }
+  }
+  while (x > 0 && y > 0) {
+    reversed.push_back({EditOp::kKeep, x - 1, y - 1});
+    --x;
+    --y;
+  }
+  while (x > 0) {
+    reversed.push_back({EditOp::kDelete, x - 1, -1});
+    --x;
+  }
+  while (y > 0) {
+    reversed.push_back({EditOp::kInsert, -1, y - 1});
+    --y;
+  }
+
+  return {reversed.rbegin(), reversed.rend()};
+}
+
+using Script = std::vector<std::tuple<int, int, int>>;
+
+Script AsScript(const std::vector<Edit>& edits) {
+  Script script;
+  for (const Edit& edit : edits) {
+    script.emplace_back(static_cast<int>(edit.op), edit.old_index, edit.new_index);
+  }
+  return script;
+}
+
+void ExpectMatchesReference(const std::vector<std::string>& a, const std::vector<std::string>& b) {
+  ASSERT_EQ(AsScript(DiffLines(Views(a), Views(b))), AsScript(ReferenceMyers(Views(a), Views(b))))
+      << "old " << a.size() << " lines, new " << b.size() << " lines";
+}
+
+std::string RandomLine(Rng& rng, int alphabet) {
+  return "L" + std::to_string(rng.NextBelow(static_cast<uint64_t>(alphabet)));
+}
+
+std::vector<std::string> RandomLines(Rng& rng, int alphabet, int max_len) {
+  std::vector<std::string> lines(rng.NextBelow(static_cast<uint64_t>(max_len) + 1));
+  for (std::string& line : lines) {
+    line = RandomLine(rng, alphabet);
+  }
+  return lines;
+}
+
+// `lines` with some lines deleted, replaced or preceded by a new one: the
+// shape of a commit rather than of an unrelated file.
+std::vector<std::string> Edited(Rng& rng, const std::vector<std::string>& lines, int alphabet) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    switch (rng.NextBelow(6)) {
+      case 0:
+        break;
+      case 1:
+        out.push_back(RandomLine(rng, alphabet));
+        break;
+      case 2:
+        out.push_back(RandomLine(rng, alphabet));
+        out.push_back(line);
+        break;
+      default:
+        out.push_back(line);
+    }
+  }
+  return out;
+}
+
+TEST(Diff, MatchesReferenceOnRandomSmallAlphabets) {
+  Rng rng(20240613);
+  for (int round = 0; round < 20000; ++round) {
+    int alphabet = 1 + round % 6;
+    std::vector<std::string> a = RandomLines(rng, alphabet, 12);
+    std::vector<std::string> b =
+        round % 2 == 0 ? RandomLines(rng, alphabet, 12) : Edited(rng, a, alphabet);
+    ExpectMatchesReference(a, b);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(Diff, MatchesReferenceAfterLongSharedPrefix) {
+  Rng rng(7);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::string> prefix = RandomLines(rng, 1 + round % 6, 300);
+    std::vector<std::string> a = prefix;
+    std::vector<std::string> b = prefix;
+    for (const std::string& line : RandomLines(rng, 1 + round % 4, 10)) {
+      a.push_back(line);
+    }
+    for (const std::string& line : RandomLines(rng, 1 + round % 4, 10)) {
+      b.push_back(line);
+    }
+    ExpectMatchesReference(a, b);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(Diff, MatchesReferenceOnEmptySides) {
+  std::vector<std::string> empty;
+  std::vector<std::string> lines = {"a", "b", "a"};
+  ExpectMatchesReference(empty, lines);
+  ExpectMatchesReference(lines, empty);
+  ExpectMatchesReference(empty, empty);
+}
+
+// A suffix trim would keep the last A: on its own for [A] -> [A, A], and after
+// the prefix trim for [A] -> [B, A, A]. Myers keeps the first A, so the new
+// commit is blamed for the last line.
+TEST(Diff, DuplicatedLineKeepsTheFirstCopy) {
+  std::vector<std::string> a = {"A"};
+  std::vector<std::string> doubled = {"A", "A"};
+  std::vector<std::string> prefixed = {"B", "A", "A"};
+  ExpectMatchesReference(a, doubled);
+  ExpectMatchesReference(a, prefixed);
+  const int keep = static_cast<int>(EditOp::kKeep);
+  const int insert = static_cast<int>(EditOp::kInsert);
+  EXPECT_EQ(AsScript(DiffLines(Views(a), Views(doubled))), (Script{{keep, 0, 0}, {insert, -1, 1}}));
+  EXPECT_EQ(AsScript(DiffLines(Views(a), Views(prefixed))),
+            (Script{{insert, -1, 0}, {keep, 0, 1}, {insert, -1, 2}}));
 }
 
 // --- Repository -------------------------------------------------------------------
@@ -230,6 +433,82 @@ TEST(Repository, ChangedLinesForNewFile) {
   CommitId c1 = repo.AddCommit(a, 1, "new", {{"f.c", "a\nb\n"}});
   EXPECT_EQ(repo.ChangedLines("f.c", c1), (std::vector<int>{1, 2}));
   EXPECT_TRUE(repo.ChangedLines("untouched.c", c1).empty());
+}
+
+// --- Parallel blame warm-up ----------------------------------------------------------
+
+std::vector<std::pair<CommitId, AuthorId>> Origins(const std::vector<LineOrigin>& blame) {
+  std::vector<std::pair<CommitId, AuthorId>> origins;
+  for (const LineOrigin& origin : blame) {
+    origins.emplace_back(origin.commit, origin.author);
+  }
+  return origins;
+}
+
+// Nine files over 386 commits; the profile scaled to 0.1 has only two files,
+// too few to fill eight lanes.
+Repository GeneratedHistory() { return GenerateApp(NfsGaneshaProfile()).repo; }
+
+TEST(Repository, WarmBlameMatchesLazyBlameAtAnyJobs) {
+  Repository history = GeneratedHistory();
+  std::vector<std::string> live = history.ListFiles();
+  ASSERT_GE(live.size(), 4u);
+  history.AddCommit(0, 1, "remove", {}, {live.front()});
+  const CommitId head = history.NumCommits() - 1;
+
+  // Every path the history ever touched (one of them deleted at head), one
+  // of them twice, and one it never touched.
+  std::set<std::string> touched;
+  for (CommitId id = 0; id <= head; ++id) {
+    for (const auto& [path, content] : history.GetCommit(id).files) {
+      touched.insert(path);
+    }
+  }
+  std::vector<std::string> paths(touched.begin(), touched.end());
+  paths.push_back(live[1]);
+  paths.push_back("no/such/file.c");
+
+  Repository lazy = history.PrefixCopy(head);
+  for (int jobs : {1, 2, 8}) {
+    Repository warm = history.PrefixCopy(head);
+    warm.WarmBlame(paths, jobs);
+    for (const std::string& path : paths) {
+      EXPECT_EQ(Origins(warm.Blame(path)), Origins(lazy.Blame(path)))
+          << path << " at jobs " << jobs;
+    }
+  }
+  EXPECT_TRUE(lazy.Blame(live.front()).empty());
+}
+
+TEST(Repository, WarmBlameAdvancesOnlyPathsWithNewCommits) {
+  Repository repo = GeneratedHistory();
+  std::vector<std::string> paths = repo.ListFiles();
+  ASSERT_GE(paths.size(), 4u);
+  paths.push_back("later.c");
+  repo.WarmBlame(paths, 2);
+
+  // Up to date: nothing is scheduled.
+  ThreadPoolStats before = ThreadPool::Global().stats();
+  repo.WarmBlame(paths, 2);
+  EXPECT_EQ(ThreadPool::Global().stats().Delta(before).parallel_fors, 0u);
+
+  AuthorId late = repo.AddAuthor("late");
+  repo.AddCommit(late, 1, "append", {{paths[0], *repo.Head(paths[0]) + "int late;\n"}});
+  repo.AddCommit(late, 2, "remove", {}, {paths[1]});
+  repo.AddCommit(late, 3, "create", {{"later.c", "int only;\n"}});
+  before = ThreadPool::Global().stats();
+  repo.WarmBlame(paths, 2);
+  ThreadPoolStats delta = ThreadPool::Global().stats().Delta(before);
+  // One loop over the three touched paths (below 16 items at two lanes the
+  // pool deals one item per chunk).
+  EXPECT_EQ(delta.parallel_fors, 1u);
+  EXPECT_EQ(delta.chunks_executed, 3u);
+
+  Repository lazy = repo.PrefixCopy(repo.NumCommits() - 1);
+  for (const std::string& path : paths) {
+    EXPECT_EQ(Origins(repo.Blame(path)), Origins(lazy.Blame(path))) << path;
+  }
+  EXPECT_EQ(repo.Blame(paths[0]).back().author, late);
 }
 
 }  // namespace

@@ -307,6 +307,23 @@ incremental_smoke() {
     echo "incremental smoke: full analyze failed (exit ${rc})" >&2
     return 1
   fi
+  # A history run warms blame across its lanes: one lane and eight lanes
+  # must both match the default run byte for byte.
+  local jobs
+  for jobs in 1 8; do
+    rc=0
+    "${vc}" analyze --history "${tmp}/history.vchist" --jobs "${jobs}" --format=csv \
+      >"${tmp}/full-j${jobs}.csv" 2>/dev/null || rc=$?
+    if [ "${rc}" -ge 2 ]; then
+      echo "incremental smoke: analyze --jobs ${jobs} failed (exit ${rc})" >&2
+      return 1
+    fi
+    if ! cmp -s "${tmp}/full.csv" "${tmp}/full-j${jobs}.csv"; then
+      echo "incremental smoke: analyze --jobs ${jobs} differs from the default run" >&2
+      diff "${tmp}/full.csv" "${tmp}/full-j${jobs}.csv" | head -20 >&2
+      return 1
+    fi
+  done
   rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
     --cache-dir "${tmp}/cache" --format=csv \
