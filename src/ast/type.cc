@@ -39,21 +39,39 @@ const Type* TypeTable::StructTypeFor(const StructDecl* decl) {
 }
 
 std::string Type::ToString() const {
+  std::string out;
+  AppendTo(out);
+  return out;
+}
+
+void Type::AppendTo(std::string& out) const {
   switch (kind_) {
     case TypeKind::kVoid:
-      return "void";
+      out += "void";
+      return;
     case TypeKind::kInt:
-      return "int";
+      out += "int";
+      return;
     case TypeKind::kChar:
-      return "char";
+      out += "char";
+      return;
     case TypeKind::kBool:
-      return "bool";
+      out += "bool";
+      return;
     case TypeKind::kStruct:
-      return "struct " + (struct_decl_ ? struct_decl_->name : std::string("<anon>"));
+      out += "struct ";
+      out += struct_decl_ != nullptr ? struct_decl_->name : std::string("<anon>");
+      return;
     case TypeKind::kPointer:
-      return (pointee_ ? pointee_->ToString() : std::string("?")) + "*";
+      if (pointee_ != nullptr) {
+        pointee_->AppendTo(out);
+      } else {
+        out += '?';
+      }
+      out += '*';
+      return;
   }
-  return "<bad-type>";
+  out += "<bad-type>";
 }
 
 }  // namespace vc

@@ -43,6 +43,8 @@ class Type {
   const StructDecl* struct_decl() const { return struct_decl_; }
 
   std::string ToString() const;
+  // Appends ToString() to `out` without building temporaries.
+  void AppendTo(std::string& out) const;
 
  private:
   friend class TypeTable;

@@ -74,18 +74,6 @@ class Checker {
   // Detects this checker's candidates in the context's function. Runs once
   // per (checker, function) pair under the driver's isolation boundary.
   virtual std::vector<UnusedDefCandidate> Check(CheckerContext& ctx) const = 0;
-
-  // Optional hook: drop or mark candidates this checker produced before they
-  // enter the shared pruning stage. `own` holds only this checker's
-  // candidates. The default keeps everything.
-  virtual void Prune(const Project& project, std::vector<UnusedDefCandidate>& own) const {
-    (void)project;
-    (void)own;
-  }
-
-  // Optional hook: adjust ranking inputs (e.g. familiarity) on this
-  // checker's surviving findings. The default is a no-op.
-  virtual void Rank(std::vector<UnusedDefCandidate>& own) const { (void)own; }
 };
 
 }  // namespace vc

@@ -133,25 +133,29 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       repo->WarmBlame(paths, options_.jobs);
     }
     AuthorshipAnalyzer authorship(project, repo);
-    authorship.ClassifyAll(candidates);
+    authorship.ClassifyAll(candidates, options_.jobs);
     RunEvent("stage_end").Str("stage", "authorship").Emit();
   }
   double authorship_seconds = SecondsSince(authorship_start);
-  report.raw_candidates = candidates;
+  // From here on the candidates live in the report; later stages refer to
+  // them by index and mark them in place.
+  report.raw_candidates = std::move(candidates);
+  const std::vector<UnusedDefCandidate>& raw = report.raw_candidates;
 
   // 3. Cross-scope filter: only definitions on developer-interaction
   // boundaries continue (unless the ablation disables the filter).
   auto filter_start = std::chrono::steady_clock::now();
-  std::vector<UnusedDefCandidate> pool;
+  std::vector<size_t> pool;
   {
     TraceSpan span("cross_scope_filter", "pipeline");
     RunEvent("stage_start").Str("stage", "cross_scope_filter").Emit();
-    for (const UnusedDefCandidate& cand : candidates) {
-      if (options_.cross_scope_only && !cand.cross_scope) {
+    pool.reserve(raw.size());
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (options_.cross_scope_only && !raw[i].cross_scope) {
         ++report.non_cross_scope;
         continue;
       }
-      pool.push_back(cand);
+      pool.push_back(i);
     }
     RunEvent("stage_end")
         .Str("stage", "cross_scope_filter")
@@ -168,7 +172,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   RunEvent("stage_start").Str("stage", "prune").Emit();
   try {
     TraceSpan span("prune", "pipeline");
-    report.prune_stats = RunPruning(project, pool, options_.prune, &candidates, repo);
+    report.prune_stats = RunPruning(project, report.raw_candidates, pool, raw, options_.prune,
+                                    repo, options_.jobs);
   } catch (const std::exception& e) {
     // Stage-level fallback: a pruning crash degrades to "nothing pruned"
     // (findings become a superset) rather than killing the run.
@@ -176,9 +181,9 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
   double prune_seconds = SecondsSince(prune_start);
 
-  for (const UnusedDefCandidate& cand : pool) {
-    if (cand.pruned_by == PruneReason::kNone) {
-      report.findings.push_back(cand);
+  for (size_t i : pool) {
+    if (raw[i].pruned_by == PruneReason::kNone) {
+      report.findings.push_back(raw[i]);
     }
   }
   RunEvent("stage_end")
@@ -300,7 +305,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     for (size_t i : project.unit_order()) {
       stage.functions_analyzed += project.modules()[i]->functions.size();
     }
-    stage.candidates_detected = candidates.size();
+    stage.candidates_detected = raw.size();
     stage.rank_scored = rank_stats.scored;
     stage.rank_unknown = rank_stats.unknown;
     stage.rank_model_seconds = rank_stats.model_seconds;

@@ -1,28 +1,45 @@
 #include "src/core/authorship.h"
 
+#include "src/support/thread_pool.h"
+
 namespace vc {
 
 AuthorId AuthorshipAnalyzer::AuthorOfLoc(const SourceLoc& loc) const {
   if (repo_ == nullptr || !loc.IsValid() || loc.file >= project_.sources().NumFiles()) {
     return kInvalidAuthor;
   }
-  const std::string& path = project_.sources().Path(loc.file);
-  const std::vector<LineOrigin>* blame_ptr;
-  if (at_commit_ == kInvalidCommit) {
-    blame_ptr = &repo_->Blame(path);
-  } else {
-    auto it = blame_cache_.find(path);
-    if (it == blame_cache_.end()) {
-      it = blame_cache_.emplace(path, repo_->BlameAt(path, at_commit_)).first;
-    }
-    blame_ptr = &it->second;
-  }
-  const std::vector<LineOrigin>& blame = *blame_ptr;
+  const std::vector<LineOrigin>& blame = BlameOf(loc.file);
   int index = loc.line - 1;
   if (index < 0 || index >= static_cast<int>(blame.size())) {
     return kInvalidAuthor;
   }
   return blame[index].author;
+}
+
+const std::vector<LineOrigin>& AuthorshipAnalyzer::BlameOf(FileId file) const {
+  if (blame_.empty()) {
+    blame_.assign(static_cast<size_t>(project_.sources().NumFiles()), nullptr);
+  }
+  const std::vector<LineOrigin>*& slot = blame_[file];
+  if (slot == nullptr) {
+    const std::string& path = project_.sources().Path(file);
+    if (at_commit_ == kInvalidCommit) {
+      slot = &repo_->Blame(path);
+    } else {
+      slot = &historical_.emplace_back(repo_->BlameAt(path, at_commit_));
+    }
+  }
+  return *slot;
+}
+
+void AuthorshipAnalyzer::ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
+                                     int jobs) const {
+  if (repo_ != nullptr && !candidates.empty()) {
+    for (FileId file = 0; file < project_.sources().NumFiles(); ++file) {
+      BlameOf(file);
+    }
+  }
+  ParallelFor(jobs, candidates.size(), [&](size_t i) { Classify(candidates[i]); });
 }
 
 bool AuthorshipAnalyzer::AllDifferent(AuthorId author,

@@ -12,6 +12,7 @@
 #ifndef VALUECHECK_SRC_CORE_AUTHORSHIP_H_
 #define VALUECHECK_SRC_CORE_AUTHORSHIP_H_
 
+#include <deque>
 #include <vector>
 
 #include "src/core/project.h"
@@ -25,7 +26,9 @@ class AuthorshipAnalyzer {
   // `repo` may be null; every author is then unknown and nothing classifies
   // as cross-scope except library return values. When `at_commit` is given,
   // blame is evaluated at that commit instead of head (incremental analysis
-  // sees the history as of the commit under analysis).
+  // sees the history as of the commit under analysis). The repository must
+  // not gain commits while the analyzer is in use: blame is read once per
+  // file and kept.
   AuthorshipAnalyzer(const Project& project, const Repository* repo,
                      CommitId at_commit = kInvalidCommit)
       : project_(project), repo_(repo), at_commit_(at_commit) {}
@@ -36,11 +39,11 @@ class AuthorshipAnalyzer {
   // Fills cross_scope / kind / def_author / responsible_author.
   void Classify(UnusedDefCandidate& cand) const;
 
-  void ClassifyAll(std::vector<UnusedDefCandidate>& candidates) const {
-    for (UnusedDefCandidate& cand : candidates) {
-      Classify(cand);
-    }
-  }
+  // Classifies every candidate across up to `jobs` lanes. Blame of every
+  // project file is resolved serially first, so the lanes only read it; each
+  // candidate's classification depends on nothing but the candidate, so the
+  // result is the same at any `jobs`.
+  void ClassifyAll(std::vector<UnusedDefCandidate>& candidates, int jobs = 1) const;
 
  private:
   bool AllDifferent(AuthorId author, const std::vector<AuthorId>& others) const;
@@ -50,11 +53,19 @@ class AuthorshipAnalyzer {
   // (overwriter_locs) or, failing that, the callee rule (callee_name).
   void ClassifyGeneric(UnusedDefCandidate& cand) const;
 
+  // Blame of `file` (repo_ non-null), resolved on first use. Resolution
+  // writes the per-file table, so concurrent callers are safe only once
+  // every file they touch is resolved — what ClassifyAll arranges.
+  const std::vector<LineOrigin>& BlameOf(FileId file) const;
+
   const Project& project_;
   const Repository* repo_;
   CommitId at_commit_ = kInvalidCommit;
-  // Historical blame results are recomputed per path, so cache them.
-  mutable std::map<std::string, std::vector<LineOrigin>> blame_cache_;
+  // Per FileId: the file's blame, null until resolved. Head blame points
+  // into the repository's own cache; historical blame is computed per file
+  // and owned by `historical_` (a deque, so the pointers stay valid).
+  mutable std::vector<const std::vector<LineOrigin>*> blame_;
+  mutable std::deque<std::vector<LineOrigin>> historical_;
 };
 
 }  // namespace vc

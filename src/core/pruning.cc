@@ -1,16 +1,18 @@
 #include "src/core/pruning.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <tuple>
 #include <memory>
-#include <set>
+#include <numeric>
 #include <string>
+#include <tuple>
 
 #include "src/pointer/andersen.h"
 #include "src/pointer/value_flow.h"
 #include "src/support/metrics.h"
 #include "src/support/string_util.h"
+#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "src/vcs/repository.h"
 
@@ -171,196 +173,317 @@ class StaleCodeMatcher {
 
 // --- Pattern 4: peer definitions --------------------------------------------
 
-struct PeerKey {
-  bool operator<(const PeerKey& other) const {
-    if (is_param != other.is_param) {
-      return is_param < other.is_param;
-    }
-    if (group != other.group) {
-      return group < other.group;
-    }
-    return index < other.index;
-  }
-  bool is_param = false;
-  std::string group;  // callee name, or signature string for parameters
-  int index = 0;      // parameter index (0 for return values)
-};
-
 std::string SignatureOf(const FunctionDecl* decl) {
   // The full signature — return type included — defines the peer group.
-  std::string sig = decl->return_type != nullptr ? decl->return_type->ToString() : "?";
-  sig += "(";
+  auto append = [](const Type* type, std::string& out) {
+    if (type != nullptr) {
+      type->AppendTo(out);
+    } else {
+      out += '?';
+    }
+  };
+  std::string sig;
+  append(decl->return_type, sig);
+  sig += '(';
   for (const VarDecl* param : decl->params) {
-    sig += param->type != nullptr ? param->type->ToString() : "?";
-    sig += ",";
+    append(param->type, sig);
+    sig += ',';
   }
-  return sig + ")";
+  sig += ')';
+  return sig;
 }
 
+// Peer-group verdicts from one pass over the function index. A function's
+// slot is its position in the index, which is sorted by name. Each slot's
+// return value is one peer group; each parameter position of a signature
+// (defined functions with the same SignatureOf) is another. Only the
+// verdict, "customarily ignored" or not, is kept per group, so matching a
+// candidate is a lookup. The per-candidate and per-slot passes run across
+// `jobs` lanes, each lane writing only its own slots.
 class PeerMatcher {
  public:
-  PeerMatcher(const Project& project, const std::vector<UnusedDefCandidate>& all,
-              const PruneOptions& options)
-      : options_(options) {
-    // Return values: a call site is "unused" when its result is ignored at
-    // the call or when the variable it was assigned to is itself an unused
-    // definition (the pre-pruning candidate set tells us the latter).
-    // Assigned-but-unused call results are matched to their call sites by
-    // (callee, file, line): the store and the call share a line but not a
-    // column.
-    std::set<std::tuple<std::string, FileId, int>> unused_assigned;
-    std::set<std::pair<std::string, int>> unused_params;  // (function, index)
-    for (const UnusedDefCandidate& cand : all) {
+  PeerMatcher(const Project& project, const std::vector<UnusedDefCandidate>& universe,
+              const PruneOptions& options, int jobs) {
+    functions_.reserve(project.function_index().size());
+    for (const auto& entry : project.function_index()) {
+      functions_.push_back(&entry);
+    }
+    const size_t slots = functions_.size();
+    // Slot s's parameter i is entry param_base[s] + i of the flat tables.
+    std::vector<size_t> param_base(slots + 1, 0);
+    for (size_t slot = 0; slot < slots; ++slot) {
+      param_base[slot + 1] = param_base[slot] + Arity(slot);
+    }
+
+    // Which values the universe shows unused: parameters, by (function
+    // slot, position), and assigned call results. A call site's result is
+    // unused when it is ignored at the call or when the variable it was
+    // assigned to is itself an unused definition; the store and the call
+    // share a line but not a column, so assigned-but-unused results are
+    // matched to call sites by (callee slot, file, line).
+    std::vector<size_t> peer_slot(universe.size(), kNoSlot);
+    ParallelFor(jobs, universe.size(), [&](size_t i) {
+      const UnusedDefCandidate& cand = universe[i];
       if (cand.checker != "unused-def") {
-        continue;  // peer statistics are defined over unused definitions only
+        return;  // peer statistics are defined over unused definitions only
       }
       if (cand.is_param && cand.var != nullptr) {
-        unused_params.insert({cand.function, cand.var->param_index});
+        peer_slot[i] = SlotOf(cand.function);
       } else if (!cand.callee_name.empty() && !cand.is_synthetic) {
-        unused_assigned.insert(
-            {cand.callee_name, cand.def_loc.file, cand.def_loc.line});
+        peer_slot[i] = SlotOf(cand.callee_name);
+      }
+    });
+    std::vector<std::tuple<size_t, FileId, int>> unused_assigned;
+    std::vector<bool> unused_param(param_base.back(), false);
+    for (size_t i = 0; i < universe.size(); ++i) {
+      const size_t slot = peer_slot[i];
+      if (slot == kNoSlot) {
+        continue;
+      }
+      const UnusedDefCandidate& cand = universe[i];
+      if (cand.is_param && cand.var != nullptr) {
+        const size_t param = static_cast<size_t>(cand.var->param_index);
+        if (param < Arity(slot)) {
+          unused_param[param_base[slot] + param] = true;
+        }
+      } else {
+        unused_assigned.emplace_back(slot, cand.def_loc.file, cand.def_loc.line);
       }
     }
+    std::sort(unused_assigned.begin(), unused_assigned.end());
 
-    for (const auto& [name, info] : project.function_index()) {
-      PeerKey key{false, name, 0};
-      PeerStats& stats = groups_[key];
+    auto over_threshold = [&options](int total, int unused) {
+      return total > options.peer_min_occurrences &&
+             static_cast<double>(unused) > options.peer_unused_fraction * total;
+    };
+
+    // Per slot: the return-value verdict (every call site of the name is an
+    // occurrence) and, for a defined function, its signature and the hash
+    // that groups it.
+    retval_ignored_.resize(slots);
+    std::vector<std::string> signature(slots);
+    std::vector<size_t> signature_hash(slots);
+    ParallelFor(jobs, slots, [&](size_t slot) {
+      auto by_slot = [](const auto& key, size_t s) { return std::get<0>(key) < s; };
+      auto first = std::lower_bound(unused_assigned.begin(), unused_assigned.end(), slot, by_slot);
+      auto last = std::lower_bound(first, unused_assigned.end(), slot + 1, by_slot);
+      const FunctionInfo& info = functions_[slot]->second;
+      int unused = 0;
       for (const CallSite& site : info.call_sites) {
-        ++stats.total;
         if (!site.result_assigned ||
-            unused_assigned.count({name, site.loc.file, site.loc.line}) > 0) {
-          ++stats.unused;
+            std::binary_search(first, last, std::make_tuple(slot, site.loc.file, site.loc.line))) {
+          ++unused;
         }
       }
-    }
+      retval_ignored_[slot] = over_threshold(static_cast<int>(info.call_sites.size()), unused);
+      if (info.def_decl != nullptr) {
+        signature[slot] = SignatureOf(info.def_decl);
+        signature_hash[slot] = std::hash<std::string>()(signature[slot]);
+      }
+    });
 
     // Parameters: peers are the same position of functions with identical
-    // signatures.
-    std::map<std::string, std::vector<const FunctionDecl*>> by_signature;
-    for (const auto& [name, info] : project.function_index()) {
-      if (info.def_decl != nullptr) {
-        by_signature[SignatureOf(info.def_decl)].push_back(info.def_decl);
+    // signatures. Sorting by (hash, slot) lines each signature's functions
+    // up in index order; a group's positions are those of its first one.
+    std::vector<size_t> defined;
+    for (size_t slot = 0; slot < slots; ++slot) {
+      if (functions_[slot]->second.def_decl != nullptr) {
+        defined.push_back(slot);
       }
     }
-    for (const auto& [sig, funcs] : by_signature) {
-      for (size_t index = 0; index < funcs.front()->params.size(); ++index) {
-        PeerKey key{true, sig, static_cast<int>(index)};
-        PeerStats& stats = groups_[key];
-        for (const FunctionDecl* func : funcs) {
-          if (index >= func->params.size()) {
-            continue;
-          }
-          ++stats.total;
-          if (unused_params.count({func->name, static_cast<int>(index)}) > 0) {
-            ++stats.unused;
+    std::sort(defined.begin(), defined.end(), [&](size_t a, size_t b) {
+      return std::tie(signature_hash[a], a) < std::tie(signature_hash[b], b);
+    });
+    param_group_.assign(slots, {0, 0});
+    for (size_t begin = 0, end = 0; begin < defined.size(); begin = end) {
+      const size_t hash = signature_hash[defined[begin]];
+      auto hash_end = std::find_if(defined.begin() + begin, defined.end(),
+                                   [&](size_t slot) { return signature_hash[slot] != hash; });
+      // Another signature with the same hash would share the run: move this
+      // signature's functions to its front, keeping index order on both sides.
+      auto same = [&](size_t slot) { return signature[slot] == signature[defined[begin]]; };
+      end = std::stable_partition(defined.begin() + begin + 1, hash_end, same) - defined.begin();
+
+      const std::pair<size_t, size_t> group{param_ignored_.size(), Arity(defined[begin])};
+      for (size_t param = 0; param < group.second; ++param) {
+        int total = 0;
+        int unused = 0;
+        for (size_t i = begin; i < end; ++i) {
+          if (param < Arity(defined[i])) {
+            ++total;
+            unused += unused_param[param_base[defined[i]] + param] ? 1 : 0;
           }
         }
+        param_ignored_.push_back(over_threshold(total, unused));
+      }
+      for (size_t i = begin; i < end; ++i) {
+        param_group_[defined[i]] = group;
       }
     }
   }
 
-  bool Matches(const UnusedDefCandidate& cand, const Project& project) const {
-    PeerKey key;
+  bool Matches(const UnusedDefCandidate& cand) const {
     if (cand.is_param && cand.var != nullptr) {
-      const FunctionInfo* info = project.FindFunction(cand.function);
-      if (info == nullptr || info->def_decl == nullptr) {
+      const size_t slot = SlotOf(cand.function);
+      if (slot == kNoSlot || functions_[slot]->second.def_decl == nullptr) {
         return false;
       }
-      key = {true, SignatureOf(info->def_decl), cand.var->param_index};
-    } else if (!cand.callee_name.empty()) {
-      key = {false, cand.callee_name, 0};
-    } else {
-      return false;
+      const auto [first, count] = param_group_[slot];
+      const size_t param = static_cast<size_t>(cand.var->param_index);
+      return param < count && param_ignored_[first + param];
     }
-    auto it = groups_.find(key);
-    if (it == groups_.end()) {
-      return false;
+    if (!cand.callee_name.empty()) {
+      const size_t slot = SlotOf(cand.callee_name);
+      return slot != kNoSlot && retval_ignored_[slot];
     }
-    const PeerStats& stats = it->second;
-    return stats.total > options_.peer_min_occurrences &&
-           static_cast<double>(stats.unused) >
-               options_.peer_unused_fraction * static_cast<double>(stats.total);
+    return false;
   }
 
  private:
-  struct PeerStats {
-    int total = 0;
-    int unused = 0;
-  };
-  std::map<PeerKey, PeerStats> groups_;
-  PruneOptions options_;
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  // The slot of the function called `name`, or kNoSlot.
+  size_t SlotOf(const std::string& name) const {
+    auto it = std::lower_bound(
+        functions_.begin(), functions_.end(), name,
+        [](const FunctionEntry* entry, const std::string& key) { return entry->first < key; });
+    return it != functions_.end() && (*it)->first == name
+               ? static_cast<size_t>(it - functions_.begin())
+               : kNoSlot;
+  }
+
+  // Parameter count of a defined function; 0 for one known only by calls.
+  size_t Arity(size_t slot) const {
+    const FunctionDecl* decl = functions_[slot]->second.def_decl;
+    return decl != nullptr ? decl->params.size() : 0;
+  }
+
+  using FunctionEntry = std::pair<const std::string, FunctionInfo>;
+  std::vector<const FunctionEntry*> functions_;  // by slot
+  std::vector<char> retval_ignored_;             // by slot
+  // By slot (defined functions): the signature group's first entry in
+  // param_ignored_ and its parameter count.
+  std::vector<std::pair<size_t, size_t>> param_group_;
+  std::vector<bool> param_ignored_;
 };
+
+// --- The pipeline -------------------------------------------------------------
+
+// Runs patterns 1-4 in pipeline order on one candidate and returns the first
+// that matches, counting each test in `counts`.
+PruneReason MatchPatterns(const Project& project, const UnusedDefCandidate& cand,
+                          const PruneOptions& options, CursorMatcher& cursor,
+                          const PeerMatcher* peers, PruneStats& counts) {
+  if (options.config_dependency) {
+    ++counts.config_tested;
+    if (MatchesConfigDependency(project, cand)) {
+      ++counts.config_dependency;
+      return PruneReason::kConfigDependency;
+    }
+  }
+  if (options.cursor) {
+    ++counts.cursor_tested;
+    if (cursor.Matches(cand)) {
+      ++counts.cursor;
+      return PruneReason::kCursor;
+    }
+  }
+  if (options.unused_hints) {
+    ++counts.hints_tested;
+    if (MatchesUnusedHint(project, cand)) {
+      ++counts.unused_hints;
+      return PruneReason::kUnusedHint;
+    }
+  }
+  if (options.peer_definition) {
+    ++counts.peer_tested;
+    if (peers->Matches(cand)) {
+      ++counts.peer_definition;
+      return PruneReason::kPeerDefinition;
+    }
+  }
+  return PruneReason::kNone;
+}
+
+// The §5 patterns model intentional *unused definitions* (cursor loops,
+// config-guarded uses, customarily-ignored values); other checkers' findings
+// pass through unpruned — keeping a checker's findings identical whether it
+// runs alone or alongside others. Already-pruned candidates are not retried.
+bool Prunable(const UnusedDefCandidate& cand) {
+  return cand.pruned_by == PruneReason::kNone && cand.checker == "unused-def";
+}
 
 }  // namespace
 
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
-                      const PruneOptions& options,
-                      const std::vector<UnusedDefCandidate>* peer_universe,
-                      const Repository* repo) {
+                      const std::vector<size_t>& targets,
+                      const std::vector<UnusedDefCandidate>& peer_universe,
+                      const PruneOptions& options, const Repository* repo, int jobs) {
   PruneStats stats;
-  stats.original = static_cast<int>(candidates.size());
+  stats.original = static_cast<int>(targets.size());
 
-  CursorMatcher cursor;
-  StaleCodeMatcher stale(project, repo, options);
   std::unique_ptr<PeerMatcher> peers;
-  {
+  if (options.peer_definition) {
     TraceSpan span("prune.peer_stats", "pipeline");
-    peers = std::make_unique<PeerMatcher>(
-        project, peer_universe != nullptr ? *peer_universe : candidates, options);
+    peers = std::make_unique<PeerMatcher>(project, peer_universe, options, jobs);
   }
 
-  TraceSpan span("prune.match", "pipeline");
-  span.Arg("candidates", static_cast<int64_t>(candidates.size()));
-  for (UnusedDefCandidate& cand : candidates) {
-    if (cand.pruned_by != PruneReason::kNone) {
-      continue;
+  // Verdicts land here and reach the candidates only after every pattern
+  // ran, so a stage that throws marks nothing.
+  std::vector<PruneReason> reasons(targets.size(), PruneReason::kNone);
+  {
+    TraceSpan span("prune.match", "pipeline");
+    span.Arg("candidates", static_cast<int64_t>(targets.size()));
+    // Contiguous chunks, each with its own cursor-graph cache (candidates
+    // of one function are adjacent, so a function's graphs are built about
+    // once) and its own counters, summed in chunk order afterwards.
+    const size_t chunks =
+        std::min(targets.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
+    std::vector<PruneStats> counts(chunks);
+    ParallelFor(jobs, chunks, [&](size_t chunk) {
+      CursorMatcher cursor;
+      const size_t end = targets.size() * (chunk + 1) / chunks;
+      for (size_t k = targets.size() * chunk / chunks; k < end; ++k) {
+        const UnusedDefCandidate& cand = candidates[targets[k]];
+        if (Prunable(cand)) {
+          reasons[k] = MatchPatterns(project, cand, options, cursor, peers.get(), counts[chunk]);
+        }
+      }
+    });
+    for (const PruneStats& chunk : counts) {
+      stats.config_dependency += chunk.config_dependency;
+      stats.cursor += chunk.cursor;
+      stats.unused_hints += chunk.unused_hints;
+      stats.peer_definition += chunk.peer_definition;
+      stats.config_tested += chunk.config_tested;
+      stats.cursor_tested += chunk.cursor_tested;
+      stats.hints_tested += chunk.hints_tested;
+      stats.peer_tested += chunk.peer_tested;
     }
-    if (cand.checker != "unused-def") {
-      // The §5 patterns model intentional *unused definitions* (cursor loops,
-      // config-guarded uses, customarily-ignored values); other checkers'
-      // findings pass through unpruned — keeping a checker's findings
-      // identical whether it runs alone or alongside others.
-      continue;
-    }
-    if (options.config_dependency) {
-      ++stats.config_tested;
-      if (MatchesConfigDependency(project, cand)) {
-        cand.pruned_by = PruneReason::kConfigDependency;
-        ++stats.config_dependency;
+  }
+
+  // The stale-code extension reads Repository::Blame, which is not safe to
+  // call concurrently, so it runs serially. Being the last pattern, it sees
+  // exactly the candidates the in-order pipeline would hand it.
+  if (options.stale_code) {
+    TraceSpan span("prune.stale_code", "pipeline");
+    StaleCodeMatcher stale(project, repo, options);
+    for (size_t k = 0; k < targets.size(); ++k) {
+      const UnusedDefCandidate& cand = candidates[targets[k]];
+      if (reasons[k] != PruneReason::kNone || !Prunable(cand)) {
         continue;
       }
-    }
-    if (options.cursor) {
-      ++stats.cursor_tested;
-      if (cursor.Matches(cand)) {
-        cand.pruned_by = PruneReason::kCursor;
-        ++stats.cursor;
-        continue;
-      }
-    }
-    if (options.unused_hints) {
-      ++stats.hints_tested;
-      if (MatchesUnusedHint(project, cand)) {
-        cand.pruned_by = PruneReason::kUnusedHint;
-        ++stats.unused_hints;
-        continue;
-      }
-    }
-    if (options.peer_definition) {
-      ++stats.peer_tested;
-      if (peers->Matches(cand, project)) {
-        cand.pruned_by = PruneReason::kPeerDefinition;
-        ++stats.peer_definition;
-        continue;
-      }
-    }
-    if (options.stale_code) {
       ++stats.stale_tested;
       if (stale.Matches(cand)) {
-        cand.pruned_by = PruneReason::kStaleCode;
+        reasons[k] = PruneReason::kStaleCode;
         ++stats.stale_code;
-        continue;
       }
+    }
+  }
+
+  for (size_t k = 0; k < targets.size(); ++k) {
+    if (reasons[k] != PruneReason::kNone) {
+      candidates[targets[k]].pruned_by = reasons[k];
     }
   }
   stats.remaining = stats.original - stats.TotalPruned();
@@ -386,6 +509,16 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
     }
   }
   return stats;
+}
+
+PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
+                      const PruneOptions& options,
+                      const std::vector<UnusedDefCandidate>* peer_universe,
+                      const Repository* repo, int jobs) {
+  std::vector<size_t> all(candidates.size());
+  std::iota(all.begin(), all.end(), 0);
+  return RunPruning(project, candidates, all,
+                    peer_universe != nullptr ? *peer_universe : candidates, options, repo, jobs);
 }
 
 }  // namespace vc

@@ -69,16 +69,25 @@ struct PruneStats {
   }
 };
 
-// Marks pruned candidates via `pruned_by` (the list keeps its size; callers
-// filter on pruned_by == kNone). Peer-definition usage statistics are
-// computed over `peer_universe` when given (the complete pre-filter candidate
-// set — a value may be "usually unused" even when most of those unused sites
-// are same-author), otherwise over `candidates` itself.
-// `repo` is only needed when options.stale_code is enabled.
+// Prunes candidates[i] for every i in `targets`, in place: a pruned
+// candidate's `pruned_by` records the pattern that matched, and the others
+// are left untouched. Peer-definition usage statistics come from
+// `peer_universe` (the complete pre-filter candidate set: a value may be
+// "usually unused" even when most of those unused sites are same-author); it
+// may be `candidates` itself. Patterns 1-4 run across up to `jobs` lanes; the
+// marks and the statistics are the same at any `jobs`. `repo` is only needed
+// when options.stale_code is enabled.
+PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
+                      const std::vector<size_t>& targets,
+                      const std::vector<UnusedDefCandidate>& peer_universe,
+                      const PruneOptions& options, const Repository* repo, int jobs);
+
+// The same over every candidate of the list. Peer statistics are computed
+// over `peer_universe` when given, otherwise over `candidates` itself.
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
                       const PruneOptions& options = PruneOptions(),
                       const std::vector<UnusedDefCandidate>* peer_universe = nullptr,
-                      const Repository* repo = nullptr);
+                      const Repository* repo = nullptr, int jobs = 1);
 
 }  // namespace vc
 

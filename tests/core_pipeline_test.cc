@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/core/authorship.h"
 #include "src/core/detector.h"
 #include "src/vcs/repository.h"
@@ -225,6 +227,51 @@ TEST(CorePipeline, ConfigGuardedUseIsPruned) {
     EXPECT_NE(cand.slot_name, "host") << "config-guarded use must be pruned";
   }
   EXPECT_GE(report.prune_stats.config_dependency, 1);
+}
+
+TEST(CorePipeline, RawCandidatesRecordWhatPrunedThem) {
+  TwoAuthorRepo two;
+  // Both functions ignore a hinted parameter. Bob calls do_flush_info, so its
+  // `force` is cross-scope and the hint prunes it; only Alice calls
+  // local_only, so the filter drops `quiet` before pruning ever tests it.
+  std::string v1 =
+      "int do_flush_info(int force [[maybe_unused]], int x) {\n"
+      "  return x;\n"
+      "}\n"
+      "int local_only(int quiet [[maybe_unused]], int x) {\n"
+      "  return x;\n"
+      "}\n"
+      "int own_caller(int x) {\n"
+      "  return local_only(0, x);\n"
+      "}\n";
+  std::string v2 = v1 +
+      "int caller(int x) {\n"
+      "  return do_flush_info(1, x);\n"
+      "}\n";
+  two.Commit(two.alice_, "flush.c", v1);
+  two.Commit(two.bob_, "flush.c", v2);
+
+  AnalysisReport report = Analysis().RunOnRepository(two.repo_);
+  std::map<PruneReason, int> tally;
+  int dropped = 0;
+  for (const UnusedDefCandidate& cand : report.raw_candidates) {
+    ++tally[cand.pruned_by];
+    if (!cand.cross_scope) {
+      ++dropped;
+      EXPECT_EQ(cand.pruned_by, PruneReason::kNone) << cand.slot_name;
+    }
+  }
+  const PruneStats& stats = report.prune_stats;
+  EXPECT_EQ(stats.unused_hints, 1);
+  EXPECT_EQ(dropped, report.non_cross_scope);
+  EXPECT_GE(dropped, 1);
+  EXPECT_EQ(tally[PruneReason::kConfigDependency], stats.config_dependency);
+  EXPECT_EQ(tally[PruneReason::kCursor], stats.cursor);
+  EXPECT_EQ(tally[PruneReason::kUnusedHint], stats.unused_hints);
+  EXPECT_EQ(tally[PruneReason::kPeerDefinition], stats.peer_definition);
+  EXPECT_EQ(tally[PruneReason::kStaleCode], stats.stale_code);
+  EXPECT_EQ(tally[PruneReason::kNone],
+            static_cast<int>(report.raw_candidates.size()) - stats.TotalPruned());
 }
 
 TEST(CorePipeline, PeerDefinitionPruningSuppressesPrintfLikeCalls) {

@@ -52,6 +52,65 @@ TEST(ParallelDeterminism, RepositoryPipelineIsByteIdenticalAcrossJobs) {
   }
 }
 
+// Every PruneStats field, the per-pattern test counts included.
+std::string PruneCounts(const PruneStats& stats) {
+  std::string out;
+  for (int value : {stats.original, stats.config_dependency, stats.cursor, stats.unused_hints,
+                    stats.peer_definition, stats.stale_code, stats.remaining, stats.config_tested,
+                    stats.cursor_tested, stats.hints_tested, stats.peer_tested,
+                    stats.stale_tested}) {
+    out += std::to_string(value) + ",";
+  }
+  return out;
+}
+
+TEST(ParallelDeterminism, PruningIsByteIdenticalAcrossJobs) {
+  // Every prune pattern on, stale code included: the parallel match loop and
+  // the serial stale-code pass must mark the same raw candidates, count the
+  // same tests, and add the same prune.<pattern> registry counters at any
+  // jobs.
+  GeneratedApp app = GenerateApp(NfsGaneshaProfile().Scaled(0.15));
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto prune_counters = [&registry] {
+    std::vector<uint64_t> values;
+    for (const char* pattern :
+         {"config_dependency", "cursor", "unused_hints", "peer_definition", "stale_code"}) {
+      for (const char* what : {".tested", ".pruned"}) {
+        values.push_back(registry.GetCounter(std::string("prune.") + pattern + what).value());
+      }
+    }
+    return values;
+  };
+  struct Outcome {
+    std::string fingerprint;
+    std::string prune;
+    std::vector<uint64_t> counters;
+  };
+  auto run = [&](int jobs) {
+    AnalysisOptions options = WithJobs(jobs);
+    options.prune.stale_code = true;
+    options.collect_metrics = true;
+    std::vector<uint64_t> before = prune_counters();
+    AnalysisReport report = Analysis(options).RunOnRepository(app.repo);
+    std::vector<uint64_t> after = prune_counters();
+    Outcome outcome{Fingerprint(report), PruneCounts(report.prune_stats), {}};
+    for (size_t i = 0; i < after.size(); ++i) {
+      outcome.counters.push_back(after[i] - before[i]);
+    }
+    EXPECT_GT(report.prune_stats.stale_tested, 0) << "jobs=" << jobs;
+    EXPECT_GT(report.prune_stats.TotalPruned(), 0) << "jobs=" << jobs;
+    return outcome;
+  };
+  Outcome serial = run(1);
+  for (int jobs : {2, 8}) {
+    Outcome parallel = run(jobs);
+    EXPECT_EQ(parallel.fingerprint, serial.fingerprint) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.prune, serial.prune) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.counters, serial.counters) << "jobs=" << jobs;
+  }
+  MetricsRegistry::Global().Disable();
+}
+
 TEST(ParallelDeterminism, SecondCorpusCsvIdenticalAcrossJobs) {
   GeneratedApp app = GenerateApp(OpensslProfile().Scaled(0.1));
   std::string expected = Analysis(WithJobs(1)).RunOnRepository(app.repo).ToCsv();

@@ -289,6 +289,54 @@ TEST(Pruning, PeerUniverseSeparateFromPrunedList) {
   EXPECT_EQ(stats2.peer_definition, 1);  // ignored call sites count regardless
 }
 
+TEST(Pruning, MarksAndStatsIdenticalAcrossJobs) {
+  // The PeerUniverseSeparateFromPrunedList shape with more patterns in play,
+  // pruned across eight lanes and on one: both runs must mark the same
+  // candidates with the same reasons and count the same tests.
+  std::string code = PeerCode(12, 0);
+  code += "void cur(char *o, char *base, int c) {\n"
+          "  *o = c;\n"
+          "  o = o + 1;\n"
+          "  *o = 0;\n"
+          "  o = o + 1;\n"
+          "  o = base;\n"
+          "  *o = 9;\n"
+          "}\n";
+  code += "int hinted(int a, int b [[maybe_unused]]) { return a; }\n";
+  code += "int g(int);\nint kept(int a) {\n  int rc = g(a);\n  return a;\n}\n";
+  Project project = Project::FromSources({{"test.c", code}});
+  std::vector<UnusedDefCandidate> all = DetectAll(project);
+  ASSERT_GT(all.size(), 12u);
+  // Two ignored klog results stay out of the pool but count as peers.
+  const std::vector<UnusedDefCandidate> base_pool(all.begin() + 2, all.end());
+
+  auto prune = [&](int jobs, PruneStats& stats) {
+    std::vector<UnusedDefCandidate> pool = base_pool;
+    stats = RunPruning(project, pool, PruneOptions(), &all, nullptr, jobs);
+    std::vector<PruneReason> marks;
+    for (const UnusedDefCandidate& cand : pool) {
+      marks.push_back(cand.pruned_by);
+    }
+    return marks;
+  };
+  auto counts = [](const PruneStats& s) {
+    return std::vector<int>{s.original,      s.config_dependency, s.cursor,
+                            s.unused_hints,  s.peer_definition,   s.stale_code,
+                            s.remaining,     s.config_tested,     s.cursor_tested,
+                            s.hints_tested,  s.peer_tested,       s.stale_tested};
+  };
+  PruneStats serial;
+  PruneStats parallel;
+  std::vector<PruneReason> serial_marks = prune(1, serial);
+  std::vector<PruneReason> parallel_marks = prune(8, parallel);
+  EXPECT_EQ(parallel_marks, serial_marks);
+  EXPECT_EQ(counts(parallel), counts(serial));
+  EXPECT_EQ(serial.peer_definition, 10);
+  EXPECT_EQ(serial.cursor, 1);
+  EXPECT_EQ(serial.unused_hints, 1);
+  EXPECT_GE(serial.remaining, 1);
+}
+
 // --- Pipeline order -----------------------------------------------------------------------
 
 TEST(Pruning, EarlierPatternGetsTheCharge) {

@@ -42,6 +42,9 @@ run_config() {
   scaling_smoke "${name}" "${build_dir}"
   incremental_smoke "${name}" "${build_dir}"
   serve_smoke "${name}" "${build_dir}"
+  if [ "${name}" = plain ]; then
+    perfbench_smoke "${name}" "${build_dir}"
+  fi
 }
 
 # Per-checker smoke: every registered checker (from --list-checkers, baselines
@@ -366,6 +369,25 @@ incremental_smoke() {
   "${lint}" prom "${tmp}/inc.prom" --require-cache || {
     echo "incremental smoke: cache metrics failed lint" >&2; return 1; }
   echo "incremental smoke: ok"
+}
+
+# Benchmark smoke (plain config only): the benchmark harness
+# (perfbench/vc_perfbench.cc) calls library entry points directly —
+# RunPruning, ClassifyAll, DepGraph, RunCheckers, CheckerContext — and none of
+# the targets above compile it, so an API break would surface only when the
+# benchmark runs. Build it into this config's build dir and run the
+# benchmark's own tests (each workload at small scale, traced and untraced,
+# plus a planted wrong answer that must fail). The first run also builds the
+# harness, about 90 s on 4 cores.
+perfbench_smoke() {
+  local name="$1"
+  local build_dir="$2"
+  echo "=== [${name}] perfbench smoke ==="
+  if ! CARGO_TARGET_DIR="$(pwd)/${build_dir}/perfbench" python3 perfbench/test_perfbench.py; then
+    echo "perfbench smoke: the benchmark's own tests failed" >&2
+    return 1
+  fi
+  echo "perfbench smoke: ok"
 }
 
 # Serve smoke: the daemon's robustness contract end to end through the real
