@@ -86,8 +86,8 @@ SweepPoint MeasurePoint(
   collector.Enable();
   vc::AnalysisReport traced = analysis.RunOnSources(sources);
   collector.Disable();
-  point.parse_seconds = traced.stage.parse_seconds;
-  point.detect_seconds = traced.stage.detect_seconds;
+  point.parse_seconds = traced.stages[vc::Stage::kParse].seconds;
+  point.detect_seconds = traced.stages[vc::Stage::kDetect].seconds;
   point.pool = traced.stage.pool;
   vc::PerfInputs inputs;
   inputs.wall_seconds = traced.analysis_seconds;

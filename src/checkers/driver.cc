@@ -28,7 +28,6 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
   // determinism barrier: output never depends on worker scheduling).
   std::vector<FunctionDetect> per_function(work.size());
   if (ProgressEnabled()) {
-    ProgressMeter::Global().SetPhase("detect");
     ProgressMeter::Global().AddTotalFunctions(work.size());
   }
   ParallelFor(jobs, work.size(), [&](size_t i) {
@@ -118,9 +117,7 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       bytes += fn.points_to_bytes;
       entries += fn.points_to_entries;
     }
-    MemoryTracker& tracker = MemoryTracker::Global();
-    tracker.Add(MemCategory::kPointsToSets, bytes, entries);
-    tracker.SampleRss();
+    MemoryTracker::Global().Add(MemCategory::kPointsToSets, bytes, entries);
   }
   if (MetricsEnabled()) {
     MetricsRegistry::Global().GetCounter("detect.functions").Add(work.size());

@@ -18,49 +18,37 @@
 
 namespace vc {
 
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Mirrors one stage's wall-clock into the registry histogram that aggregates
-// across runs (the per-run value lives in StageMetrics).
-void RecordStageSeconds(const char* stage, double seconds) {
-  MetricsRegistry::Global()
-      .GetHistogram(std::string("pipeline.") + stage + "_seconds")
-      .Record(seconds);
-}
-
-}  // namespace
-
-AnalysisReport Analysis::Run(const Project& project, const Repository* repo) const {
-  return RunImpl(project, repo, nullptr);
-}
-
-AnalysisReport Analysis::RunWithDetect(const Project& project, const Repository* repo,
-                                       CheckerRunResult detect) const {
-  return RunImpl(project, repo, &detect);
-}
-
-AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
-                                 CheckerRunResult* precomputed) const {
-  const bool collect = options_.collect_metrics;
-  if (collect) {
-    // The registry switch is what instrumentation sites deeper in the
-    // pipeline (detector, pruning, ranking, thread pool) consult; flipping it
-    // here makes one facade option govern the whole layer. Memory tracking
-    // rides the same switch.
+Analysis::Analysis(AnalysisOptions options) : options_(std::move(options)) {
+  if (options_.collect_metrics) {
     MetricsRegistry::Global().Enable();
     MemoryTracker::Global().Enable();
   }
+}
+
+AnalysisReport Analysis::Run(const Project& project, const Repository* repo) const {
+  return RunImpl(project, repo, nullptr, nullptr);
+}
+
+AnalysisReport Analysis::RunWithDetect(const Project& project, const Repository* repo,
+                                       CheckerRunResult detect,
+                                       const StageRecords* upstream) const {
+  return RunImpl(project, repo, &detect, upstream);
+}
+
+AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
+                                 CheckerRunResult* precomputed,
+                                 const StageRecords* upstream) const {
+  const bool collect = options_.collect_metrics;
   TraceSpan run_span("analysis.run", "pipeline");
-  // RSS stage samples: VmHWM is monotone, so each sample is "process peak up
-  // to this stage boundary". The run-start sample covers the parse stage
-  // (project construction precedes Run).
-  const uint64_t rss_at_start = collect ? ProcessPeakRssBytes() : 0;
   auto start = std::chrono::steady_clock::now();
   AnalysisReport report;
+  if (upstream != nullptr) {
+    report.stages = *upstream;
+  } else {
+    report.stages[Stage::kParse] = project.build_stage();
+  }
+  const double upstream_seconds =
+      report.stages[Stage::kParse].seconds + report.stages[Stage::kDetect].seconds;
   report.jobs = ResolveJobs(options_.jobs);
   report.stage.collected = collect;
   ThreadPoolStats pool_before = collect ? ThreadPool::Global().stats() : ThreadPoolStats();
@@ -77,34 +65,23 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   // registration order). Per-function isolation: a worker that throws, busts
   // the budget, or trips an injected fault quarantines that function (or that
   // checker on that function) alone.
-  auto detect_start = std::chrono::steady_clock::now();
   std::vector<const Checker*> checkers = CheckerRegistry::Global().Resolve(options_.checkers);
   for (const Checker* checker : checkers) {
     report.checkers.push_back(checker->name());
   }
-  std::vector<UnusedDefCandidate> candidates;
   CheckerRunResult detect;
-  {
-    TraceSpan span("detect", "pipeline");
-    RunEvent("stage_start").Str("stage", "detect").Emit();
-    if (precomputed != nullptr) {
-      detect = std::move(*precomputed);
-    } else {
-      detect = RunCheckers(project, checkers, options_.traits, options_.jobs,
-                           &options_.budget, &options_.fault, /*isolate=*/true);
-    }
-    candidates = std::move(detect.candidates);
-    for (QuarantinedUnit& unit : detect.quarantined) {
-      report.quarantined.push_back(std::move(unit));
-    }
-    span.Arg("candidates", static_cast<int64_t>(candidates.size()));
-    RunEvent("stage_end")
-        .Str("stage", "detect")
-        .Num("candidates", static_cast<int64_t>(candidates.size()))
-        .Emit();
+  if (precomputed != nullptr) {
+    detect = std::move(*precomputed);
+  } else {
+    StageScope scope(Stage::kDetect, report.stages[Stage::kDetect]);
+    detect = RunCheckers(project, checkers, options_.traits, options_.jobs, &options_.budget,
+                         &options_.fault, /*isolate=*/true);
+    scope.Arg("candidates", detect.candidates.size());
   }
-  report.detect_seconds = SecondsSince(detect_start);
-  const uint64_t rss_after_detect = collect ? ProcessPeakRssBytes() : 0;
+  std::vector<UnusedDefCandidate> candidates = std::move(detect.candidates);
+  for (QuarantinedUnit& unit : detect.quarantined) {
+    report.quarantined.push_back(std::move(unit));
+  }
   for (const CheckerRunResult::PerChecker& pc : detect.per_checker) {
     report.checker_stats.push_back({pc.name, pc.candidates, 0});
   }
@@ -117,10 +94,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
 
   // 2. Classify authorship (cross-scope scenarios of §3.1).
-  auto authorship_start = std::chrono::steady_clock::now();
   {
-    TraceSpan span("authorship", "pipeline");
-    RunEvent("stage_start").Str("stage", "authorship").Emit();
+    StageScope scope(Stage::kAuthorship, report.stages[Stage::kAuthorship]);
     if (repo != nullptr && !candidates.empty()) {
       // Replaying history for blame is the bulk of this stage; do it for
       // every analyzed file across the lanes first, so classification below
@@ -134,9 +109,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     }
     AuthorshipAnalyzer authorship(project, repo);
     authorship.ClassifyAll(candidates, options_.jobs);
-    RunEvent("stage_end").Str("stage", "authorship").Emit();
   }
-  double authorship_seconds = SecondsSince(authorship_start);
   // From here on the candidates live in the report; later stages refer to
   // them by index and mark them in place.
   report.raw_candidates = std::move(candidates);
@@ -144,11 +117,9 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
 
   // 3. Cross-scope filter: only definitions on developer-interaction
   // boundaries continue (unless the ablation disables the filter).
-  auto filter_start = std::chrono::steady_clock::now();
   std::vector<size_t> pool;
   {
-    TraceSpan span("cross_scope_filter", "pipeline");
-    RunEvent("stage_start").Str("stage", "cross_scope_filter").Emit();
+    StageScope scope(Stage::kCrossScopeFilter, report.stages[Stage::kCrossScopeFilter]);
     pool.reserve(raw.size());
     for (size_t i = 0; i < raw.size(); ++i) {
       if (options_.cross_scope_only && !raw[i].cross_scope) {
@@ -157,53 +128,41 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       }
       pool.push_back(i);
     }
-    RunEvent("stage_end")
-        .Str("stage", "cross_scope_filter")
-        .Num("kept", static_cast<int64_t>(pool.size()))
-        .Num("dropped", static_cast<int64_t>(report.non_cross_scope))
-        .Emit();
+    scope.Arg("kept", pool.size()).Arg("dropped", report.non_cross_scope);
   }
-  double filter_seconds = SecondsSince(filter_start);
 
   // 4. Prune intentional patterns. Peer statistics always use the complete
   // candidate set: whether a value is customarily ignored is a property of
   // the codebase, not of the cross-scope subset.
-  auto prune_start = std::chrono::steady_clock::now();
-  RunEvent("stage_start").Str("stage", "prune").Emit();
-  try {
-    TraceSpan span("prune", "pipeline");
-    report.prune_stats = RunPruning(project, report.raw_candidates, pool, raw, options_.prune,
-                                    repo, options_.jobs);
-  } catch (const std::exception& e) {
-    // Stage-level fallback: a pruning crash degrades to "nothing pruned"
-    // (findings become a superset) rather than killing the run.
-    report.quarantined.push_back({"", "", "prune", std::string("stage failed: ") + e.what(), ""});
-  }
-  double prune_seconds = SecondsSince(prune_start);
-
-  for (size_t i : pool) {
-    if (raw[i].pruned_by == PruneReason::kNone) {
-      report.findings.push_back(raw[i]);
+  {
+    StageScope scope(Stage::kPrune, report.stages[Stage::kPrune]);
+    try {
+      report.prune_stats = RunPruning(project, report.raw_candidates, pool, raw, options_.prune,
+                                      repo, options_.jobs);
+    } catch (const std::exception& e) {
+      // Stage-level fallback: a pruning crash degrades to "nothing pruned"
+      // (findings become a superset) rather than killing the run.
+      report.quarantined.push_back({"", "", "prune", std::string("stage failed: ") + e.what(), ""});
     }
+    for (size_t i : pool) {
+      if (raw[i].pruned_by == PruneReason::kNone) {
+        report.findings.push_back(raw[i]);
+      }
+    }
+    scope.Arg("survivors", report.findings.size());
   }
-  RunEvent("stage_end")
-      .Str("stage", "prune")
-      .Num("survivors", static_cast<int64_t>(report.findings.size()))
-      .Emit();
 
   // 5. Rank by code familiarity.
-  auto rank_start = std::chrono::steady_clock::now();
-  RunEvent("stage_start").Str("stage", "rank").Emit();
   RankStats rank_stats;
-  try {
-    TraceSpan span("rank", "pipeline");
-    RankCandidates(report.findings, repo, options_.ranking, &rank_stats);
-  } catch (const std::exception& e) {
-    // Findings keep their pre-rank (deterministic pool) order.
-    report.quarantined.push_back({"", "", "rank", std::string("stage failed: ") + e.what(), ""});
+  {
+    StageScope scope(Stage::kRank, report.stages[Stage::kRank]);
+    try {
+      RankCandidates(report.findings, repo, options_.ranking, &rank_stats);
+    } catch (const std::exception& e) {
+      // Findings keep their pre-rank (deterministic pool) order.
+      report.quarantined.push_back({"", "", "rank", std::string("stage failed: ") + e.what(), ""});
+    }
   }
-  RunEvent("stage_end").Str("stage", "rank").Emit();
-  double rank_seconds = SecondsSince(rank_start);
 
   // Injected prune/rank faults act as a post-stage filter keyed on the
   // finding's function. Crucially the quarantined function's candidates were
@@ -246,7 +205,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   // function never renumbers another function's fingerprints.
   AssignFingerprints(report.findings);
 
-  report.analysis_seconds = SecondsSince(start);
+  const std::chrono::duration<double> run_wall = std::chrono::steady_clock::now() - start;
+  report.analysis_seconds = upstream_seconds + run_wall.count();
 
   for (const UnusedDefCandidate& cand : report.findings) {
     for (AnalysisReport::CheckerStat& stat : report.checker_stats) {
@@ -269,6 +229,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
 
   if (collect) {
+    // Only parse (AST, IR, identifiers) and detect (points-to sets) grow the
+    // tracked bytes; later stages annotate and filter existing candidates.
     MemoryStats& mem = report.memory;
     mem.collected = true;
     Project::FileMemory parse_mem = project.ParseMemoryTotal();
@@ -277,30 +239,18 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     mem.categories[static_cast<int>(MemCategory::kInternedStrings)] = parse_mem.strings;
     mem.categories[static_cast<int>(MemCategory::kPointsToSets)] = {
         detect.points_to_bytes, detect.points_to_entries};
-    MemoryTracker& tracker = MemoryTracker::Global();
-    tracker.SampleRss();
-    mem.peak_rss_bytes = tracker.peak_rss_bytes();
-    const uint64_t rss_at_end = ProcessPeakRssBytes();
-    const uint64_t parse_bytes = parse_mem.TotalBytes();
-    const uint64_t detect_bytes = detect.points_to_bytes;
-    mem.stages.push_back({"parse", parse_bytes, parse_bytes, rss_at_start});
-    mem.stages.push_back(
-        {"detect", detect_bytes, parse_bytes + detect_bytes, rss_after_detect});
-    for (const char* stage : {"authorship", "cross_scope_filter", "prune", "rank"}) {
-      // These stages only annotate/filter existing candidates; tracked
-      // categories do not grow, so the delta is zero by construction.
-      mem.stages.push_back({stage, 0, parse_bytes + detect_bytes, rss_at_end});
+    const uint64_t deltas[kStageCount] = {parse_mem.TotalBytes(), detect.points_to_bytes};
+    uint64_t tracked = 0;
+    for (int i = 0; i < kStageCount; ++i) {
+      tracked += deltas[i];
+      mem.stages.push_back(
+          {StageName(kStages[i]), deltas[i], tracked, report.stages.at[i].rss_bytes});
     }
+    MemoryTracker& tracker = MemoryTracker::Global();
+    mem.peak_rss_bytes = tracker.peak_rss_bytes();
     tracker.PublishRegistryGauges();
-  }
 
-  if (collect) {
     StageMetrics& stage = report.stage;
-    stage.detect_seconds = report.detect_seconds;
-    stage.authorship_seconds = authorship_seconds;
-    stage.filter_seconds = filter_seconds;
-    stage.prune_seconds = prune_seconds;
-    stage.rank_seconds = rank_seconds;
     stage.files_parsed = project.unit_order().size();
     for (size_t i : project.unit_order()) {
       stage.functions_analyzed += project.modules()[i]->functions.size();
@@ -310,11 +260,6 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     stage.rank_unknown = rank_stats.unknown;
     stage.rank_model_seconds = rank_stats.model_seconds;
     stage.pool = ThreadPool::Global().stats().Delta(pool_before);
-    RecordStageSeconds("detect", stage.detect_seconds);
-    RecordStageSeconds("authorship", stage.authorship_seconds);
-    RecordStageSeconds("filter", stage.filter_seconds);
-    RecordStageSeconds("prune", stage.prune_seconds);
-    RecordStageSeconds("rank", stage.rank_seconds);
     if (LogEnabled(LogLevel::kDebug)) {
       VC_LOG_DEBUG("pipeline: " + std::to_string(stage.candidates_detected) +
                    " candidate(s) across " + std::to_string(stage.functions_analyzed) +
@@ -326,76 +271,27 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
 }
 
 AnalysisReport Analysis::RunOnRepository(const Repository& repo) const {
-  auto start = std::chrono::steady_clock::now();
   auto project = std::make_shared<Project>(BuildFromRepository(repo));
-  double parse_seconds = SecondsSince(start);
   AnalysisReport report = Run(*project, &repo);
-  report.parse_seconds = parse_seconds;
-  report.analysis_seconds += parse_seconds;
-  FinishParseMetrics(report, parse_seconds);
-  report.owned_project = std::move(project);
-  return report;
-}
-
-AnalysisReport Analysis::RunOnRepositoryAt(const Repository& repo, CommitId commit) const {
-  if (options_.collect_metrics) {
-    MetricsRegistry::Global().Enable();
-    MemoryTracker::Global().Enable();
-  }
-  auto start = std::chrono::steady_clock::now();
-  std::shared_ptr<Project> project;
-  {
-    TraceSpan span("parse", "pipeline");
-    project = std::make_shared<Project>(Project::FromRepositoryAt(
-        repo, commit, options_.config, options_.jobs, &options_.fault, &options_.budget));
-  }
-  double parse_seconds = SecondsSince(start);
-  AnalysisReport report = Run(*project, &repo);
-  report.parse_seconds = parse_seconds;
-  report.analysis_seconds += parse_seconds;
-  FinishParseMetrics(report, parse_seconds);
   report.owned_project = std::move(project);
   return report;
 }
 
 AnalysisReport Analysis::RunOnSources(
     const std::vector<std::pair<std::string, std::string>>& files) const {
-  auto start = std::chrono::steady_clock::now();
   auto project = std::make_shared<Project>(BuildFromSources(files));
-  double parse_seconds = SecondsSince(start);
   AnalysisReport report = Run(*project, nullptr);
-  report.parse_seconds = parse_seconds;
-  report.analysis_seconds += parse_seconds;
-  FinishParseMetrics(report, parse_seconds);
   report.owned_project = std::move(project);
   return report;
 }
 
-void Analysis::FinishParseMetrics(AnalysisReport& report, double parse_seconds) const {
-  if (!report.stage.collected) {
-    return;
-  }
-  report.stage.parse_seconds = parse_seconds;
-  RecordStageSeconds("parse", parse_seconds);
-}
-
 Project Analysis::BuildFromRepository(const Repository& repo) const {
-  if (options_.collect_metrics) {
-    MetricsRegistry::Global().Enable();
-    MemoryTracker::Global().Enable();
-  }
-  TraceSpan span("parse", "pipeline");
   return Project::FromRepository(repo, options_.config, options_.jobs, &options_.fault,
                                  &options_.budget);
 }
 
 Project Analysis::BuildFromSources(
     const std::vector<std::pair<std::string, std::string>>& files) const {
-  if (options_.collect_metrics) {
-    MetricsRegistry::Global().Enable();
-    MemoryTracker::Global().Enable();
-  }
-  TraceSpan span("parse", "pipeline");
   return Project::FromSources(files, options_.config, options_.jobs, &options_.fault,
                               &options_.budget);
 }

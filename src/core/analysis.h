@@ -33,6 +33,7 @@
 #include "src/core/project.h"
 #include "src/core/pruning.h"
 #include "src/core/ranking.h"
+#include "src/core/stage.h"
 #include "src/core/unused_def.h"
 #include "src/support/memstats.h"
 #include "src/support/thread_pool.h"
@@ -68,10 +69,10 @@ struct AnalysisOptions {
   // Parallel worker lanes for parse/lower and detection. 1 = serial,
   // 0 = all hardware threads. Results are identical at any value.
   int jobs = 1;
-  // Populate AnalysisReport::stage (per-stage wall-clock, per-pattern prune
-  // counters, thread-pool activity) and feed the global MetricsRegistry.
-  // Findings are byte-identical with the switch on or off; the cost when off
-  // is a handful of relaxed atomic loads per run.
+  // Populate AnalysisReport::stage (per-stage counters, per-pattern prune
+  // counters, thread-pool activity) and memory, and feed the global
+  // MetricsRegistry. Findings are byte-identical with the switch on or off;
+  // the cost when off is a handful of relaxed atomic loads per run.
   bool collect_metrics = false;
   // Per-unit resource limits. A unit over budget is quarantined (see
   // AnalysisReport::quarantined), not fatal. Defaults are unlimited.
@@ -83,20 +84,13 @@ struct AnalysisOptions {
   FaultInjector fault;
 };
 
-// Per-stage observability block (see DESIGN.md §"Observability"). Stage
-// seconds are wall-clock; counters aggregate in slot-indexed merge order like
-// the findings merge, so every field except raw timings is deterministic at
-// any job count.
+// Per-stage counters (see DESIGN.md §"Observability"; stage times live in
+// AnalysisReport::stages). They aggregate in slot-indexed merge order, so all
+// but the pool's idle time are deterministic at any job count.
 struct StageMetrics {
   // False when the producing run had collect_metrics off; consumers (the JSON
   // report, the CLI --metrics table) skip the block entirely.
   bool collected = false;
-  double parse_seconds = 0.0;       // parse + lower (facade-built projects)
-  double detect_seconds = 0.0;
-  double authorship_seconds = 0.0;
-  double filter_seconds = 0.0;      // cross-scope filter
-  double prune_seconds = 0.0;
-  double rank_seconds = 0.0;
   uint64_t files_parsed = 0;
   uint64_t functions_analyzed = 0;
   uint64_t candidates_detected = 0;
@@ -119,11 +113,12 @@ struct AnalysisReport {
   PruneStats prune_stats;
   // Candidates surviving pruning but dropped by the cross-scope filter.
   int non_cross_scope = 0;
-  // Wall-clock timings: the whole pipeline, the parse+lower phase (when the
-  // facade built the project), and the detection phase.
+  // Wall clock of the whole pipeline, parse included: never less than the
+  // sum of `stages`.
   double analysis_seconds = 0.0;
-  double parse_seconds = 0.0;
-  double detect_seconds = 0.0;
+  // One record per stage, always filled. Parse is the analyzed project's
+  // build (or the incremental engine's sync).
+  StageRecords stages;
   // Worker lanes the report was produced with (after 0 → hardware resolution).
   int jobs = 1;
   // Front-end diagnostics of the analyzed project (merged across workers in
@@ -179,7 +174,8 @@ class IncrementalEngine;
 class Analysis {
  public:
   Analysis() = default;
-  explicit Analysis(AnalysisOptions options) : options_(std::move(options)) {}
+  // collect_metrics switches on the global metrics registry and memory tracker.
+  explicit Analysis(AnalysisOptions options);
 
   AnalysisOptions& options() { return options_; }
   const AnalysisOptions& options() const { return options_; }
@@ -193,14 +189,15 @@ class Analysis {
   // detection (authorship, cross-scope filter, prune, rank, fingerprint) over
   // a detect-stage result assembled elsewhere — a mix of cached and freshly
   // run functions. Byte-identical to Run() when `detect` holds exactly what
-  // RunCheckers would have produced for this project.
+  // RunCheckers would have produced for this project. `upstream` holds the
+  // caller's parse and detect records (default: the project's build).
   AnalysisReport RunWithDetect(const Project& project, const Repository* repo,
-                               CheckerRunResult detect) const;
+                               CheckerRunResult detect,
+                               const StageRecords* upstream = nullptr) const;
 
   // Builds the project (parallel parse/lower under options().jobs and
   // options().config), then runs; the report owns the project.
   AnalysisReport RunOnRepository(const Repository& repo) const;
-  AnalysisReport RunOnRepositoryAt(const Repository& repo, CommitId commit) const;
   AnalysisReport RunOnSources(
       const std::vector<std::pair<std::string, std::string>>& files) const;
 
@@ -221,13 +218,10 @@ class Analysis {
       const std::vector<std::pair<std::string, std::string>>& files) const;
 
  private:
-  // Folds the facade-measured parse phase into the report's StageMetrics.
-  void FinishParseMetrics(AnalysisReport& report, double parse_seconds) const;
-
   // Shared pipeline body: with `precomputed` null, runs detection itself
   // (Run); otherwise consumes the caller's detect result (RunWithDetect).
   AnalysisReport RunImpl(const Project& project, const Repository* repo,
-                         CheckerRunResult* precomputed) const;
+                         CheckerRunResult* precomputed, const StageRecords* upstream) const;
 
   AnalysisOptions options_;
   // RunOnCommit's warm engine (shared_ptr: IncrementalEngine is incomplete

@@ -7,16 +7,12 @@
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
 #include "src/core/dep_graph.h"
-#include "src/support/metrics.h"
+#include "src/core/stage.h"
 #include "src/support/trace.h"
 
 namespace vc {
 
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 // Restores pointer fields of a disk-loaded result against the live project:
 // the function's IR, each candidate's slot-table VarDecl, and the FileIds of
@@ -116,10 +112,6 @@ void IncrementalEngine::ApplyCommit(const Repository& source, CommitId commit) {
 
 IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, CommitId commit) {
   const AnalysisOptions& opt = analysis_.options();
-  if (opt.collect_metrics) {
-    MetricsRegistry::Global().Enable();
-    MemoryTracker::Global().Enable();
-  }
   TraceSpan commit_span("incremental.commit", "pipeline");
   commit_span.Arg("commit", static_cast<int64_t>(commit));
   auto start = std::chrono::steady_clock::now();
@@ -129,7 +121,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   ApplyCommit(source, commit);
 
   // --- Parse stage: sync the persistent project with the replica's head ----
-  auto parse_start = std::chrono::steady_clock::now();
+  StageRecords stages;  // handed to RunWithDetect, which times the rest
   std::set<std::string> changed_functions;        // dirty-closure seed
   std::vector<QuarantinedUnit> cache_quarantine;  // corrupt disk entries
   // (path, FileId) of every recompiled file, in pending (sorted) order.
@@ -137,7 +129,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   std::set<std::string> disk_restored;
   result.files_changed = static_cast<int>(pending_.size());
   {
-    TraceSpan span("incremental.sync", "pipeline");
+    StageScope scope(Stage::kParse, stages[Stage::kParse]);
     for (const std::string& path : pending_) {
       std::optional<std::string> head = repo_.Head(path);
       if (!head.has_value()) {
@@ -205,77 +197,78 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
       }
     }
   }
-  const double parse_seconds = SecondsSince(parse_start);
 
   // --- Detect stage: dirty slice through the checkers, rest from cache -----
-  auto detect_start = std::chrono::steady_clock::now();
   CheckerRunResult detect;
-  std::vector<const Checker*> resolved = CheckerRegistry::Global().Resolve(opt.checkers);
-  std::vector<const Checker*> runnable =
-      GateCheckers(project_, resolved, opt.traits, detect.quarantined);
-  // Cache-stage records sit between the gate records and the per-function
-  // ones; a corrupt entry degrades to a miss, never to a failed run.
-  for (QuarantinedUnit& unit : cache_quarantine) {
-    detect.quarantined.push_back(std::move(unit));
-  }
-  bool carry_allowed = true;
-  for (const Checker* checker : runnable) {
-    if (!checker->function_local()) {
-      // A project-global checker can change its verdict on any function after
-      // any edit: the cache is unusable while it is enabled.
-      carry_allowed = false;
-    }
-  }
-
-  const DepGraph graph(project_);
-  const std::set<std::string> dirty = graph.DirtyClosure(changed_functions);
-
-  std::vector<CheckerWorkItem> work;
-  std::vector<std::pair<std::string, std::string>> work_keys;  // (path, function key)
-  int functions_total = 0;
-  for (size_t m : project_.unit_order()) {
-    const auto& module = project_.modules()[m];
-    const std::string& path = project_.sources().Path(module->file);
-    FileCacheEntry& entry = cache_.File(path);
-    for (size_t fi = 0; fi < module->functions.size(); ++fi) {
-      ++functions_total;
-      const IrFunction* func = module->functions[fi].get();
-      std::string key = FunctionKey(fi, func->name);
-      if (carry_allowed && dirty.count(func->name) == 0 &&
-          entry.functions.find(key) != entry.functions.end()) {
-        continue;  // carried
-      }
-      work.push_back({module->file, func});
-      work_keys.emplace_back(path, std::move(key));
-    }
-  }
-  result.functions_total = functions_total;
-  result.functions_dirty = static_cast<int>(work.size());
-  cache_.stats().detect_recomputed += work.size();
-  cache_.stats().detect_carried += static_cast<uint64_t>(functions_total) - work.size();
-
-  std::vector<FunctionDetect> fresh = RunCheckersOnFunctions(
-      project_, runnable, opt.jobs, &opt.budget, &opt.fault, /*isolate=*/true, work);
   std::set<std::string> updated_paths;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    cache_.File(work_keys[i].first).functions[work_keys[i].second] = std::move(fresh[i]);
-    updated_paths.insert(work_keys[i].first);
-  }
-
-  // Assemble the COMPLETE detect outcome in full-run order (every live
-  // function, carried or fresh) and merge it exactly as RunCheckers would.
-  std::vector<FunctionDetect> all;
-  all.reserve(static_cast<size_t>(functions_total));
-  for (size_t m : project_.unit_order()) {
-    const auto& module = project_.modules()[m];
-    const std::string& path = project_.sources().Path(module->file);
-    const FileCacheEntry& entry = cache_.File(path);
-    for (size_t fi = 0; fi < module->functions.size(); ++fi) {
-      all.push_back(entry.functions.at(FunctionKey(fi, module->functions[fi]->name)));
+  {
+    StageScope scope(Stage::kDetect, stages[Stage::kDetect]);
+    std::vector<const Checker*> resolved = CheckerRegistry::Global().Resolve(opt.checkers);
+    std::vector<const Checker*> runnable =
+        GateCheckers(project_, resolved, opt.traits, detect.quarantined);
+    // Cache-stage records sit between the gate records and the per-function
+    // ones; a corrupt entry degrades to a miss, never to a failed run.
+    for (QuarantinedUnit& unit : cache_quarantine) {
+      detect.quarantined.push_back(std::move(unit));
     }
+    bool carry_allowed = true;
+    for (const Checker* checker : runnable) {
+      if (!checker->function_local()) {
+        // A project-global checker can change its verdict on any function after
+        // any edit: the cache is unusable while it is enabled.
+        carry_allowed = false;
+      }
+    }
+
+    const DepGraph graph(project_);
+    const std::set<std::string> dirty = graph.DirtyClosure(changed_functions);
+
+    std::vector<CheckerWorkItem> work;
+    std::vector<std::pair<std::string, std::string>> work_keys;  // (path, function key)
+    int functions_total = 0;
+    for (size_t m : project_.unit_order()) {
+      const auto& module = project_.modules()[m];
+      const std::string& path = project_.sources().Path(module->file);
+      FileCacheEntry& entry = cache_.File(path);
+      for (size_t fi = 0; fi < module->functions.size(); ++fi) {
+        ++functions_total;
+        const IrFunction* func = module->functions[fi].get();
+        std::string key = FunctionKey(fi, func->name);
+        if (carry_allowed && dirty.count(func->name) == 0 &&
+            entry.functions.find(key) != entry.functions.end()) {
+          continue;  // carried
+        }
+        work.push_back({module->file, func});
+        work_keys.emplace_back(path, std::move(key));
+      }
+    }
+    result.functions_total = functions_total;
+    result.functions_dirty = static_cast<int>(work.size());
+    cache_.stats().detect_recomputed += work.size();
+    cache_.stats().detect_carried += static_cast<uint64_t>(functions_total) - work.size();
+
+    std::vector<FunctionDetect> fresh = RunCheckersOnFunctions(
+        project_, runnable, opt.jobs, &opt.budget, &opt.fault, /*isolate=*/true, work);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      cache_.File(work_keys[i].first).functions[work_keys[i].second] = std::move(fresh[i]);
+      updated_paths.insert(work_keys[i].first);
+    }
+
+    // Assemble the COMPLETE detect outcome in full-run order (every live
+    // function, carried or fresh) and merge it exactly as RunCheckers would.
+    std::vector<FunctionDetect> all;
+    all.reserve(static_cast<size_t>(functions_total));
+    for (size_t m : project_.unit_order()) {
+      const auto& module = project_.modules()[m];
+      const std::string& path = project_.sources().Path(module->file);
+      const FileCacheEntry& entry = cache_.File(path);
+      for (size_t fi = 0; fi < module->functions.size(); ++fi) {
+        all.push_back(entry.functions.at(FunctionKey(fi, module->functions[fi]->name)));
+      }
+    }
+    MergeFunctionDetects(runnable, std::move(all), detect);
+    scope.Arg("candidates", detect.candidates.size());
   }
-  MergeFunctionDetects(runnable, std::move(all), detect);
-  const double detect_seconds = SecondsSince(detect_start);
 
   // Persist updated entries (skipping ones rebinding could not reproduce).
   if (cache_.has_disk_tier()) {
@@ -303,14 +296,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   }
 
   // --- Every later stage runs in full over the assembled candidate set -----
-  AnalysisReport report = analysis_.RunWithDetect(project_, &repo_, std::move(detect));
-  report.parse_seconds = parse_seconds;
-  report.detect_seconds = detect_seconds;
-  report.analysis_seconds += parse_seconds;
-  if (report.stage.collected) {
-    report.stage.parse_seconds = parse_seconds;
-    report.stage.detect_seconds = detect_seconds;
-  }
+  AnalysisReport report = analysis_.RunWithDetect(project_, &repo_, std::move(detect), &stages);
 
   // Fingerprint-keyed delta against the previous analyzed commit.
   std::set<std::string> fingerprints;
@@ -332,7 +318,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   }
   result.cache = cache_.stats();
   result.report = std::move(report);
-  result.seconds = SecondsSince(start);
+  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
 }
 

@@ -55,6 +55,7 @@ Project Project::FromSources(const std::vector<std::pair<std::string, std::strin
 void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
                          const Config& config, int jobs, const FaultInjector* fault,
                          const ResourceBudget* budget) {
+  StageScope scope(Stage::kParse, build_stage_);
   // File ids are assigned sequentially before any parallel work so ids (and
   // everything keyed on them) do not depend on worker scheduling.
   const size_t n = files.size();
@@ -80,7 +81,6 @@ void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
     file_memory_.resize(n);
   }
   if (ProgressEnabled()) {
-    ProgressMeter::Global().SetPhase("parse");
     ProgressMeter::Global().AddTotalFiles(n);
   }
   ParallelFor(jobs, n, [&](size_t i) { CompileSlot(i, config, fault, budget); });
@@ -90,7 +90,6 @@ void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
     tracker.Add(MemCategory::kAstNodes, total.ast);
     tracker.Add(MemCategory::kIrInstructions, total.ir);
     tracker.Add(MemCategory::kInternedStrings, total.strings);
-    tracker.SampleRss();
   }
   unit_order_.resize(n);
   for (size_t i = 0; i < n; ++i) {

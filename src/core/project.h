@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/ast/ast.h"
+#include "src/core/stage.h"
 #include "src/ir/ir.h"
 #include "src/lexer/preprocessor.h"
 #include "src/support/diagnostics.h"
@@ -111,6 +112,8 @@ class Project {
 
   // Files quarantined during construction (parse stage), in file order.
   const std::vector<QuarantinedUnit>& quarantined() const { return quarantined_; }
+  // The parse stage of construction (zero after incremental mutations).
+  const StageRecord& build_stage() const { return build_stage_; }
 
   // Per-file parse-stage memory attribution (AST / IR / identifier strings).
   struct FileMemory {
@@ -171,6 +174,7 @@ class Project {
   std::vector<PreprocessResult> pp_;  // indexed by FileId
   std::map<std::string, FunctionInfo> index_;
   std::vector<QuarantinedUnit> quarantined_;
+  StageRecord build_stage_;
   bool memory_collected_ = false;
   std::vector<FileMemory> file_memory_;  // indexed by FileId
   // Per-slot state retained so FinishUpdate() can rebuild the merged views

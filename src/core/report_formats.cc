@@ -74,8 +74,8 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
   // See DESIGN.md §"JSON report schema" for the contract.
   json.Int("schema_version", 8);
   json.Double("analysis_seconds", report.analysis_seconds);
-  json.Double("parse_seconds", report.parse_seconds);
-  json.Double("detect_seconds", report.detect_seconds);
+  json.Double("parse_seconds", report.stages[Stage::kParse].seconds);
+  json.Double("detect_seconds", report.stages[Stage::kDetect].seconds);
   json.Int("jobs", report.jobs);
   json.Key("checkers").BeginArray();
   for (const std::string& name : report.checkers) {
@@ -152,17 +152,9 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     json.Key("metrics").BeginObject();
 
     json.Key("stages").BeginObject();
-    struct {
-      const char* name;
-      double seconds;
-    } stages[] = {
-        {"parse", stage.parse_seconds},       {"detect", stage.detect_seconds},
-        {"authorship", stage.authorship_seconds}, {"cross_scope_filter", stage.filter_seconds},
-        {"prune", stage.prune_seconds},       {"rank", stage.rank_seconds},
-    };
-    for (const auto& entry : stages) {
-      json.Key(entry.name).BeginObject();
-      json.Double("seconds", entry.seconds);
+    for (Stage s : kStages) {
+      json.Key(StageName(s)).BeginObject();
+      json.Double("seconds", report.stages[s].seconds);
       json.EndObject();
     }
     json.EndObject();  // stages
@@ -353,15 +345,15 @@ std::string RenderStageMetricsTable(const AnalysisReport& report) {
   auto ms = [](double seconds) { return FormatDouble(seconds * 1e3, 3); };
 
   TableWriter table({"stage", "ms", "detail"});
-  table.AddRow({"parse", ms(stage.parse_seconds),
+  table.AddRow({"parse", ms(report.stages[Stage::kParse].seconds),
                 std::to_string(stage.files_parsed) + " file(s)"});
-  table.AddRow({"detect", ms(stage.detect_seconds),
+  table.AddRow({"detect", ms(report.stages[Stage::kDetect].seconds),
                 std::to_string(stage.functions_analyzed) + " function(s), " +
                     std::to_string(stage.candidates_detected) + " candidate(s)"});
-  table.AddRow({"authorship", ms(stage.authorship_seconds), ""});
-  table.AddRow({"cross-scope-filter", ms(stage.filter_seconds),
+  table.AddRow({"authorship", ms(report.stages[Stage::kAuthorship].seconds), ""});
+  table.AddRow({"cross-scope-filter", ms(report.stages[Stage::kCrossScopeFilter].seconds),
                 std::to_string(report.non_cross_scope) + " dropped"});
-  table.AddRow({"prune", ms(stage.prune_seconds),
+  table.AddRow({"prune", ms(report.stages[Stage::kPrune].seconds),
                 std::to_string(prune.TotalPruned()) + "/" + std::to_string(prune.original) +
                     " pruned"});
   struct {
@@ -381,7 +373,7 @@ std::string RenderStageMetricsTable(const AnalysisReport& report) {
                       std::to_string(pattern.tested - pattern.pruned) + " rejected of " +
                       std::to_string(pattern.tested) + " tested"});
   }
-  table.AddRow({"rank", ms(stage.rank_seconds),
+  table.AddRow({"rank", ms(report.stages[Stage::kRank].seconds),
                 std::to_string(stage.rank_scored) + " scored, " +
                     std::to_string(stage.rank_unknown) + " unknown; model " +
                     ms(stage.rank_model_seconds) + "ms"});

@@ -67,12 +67,12 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
   LedgerMetrics& m = record.metrics;
   m.collected = report.stage.collected;
   m.analysis_seconds = report.analysis_seconds;
-  m.parse_seconds = report.stage.collected ? report.stage.parse_seconds : report.parse_seconds;
-  m.detect_seconds = report.stage.collected ? report.stage.detect_seconds : report.detect_seconds;
-  m.authorship_seconds = report.stage.authorship_seconds;
-  m.filter_seconds = report.stage.filter_seconds;
-  m.prune_seconds = report.stage.prune_seconds;
-  m.rank_seconds = report.stage.rank_seconds;
+  m.parse_seconds = report.stages[Stage::kParse].seconds;
+  m.detect_seconds = report.stages[Stage::kDetect].seconds;
+  m.authorship_seconds = report.stages[Stage::kAuthorship].seconds;
+  m.filter_seconds = report.stages[Stage::kCrossScopeFilter].seconds;
+  m.prune_seconds = report.stages[Stage::kPrune].seconds;
+  m.rank_seconds = report.stages[Stage::kRank].seconds;
   m.files_parsed = static_cast<int64_t>(report.stage.files_parsed);
   m.functions_analyzed = static_cast<int64_t>(report.stage.functions_analyzed);
   m.candidates_detected = static_cast<int64_t>(report.stage.candidates_detected);

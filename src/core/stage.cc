@@ -1,0 +1,58 @@
+#include "src/core/stage.h"
+
+#include <string>
+
+#include "src/support/events.h"
+#include "src/support/memstats.h"
+#include "src/support/metrics.h"
+
+namespace vc {
+
+const char* StageName(Stage stage) {
+  static constexpr const char* kNames[kStageCount] = {
+      "parse", "detect", "authorship", "cross_scope_filter", "prune", "rank"};
+  return kNames[static_cast<int>(stage)];
+}
+
+StageScope::StageScope(Stage stage, StageRecord& record)
+    : stage_(stage), record_(record), span_(StageName(stage), "pipeline") {
+  if (RunEventsEnabled()) {
+    RunEvent("stage_start").Str("stage", StageName(stage));
+  }
+  if (ProgressEnabled()) {
+    ProgressMeter::Global().SetPhase(StageName(stage));
+  }
+  start_ = std::chrono::steady_clock::now();
+}
+
+StageScope::~StageScope() {
+  const std::chrono::nanoseconds elapsed = std::chrono::steady_clock::now() - start_;
+  record_.seconds = static_cast<double>(elapsed.count()) / 1e9;
+  if (MetricsEnabled()) {
+    MetricsRegistry::Global()
+        .GetHistogram(std::string("pipeline.") + StageName(stage_) + "_seconds")
+        .RecordNanos(static_cast<uint64_t>(elapsed.count()));
+  }
+  if (MemoryTrackingEnabled()) {
+    // VmHWM only rises, so this sample bounds everything the stage did.
+    MemoryTracker::Global().SampleRss();
+    record_.rss_bytes = MemoryTracker::Global().peak_rss_bytes();
+  }
+  if (RunEventsEnabled()) {
+    RunEvent event("stage_end");
+    event.Str("stage", StageName(stage_));
+    for (int i = 0; i < arg_count_; ++i) {
+      event.Num(args_[i].first, args_[i].second);
+    }
+  }
+}
+
+StageScope& StageScope::Arg(const char* key, int64_t value) {
+  span_.Arg(key, value);
+  if (arg_count_ < kMaxArgs) {
+    args_[arg_count_++] = {key, value};
+  }
+  return *this;
+}
+
+}  // namespace vc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <utility>
@@ -55,8 +56,7 @@ SpanGraph SpanGraph::Build(const std::vector<TraceEvent>& events) {
 
   // One containment sweep in global start order. Each tid keeps a stack of
   // open frames; a node nests under the top of its own tid's stack, and a
-  // node opening a tid's stack looks for the deepest still-open frame on
-  // another tid that fully contains it (the fork edge of a parallel_for).
+  // node opening a tid's stack takes a fork edge from another tid.
   std::map<int, std::vector<int>> open;  // tid -> stack of node indices
   for (size_t idx = 0; idx < graph.nodes.size(); ++idx) {
     SpanNode& node = graph.nodes[idx];
@@ -70,20 +70,24 @@ SpanGraph SpanGraph::Build(const std::vector<TraceEvent>& events) {
     int parent = -1;
     if (!own.empty()) {
       parent = own.back();
-    } else {
-      // Deepest (= latest-starting) containing open frame on another tid;
-      // ties break toward the lower tid for determinism.
+    }
+    // Deepest (= latest-starting) containing open frame on another tid, ties
+    // toward the lower tid. The first pass takes only the pool's fork spans:
+    // a sibling lane's span can contain a worker's span but never forked it.
+    for (int pass = 0; pass < 2 && parent < 0; ++pass) {
       for (const auto& [tid, stack] : open) {
         if (tid == node.tid) continue;
         for (size_t d = stack.size(); d-- > 0;) {
           int cand = stack[d];
-          if (EndMicros(graph.nodes[cand]) >= EndMicros(node)) {
-            if (parent < 0 ||
-                graph.nodes[cand].ts_micros > graph.nodes[parent].ts_micros) {
-              parent = cand;
-            }
-            break;  // deeper frames end no later; first hit is the deepest
+          if (EndMicros(graph.nodes[cand]) < EndMicros(node) ||
+              (pass == 0 && std::strcmp(sorted[cand].category, "threadpool") != 0)) {
+            continue;
           }
+          if (parent < 0 ||
+              graph.nodes[cand].ts_micros > graph.nodes[parent].ts_micros) {
+            parent = cand;
+          }
+          break;  // frames below start no later: the first hit is the deepest
         }
       }
     }

@@ -13,9 +13,9 @@
 //     of the open-frame stack ends is its child) — the same idiom the
 //     collapsed-stack profile exporter uses.
 //   * Cross-tid fork/join edges come from time containment: a root span on
-//     a worker tid is attached to the deepest span on another tid whose
-//     [start, end] window contains it (in practice the pool's parallel_for
-//     span on the calling thread).
+//     a worker tid is attached to the deepest parallel_for span on another
+//     tid whose [start, end] window contains it, or, when none does, to the
+//     deepest containing span on another tid.
 //
 // Critical path. The longest dependent chain through the graph, computed
 // bottom-up: a node's chain is its uncovered self time plus the largest

@@ -502,6 +502,47 @@ TEST_F(CliTest, PerfReportWritesAnalyticsWithoutPerturbingFindings) {
   }
 }
 
+TEST_F(CliTest, IncrementalPerfReportWallCoversTheWholeReplay) {
+  std::string hist;
+  for (int commit = 0; commit < 4; ++commit) {
+    hist += "commit\nauthor dev" + std::to_string(commit % 2) + "\ntime " +
+            std::to_string(1000 * (commit + 1)) + "\nmessage step\nwrite f" +
+            std::to_string(commit) + ".c\n<<<\n" + kBuggy + ">>>\nend\n";
+  }
+  std::string history = Write("replay.vchist", hist);
+  std::string trace_path = (dir_ / "trace.json").string();
+  std::string perf_path = (dir_ / "perf.json").string();
+  RunResult result = RunCli("analyze --history=" + history + " --incremental --jobs=2 --trace=" +
+                            trace_path + " --perf-report=" + perf_path);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+
+  std::ifstream trace_in(trace_path);
+  ASSERT_TRUE(trace_in.good()) << "trace not written: " << trace_path;
+  std::string trace((std::istreambuf_iterator<char>(trace_in)),
+                    std::istreambuf_iterator<char>());
+  long long commit_micros = 0;
+  int commits = 0;
+  for (size_t at = trace.find("\"name\":\"incremental.commit\""); at != std::string::npos;
+       at = trace.find("\"name\":\"incremental.commit\"", at + 1)) {
+    size_t dur = trace.find("\"dur\":", at);
+    ASSERT_NE(dur, std::string::npos);
+    commit_micros += std::stoll(trace.substr(dur + 6));
+    ++commits;
+  }
+  EXPECT_EQ(commits, 4);
+
+  std::ifstream perf_in(perf_path);
+  ASSERT_TRUE(perf_in.good()) << "perf report not written: " << perf_path;
+  std::string perf((std::istreambuf_iterator<char>(perf_in)),
+                   std::istreambuf_iterator<char>());
+  size_t wall = perf.find("\"wall_seconds\":");
+  ASSERT_NE(wall, std::string::npos);
+  // The trace covers every commit of the replay, not just the head's report
+  // (the tolerance covers the JSON's six significant digits).
+  EXPECT_GE(std::stod(perf.substr(wall + 15)) * 1e6 * (1 + 1e-5),
+            static_cast<double>(commit_micros));
+}
+
 TEST_F(CliTest, DashboardRendersPerCheckerAndMemoryTrends) {
   std::string path = Write("buggy.c", kBuggy);
   std::string ledger = (dir_ / "ledger").string();

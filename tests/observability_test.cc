@@ -1,17 +1,24 @@
 // Tests for the run-event stream (--events), the progress meter, the
-// collapsed-stack profile exporter (--profile), and the trace buffer cap +
-// dropped-span accounting.
+// collapsed-stack profile exporter (--profile), the trace buffer cap +
+// dropped-span accounting, and the stage recorder feeding every sink.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/analysis.h"
+#include "src/core/incremental.h"
+#include "src/core/stage.h"
 #include "src/support/events.h"
 #include "src/support/json_reader.h"
 #include "src/support/metrics.h"
@@ -278,6 +285,126 @@ TEST(Trace, SnapshotEventsReturnsSortedCopy) {
     EXPECT_LE(events[i - 1].ts_micros, events[i].ts_micros);
   }
   collector.Clear();
+}
+
+// ---------------------------------------------------------------------------
+// Stage recorder: one record per stage, feeding every sink
+// ---------------------------------------------------------------------------
+
+const Histogram& StageHistogram(Stage stage) {
+  return MetricsRegistry::Global().GetHistogram(std::string("pipeline.") + StageName(stage) +
+                                                "_seconds");
+}
+
+int64_t SumNanos(const Histogram& histogram) {
+  return std::llround(histogram.sum_seconds() * 1e9);
+}
+
+// Runs one analysis path with events, trace and metrics on, then checks that
+// every stage reached every sink exactly once and that the sinks agree with
+// the report's stage record.
+void ExpectEveryStageOnce(const std::string& label,
+                          const std::function<AnalysisReport()>& analyze) {
+  SCOPED_TRACE(label);
+  std::vector<uint64_t> counts_before;
+  std::vector<int64_t> sums_before;
+  for (Stage stage : kStages) {
+    counts_before.push_back(StageHistogram(stage).count());
+    sums_before.push_back(SumNanos(StageHistogram(stage)));
+  }
+  std::string events_path = TempPath("vc_events_stages.jsonl");
+  ASSERT_TRUE(RunEventLog::Global().Open(events_path));
+  TraceCollector::Global().Enable();
+  AnalysisReport report = analyze();
+  TraceCollector::Global().Disable();
+  RunEventLog::Global().Close();
+
+  std::vector<std::string> stage_names;
+  for (Stage stage : kStages) {
+    stage_names.push_back(StageName(stage));
+  }
+  auto is_stage = [&](const std::string& name) {
+    return std::find(stage_names.begin(), stage_names.end(), name) != stage_names.end();
+  };
+  // stage_start/stage_end pairs in Stage order (per-file parse_file events
+  // carry no Stage name and are skipped).
+  std::vector<std::string> sequence;
+  for (const std::string& line : ReadLines(events_path)) {
+    std::optional<JsonValue> value = ParseJson(line);
+    ASSERT_TRUE(value.has_value()) << line;
+    const std::string event = value->GetString("event");
+    if ((event == "stage_start" || event == "stage_end") && is_stage(value->GetString("stage"))) {
+      sequence.push_back(event + ":" + value->GetString("stage"));
+    }
+  }
+  std::remove(events_path.c_str());
+  std::vector<std::string> expected;
+  for (Stage stage : kStages) {
+    expected.push_back(std::string("stage_start:") + StageName(stage));
+    expected.push_back(std::string("stage_end:") + StageName(stage));
+  }
+  EXPECT_EQ(sequence, expected);
+
+  std::vector<std::string> spans;
+  for (const TraceEvent& event : TraceCollector::Global().SnapshotEvents()) {
+    if (std::strcmp(event.category, "pipeline") == 0 && is_stage(event.name)) {
+      spans.push_back(event.name);
+    }
+  }
+  TraceCollector::Global().Clear();
+  EXPECT_EQ(spans, stage_names);
+
+  ASSERT_TRUE(report.memory.collected);
+  ASSERT_EQ(report.memory.stages.size(), static_cast<size_t>(kStageCount));
+  double stage_seconds = 0.0;
+  for (int i = 0; i < kStageCount; ++i) {
+    const Stage stage = kStages[i];
+    EXPECT_EQ(StageHistogram(stage).count(), counts_before[i] + 1) << StageName(stage);
+    EXPECT_EQ(SumNanos(StageHistogram(stage)) - sums_before[i],
+              std::llround(report.stages[stage].seconds * 1e9))
+        << StageName(stage);
+    EXPECT_EQ(report.memory.stages[i].stage, StageName(stage));
+    EXPECT_GT(report.stages[stage].rss_bytes, 0u) << StageName(stage);
+    EXPECT_EQ(report.memory.stages[i].rss_bytes, report.stages[stage].rss_bytes);
+    stage_seconds += report.stages[stage].seconds;
+  }
+  EXPECT_GE(report.analysis_seconds, stage_seconds);
+}
+
+TEST(Observability, EveryStageFeedsEverySinkOnce) {
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  std::string v1 =
+      "int helper(int x) {\n"
+      "  return x + 1;\n"
+      "}\n"
+      "int work(int x) {\n"
+      "  int ret = helper(x);\n"
+      "  return ret;\n"
+      "}\n";
+  repo.AddCommit(alice, 1, "create", {{"a.c", v1}, {"b.c", "int b(int y) { return y; }\n"}});
+  std::string v2 = v1;
+  v2.replace(v2.find("  return ret;"), 13, "  ret = helper(x + 2);\n  return ret;");
+  CommitId head = repo.AddCommit(bob, 2, "tweak work", {{"a.c", v2}});
+
+  AnalysisOptions options;
+  options.collect_metrics = true;
+  Analysis analysis(options);
+  ExpectEveryStageOnce("Run over BuildFromSources", [&] {
+    Project project = analysis.BuildFromSources({{"a.c", v2}});
+    return analysis.Run(project);
+  });
+  ExpectEveryStageOnce("RunOnRepository", [&] { return analysis.RunOnRepository(repo); });
+
+  options.jobs = 2;
+  IncrementalEngine engine(options);
+  for (CommitId commit = 0; commit <= head; ++commit) {
+    ExpectEveryStageOnce("AnalyzeCommit " + std::to_string(commit),
+                         [&] { return engine.AnalyzeCommit(repo, commit).report; });
+  }
+  MetricsRegistry::Global().Disable();
+  MemoryTracker::Global().Disable();
 }
 
 }  // namespace

@@ -150,6 +150,27 @@ TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
   EXPECT_NEAR(report.serial_fraction, (3 * 0.001 - 0.0022) / (0.0022 * 2), 1e-9);
 }
 
+TEST(SpanAnalysis, WorkerSpansForkFromParallelForNotFromSiblingLanes) {
+  // Two lanes of one parallel_for: lane 3's fn lies inside lane 2's fn in
+  // time, but only the parallel_for forked it.
+  TraceEvent fork = Ev("parallel_for", 1, 100, 700);
+  fork.category = "threadpool";
+  std::vector<TraceEvent> events = {fork, Ev("fn", 2, 150, 600), Ev("fn", 3, 200, 300)};
+  SpanGraph graph = SpanGraph::Build(events);
+  ASSERT_EQ(graph.roots.size(), 1u);
+  const SpanNode& parallel_for = graph.nodes[graph.roots[0]];
+  EXPECT_EQ(parallel_for.name, "parallel_for");
+  ASSERT_EQ(parallel_for.children.size(), 2u);
+  for (int child : parallel_for.children) {
+    EXPECT_EQ(graph.nodes[child].name, "fn");
+    EXPECT_EQ(graph.nodes[child].parent, graph.roots[0]);
+    EXPECT_TRUE(graph.nodes[child].children.empty());
+  }
+  for (const CriticalPathStep& step : AnalyzeSpans(events, Inputs()).critical_path) {
+    EXPECT_EQ(step.stack.find("fn;fn"), std::string::npos) << step.stack;
+  }
+}
+
 TEST(SpanAnalysis, ExplicitWallClampWhenSpansOutlastTheClock) {
   std::vector<TraceEvent> events = {Ev("run", 0, 0, 1000)};
   PerfInputs inputs = Inputs(/*wall=*/500e-6);

@@ -285,7 +285,9 @@ scaling_smoke() {
 # contract, end to end through the real binary. A second replay over the same
 # --cache-dir must report cache reuse (disk loads and carried detect
 # results), and the incremental run's Prometheus dump must contain a
-# well-formed vc_cache_* family (vc_obs_lint prom --require-cache).
+# well-formed vc_cache_* family (vc_obs_lint prom --require-cache). That run
+# also writes its event stream and perf report, which must pass
+# `vc_obs_lint events` and `vc_obs_lint perf`.
 incremental_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -346,6 +348,7 @@ incremental_smoke() {
   rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
     --cache-dir "${tmp}/cache" --metrics-out "${tmp}/inc.prom" --format=csv \
+    --events "${tmp}/inc.events.jsonl" --perf-report "${tmp}/inc.perf.json" \
     >"${tmp}/inc2.csv" 2>"${tmp}/inc2.err" || rc=$?
   if [ "${rc}" -ge 2 ]; then
     echo "incremental smoke: cached replay failed (exit ${rc})" >&2
@@ -368,6 +371,10 @@ incremental_smoke() {
   fi
   "${lint}" prom "${tmp}/inc.prom" --require-cache || {
     echo "incremental smoke: cache metrics failed lint" >&2; return 1; }
+  "${lint}" events "${tmp}/inc.events.jsonl" || {
+    echo "incremental smoke: events stream failed lint" >&2; return 1; }
+  "${lint}" perf "${tmp}/inc.perf.json" || {
+    echo "incremental smoke: perf report failed lint" >&2; return 1; }
   echo "incremental smoke: ok"
 }
 

@@ -832,25 +832,14 @@ int RunAnalyze(const std::vector<std::string>& args) {
                  static_cast<unsigned long long>(cache.disk_corrupt));
     report = inc_head->report;
   } else {
-    auto parse_start = std::chrono::steady_clock::now();
     Project project = has_history
                           ? analysis.BuildFromRepository(repo)
                           : analysis.BuildFromSources(CollectSources(options.inputs));
-    double parse_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - parse_start).count();
-
     if (project.diags().HasErrors()) {
       std::fputs(project.diags().Render(project.sources()).c_str(), stderr);
       return 2;
     }
-
     report = analysis.Run(project, has_history ? &repo : nullptr);
-    report.parse_seconds = parse_seconds;
-    report.analysis_seconds += parse_seconds;
-    if (report.stage.collected) {
-      report.stage.parse_seconds = parse_seconds;
-      report.stage.files_parsed = project.units().size();
-    }
   }
 
   // The heartbeat line ends (with a final render + newline) before anything
@@ -907,7 +896,9 @@ int RunAnalyze(const std::vector<std::string>& args) {
     TraceCollector& collector = TraceCollector::Global();
     collector.Disable();
     PerfInputs inputs;
-    inputs.wall_seconds = report.analysis_seconds;
+    // A replay's trace spans every commit, not just the head's report: its
+    // span window is the wall clock (0 selects it).
+    inputs.wall_seconds = options.incremental ? 0.0 : report.analysis_seconds;
     inputs.jobs = report.jobs;
     inputs.hardware_threads = HardwareThreads();
     inputs.dropped_spans = collector.dropped_count();

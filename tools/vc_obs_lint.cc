@@ -23,18 +23,26 @@
 //                             admission accounting identity
 //                             requests == ok+degraded+shed+deadline+failed;
 //                             --require-serve additionally fails the lint
-//                             when the family is absent (the serve smoke)
+//                             when the family is absent (the serve smoke).
+//                             Any vc_pipeline_*_seconds histogram requires
+//                             all six stage families (parse, detect,
+//                             authorship, cross_scope_filter, prune, rank):
+//                             every stage records where it runs
 //   vc_obs_lint folded FILE   collapsed-stack: every line is
 //                             `frame(;frame)* <positive integer>`, and the
 //                             file is non-empty
 //   vc_obs_lint perf FILE     --perf-report JSON: required fields in the
 //                             schema's stable order, critical-path time
 //                             <= wall time, every utilization in [0, 1],
-//                             worker ids dense from 0
+//                             worker ids dense from 0, and no folded stack
+//                             with two identical adjacent frames (the pool
+//                             runs nested loops inline, so `a;a` is always
+//                             an attribution artifact)
 //
 // Exit 0 on success (prints one summary line), 1 on any violation (first
 // violation printed with its line number), 2 on usage/IO errors.
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -156,6 +164,7 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
   bool cache_functions_gauge = false;
   size_t serve_samples = 0;
   bool serve_latency_histogram = false;
+  bool pipeline_family = false;  // any vc_pipeline_<stage>_seconds declared
   // Admission accounting counters; -1 = not seen in the exposition.
   double serve_requests = -1, serve_ok = -1, serve_degraded = -1;
   double serve_shed = -1, serve_deadline = -1, serve_failed = -1;
@@ -178,6 +187,7 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
           return Fail(path, line_no, "unknown metric type '" + type + "'");
         }
         typed.push_back(name);
+        pipeline_family = pipeline_family || name.rfind("vc_pipeline_", 0) == 0;
       }
       continue;
     }
@@ -271,6 +281,16 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
   if (require_serve && serve_samples == 0) {
     return Fail(path, 0, "no vc_serve_* samples (daemon metrics missing)");
   }
+  if (pipeline_family) {
+    for (const char* stage :
+         {"parse", "detect", "authorship", "cross_scope_filter", "prune", "rank"}) {
+      const std::string family = std::string("vc_pipeline_") + stage + "_seconds";
+      if (std::find(typed.begin(), typed.end(), family) == typed.end()) {
+        return Fail(path, 0, "vc_pipeline_*_seconds present without " + family +
+                                 " (every stage records where it runs)");
+      }
+    }
+  }
   if (serve_samples > 0) {
     if (serve_requests < 0 || serve_ok < 0 || serve_degraded < 0 || serve_shed < 0 ||
         serve_deadline < 0 || serve_failed < 0) {
@@ -361,8 +381,18 @@ int LintPerf(const std::string& path) {
     return Fail(path, 1, "critical_path.fraction outside [0, 1]");
   }
   for (const vc::JsonValue& step : cp.Get("folded").Items()) {
-    if (step.GetString("stack").empty()) {
+    const std::string stack = step.GetString("stack");
+    if (stack.empty()) {
       return Fail(path, 1, "empty stack in critical_path.folded");
+    }
+    std::istringstream frames(stack);
+    std::string frame, previous;
+    while (std::getline(frames, frame, ';')) {
+      if (frame == previous) {
+        return Fail(path, 1, "self-nested frame '" + frame + "' in critical_path.folded stack '" +
+                                 stack + "'");
+      }
+      previous = frame;
     }
     if (step.GetDouble("seconds", -1) < 0) {
       return Fail(path, 1, "negative seconds in critical_path.folded");
