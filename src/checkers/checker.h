@@ -64,11 +64,12 @@ class Checker {
   }
 
   // True when Check() reads only the context's own function and file — the
-  // default contract. The incremental engine may then carry a function's
-  // cached results across commits that did not touch its dependency slice.
-  // Checkers that walk project-global state (the baseline tools iterate the
-  // whole function index) return false, which forces the engine to re-run
-  // every function on every commit instead of trusting the cache.
+  // default contract. Each file lowers on its own, so the incremental engine
+  // then carries a function's cached results across every commit that did
+  // not change the function's file. Checkers that walk project-global state
+  // (the baseline tools iterate the whole function index) return false,
+  // which forces the engine to re-run every function on every commit
+  // instead of trusting the cache.
   virtual bool function_local() const { return true; }
 
   // Detects this checker's candidates in the context's function. Runs once

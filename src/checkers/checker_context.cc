@@ -24,11 +24,4 @@ const DefineSetResult& CheckerContext::defines() {
   return *defines_;
 }
 
-const PointsTo& CheckerContext::points_to() {
-  if (points_to_ == nullptr) {
-    points_to_ = std::make_unique<PointsTo>(func_);
-  }
-  return *points_to_;
-}
-
 }  // namespace vc

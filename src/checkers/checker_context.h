@@ -1,8 +1,8 @@
 // Per-function analysis context shared by every checker.
 //
 // N checkers pay for one liveness pass: the context computes each shared
-// analysis (liveness, DefineSets, Andersen points-to) on first request and
-// memoizes the result for the rest of the function's checkers. All analyses
+// analysis (liveness, DefineSets) on first request and memoizes the result
+// for the rest of the function's checkers. All analyses
 // charge the same per-function BudgetMeter, so the PR-5 resource-budget
 // contract extends unchanged to multi-checker runs — the meter's step count
 // covers the union of whatever analyses the enabled checkers touched.
@@ -16,7 +16,6 @@
 #include "src/core/project.h"
 #include "src/dataflow/define_sets.h"
 #include "src/dataflow/liveness.h"
-#include "src/pointer/andersen.h"
 
 namespace vc {
 
@@ -38,15 +37,9 @@ class CheckerContext {
   // liveness then define sets, preserving the pre-framework charge order.
   const LivenessResult& liveness();
   const DefineSetResult& defines();
-  const PointsTo& points_to();
 
   // Shorthand for liveness().address_taken (forces the liveness pass).
   const SlotSet& address_taken() { return liveness().address_taken; }
-
-  // True once some checker has forced the points-to pass; lets the driver
-  // attribute points-to memory without computing the analysis just to
-  // measure it.
-  bool points_to_computed() const { return points_to_ != nullptr; }
 
  private:
   const Project& project_;
@@ -57,7 +50,6 @@ class CheckerContext {
 
   std::unique_ptr<LivenessResult> liveness_;
   std::unique_ptr<DefineSetResult> defines_;
-  std::unique_ptr<PointsTo> points_to_;
 };
 
 }  // namespace vc

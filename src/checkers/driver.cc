@@ -5,7 +5,6 @@
 
 #include "src/checkers/checker_context.h"
 #include "src/support/events.h"
-#include "src/support/memstats.h"
 #include "src/support/metrics.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
@@ -23,7 +22,6 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       MetricsEnabled() ? &MetricsRegistry::Global().GetHistogram("detect.function_seconds")
                        : nullptr;
   const bool metered = budget != nullptr && !budget->Unlimited();
-  const bool track_memory = MemoryTrackingEnabled();
   // Slot-indexed per work item: results merge in the serial work order (the
   // determinism barrier: output never depends on worker scheduling).
   std::vector<FunctionDetect> per_function(work.size());
@@ -44,15 +42,6 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
         }
       }
     } tick;
-    // Attributes the function's points-to state (if a checker forced the
-    // analysis) before its context dies; called on each exit path below.
-    auto record_points_to = [&](CheckerContext& ctx) {
-      if (track_memory && ctx.points_to_computed()) {
-        PointsTo::Footprint fp = ctx.points_to().MemoryFootprint();
-        per_function[i].points_to_bytes = fp.bytes;
-        per_function[i].points_to_entries = fp.entries;
-      }
-    };
 
     auto run_one = [&](const Checker* checker, CheckerContext& ctx) {
       std::vector<UnusedDefCandidate> found = checker->Check(ctx);
@@ -69,7 +58,6 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       for (const Checker* checker : runnable) {
         run_one(checker, ctx);
       }
-      record_points_to(ctx);
       return;
     }
 
@@ -107,18 +95,8 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
             QuarantinedUnit{path, work[i].func->name, "detect", e.what(), checker->name()});
       }
     }
-    record_points_to(ctx);
   });
 
-  if (track_memory) {
-    uint64_t bytes = 0;
-    uint64_t entries = 0;
-    for (const FunctionDetect& fn : per_function) {
-      bytes += fn.points_to_bytes;
-      entries += fn.points_to_entries;
-    }
-    MemoryTracker::Global().Add(MemCategory::kPointsToSets, bytes, entries);
-  }
   if (MetricsEnabled()) {
     MetricsRegistry::Global().GetCounter("detect.functions").Add(work.size());
   }
@@ -162,8 +140,6 @@ void MergeFunctionDetects(const std::vector<const Checker*>& runnable,
       result.quarantined.push_back(std::move(record));
       ++quarantine_count;
     }
-    result.points_to_bytes += fn.points_to_bytes;
-    result.points_to_entries += fn.points_to_entries;
   }
   for (size_t c = 0; c < runnable.size(); ++c) {
     result.per_checker.push_back({runnable[c]->name(), per_checker_counts[c]});

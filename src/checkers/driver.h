@@ -38,11 +38,6 @@ struct CheckerRunResult {
     uint64_t candidates = 0;
   };
   std::vector<PerChecker> per_checker;
-  // Points-to memory attributed to this run (summed over every function
-  // whose context forced the analysis); zeros when memory tracking is off.
-  // Deterministic at any job count.
-  uint64_t points_to_bytes = 0;
-  uint64_t points_to_entries = 0;
 };
 
 // Runs `checkers` over every function. Candidates come back stamped with
@@ -65,16 +60,11 @@ struct CheckerWorkItem {
 };
 
 // One function's complete detect-stage output — exactly what the incremental
-// engine caches and carries over for functions outside a commit's dirty
-// slice. Candidates are stamped; quarantine records use the driver's
+// engine caches and carries over for files a commit did not change. Candidates are stamped; quarantine records use the driver's
 // per-function shapes.
 struct FunctionDetect {
   std::vector<UnusedDefCandidate> candidates;
   std::vector<QuarantinedUnit> quarantined;
-  // Points-to footprint of the function's context (zeros when memory
-  // tracking was off or no checker forced the analysis).
-  uint64_t points_to_bytes = 0;
-  uint64_t points_to_entries = 0;
 };
 
 // The capability gate alone: partitions `checkers` into the runnable subset,
@@ -89,7 +79,7 @@ std::vector<const Checker*> GateCheckers(const Project& project,
 
 // The merge step of RunCheckers: folds per-function results (already in work
 // order) into `result` — candidates then quarantine records per function,
-// per-checker counts in `runnable` order, points-to sums — and emits the
+// per-checker counts in `runnable` order — and emits the
 // detect.candidates / per-checker / fault.quarantined.detect metrics.
 // `result.quarantined` may already hold gate (and cache) records; function
 // records append after them, matching the full-run record order.

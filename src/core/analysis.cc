@@ -229,17 +229,15 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
 
   if (collect) {
-    // Only parse (AST, IR, identifiers) and detect (points-to sets) grow the
-    // tracked bytes; later stages annotate and filter existing candidates.
+    // Only parse (AST, IR, identifiers) grows the tracked bytes; later stages
+    // annotate and filter existing candidates.
     MemoryStats& mem = report.memory;
     mem.collected = true;
     Project::FileMemory parse_mem = project.ParseMemoryTotal();
     mem.categories[static_cast<int>(MemCategory::kAstNodes)] = parse_mem.ast;
     mem.categories[static_cast<int>(MemCategory::kIrInstructions)] = parse_mem.ir;
     mem.categories[static_cast<int>(MemCategory::kInternedStrings)] = parse_mem.strings;
-    mem.categories[static_cast<int>(MemCategory::kPointsToSets)] = {
-        detect.points_to_bytes, detect.points_to_entries};
-    const uint64_t deltas[kStageCount] = {parse_mem.TotalBytes(), detect.points_to_bytes};
+    const uint64_t deltas[kStageCount] = {parse_mem.TotalBytes()};
     uint64_t tracked = 0;
     for (int i = 0; i < kStageCount; ++i) {
       tracked += deltas[i];

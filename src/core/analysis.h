@@ -167,7 +167,7 @@ struct AnalysisReport {
 
 // Result of per-commit incremental analysis; defined in
 // src/core/incremental.h (it embeds a full AnalysisReport plus the engine's
-// cache/dirty-slice telemetry).
+// cache and work telemetry).
 struct IncrementalResult;
 class IncrementalEngine;
 
@@ -203,8 +203,8 @@ class Analysis {
 
   // Per-commit incremental analysis through a cached IncrementalEngine
   // (src/core/incremental.h): re-parses only the files `commit` touched and
-  // re-runs checkers only on the commit's dirty function slice, carrying
-  // cached results for everything else. The returned report holds the
+  // re-runs checkers only on the functions of files whose content changed,
+  // carrying cached results for everything else. The returned report holds the
   // COMPLETE finding set as of `commit` — byte-identical to a full run over
   // the repository truncated at that commit. Sequential calls with ascending
   // commits on the same repository reuse the engine's warm caches; any other

@@ -33,8 +33,8 @@ void WriteLoc(JsonWriter& json, const SourceLoc& loc) {
 
 SourceLoc ReadLoc(const JsonValue& value) {
   SourceLoc loc;
-  // FileId is rebound by the engine against the live project; the serialized
-  // form is file-relative by construction (one entry per source path).
+  // FileId is rebound against the live module; the serialized form is
+  // file-relative by construction (one entry per source path).
   loc.file = kInvalidFileId;
   loc.line = static_cast<int32_t>(value.GetInt("line"));
   loc.column = static_cast<int32_t>(value.GetInt("col"));
@@ -42,9 +42,9 @@ SourceLoc ReadLoc(const JsonValue& value) {
 }
 
 // Serializes the detector-filled candidate fields. Pointer fields (var,
-// ir_func, origin_callee) and the def_loc/overwriter FileIds are rebound by
-// the engine on load; authorship/prune/rank fields are recomputed every
-// commit, so caching them would be wasted bytes.
+// ir_func) and the def_loc/overwriter FileIds are rebound on load;
+// authorship/prune/rank fields are recomputed every commit, so caching them
+// would be wasted bytes.
 void WriteCandidate(JsonWriter& json, const UnusedDefCandidate& cand) {
   json.BeginObject()
       .String("function", cand.function)
@@ -98,6 +98,39 @@ UnusedDefCandidate ReadCandidate(const JsonValue& value) {
   return cand;
 }
 
+// Restores the pointer fields of a loaded result against the live module:
+// the function's IR, each candidate's slot-table VarDecl, and the FileId of
+// every location.
+void RebindFunctionDetect(FunctionDetect& detect, const IrFunction& func, FileId file) {
+  for (UnusedDefCandidate& cand : detect.candidates) {
+    cand.ir_func = &func;
+    cand.var = (cand.slot != kInvalidSlot && cand.slot < func.slots.size())
+                   ? func.slots[cand.slot].var
+                   : nullptr;
+    cand.def_loc.file = file;
+    for (SourceLoc& loc : cand.overwriter_locs) {
+      loc.file = file;
+    }
+  }
+}
+
+// A result is disk-serializable only when rebinding can reproduce it exactly:
+// every candidate's VarDecl must be reachable through its slot. The clang and
+// infer baselines attach AST VarDecls without a slot; their files stay in the
+// memory tier (pointers remain valid there) and re-detect across processes.
+bool DiskSafe(const FunctionDetect& detect, const IrFunction& func) {
+  for (const UnusedDefCandidate& cand : detect.candidates) {
+    if (cand.var == nullptr) {
+      continue;
+    }
+    if (cand.slot == kInvalidSlot || cand.slot >= func.slots.size() ||
+        func.slots[cand.slot].var != cand.var) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 uint64_t HashContent(std::string_view text) {
@@ -117,11 +150,6 @@ AnalysisCache::AnalysisCache(std::string cache_dir, std::string config_key)
   }
 }
 
-const FileCacheEntry* AnalysisCache::Find(const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? nullptr : &it->second;
-}
-
 std::string AnalysisCache::DiskPath(const std::string& path) const {
   // Sanitized basename plus a path hash: readable when debugging, collision
   // free when two paths sanitize identically.
@@ -137,25 +165,26 @@ std::string AnalysisCache::DiskPath(const std::string& path) const {
 }
 
 bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
-                                 FileCacheEntry& out, std::vector<QuarantinedUnit>& quarantine) {
+                                 const IrModule& module, std::vector<FunctionDetect>& out,
+                                 std::vector<QuarantinedUnit>& quarantine) {
   if (cache_dir_.empty()) {
     return false;
   }
-  const std::string disk_path = DiskPath(path);
-  std::ifstream in(disk_path, std::ios::binary);
+  std::ifstream in(DiskPath(path), std::ios::binary);
   if (!in) {
     return false;  // plain miss: never cached
   }
+  const auto corrupt = [&](const std::string& why) {
+    ++stats_.disk_corrupt;
+    quarantine.push_back({path, "", "cache", "corrupt cache entry: " + why, ""});
+    return false;
+  };
   std::ostringstream buffer;
   buffer << in.rdbuf();
   std::string error;
   std::optional<JsonValue> doc = ParseJson(buffer.str(), &error);
   if (!doc || !doc->IsObject()) {
-    ++stats_.disk_corrupt;
-    quarantine.push_back(
-        {path, "", "cache", "corrupt cache entry: " + (error.empty() ? "not an object" : error),
-         ""});
-    return false;
+    return corrupt(error.empty() ? "not an object" : error);
   }
   if (doc->GetInt("schema_version") != kCacheSchemaVersion ||
       doc->GetString("config_key") != config_key_ ||
@@ -164,39 +193,45 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
   }
   const JsonValue& functions = doc->Get("functions");
   if (!functions.IsArray()) {
-    ++stats_.disk_corrupt;
-    quarantine.push_back({path, "", "cache", "corrupt cache entry: missing functions array", ""});
-    return false;
+    return corrupt("missing functions array");
   }
-  FileCacheEntry loaded;
-  loaded.content_hash = content_hash;
-  for (const JsonValue& fn : functions.Items()) {
-    if (!fn.IsObject() || !fn.Has("name")) {
-      ++stats_.disk_corrupt;
-      quarantine.push_back({path, "", "cache", "corrupt cache entry: malformed function record", ""});
-      return false;
+  // The records must name the module's functions, in order: anything else is
+  // outside input that no longer describes this content.
+  if (functions.Items().size() != module.functions.size()) {
+    return corrupt("function count differs from the compiled file");
+  }
+  std::vector<FunctionDetect> loaded(module.functions.size());
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    const JsonValue& fn = functions.Items()[i];
+    const IrFunction& func = *module.functions[i];
+    if (!fn.IsObject() || fn.GetString("name") != func.name) {
+      return corrupt("function record " + std::to_string(i) + " does not name '" + func.name +
+                     "'");
     }
-    FunctionDetect detect;
-    detect.points_to_bytes = static_cast<uint64_t>(fn.GetInt("points_to_bytes"));
-    detect.points_to_entries = static_cast<uint64_t>(fn.GetInt("points_to_entries"));
     for (const JsonValue& cand : fn.Get("candidates").Items()) {
-      detect.candidates.push_back(ReadCandidate(cand));
+      loaded[i].candidates.push_back(ReadCandidate(cand));
     }
     for (const JsonValue& unit : fn.Get("quarantined").Items()) {
-      detect.quarantined.push_back({unit.GetString("path"), unit.GetString("function"),
-                                    unit.GetString("stage"), unit.GetString("reason"),
-                                    unit.GetString("checker")});
+      loaded[i].quarantined.push_back({unit.GetString("path"), unit.GetString("function"),
+                                       unit.GetString("stage"), unit.GetString("reason"),
+                                       unit.GetString("checker")});
     }
-    loaded.functions.emplace(fn.GetString("name"), std::move(detect));
+    RebindFunctionDetect(loaded[i], func, module.file);
   }
   out = std::move(loaded);
   ++stats_.disk_loads;
   return true;
 }
 
-void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& entry) {
-  if (cache_dir_.empty()) {
+void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& entry,
+                                const IrModule& module) {
+  if (cache_dir_.empty() || entry.functions.size() != module.functions.size()) {
     return;
+  }
+  for (size_t i = 0; i < entry.functions.size(); ++i) {
+    if (!DiskSafe(entry.functions[i], *module.functions[i])) {
+      return;
+    }
   }
   JsonWriter json;
   json.BeginObject()
@@ -205,11 +240,9 @@ void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& e
       .String("path", path)
       .String("content_hash", HashHex(entry.content_hash));
   json.Key("functions").BeginArray();
-  for (const auto& [name, detect] : entry.functions) {
-    json.BeginObject()
-        .String("name", name)
-        .Int("points_to_bytes", static_cast<int64_t>(detect.points_to_bytes))
-        .Int("points_to_entries", static_cast<int64_t>(detect.points_to_entries));
+  for (size_t i = 0; i < entry.functions.size(); ++i) {
+    const FunctionDetect& detect = entry.functions[i];
+    json.BeginObject().String("name", module.functions[i]->name);
     json.Key("candidates").BeginArray();
     for (const UnusedDefCandidate& cand : detect.candidates) {
       WriteCandidate(json, cand);

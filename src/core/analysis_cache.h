@@ -1,20 +1,21 @@
 // The incremental engine's analysis cache (DESIGN.md §18).
 //
-// Two tiers share one invariant: a cached detect result is valid exactly when
-// (file content, analysis configuration) both match.
+// Two tiers share one invariant: a file's cached detect results are valid
+// exactly when (file content, analysis configuration) both match.
 //
 //  * The memory tier is the per-path FileCacheEntry map: the engine's
 //    persistent Project already holds the parsed TU and lowered IR, so the
-//    entry only stores the content hash (parse-skip decision) and each
-//    function's detect-stage output (carry-over decision). Candidate pointers
-//    stay valid because a slot's AST/IR is only replaced when its content
-//    changes — which also invalidates the entry.
+//    entry only stores the content hash (parse-skip decision) and one detect
+//    result per function in module order (carry-over decision). Candidate
+//    pointers stay valid because a slot's AST/IR is only replaced when its
+//    content changes — which also invalidates the entry.
 //  * The disk tier (--cache-dir) serializes entries as one JSON file per
 //    source path, keyed by content hash AND a config key folding in the
 //    preprocessor macros, the enabled checker list, project traits, budget
 //    and fault settings, and the cache schema version. Loaded candidates are
-//    value-only (callee_name, slot ids, line/column locations); the engine
-//    rebinds their AST/IR pointers against the live project.
+//    value-only (callee_name, slot ids, line/column locations); the load
+//    checks the stored function list against the freshly compiled module and
+//    rebinds AST/IR pointers against it.
 //
 // A corrupt or truncated disk entry is never fatal: it degrades to a cache
 // miss and surfaces through the quarantine channel ("cache" stage), matching
@@ -36,7 +37,7 @@ namespace vc {
 
 // Bumped whenever the serialized entry shape or the meaning of any cached
 // field changes; old entries then read as stale (miss), never as garbage.
-inline constexpr int kCacheSchemaVersion = 1;
+inline constexpr int kCacheSchemaVersion = 2;
 
 // FNV-1a 64-bit. Stable across runs and platforms; collisions would carry a
 // stale result, so the 64-bit width matters.
@@ -48,7 +49,7 @@ struct CacheStats {
   uint64_t parse_hits = 0;         // files whose content hash matched (no re-parse)
   uint64_t parse_misses = 0;       // files (re)compiled
   uint64_t detect_carried = 0;     // functions served from cache
-  uint64_t detect_recomputed = 0;  // functions re-run (dirty slice)
+  uint64_t detect_recomputed = 0;  // functions re-run (files that changed)
   uint64_t disk_loads = 0;         // file entries restored from --cache-dir
   uint64_t disk_stores = 0;        // file entries written to --cache-dir
   uint64_t disk_corrupt = 0;       // unreadable entries degraded to misses
@@ -62,10 +63,11 @@ struct CacheStats {
 // One file's cached detect-stage state.
 struct FileCacheEntry {
   uint64_t content_hash = 0;
-  // Per-function results keyed by IR function name. An absent name means the
-  // function must be (re)detected; presence means the stored result equals
-  // what a fresh detect of that function would produce.
-  std::map<std::string, FunctionDetect> functions;
+  // One result per function of the file's module, in module order. Identical
+  // content lowers to the same functions in the same order, so the file
+  // carries exactly when the vector holds one result per function; anything
+  // else means every function of the file must be (re)detected.
+  std::vector<FunctionDetect> functions;
 };
 
 class AnalysisCache {
@@ -74,22 +76,21 @@ class AnalysisCache {
   // configuration string (see MakeConfigKey in incremental.cc).
   AnalysisCache(std::string cache_dir, std::string config_key);
 
-  bool has_disk_tier() const { return !cache_dir_.empty(); }
-  const std::string& config_key() const { return config_key_; }
-
-  // Memory tier: get-or-create / lookup / drop the entry for a path.
+  // Memory tier: get-or-create / drop the entry for a path.
   FileCacheEntry& File(const std::string& path) { return files_[path]; }
-  const FileCacheEntry* Find(const std::string& path) const;
   void Remove(const std::string& path) { files_.erase(path); }
 
   // Disk tier. Load validates the header (schema version, config key,
-  // content hash) and fills `out.functions` on a hit; a stale or absent entry
-  // is a plain miss, a corrupt one also appends a "cache"-stage quarantine
-  // record. Store writes atomically (tmp + rename) and is a no-op without a
+  // content hash) and the function list against `module`, the file's freshly
+  // compiled IR; on a hit it fills `out` with results rebound to `module`. A
+  // stale or absent entry is a plain miss; a corrupt one (unparsable, or a
+  // function count or name that disagrees with `module`) also appends a
+  // "cache"-stage quarantine record. Store writes atomically (tmp + rename),
+  // skips entries rebinding could not reproduce, and is a no-op without a
   // cache dir.
-  bool LoadFromDisk(const std::string& path, uint64_t content_hash, FileCacheEntry& out,
-                    std::vector<QuarantinedUnit>& quarantine);
-  void StoreToDisk(const std::string& path, const FileCacheEntry& entry);
+  bool LoadFromDisk(const std::string& path, uint64_t content_hash, const IrModule& module,
+                    std::vector<FunctionDetect>& out, std::vector<QuarantinedUnit>& quarantine);
+  void StoreToDisk(const std::string& path, const FileCacheEntry& entry, const IrModule& module);
 
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }

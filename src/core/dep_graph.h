@@ -1,24 +1,19 @@
-// Function-level dependency graph for the incremental engine's dirty-slice
-// computation (DESIGN.md §18).
-//
-// When a commit changes a set of functions, the engine must re-run checkers
-// on every function whose detect result *could* observe the change. The
-// conservative rule implemented here:
+// Function-level dependency graph: name-keyed call edges plus the
+// alias-affected set (DESIGN.md §18).
 //
 //   dirty(changed) = changed
 //                  ∪ callers(changed) ∪ callees(changed)     (direct edges)
 //                  ∪ alias-affected                          (if changed ≠ ∅)
 //
-// where "alias-affected" is every function containing an indirect call
-// (callee resolvable only through points-to) and every function whose address
-// is taken (a potential indirect-call target): any edit can, in principle,
-// reroute those edges, so they never trust the cache while anything changed.
+// where "alias-affected" is every function containing an indirect call and
+// every function whose address is taken.
 //
-// This over-approximates today's checkers — every function_local() checker is
-// a pure function of its own file's content — but it is the contract that
-// keeps the cache sound if a future checker starts peeking one call level
-// deep, and it is cheap: edges come straight from the IR call sites the
-// function index already records.
+// The incremental engine no longer calls this class. Its carry rule is the
+// cache's own validity rule: each file lowers on its own, so a
+// function_local() checker's result depends only on its own file's content,
+// and a function's result carries exactly when its file's content hash
+// matched. perfbench/vc_perfbench.cc still times DirtyClosure as its
+// incremental.dep_graph layer, which is why the code stays.
 
 #ifndef VALUECHECK_SRC_CORE_DEP_GRAPH_H_
 #define VALUECHECK_SRC_CORE_DEP_GRAPH_H_

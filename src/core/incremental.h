@@ -17,11 +17,12 @@
 //  * A persistent Project recompiles only files whose content hash changed;
 //    an unchanged file's parsed TU and lowered IR are never rebuilt, and its
 //    slot (FileId) is stable, so carried results keep valid locations.
-//  * Checkers re-run only on the commit's dirty slice: changed functions
-//    plus callers, callees, and alias-affected functions (src/core/dep_graph.h).
-//    Every other function's detect output is carried from the AnalysisCache
-//    (memory tier always; a --cache-dir disk tier persists across processes).
-//    A checker with function_local() == false disables carry-over entirely.
+//  * One carry rule: a file's detect results are carried exactly when its
+//    content hash matched, from the AnalysisCache (memory tier always; a
+//    --cache-dir disk tier persists across processes). Every function of a
+//    recompiled, cold-start or disk-missed file re-runs. Each file lowers on
+//    its own, so a function_local() checker's result depends only on its own
+//    file; a checker with function_local() == false disables carry-over.
 //  * Every stage after detection (authorship, cross-scope filter, pruning
 //    with its GLOBAL peer statistics, ranking, fingerprints) re-runs each
 //    commit over the complete assembled candidate set, through the same
@@ -30,7 +31,6 @@
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -107,9 +107,6 @@ class IncrementalEngine {
   Project project_;    // persistent, mutated in place per commit
   AnalysisCache cache_;
   std::set<std::string> pending_;  // paths touched since the last analysis
-  // Function names per live path as of the last analysis (the "old names"
-  // half of the changed set when a file recompiles or disappears).
-  std::map<std::string, std::vector<std::string>> file_functions_;
   // Fingerprints of the previous report's findings (carried/new/fixed delta).
   std::set<std::string> prev_fingerprints_;
 };

@@ -70,9 +70,10 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
   // the (nondeterministic) peak-RSS samples; v8 adds the optional
   // "incremental" block (present only for per-commit engine runs): commit id,
   // files/functions work accounting, fingerprint-level carried/new/fixed
-  // deltas, and the parse/detect cache hit counters.
+  // deltas, and the parse/detect cache hit counters; v9 drops the
+  // "points_to_sets" key from memory.categories (no stage produced it).
   // See DESIGN.md §"JSON report schema" for the contract.
-  json.Int("schema_version", 8);
+  json.Int("schema_version", 9);
   json.Double("analysis_seconds", report.analysis_seconds);
   json.Double("parse_seconds", report.stages[Stage::kParse].seconds);
   json.Double("detect_seconds", report.stages[Stage::kDetect].seconds);

@@ -106,8 +106,6 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
     m.mem_ast_objects = static_cast<int64_t>(cat(MemCategory::kAstNodes).objects);
     m.mem_ir_bytes = static_cast<int64_t>(cat(MemCategory::kIrInstructions).bytes);
     m.mem_ir_objects = static_cast<int64_t>(cat(MemCategory::kIrInstructions).objects);
-    m.mem_points_to_bytes = static_cast<int64_t>(cat(MemCategory::kPointsToSets).bytes);
-    m.mem_points_to_objects = static_cast<int64_t>(cat(MemCategory::kPointsToSets).objects);
     m.mem_strings_bytes = static_cast<int64_t>(cat(MemCategory::kInternedStrings).bytes);
     m.mem_strings_objects = static_cast<int64_t>(cat(MemCategory::kInternedStrings).objects);
     m.mem_tracked_bytes = static_cast<int64_t>(report.memory.TrackedBytes());

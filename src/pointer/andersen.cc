@@ -248,21 +248,4 @@ bool PointsTo::PointsToUnknown(ValueId value) const {
 
 bool PointsTo::SlotIsPointee(SlotId slot) const { return pointee_slots_.count(slot) > 0; }
 
-PointsTo::Footprint PointsTo::MemoryFootprint() const {
-  // Red-black tree nodes cost roughly three pointers + color + payload; a
-  // fixed 40-byte estimate keeps the number build-stable and deterministic.
-  constexpr uint64_t kSetNodeBytes = 40;
-  Footprint fp;
-  fp.bytes = (values_.size() + slots_.size()) * sizeof(NodeState);
-  for (const NodeState& node : values_) {
-    fp.entries += node.slots.size() + node.funcs.size();
-  }
-  for (const NodeState& node : slots_) {
-    fp.entries += node.slots.size() + node.funcs.size();
-  }
-  fp.entries += pointee_slots_.size();
-  fp.bytes += fp.entries * kSetNodeBytes;
-  return fp;
-}
-
 }  // namespace vc

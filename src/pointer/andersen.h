@@ -49,16 +49,6 @@ class PointsTo {
 
   int iterations() const { return iterations_; }
 
-  // Sizeof-based footprint of the solved points-to state, for the memory
-  // tracker: bytes cover the node-state vectors plus an estimated fixed cost
-  // per set entry; entries is the total element count across all sets. A pure
-  // function of the solved state, so identical at any --jobs value.
-  struct Footprint {
-    uint64_t bytes = 0;
-    uint64_t entries = 0;
-  };
-  Footprint MemoryFootprint() const;
-
   // True when the solver hit its iteration ceiling and fell back to the
   // sound "top" state: every value/slot points to unknown and every slot is
   // a potential pointee (the detector then suppresses, never misreports).

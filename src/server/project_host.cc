@@ -73,7 +73,6 @@ ProjectAnalyzeOutcome ProjectHost::Analyze(
     engine_key_ = key;
     if (repo_.NumCommits() > 0) {
       ++engine_rebuilds_;
-      outcome.rebuilt_engine = true;
     }
   }
 

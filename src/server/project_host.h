@@ -62,7 +62,6 @@ struct ProjectRunSummary {
 struct ProjectAnalyzeOutcome {
   AnalysisReport report;
   bool cached = false;       // snapshot + config unchanged; report replayed
-  bool rebuilt_engine = false;
   int64_t commit = -1;
   int files_changed = 0;
   int functions_dirty = 0;

@@ -47,16 +47,6 @@ double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
 AnalysisServer::AnalysisServer(ServerOptions options)
     : options_(std::move(options)),
       admission_({options_.max_inflight, options_.max_queue}),
-      m_requests_(MetricsRegistry::Global().GetCounter("serve.requests")),
-      m_ok_(MetricsRegistry::Global().GetCounter("serve.ok")),
-      m_degraded_(MetricsRegistry::Global().GetCounter("serve.degraded")),
-      m_shed_(MetricsRegistry::Global().GetCounter("serve.shed")),
-      m_deadline_(MetricsRegistry::Global().GetCounter("serve.deadline")),
-      m_failed_(MetricsRegistry::Global().GetCounter("serve.failed")),
-      m_protocol_errors_(MetricsRegistry::Global().GetCounter("serve.protocol_errors")),
-      m_connections_(MetricsRegistry::Global().GetCounter("serve.connections")),
-      m_cached_(MetricsRegistry::Global().GetCounter("serve.cached_responses")),
-      m_engine_rebuilds_(MetricsRegistry::Global().GetCounter("serve.engine_rebuilds")),
       m_request_seconds_(MetricsRegistry::Global().GetHistogram("serve.request_seconds")),
       m_queue_wait_seconds_(
           MetricsRegistry::Global().GetHistogram("serve.queue_wait_seconds")),
@@ -182,10 +172,28 @@ void AnalysisServer::Wait() {
   }
   if (!ended_.exchange(true, std::memory_order_relaxed)) {
     end_time_ = std::chrono::steady_clock::now();
+    // Every outcome is counted once, in totals(); the registry's serve.*
+    // counters are published from it here, after the last request answered.
+    const ServeTotals t = totals();
+    const std::pair<const char*, uint64_t> counters[] = {
+        {"serve.requests", t.requests},
+        {"serve.ok", t.succeeded},
+        {"serve.degraded", t.degraded},
+        {"serve.shed", t.shed},
+        {"serve.deadline", t.deadline},
+        {"serve.failed", t.failed},
+        {"serve.protocol_errors", t.protocol_errors},
+        {"serve.connections", t.connections},
+        {"serve.cached_responses", t.cached},
+        {"serve.engine_rebuilds", t.engine_rebuilds},
+    };
+    for (const auto& [name, value] : counters) {
+      MetricsRegistry::Global().GetCounter(name).Add(value);
+    }
     RunEvent("serve_end")
-        .Num("requests", requests_.load(std::memory_order_relaxed))
-        .Num("shed", shed_.load(std::memory_order_relaxed))
-        .Num("failed", failed_.load(std::memory_order_relaxed));
+        .Num("requests", t.requests)
+        .Num("shed", t.shed)
+        .Num("failed", t.failed);
   }
 }
 
@@ -240,7 +248,6 @@ void AnalysisServer::AcceptLoop() {
       break;  // listen socket shut down (drain) or fatal
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
-    m_connections_.Add();
     std::lock_guard<std::mutex> lock(threads_mutex_);
     connection_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
   }
@@ -263,7 +270,6 @@ void AnalysisServer::ConnectionLoop(int fd) {
         // Peer closed (or reset). Mid-frame close = truncated frame.
         if (decoder.mid_frame()) {
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          m_protocol_errors_.Add();
         }
         break;
       }
@@ -271,7 +277,6 @@ void AnalysisServer::ConnectionLoop(int fd) {
       decoder.Feed(buf, static_cast<size_t>(n));
       if (decoder.error()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        m_protocol_errors_.Add();
         SendAll(fd, EncodeFrame(MakeErrorResponse("", "protocol",
                                                   decoder.error_message())));
         break;
@@ -290,7 +295,6 @@ void AnalysisServer::ConnectionLoop(int fd) {
       // a protocol error and drop the connection rather than hold the fd (and
       // Wait()) hostage forever.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      m_protocol_errors_.Add();
       SendAll(fd, EncodeFrame(MakeErrorResponse(
                       "", "timeout", "frame read timed out (slow client)")));
       break;
@@ -308,13 +312,11 @@ void AnalysisServer::ConnectionLoop(int fd) {
 std::string AnalysisServer::HandleRequest(const std::string& payload) {
   const auto arrival = std::chrono::steady_clock::now();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  m_requests_.Add();
 
   ServeRequest request;
   std::string parse_error;
   if (!ParseServeRequest(payload, &request, &parse_error)) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    m_failed_.Add();
     return MakeErrorResponse(request.id, "bad_request", parse_error);
   }
 
@@ -323,7 +325,6 @@ std::string AnalysisServer::HandleRequest(const std::string& payload) {
   // is meant to relieve.
   if (request.method == ServeMethod::kPing) {
     succeeded_.fetch_add(1, std::memory_order_relaxed);
-    m_ok_.Add();
     request_latency_.Record(ElapsedSeconds(arrival));
     m_request_seconds_.Record(ElapsedSeconds(arrival));
     return MakePongResponse(request.id);
@@ -331,7 +332,6 @@ std::string AnalysisServer::HandleRequest(const std::string& payload) {
   if (request.method == ServeMethod::kShutdown) {
     RequestDrain();
     succeeded_.fetch_add(1, std::memory_order_relaxed);
-    m_ok_.Add();
     JsonWriter json;
     json.BeginObject();
     json.String("id", request.id);
@@ -347,7 +347,6 @@ std::string AnalysisServer::HandleRequest(const std::string& payload) {
   m_inflight_hwm_.UpdateMax(admission_.inflight_high_water());
   if (admitted != AdmissionController::Outcome::kAdmitted) {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    m_shed_.Add();
     const char* reason = admitted == AdmissionController::Outcome::kShedDraining
                              ? "draining"
                              : "queue_full";
@@ -364,7 +363,6 @@ std::string AnalysisServer::HandleRequest(const std::string& payload) {
     // The deadline burned away in queue; running now would only return an
     // answer the client has already given up on.
     deadline_.fetch_add(1, std::memory_order_relaxed);
-    m_deadline_.Add();
     response = MakeDeadlineResponse(request.id, waited_ms);
   } else {
     try {
@@ -376,17 +374,14 @@ std::string AnalysisServer::HandleRequest(const std::string& payload) {
       } else {
         response = HandleProjectQuery(request);
         succeeded_.fetch_add(1, std::memory_order_relaxed);
-        m_ok_.Add();
       }
     } catch (const std::exception& e) {
       // Per-request quarantine: a poisoned input fails ITS request, not the
       // daemon. The connection stays usable for the next frame.
       failed_.fetch_add(1, std::memory_order_relaxed);
-      m_failed_.Add();
       response = MakeErrorResponse(request.id, "internal", e.what());
     } catch (...) {
       failed_.fetch_add(1, std::memory_order_relaxed);
-      m_failed_.Add();
       response = MakeErrorResponse(request.id, "internal", "unknown error");
     }
   }
@@ -448,18 +443,12 @@ std::string AnalysisServer::HandleAnalyze(
   ProjectAnalyzeOutcome outcome = host.Analyze(request.sources, options);
   if (outcome.cached) {
     cached_.fetch_add(1, std::memory_order_relaxed);
-    m_cached_.Add();
-  }
-  if (outcome.rebuilt_engine) {
-    m_engine_rebuilds_.Add();
   }
   const AnalysisReport& report = outcome.report;
   if (report.degraded) {
     degraded_.fetch_add(1, std::memory_order_relaxed);
-    m_degraded_.Add();
   } else {
     succeeded_.fetch_add(1, std::memory_order_relaxed);
-    m_ok_.Add();
   }
 
   JsonWriter json;

@@ -23,9 +23,11 @@
 //     caller can flush ledger/metrics artifacts. SIGTERM in the CLI maps
 //     straight onto this pair.
 //
-// The server publishes a vc_serve_* metric family through the global
-// MetricsRegistry and keeps its own exact ServeTotals (including a latency
-// histogram) for the drain-time ledger record.
+// The server counts every request outcome once, in its exact ServeTotals
+// (including a latency histogram) for the drain-time ledger record. It
+// publishes the vc_serve_* family through the global MetricsRegistry: the
+// latency histograms and high-water gauges as requests run, the serve.*
+// counters from totals() once, when Wait() finishes the drain.
 
 #ifndef VALUECHECK_SRC_SERVER_SERVER_H_
 #define VALUECHECK_SRC_SERVER_SERVER_H_
@@ -166,17 +168,8 @@ class AnalysisServer {
   std::chrono::steady_clock::time_point end_time_;
   std::atomic<bool> ended_{false};
 
-  // vc_serve_* registry family (Prometheus export / vc_obs_lint).
-  Counter& m_requests_;
-  Counter& m_ok_;
-  Counter& m_degraded_;
-  Counter& m_shed_;
-  Counter& m_deadline_;
-  Counter& m_failed_;
-  Counter& m_protocol_errors_;
-  Counter& m_connections_;
-  Counter& m_cached_;
-  Counter& m_engine_rebuilds_;
+  // vc_serve_* registry family (Prometheus export / vc_obs_lint); Wait()
+  // publishes the serve.* counters from totals().
   Histogram& m_request_seconds_;
   Histogram& m_queue_wait_seconds_;
   Gauge& m_inflight_hwm_;

@@ -75,8 +75,9 @@ class InjectedFaultError : public std::runtime_error {
 
 // Per-unit resource limits. Zero means unlimited; the defaults keep every
 // existing caller's behavior (no budgets) except the always-on structural
-// caps that live with their subsystems (parser recursion depth, Andersen
-// iteration ceiling), which these fields merely override.
+// caps that live with their subsystems (parser recursion depth, which
+// parse_depth_limit overrides, and the Andersen iteration ceiling, which
+// nothing overrides).
 struct ResourceBudget {
   // Wall-clock deadline per unit (file in parse, function in detect).
   // Checked at stage checkpoints and every ~1k meter steps — honest
@@ -88,8 +89,6 @@ struct ResourceBudget {
   uint64_t detect_step_limit = 0;
   // Parser recursion depth (0 = the parser's built-in kDefaultParseDepth).
   int parse_depth_limit = 0;
-  // Andersen solver pass ceiling (0 = andersen.h's built-in default).
-  int pointer_iteration_limit = 0;
 
   bool Unlimited() const {
     return unit_deadline_seconds <= 0.0 && detect_step_limit == 0;

@@ -15,8 +15,6 @@ const char* MemCategoryName(MemCategory category) {
       return "ast_nodes";
     case MemCategory::kIrInstructions:
       return "ir_instructions";
-    case MemCategory::kPointsToSets:
-      return "points_to_sets";
     case MemCategory::kInternedStrings:
       return "interned_strings";
   }

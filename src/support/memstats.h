@@ -1,7 +1,6 @@
 // Memory accounting for the analysis pipeline: exact, deterministic byte and
 // object counts per allocation category (AST nodes, IR instructions,
-// points-to sets, interned identifier strings), plus process peak-RSS
-// sampling.
+// interned identifier strings), plus process peak-RSS sampling.
 //
 // Design constraints (see DESIGN.md §"Resource observability"):
 //   * Add() is a pair of relaxed atomic fetch_adds per category — safe from
@@ -31,13 +30,12 @@ namespace vc {
 enum class MemCategory {
   kAstNodes = 0,
   kIrInstructions,
-  kPointsToSets,
   kInternedStrings,
 };
-inline constexpr int kMemCategoryCount = 4;
+inline constexpr int kMemCategoryCount = 3;
 
-// Stable snake_case label ("ast_nodes", "ir_instructions", "points_to_sets",
-// "interned_strings") used in JSON, ledger, and metric names.
+// Stable snake_case label ("ast_nodes", "ir_instructions", "interned_strings")
+// used in JSON, ledger, and metric names.
 const char* MemCategoryName(MemCategory category);
 
 // One category's running tally. Addition commutes: merging per-slot counts in

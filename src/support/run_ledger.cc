@@ -71,8 +71,6 @@ void WriteMetrics(JsonWriter& json, const LedgerMetrics& m) {
     json.Int("ast_objects", m.mem_ast_objects);
     json.Int("ir_bytes", m.mem_ir_bytes);
     json.Int("ir_objects", m.mem_ir_objects);
-    json.Int("points_to_bytes", m.mem_points_to_bytes);
-    json.Int("points_to_objects", m.mem_points_to_objects);
     json.Int("strings_bytes", m.mem_strings_bytes);
     json.Int("strings_objects", m.mem_strings_objects);
     json.Int("tracked_bytes", m.mem_tracked_bytes);
@@ -165,6 +163,8 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
   m.pool_steals = pool.GetInt("steals");
   m.pool_idle_seconds = pool.GetDouble("idle_seconds");
   // Absent in pre-v2 records; every field defaults to zero / not-collected.
+  // Older records may also carry points_to_bytes/points_to_objects, from a
+  // category report schema v9 removed; they are ignored.
   if (value.Has("memory")) {
     const JsonValue& mem = value.Get("memory");
     m.mem_collected = mem.GetBool("collected");
@@ -172,8 +172,6 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
     m.mem_ast_objects = mem.GetInt("ast_objects");
     m.mem_ir_bytes = mem.GetInt("ir_bytes");
     m.mem_ir_objects = mem.GetInt("ir_objects");
-    m.mem_points_to_bytes = mem.GetInt("points_to_bytes");
-    m.mem_points_to_objects = mem.GetInt("points_to_objects");
     m.mem_strings_bytes = mem.GetInt("strings_bytes");
     m.mem_strings_objects = mem.GetInt("strings_objects");
     m.mem_tracked_bytes = mem.GetInt("tracked_bytes");

@@ -86,8 +86,6 @@ struct LedgerMetrics {
   int64_t mem_ast_objects = 0;
   int64_t mem_ir_bytes = 0;
   int64_t mem_ir_objects = 0;
-  int64_t mem_points_to_bytes = 0;
-  int64_t mem_points_to_objects = 0;
   int64_t mem_strings_bytes = 0;
   int64_t mem_strings_objects = 0;
   int64_t mem_tracked_bytes = 0;

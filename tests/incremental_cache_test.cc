@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -211,6 +213,111 @@ TEST_F(IncrementalCacheTest, CorruptEntryQuarantinesAndDegradesToReparse) {
   EXPECT_TRUE(cache_quarantine) << "corrupt entry did not reach the quarantine channel";
   ASSERT_EQ(result.findings().size(), 1u);
   EXPECT_EQ(result.findings()[0].slot_name, "a");
+}
+
+// The one entry file in `dir`, or an empty path when there is not exactly one.
+std::filesystem::path OnlyEntry(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path());
+  }
+  return entries.size() == 1 ? entries.front() : std::filesystem::path();
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+int CacheRecords(const AnalysisReport& report) {
+  int records = 0;
+  for (const QuarantinedUnit& unit : report.quarantined) {
+    records += unit.stage == "cache" ? 1 : 0;
+  }
+  return records;
+}
+
+TEST_F(IncrementalCacheTest, ParentFormatEntryIsAStaleMiss) {
+  // Schema 1 keyed functions by "ordinal:name" and carried points-to sizes.
+  // Such an entry, even under its own schema's config key, reads as stale:
+  // no load, no corruption record, and the file re-detects.
+  const std::string v1 =
+      "int f(int x) {\n"
+      "  int a = x + 1;\n"
+      "  a = x + 5;\n"
+      "  return a;\n"
+      "}\n";
+  Repository repo;
+  repo.AddCommit(repo.AddAuthor("alice"), 100, "create", {{"a.c", v1}});
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // single-author history
+  IncrementalOptions inc;
+  inc.cache_dir = dir_.string();
+  IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  const std::filesystem::path entry = OnlyEntry(dir_);
+  ASSERT_FALSE(entry.empty());
+
+  std::string key = MakeCacheConfigKey(options);
+  key.replace(0, key.find(';'), "schema=1");
+  char hash[17];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(HashContent(v1)));
+  {
+    std::ofstream out(entry, std::ios::trunc | std::ios::binary);
+    out << "{\"schema_version\":1,\"config_key\":\"" << key
+        << "\",\"path\":\"a.c\",\"content_hash\":\"" << hash
+        << "\",\"functions\":[{\"name\":\"0:f\",\"points_to_bytes\":0,"
+           "\"points_to_entries\":0,\"candidates\":[],\"quarantined\":[]}]}";
+  }
+
+  IncrementalResult result = IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  EXPECT_EQ(result.cache.disk_loads, 0u);
+  EXPECT_EQ(result.cache.disk_corrupt, 0u);
+  EXPECT_EQ(CacheRecords(result.report), 0);
+  EXPECT_EQ(result.functions_dirty, 1);
+  AnalysisReport full = Analysis(options).RunOnRepository(repo.PrefixCopy(0));
+  ASSERT_EQ(full.findings.size(), 1u);
+  EXPECT_EQ(result.report.ToCsv(), full.ToCsv());
+}
+
+TEST_F(IncrementalCacheTest, FunctionListMismatchIsCorrupt) {
+  // Right schema, key and content hash, but one record names a function the
+  // compiled file does not have at that position: the entry is outside input
+  // that no longer describes the file.
+  const std::string v1 =
+      "int f(int x) {\n"
+      "  int a = x + 1;\n"
+      "  a = x + 5;\n"
+      "  return a;\n"
+      "}\n"
+      "int g(int y) {\n"
+      "  int b = y;\n"
+      "  b = y * 3;\n"
+      "  return b;\n"
+      "}\n";
+  Repository repo;
+  repo.AddCommit(repo.AddAuthor("alice"), 100, "create", {{"a.c", v1}});
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // single-author history
+  IncrementalOptions inc;
+  inc.cache_dir = dir_.string();
+  IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  const std::filesystem::path entry = OnlyEntry(dir_);
+  ASSERT_FALSE(entry.empty());
+  std::string stored = ReadFile(entry);
+  const size_t name = stored.find("\"name\":\"g\"");
+  ASSERT_NE(name, std::string::npos);
+  stored.replace(name, 10, "\"name\":\"h\"");
+  std::ofstream(entry, std::ios::trunc | std::ios::binary) << stored;
+
+  IncrementalResult result = IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  EXPECT_EQ(result.cache.disk_loads, 0u);
+  EXPECT_EQ(result.cache.disk_corrupt, 1u);
+  EXPECT_EQ(CacheRecords(result.report), 1);
+  EXPECT_EQ(result.functions_dirty, 2);  // the file re-detects
+  AnalysisReport full = Analysis(options).RunOnRepository(repo.PrefixCopy(0));
+  ASSERT_EQ(full.findings.size(), 2u);
+  EXPECT_EQ(result.report.ToCsv(), full.ToCsv());
 }
 
 TEST(IncrementalFault, InjectionMatchesFullRunAndThreadsQuarantine) {

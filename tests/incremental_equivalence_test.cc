@@ -3,7 +3,8 @@
 // fingerprint sequence) to a fresh full analysis of the repository truncated
 // at that commit — at jobs 1, 2, and 8, with and without the disk cache,
 // across the edit shapes real repositories produce (file adds, deletes,
-// renames, signature changes, cross-file callee edits, whitespace touches).
+// renames, signature changes, cross-file callee edits, whitespace touches,
+// peer-verdict flips in untouched files).
 //
 // The synthesized histories come from src/testing/history_gen.h, which emits
 // exactly those shapes by construction; the hand-written history below pins
@@ -112,8 +113,8 @@ TEST(IncrementalEquivalence, HandWrittenEditShapes) {
   repo.AddCommit(bob, 200, "add helper",
                  {{"helper.c", "int helper(int y) {\n  return y + 1;\n}\n"}});
 
-  // Cross-file callee edit: util_compute's body changes; caller.c untouched
-  // on disk but dirty through the dependency graph.
+  // Cross-file callee edit: util_compute's body changes; caller.c is
+  // untouched and its detect results carry.
   std::string util2 =
       "int util_compute(int x) {\n"
       "  int t = x * 2;\n"
@@ -147,6 +148,63 @@ TEST(IncrementalEquivalence, HandWrittenEditShapes) {
 
   for (int jobs : {1, 2, 8}) {
     AnalysisOptions options;
+    options.jobs = jobs;
+    ExpectReplayEquivalent(repo, options);
+  }
+}
+
+// Peer pruning (§5.4) decides per callee over every call site in the
+// project. One commit to loud.c tips log_it's share of ignored results past
+// half, which flips the verdict at quiet.c's call sites although quiet.c is
+// untouched and its detect results carry; the next commit tips it back.
+TEST(IncrementalEquivalence, PeerVerdictFlipReachesUntouchedFiles) {
+  auto ignores = [](const std::string& name) {
+    return "int " + name + "(int x) {\n  log_it(x);\n  return x;\n}\n";
+  };
+  auto uses = [](const std::string& name) {
+    return "int " + name + "(int x) {\n  int r = log_it(x);\n  return r;\n}\n";
+  };
+  std::string quiet;
+  std::string loud;
+  for (int i = 0; i < 6; ++i) {
+    quiet += ignores("quiet_" + std::to_string(i));
+    loud += uses("loud_" + std::to_string(i));
+  }
+  // 12 call sites, 6 ignored: not more than half, so each ignored result is
+  // a finding. 7 ignored is more than half: log_it's result is customarily
+  // ignored and every ignored call site is pruned.
+  std::string tipped = ignores("loud_0") + loud.substr(uses("loud_0").size());
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  repo.AddCommit(alice, 100, "create",
+                 {{"helper.c", "int log_it(int v) {\n  return v + 1;\n}\n"},
+                  {"quiet.c", quiet},
+                  {"loud.c", loud}});
+  repo.AddCommit(bob, 200, "ignore one more result", {{"loud.c", tipped}});
+  repo.AddCommit(bob, 300, "use it again", {{"loud.c", loud}});
+
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // keep every unpruned call site visible
+  auto quiet_findings = [](const AnalysisReport& report) {
+    int count = 0;
+    for (const UnusedDefCandidate& cand : report.findings) {
+      count += cand.file == "quiet.c" ? 1 : 0;
+    }
+    return count;
+  };
+  IncrementalEngine engine(options);
+  IncrementalResult before = engine.AnalyzeCommit(repo, 0);
+  IncrementalResult flipped = engine.AnalyzeCommit(repo, 1);
+  IncrementalResult back = engine.AnalyzeCommit(repo, 2);
+  EXPECT_EQ(quiet_findings(before.report), 6);
+  EXPECT_EQ(quiet_findings(flipped.report), 0);
+  EXPECT_GE(flipped.report.prune_stats.peer_definition, 7);
+  EXPECT_EQ(quiet_findings(back.report), 6);
+  EXPECT_EQ(flipped.functions_dirty, 6);  // loud.c alone; quiet.c carried
+  EXPECT_EQ(back.functions_dirty, 6);
+
+  for (int jobs : {1, 4}) {
     options.jobs = jobs;
     ExpectReplayEquivalent(repo, options);
   }

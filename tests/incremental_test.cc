@@ -1,7 +1,7 @@
 // Incremental (per-commit) engine tests: each analyzed commit yields the
 // COMPLETE finding set as of that commit (equal to a full run over the
 // repository truncated there), re-parsing only touched files and re-running
-// checkers only on the dirty function slice. The exhaustive differential
+// checkers only on the functions of files whose content changed. The exhaustive differential
 // battery lives in incremental_equivalence_test.cc; these cover the engine's
 // API semantics and work accounting.
 
@@ -144,6 +144,69 @@ TEST(Incremental, DirtySliceScopedToTheChangedFile) {
   EXPECT_EQ(inc.functions_dirty, 41);  // f0.c's functions only
   EXPECT_EQ(inc.cache.detect_carried, static_cast<uint64_t>(40 * 40 - 40));
   EXPECT_GT(inc.cache.DetectHitRate(), 0.0);
+}
+
+TEST(Incremental, CarriesCallersOfAnEditedFile) {
+  // b.c calls fa, c.c calls through a function pointer, d.c takes a
+  // function's address. Each file lowers on its own, so editing fa's body
+  // re-runs a.c alone: its callers, the indirect caller and the
+  // address-taken function all carry.
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  const std::string a1 =
+      "int fa(int x) {\n"
+      "  int t = x + 1;\n"
+      "  return t;\n"
+      "}\n"
+      "int fa_twice(int y) {\n"
+      "  int u = y * 2;\n"
+      "  return u;\n"
+      "}\n";
+  std::map<std::string, std::string> files = {
+      {"a.c", a1},
+      {"b.c",
+       "int fb(int x) {\n"
+       "  int r = fa(x);\n"
+       "  r = fa(x + 1);\n"
+       "  return r;\n"
+       "}\n"},
+      {"c.c",
+       "int fc(void *op, int x) {\n"
+       "  int r = op(x);\n"
+       "  r = op(x + 1);\n"
+       "  return r;\n"
+       "}\n"},
+      {"d.c",
+       "int fd_target(int x) {\n"
+       "  int v = x - 1;\n"
+       "  v = x - 2;\n"
+       "  return v;\n"
+       "}\n"
+       "int fd_register(int c) {\n"
+       "  void *fp = fd_target;\n"
+       "  reg_hook(fp);\n"
+       "  return c;\n"
+       "}\n"},
+  };
+  repo.AddCommit(alice, 1, "create", files);
+  std::string a2 = a1;
+  a2.replace(a2.find("x + 1"), 5, "x + 7");
+  CommitId c2 = repo.AddCommit(bob, 2, "edit fa", {{"a.c", a2}});
+
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // keep every surviving candidate visible
+  IncrementalEngine engine{options};
+  engine.AnalyzeCommit(repo, 0);
+  IncrementalResult inc = engine.AnalyzeCommit(repo, c2);
+  EXPECT_EQ(inc.files_reparsed, 1);
+  EXPECT_EQ(inc.functions_total, 6);
+  EXPECT_EQ(inc.functions_dirty, 2);  // fa and fa_twice
+  EXPECT_EQ(inc.cache.detect_carried, 4u);
+
+  AnalysisReport full = Analysis(options).RunOnRepository(repo.PrefixCopy(c2));
+  ASSERT_FALSE(full.findings.empty());
+  EXPECT_EQ(inc.report.ToCsv(), full.ToCsv());
 }
 
 TEST(Incremental, FacadeReusesWarmEngineAcrossSequentialCommits) {

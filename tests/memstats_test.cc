@@ -21,7 +21,6 @@ namespace {
 TEST(MemCategory, NamesAreStableSnakeCase) {
   EXPECT_STREQ(MemCategoryName(MemCategory::kAstNodes), "ast_nodes");
   EXPECT_STREQ(MemCategoryName(MemCategory::kIrInstructions), "ir_instructions");
-  EXPECT_STREQ(MemCategoryName(MemCategory::kPointsToSets), "points_to_sets");
   EXPECT_STREQ(MemCategoryName(MemCategory::kInternedStrings), "interned_strings");
 }
 
@@ -85,14 +84,14 @@ TEST(MemoryTracker, PublishRegistryGaugesExportsMemMetrics) {
   tracker.ResetAll();
   tracker.Enable();
   tracker.Add(MemCategory::kAstNodes, 1234, 10);
-  tracker.Add(MemCategory::kPointsToSets, 500, 5);
+  tracker.Add(MemCategory::kIrInstructions, 500, 5);
   tracker.SampleRss();
   tracker.PublishRegistryGauges();
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   EXPECT_EQ(registry.GetGauge("mem.ast_nodes.bytes").value(), 1234);
   EXPECT_EQ(registry.GetGauge("mem.ast_nodes.objects").value(), 10);
-  EXPECT_EQ(registry.GetGauge("mem.points_to_sets.bytes").value(), 500);
+  EXPECT_EQ(registry.GetGauge("mem.ir_instructions.bytes").value(), 500);
   EXPECT_EQ(registry.GetGauge("mem.tracked_bytes").value(), 1234 + 500);
   EXPECT_GT(registry.GetGauge("mem.peak_rss_bytes").value(), 0);
 

@@ -185,7 +185,7 @@ TEST(ParallelDeterminism, JsonReportCarriesSchemaV4Metadata) {
   GeneratedApp app = GenerateApp(NfsGaneshaProfile().Scaled(0.1));
   AnalysisReport report = Analysis(WithJobs(2)).RunOnRepository(app.repo);
   std::string json = ReportToJson(report, &app.repo);
-  EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_NE(json.find("\"jobs\":2"), std::string::npos);
   EXPECT_NE(json.find("\"parse_seconds\":"), std::string::npos);
   EXPECT_NE(json.find("\"detect_seconds\":"), std::string::npos);

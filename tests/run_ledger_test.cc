@@ -267,11 +267,9 @@ TEST_F(RunLedgerTest, MemoryAndCheckerStatsRoundTripInV2Records) {
   record.metrics.mem_ast_objects = 10;
   record.metrics.mem_ir_bytes = 2000;
   record.metrics.mem_ir_objects = 20;
-  record.metrics.mem_points_to_bytes = 300;
-  record.metrics.mem_points_to_objects = 3;
   record.metrics.mem_strings_bytes = 40;
   record.metrics.mem_strings_objects = 4;
-  record.metrics.mem_tracked_bytes = 3340;
+  record.metrics.mem_tracked_bytes = 3040;
   record.metrics.mem_peak_rss_bytes = 50000000;
   record.checker_stats.push_back({"unused-def", 9, 2});
   record.checker_stats.push_back({"double-overwrite", 4, 1});
@@ -281,9 +279,8 @@ TEST_F(RunLedgerTest, MemoryAndCheckerStatsRoundTripInV2Records) {
   EXPECT_TRUE(back->metrics.mem_collected);
   EXPECT_EQ(back->metrics.mem_ast_bytes, 1000);
   EXPECT_EQ(back->metrics.mem_ir_objects, 20);
-  EXPECT_EQ(back->metrics.mem_points_to_bytes, 300);
   EXPECT_EQ(back->metrics.mem_strings_objects, 4);
-  EXPECT_EQ(back->metrics.mem_tracked_bytes, 3340);
+  EXPECT_EQ(back->metrics.mem_tracked_bytes, 3040);
   EXPECT_EQ(back->metrics.mem_peak_rss_bytes, 50000000);
   ASSERT_EQ(back->checker_stats.size(), 2u);
   EXPECT_EQ(back->checker_stats[0].name, "unused-def");
@@ -323,19 +320,30 @@ TEST_F(RunLedgerTest, MixedVersionLedgerLoadsAllRecords) {
     std::ofstream out(ledger.LedgerFile(), std::ios::app);
     out << "{\"schema\":1,\"run_id\":\"r0003\",\"label\":\"ancient\","
            "\"findings\":[],\"metrics\":{}}\n";
+    // A memory block from before report schema v9, which still carries the
+    // removed points-to category.
+    out << "{\"ledger_schema\":5,\"run_id\":\"r0004\",\"label\":\"points-to-era\","
+           "\"findings\":[],\"metrics\":{\"memory\":{\"collected\":true,"
+           "\"ast_bytes\":100,\"ast_objects\":1,\"ir_bytes\":200,\"ir_objects\":2,"
+           "\"points_to_bytes\":0,\"points_to_objects\":0,\"strings_bytes\":30,"
+           "\"strings_objects\":3,\"tracked_bytes\":330,\"peak_rss_bytes\":4096}}}\n";
   }
   std::string error;
   int skipped = 0;
   std::optional<std::vector<RunRecord>> runs = ledger.Load(&error, &skipped);
   ASSERT_TRUE(runs.has_value()) << error;
   EXPECT_EQ(skipped, 0);
-  ASSERT_EQ(runs->size(), 3u);
+  ASSERT_EQ(runs->size(), 4u);
   EXPECT_FALSE((*runs)[0].metrics.mem_collected);
   EXPECT_TRUE((*runs)[1].metrics.mem_collected);
   EXPECT_EQ((*runs)[1].metrics.mem_tracked_bytes, 1234);
   ASSERT_EQ((*runs)[1].checker_stats.size(), 1u);
   EXPECT_FALSE((*runs)[2].metrics.mem_collected);
   EXPECT_TRUE((*runs)[2].checker_stats.empty());
+  EXPECT_TRUE((*runs)[3].metrics.mem_collected);
+  EXPECT_EQ((*runs)[3].metrics.mem_ir_bytes, 200);
+  EXPECT_EQ((*runs)[3].metrics.mem_strings_objects, 3);
+  EXPECT_EQ((*runs)[3].metrics.mem_tracked_bytes, 330);
 }
 
 // Append is a single O_APPEND write() per record, so concurrent appenders

@@ -1,8 +1,8 @@
 // In-process integration tests for the `valuecheck serve` daemon: batch/daemon
 // finding equivalence (the acceptance invariant, at jobs 1/2/8, cold and warm),
 // admission shedding and deadlines, per-request quarantine, slow-loris and
-// mid-stream-disconnect robustness, drain accounting, and the client-initiated
-// shutdown handshake.
+// mid-stream-disconnect robustness, drain accounting (including the serve.*
+// counters published at drain), and the client-initiated shutdown handshake.
 
 #include "src/server/server.h"
 
@@ -19,6 +19,7 @@
 #include "src/server/client.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
+#include "src/support/metrics.h"
 #include "src/testing/testgen.h"
 
 namespace vc {
@@ -444,6 +445,62 @@ TEST_F(ServerTest, DrainShedsQueuedWorkAndFinishesInFlight) {
   EXPECT_EQ(totals.shed, 1u);
   EXPECT_EQ(totals.requests, totals.Accounted());
   EXPECT_GT(totals.wall_seconds, 0.0);
+}
+
+TEST_F(ServerTest, ServeCountersPublishTotalsOnceAtDrain) {
+  // Each outcome is counted once, in totals(); Wait() publishes the serve.*
+  // counters from it when the drain finishes, and only then.
+  const std::vector<std::pair<std::string, uint64_t ServeTotals::*>> counters = {
+      {"serve.requests", &ServeTotals::requests},
+      {"serve.ok", &ServeTotals::succeeded},
+      {"serve.degraded", &ServeTotals::degraded},
+      {"serve.shed", &ServeTotals::shed},
+      {"serve.deadline", &ServeTotals::deadline},
+      {"serve.failed", &ServeTotals::failed},
+      {"serve.protocol_errors", &ServeTotals::protocol_errors},
+      {"serve.connections", &ServeTotals::connections},
+      {"serve.cached_responses", &ServeTotals::cached},
+      {"serve.engine_rebuilds", &ServeTotals::engine_rebuilds},
+  };
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto deltas = [&](const std::vector<uint64_t>& since) {
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < counters.size(); ++i) {
+      out.push_back(registry.GetCounter(counters[i].first).value() - since[i]);
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = deltas(std::vector<uint64_t>(counters.size(), 0));
+
+  StartServer(ServerOptions{});
+  Sources sources = GenerateSources(19, "count", 2);
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(Call(*client, AnalyzeRequest("a", "p", sources, 1)).GetString("status"), "ok");
+  EXPECT_TRUE(Call(*client, AnalyzeRequest("b", "p", sources, 1)).GetBool("cached"));
+  // A new fault plan rebuilds the project's engine; rate 1 degrades.
+  EXPECT_EQ(Call(*client, AnalyzeRequest("c", "p", sources, 1, "42:1.0")).GetString("status"),
+            "degraded");
+  EXPECT_EQ(Call(*client, AnalyzeRequest("d", "p", sources, 1, "not-a-spec")).GetString("status"),
+            "error");
+  EXPECT_EQ(Call(*client, SimpleRequest("e", "ping")).GetString("status"), "ok");
+  EXPECT_EQ(deltas(before), std::vector<uint64_t>(counters.size(), 0))
+      << "serve.* counters moved before the drain";
+
+  DrainAndWait();
+  const ServeTotals totals = server_->totals();
+  EXPECT_EQ(totals.requests, 5u);
+  EXPECT_EQ(totals.cached, 1u);
+  EXPECT_EQ(totals.degraded, 1u);
+  EXPECT_EQ(totals.failed, 1u);
+  EXPECT_EQ(totals.engine_rebuilds, 1u);
+  std::vector<uint64_t> expected;
+  for (const auto& [name, field] : counters) {
+    expected.push_back(totals.*field);
+  }
+  EXPECT_EQ(deltas(before), expected);
+  server_->Wait();  // a second Wait() publishes nothing more
+  EXPECT_EQ(deltas(before), expected);
 }
 
 TEST_F(ServerTest, ShutdownMethodStartsTheDrainAndStillResponds) {

@@ -90,8 +90,9 @@ checker_smoke() {
 }
 
 # Differential fuzz smoke: a fixed-seed vc_fuzz campaign (~200 generated
-# programs, every oracle: parse cleanliness, --jobs determinism, metrics
-# parity, JSON round-trip, metamorphic fingerprint stability). Time-boxed to
+# programs, every oracle `vc_fuzz --help` lists: parse cleanliness, --jobs
+# determinism, metrics parity, JSON round-trip, metamorphic fingerprint
+# stability, degraded-run subset, incremental equivalence). Time-boxed to
 # 30s so sanitizer-slowed builds stop at the budget instead of timing out.
 fuzz_smoke() {
   local name="$1"

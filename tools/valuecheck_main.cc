@@ -177,9 +177,9 @@ const FlagSpec kFlags[] = {
     {"--incremental", nullptr, "incremental engine",
      "replay the --history commits through the incremental engine:\n"
      "each commit re-parses only its touched files and re-runs\n"
-     "checkers only on the dirty function slice, yet yields the\n"
-     "complete finding set as of that commit (byte-identical to a\n"
-     "full run). Per-commit work accounting goes to stderr; the\n"
+     "checkers only on the functions of files whose content\n"
+     "changed, yet yields the complete finding set as of that\n"
+     "commit (byte-identical to a full run). Per-commit work accounting goes to stderr; the\n"
      "report printed on stdout is the one for the head commit",
      [](CliOptions& o, const std::string&) {
        o.incremental = true;

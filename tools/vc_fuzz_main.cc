@@ -35,10 +35,11 @@ void PrintUsage(std::FILE* out) {
                "  --seed N          campaign seed (default 1)\n"
                "  --iters N         programs to generate and check (default 100)\n"
                "  --time-budget S   stop after S seconds (default: none)\n"
-               "  --oracles LIST    comma-separated subset of:\n"
-               "                    clean_frontend jobs_determinism metrics_parity\n"
-               "                    json_round_trip metamorphic degraded_run\n"
-               "                    (default: all)\n"
+               "  --oracles LIST    comma-separated subset of (default: all):\n");
+  for (vc::testing::OracleKind kind : vc::testing::AllOracles()) {
+    std::fprintf(out, "                    %s\n", vc::testing::OracleKindName(kind));
+  }
+  std::fprintf(out,
                "  --checkers LIST   comma-separated checker names the analyzed runs\n"
                "                    enable (default: the registry's default set)\n"
                "  --corpus-dir DIR  write minimized reproducers here (default:\n"

@@ -27,7 +27,11 @@
 //                             Any vc_pipeline_*_seconds histogram requires
 //                             all six stage families (parse, detect,
 //                             authorship, cross_scope_filter, prune, rank):
-//                             every stage records where it runs
+//                             every stage records where it runs. When
+//                             vc_mem_tracked_bytes > 0, every per-category
+//                             vc_mem_<category>_bytes sample must be > 0: a
+//                             category that reads zero while memory is
+//                             tracked has no producer
 //   vc_obs_lint folded FILE   collapsed-stack: every line is
 //                             `frame(;frame)* <positive integer>`, and the
 //                             file is non-empty
@@ -165,6 +169,9 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
   size_t serve_samples = 0;
   bool serve_latency_histogram = false;
   bool pipeline_family = false;  // any vc_pipeline_<stage>_seconds declared
+  double mem_tracked = -1;       // vc_mem_tracked_bytes; -1 = not seen
+  int empty_mem_line = 0;        // first per-category vc_mem_*_bytes sample <= 0
+  std::string empty_mem_name;
   // Admission accounting counters; -1 = not seen in the exposition.
   double serve_requests = -1, serve_ok = -1, serve_degraded = -1;
   double serve_shed = -1, serve_deadline = -1, serve_failed = -1;
@@ -236,6 +243,17 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
         cache_functions_gauge = true;
       }
     }
+    // Memory family: vc_mem_<category>_bytes per category beside the
+    // vc_mem_tracked_bytes and vc_mem_peak_rss_bytes totals.
+    if (name == "vc_mem_tracked_bytes") {
+      mem_tracked = std::strtod(value.c_str(), nullptr);
+    } else if (empty_mem_line == 0 && name.rfind("vc_mem_", 0) == 0 &&
+               name != "vc_mem_peak_rss_bytes" &&
+               name.compare(name.size() - 6, 6, "_bytes") == 0 &&
+               std::strtod(value.c_str(), nullptr) <= 0) {
+      empty_mem_line = line_no;
+      empty_mem_name = name;
+    }
     // Daemon family: every serve.* metric is a tally or a high-water mark,
     // so a negative sample always means a publisher bug. The request
     // counters additionally obey the admission-control accounting identity
@@ -290,6 +308,11 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
                                  " (every stage records where it runs)");
       }
     }
+  }
+  if (mem_tracked > 0 && empty_mem_line > 0) {
+    return Fail(path, empty_mem_line,
+                "memory category '" + empty_mem_name +
+                    "' is zero while vc_mem_tracked_bytes > 0 (a category with no producer)");
   }
   if (serve_samples > 0) {
     if (serve_requests < 0 || serve_ok < 0 || serve_degraded < 0 || serve_shed < 0 ||
