@@ -229,24 +229,17 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
 
   if (collect) {
-    // Only parse (AST, IR, identifiers) grows the tracked bytes; later stages
-    // annotate and filter existing candidates.
+    // The tracked bytes are what the project holds resident (AST, IR,
+    // identifiers of its live files); later stages annotate and filter
+    // existing candidates.
     MemoryStats& mem = report.memory;
     mem.collected = true;
     Project::FileMemory parse_mem = project.ParseMemoryTotal();
     mem.categories[static_cast<int>(MemCategory::kAstNodes)] = parse_mem.ast;
     mem.categories[static_cast<int>(MemCategory::kIrInstructions)] = parse_mem.ir;
     mem.categories[static_cast<int>(MemCategory::kInternedStrings)] = parse_mem.strings;
-    const uint64_t deltas[kStageCount] = {parse_mem.TotalBytes()};
-    uint64_t tracked = 0;
-    for (int i = 0; i < kStageCount; ++i) {
-      tracked += deltas[i];
-      mem.stages.push_back(
-          {StageName(kStages[i]), deltas[i], tracked, report.stages.at[i].rss_bytes});
-    }
-    MemoryTracker& tracker = MemoryTracker::Global();
-    mem.peak_rss_bytes = tracker.peak_rss_bytes();
-    tracker.PublishRegistryGauges();
+    mem.peak_rss_bytes = MemoryTracker::Global().peak_rss_bytes();
+    mem.PublishRegistryGauges();
 
     StageMetrics& stage = report.stage;
     stage.files_parsed = project.unit_order().size();

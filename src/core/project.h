@@ -8,9 +8,17 @@
 // bitcode file — and the FunctionIndex stitches the per-file views together
 // by function name for authorship lookup and peer-definition pruning.
 //
+// Everything the project keeps about one file lives in one record indexed by
+// FileId (beside the public IR module vector): its unit, preprocessing,
+// diagnostics, quarantine record, memory footprint and liveness. A fresh
+// build, a recompile and a removal each rewrite a file's record whole, and
+// the merged views (diagnostics, quarantine list, index, memory total) are
+// rebuilt from the records — so they are the same however the project
+// reached its current contents.
+//
 // That independence makes construction embarrassingly parallel: file ids are
 // assigned sequentially up front, then preprocess/parse/lower runs across
-// `jobs` worker lanes into per-file slots, and per-file diagnostics are
+// `jobs` worker lanes into per-file records, and per-file diagnostics are
 // merged in file order — so the resulting Project is byte-identical at any
 // job count.
 
@@ -19,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,9 +106,8 @@ class Project {
   DiagnosticEngine& diags() { return diags_; }
   const DiagnosticEngine& diags() const { return diags_; }
 
-  const std::vector<TranslationUnit>& units() const { return units_; }
   const std::vector<std::unique_ptr<IrModule>>& modules() const { return modules_; }
-  const PreprocessResult& preprocessing(FileId file) const { return pp_.at(file); }
+  const PreprocessResult& preprocessing(FileId file) const { return files_.at(file).pp; }
 
   const std::map<std::string, FunctionInfo>& function_index() const { return index_; }
   const FunctionInfo* FindFunction(const std::string& name) const {
@@ -115,19 +123,17 @@ class Project {
   // The parse stage of construction (zero after incremental mutations).
   const StageRecord& build_stage() const { return build_stage_; }
 
-  // Per-file parse-stage memory attribution (AST / IR / identifier strings).
+  // One file's resident footprint (AST / IR / identifier strings). A file
+  // compiled while memory tracking is off has a zero footprint.
   struct FileMemory {
     MemCount ast;
     MemCount ir;
     MemCount strings;
-
-    uint64_t TotalBytes() const { return ast.bytes + ir.bytes + strings.bytes; }
   };
 
-  // True when construction ran with memory tracking on; file_memory() is
-  // empty otherwise. Counts are exact and identical at any job count.
-  bool memory_collected() const { return memory_collected_; }
-  const std::vector<FileMemory>& file_memory() const { return file_memory_; }
+  // The footprint of the live files: exact, identical at any job count, and
+  // the same after incremental mutations as for a fresh build over the same
+  // live contents.
   FileMemory ParseMemoryTotal() const;
 
   // --- Incremental mutation API (used by vc::IncrementalEngine) -----------
@@ -140,20 +146,20 @@ class Project {
                     const ResourceBudget* budget = nullptr);
 
   // Tombstones a deleted path: the slot becomes an empty-but-valid unit that
-  // FinishUpdate() drops from the index, diagnostics, and iteration order.
-  // Returns false when the path is not a live file.
+  // FinishUpdate() drops from the index, diagnostics, and iteration order,
+  // and its footprint leaves ParseMemoryTotal(). Returns false when the path
+  // is not a live file.
   bool RemoveFile(const std::string& path);
 
   // Rebuilds diagnostics, the quarantine list, and the function index from
-  // per-slot state, iterating live slots in path-sorted order — the order a
-  // from-scratch repository build compiles in — so the derived state is
-  // byte-identical to a fresh Project over the same live contents.
+  // the per-file records, iterating live slots in path-sorted order — the
+  // order a from-scratch repository build compiles in — so the derived state
+  // is byte-identical to a fresh Project over the same live contents.
   void FinishUpdate();
 
   // True when `file` is a live (non-tombstoned) slot.
   bool IsLive(FileId file) const {
-    return file >= 0 && static_cast<size_t>(file) < units_.size() &&
-           (live_.empty() || live_[file] != 0);
+    return file >= 0 && static_cast<size_t>(file) < files_.size() && files_[file].live;
   }
 
   // Slot indices in the order derived state is built: all slots for a fresh
@@ -161,28 +167,34 @@ class Project {
   const std::vector<size_t>& unit_order() const { return unit_order_; }
 
  private:
+  // Everything kept about one file. Compiling or removing the file rewrites
+  // its record whole.
+  struct FileRecord {
+    TranslationUnit unit;
+    PreprocessResult pp;
+    DiagnosticEngine diags;
+    std::optional<QuarantinedUnit> quarantine;
+    FileMemory memory;
+    bool live = true;
+  };
+
   void CompileAll(std::vector<std::pair<std::string, std::string>> files, const Config& config,
                   int jobs, const FaultInjector* fault, const ResourceBudget* budget);
   void CompileSlot(size_t i, const Config& config, const FaultInjector* fault,
                    const ResourceBudget* budget);
-  void BuildIndex();
+  // Resets slot `i` to an empty-but-valid unit and module.
+  void ClearSlot(size_t i);
+  // Rebuilds diagnostics, the quarantine list and the index in unit_order_.
+  void BuildDerived();
 
   SourceManager sm_;
   DiagnosticEngine diags_;
-  std::vector<TranslationUnit> units_;
+  std::vector<FileRecord> files_;  // indexed by FileId
   std::vector<std::unique_ptr<IrModule>> modules_;
-  std::vector<PreprocessResult> pp_;  // indexed by FileId
   std::map<std::string, FunctionInfo> index_;
   std::vector<QuarantinedUnit> quarantined_;
   StageRecord build_stage_;
-  bool memory_collected_ = false;
-  std::vector<FileMemory> file_memory_;  // indexed by FileId
-  // Per-slot state retained so FinishUpdate() can rebuild the merged views
-  // after any subset of slots recompiles.
-  std::vector<DiagnosticEngine> slot_diags_;
-  std::vector<std::unique_ptr<QuarantinedUnit>> slot_quarantine_;
-  std::vector<char> live_;           // empty = every slot live (fresh build)
-  std::vector<size_t> unit_order_;   // iteration order for derived state
+  std::vector<size_t> unit_order_;  // iteration order for derived state
 };
 
 }  // namespace vc

@@ -8,8 +8,6 @@
 #include <string>
 #include <tuple>
 
-#include "src/pointer/andersen.h"
-#include "src/pointer/value_flow.h"
 #include "src/support/metrics.h"
 #include "src/support/string_util.h"
 #include "src/support/thread_pool.h"
@@ -62,26 +60,36 @@ class CursorMatcher {
     if (!cand.is_increment || cand.ir_func == nullptr || cand.slot == kInvalidSlot) {
       return false;
     }
-    const ValueFlowGraph& vfg = GraphFor(*cand.ir_func);
-    // "Incremented repeatedly by the same constant": at least two increment
-    // definitions of this slot with the candidate's step.
-    return vfg.NumIncrementDefs(cand.slot, cand.increment_amount) >= 2;
+    // "Incremented repeatedly by the same constant": at least two direct
+    // increment stores to this slot with the candidate's step (step 0
+    // matches any step).
+    int matches = 0;
+    for (const auto& [slot, step] : IncrementsIn(*cand.ir_func)) {
+      if (slot == cand.slot && (cand.increment_amount == 0 || step == cand.increment_amount)) {
+        ++matches;
+      }
+    }
+    return matches >= 2;
   }
 
  private:
-  const ValueFlowGraph& GraphFor(const IrFunction& func) {
-    auto it = cache_.find(&func);
-    if (it == cache_.end()) {
-      auto pts = std::make_unique<PointsTo>(func);
-      auto vfg = std::make_unique<ValueFlowGraph>(func, *pts);
-      it = cache_.emplace(&func, std::move(vfg)).first;
-      points_to_.push_back(std::move(pts));
+  // Every direct increment store in `func` as (slot, step): one pass over
+  // the function, cached for every candidate the chunk tests in it.
+  const std::vector<std::pair<SlotId, long long>>& IncrementsIn(const IrFunction& func) {
+    auto [it, inserted] = cache_.try_emplace(&func);
+    if (inserted) {
+      for (const auto& block : func.blocks) {
+        for (const Instruction& inst : block->insts) {
+          if (inst.op == Opcode::kStore && inst.is_increment) {
+            it->second.emplace_back(inst.slot, inst.increment_amount);
+          }
+        }
+      }
     }
-    return *it->second;
+    return it->second;
   }
 
-  std::map<const IrFunction*, std::unique_ptr<ValueFlowGraph>> cache_;
-  std::vector<std::unique_ptr<PointsTo>> points_to_;
+  std::map<const IrFunction*, std::vector<std::pair<SlotId, long long>>> cache_;
 };
 
 // --- Pattern 3: unused hints ------------------------------------------------
@@ -434,9 +442,10 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
   {
     TraceSpan span("prune.match", "pipeline");
     span.Arg("candidates", static_cast<int64_t>(targets.size()));
-    // Contiguous chunks, each with its own cursor-graph cache (candidates
-    // of one function are adjacent, so a function's graphs are built about
-    // once) and its own counters, summed in chunk order afterwards.
+    // Contiguous chunks, each with its own cursor increment table
+    // (candidates of one function are adjacent, so a function's increments
+    // are counted about once) and its own counters, summed in chunk order
+    // afterwards.
     const size_t chunks =
         std::min(targets.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
     std::vector<PruneStats> counts(chunks);

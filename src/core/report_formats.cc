@@ -71,9 +71,11 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
   // "incremental" block (present only for per-commit engine runs): commit id,
   // files/functions work accounting, fingerprint-level carried/new/fixed
   // deltas, and the parse/detect cache hit counters; v9 drops the
-  // "points_to_sets" key from memory.categories (no stage produced it).
+  // "points_to_sets" key from memory.categories (no stage produced it); v10
+  // drops the two tracked-byte columns from memory.stages, whose rows are
+  // now {stage, rss_bytes} read from the stage records.
   // See DESIGN.md §"JSON report schema" for the contract.
-  json.Int("schema_version", 9);
+  json.Int("schema_version", 10);
   json.Double("analysis_seconds", report.analysis_seconds);
   json.Double("parse_seconds", report.stages[Stage::kParse].seconds);
   json.Double("detect_seconds", report.stages[Stage::kDetect].seconds);
@@ -219,12 +221,10 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     json.Int("tracked_objects", static_cast<int64_t>(mem.TrackedObjects()));
     json.Int("peak_rss_bytes", static_cast<int64_t>(mem.peak_rss_bytes));
     json.Key("stages").BeginArray();
-    for (const StageMemory& stage_mem : mem.stages) {
+    for (Stage stage : kStages) {
       json.BeginObject();
-      json.String("stage", stage_mem.stage);
-      json.Int("tracked_bytes_delta", static_cast<int64_t>(stage_mem.tracked_bytes_delta));
-      json.Int("tracked_bytes_peak", static_cast<int64_t>(stage_mem.tracked_bytes_peak));
-      json.Int("rss_bytes", static_cast<int64_t>(stage_mem.rss_bytes));
+      json.String("stage", StageName(stage));
+      json.Int("rss_bytes", static_cast<int64_t>(report.stages[stage].rss_bytes));
       json.EndObject();
     }
     json.EndArray();  // stages

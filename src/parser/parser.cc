@@ -1247,6 +1247,11 @@ TranslationUnit ParseFile(const SourceManager& sm, FileId file, const Config& co
   for (const std::string& error : pp.errors) {
     diags.Error({file, 1, 1}, "preprocessor: " + error);
   }
+  return ParseFile(sm, file, pp, diags, max_depth);
+}
+
+TranslationUnit ParseFile(const SourceManager& sm, FileId file, const PreprocessResult& pp,
+                          DiagnosticEngine& diags, int max_depth) {
   std::vector<Token> tokens = Lex(sm, file, pp, diags);
   Parser parser(sm, file, std::move(tokens), diags, max_depth);
   return parser.Run();

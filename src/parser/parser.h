@@ -28,6 +28,11 @@ inline constexpr int kDefaultParseDepth = 512;
 TranslationUnit ParseFile(const SourceManager& sm, FileId file, const Config& config,
                           DiagnosticEngine& diags, int max_depth = 0);
 
+// Lexes and parses one file already preprocessed into `pp`. Reports no
+// preprocessor errors: the caller that ran Preprocess owns those.
+TranslationUnit ParseFile(const SourceManager& sm, FileId file, const PreprocessResult& pp,
+                          DiagnosticEngine& diags, int max_depth = 0);
+
 // Convenience for tests: parses from a bare string (registers it in `sm`).
 TranslationUnit ParseString(SourceManager& sm, const std::string& path, const std::string& code,
                             DiagnosticEngine& diags);

@@ -1,14 +1,19 @@
 // Field-sensitive Andersen-style (inclusion-based) points-to analysis,
-// standing in for SVF in the paper's pipeline (§4.1, §7). ValueCheck uses
-// points-to information for three things, all of which this module provides:
+// standing in for SVF in the paper's pipeline (§4.1, §7). It answers the
+// three questions the paper puts to points-to information:
 //
-//   1. alias awareness — which slots are reachable through pointer values
-//      (the detector suppresses candidates on address-taken slots, and tests
-//      use the per-value points-to sets to validate that rule);
+//   1. alias awareness — which slots are reachable through pointer values;
 //   2. indirect call resolution — which functions a function-pointer value
-//      may target, so unused-return-value authorship can look up the actual
-//      callee (§4.1 "Indirect Function Call");
+//      may target;
 //   3. the value-flow graph's indirect def-use edges.
+//
+// No pipeline stage runs it. The detector's alias rule reads the liveness
+// pass's address-taken set (src/dataflow/liveness.h), the paper's
+// conservative "referenced by pointers" rule, and cursor pruning counts
+// increment stores straight from the IR. This analysis and its flow-sensitive
+// variant (flow_sensitive.h) serve the §4.1 ablation (bench_ablation_pointer
+// compares their cost, precision and alias answers) and the benchmark's
+// pointer-layer timings.
 //
 // The analysis is intraprocedural (ValueCheck analyzes local variables only;
 // §3.1). Abstract objects are the function's memory slots plus a distinguished

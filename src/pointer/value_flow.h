@@ -1,12 +1,14 @@
 // Slot-level value-flow graph: for each memory slot, the ordered list of
 // definitions (stores) and uses (loads), including indirect accesses resolved
-// through the points-to analysis. This is the query structure behind
+// through the points-to analysis. It models the query structure behind the
+// paper's cursor pruning (§5.2, "a variable incremented repeatedly by the
+// same constant"), peer-definition usage ratios (§5.4) and the alias check of
+// the detection algorithm (checkAlias in Fig. 4).
 //
-//   * cursor pruning (§5.2): "a variable incremented repeatedly by the same
-//     constant" — counted over the slot's definitions;
-//   * peer-definition pruning (§5.4): usage ratios over a callee's call-site
-//     definitions;
-//   * the alias check of the detection algorithm (checkAlias in Fig. 4).
+// No pipeline stage builds one: cursor pruning reads only direct increment
+// stores, which the IR gives without points-to (src/core/pruning.cc), and
+// the other two queries run on the IR and the function index. The graph
+// serves the tests and the benchmark's pointer-layer timings.
 
 #ifndef VALUECHECK_SRC_POINTER_VALUE_FLOW_H_
 #define VALUECHECK_SRC_POINTER_VALUE_FLOW_H_

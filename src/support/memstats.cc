@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include "src/support/metrics.h"
 
@@ -26,28 +27,6 @@ MemoryTracker& MemoryTracker::Global() {
   return *tracker;
 }
 
-void MemoryTracker::Add(MemCategory category, uint64_t bytes, uint64_t objects) {
-  Slot& slot = slots_[static_cast<int>(category)];
-  slot.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  slot.objects.fetch_add(objects, std::memory_order_relaxed);
-}
-
-MemCount MemoryTracker::Get(MemCategory category) const {
-  const Slot& slot = slots_[static_cast<int>(category)];
-  MemCount count;
-  count.bytes = slot.bytes.load(std::memory_order_relaxed);
-  count.objects = slot.objects.load(std::memory_order_relaxed);
-  return count;
-}
-
-uint64_t MemoryTracker::TotalTrackedBytes() const {
-  uint64_t total = 0;
-  for (const Slot& slot : slots_) {
-    total += slot.bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void MemoryTracker::SampleRss() {
   uint64_t rss = ProcessPeakRssBytes();
   uint64_t seen = peak_rss_.load(std::memory_order_relaxed);
@@ -56,24 +35,15 @@ void MemoryTracker::SampleRss() {
   }
 }
 
-void MemoryTracker::PublishRegistryGauges() const {
+void MemoryStats::PublishRegistryGauges() const {
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (int c = 0; c < kMemCategoryCount; ++c) {
-    MemCount count = Get(static_cast<MemCategory>(c));
     std::string base = std::string("mem.") + MemCategoryName(static_cast<MemCategory>(c));
-    registry.GetGauge(base + ".bytes").Set(static_cast<int64_t>(count.bytes));
-    registry.GetGauge(base + ".objects").Set(static_cast<int64_t>(count.objects));
+    registry.GetGauge(base + ".bytes").Set(static_cast<int64_t>(categories[c].bytes));
+    registry.GetGauge(base + ".objects").Set(static_cast<int64_t>(categories[c].objects));
   }
-  registry.GetGauge("mem.tracked_bytes").Set(static_cast<int64_t>(TotalTrackedBytes()));
-  registry.GetGauge("mem.peak_rss_bytes").Set(static_cast<int64_t>(peak_rss_bytes()));
-}
-
-void MemoryTracker::ResetAll() {
-  for (Slot& slot : slots_) {
-    slot.bytes.store(0, std::memory_order_relaxed);
-    slot.objects.store(0, std::memory_order_relaxed);
-  }
-  peak_rss_.store(0, std::memory_order_relaxed);
+  registry.GetGauge("mem.tracked_bytes").Set(static_cast<int64_t>(TrackedBytes()));
+  registry.GetGauge("mem.peak_rss_bytes").Set(static_cast<int64_t>(peak_rss_bytes));
 }
 
 uint64_t ProcessPeakRssBytes() {

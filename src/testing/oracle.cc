@@ -259,8 +259,8 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
           {OracleKind::kJsonRoundTrip, "", "report JSON does not parse: " + error});
     } else {
       const JsonValue& findings = doc->Get("findings");
-      if (doc->GetInt("schema_version") != 9) {
-        verdict.failures.push_back({OracleKind::kJsonRoundTrip, "", "schema_version != 9"});
+      if (doc->GetInt("schema_version") != 10) {
+        verdict.failures.push_back({OracleKind::kJsonRoundTrip, "", "schema_version != 10"});
       } else if (findings.Size() != with_metrics.findings.size()) {
         verdict.failures.push_back(
             {OracleKind::kJsonRoundTrip, "",

@@ -192,33 +192,4 @@ Repository Repository::PrefixCopy(CommitId up_to) const {
   return copy;
 }
 
-std::vector<int> Repository::ChangedLines(const std::string& path, CommitId commit) const {
-  const Commit& c = commits_[commit];
-  auto file_it = c.files.find(path);
-  if (file_it == c.files.end()) {
-    return {};
-  }
-  // Find the previous content.
-  std::optional<std::string> prev;
-  if (commit > 0) {
-    prev = FileAt(path, commit - 1);
-  }
-  std::vector<std::string_view> new_lines = SplitLines(file_it->second);
-  if (!prev.has_value()) {
-    std::vector<int> all(new_lines.size());
-    for (size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<int>(i) + 1;
-    }
-    return all;
-  }
-  std::vector<std::string_view> old_lines = SplitLines(*prev);
-  std::vector<int> changed;
-  for (const Edit& edit : DiffLines(old_lines, new_lines)) {
-    if (edit.op == EditOp::kInsert) {
-      changed.push_back(edit.new_index + 1);
-    }
-  }
-  return changed;
-}
-
 }  // namespace vc

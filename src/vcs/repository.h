@@ -87,12 +87,6 @@ class Repository {
   // PrefixCopy(c) from scratch must match the engine's per-commit result.
   Repository PrefixCopy(CommitId up_to) const;
 
-  // 1-based line numbers (in the post-commit file) that `commit` introduced
-  // or modified in `path`; empty when the commit did not touch the path.
-  // Feeds incremental analysis: only functions overlapping these lines need
-  // re-analysis after the commit.
-  std::vector<int> ChangedLines(const std::string& path, CommitId commit) const;
-
  private:
   // Resumable blame replay for one path: the fold state after applying a
   // prefix of the path's commit log. Advancing one commit at a time yields

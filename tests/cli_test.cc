@@ -298,7 +298,7 @@ TEST_F(CliTest, BadLogLevelRejectedWithUsage) {
 TEST_F(CliTest, JsonReportCarriesDiagnosticsBlock) {
   std::string path = Write("buggy.c", kBuggy);
   RunResult result = RunCli(path + " --format=json");
-  EXPECT_NE(result.output.find("\"schema_version\":9"), std::string::npos);
+  EXPECT_NE(result.output.find("\"schema_version\":10"), std::string::npos);
   EXPECT_NE(result.output.find("\"diagnostics\":{\"warnings\":"), std::string::npos);
 }
 
@@ -610,7 +610,7 @@ TEST_F(CliTest, FaultInjectJsonReportCarriesQuarantineBlock) {
   Write("buggy.c", kBuggy);
   RunResult result = RunCliStdout(dir_.string() + " --format=json --fault-inject 1:1.0");
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("\"schema_version\":9"), std::string::npos);
+  EXPECT_NE(result.output.find("\"schema_version\":10"), std::string::npos);
   EXPECT_NE(result.output.find("\"degraded\":true"), std::string::npos);
   EXPECT_NE(result.output.find("\"quarantined\":[{"), std::string::npos);
   EXPECT_NE(result.output.find("\"stage\":\"parse\""), std::string::npos);

@@ -19,6 +19,8 @@
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
+#include "src/support/memstats.h"
+#include "src/support/metrics.h"
 #include "src/testing/history_gen.h"
 
 namespace vc {
@@ -92,7 +94,7 @@ TEST(IncrementalEquivalence, SecondSeedShiftsTheOpMixAndStillMatches) {
 }
 
 // Hand-written history pinning each edit shape the generator mixes freely.
-TEST(IncrementalEquivalence, HandWrittenEditShapes) {
+Repository EditShapesHistory() {
   Repository repo;
   AuthorId alice = repo.AddAuthor("alice");
   AuthorId bob = repo.AddAuthor("bob");
@@ -146,11 +148,47 @@ TEST(IncrementalEquivalence, HandWrittenEditShapes) {
   // Whitespace-only touch.
   repo.AddCommit(bob, 700, "tidy caller", {{"caller.c", caller2 + "\n"}});
 
+  return repo;
+}
+
+TEST(IncrementalEquivalence, HandWrittenEditShapes) {
+  Repository repo = EditShapesHistory();
   for (int jobs : {1, 2, 8}) {
     AnalysisOptions options;
     options.jobs = jobs;
     ExpectReplayEquivalent(repo, options);
   }
+}
+
+// With metrics on, the engine reports the memory its project holds resident.
+// At every commit — file adds, recompiles and deletes included — the
+// categories equal a full run's, and the published gauge equals the report.
+TEST(IncrementalEquivalence, EngineMemoryEqualsFullRun) {
+  Repository repo = EditShapesHistory();
+  for (int jobs : {1, 4}) {
+    AnalysisOptions options;
+    options.jobs = jobs;
+    options.collect_metrics = true;
+    IncrementalEngine engine(options);
+    Analysis full(options);
+    for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
+      AnalysisReport report = engine.AnalyzeCommit(repo, commit).report;
+      ASSERT_TRUE(report.memory.collected);
+      EXPECT_GT(report.memory.TrackedBytes(), 0u) << "commit " << commit;
+      EXPECT_EQ(MetricsRegistry::Global().GetGauge("mem.tracked_bytes").value(),
+                static_cast<int64_t>(report.memory.TrackedBytes()))
+          << "commit " << commit << ", jobs=" << jobs;
+      AnalysisReport fresh = full.RunOnRepository(repo.PrefixCopy(commit));
+      for (int c = 0; c < kMemCategoryCount; ++c) {
+        EXPECT_EQ(report.memory.categories[c].bytes, fresh.memory.categories[c].bytes)
+            << "commit " << commit << ", jobs=" << jobs << ", category " << c;
+        EXPECT_EQ(report.memory.categories[c].objects, fresh.memory.categories[c].objects)
+            << "commit " << commit << ", jobs=" << jobs << ", category " << c;
+      }
+    }
+  }
+  MetricsRegistry::Global().Disable();
+  MemoryTracker::Global().Disable();
 }
 
 // Peer pruning (§5.4) decides per callee over every call site in the

@@ -1,13 +1,11 @@
-// Memory-accounting substrate tests: the MemoryTracker's concurrent
-// exactness contract (relaxed atomic sums commute, so 8 racing threads lose
-// nothing — run under TSan in the sanitizer configs), RSS sampling, registry
-// gauge publication, and the run-level attribution equality that the
-// pipeline-facing tests in parallel_determinism_test.cc rely on.
+// Memory-accounting substrate tests: RSS sampling, registry gauge
+// publication from a run's MemoryStats, and the run-level attribution
+// equality that the pipeline-facing tests in parallel_determinism_test.cc
+// rely on.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,51 +22,8 @@ TEST(MemCategory, NamesAreStableSnakeCase) {
   EXPECT_STREQ(MemCategoryName(MemCategory::kInternedStrings), "interned_strings");
 }
 
-TEST(MemoryTracker, ConcurrentAddsAreExactAcrossEightThreads) {
-  MemoryTracker& tracker = MemoryTracker::Global();
-  tracker.ResetAll();
-  tracker.Enable();
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracker] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Rotate categories so every slot sees contention from every thread.
-        tracker.Add(static_cast<MemCategory>(i % kMemCategoryCount),
-                    static_cast<uint64_t>(i % 7) + 1, 1);
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-
-  uint64_t expected_bytes = 0;
-  uint64_t expected_objects[kMemCategoryCount] = {};
-  uint64_t expected_cat_bytes[kMemCategoryCount] = {};
-  for (int i = 0; i < kPerThread; ++i) {
-    int c = i % kMemCategoryCount;
-    expected_cat_bytes[c] += static_cast<uint64_t>(i % 7) + 1;
-    expected_objects[c] += 1;
-  }
-  for (int c = 0; c < kMemCategoryCount; ++c) {
-    MemCount count = tracker.Get(static_cast<MemCategory>(c));
-    EXPECT_EQ(count.bytes, expected_cat_bytes[c] * kThreads) << "category " << c;
-    EXPECT_EQ(count.objects, expected_objects[c] * kThreads) << "category " << c;
-    expected_bytes += expected_cat_bytes[c] * kThreads;
-  }
-  EXPECT_EQ(tracker.TotalTrackedBytes(), expected_bytes);
-
-  tracker.ResetAll();
-  tracker.Disable();
-  EXPECT_EQ(tracker.TotalTrackedBytes(), 0u);
-}
-
 TEST(MemoryTracker, RssSampleKeepsHighWaterMark) {
   MemoryTracker& tracker = MemoryTracker::Global();
-  tracker.ResetAll();
   tracker.SampleRss();
   uint64_t first = tracker.peak_rss_bytes();
   // A live process always has a nonzero peak RSS on Linux (VmHWM or
@@ -76,17 +31,15 @@ TEST(MemoryTracker, RssSampleKeepsHighWaterMark) {
   EXPECT_GT(first, 0u);
   tracker.SampleRss();
   EXPECT_GE(tracker.peak_rss_bytes(), first);  // monotone high-water mark
-  tracker.ResetAll();
 }
 
 TEST(MemoryTracker, PublishRegistryGaugesExportsMemMetrics) {
-  MemoryTracker& tracker = MemoryTracker::Global();
-  tracker.ResetAll();
-  tracker.Enable();
-  tracker.Add(MemCategory::kAstNodes, 1234, 10);
-  tracker.Add(MemCategory::kIrInstructions, 500, 5);
-  tracker.SampleRss();
-  tracker.PublishRegistryGauges();
+  MemoryStats stats;
+  stats.collected = true;
+  stats.categories[static_cast<int>(MemCategory::kAstNodes)] = {1234, 10};
+  stats.categories[static_cast<int>(MemCategory::kIrInstructions)] = {500, 5};
+  stats.peak_rss_bytes = ProcessPeakRssBytes();
+  stats.PublishRegistryGauges();
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   EXPECT_EQ(registry.GetGauge("mem.ast_nodes.bytes").value(), 1234);
@@ -99,9 +52,6 @@ TEST(MemoryTracker, PublishRegistryGaugesExportsMemMetrics) {
   std::string prom = registry.RenderPrometheus();
   EXPECT_NE(prom.find("vc_mem_ast_nodes_bytes 1234"), std::string::npos);
   EXPECT_NE(prom.find("vc_mem_tracked_bytes 1734"), std::string::npos);
-
-  tracker.ResetAll();
-  tracker.Disable();
 }
 
 TEST(ProcessPeakRss, ReturnsPlausibleValue) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
+#include "src/core/report_formats.h"
 #include "src/core/stage.h"
 #include "src/support/events.h"
 #include "src/support/json_reader.h"
@@ -354,8 +356,12 @@ void ExpectEveryStageOnce(const std::string& label,
   TraceCollector::Global().Clear();
   EXPECT_EQ(spans, stage_names);
 
+  // The JSON memory.stages rows read the stage records.
   ASSERT_TRUE(report.memory.collected);
-  ASSERT_EQ(report.memory.stages.size(), static_cast<size_t>(kStageCount));
+  std::optional<JsonValue> json = ParseJson(ReportToJson(report));
+  ASSERT_TRUE(json.has_value());
+  const JsonValue& memory_stages = json->Get("memory").Get("stages");
+  ASSERT_EQ(memory_stages.Size(), static_cast<size_t>(kStageCount));
   double stage_seconds = 0.0;
   for (int i = 0; i < kStageCount; ++i) {
     const Stage stage = kStages[i];
@@ -363,9 +369,10 @@ void ExpectEveryStageOnce(const std::string& label,
     EXPECT_EQ(SumNanos(StageHistogram(stage)) - sums_before[i],
               std::llround(report.stages[stage].seconds * 1e9))
         << StageName(stage);
-    EXPECT_EQ(report.memory.stages[i].stage, StageName(stage));
+    EXPECT_EQ(memory_stages.At(i).GetString("stage"), StageName(stage));
     EXPECT_GT(report.stages[stage].rss_bytes, 0u) << StageName(stage);
-    EXPECT_EQ(report.memory.stages[i].rss_bytes, report.stages[stage].rss_bytes);
+    EXPECT_EQ(memory_stages.At(i).GetInt("rss_bytes"),
+              static_cast<int64_t>(report.stages[stage].rss_bytes));
     stage_seconds += report.stages[stage].seconds;
   }
   EXPECT_GE(report.analysis_seconds, stage_seconds);

@@ -69,6 +69,50 @@ TEST(Project, PreprocessingResultsStored) {
   EXPECT_EQ(pp.regions[0].condition, "FEATURE");
 }
 
+TEST(Project, PreprocessorErrorReportedOnce) {
+  Project project = Project::FromSources({{"a.c", "int g_x;\n#if FEATURE\nint g_y;\n"}});
+  EXPECT_EQ(project.diags().ErrorCount(), 1);
+  const std::string rendered = project.diags().Render(project.sources());
+  const std::string message = "preprocessor: line 2: unterminated conditional";
+  const size_t first = rendered.find(message);
+  ASSERT_NE(first, std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find(message, first + 1), std::string::npos) << rendered;
+}
+
+// Recompiling a file replaces its footprint and removing one drops it, so an
+// incrementally mutated project holds exactly what a fresh build over the
+// same live files holds.
+TEST(Project, MemoryTotalTracksLiveFiles) {
+  const std::string v1 = "int f(int x) {\n  int t = x;\n  return t;\n}\n";
+  const std::string v2 = "int f(int x) {\n  int t = x * 2;\n  t = t + 1;\n  return t;\n}\n";
+  const std::string other = "int g(int y) {\n  return y + 1;\n}\n";
+  auto equal = [](const Project::FileMemory& a, const Project::FileMemory& b) {
+    return a.ast.bytes == b.ast.bytes && a.ast.objects == b.ast.objects &&
+           a.ir.bytes == b.ir.bytes && a.ir.objects == b.ir.objects &&
+           a.strings.bytes == b.strings.bytes && a.strings.objects == b.strings.objects;
+  };
+  MemoryTracker::Global().Enable();
+  Project project;
+  project.UpsertFile("a.c", v1, Config());
+  project.UpsertFile("b.c", other, Config());
+  project.FinishUpdate();
+  const Project::FileMemory both =
+      Project::FromSources({{"a.c", v1}, {"b.c", other}}).ParseMemoryTotal();
+  EXPECT_GT(both.ast.bytes, 0u);
+  EXPECT_TRUE(equal(project.ParseMemoryTotal(), both));
+
+  project.UpsertFile("a.c", v2, Config());
+  project.FinishUpdate();
+  EXPECT_TRUE(equal(project.ParseMemoryTotal(),
+                    Project::FromSources({{"a.c", v2}, {"b.c", other}}).ParseMemoryTotal()));
+
+  ASSERT_TRUE(project.RemoveFile("b.c"));
+  project.FinishUpdate();
+  EXPECT_TRUE(
+      equal(project.ParseMemoryTotal(), Project::FromSources({{"a.c", v2}}).ParseMemoryTotal()));
+  MemoryTracker::Global().Disable();
+}
+
 TEST(Project, ConfigControlsCompilation) {
   std::vector<std::pair<std::string, std::string>> sources = {
       {"a.c",

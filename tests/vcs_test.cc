@@ -419,22 +419,6 @@ TEST(Repository, RecreatedFileOwnedByRecreator) {
   EXPECT_EQ(blame[0].author, b);
 }
 
-TEST(Repository, ChangedLinesForInsertions) {
-  Repository repo;
-  AuthorId a = repo.AddAuthor("a");
-  repo.AddCommit(a, 1, "v1", {{"f.c", "a\nb\nc\n"}});
-  CommitId c2 = repo.AddCommit(a, 2, "v2", {{"f.c", "a\nX\nb\nc\nY\n"}});
-  EXPECT_EQ(repo.ChangedLines("f.c", c2), (std::vector<int>{2, 5}));
-}
-
-TEST(Repository, ChangedLinesForNewFile) {
-  Repository repo;
-  AuthorId a = repo.AddAuthor("a");
-  CommitId c1 = repo.AddCommit(a, 1, "new", {{"f.c", "a\nb\n"}});
-  EXPECT_EQ(repo.ChangedLines("f.c", c1), (std::vector<int>{1, 2}));
-  EXPECT_TRUE(repo.ChangedLines("untouched.c", c1).empty());
-}
-
 // --- Parallel blame warm-up ----------------------------------------------------------
 
 std::vector<std::pair<CommitId, AuthorId>> Origins(const std::vector<LineOrigin>& blame) {

@@ -308,7 +308,7 @@ incremental_smoke() {
   # >= 2 (usage/internal error) fails.
   local rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --format=csv \
-    >"${tmp}/full.csv" 2>/dev/null || rc=$?
+    --metrics-out "${tmp}/full.prom" >"${tmp}/full.csv" 2>/dev/null || rc=$?
   if [ "${rc}" -ge 2 ]; then
     echo "incremental smoke: full analyze failed (exit ${rc})" >&2
     return 1
@@ -368,6 +368,16 @@ incremental_smoke() {
   if ! grep -Eq '\([1-9][0-9]* carried' "${tmp}/inc2.err"; then
     echo "incremental smoke: cached replay carried zero detect results" >&2
     grep 'incremental replay:' "${tmp}/inc2.err" >&2 || true
+    return 1
+  fi
+  # The replay reports the memory its project holds resident: the full
+  # run's tracked bytes over the same history, never zero.
+  local full_mem inc_mem
+  full_mem="$(awk '$1 == "vc_mem_tracked_bytes" { print $2 }' "${tmp}/full.prom")"
+  inc_mem="$(awk '$1 == "vc_mem_tracked_bytes" { print $2 }' "${tmp}/inc.prom")"
+  if [ -z "${inc_mem}" ] || [ "${inc_mem}" = 0 ] || [ "${inc_mem}" != "${full_mem}" ]; then
+    echo "incremental smoke: replay vc_mem_tracked_bytes '${inc_mem}'," \
+      "full run '${full_mem}'" >&2
     return 1
   fi
   "${lint}" prom "${tmp}/inc.prom" --require-cache || {
