@@ -134,8 +134,9 @@ int main() {
     int first = std::max(0, commits - 20);
     double inc_total = 0.0;
     int inc_count = 0;
+    IncrementalEngine engine(analysis.options());
     for (CommitId commit = first; commit < commits; ++commit) {
-      IncrementalResult result = analysis.RunOnCommit(app.repo, commit);
+      IncrementalResult result = engine.AnalyzeCommit(app.repo, commit);
       inc_total += result.seconds;
       ++inc_count;
     }

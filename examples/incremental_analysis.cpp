@@ -92,12 +92,12 @@ int main() {
   std::printf("%-8s %-36s %-6s %-6s %-8s %s\n", "commit", "message", "files", "dirty",
               "time", "findings at commit");
 
-  // One facade, fed commits in order: its warm engine re-parses only each
-  // commit's files and re-runs checkers only on the dirty function slice,
-  // while every row still shows the complete finding set as of that commit.
-  Analysis analysis;
+  // One engine, fed commits in order: it re-parses only each commit's files
+  // and re-runs checkers only on the dirty function slice, while every row
+  // still shows the complete finding set as of that commit.
+  IncrementalEngine engine{AnalysisOptions{}};
   for (CommitId commit : session.commits) {
-    IncrementalResult result = analysis.RunOnCommit(session.repo, commit);
+    IncrementalResult result = engine.AnalyzeCommit(session.repo, commit);
     std::string findings;
     for (const UnusedDefCandidate& finding : result.findings()) {
       if (!findings.empty()) {

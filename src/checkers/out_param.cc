@@ -64,7 +64,6 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
           cand.ir_func = &func;
           cand.slot = x;
           cand.var = slot.var;
-          cand.origin_callee = inst.callee;
           cand.callee_name = inst.callee->name;
           cand.kind = CandidateKind::kOutParamUnused;
           candidates.push_back(std::move(cand));

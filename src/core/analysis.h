@@ -56,11 +56,10 @@ struct AnalysisOptions {
   // Disabling reproduces the "w/o Authorship" ablation group.
   bool cross_scope_only = true;
   // Run the post-detect stages with repository context (blame-based kind
-  // refinement, stale-code pruning, familiarity). Disabling makes every run
+  // refinement, stale-code pruning, familiarity). Disabling makes a run
   // behave exactly like a repo-less sources-mode run even when a repository
-  // is available — the serve daemon relies on this for byte-identical
-  // findings against batch `analyze <files>`, since its synthetic
-  // single-author commit log would otherwise reclassify candidate kinds.
+  // is available. No product code disables it; perfbench's layer harness
+  // reads it.
   bool authorship = true;
   PruneOptions prune;
   RankingOptions ranking;
@@ -165,12 +164,6 @@ struct AnalysisReport {
   std::string ToCsv() const;
 };
 
-// Result of per-commit incremental analysis; defined in
-// src/core/incremental.h (it embeds a full AnalysisReport plus the engine's
-// cache and work telemetry).
-struct IncrementalResult;
-class IncrementalEngine;
-
 class Analysis {
  public:
   Analysis() = default;
@@ -201,16 +194,6 @@ class Analysis {
   AnalysisReport RunOnSources(
       const std::vector<std::pair<std::string, std::string>>& files) const;
 
-  // Per-commit incremental analysis through a cached IncrementalEngine
-  // (src/core/incremental.h): re-parses only the files `commit` touched and
-  // re-runs checkers only on the functions of files whose content changed,
-  // carrying cached results for everything else. The returned report holds the
-  // COMPLETE finding set as of `commit` — byte-identical to a full run over
-  // the repository truncated at that commit. Sequential calls with ascending
-  // commits on the same repository reuse the engine's warm caches; any other
-  // pattern rebuilds the engine (correct, just slower).
-  IncrementalResult RunOnCommit(const Repository& repo, CommitId commit) const;
-
   // Project construction alone (no detection) with this analysis's config
   // and jobs — for callers that inspect diagnostics before running.
   Project BuildFromRepository(const Repository& repo) const;
@@ -224,11 +207,6 @@ class Analysis {
                          CheckerRunResult* precomputed, const StageRecords* upstream) const;
 
   AnalysisOptions options_;
-  // RunOnCommit's warm engine (shared_ptr: IncrementalEngine is incomplete
-  // here). Keyed by source repository identity; reset when the repo changes
-  // or commits arrive out of ascending order.
-  mutable std::shared_ptr<IncrementalEngine> commit_engine_;
-  mutable const Repository* commit_engine_repo_ = nullptr;
 };
 
 }  // namespace vc

@@ -7,6 +7,7 @@
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 #include "src/support/metrics.h"
+#include "src/support/string_util.h"
 
 namespace vc {
 
@@ -133,14 +134,7 @@ bool DiskSafe(const FunctionDetect& detect, const IrFunction& func) {
 
 }  // namespace
 
-uint64_t HashContent(std::string_view text) {
-  uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+uint64_t HashContent(std::string_view text) { return Fnv1a(text); }
 
 AnalysisCache::AnalysisCache(std::string cache_dir, std::string config_key)
     : cache_dir_(std::move(cache_dir)), config_key_(std::move(config_key)) {

@@ -78,7 +78,6 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
         }
         if (!skip && !live.Contains(inst.slot)) {
           UnusedDefCandidate cand = make_candidate(inst.slot, inst.loc);
-          cand.origin_callee = inst.origin_callee;
           if (inst.origin_callee != nullptr) {
             cand.callee_name = inst.origin_callee->name;
           }

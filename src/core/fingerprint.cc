@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "src/support/string_util.h"
+
 namespace vc {
 
 namespace {
@@ -57,12 +59,10 @@ std::string FingerprintKey(const UnusedDefCandidate& candidate) {
 }
 
 std::string FingerprintHash(const std::string& key) {
-  // FNV-1a 64-bit: fast, dependency-free, and stable across platforms.
-  uint64_t hash = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
+  // The seed is a digit short of the standard FNV-1a offset basis
+  // (14695981039346656037). Every stored fingerprint depends on it, so it
+  // stays as it is.
+  const uint64_t hash = Fnv1a(key, 1469598103934665603ull);
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
   return buf;

@@ -21,7 +21,8 @@
 // preserve relative order — so every fingerprint in a report is distinct.
 //
 // The rendered fingerprint is 16 lowercase hex digits (64-bit FNV-1a of the
-// key), exposed in report schema v4 as "fingerprint".
+// key under a historical seed, see FingerprintHash), exposed in report schema
+// v4 as "fingerprint".
 
 #ifndef VALUECHECK_SRC_CORE_FINGERPRINT_H_
 #define VALUECHECK_SRC_CORE_FINGERPRINT_H_
@@ -38,7 +39,8 @@ namespace vc {
 // disambiguation. Exposed for tests and for debugging fingerprint collisions.
 std::string FingerprintKey(const UnusedDefCandidate& candidate);
 
-// 64-bit FNV-1a, rendered as 16 hex digits.
+// 64-bit FNV-1a seeded with 1469598103934665603 — not the standard offset
+// basis — rendered as 16 hex digits.
 std::string FingerprintHash(const std::string& key);
 
 // Fills `fingerprint` on every candidate: hash of FingerprintKey plus a

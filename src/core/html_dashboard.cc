@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <ctime>
 #include <map>
-#include <set>
 
+#include "src/core/run_diff.h"
 #include "src/support/table_writer.h"
 
 namespace vc {
@@ -206,33 +206,14 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
   const RunRecord& latest = runs.back();
   const RunRecord* previous = runs.size() >= 2 ? &runs[runs.size() - 2] : nullptr;
 
-  // New/fixed deltas against the previous run, keyed by the
-  // (checker, fingerprint) pair (fingerprints are only unique per checker).
-  auto finding_key = [](const LedgerFinding& finding) {
-    return finding.checker + "\x1f" + finding.fingerprint;
-  };
-  std::set<std::string> latest_fps;
-  std::set<std::string> prev_fps;
-  for (const LedgerFinding& finding : latest.findings) {
-    latest_fps.insert(finding_key(finding));
-  }
-  size_t new_count = 0;
-  size_t fixed_count = 0;
+  // New/fixed against the previous run: exactly what `valuecheck diff`
+  // reports, so a checker the previous run did not enable adds no "new".
+  RunDiff diff;
   if (previous != nullptr) {
-    for (const LedgerFinding& finding : previous->findings) {
-      prev_fps.insert(finding_key(finding));
-    }
-    for (const std::string& fp : latest_fps) {
-      if (!prev_fps.count(fp)) {
-        ++new_count;
-      }
-    }
-    for (const std::string& fp : prev_fps) {
-      if (!latest_fps.count(fp)) {
-        ++fixed_count;
-      }
-    }
+    diff = ComputeRunDiff(*previous, latest);
   }
+  const size_t new_count = diff.added.size();
+  const size_t fixed_count = diff.fixed.size();
 
   out += "<p class=\"subtitle\">" + std::to_string(runs.size()) + " run(s) \xc2\xb7 latest " +
          EscapeHtml(latest.run_id) + " (" + FormatTimestamp(latest.timestamp_ms) + " UTC)" +
@@ -492,7 +473,8 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
            "<th>line</th><th>function</th><th>variable</th><th>kind</th>"
            "<th>familiarity</th></tr>\n";
     for (const LedgerFinding& finding : latest.findings) {
-      bool is_new = previous != nullptr && !prev_fps.count(finding_key(finding));
+      const bool is_new = std::binary_search(diff.added.begin(), diff.added.end(), finding,
+                                             RunDiffOrder);
       out += "<tr><td><span class=\"badge" + std::string(is_new ? " badge-new" : "") + "\">" +
              (is_new ? "new" : "persistent") + "</span></td>";
       out += "<td>" + EscapeHtml(finding.checker) + "</td>";
@@ -510,10 +492,7 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
     out += "<h2>Fixed since " + EscapeHtml(previous->run_id) + "</h2>\n<table>\n"
            "<tr><th>status</th><th>checker</th><th>fingerprint</th><th>file</th>"
            "<th>function</th><th>variable</th><th>kind</th></tr>\n";
-    for (const LedgerFinding& finding : previous->findings) {
-      if (latest_fps.count(finding_key(finding))) {
-        continue;
-      }
+    for (const LedgerFinding& finding : diff.fixed) {
       out += "<tr><td><span class=\"badge badge-fixed\">fixed</span></td>";
       out += "<td>" + EscapeHtml(finding.checker) + "</td>";
       out += "<td class=\"fp\">" + EscapeHtml(finding.fingerprint) + "</td>";

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "src/checkers/driver.h"
@@ -54,17 +55,79 @@ void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
   }
 }
 
-void IncrementalEngine::ApplyCommit(const Repository& source, CommitId commit) {
-  if (commit < 0 || commit >= source.NumCommits()) {
-    throw std::out_of_range("IncrementalEngine: commit " + std::to_string(commit) +
-                            " not in source repository");
+bool IncrementalEngine::SyncFile(const std::string& path, const std::string* content) {
+  if (content == nullptr) {
+    // Deleted (or never-created) path: tombstone and forget.
+    cache_.Remove(path);
+    return project_.RemoveFile(path);
   }
-  while (next_commit() <= commit) {
-    Ingest(source, next_commit());
+  const uint64_t hash = HashContent(*content);
+  FileCacheEntry& entry = cache_.File(path);
+  if (entry.content_hash == hash) {
+    // Byte-identical content (touch, revert): parsed TU, IR, and every
+    // cached detect result stay valid as-is.
+    ++cache_.stats().parse_hits;
+    return false;
   }
+  ++cache_.stats().parse_misses;
+  const AnalysisOptions& opt = analysis_.options();
+  FileId file = project_.UpsertFile(path, *content, opt.config, &opt.fault, &opt.budget);
+  entry.content_hash = hash;
+  entry.functions.clear();
+  cache_.LoadFromDisk(path, hash, *project_.modules()[file], entry.functions, cache_quarantine_);
+  return true;
 }
 
 IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, CommitId commit) {
+  if (took_snapshot_) {
+    throw std::logic_error("IncrementalEngine: a commit after a snapshot");
+  }
+  if (commit < 0 || commit >= source.NumCommits() || commit + 1 < repo_.NumCommits()) {
+    throw std::out_of_range("IncrementalEngine: commit " + std::to_string(commit) +
+                            " is not in the source repository or is behind the engine's head");
+  }
+  return Analyze(&repo_, commit, [&] {
+    while (repo_.NumCommits() <= commit) {
+      Ingest(source, repo_.NumCommits());
+    }
+    for (const std::string& path : pending_) {
+      std::optional<std::string> head = repo_.Head(path);
+      SyncFile(path, head.has_value() ? &*head : nullptr);
+    }
+    const int touched = static_cast<int>(pending_.size());
+    pending_.clear();
+    return touched;
+  });
+}
+
+IncrementalResult IncrementalEngine::AnalyzeSnapshot(
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  took_snapshot_ = true;
+  return Analyze(nullptr, kInvalidCommit, [&] {
+    std::set<std::string_view> kept;
+    for (const auto& [path, content] : files) {
+      kept.insert(path);
+    }
+    std::vector<std::string> gone;
+    for (size_t m : project_.unit_order()) {
+      const std::string& path = project_.sources().Path(static_cast<FileId>(m));
+      if (kept.count(path) == 0) {
+        gone.push_back(path);
+      }
+    }
+    int changed = 0;
+    for (const std::string& path : gone) {
+      changed += SyncFile(path, nullptr) ? 1 : 0;
+    }
+    for (const auto& [path, content] : files) {
+      changed += SyncFile(path, &content) ? 1 : 0;
+    }
+    return changed;
+  });
+}
+
+IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId commit,
+                                             const std::function<int()>& sync) {
   const AnalysisOptions& opt = analysis_.options();
   TraceSpan commit_span("incremental.commit", "pipeline");
   commit_span.Arg("commit", static_cast<int64_t>(commit));
@@ -72,40 +135,13 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   IncrementalResult result;
   result.commit = commit;
 
-  ApplyCommit(source, commit);
-
-  // --- Parse stage: sync the persistent project with the replica's head ----
+  // --- Parse stage: sync the persistent project with the input -------------
   StageRecords stages;  // handed to RunWithDetect, which times the rest
-  std::vector<QuarantinedUnit> cache_quarantine;  // corrupt disk entries
-  result.files_changed = static_cast<int>(pending_.size());
   {
     StageScope scope(Stage::kParse, stages[Stage::kParse]);
-    for (const std::string& path : pending_) {
-      std::optional<std::string> head = repo_.Head(path);
-      if (!head.has_value()) {
-        // Deleted (or never-created) path: tombstone and forget.
-        project_.RemoveFile(path);
-        cache_.Remove(path);
-        continue;
-      }
-      const uint64_t hash = HashContent(*head);
-      FileCacheEntry& entry = cache_.File(path);
-      if (entry.content_hash == hash) {
-        // Byte-identical content (touch, revert): parsed TU, IR, and every
-        // cached detect result stay valid as-is.
-        ++cache_.stats().parse_hits;
-        continue;
-      }
-      ++cache_.stats().parse_misses;
-      ++result.files_reparsed;
-      FileId file =
-          project_.UpsertFile(path, std::move(*head), opt.config, &opt.fault, &opt.budget);
-      entry.content_hash = hash;
-      entry.functions.clear();
-      cache_.LoadFromDisk(path, hash, *project_.modules()[file], entry.functions,
-                          cache_quarantine);
-    }
-    pending_.clear();
+    const uint64_t misses = cache_.stats().parse_misses;
+    result.files_changed = sync();
+    result.files_reparsed = static_cast<int>(cache_.stats().parse_misses - misses);
     project_.FinishUpdate();
   }
 
@@ -120,9 +156,10 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
         GateCheckers(project_, resolved, opt.traits, detect.quarantined);
     // Cache-stage records sit between the gate records and the per-function
     // ones; a corrupt entry degrades to a miss, never to a failed run.
-    for (QuarantinedUnit& unit : cache_quarantine) {
+    for (QuarantinedUnit& unit : cache_quarantine_) {
       detect.quarantined.push_back(std::move(unit));
     }
+    cache_quarantine_.clear();
     // A project-global checker can change its verdict on any function after
     // any edit: the cache is unusable while one is enabled.
     bool carry_allowed = true;
@@ -176,9 +213,9 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   }
 
   // --- Every later stage runs in full over the assembled candidate set -----
-  AnalysisReport report = analysis_.RunWithDetect(project_, &repo_, std::move(detect), &stages);
+  AnalysisReport report = analysis_.RunWithDetect(project_, repo, std::move(detect), &stages);
 
-  // Fingerprint-keyed delta against the previous analyzed commit.
+  // Fingerprint-keyed delta against the previous analysis.
   std::set<std::string> fingerprints;
   for (const UnusedDefCandidate& finding : report.findings) {
     fingerprints.insert(finding.fingerprint);
@@ -200,18 +237,6 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   result.report = std::move(report);
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
-}
-
-IncrementalResult Analysis::RunOnCommit(const Repository& repo, CommitId commit) const {
-  // The facade keeps one warm engine for the common sequential-replay
-  // pattern; any other access pattern (different repository, commit behind
-  // the engine's head) rebuilds it — always correct, just colder.
-  if (commit_engine_ == nullptr || commit_engine_repo_ != &repo ||
-      commit < commit_engine_->next_commit() || repo.NumCommits() < commit_engine_->next_commit()) {
-    commit_engine_ = std::make_shared<IncrementalEngine>(options_);
-    commit_engine_repo_ = &repo;
-  }
-  return commit_engine_->AnalyzeCommit(repo, commit);
 }
 
 }  // namespace vc

@@ -1,22 +1,28 @@
 // The incremental re-analysis engine (DESIGN.md §18).
 //
-// An IncrementalEngine consumes a repository's commits in order and, after
-// each one, produces the COMPLETE analysis report as of that commit —
+// An IncrementalEngine is the one holder of incremental analysis state. It
+// takes two inputs and, after each, produces the COMPLETE report:
+// AnalyzeCommit consumes a repository's commits in order, and its report is
 // byte-identical (findings, fingerprints, order, quarantine records) to a
-// full Analysis::RunOnRepository over Repository::PrefixCopy(commit). The
-// differential test battery (tests/incremental_equivalence_test.cc, the
-// incremental_equivalence fuzz oracle) holds it to exactly that.
+// full Analysis::RunOnRepository over Repository::PrefixCopy(commit);
+// AnalyzeSnapshot brings the project to exactly the given files, and its
+// report is byte-identical to Analysis::RunOnSources over them in path
+// order (batch `analyze <files>`). The differential test battery
+// (tests/incremental_equivalence_test.cc, the incremental_equivalence fuzz
+// oracle) holds both inputs to exactly that.
 //
 // Equivalence is by construction, not by patching:
 //
-//  * The engine owns a growing Repository replica fed commit-by-commit, so
-//    blame, authorship, stale-code matching, and ranking familiarity all see
-//    a repository whose head IS the analyzed commit — the same view a full
-//    run over the prefix copy sees. Head blame advances through resumable
-//    per-path replay states (O(commit delta), byte-identical to replay).
-//  * A persistent Project recompiles only files whose content hash changed;
-//    an unchanged file's parsed TU and lowered IR are never rebuilt, and its
-//    slot (FileId) is stable, so carried results keep valid locations.
+//  * Both inputs share one sync: a persistent Project recompiles only files
+//    whose content hash changed; an unchanged file's parsed TU and lowered
+//    IR are never rebuilt, and its slot (FileId) is stable, so carried
+//    results keep valid locations.
+//  * For commits, the engine owns a Repository replica fed commit by
+//    commit, so blame, authorship, stale-code matching, and ranking
+//    familiarity all see a repository whose head IS the analyzed commit —
+//    the same view a full run over the prefix copy sees. Head blame advances
+//    through resumable per-path replay states (O(commit delta),
+//    byte-identical to replay). A snapshot's later stages see no repository.
 //  * One carry rule: a file's detect results are carried exactly when its
 //    content hash matched, from the AnalysisCache (memory tier always; a
 //    --cache-dir disk tier persists across processes). Every function of a
@@ -25,14 +31,16 @@
 //    file; a checker with function_local() == false disables carry-over.
 //  * Every stage after detection (authorship, cross-scope filter, pruning
 //    with its GLOBAL peer statistics, ranking, fingerprints) re-runs each
-//    commit over the complete assembled candidate set, through the same
+//    time over the complete assembled candidate set, through the same
 //    Analysis::RunWithDetect code path a full run uses.
 
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
 
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/analysis.h"
@@ -47,24 +55,25 @@ struct IncrementalOptions {
   std::string cache_dir;
 };
 
-// Result of per-commit incremental analysis.
+// Result of one incremental analysis.
 struct IncrementalResult {
-  // The complete report as of `commit` — equivalent to a full run over the
-  // repository truncated at that commit.
+  // The complete report — equivalent to a full run over the repository
+  // truncated at `commit`, or over the snapshot's files.
   AnalysisReport report;
-  CommitId commit = kInvalidCommit;
-  // Work actually performed for this commit.
-  int files_changed = 0;     // paths the commit batch touched (incl. deletes)
+  CommitId commit = kInvalidCommit;  // kInvalidCommit for a snapshot
+  // Work actually performed for this input.
+  int files_changed = 0;     // commits: paths the batch touched (incl. deletes);
+                             // snapshot: paths added, edited or deleted
   int files_reparsed = 0;    // content-hash misses among them (recompiled)
   int functions_dirty = 0;   // functions re-run through the checkers
-  int functions_total = 0;   // live functions at the commit
-  // Fingerprint-keyed delta against the previous analyzed commit.
+  int functions_total = 0;   // live functions after the sync
+  // Fingerprint-keyed delta against the previous analysis.
   int findings_carried = 0;  // same fingerprint as before
   int findings_new = 0;
   int findings_fixed = 0;    // present before, gone now
   // Cumulative engine cache telemetry (also published as cache.* metrics).
   CacheStats cache;
-  double seconds = 0.0;      // this commit, end to end
+  double seconds = 0.0;      // this call, end to end
 
   // Convenience accessor kept for callers that only consume findings.
   const std::vector<UnusedDefCandidate>& findings() const { return report.findings; }
@@ -74,24 +83,20 @@ class IncrementalEngine {
  public:
   explicit IncrementalEngine(AnalysisOptions options, IncrementalOptions inc = {});
 
-  // Fast-forwards the engine's repository replica through `commit` without
-  // analyzing (the touched paths stay pending until the next AnalyzeCommit).
-  // Commits must be fed in id order; the engine replays any gap from its
-  // current head itself, so callers may simply hand it the target commit.
-  void ApplyCommit(const Repository& source, CommitId commit);
-
   // Feeds `commit` (replaying any skipped predecessors) and produces the
-  // complete report at that commit.
+  // complete report at that commit. Commits must not go back past the
+  // engine's head, and an engine that took a snapshot takes no commits.
   IncrementalResult AnalyzeCommit(const Repository& source, CommitId commit);
 
-  // The next commit id the engine expects (== number of commits ingested).
-  CommitId next_commit() const { return static_cast<CommitId>(repo_.NumCommits()); }
+  // Brings the project to exactly `files` (distinct paths): paths it lacks
+  // are deleted, and changed content recompiles under the carry rule. Every
+  // later stage runs with no repository, as a sources-mode run does.
+  IncrementalResult AnalyzeSnapshot(
+      const std::vector<std::pair<std::string, std::string>>& files);
 
-  const Repository& repo() const { return repo_; }
-  const AnalysisOptions& options() const { return analysis_.options(); }
   const CacheStats& cache_stats() const { return cache_.stats(); }
 
-  // Adjusts worker parallelism between commits. Jobs is deliberately absent
+  // Adjusts worker parallelism between analyses. Jobs is deliberately absent
   // from MakeCacheConfigKey — findings are byte-identical at any job count —
   // so the daemon can honor a per-request `jobs` without invalidating the
   // warm cache or rebuilding the engine.
@@ -100,13 +105,22 @@ class IncrementalEngine {
  private:
   // Ingests exactly one commit into the replica and the pending-path set.
   void Ingest(const Repository& source, CommitId commit);
+  // The sync both inputs share: brings the file at `path` to `content`
+  // (null: deleted). Returns true when the file was added, edited or deleted.
+  bool SyncFile(const std::string& path, const std::string* content);
+  // Times `sync` (which returns files_changed) as the parse stage, then
+  // detects and runs every later stage against `repo`.
+  IncrementalResult Analyze(const Repository* repo, CommitId commit,
+                            const std::function<int()>& sync);
 
   Analysis analysis_;
   IncrementalOptions inc_;
-  Repository repo_;    // replica; head == last ingested commit
-  Project project_;    // persistent, mutated in place per commit
+  Repository repo_;    // commit input's replica; head == last ingested commit
+  Project project_;    // persistent, mutated in place by each sync
   AnalysisCache cache_;
   std::set<std::string> pending_;  // paths touched since the last analysis
+  std::vector<QuarantinedUnit> cache_quarantine_;  // corrupt disk entries of a sync
+  bool took_snapshot_ = false;
   // Fingerprints of the previous report's findings (carried/new/fixed delta).
   std::set<std::string> prev_fingerprints_;
 };

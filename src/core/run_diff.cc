@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "src/core/incremental.h"
 #include "src/support/json_writer.h"
@@ -24,21 +25,6 @@ LedgerFinding ToLedgerFinding(const UnusedDefCandidate& cand) {
   return finding;
 }
 
-// Findings sorted by (file, fingerprint) so diff sections render in a stable
-// order independent of either run's internal ordering.
-void SortFindings(std::vector<LedgerFinding>& findings) {
-  std::sort(findings.begin(), findings.end(),
-            [](const LedgerFinding& a, const LedgerFinding& b) {
-              if (a.file != b.file) {
-                return a.file < b.file;
-              }
-              if (a.checker != b.checker) {
-                return a.checker < b.checker;
-              }
-              return a.fingerprint < b.fingerprint;
-            });
-}
-
 // Diff identity: fingerprints are already namespaced per checker, but the
 // explicit pair keeps identity correct even for checkers with an empty
 // namespace (unused-def's legacy fingerprints).
@@ -51,6 +37,10 @@ double PruneRate(int64_t pruned, int64_t tested) {
 }
 
 }  // namespace
+
+bool RunDiffOrder(const LedgerFinding& a, const LedgerFinding& b) {
+  return std::tie(a.file, a.checker, a.fingerprint) < std::tie(b.file, b.checker, b.fingerprint);
+}
 
 RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
                         int64_t timestamp_ms) {
@@ -177,9 +167,9 @@ RunDiff ComputeRunDiff(const RunRecord& a, const RunRecord& b,
       diff.fixed.push_back(finding);
     }
   }
-  SortFindings(diff.added);
-  SortFindings(diff.fixed);
-  SortFindings(diff.persistent);
+  for (std::vector<LedgerFinding>* list : {&diff.added, &diff.fixed, &diff.persistent}) {
+    std::sort(list->begin(), list->end(), RunDiffOrder);
+  }
 
   // Deterministic counter deltas first, then timings. The counters come from
   // the slot-indexed merge so they're identical at any job count.

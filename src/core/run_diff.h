@@ -68,6 +68,7 @@ struct RunDiff {
   // from these lists — enabling a checker is not "new bugs" and disabling one
   // is not "bugs fixed"; the checkers_added/checkers_removed note carries
   // that information instead.
+  // Each list is sorted by RunDiffOrder.
   std::vector<LedgerFinding> added;
   std::vector<LedgerFinding> fixed;
   std::vector<LedgerFinding> persistent;
@@ -80,6 +81,10 @@ struct RunDiff {
 
   bool HasRegressions() const { return !regressions.empty(); }
 };
+
+// The order of RunDiff's finding lists — (file, checker, fingerprint) — a
+// stable order independent of either run's internal ordering.
+bool RunDiffOrder(const LedgerFinding& a, const LedgerFinding& b);
 
 RunDiff ComputeRunDiff(const RunRecord& a, const RunRecord& b,
                        const RegressionThresholds& thresholds = RegressionThresholds());

@@ -61,10 +61,9 @@ struct UnusedDefCandidate {
   bool overwritten = false;   // a later definition kills this one on all paths
   std::vector<SourceLoc> overwriter_locs;
 
-  // Set when the stored value came straight from a call; the callee is the
-  // project-wide name (definition may live in another file).
-  const FunctionDecl* origin_callee = nullptr;
-  // Self-contained copy of origin_callee->name (reports outlive the AST).
+  // Set when the stored value came straight from a call: the callee's
+  // project-wide name (its definition may live in another file). A copy, not
+  // a pointer, because reports outlive the AST.
   std::string callee_name;
 
   // Cursor-shape info for pruning.
@@ -101,10 +100,9 @@ struct UnusedDefCandidate {
   // diffs on. 16 hex chars; empty until AssignFingerprints runs.
   std::string fingerprint;
 
-  // callee_name (the self-contained copy) is the source of truth here, not
-  // the origin_callee pointer: cache-restored candidates (incremental engine
-  // disk tier) carry only the name, and downstream stages resolve the callee
-  // through the live function index by name anyway.
+  // Cache-restored candidates (incremental engine disk tier) carry only the
+  // name, and downstream stages resolve the callee through the live function
+  // index by name anyway.
   bool FromCall() const { return !callee_name.empty() || is_synthetic; }
 };
 

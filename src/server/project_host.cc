@@ -1,8 +1,7 @@
 #include "src/server/project_host.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
 
 namespace vc {
 
@@ -29,97 +28,67 @@ ProjectAnalyzeOutcome ProjectHost::Analyze(
     const std::vector<std::pair<std::string, std::string>>& sources,
     const AnalysisOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ProjectAnalyzeOutcome outcome;
 
   // Snapshot in sorted path order — the same order the batch CLI's directory
-  // walk feeds RunOnSources, so slot ids (and with them merge order and CSV
-  // bytes) line up between daemon and batch.
-  std::map<std::string, std::string> snapshot(sources.begin(), sources.end());
-
-  // Delta against the replica head.
-  std::map<std::string, std::string> changed;
-  std::set<std::string> deleted;
-  for (const std::string& path : repo_.ListFiles()) {
-    auto it = snapshot.find(path);
-    if (it == snapshot.end()) {
-      deleted.insert(path);
-    }
-  }
+  // walk feeds RunOnSources, so merge order and CSV bytes line up between
+  // daemon and batch. A repeated path keeps its first content.
+  std::vector<std::pair<std::string, std::string>> snapshot = sources;
+  std::stable_sort(snapshot.begin(), snapshot.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  snapshot.erase(std::unique(snapshot.begin(), snapshot.end(),
+                             [](const auto& a, const auto& b) { return a.first == b.first; }),
+                 snapshot.end());
+  std::vector<std::pair<std::string, uint64_t>> hashes;
+  hashes.reserve(snapshot.size());
   for (const auto& [path, content] : snapshot) {
-    std::optional<std::string> head = repo_.Head(path);
-    if (!head.has_value() || *head != content) {
-      changed[path] = content;
-    }
+    hashes.emplace_back(path, HashContent(content));
   }
-  const bool snapshot_unchanged =
-      changed.empty() && deleted.empty() && repo_.NumCommits() > 0;
+  const bool unchanged = last_ != nullptr && hashes == snapshot_;
 
   const std::string key = MakeCacheConfigKey(options);
-  if (snapshot_unchanged && engine_ != nullptr && key == engine_key_ &&
-      last_report_ != nullptr) {
+  if (unchanged && key == engine_key_) {
     // Identical snapshot under an identical configuration: the previous
-    // report IS this request's report (jobs never changes results).
-    outcome.report = *last_report_;
-    outcome.cached = true;
-    outcome.commit = repo_.NumCommits() - 1;
-    return outcome;
+    // result IS this request's result (jobs never changes results).
+    return {last_, /*cached=*/true};
   }
 
   if (engine_ == nullptr || key != engine_key_) {
     // A different checker set / budget / fault spec invalidates carried
     // detect results wholesale; rebuild rather than risk stale carry-over.
-    // The fresh engine replays the replica's commit history by itself.
+    // The key is recorded once the new engine has answered, so a failed
+    // first analysis never lets a later request reuse the wrong engine.
     engine_ = std::make_unique<IncrementalEngine>(options);
-    engine_key_ = key;
-    if (repo_.NumCommits() > 0) {
+    engine_key_.clear();
+    if (last_ != nullptr) {
       ++engine_rebuilds_;
     }
   }
-
-  if (!snapshot_unchanged || repo_.NumCommits() == 0) {
-    if (serve_author_ == kInvalidAuthor) {
-      serve_author_ = repo_.AddAuthor("serve");
-    }
-    // Deterministic timestamp: the per-project request ordinal, so replica
-    // history (and everything derived from it) is reproducible run to run.
-    repo_.AddCommit(serve_author_, request_ordinal_,
-                    "serve snapshot " + std::to_string(request_ordinal_),
-                    std::move(changed), std::move(deleted));
-  }
-  ++request_ordinal_;
-
   engine_->set_jobs(options.jobs);
-  const CommitId head = static_cast<CommitId>(repo_.NumCommits() - 1);
-  IncrementalResult result = engine_->AnalyzeCommit(repo_, head);
-
-  outcome.report = result.report;
-  outcome.commit = head;
-  outcome.files_changed = result.files_changed;
-  outcome.functions_dirty = result.functions_dirty;
-  outcome.findings_new = result.findings_new;
-  outcome.findings_fixed = result.findings_fixed;
-
-  last_report_ = std::make_shared<AnalysisReport>(result.report);
+  IncrementalResult result = engine_->AnalyzeSnapshot(snapshot);
+  engine_key_ = key;
+  result.commit = last_ == nullptr ? 0 : last_->commit + (unchanged ? 0 : 1);
+  last_ = std::make_shared<const IncrementalResult>(std::move(result));
+  snapshot_ = std::move(hashes);
   ++analyses_;
 
+  const AnalysisReport& report = last_->report;
   ProjectRunSummary summary;
-  summary.commit = head;
-  summary.request_ordinal = request_ordinal_ - 1;
-  summary.findings = static_cast<int>(result.report.findings.size());
-  summary.degraded = result.report.degraded;
-  summary.quarantined = static_cast<int>(result.report.quarantined.size());
-  summary.files_changed = result.files_changed;
-  summary.functions_dirty = result.functions_dirty;
-  summary.findings_new = result.findings_new;
-  summary.findings_fixed = result.findings_fixed;
-  summary.seconds = result.seconds;
-  summary.fingerprints = SortedFingerprints(result.report);
-  summary.checker_stats = result.report.checker_stats;
+  summary.commit = last_->commit;
+  summary.findings = static_cast<int>(report.findings.size());
+  summary.degraded = report.degraded;
+  summary.quarantined = static_cast<int>(report.quarantined.size());
+  summary.files_changed = last_->files_changed;
+  summary.functions_dirty = last_->functions_dirty;
+  summary.findings_new = last_->findings_new;
+  summary.findings_fixed = last_->findings_fixed;
+  summary.seconds = last_->seconds;
+  summary.fingerprints = SortedFingerprints(report);
+  summary.checker_stats = report.checker_stats;
   history_.push_back(std::move(summary));
   while (history_.size() > history_limit_) {
     history_.pop_front();
   }
-  return outcome;
+  return {last_, /*cached=*/false};
 }
 
 std::vector<ProjectRunSummary> ProjectHost::History(size_t limit) const {

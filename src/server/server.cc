@@ -400,10 +400,6 @@ AnalysisOptions AnalysisServer::OptionsFor(const ServeRequest& request) const {
   // `valuecheck analyze DIR` does, which is what the equivalence test pins.
   options.cross_scope_only = false;
   options.ranking.enabled = false;
-  // The synthetic per-request commit log exists for incrementality, not
-  // provenance; classifying against it would diverge from the repo-less batch
-  // run (single-author blame downgrades candidate kinds).
-  options.authorship = false;
   options.checkers = request.checkers;
   options.jobs = request.jobs;
   double deadline_ms = request.deadline_ms > 0.0 ? request.deadline_ms
@@ -444,7 +440,10 @@ std::string AnalysisServer::HandleAnalyze(
   if (outcome.cached) {
     cached_.fetch_add(1, std::memory_order_relaxed);
   }
-  const AnalysisReport& report = outcome.report;
+  const IncrementalResult& result = *outcome.result;
+  const AnalysisReport& report = result.report;
+  // A cached repeat did no work of its own.
+  auto work = [&](int count) { return outcome.cached ? 0 : count; };
   if (report.degraded) {
     degraded_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -457,14 +456,14 @@ std::string AnalysisServer::HandleAnalyze(
   json.String("status", report.degraded ? "degraded" : "ok");
   json.String("method", "analyze");
   json.String("project", request.project);
-  json.Int("commit", outcome.commit);
+  json.Int("commit", result.commit);
   json.Bool("cached", outcome.cached);
   json.Int("findings", static_cast<int64_t>(report.findings.size()));
   json.Int("quarantined", static_cast<int64_t>(report.quarantined.size()));
-  json.Int("files_changed", outcome.files_changed);
-  json.Int("functions_dirty", outcome.functions_dirty);
-  json.Int("findings_new", outcome.findings_new);
-  json.Int("findings_fixed", outcome.findings_fixed);
+  json.Int("files_changed", work(result.files_changed));
+  json.Int("functions_dirty", work(result.functions_dirty));
+  json.Int("findings_new", work(result.findings_new));
+  json.Int("findings_fixed", work(result.findings_fixed));
   json.Double("elapsed_ms", ElapsedSeconds(arrival) * 1e3);
   if (request.render == "json") {
     json.Raw("report", ReportToJson(report));

@@ -3,22 +3,14 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/support/string_util.h"
+
 namespace vc {
 
 namespace {
 
 // Deadline checks cost a clock read; amortize them over this many steps.
 constexpr uint64_t kDeadlineCheckInterval = 1024;
-
-// FNV-1a over a byte string, folded into an accumulator.
-uint64_t HashBytes(uint64_t h, std::string_view bytes) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kPrime;
-  }
-  return h;
-}
 
 // splitmix64 finalizer: spreads the low-entropy FNV state across all 64 bits
 // so the uniform-threshold comparison below is unbiased.
@@ -64,9 +56,9 @@ FaultInjector::FaultInjector(uint64_t seed, double rate) : seed_(seed) {
 bool FaultInjector::ShouldFault(std::string_view site, std::string_view unit) const {
   if (rate_ <= 0.0) return false;
   if (rate_ >= 1.0) return true;
-  uint64_t h = HashBytes(14695981039346656037ull, site);
-  h = HashBytes(h, "\x1f");  // separator so ("ab","c") != ("a","bc")
-  h = HashBytes(h, unit);
+  uint64_t h = Fnv1a(site);
+  h = Fnv1a("\x1f", h);  // separator so ("ab","c") != ("a","bc")
+  h = Fnv1a(unit, h);
   h = Mix(h ^ Mix(seed_));
   // Top 53 bits → uniform double in [0,1); IEEE arithmetic keeps this
   // bit-identical across platforms, which the determinism contract needs.

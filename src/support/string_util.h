@@ -1,10 +1,11 @@
 // Small string helpers shared by the lexer, pruning passes, and report
-// writers. Everything operates on std::string_view and allocates only when
-// returning owned strings.
+// writers, and the one FNV-1a byte hash. Everything operates on
+// std::string_view and allocates only when returning owned strings.
 
 #ifndef VALUECHECK_SRC_SUPPORT_STRING_UTIL_H_
 #define VALUECHECK_SRC_SUPPORT_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,20 @@ bool IsIdentChar(char c);
 
 // ASCII lowercase copy (used for case-insensitive flag/keyword parsing).
 std::string ToLower(std::string_view text);
+
+// The standard 64-bit FNV-1a offset basis.
+inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
+
+// 64-bit FNV-1a of `bytes`, starting from `seed`. Pass a previous result as
+// the seed to fold several strings into one hash. Stable across runs and
+// platforms: content hashes, fingerprints and fault decisions depend on it.
+inline uint64_t Fnv1a(std::string_view bytes, uint64_t seed = kFnv1aOffsetBasis) {
+  for (unsigned char c : bytes) {
+    seed ^= c;
+    seed *= 1099511628211ull;
+  }
+  return seed;
+}
 
 }  // namespace vc
 

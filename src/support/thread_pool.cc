@@ -16,10 +16,6 @@ namespace {
 // Set while a thread is executing ParallelFor lanes; nested loops run inline.
 thread_local bool tls_in_parallel_region = false;
 
-// This thread's accounting slot in the pool that owns it: 1..N for pool
-// workers, 0 for everything else (external callers running lane 0).
-thread_local int tls_worker_slot = 0;
-
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -50,10 +46,8 @@ struct ForState {
 
   // Pops from the lane's own deque front; on miss, steals from the back of
   // the lane currently holding the most chunks. Returns false only when every
-  // deque is empty (all work claimed). `stolen` reports whether the chunk
-  // came from another lane's deque.
-  bool PopOrSteal(size_t self, Chunk& out, bool& stolen) {
-    stolen = false;
+  // deque is empty (all work claimed).
+  bool PopOrSteal(size_t self, Chunk& out) {
     {
       Lane& lane = *lanes[self];
       std::lock_guard<std::mutex> lock(lane.mutex);
@@ -93,7 +87,6 @@ struct ForState {
       lanes[victim]->chunks.pop_back();
       chunks_claimed.fetch_add(1, std::memory_order_relaxed);
       steals.fetch_add(1, std::memory_order_relaxed);
-      stolen = true;
       if (timed) {
         pool->RecordStealLatency(NowNanos() - hunt_start);
       }
@@ -107,17 +100,8 @@ struct ForState {
   void RunLane(size_t self) {
     bool was_in_region = tls_in_parallel_region;
     tls_in_parallel_region = true;
-    bool timed = MetricsEnabled();
-    uint64_t lane_start = timed ? NowNanos() : 0;
-    uint64_t lane_chunks = 0;
-    uint64_t lane_steals = 0;
     Chunk chunk;
-    bool stolen = false;
-    while (PopOrSteal(self, chunk, stolen)) {
-      ++lane_chunks;
-      if (stolen) {
-        ++lane_steals;
-      }
+    while (PopOrSteal(self, chunk)) {
       size_t len = chunk.second - chunk.first;
       if (!abort.load(std::memory_order_relaxed)) {
         try {
@@ -142,8 +126,6 @@ struct ForState {
         done_cv.notify_all();
       }
     }
-    pool->CreditLaneRun(ThreadPool::CurrentWorkerSlot(), lane_chunks,
-                        lane_steals, timed ? NowNanos() - lane_start : 0);
     tls_in_parallel_region = was_in_region;
   }
 
@@ -233,11 +215,8 @@ int HardwareThreads() {
 ThreadPool::ThreadPool(int threads) {
   int count = std::max(1, threads);
   workers_.reserve(static_cast<size_t>(count));
-  // Slot 0 aggregates external callers; slots 1..count are the workers.
-  worker_counters_ = std::make_unique<WorkerCounters[]>(
-      static_cast<size_t>(count) + 1);
   for (int i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -259,8 +238,7 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
-void ThreadPool::WorkerLoop(int slot) {
-  tls_worker_slot = slot;
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
     {
@@ -355,21 +333,6 @@ void ThreadPool::ParallelFor(int jobs, size_t n,
   }
 }
 
-void ThreadPool::CreditLaneRun(int slot, uint64_t chunks, uint64_t steals,
-                               uint64_t busy_nanos) {
-  // A caller nested across pools can carry a slot from a bigger pool; fold
-  // anything out of range into the external-caller slot.
-  size_t s = static_cast<size_t>(slot);
-  if (s >= worker_slots()) {
-    s = 0;
-  }
-  WorkerCounters& c = worker_counters_[s];
-  c.lane_runs.fetch_add(1, std::memory_order_relaxed);
-  c.chunks.fetch_add(chunks, std::memory_order_relaxed);
-  c.steals.fetch_add(steals, std::memory_order_relaxed);
-  c.busy_nanos.fetch_add(busy_nanos, std::memory_order_relaxed);
-}
-
 void ThreadPool::RecordStealLatency(uint64_t nanos) {
   int bucket = 0;
   while (bucket + 1 < ThreadPoolStats::kStealLatencyBuckets &&
@@ -378,8 +341,6 @@ void ThreadPool::RecordStealLatency(uint64_t nanos) {
   }
   steal_latency_ns_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
-
-int ThreadPool::CurrentWorkerSlot() { return tls_worker_slot; }
 
 ThreadPoolStats ThreadPool::stats() const {
   ThreadPoolStats stats;
@@ -391,16 +352,6 @@ ThreadPoolStats ThreadPool::stats() const {
   stats.worker_idle_seconds =
       static_cast<double>(idle_nanos_.load(std::memory_order_relaxed)) / 1e9;
   stats.workers = thread_count();
-  stats.per_worker.resize(worker_slots());
-  for (size_t i = 0; i < worker_slots(); ++i) {
-    const WorkerCounters& c = worker_counters_[i];
-    ThreadPoolStats::WorkerStats& w = stats.per_worker[i];
-    w.lane_runs = c.lane_runs.load(std::memory_order_relaxed);
-    w.chunks = c.chunks.load(std::memory_order_relaxed);
-    w.steals = c.steals.load(std::memory_order_relaxed);
-    w.busy_seconds =
-        static_cast<double>(c.busy_nanos.load(std::memory_order_relaxed)) / 1e9;
-  }
   stats.steal_latency_ns.resize(ThreadPoolStats::kStealLatencyBuckets);
   for (int b = 0; b < ThreadPoolStats::kStealLatencyBuckets; ++b) {
     stats.steal_latency_ns[b] = steal_latency_ns_[b].load(std::memory_order_relaxed);

@@ -20,16 +20,12 @@
 //
 // Instrumentation: the pool keeps relaxed-atomic counters (tasks executed,
 // chunks claimed, steals, submit-queue high-water mark) that cost one RMW
-// each on paths that already take a lock, plus per-worker idle time that is
-// only measured while MetricsEnabled() (it needs clock reads). stats()
-// snapshots them; callers wanting per-phase numbers diff two snapshots.
-//
-// Per-worker accounting (the scalability observatory's imbalance feed): each
-// lane execution is credited to the slot of the thread that ran it — slot 0
-// aggregates external callers (lane 0 of every ParallelFor), slots 1..N are
-// the pool's own workers. Busy time per lane run and the latency of each
-// successful steal (own-deque miss to chunk acquired) are clocked only while
-// MetricsEnabled(); counts are always exact.
+// each on paths that already take a lock, plus worker idle time and the
+// latency of each successful steal (own-deque miss to chunk acquired), both
+// clocked only while MetricsEnabled(). stats() snapshots them; callers
+// wanting per-phase numbers diff two snapshots. The pool keeps no per-worker
+// books: per-worker busy time, idle time and utilization come from trace
+// spans (AnalyzeSpans, src/support/span_analysis.h).
 
 #ifndef VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_
 #define VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_
@@ -40,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -66,17 +61,6 @@ struct ThreadPoolStats {
   // any overflow.
   static constexpr int kStealLatencyBuckets = 48;
 
-  // One slot per executing thread: slot 0 aggregates external caller threads
-  // (every ParallelFor runs lane 0 on the caller), slots 1..N are the pool's
-  // persistent workers. busy_seconds is only accumulated while
-  // MetricsEnabled(); the counts are always exact.
-  struct WorkerStats {
-    uint64_t lane_runs = 0;      // lane executions credited to this slot
-    uint64_t chunks = 0;         // iteration chunks this slot claimed
-    uint64_t steals = 0;         // chunks of those taken from another lane
-    double busy_seconds = 0.0;   // time spent inside lane bodies
-  };
-
   uint64_t parallel_fors = 0;    // pooled loops run (inline loops not counted)
   uint64_t tasks_executed = 0;   // lane tasks drained from the submit queue
   uint64_t chunks_executed = 0;  // iteration chunks claimed across all lanes
@@ -84,9 +68,8 @@ struct ThreadPoolStats {
   uint64_t queue_depth_hwm = 0;  // max pending tasks observed in the queue
   double worker_idle_seconds = 0.0;  // summed cv-wait time (metrics-enabled only)
   int workers = 0;
-  std::vector<WorkerStats> per_worker;        // size workers + 1 (slot 0 = callers)
-  std::vector<uint64_t> steal_latency_ns;     // kStealLatencyBuckets log2 buckets
-                                              // (populated while MetricsEnabled())
+  std::vector<uint64_t> steal_latency_ns;  // kStealLatencyBuckets log2 buckets
+                                           // (populated while MetricsEnabled())
 
   ThreadPoolStats Delta(const ThreadPoolStats& since) const {
     ThreadPoolStats d = *this;
@@ -95,13 +78,6 @@ struct ThreadPoolStats {
     d.chunks_executed -= since.chunks_executed;
     d.steals -= since.steals;
     d.worker_idle_seconds -= since.worker_idle_seconds;
-    for (size_t i = 0; i < d.per_worker.size(); ++i) {
-      if (i >= since.per_worker.size()) break;
-      d.per_worker[i].lane_runs -= since.per_worker[i].lane_runs;
-      d.per_worker[i].chunks -= since.per_worker[i].chunks;
-      d.per_worker[i].steals -= since.per_worker[i].steals;
-      d.per_worker[i].busy_seconds -= since.per_worker[i].busy_seconds;
-    }
     for (size_t b = 0; b < d.steal_latency_ns.size(); ++b) {
       if (b >= since.steal_latency_ns.size()) break;
       d.steal_latency_ns[b] -= since.steal_latency_ns[b];
@@ -134,29 +110,12 @@ class ThreadPool {
 
   ThreadPoolStats stats() const;
 
-  // Per-worker accounting hooks used by the ParallelFor lane runner. The
-  // slot is this thread's identity within the pool (0 = external caller);
-  // see CurrentWorkerSlot().
-  void CreditLaneRun(int slot, uint64_t chunks, uint64_t steals,
-                     uint64_t busy_nanos);
+  // Steal-latency hook used by the ParallelFor lane runner.
   void RecordStealLatency(uint64_t nanos);
 
-  // Slot of the calling thread: 1..thread_count() for pool workers, 0 for
-  // any other thread (including the ParallelFor caller running lane 0).
-  static int CurrentWorkerSlot();
-
  private:
-  struct WorkerCounters {
-    std::atomic<uint64_t> lane_runs{0};
-    std::atomic<uint64_t> chunks{0};
-    std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> busy_nanos{0};
-  };
-
-  void WorkerLoop(int slot);
+  void WorkerLoop();
   void Submit(std::function<void()> task);
-
-  size_t worker_slots() const { return workers_.size() + 1; }
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
@@ -171,9 +130,6 @@ class ThreadPool {
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> queue_depth_hwm_{0};
   std::atomic<uint64_t> idle_nanos_{0};
-  // Fixed-size after construction, so lock-free relaxed access is safe.
-  // Array (not vector) because atomics are neither copyable nor movable.
-  std::unique_ptr<WorkerCounters[]> worker_counters_;  // size worker_slots()
   std::atomic<uint64_t>
       steal_latency_ns_[ThreadPoolStats::kStealLatencyBuckets] = {};
 };

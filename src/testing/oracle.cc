@@ -394,19 +394,30 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
   if (Enabled(OracleKind::kIncrementalEquivalence)) {
     // Replay the program as a history (one commit per file, then an edit
     // appending a probe function to the first file) and hold the incremental
-    // engine to full-run equivalence at every commit. Serial plus the widest
-    // job count — the jobs_determinism oracle already covers the middle.
+    // engine to full-run equivalence at every commit. Then replay the same
+    // states, plus a final one deleting the last file, as snapshots — the
+    // daemon's input — each held to a sources-mode full run over its files.
+    // Serial plus the widest job count — the jobs_determinism oracle already
+    // covers the middle.
     Repository repo;
     AuthorId author = repo.AddAuthor("fuzz");
     int64_t timestamp = 1'650'000'000;
     std::vector<std::pair<std::string, std::string>> sources = program.ToSources();
+    std::vector<std::pair<std::string, std::string>> state;
+    std::vector<std::vector<std::pair<std::string, std::string>>> states;
     for (const auto& [path, content] : sources) {
       repo.AddCommit(author, timestamp += 60, "add " + path, {{path, content}});
+      state.emplace_back(path, content);
+      states.push_back(state);
     }
-    repo.AddCommit(author, timestamp += 60, "probe edit",
-                   {{sources.front().first,
-                     sources.front().second +
-                         "\nint inc_probe(int z) {\n  int w = z + 1;\n  return w;\n}\n"}});
+    state.front().second += "\nint inc_probe(int z) {\n  int w = z + 1;\n  return w;\n}\n";
+    repo.AddCommit(author, timestamp += 60, "probe edit", {state.front()});
+    states.push_back(state);
+    state.pop_back();
+    states.push_back(state);
+    for (auto& files : states) {
+      std::sort(files.begin(), files.end());
+    }
 
     std::set<int> job_counts = {jobs.front(), jobs.back()};
     for (int job_count : job_counts) {
@@ -416,8 +427,7 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
       options.jobs = job_count;
       IncrementalEngine engine(options);
       Analysis full(options);
-      bool diverged = false;
-      for (CommitId commit = 0; commit < repo.NumCommits() && !diverged; ++commit) {
+      for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
         IncrementalResult result = engine.AnalyzeCommit(repo, commit);
         AnalysisReport fresh = full.RunOnRepository(repo.PrefixCopy(commit));
         if (SerializeFindings(result.report) != SerializeFindings(fresh)) {
@@ -425,7 +435,21 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
               {OracleKind::kIncrementalEquivalence, "",
                "incremental report diverges from the full run at commit " +
                    std::to_string(commit) + " (jobs " + std::to_string(job_count) + ")"});
-          diverged = true;
+          break;
+        }
+      }
+      options.ranking.enabled = false;
+      IncrementalEngine snapshots(options);
+      Analysis sources_mode(options);
+      for (size_t i = 0; i < states.size(); ++i) {
+        IncrementalResult result = snapshots.AnalyzeSnapshot(states[i]);
+        if (SerializeFindings(result.report) !=
+            SerializeFindings(sources_mode.RunOnSources(states[i]))) {
+          verdict.failures.push_back(
+              {OracleKind::kIncrementalEquivalence, "",
+               "snapshot report diverges from the full run at state " + std::to_string(i) +
+                   " (jobs " + std::to_string(job_count) + ")"});
+          break;
         }
       }
     }

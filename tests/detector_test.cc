@@ -53,8 +53,7 @@ TEST(Detector, OverwrittenLocalDetected) {
   EXPECT_TRUE(cand.overwritten);
   ASSERT_EQ(cand.overwriter_locs.size(), 1u);
   EXPECT_EQ(cand.overwriter_locs[0].line, 4);
-  ASSERT_NE(cand.origin_callee, nullptr);
-  EXPECT_EQ(cand.origin_callee->name, "g");
+  EXPECT_EQ(cand.callee_name, "g");
 }
 
 TEST(Detector, UseBeforeOverwriteNotReported) {

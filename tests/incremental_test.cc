@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
@@ -74,7 +77,7 @@ TEST(Incremental, UsesBlameAtTheCommitNotHead) {
   repo.AddCommit(repo.AddAuthor("carol"), 3, "rewrite",
                  {{"a.c", "int unrelated(int q) {\n  return q;\n}\n"}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   ASSERT_EQ(result.findings().size(), 1u);
   EXPECT_EQ(result.findings()[0].def_author, repo.FindAuthor("alice"));
   EXPECT_EQ(result.findings()[0].responsible_author, repo.FindAuthor("bob"));
@@ -88,7 +91,7 @@ TEST(Incremental, CleanCommitKeepsFindingsEmpty) {
   std::string v2 = v1 + "int g(int y) {\n  return y * 2;\n}\n";
   CommitId c2 = repo.AddCommit(alice, 2, "add g", {{"a.c", v2}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   EXPECT_TRUE(result.findings().empty());
   EXPECT_EQ(result.functions_total, 2);
 }
@@ -104,7 +107,7 @@ TEST(Incremental, MultiFileCommitReportsWholeProject) {
   std::string b2 = b1 + "int gb(int y) {\n  int t = y;\n  return t;\n}\n";
   CommitId c2 = repo.AddCommit(bob, 2, "extend both", {{"a.c", a2}, {"b.c", b2}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   EXPECT_EQ(result.files_changed, 2);
   EXPECT_EQ(result.files_reparsed, 2);
   EXPECT_EQ(result.functions_total, 4);
@@ -209,7 +212,7 @@ TEST(Incremental, CarriesCallersOfAnEditedFile) {
   EXPECT_EQ(inc.report.ToCsv(), full.ToCsv());
 }
 
-TEST(Incremental, FacadeReusesWarmEngineAcrossSequentialCommits) {
+TEST(Incremental, EngineReusesWarmStateAcrossSequentialCommits) {
   Repository repo;
   AuthorId alice = repo.AddAuthor("alice");
   std::map<std::string, std::string> files;
@@ -221,15 +224,92 @@ TEST(Incremental, FacadeReusesWarmEngineAcrossSequentialCommits) {
   CommitId c2 = repo.AddCommit(alice, 2, "touch one",
                                {{"f0.c", "int fn_0(int a) {\n  return a + 1;\n}\n"}});
 
-  Analysis analysis;
-  IncrementalResult first = analysis.RunOnCommit(repo, 0);
+  IncrementalEngine engine{AnalysisOptions{}};
+  IncrementalResult first = engine.AnalyzeCommit(repo, 0);
   EXPECT_EQ(first.files_reparsed, 5);
-  IncrementalResult second = analysis.RunOnCommit(repo, c2);
+  IncrementalResult second = engine.AnalyzeCommit(repo, c2);
   // The warm engine re-parses only the touched file and carries the rest.
   EXPECT_EQ(second.files_reparsed, 1);
   EXPECT_EQ(second.functions_total, 5);
   EXPECT_EQ(second.functions_dirty, 1);
   EXPECT_EQ(second.cache.detect_carried, 4u);
+}
+
+// Renders the quarantine list one unit per line, for byte comparison.
+std::string Quarantine(const AnalysisReport& report) {
+  std::string out;
+  for (const QuarantinedUnit& unit : report.quarantined) {
+    out += unit.path + "|" + unit.function + "|" + unit.stage + "|" + unit.reason + "|" +
+           unit.checker + "\n";
+  }
+  return out;
+}
+
+TEST(Incremental, SnapshotStepsMatchSourcesRunAtEveryStep) {
+  auto unit = [](const std::string& name) {
+    return "int " + name + "_helper(int x) {\n  return x + 1;\n}\n"
+           "int " + name + "_work(int x) {\n  int ret = " + name + "_helper(x);\n"
+           "  ret = " + name + "_helper(x + 2);\n  return ret;\n}\n";
+  };
+  // Each step's snapshot and the paths it adds, edits or deletes.
+  std::map<std::string, std::string> files = {
+      {"a.c", unit("a")}, {"b.c", unit("b")}, {"c.c", unit("c")}};
+  std::vector<std::pair<std::map<std::string, std::string>, int>> steps = {{files, 3}};
+  files["a.c"] += "int a_more(int y) {\n  int t = y;\n  t = y * 2;\n  return t;\n}\n";
+  steps.emplace_back(files, 1);  // edit a
+  files["d.c"] = unit("d");
+  steps.emplace_back(files, 1);  // add d
+  files.erase("b.c");
+  steps.emplace_back(files, 1);  // delete b
+  files["e.c"] = files["c.c"];
+  files.erase("c.c");
+  steps.emplace_back(files, 2);  // rename c to e, same content
+  const std::string edited_a = files["a.c"];
+  files["a.c"] += "\n";
+  steps.emplace_back(files, 1);  // whitespace-touch a
+  files["a.c"] = edited_a;
+  steps.emplace_back(files, 1);  // undo the touch
+  steps.emplace_back(files, 0);  // resend the same snapshot
+
+  for (int jobs : {1, 4}) {
+    AnalysisOptions options;  // batch sources mode, with some units faulted
+    options.cross_scope_only = false;
+    options.ranking.enabled = false;
+    options.jobs = jobs;
+    options.fault = FaultInjector(3, 0.2);
+    IncrementalEngine engine(options);
+    bool any_findings = false;
+    bool any_quarantined = false;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const std::vector<std::pair<std::string, std::string>> snapshot(steps[i].first.begin(),
+                                                                       steps[i].first.end());
+      IncrementalResult result = engine.AnalyzeSnapshot(snapshot);
+      AnalysisReport full = Analysis(options).RunOnSources(snapshot);
+      EXPECT_EQ(result.files_changed, steps[i].second) << "step " << i << " jobs " << jobs;
+      EXPECT_EQ(result.report.ToCsv(), full.ToCsv()) << "step " << i << " jobs " << jobs;
+      EXPECT_EQ(Quarantine(result.report), Quarantine(full)) << "step " << i << " jobs " << jobs;
+      any_findings = any_findings || !full.findings.empty();
+      any_quarantined = any_quarantined || !full.quarantined.empty();
+    }
+    EXPECT_TRUE(any_findings);
+    EXPECT_TRUE(any_quarantined);
+  }
+}
+
+TEST(Incremental, EngineRejectsInputsItCannotAnswerFor) {
+  const std::string f = "int f(void) {\n  return 1;\n}\n";
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  repo.AddCommit(alice, 1, "create", {{"a.c", f}});
+  repo.AddCommit(alice, 2, "add", {{"b.c", f}});
+  // An engine past commit 1 cannot go back to commit 0, and an engine fed a
+  // snapshot has no replica for commits to extend.
+  IncrementalEngine replay{AnalysisOptions{}};
+  replay.AnalyzeCommit(repo, 1);
+  EXPECT_THROW(replay.AnalyzeCommit(repo, 0), std::out_of_range);
+  IncrementalEngine snapshots{AnalysisOptions{}};
+  snapshots.AnalyzeSnapshot({{"a.c", f}});
+  EXPECT_THROW(snapshots.AnalyzeCommit(repo, 0), std::logic_error);
 }
 
 }  // namespace

@@ -149,11 +149,10 @@ TEST(ParallelDeterminism, IncrementalFindingsIdenticalAcrossJobs) {
   ASSERT_GT(commits, 0);
   CommitId last = commits - 1;
 
-  Analysis serial(WithJobs(1));
-  IncrementalResult baseline = serial.RunOnCommit(app.repo, last);
+  IncrementalResult baseline = IncrementalEngine(WithJobs(1)).AnalyzeCommit(app.repo, last);
 
   for (int jobs : {2, 8}) {
-    IncrementalResult result = Analysis(WithJobs(jobs)).RunOnCommit(app.repo, last);
+    IncrementalResult result = IncrementalEngine(WithJobs(jobs)).AnalyzeCommit(app.repo, last);
     ASSERT_EQ(result.findings().size(), baseline.findings().size()) << "jobs=" << jobs;
     EXPECT_EQ(result.files_reparsed, baseline.files_reparsed);
     EXPECT_EQ(result.functions_total, baseline.functions_total);

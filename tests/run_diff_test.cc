@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/analysis.h"
+#include "src/core/html_dashboard.h"
 
 namespace vc {
 namespace {
@@ -167,6 +168,34 @@ TEST(RunDiff, FindingSectionsSortedByFileThenFingerprint) {
   EXPECT_EQ(diff.added[0].fingerprint, "mmmm");
   EXPECT_EQ(diff.added[1].fingerprint, "aaaa");
   EXPECT_EQ(diff.added[2].fingerprint, "zzzz");
+}
+
+TEST(RunDiff, DashboardNewAndFixedMatchTheDiff) {
+  // r0002 enables stale-copy, which r0001 did not run: its finding is not
+  // "new" (the diff names the checker in its checkers-added note instead).
+  LedgerFinding stale = Finding("ssss", "b.c");
+  stale.checker = "stale-copy";
+  RunRecord a = MakeRun("r0001", {Finding("aaaa"), Finding("bbbb")});
+  a.checkers = {"unused-def"};
+  RunRecord b = MakeRun("r0002", {Finding("bbbb"), Finding("cccc"), stale});
+  b.checkers = {"unused-def", "stale-copy"};
+  RunDiff diff = ComputeRunDiff(a, b);
+  ASSERT_EQ(diff.added.size(), 1u);
+  ASSERT_EQ(diff.fixed.size(), 1u);
+
+  const std::string html = RenderHtmlDashboard({a, b});
+  EXPECT_NE(html.find(">+1</div><div class=\"tile-caption\">new vs r0001<"),
+            std::string::npos);
+  EXPECT_NE(html.find(">\xe2\x88\x92" "1</div><div class=\"tile-caption\">fixed vs r0001<"),
+            std::string::npos);
+  const std::string new_badge = "<span class=\"badge badge-new\">new</span>";
+  const size_t first = html.find(new_badge);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(html.find(new_badge, first + 1), std::string::npos) << "one new row: cccc";
+  EXPECT_LT(html.find("cccc", first), html.find("</tr>", first));
+  EXPECT_NE(html.find("<span class=\"badge badge-fixed\">fixed</span></td><td>unused-def"
+                      "</td><td class=\"fp\">aaaa<"),
+            std::string::npos);
 }
 
 TEST(RunDiff, JsonCarriesCheckVerdict) {

@@ -189,6 +189,34 @@ TEST_F(ServerTest, UnchangedSnapshotIsServedFromCache) {
   DrainAndWait();
 }
 
+TEST_F(ServerTest, ConfigChangeOverUnchangedSnapshotRebuildsAndKeepsCommit) {
+  StartServer(ServerOptions{});
+  Sources sources = GenerateSources(19, "cfg", 2);
+  Sources edited = sources;
+  edited.back().second += "\nint cfg_added(int a) {\n  int x;\n  x = a;\n  return 1;\n}\n";
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+
+  JsonValue first = Call(*client, AnalyzeRequest("a", "p", sources, 1));
+  EXPECT_EQ(first.GetInt("commit"), 0);
+  // A deadline enters the per-unit budget, so the config key changes: the
+  // engine rebuilds over the same snapshot and re-reads every path.
+  JsonValue rebuilt = Call(*client, AnalyzeRequest("b", "p", sources, 1, "", 600000.0));
+  EXPECT_FALSE(rebuilt.GetBool("cached", true));
+  EXPECT_EQ(rebuilt.GetInt("commit"), 0);
+  EXPECT_EQ(rebuilt.GetInt("files_changed"), 2);
+  EXPECT_EQ(rebuilt.GetString("csv"), first.GetString("csv"));
+  JsonValue repeat = Call(*client, AnalyzeRequest("c", "p", sources, 1, "", 600000.0));
+  EXPECT_TRUE(repeat.GetBool("cached"));
+  EXPECT_EQ(repeat.GetInt("commit"), 0);
+  EXPECT_EQ(repeat.GetInt("files_changed"), 0);
+  JsonValue next = Call(*client, AnalyzeRequest("d", "p", edited, 1, "", 600000.0));
+  EXPECT_EQ(next.GetInt("commit"), 1);
+  EXPECT_EQ(next.GetInt("files_changed"), 1);
+  DrainAndWait();
+  EXPECT_EQ(server_->totals().engine_rebuilds, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Project queries
 // ---------------------------------------------------------------------------

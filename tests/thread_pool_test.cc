@@ -208,50 +208,6 @@ TEST(ThreadPoolStress, StatsStayConsistentUnderLoad) {
   EXPECT_EQ(delta.workers, 4);
 }
 
-// A lane credits its per-worker counters right after its last PopOrSteal
-// miss, which can land moments after the caller's ParallelFor returned; the
-// per-worker view is eventually consistent with the loop totals. Re-snapshot
-// until the chunk sums agree (bounded, normally zero or one retry).
-ThreadPoolStats SettledDelta(ThreadPool& pool, const ThreadPoolStats& before) {
-  ThreadPoolStats delta = pool.stats().Delta(before);
-  for (int tries = 0; tries < 200; ++tries) {
-    uint64_t chunks = 0;
-    for (const ThreadPoolStats::WorkerStats& w : delta.per_worker) {
-      chunks += w.chunks;
-    }
-    if (chunks == delta.chunks_executed) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    delta = pool.stats().Delta(before);
-  }
-  return delta;
-}
-
-TEST(ThreadPool, PerWorkerAccountingSumsToTotals) {
-  ThreadPool pool(4);
-  ThreadPoolStats before = pool.stats();
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(4, 128, [](size_t) {});
-  }
-  ThreadPoolStats delta = SettledDelta(pool, before);
-  ASSERT_EQ(delta.per_worker.size(), 5u);  // slot 0 = callers, 1..4 = workers
-
-  uint64_t chunks = 0;
-  uint64_t steals = 0;
-  uint64_t lane_runs = 0;
-  for (const ThreadPoolStats::WorkerStats& w : delta.per_worker) {
-    chunks += w.chunks;
-    steals += w.steals;
-    lane_runs += w.lane_runs;
-  }
-  EXPECT_EQ(chunks, delta.chunks_executed);
-  EXPECT_EQ(steals, delta.steals);
-  EXPECT_GT(lane_runs, 0u);
-  // The caller always runs lane 0 of every loop itself.
-  EXPECT_GT(delta.per_worker[0].lane_runs, 0u);
-}
-
 TEST(ThreadPool, StealLatencyBucketsSumToStealsWhenMetricsOn) {
   bool was_enabled = MetricsEnabled();
   MetricsRegistry::Global().Enable();
@@ -265,7 +221,7 @@ TEST(ThreadPool, StealLatencyBucketsSumToStealsWhenMetricsOn) {
       }
     });
   }
-  ThreadPoolStats delta = SettledDelta(pool, before);
+  ThreadPoolStats delta = pool.stats().Delta(before);
   if (!was_enabled) {
     MetricsRegistry::Global().Disable();
   }
@@ -278,13 +234,6 @@ TEST(ThreadPool, StealLatencyBucketsSumToStealsWhenMetricsOn) {
   }
   // Every steal clocked while metrics were on lands in exactly one bucket.
   EXPECT_EQ(bucketed, delta.steals);
-  // Busy time is clocked under the same switch: any slot that ran lanes in
-  // this window must show nonzero busy time.
-  double busy = 0.0;
-  for (const ThreadPoolStats::WorkerStats& w : delta.per_worker) {
-    busy += w.busy_seconds;
-  }
-  EXPECT_GT(busy, 0.0);
 }
 
 TEST(ThreadPool, ManyMoreChunksThanLanesBalances) {
