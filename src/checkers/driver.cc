@@ -1,5 +1,7 @@
 #include "src/checkers/driver.h"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -43,10 +45,12 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       }
     } tick;
 
-    auto run_one = [&](const Checker* checker, CheckerContext& ctx) {
+    auto run_one = [&](size_t c, CheckerContext& ctx) {
+      const Checker* checker = runnable[c];
       std::vector<UnusedDefCandidate> found = checker->Check(ctx);
       for (UnusedDefCandidate& cand : found) {
         cand.checker = checker->name();
+        cand.checker_index = static_cast<int>(c);
         cand.fingerprint_ns = checker->fingerprint_namespace();
         cand.from_baseline = checker->is_baseline();
         per_function[i].candidates.push_back(std::move(cand));
@@ -55,8 +59,8 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
 
     if (!isolate) {
       CheckerContext ctx(project, work[i].file, *work[i].func, nullptr);
-      for (const Checker* checker : runnable) {
-        run_one(checker, ctx);
+      for (size_t c = 0; c < runnable.size(); ++c) {
+        run_one(c, ctx);
       }
       return;
     }
@@ -81,18 +85,18 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       meter = std::make_unique<BudgetMeter>(*budget);
     }
     CheckerContext ctx(project, work[i].file, *work[i].func, meter.get());
-    for (const Checker* checker : runnable) {
+    for (size_t c = 0; c < runnable.size(); ++c) {
       try {
-        run_one(checker, ctx);
+        run_one(c, ctx);
       } catch (const BudgetExceededError& e) {
         // The meter is shared across the function's checkers: once it blows,
         // the remaining checkers would throw on their first Charge too.
         per_function[i].quarantined.push_back(
-            QuarantinedUnit{path, work[i].func->name, "detect", e.what(), checker->name()});
+            QuarantinedUnit{path, work[i].func->name, "detect", e.what(), runnable[c]->name()});
         break;
       } catch (const std::exception& e) {
         per_function[i].quarantined.push_back(
-            QuarantinedUnit{path, work[i].func->name, "detect", e.what(), checker->name()});
+            QuarantinedUnit{path, work[i].func->name, "detect", e.what(), runnable[c]->name()});
       }
     }
   });
@@ -122,24 +126,10 @@ std::vector<const Checker*> GateCheckers(const Project& project,
   return runnable;
 }
 
-void MergeFunctionDetects(const std::vector<const Checker*>& runnable,
-                          std::vector<FunctionDetect> per_function, CheckerRunResult& result) {
+void TallyCheckerRun(const std::vector<const Checker*>& runnable, CheckerRunResult& result) {
   std::vector<uint64_t> per_checker_counts(runnable.size(), 0);
-  size_t quarantine_count = 0;
-  for (FunctionDetect& fn : per_function) {
-    for (auto& cand : fn.candidates) {
-      for (size_t c = 0; c < runnable.size(); ++c) {
-        if (runnable[c]->name() == cand.checker) {
-          ++per_checker_counts[c];
-          break;
-        }
-      }
-      result.candidates.push_back(std::move(cand));
-    }
-    for (auto& record : fn.quarantined) {
-      result.quarantined.push_back(std::move(record));
-      ++quarantine_count;
-    }
+  for (const UnusedDefCandidate& cand : result.candidates) {
+    ++per_checker_counts[cand.checker_index];
   }
   for (size_t c = 0; c < runnable.size(); ++c) {
     result.per_checker.push_back({runnable[c]->name(), per_checker_counts[c]});
@@ -157,8 +147,12 @@ void MergeFunctionDetects(const std::vector<const Checker*>& runnable,
       registry.GetCounter("detect." + runnable[c]->name() + ".candidates")
           .Add(per_checker_counts[c]);
     }
-    if (quarantine_count > 0) {
-      registry.GetCounter("fault.quarantined.detect").Add(quarantine_count);
+    size_t function_records = 0;
+    for (const QuarantinedUnit& unit : result.quarantined) {
+      function_records += unit.stage == "detect" ? 1 : 0;
+    }
+    if (function_records > 0) {
+      registry.GetCounter("fault.quarantined.detect").Add(function_records);
     }
   }
 }
@@ -181,9 +175,19 @@ CheckerRunResult RunCheckers(const Project& project, const std::vector<const Che
     }
   }
 
-  MergeFunctionDetects(runnable,
-                       RunCheckersOnFunctions(project, runnable, jobs, budget, fault, isolate, work),
-                       result);
+  std::vector<FunctionDetect> per_function =
+      RunCheckersOnFunctions(project, runnable, jobs, budget, fault, isolate, work);
+  size_t count = 0;
+  for (const FunctionDetect& fn : per_function) {
+    count += fn.candidates.size();
+  }
+  result.candidates.reserve(count);
+  for (FunctionDetect& fn : per_function) {
+    std::move(fn.candidates.begin(), fn.candidates.end(), std::back_inserter(result.candidates));
+    std::move(fn.quarantined.begin(), fn.quarantined.end(),
+              std::back_inserter(result.quarantined));
+  }
+  TallyCheckerRun(runnable, result);
   return result;
 }
 

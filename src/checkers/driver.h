@@ -5,7 +5,9 @@
 //  * Per-function results merge in module/function visit order, and within a
 //    function in checker registration order — so output is byte-identical at
 //    any job count, and a single-checker run equals that checker's slice of
-//    a multi-checker run.
+//    a multi-checker run. Each candidate carries its checker's index in the
+//    run, so the per-checker tallies count by index; the incremental engine
+//    assembles its cached results itself and shares the tally step.
 //  * With `quarantined` non-null, faults isolate at the finest scope that
 //    contains them: an unsupported checker is quarantined project-wide
 //    (stage "checker"), a tripped "detect.function" injection site
@@ -60,8 +62,9 @@ struct CheckerWorkItem {
 };
 
 // One function's complete detect-stage output — exactly what the incremental
-// engine caches and carries over for files a commit did not change. Candidates are stamped; quarantine records use the driver's
-// per-function shapes.
+// engine caches and carries over for files a commit did not change.
+// Candidates are stamped and grouped by checker in runnable order; quarantine
+// records use the driver's per-function shapes.
 struct FunctionDetect {
   std::vector<UnusedDefCandidate> candidates;
   std::vector<QuarantinedUnit> quarantined;
@@ -77,18 +80,19 @@ std::vector<const Checker*> GateCheckers(const Project& project,
                                          const ProjectTraits& traits,
                                          std::vector<QuarantinedUnit>& quarantined);
 
-// The merge step of RunCheckers: folds per-function results (already in work
-// order) into `result` — candidates then quarantine records per function,
-// per-checker counts in `runnable` order — and emits the
-// detect.candidates / per-checker / fault.quarantined.detect metrics.
-// `result.quarantined` may already hold gate (and cache) records; function
-// records append after them, matching the full-run record order.
-void MergeFunctionDetects(const std::vector<const Checker*>& runnable,
-                          std::vector<FunctionDetect> per_function, CheckerRunResult& result);
+// The closing step of RunCheckers, which the incremental engine shares once
+// it has assembled every function's results (candidates, then quarantine
+// records, in full-run order) into `result`: counts the candidates per
+// runnable checker by the checker_index the driver stamped — into
+// `result.per_checker`, in `runnable` order — and emits the checker_done
+// events and the detect.candidates / per-checker / fault.quarantined.detect
+// metrics (the last counts the per-function, stage "detect", records).
+void TallyCheckerRun(const std::vector<const Checker*>& runnable, CheckerRunResult& result);
 
 // Work-list core of RunCheckers: runs already-capability-gated `runnable`
 // over an explicit work list, returning per-item results in work order (the
 // merge the full-project driver performs is then a plain concatenation).
+// Each candidate's checker_index is its checker's position in `runnable`.
 // Emits the same detect.* metrics, scoped to the items actually run.
 std::vector<FunctionDetect> RunCheckersOnFunctions(
     const Project& project, const std::vector<const Checker*>& runnable, int jobs,

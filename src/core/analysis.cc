@@ -208,13 +208,9 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   const std::chrono::duration<double> run_wall = std::chrono::steady_clock::now() - start;
   report.analysis_seconds = upstream_seconds + run_wall.count();
 
+  // checker_stats follows the runnable checker order the driver indexed by.
   for (const UnusedDefCandidate& cand : report.findings) {
-    for (AnalysisReport::CheckerStat& stat : report.checker_stats) {
-      if (stat.name == cand.checker) {
-        ++stat.findings;
-        break;
-      }
-    }
+    ++report.checker_stats[cand.checker_index].findings;
   }
 
   if (RunEventsEnabled()) {

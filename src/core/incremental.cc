@@ -1,7 +1,9 @@
 #include "src/core/incremental.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -12,6 +14,28 @@
 #include "src/support/trace.h"
 
 namespace vc {
+
+namespace {
+
+// Sets each candidate's checker_index from its checker name; false when a
+// name is not in `runnable`.
+bool IndexCheckers(const std::vector<const Checker*>& runnable,
+                   std::vector<FunctionDetect>& functions) {
+  for (FunctionDetect& fn : functions) {
+    for (UnusedDefCandidate& cand : fn.candidates) {
+      auto it = std::find_if(runnable.begin(), runnable.end(), [&](const Checker* checker) {
+        return checker->name() == cand.checker;
+      });
+      if (it == runnable.end()) {
+        return false;
+      }
+      cand.checker_index = static_cast<int>(it - runnable.begin());
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string MakeCacheConfigKey(const AnalysisOptions& options) {
   std::string key = "schema=" + std::to_string(kCacheSchemaVersion);
@@ -55,27 +79,48 @@ void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
   }
 }
 
-bool IncrementalEngine::SyncFile(const std::string& path, const std::string* content) {
-  if (content == nullptr) {
-    // Deleted (or never-created) path: tombstone and forget.
-    cache_.Remove(path);
-    return project_.RemoveFile(path);
+int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::string*>>& files) {
+  // Serial and in order: deletions, content-hash checks, and the FileIds of
+  // new paths. Only the recompiles run across the lanes.
+  int changed = 0;
+  std::vector<std::pair<std::string, std::string>> misses;
+  std::vector<FileCacheEntry*> miss_entries;
+  for (const auto& [path, content] : files) {
+    if (content == nullptr) {
+      // Deleted (or never-created) path: tombstone and forget.
+      cache_.Remove(path);
+      changed += project_.RemoveFile(path) ? 1 : 0;
+      continue;
+    }
+    const uint64_t hash = HashContent(*content);
+    FileCacheEntry& entry = cache_.File(path);
+    if (entry.content_hash == hash) {
+      // Byte-identical content (touch, revert): parsed TU, IR, and every
+      // cached detect result stay valid as-is.
+      ++cache_.stats().parse_hits;
+      continue;
+    }
+    ++cache_.stats().parse_misses;
+    ++changed;
+    entry.content_hash = hash;
+    entry.functions.clear();
+    misses.emplace_back(path, *content);
+    miss_entries.push_back(&entry);
   }
-  const uint64_t hash = HashContent(*content);
-  FileCacheEntry& entry = cache_.File(path);
-  if (entry.content_hash == hash) {
-    // Byte-identical content (touch, revert): parsed TU, IR, and every
-    // cached detect result stay valid as-is.
-    ++cache_.stats().parse_hits;
-    return false;
+  if (misses.empty()) {
+    return changed;
   }
-  ++cache_.stats().parse_misses;
   const AnalysisOptions& opt = analysis_.options();
-  FileId file = project_.UpsertFile(path, *content, opt.config, &opt.fault, &opt.budget);
-  entry.content_hash = hash;
-  entry.functions.clear();
-  cache_.LoadFromDisk(path, hash, *project_.modules()[file], entry.functions, cache_quarantine_);
-  return true;
+  const std::vector<FileId> ids =
+      project_.UpsertFiles(std::move(misses), opt.config, opt.jobs, &opt.fault, &opt.budget);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    FileCacheEntry& entry = *miss_entries[k];
+    if (cache_.LoadFromDisk(project_.sources().Path(ids[k]), entry.content_hash,
+                            *project_.modules()[ids[k]], entry.functions, cache_quarantine_)) {
+      restored_.push_back(&entry);
+    }
+  }
+  return changed;
 }
 
 IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, CommitId commit) {
@@ -90,10 +135,14 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
     while (repo_.NumCommits() <= commit) {
       Ingest(source, repo_.NumCommits());
     }
+    std::vector<std::optional<std::string>> heads;  // reserved: `files` points into it
+    heads.reserve(pending_.size());
+    std::vector<std::pair<std::string, const std::string*>> files;
     for (const std::string& path : pending_) {
-      std::optional<std::string> head = repo_.Head(path);
-      SyncFile(path, head.has_value() ? &*head : nullptr);
+      heads.push_back(repo_.Head(path));
+      files.emplace_back(path, heads.back().has_value() ? &*heads.back() : nullptr);
     }
+    Sync(files);
     const int touched = static_cast<int>(pending_.size());
     pending_.clear();
     return touched;
@@ -108,21 +157,18 @@ IncrementalResult IncrementalEngine::AnalyzeSnapshot(
     for (const auto& [path, content] : files) {
       kept.insert(path);
     }
-    std::vector<std::string> gone;
+    std::vector<std::pair<std::string, const std::string*>> targets;
+    targets.reserve(files.size());
     for (size_t m : project_.unit_order()) {
       const std::string& path = project_.sources().Path(static_cast<FileId>(m));
       if (kept.count(path) == 0) {
-        gone.push_back(path);
+        targets.emplace_back(path, nullptr);
       }
     }
-    int changed = 0;
-    for (const std::string& path : gone) {
-      changed += SyncFile(path, nullptr) ? 1 : 0;
-    }
     for (const auto& [path, content] : files) {
-      changed += SyncFile(path, &content) ? 1 : 0;
+      targets.emplace_back(path, &content);
     }
-    return changed;
+    return Sync(targets);
   });
 }
 
@@ -167,6 +213,15 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
       carry_allowed = carry_allowed && checker->function_local();
     }
 
+    // Disk-restored results name their checkers; index them against this
+    // run's. A result naming a checker that is not running re-detects.
+    for (FileCacheEntry* entry : restored_) {
+      if (!IndexCheckers(runnable, entry->functions)) {
+        entry->functions.clear();
+      }
+    }
+    restored_.clear();
+
     // The carry rule: a file's results carry exactly when its entry holds one
     // per function — its content hash matched, or the disk tier restored it.
     // Every function of any other file re-runs.
@@ -197,13 +252,23 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     }
 
     // Assemble the COMPLETE detect outcome in full-run order (every live
-    // function, carried or fresh) and merge it exactly as RunCheckers would.
-    std::vector<FunctionDetect> all;
-    all.reserve(static_cast<size_t>(result.functions_total));
+    // function, carried or fresh), copying each result once from its entry.
+    size_t count = 0;
     for (const FileCacheEntry* entry : entries) {
-      all.insert(all.end(), entry->functions.begin(), entry->functions.end());
+      for (const FunctionDetect& fn : entry->functions) {
+        count += fn.candidates.size();
+      }
     }
-    MergeFunctionDetects(runnable, std::move(all), detect);
+    detect.candidates.reserve(count);
+    for (const FileCacheEntry* entry : entries) {
+      for (const FunctionDetect& fn : entry->functions) {
+        detect.candidates.insert(detect.candidates.end(), fn.candidates.begin(),
+                                 fn.candidates.end());
+        detect.quarantined.insert(detect.quarantined.end(), fn.quarantined.begin(),
+                                  fn.quarantined.end());
+      }
+    }
+    TallyCheckerRun(runnable, detect);
     scope.Arg("candidates", detect.candidates.size());
   }
 

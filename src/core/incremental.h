@@ -14,9 +14,11 @@
 // Equivalence is by construction, not by patching:
 //
 //  * Both inputs share one sync: a persistent Project recompiles only files
-//    whose content hash changed; an unchanged file's parsed TU and lowered
-//    IR are never rebuilt, and its slot (FileId) is stable, so carried
-//    results keep valid locations.
+//    whose content hash changed, across `jobs` lanes; an unchanged file's
+//    parsed TU and lowered IR are never rebuilt, and its slot (FileId) is
+//    stable, so carried results keep valid locations. The project's function
+//    index stays warm: a sync rebuilds only the entries of the names the
+//    changed files define or call.
 //  * For commits, the engine owns a Repository replica fed commit by
 //    commit, so blame, authorship, stale-code matching, and ranking
 //    familiarity all see a repository whose head IS the analyzed commit —
@@ -28,7 +30,8 @@
 //    --cache-dir disk tier persists across processes). Every function of a
 //    recompiled, cold-start or disk-missed file re-runs. Each file lowers on
 //    its own, so a function_local() checker's result depends only on its own
-//    file; a checker with function_local() == false disables carry-over.
+//    file; a checker with function_local() == false disables carry-over. The
+//    detect outcome copies each candidate once, straight from the entries.
 //  * Every stage after detection (authorship, cross-scope filter, pruning
 //    with its GLOBAL peer statistics, ranking, fingerprints) re-runs each
 //    time over the complete assembled candidate set, through the same
@@ -105,9 +108,11 @@ class IncrementalEngine {
  private:
   // Ingests exactly one commit into the replica and the pending-path set.
   void Ingest(const Repository& source, CommitId commit);
-  // The sync both inputs share: brings the file at `path` to `content`
-  // (null: deleted). Returns true when the file was added, edited or deleted.
-  bool SyncFile(const std::string& path, const std::string* content);
+  // The sync both inputs share: brings each of `files` — distinct paths,
+  // each with its content, null when deleted — to that state, recompiling
+  // the content-hash misses across `jobs` lanes. Returns how many files were
+  // added, edited or deleted.
+  int Sync(const std::vector<std::pair<std::string, const std::string*>>& files);
   // Times `sync` (which returns files_changed) as the parse stage, then
   // detects and runs every later stage against `repo`.
   IncrementalResult Analyze(const Repository* repo, CommitId commit,
@@ -120,6 +125,7 @@ class IncrementalEngine {
   AnalysisCache cache_;
   std::set<std::string> pending_;  // paths touched since the last analysis
   std::vector<QuarantinedUnit> cache_quarantine_;  // corrupt disk entries of a sync
+  std::vector<FileCacheEntry*> restored_;          // disk-tier hits of a sync
   bool took_snapshot_ = false;
   // Fingerprints of the previous report's findings (carried/new/fixed delta).
   std::set<std::string> prev_fingerprints_;

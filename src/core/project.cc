@@ -52,32 +52,38 @@ Project Project::FromSources(const std::vector<std::pair<std::string, std::strin
   return project;
 }
 
+namespace {
+
+// rank_ of a slot outside unit_order_ (tombstoned, or not yet ordered).
+constexpr uint32_t kUnranked = UINT32_MAX;
+
+}  // namespace
+
 void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
                          const Config& config, int jobs, const FaultInjector* fault,
                          const ResourceBudget* budget) {
   StageScope scope(Stage::kParse, build_stage_);
   // File ids are assigned sequentially before any parallel work so ids (and
-  // everything keyed on them) do not depend on worker scheduling. Each lane
-  // writes only its own file's record and module; the SourceManager is only
-  // read during the parallel phase.
+  // everything keyed on them) do not depend on worker scheduling.
   const size_t n = files.size();
+  std::vector<FileId> slots;
+  slots.reserve(n);
   for (auto& [path, content] : files) {
-    sm_.AddFile(path, std::move(content));
+    slots.push_back(sm_.AddFile(path, std::move(content)));
   }
   files_.resize(n);
   modules_.resize(n);
+  unit_order_.resize(n);
+  rank_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    unit_order_[i] = i;
+    rank_[i] = static_cast<uint32_t>(i);
+  }
   if (ProgressEnabled()) {
     ProgressMeter::Global().AddTotalFiles(n);
   }
-  ParallelFor(jobs, n, [&](size_t i) { CompileSlot(i, config, fault, budget); });
-  unit_order_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    unit_order_[i] = i;
-  }
-  {
-    TraceSpan span("build_index", "parse");
-    BuildDerived();
-  }
+  CompileSlots(slots, config, jobs, fault, budget);
+  BuildDerived();
   if (MetricsEnabled() && !quarantined_.empty()) {
     MetricsRegistry::Global().GetCounter("fault.quarantined.parse").Add(quarantined_.size());
   }
@@ -88,6 +94,23 @@ void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
     VC_LOG_INFO("parsed " + std::to_string(n) + " file(s), " +
                 std::to_string(diags_.ErrorCount()) + " error(s), " +
                 std::to_string(diags_.WarningCount()) + " warning(s)");
+  }
+}
+
+void Project::CompileSlots(const std::vector<FileId>& slots, const Config& config, int jobs,
+                           const FaultInjector* fault, const ResourceBudget* budget) {
+  // Each lane writes only its own file's record and module; the
+  // SourceManager is only read during the parallel phase.
+  ParallelFor(jobs, slots.size(), [&](size_t k) { CompileSlot(slots[k], config, fault, budget); });
+  TraceSpan span("build_index", "parse");
+  size_t names = 0;
+  for (FileId file : slots) {
+    names += files_[file].share.names.size();
+  }
+  sharers_.reserve(sharers_.size() + names);
+  touched_.reserve(touched_.size() + names);
+  for (FileId file : slots) {
+    AddShare(file);
   }
 }
 
@@ -146,6 +169,7 @@ void Project::CompileSlot(size_t i, const Config& config, const FaultInjector* f
       record.quarantine = QuarantinedUnit{sm_.Path(file), "", "parse", e.what(), ""};
     }
   }
+  BuildShare(i);
   if (track_memory) {
     FileMemory& mem = record.memory;
     if (record.unit.context != nullptr) {
@@ -182,6 +206,57 @@ void Project::CompileSlot(size_t i, const Config& config, const FaultInjector* f
   }
 }
 
+void Project::BuildShare(size_t i) {
+  const TranslationUnit& unit = files_[i].unit;
+  const IrModule& module = *modules_[i];
+  IndexShare& share = files_[i].share;
+  std::unordered_map<std::string_view, uint32_t> position;
+  auto entry = [&](std::string_view name) -> IndexShare::Name& {
+    auto [it, added] = position.try_emplace(name, static_cast<uint32_t>(share.names.size()));
+    if (added) {
+      share.names.push_back({name});
+    }
+    return share.names[it->second];
+  };
+  for (const FunctionDecl* func : unit.functions) {
+    if (func->IsDefined()) {
+      entry(func->name).def = func;
+    }
+  }
+  // Only defined names have entries yet: each gets its first IR function.
+  for (const auto& func : module.functions) {
+    auto it = position.find(func->name);
+    if (it != position.end() && share.names[it->second].ir == nullptr) {
+      share.names[it->second].ir = func.get();
+    }
+  }
+  // Group the call sites by callee: count each name's sites into sites_end,
+  // turn the counts into ranges, then place the sites in order.
+  for (const auto& func : module.functions) {
+    for (const CallSite& site : func->call_sites) {
+      if (site.callee != nullptr) {  // indirect calls resolve through points-to
+        ++entry(site.callee->name).sites_end;
+      }
+    }
+  }
+  uint32_t next = 0;
+  for (IndexShare::Name& name : share.names) {
+    name.sites_begin = next;
+    next += name.sites_end;
+    name.sites_end = name.sites_begin;
+  }
+  share.sites.resize(next);
+  for (const auto& func : module.functions) {
+    for (const CallSite& site : func->call_sites) {
+      if (site.callee != nullptr) {
+        IndexShare::Name& name = share.names[position.find(site.callee->name)->second];
+        share.sites[name.sites_end++] = &site;
+      }
+    }
+  }
+  share.names.shrink_to_fit();
+}
+
 void Project::ClearSlot(size_t i) {
   const FileId file = static_cast<FileId>(i);
   files_[i] = FileRecord();
@@ -190,21 +265,35 @@ void Project::ClearSlot(size_t i) {
   modules_[i]->file = file;
 }
 
+std::vector<FileId> Project::UpsertFiles(std::vector<std::pair<std::string, std::string>> files,
+                                         const Config& config, int jobs,
+                                         const FaultInjector* fault,
+                                         const ResourceBudget* budget) {
+  std::vector<FileId> slots;
+  slots.reserve(files.size());
+  for (auto& [path, content] : files) {
+    FileId file = sm_.FindByPath(path);
+    if (file == kInvalidFileId) {
+      file = sm_.AddFile(path, std::move(content));
+      files_.emplace_back();
+      modules_.emplace_back();
+      rank_.push_back(kUnranked);
+    } else {
+      TakeShareOut(file);
+      sm_.ReplaceContent(file, std::move(content));
+    }
+    slots.push_back(file);
+  }
+  CompileSlots(slots, config, jobs, fault, budget);
+  if (MetricsEnabled()) {
+    MetricsRegistry::Global().GetCounter("parse.files").Add(slots.size());
+  }
+  return slots;
+}
+
 FileId Project::UpsertFile(const std::string& path, std::string content, const Config& config,
                            const FaultInjector* fault, const ResourceBudget* budget) {
-  FileId file = sm_.FindByPath(path);
-  if (file == kInvalidFileId) {
-    file = sm_.AddFile(path, std::move(content));
-    files_.emplace_back();
-    modules_.emplace_back();
-  } else {
-    sm_.ReplaceContent(file, std::move(content));
-  }
-  CompileSlot(file, config, fault, budget);
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter("parse.files").Add(1);
-  }
-  return file;
+  return UpsertFiles({{path, std::move(content)}}, config, 1, fault, budget).front();
 }
 
 bool Project::RemoveFile(const std::string& path) {
@@ -212,6 +301,7 @@ bool Project::RemoveFile(const std::string& path) {
   if (file == kInvalidFileId || !IsLive(file)) {
     return false;
   }
+  TakeShareOut(file);
   sm_.ReplaceContent(file, "");
   ClearSlot(file);
   files_[file].live = false;
@@ -223,7 +313,7 @@ void Project::FinishUpdate() {
   // files in (ListFiles is sorted), so index construction — in particular
   // which definition wins a duplicate name, and call-site order — matches a
   // from-scratch build over the same live contents.
-  std::vector<std::pair<std::string, size_t>> by_path;
+  std::vector<std::pair<std::string_view, size_t>> by_path;
   by_path.reserve(files_.size());
   for (size_t i = 0; i < files_.size(); ++i) {
     if (files_[i].live) {
@@ -233,10 +323,61 @@ void Project::FinishUpdate() {
   std::sort(by_path.begin(), by_path.end());
   unit_order_.clear();
   unit_order_.reserve(by_path.size());
+  std::vector<uint32_t> rank(files_.size(), kUnranked);
+  // A name's entry depends on the order of its sharers only, so entries stay
+  // valid while the files already ordered keep their relative order. Only a
+  // project first built in another order (FromSources over unsorted files)
+  // breaks it, once; every entry then rebuilds.
+  bool reordered = false;
+  uint32_t last = 0;
   for (const auto& [path, i] : by_path) {
+    rank[i] = static_cast<uint32_t>(unit_order_.size());
     unit_order_.push_back(i);
+    if (rank_[i] != kUnranked) {
+      reordered = reordered || rank_[i] < last;
+      last = rank_[i];
+    }
+  }
+  rank_ = std::move(rank);
+  if (reordered) {
+    for (SharerMap::value_type& name : sharers_) {
+      Touch(name);
+    }
   }
   BuildDerived();
+}
+
+void Project::Touch(SharerMap::value_type& name) {
+  if (!name.second.touched) {
+    name.second.touched = true;
+    touched_.push_back(&name);
+  }
+}
+
+void Project::AddShare(FileId file) {
+  const IndexShare& share = files_[file].share;
+  for (uint32_t pos = 0; pos < share.names.size(); ++pos) {
+    const std::string_view name = share.names[pos].name;
+    auto it = sharers_.find(name);
+    if (it == sharers_.end()) {
+      it = sharers_.emplace(std::string(name), Sharers()).first;
+    }
+    it->second.files.emplace_back(file, pos);
+    Touch(*it);
+  }
+}
+
+void Project::TakeShareOut(FileId file) {
+  IndexShare& share = files_[file].share;
+  for (const IndexShare::Name& entry : share.names) {
+    auto it = sharers_.find(entry.name);
+    if (it == sharers_.end()) {
+      continue;  // a compile that threw before its share was added
+    }
+    std::erase_if(it->second.files, [&](const auto& sharer) { return sharer.first == file; });
+    Touch(*it);
+  }
+  share = IndexShare();
 }
 
 void Project::BuildDerived() {
@@ -244,42 +385,52 @@ void Project::BuildDerived() {
   // path-sorted live slots after incremental mutations — so the derived
   // state is the same whichever way the project reached its current
   // contents.
+  TraceSpan span("build_index", "parse");
   diags_ = DiagnosticEngine();
   quarantined_.clear();
-  index_.clear();
-  // Pass 1: diagnostics, quarantine records and definitions.
   for (size_t i : unit_order_) {
     const FileRecord& record = files_[i];
     diags_.Append(record.diags);
     if (record.quarantine.has_value()) {
       quarantined_.push_back(*record.quarantine);
     }
-    for (const FunctionDecl* func : record.unit.functions) {
-      if (!func->IsDefined()) {
-        continue;
-      }
-      FunctionInfo& info = index_[func->name];
-      info.name = func->name;
-      info.def_decl = func;
-      info.def_file = record.unit.file;
-      info.ir = modules_[i]->FindFunction(func->name);
-    }
   }
-  // Pass 2: call sites (both to project functions and to externs).
-  for (size_t i : unit_order_) {
-    for (const auto& func : modules_[i]->functions) {
-      for (const CallSite& site : func->call_sites) {
-        if (site.callee == nullptr) {
-          continue;  // indirect call; resolved separately via points-to
-        }
-        FunctionInfo& info = index_[site.callee->name];
-        if (info.name.empty()) {
-          info.name = site.callee->name;
-        }
-        info.call_sites.push_back(site);
+  // Each touched name merges its sharers' entries in unit order: the last
+  // definer wins (with its own first IR function of the name), and the call
+  // sites concatenate. A name no file defines or calls any more leaves.
+  for (SharerMap::value_type* name : touched_) {
+    Sharers& sharers = name->second;
+    sharers.touched = false;
+    if (sharers.files.empty()) {
+      index_.erase(name->first);
+      sharers_.erase(sharers_.find(name->first));
+      continue;
+    }
+    std::sort(sharers.files.begin(), sharers.files.end(),
+              [&](const auto& a, const auto& b) { return rank_[a.first] < rank_[b.first]; });
+    FunctionInfo info;
+    info.name = name->first;
+    size_t site_count = 0;
+    for (const auto& [file, pos] : sharers.files) {
+      const IndexShare::Name& entry = files_[file].share.names[pos];
+      site_count += entry.sites_end - entry.sites_begin;
+    }
+    info.call_sites.reserve(site_count);
+    for (const auto& [file, pos] : sharers.files) {
+      const IndexShare& share = files_[file].share;
+      const IndexShare::Name& entry = share.names[pos];
+      if (entry.def != nullptr) {
+        info.def_decl = entry.def;
+        info.ir = entry.ir;
+        info.def_file = file;
+      }
+      for (uint32_t s = entry.sites_begin; s < entry.sites_end; ++s) {
+        info.call_sites.push_back(*share.sites[s]);
       }
     }
+    index_[name->first] = std::move(info);
   }
+  touched_.clear();
 }
 
 Project::FileMemory Project::ParseMemoryTotal() const {

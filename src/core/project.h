@@ -10,25 +10,34 @@
 //
 // Everything the project keeps about one file lives in one record indexed by
 // FileId (beside the public IR module vector): its unit, preprocessing,
-// diagnostics, quarantine record, memory footprint and liveness. A fresh
-// build, a recompile and a removal each rewrite a file's record whole, and
-// the merged views (diagnostics, quarantine list, index, memory total) are
-// rebuilt from the records — so they are the same however the project
-// reached its current contents.
+// diagnostics, quarantine record, memory footprint, liveness, and its share
+// of the function index (the names it defines and calls). A fresh build, a
+// recompile and a removal each rewrite a file's record whole. The merged
+// views are derived from the records: diagnostics, the quarantine list and
+// the memory total are re-read on every update, and the index is merged from
+// the shares — each update takes the changed files' old shares out, adds
+// their new ones, and rebuilds only the names those shares list. So every
+// view is the same however the project reached its current contents.
 //
 // That independence makes construction embarrassingly parallel: file ids are
-// assigned sequentially up front, then preprocess/parse/lower runs across
-// `jobs` worker lanes into per-file records, and per-file diagnostics are
-// merged in file order — so the resulting Project is byte-identical at any
-// job count.
+// assigned sequentially up front, then preprocess/parse/lower (and the
+// file's index share) runs across `jobs` worker lanes into per-file records,
+// and the records merge in file order — so the resulting Project is
+// byte-identical at any job count. Incremental updates compile their files
+// the same way.
 
 #ifndef VALUECHECK_SRC_CORE_PROJECT_H_
 #define VALUECHECK_SRC_CORE_PROJECT_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -137,10 +146,17 @@ class Project {
   FileMemory ParseMemoryTotal() const;
 
   // --- Incremental mutation API (used by vc::IncrementalEngine) -----------
-  // Recompiles (or adds) one file. An existing path keeps its FileId — its
-  // slot recompiles in place, and a tombstoned path is revived in its old
-  // slot — so locations in carried-over results stay meaningful. Call
-  // FinishUpdate() after a batch of mutations to rebuild derived state.
+  // Recompiles (or adds) `files`, distinct paths, across `jobs` worker lanes
+  // and returns their FileIds in input order. An existing path keeps its
+  // FileId — its slot recompiles in place, and a tombstoned path is revived in
+  // its old slot — so locations in carried-over results stay meaningful; new
+  // paths get ids in input order. Call FinishUpdate() after a batch of
+  // mutations to rebuild derived state.
+  std::vector<FileId> UpsertFiles(std::vector<std::pair<std::string, std::string>> files,
+                                  const Config& config, int jobs = 1,
+                                  const FaultInjector* fault = nullptr,
+                                  const ResourceBudget* budget = nullptr);
+  // The one-file case of UpsertFiles.
   FileId UpsertFile(const std::string& path, std::string content, const Config& config,
                     const FaultInjector* fault = nullptr,
                     const ResourceBudget* budget = nullptr);
@@ -151,10 +167,11 @@ class Project {
   // is not a live file.
   bool RemoveFile(const std::string& path);
 
-  // Rebuilds diagnostics, the quarantine list, and the function index from
-  // the per-file records, iterating live slots in path-sorted order — the
-  // order a from-scratch repository build compiles in — so the derived state
-  // is byte-identical to a fresh Project over the same live contents.
+  // Rebuilds diagnostics and the quarantine list from the per-file records,
+  // and the index entries of the names the mutations since the last call
+  // touched, iterating live slots in path-sorted order — the order a
+  // from-scratch repository build compiles in — so the derived state is
+  // byte-identical to a fresh Project over the same live contents.
   void FinishUpdate();
 
   // True when `file` is a live (non-tombstoned) slot.
@@ -167,6 +184,23 @@ class Project {
   const std::vector<size_t>& unit_order() const { return unit_order_; }
 
  private:
+  // One file's share of the function index: every name the file defines or
+  // calls. It points into the file's own AST and IR, so it leaves the index
+  // before they are freed.
+  struct IndexShare {
+    struct Name {
+      std::string_view name;
+      const FunctionDecl* def = nullptr;  // the file's last definition of `name`
+      const IrFunction* ir = nullptr;     // the file's first IR function of `name`
+      uint32_t sites_begin = 0;           // its call sites: sites[begin, end)
+      uint32_t sites_end = 0;
+    };
+    std::vector<Name> names;
+    // Call sites grouped by callee name, each group in function order and
+    // then call order. The index keeps the one copy of each site.
+    std::vector<const CallSite*> sites;
+  };
+
   // Everything kept about one file. Compiling or removing the file rewrites
   // its record whole.
   struct FileRecord {
@@ -175,16 +209,42 @@ class Project {
     DiagnosticEngine diags;
     std::optional<QuarantinedUnit> quarantine;
     FileMemory memory;
+    IndexShare share;
     bool live = true;
   };
 
+  // The live files whose share lists one name, as (file, position in its
+  // share's names), in no particular order; `touched` while the name awaits
+  // its rebuild.
+  struct Sharers {
+    std::vector<std::pair<FileId, uint32_t>> files;
+    bool touched = false;
+  };
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const { return std::hash<std::string_view>()(name); }
+  };
+  using SharerMap = std::unordered_map<std::string, Sharers, NameHash, std::equal_to<>>;
+
   void CompileAll(std::vector<std::pair<std::string, std::string>> files, const Config& config,
                   int jobs, const FaultInjector* fault, const ResourceBudget* budget);
+  // Compiles `slots` across `jobs` lanes, each with its index share, then
+  // adds the shares to the index.
+  void CompileSlots(const std::vector<FileId>& slots, const Config& config, int jobs,
+                    const FaultInjector* fault, const ResourceBudget* budget);
   void CompileSlot(size_t i, const Config& config, const FaultInjector* fault,
                    const ResourceBudget* budget);
+  // Computes slot `i`'s index share from its unit and module.
+  void BuildShare(size_t i);
   // Resets slot `i` to an empty-but-valid unit and module.
   void ClearSlot(size_t i);
-  // Rebuilds diagnostics, the quarantine list and the index in unit_order_.
+  // Index share maintenance: adding or taking out a file's share marks every
+  // name it lists for rebuild.
+  void AddShare(FileId file);
+  void TakeShareOut(FileId file);
+  void Touch(SharerMap::value_type& name);
+  // Rebuilds diagnostics, the quarantine list and the touched index entries
+  // in unit_order_.
   void BuildDerived();
 
   SourceManager sm_;
@@ -192,9 +252,12 @@ class Project {
   std::vector<FileRecord> files_;  // indexed by FileId
   std::vector<std::unique_ptr<IrModule>> modules_;
   std::map<std::string, FunctionInfo> index_;
+  SharerMap sharers_;                           // per indexed name
+  std::vector<SharerMap::value_type*> touched_;  // names awaiting their rebuild
   std::vector<QuarantinedUnit> quarantined_;
   StageRecord build_stage_;
   std::vector<size_t> unit_order_;  // iteration order for derived state
+  std::vector<uint32_t> rank_;      // per FileId: position in unit_order_
 };
 
 }  // namespace vc

@@ -89,6 +89,9 @@ struct UnusedDefCandidate {
   // the paper's tool — is "unused-def"; its fingerprint namespace is empty so
   // pre-framework fingerprints survive the migration byte-identical.
   std::string checker = "unused-def";
+  // Position of `checker` in the run's runnable checker list, which the
+  // per-checker tallies count by.
+  int checker_index = 0;
   std::string fingerprint_ns;  // prefixes the fingerprint content key
   bool from_baseline = false;  // produced by a §8.4 baseline checker
   // Free-text detail for checkers whose findings don't fit the kind taxonomy

@@ -1,6 +1,7 @@
 #include "src/testing/oracle.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
@@ -396,9 +397,10 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
     // appending a probe function to the first file) and hold the incremental
     // engine to full-run equivalence at every commit. Then replay the same
     // states, plus a final one deleting the last file, as snapshots — the
-    // daemon's input — each held to a sources-mode full run over its files.
-    // Serial plus the widest job count — the jobs_determinism oracle already
-    // covers the middle.
+    // daemon's input — each held to a sources-mode full run over its files,
+    // after holding a Project mutated through those states to a fresh
+    // build's function index. Serial plus the widest job count — the
+    // jobs_determinism oracle already covers the middle.
     Repository repo;
     AuthorId author = repo.AddAuthor("fuzz");
     int64_t timestamp = 1'650'000'000;
@@ -438,6 +440,40 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
           break;
         }
       }
+      // One Project mutated through the states: its warm function index
+      // against a fresh build's at each.
+      Project warm;
+      std::map<std::string, std::string> held;
+      for (size_t i = 0; i < states.size(); ++i) {
+        std::set<std::string> kept;
+        std::vector<std::pair<std::string, std::string>> changed;
+        for (const auto& [path, content] : states[i]) {
+          kept.insert(path);
+          auto it = held.find(path);
+          if (it == held.end() || it->second != content) {
+            changed.emplace_back(path, content);
+            held[path] = content;
+          }
+        }
+        for (auto it = held.begin(); it != held.end();) {
+          if (kept.count(it->first) == 0) {
+            warm.RemoveFile(it->first);
+            it = held.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        warm.UpsertFiles(std::move(changed), options.config, job_count);
+        warm.FinishUpdate();
+        if (DumpFunctionIndex(warm) != DumpFunctionIndex(Project::FromSources(states[i]))) {
+          verdict.failures.push_back(
+              {OracleKind::kIncrementalEquivalence, "",
+               "warm function index diverges from a fresh build at state " + std::to_string(i) +
+                   " (jobs " + std::to_string(job_count) + ")"});
+          break;
+        }
+      }
+
       options.ranking.enabled = false;
       IncrementalEngine snapshots(options);
       Analysis sources_mode(options);
@@ -456,6 +492,27 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
   }
 
   return verdict;
+}
+
+std::string DumpFunctionIndex(const Project& project) {
+  auto where = [&](FileId file, const SourceLoc& loc) {
+    return project.sources().Path(file) + ":" + std::to_string(loc.line) + ":" +
+           std::to_string(loc.column);
+  };
+  std::string out;
+  for (const auto& [name, info] : project.function_index()) {
+    out += name + "\n";
+    if (info.def_decl != nullptr) {
+      out += "  def " + where(info.def_file, info.def_decl->loc) +
+             " ir=" + (info.ir != nullptr ? info.ir->name : "-") + "\n";
+    }
+    for (const CallSite& site : info.call_sites) {
+      out += "  call " + where(site.loc.file, site.loc) + " in " +
+             (site.caller != nullptr ? site.caller->name : "-") +
+             (site.result_assigned ? " assigned" : " ignored") + "\n";
+    }
+  }
+  return out;
 }
 
 std::function<void(AnalysisReport&)> DropOverwrittenFindingsFault() {

@@ -21,7 +21,10 @@
 //                       history (plus a final edit) through the incremental
 //                       engine yields, at every commit, exactly the findings
 //                       and raw candidates a full run over the truncated
-//                       repository yields
+//                       repository yields; the same states as snapshots
+//                       equal sources-mode runs; and one Project mutated
+//                       through the states keeps a function index equal to
+//                       a fresh build's at each
 //
 // OracleOptions::parallel_fault is the harness's own test hook: a corruption
 // applied to parallel (jobs > 1) reports before comparison, simulating a
@@ -129,6 +132,13 @@ class OracleRunner {
 // finding — the shape of a real slot-merge bug. Used by --inject-bug and the
 // harness self-tests.
 std::function<void(AnalysisReport&)> DropOverwrittenFindingsFault();
+
+// Canonical text of a project's function index: per name, in name order, the
+// definition's path, line and column and its IR function's name, then each
+// call site's path, line, column, caller and whether its result is assigned.
+// An incrementally updated project and a fresh build over the same live
+// files dump the same text exactly when their indexes agree.
+std::string DumpFunctionIndex(const Project& project);
 
 }  // namespace testing
 }  // namespace vc

@@ -102,6 +102,32 @@ TEST_F(CliTest, FindingExitsOneWithWarning) {
   EXPECT_NE(result.output.find("'ret' is overwritten before use"), std::string::npos);
 }
 
+// Every finding's text line carries a message, including the kinds of the
+// checkers beyond unused-def, which name their checker and slot.
+TEST_F(CliTest, EveryCheckerFindingHasAMessage) {
+  std::string path = Write("stores.c",
+                           "int g_count;\n"
+                           "int fill(int *out);\n"
+                           "int work(int a) {\n"
+                           "  g_count = a;\n"
+                           "  g_count = a + 2;\n"
+                           "  return a;\n"
+                           "}\n"
+                           "int user(void) {\n"
+                           "  int v;\n"
+                           "  fill(&v);\n"
+                           "  return 0;\n"
+                           "}\n");
+  RunResult result = RunCli(path);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("stores.c:4: warning: dead-global-store: 'g_count'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("stores.c:10: warning: out-param-unused: 'v'"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("warning:  ["), std::string::npos) << result.output;
+}
+
 TEST_F(CliTest, DirectoryModeScansRecursively) {
   Write("sub/buggy.c", kBuggy);
   Write("clean.c", kClean);

@@ -148,6 +148,22 @@ Repository EditShapesHistory() {
   // Whitespace-only touch.
   repo.AddCommit(bob, 700, "tidy caller", {{"caller.c", caller2 + "\n"}});
 
+  // One name defined in two files: the later path (bob's dup_b.c) wins, so
+  // alice's ignored result of dup_value is a cross-scope finding exactly
+  // while bob's definition is the project's.
+  std::string dup_a = "int dup_value(int v) {\n  return v + 1;\n}\n";
+  std::string dup_b = "int dup_value(int v) {\n  return v + 2;\n}\n";
+  repo.AddCommit(alice, 800, "add dup_value twice",
+                 {{"dup_a.c", dup_a},
+                  {"dup_user.c", "int dup_user(int v) {\n  dup_value(v);\n  return v;\n}\n"}});
+  repo.AddCommit(bob, 810, "define dup_value again", {{"dup_b.c", dup_b}});
+  // Removing the winning definer hands the name back to dup_a.c.
+  repo.AddCommit(bob, 900, "drop the winning definer", {}, {"dup_b.c"});
+  repo.AddCommit(bob, 1000, "restore the winning definer", {{"dup_b.c", dup_b}});
+  // Editing only the losing definer leaves dup_b.c the winner.
+  repo.AddCommit(alice, 1100, "edit the losing definer",
+                 {{"dup_a.c", "int dup_value(int v) {\n  return v + 3;\n}\n"}});
+
   return repo;
 }
 

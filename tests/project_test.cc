@@ -1,12 +1,16 @@
-// Project and authorship-layer tests: function index across files, snapshot
-// construction, line counting, and the AuthorshipAnalyzer in isolation.
+// Project and authorship-layer tests: function index across files (fresh and
+// incrementally updated), snapshot construction, line counting, and the
+// AuthorshipAnalyzer in isolation.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "src/core/authorship.h"
 #include "src/core/detector.h"
 #include "src/core/project.h"
 #include "src/core/analysis.h"
+#include "src/testing/oracle.h"
 
 namespace vc {
 namespace {
@@ -111,6 +115,108 @@ TEST(Project, MemoryTotalTracksLiveFiles) {
   EXPECT_TRUE(
       equal(project.ParseMemoryTotal(), Project::FromSources({{"a.c", v2}}).ParseMemoryTotal()));
   MemoryTracker::Global().Disable();
+}
+
+// The warm function index: one Project driven through UpsertFile /
+// RemoveFile / FinishUpdate steps holds, after every step, the index a fresh
+// build over the same live files (in path order) holds.
+TEST(Project, IncrementalIndexEqualsFreshBuild) {
+  auto defines = [](const std::string& name, int bias) {
+    return "int " + name + "(int v) {\n  return v + " + std::to_string(bias) + ";\n}\n";
+  };
+  auto calls = [](const std::string& caller, const std::string& callee) {
+    return "int " + caller + "(int v) {\n  int r = " + callee + "(v);\n  " + callee +
+           "(v + 1);\n  return r;\n}\n";
+  };
+  // A seed under which the injector's parse site faults q.c alone.
+  FaultInjector fault;
+  for (uint64_t seed = 1; !fault.enabled(); ++seed) {
+    FaultInjector candidate(seed, 0.5);
+    bool only_q = candidate.ShouldFault(fault_sites::kParseFile, "q.c");
+    for (const char* path : {"a.c", "b.c", "c.c", "z.c"}) {
+      only_q = only_q && !candidate.ShouldFault(fault_sites::kParseFile, path);
+    }
+    if (only_q) {
+      fault = candidate;
+    }
+  }
+
+  Project project;
+  std::map<std::string, std::string> live;
+  auto upsert = [&](const std::string& path, const std::string& content) {
+    live[path] = content;
+    project.UpsertFile(path, content, Config(), &fault);
+  };
+  auto remove = [&](const std::string& path) {
+    live.erase(path);
+    EXPECT_TRUE(project.RemoveFile(path)) << path;
+  };
+  auto definer = [&](const std::string& name) {
+    const FunctionInfo* info = project.FindFunction(name);
+    return info == nullptr || !info->InProject() ? std::string("-")
+                                                 : project.sources().Path(info->def_file);
+  };
+  auto step = [&](const std::string& what) {
+    project.FinishUpdate();
+    std::vector<std::pair<std::string, std::string>> files(live.begin(), live.end());
+    Project fresh = Project::FromSources(files, Config(), 1, &fault);
+    EXPECT_EQ(testing::DumpFunctionIndex(project), testing::DumpFunctionIndex(fresh)) << what;
+  };
+
+  // dup is defined in a.c and b.c: the later path wins.
+  upsert("a.c", defines("dup", 1) + calls("a_user", "ext_log"));
+  upsert("b.c", defines("dup", 2) + calls("b_user", "dup"));
+  upsert("c.c", calls("c_user", "dup") + calls("c_other", "ext_only"));
+  step("dup defined in two files");
+  EXPECT_EQ(definer("dup"), "b.c");
+
+  remove("b.c");
+  step("winning definer removed");
+  EXPECT_EQ(definer("dup"), "a.c");
+
+  upsert("b.c", defines("dup", 2) + calls("b_user", "dup"));
+  step("winning definer re-added");
+  EXPECT_EQ(definer("dup"), "b.c");
+
+  upsert("a.c", calls("a_first", "dup") + defines("dup", 3) + calls("a_user", "ext_log"));
+  step("losing definer edited");
+  EXPECT_EQ(definer("dup"), "b.c");
+
+  remove("c.c");
+  step("only caller of an extern removed");
+  EXPECT_EQ(project.FindFunction("ext_only"), nullptr);
+
+  upsert("c.c", calls("c_user", "dup") + calls("c_other", "ext_only"));
+  step("tombstoned path revived");
+  EXPECT_NE(project.FindFunction("ext_only"), nullptr);
+
+  const std::string moved = live["a.c"];
+  remove("a.c");
+  upsert("z.c", moved);
+  step("a.c renamed to z.c");
+  EXPECT_EQ(definer("dup"), "z.c");
+
+  upsert("q.c", defines("dup", 4) + calls("q_user", "ext_only"));
+  step("quarantined file");
+  ASSERT_EQ(project.quarantined().size(), 1u);
+  EXPECT_EQ(project.quarantined()[0].path, "q.c");
+  EXPECT_EQ(definer("dup"), "z.c");
+}
+
+// A project first built in another order than by path adopts path order at
+// its first update, and its index follows.
+TEST(Project, IndexFollowsPathOrderAfterUnsortedBuild) {
+  const std::string b = "int dup(int v) {\n  return v + 2;\n}\n";
+  const std::string a =
+      "int dup(int v) {\n  return v + 1;\n}\nint a_user(int v) {\n  dup(v);\n  return v;\n}\n";
+  const std::string c = "int other(int v) {\n  dup(v);\n  return v;\n}\n";
+  Project project = Project::FromSources({{"b.c", b}, {"a.c", a}});
+  EXPECT_EQ(project.sources().Path(project.FindFunction("dup")->def_file), "a.c");
+  project.UpsertFile("c.c", c, Config());
+  project.FinishUpdate();
+  EXPECT_EQ(testing::DumpFunctionIndex(project),
+            testing::DumpFunctionIndex(Project::FromSources({{"a.c", a}, {"b.c", b}, {"c.c", c}})));
+  EXPECT_EQ(project.sources().Path(project.FindFunction("dup")->def_file), "b.c");
 }
 
 TEST(Project, ConfigControlsCompilation) {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Full verification matrix: plain build + ctest, then the same under
-# AddressSanitizer(+UBSan), ThreadSanitizer, and standalone UBSan. The
-# sanitizer configs catch what the plain run cannot — heap misuse in the
-# parser/IR layers (ASan), data races in the thread pool / metrics / trace
-# hot paths (TSan), and UB with fail-fast (-fno-sanitize-recover) semantics
-# in the UBSan config.
+# Full verification matrix: plain build (warnings are errors) + ctest, then
+# the same under AddressSanitizer(+UBSan), ThreadSanitizer, and standalone
+# UBSan. The sanitizer configs catch what the plain run cannot — heap misuse
+# in the parser/IR layers (ASan), data races in the thread pool / metrics /
+# trace hot paths (TSan), and UB with fail-fast (-fno-sanitize-recover)
+# semantics in the UBSan config.
 #
 # Usage: tools/check.sh [plain|asan|tsan|ubsan]...   (default: plain asan tsan)
 
@@ -483,7 +483,7 @@ serve_smoke() {
 
 for config in "${CONFIGS[@]}"; do
   case "${config}" in
-    plain) run_config plain ;;
+    plain) run_config plain -DCMAKE_CXX_FLAGS=-Werror ;;
     asan)  run_config asan -DVC_ENABLE_ASAN=ON ;;
     tsan)  run_config tsan -DVC_ENABLE_TSAN=ON ;;
     ubsan) run_config ubsan -DVC_ENABLE_UBSAN=ON ;;

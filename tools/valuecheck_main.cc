@@ -631,6 +631,14 @@ void PrintText(const vc::AnalysisReport& report, const vc::Repository* repo, int
           std::printf("value of '%s' is never used", cand.slot_name.c_str());
         }
         break;
+      case CandidateKind::kDoubleOverwrite:
+      case CandidateKind::kDeadGlobalStore:
+      case CandidateKind::kOutParamUnused:
+      case CandidateKind::kStaleCopy:
+        // The other checkers' kinds: name the checker and the slot, as the
+        // SARIF message does.
+        std::printf("%s: '%s'", cand.checker.c_str(), cand.slot_name.c_str());
+        break;
     }
     std::printf(" [in %s]", cand.function.c_str());
     if (repo != nullptr && cand.responsible_author != kInvalidAuthor && ranked) {
