@@ -26,18 +26,18 @@ Analysis::Analysis(AnalysisOptions options) : options_(std::move(options)) {
 }
 
 AnalysisReport Analysis::Run(const Project& project, const Repository* repo) const {
-  return RunImpl(project, repo, nullptr, nullptr);
+  return RunImpl(project, repo, nullptr, nullptr, nullptr);
 }
 
 AnalysisReport Analysis::RunWithDetect(const Project& project, const Repository* repo,
-                                       CheckerRunResult detect,
-                                       const StageRecords* upstream) const {
-  return RunImpl(project, repo, &detect, upstream);
+                                       CheckerRunResult detect, const StageRecords* upstream,
+                                       TailCarry* carry) const {
+  return RunImpl(project, repo, &detect, upstream, carry);
 }
 
 AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
-                                 CheckerRunResult* precomputed,
-                                 const StageRecords* upstream) const {
+                                 CheckerRunResult* precomputed, const StageRecords* upstream,
+                                 TailCarry* carry) const {
   const bool collect = options_.collect_metrics;
   TraceSpan run_span("analysis.run", "pipeline");
   auto start = std::chrono::steady_clock::now();
@@ -93,10 +93,29 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     repo = nullptr;
   }
 
+  // What this run carries. A full run carries nothing: every name is new to
+  // its fresh peer statistics, and every candidate re-runs.
+  TailCarry full;
+  PeerStats fresh_peers(options_.prune);
+  if (carry == nullptr) {
+    full.peers = &fresh_peers;
+    for (size_t m : project.unit_order()) {
+      full.changed.push_back(static_cast<FileId>(m));
+    }
+    carry = &full;
+  }
+  std::vector<size_t> rerun;
+  rerun.reserve(carry->carried.empty() ? candidates.size() : 0);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (carry->carried.empty() || !carry->carried[i]) {
+      rerun.push_back(i);
+    }
+  }
+
   // 2. Classify authorship (cross-scope scenarios of §3.1).
   {
     StageScope scope(Stage::kAuthorship, report.stages[Stage::kAuthorship]);
-    if (repo != nullptr && !candidates.empty()) {
+    if (repo != nullptr && !rerun.empty()) {
       // Replaying history for blame is the bulk of this stage; do it for
       // every analyzed file across the lanes first, so classification below
       // only looks blame up. Blame is per-path, so this stays deterministic.
@@ -108,7 +127,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       repo->WarmBlame(paths, options_.jobs);
     }
     AuthorshipAnalyzer authorship(project, repo);
-    authorship.ClassifyAll(candidates, options_.jobs);
+    authorship.ClassifyAll(candidates, rerun, options_.jobs);
+    scope.Arg("classified", rerun.size());
   }
   // From here on the candidates live in the report; later stages refer to
   // them by index and mark them in place.
@@ -137,11 +157,23 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   {
     StageScope scope(Stage::kPrune, report.stages[Stage::kPrune]);
     try {
-      report.prune_stats = RunPruning(project, report.raw_candidates, pool, raw, options_.prune,
-                                      repo, options_.jobs);
+      if (options_.prune.peer_definition) {
+        TraceSpan span("prune.peer_stats", "pipeline");
+        carry->peers->Update(project, raw, rerun, carry->changed, options_.jobs);
+        span.Arg("files", static_cast<int64_t>(carry->changed.size()));
+        span.Arg("flips", carry->peers->retval_flips() + carry->peers->group_flips());
+      }
+      report.prune_stats = RunPruning(project, report.raw_candidates, pool, *carry->peers,
+                                      carry->carried, options_.prune, repo, options_.jobs);
+      if (carry->keep) {
+        carry->keep(raw);
+      }
     } catch (const std::exception& e) {
       // Stage-level fallback: a pruning crash degrades to "nothing pruned"
       // (findings become a superset) rather than killing the run.
+      for (UnusedDefCandidate& cand : report.raw_candidates) {
+        cand.pruned_by = PruneReason::kNone;
+      }
       report.quarantined.push_back({"", "", "prune", std::string("stage failed: ") + e.what(), ""});
     }
     for (size_t i : pool) {

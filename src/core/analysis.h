@@ -24,6 +24,7 @@
 #ifndef VALUECHECK_SRC_CORE_ANALYSIS_H_
 #define VALUECHECK_SRC_CORE_ANALYSIS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -164,6 +165,26 @@ struct AnalysisReport {
   std::string ToCsv() const;
 };
 
+// What an incremental analysis hands the post-detect tail (DESIGN.md §18).
+// A full run carries nothing: its peer statistics are built from every file,
+// and every candidate is classified and matched.
+struct TailCarry {
+  // Peer statistics kept across analyses. The prune stage replaces the
+  // contributions of `changed` — the files recompiled, re-detected or
+  // removed since the statistics were last updated — and re-decides the
+  // names they list.
+  PeerStats* peers = nullptr;
+  std::vector<FileId> changed;
+  // Per detect candidate: 1 when the classification and prune verdict it
+  // holds (cross_scope, kind, def_author, responsible_author, pruned_by)
+  // carry; 0 when it re-runs from its detect state with pruned_by reset.
+  // Empty: nothing carries.
+  std::vector<char> carried;
+  // Called at the end of the prune stage with the classified and pruned
+  // candidates, unless the stage fell back.
+  std::function<void(const std::vector<UnusedDefCandidate>&)> keep;
+};
+
 class Analysis {
  public:
   Analysis() = default;
@@ -182,11 +203,15 @@ class Analysis {
   // detection (authorship, cross-scope filter, prune, rank, fingerprint) over
   // a detect-stage result assembled elsewhere — a mix of cached and freshly
   // run functions. Byte-identical to Run() when `detect` holds exactly what
-  // RunCheckers would have produced for this project. `upstream` holds the
-  // caller's parse and detect records (default: the project's build).
+  // RunCheckers would have produced for this project, and `carry` (default:
+  // nothing carried) holds what the previous analysis decided for every
+  // candidate it flags and peer statistics of the previous project.
+  // `upstream` holds the caller's parse and detect records (default: the
+  // project's build).
   AnalysisReport RunWithDetect(const Project& project, const Repository* repo,
                                CheckerRunResult detect,
-                               const StageRecords* upstream = nullptr) const;
+                               const StageRecords* upstream = nullptr,
+                               TailCarry* carry = nullptr) const;
 
   // Builds the project (parallel parse/lower under options().jobs and
   // options().config), then runs; the report owns the project.
@@ -204,7 +229,8 @@ class Analysis {
   // Shared pipeline body: with `precomputed` null, runs detection itself
   // (Run); otherwise consumes the caller's detect result (RunWithDetect).
   AnalysisReport RunImpl(const Project& project, const Repository* repo,
-                         CheckerRunResult* precomputed, const StageRecords* upstream) const;
+                         CheckerRunResult* precomputed, const StageRecords* upstream,
+                         TailCarry* carry) const;
 
   AnalysisOptions options_;
 };

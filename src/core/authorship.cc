@@ -1,5 +1,7 @@
 #include "src/core/authorship.h"
 
+#include <numeric>
+
 #include "src/support/thread_pool.h"
 
 namespace vc {
@@ -33,13 +35,20 @@ const std::vector<LineOrigin>& AuthorshipAnalyzer::BlameOf(FileId file) const {
 }
 
 void AuthorshipAnalyzer::ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
-                                     int jobs) const {
-  if (repo_ != nullptr && !candidates.empty()) {
+                                     const std::vector<size_t>& targets, int jobs) const {
+  if (repo_ != nullptr && !targets.empty()) {
     for (FileId file = 0; file < project_.sources().NumFiles(); ++file) {
       BlameOf(file);
     }
   }
-  ParallelFor(jobs, candidates.size(), [&](size_t i) { Classify(candidates[i]); });
+  ParallelFor(jobs, targets.size(), [&](size_t k) { Classify(candidates[targets[k]]); });
+}
+
+void AuthorshipAnalyzer::ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
+                                     int jobs) const {
+  std::vector<size_t> all(candidates.size());
+  std::iota(all.begin(), all.end(), 0);
+  ClassifyAll(candidates, all, jobs);
 }
 
 bool AuthorshipAnalyzer::AllDifferent(AuthorId author,

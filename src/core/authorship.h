@@ -39,10 +39,13 @@ class AuthorshipAnalyzer {
   // Fills cross_scope / kind / def_author / responsible_author.
   void Classify(UnusedDefCandidate& cand) const;
 
-  // Classifies every candidate across up to `jobs` lanes. Blame of every
-  // project file is resolved serially first, so the lanes only read it; each
-  // candidate's classification depends on nothing but the candidate, so the
-  // result is the same at any `jobs`.
+  // Classifies candidates[targets[k]] for every k across up to `jobs` lanes.
+  // Blame of every project file is resolved serially first, so the lanes
+  // only read it; each candidate's classification depends on nothing but the
+  // candidate, so the result is the same at any `jobs`.
+  void ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
+                   const std::vector<size_t>& targets, int jobs) const;
+  // The same over every candidate.
   void ClassifyAll(std::vector<UnusedDefCandidate>& candidates, int jobs = 1) const;
 
  private:

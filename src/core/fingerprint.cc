@@ -1,8 +1,7 @@
 #include "src/core/fingerprint.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
+#include <tuple>
 
 #include "src/support/string_util.h"
 
@@ -58,36 +57,69 @@ std::string FingerprintKey(const UnusedDefCandidate& candidate) {
   return key;
 }
 
+namespace {
+
+// The seed is a digit short of the standard FNV-1a offset basis
+// (14695981039346656037). Every stored fingerprint depends on it, so it
+// stays as it is.
+constexpr uint64_t kFingerprintSeed = 1469598103934665603ull;
+
+std::string Hex16(uint64_t hash) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, hash >>= 4) {
+    out[static_cast<size_t>(i)] = kDigits[hash & 0xF];
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string FingerprintHash(const std::string& key) {
-  // The seed is a digit short of the standard FNV-1a offset basis
-  // (14695981039346656037). Every stored fingerprint depends on it, so it
-  // stays as it is.
-  const uint64_t hash = Fnv1a(key, 1469598103934665603ull);
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return buf;
+  return Hex16(Fnv1a(key, kFingerprintSeed));
 }
 
 void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates) {
   // Group same-key findings, then number each group in source order. The
   // ordinal always participates in the hash (a singleton is occurrence 1), so
-  // pasting a duplicate *below* an existing finding never renames it.
-  std::map<std::string, std::vector<size_t>> groups;
+  // pasting a duplicate *below* an existing finding never renames it. One
+  // sort by (key hash, key, line, column, list position) lines each group up
+  // in numbering order, and FNV-1a continues from the key's hash over the
+  // "#N" suffix, so each key is hashed once.
+  struct Entry {
+    uint64_t hash;
+    std::string key;
+    size_t index;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    groups[FingerprintKey(candidates[i])].push_back(i);
+    std::string key = FingerprintKey(candidates[i]);
+    const uint64_t hash = Fnv1a(key, kFingerprintSeed);
+    entries.push_back({hash, std::move(key), i});
   }
-  for (auto& [key, indices] : groups) {
-    std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-      const SourceLoc& la = candidates[a].def_loc;
-      const SourceLoc& lb = candidates[b].def_loc;
-      if (la.line != lb.line) {
-        return la.line < lb.line;
-      }
-      return la.column < lb.column;
-    });
-    for (size_t rank = 0; rank < indices.size(); ++rank) {
-      candidates[indices[rank]].fingerprint =
-          FingerprintHash(key + "#" + std::to_string(rank + 1));
+  auto order = [&](const Entry& e) {
+    const SourceLoc& loc = candidates[e.index].def_loc;
+    return std::make_tuple(loc.line, loc.column, e.index);
+  };
+  std::sort(entries.begin(), entries.end(), [&](const Entry& a, const Entry& b) {
+    if (a.hash != b.hash) {
+      return a.hash < b.hash;
+    }
+    if (const int c = a.key.compare(b.key); c != 0) {
+      return c < 0;
+    }
+    return order(a) < order(b);
+  });
+  for (size_t begin = 0, end = 0; begin < entries.size(); begin = end) {
+    const Entry& first = entries[begin];
+    for (end = begin + 1;
+         end < entries.size() && entries[end].hash == first.hash && entries[end].key == first.key;
+         ++end) {
+    }
+    for (size_t k = begin; k < end; ++k) {
+      const std::string suffix = "#" + std::to_string(k - begin + 1);
+      candidates[entries[k].index].fingerprint = Hex16(Fnv1a(suffix, first.hash));
     }
   }
 }

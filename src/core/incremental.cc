@@ -35,6 +35,15 @@ bool IndexCheckers(const std::vector<const Checker*>& runnable,
   return true;
 }
 
+// Copies what classification and pruning decided for a candidate.
+void KeepTail(UnusedDefCandidate& kept, const UnusedDefCandidate& ran) {
+  kept.cross_scope = ran.cross_scope;
+  kept.kind = ran.kind;
+  kept.def_author = ran.def_author;
+  kept.responsible_author = ran.responsible_author;
+  kept.pruned_by = ran.pruned_by;
+}
+
 }  // namespace
 
 std::string MakeCacheConfigKey(const AnalysisOptions& options) {
@@ -63,7 +72,8 @@ std::string MakeCacheConfigKey(const AnalysisOptions& options) {
 IncrementalEngine::IncrementalEngine(AnalysisOptions options, IncrementalOptions inc)
     : analysis_(std::move(options)),
       inc_(std::move(inc)),
-      cache_(inc_.cache_dir, MakeCacheConfigKey(analysis_.options())) {}
+      cache_(inc_.cache_dir, MakeCacheConfigKey(analysis_.options())),
+      peers_(analysis_.options().prune) {}
 
 void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
   while (repo_.NumAuthors() < source.NumAuthors()) {
@@ -89,7 +99,11 @@ int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::
     if (content == nullptr) {
       // Deleted (or never-created) path: tombstone and forget.
       cache_.Remove(path);
-      changed += project_.RemoveFile(path) ? 1 : 0;
+      const FileId file = project_.sources().FindByPath(path);
+      if (project_.RemoveFile(path)) {
+        ++changed;
+        changed_.push_back(file);
+      }
       continue;
     }
     const uint64_t hash = HashContent(*content);
@@ -113,6 +127,7 @@ int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::
   const AnalysisOptions& opt = analysis_.options();
   const std::vector<FileId> ids =
       project_.UpsertFiles(std::move(misses), opt.config, opt.jobs, &opt.fault, &opt.budget);
+  changed_.insert(changed_.end(), ids.begin(), ids.end());
   for (size_t k = 0; k < ids.size(); ++k) {
     FileCacheEntry& entry = *miss_entries[k];
     if (cache_.LoadFromDisk(project_.sources().Path(ids[k]), entry.content_hash,
@@ -183,11 +198,15 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
 
   // --- Parse stage: sync the persistent project with the input -------------
   StageRecords stages;  // handed to RunWithDetect, which times the rest
+  bool same_bytes = false;  // a commit batch left a touched path's bytes unchanged
   {
     StageScope scope(Stage::kParse, stages[Stage::kParse]);
     const uint64_t misses = cache_.stats().parse_misses;
+    const uint64_t hits = cache_.stats().parse_hits;
+    changed_.clear();
     result.files_changed = sync();
     result.files_reparsed = static_cast<int>(cache_.stats().parse_misses - misses);
+    same_bytes = repo != nullptr && cache_.stats().parse_hits > hits;
     project_.FinishUpdate();
   }
 
@@ -195,6 +214,9 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
   CheckerRunResult detect;
   std::vector<FileCacheEntry*> entries;  // per live file, in unit order
   std::vector<size_t> redetected;        // indexes into `entries`
+  std::vector<char> entry_carried;       // per entry: its post-detect verdicts carry
+  std::vector<size_t> entry_candidates;  // per entry: its candidate count
+  TailCarry tail;
   {
     StageScope scope(Stage::kDetect, stages[Stage::kDetect]);
     std::vector<const Checker*> resolved = CheckerRegistry::Global().Resolve(opt.checkers);
@@ -222,15 +244,42 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     }
     restored_.clear();
 
+    // The post-detect state is warm after an analysis of the same kind of
+    // input that kept it; otherwise the peer statistics start over from every
+    // file and nothing carries.
+    const bool warm = warm_tail_ && repo == tail_repo_;
+    warm_tail_ = false;  // until this analysis keeps its verdicts
+    if (!warm) {
+      peers_ = PeerStats(opt.prune);
+    }
+    const bool carry_tail = warm && carry_allowed && !opt.prune.stale_code && !same_bytes;
+    std::vector<char> changed(static_cast<size_t>(project_.sources().NumFiles()), 0);
+    for (FileId file : changed_) {
+      changed[file] = 1;
+    }
+
     // The carry rule: a file's results carry exactly when its entry holds one
     // per function — its content hash matched, or the disk tier restored it.
-    // Every function of any other file re-runs.
+    // Every function of any other file re-runs. Its post-detect verdicts
+    // carry too when it was not recompiled and shares no name the update
+    // touched.
     std::vector<CheckerWorkItem> work;
     for (size_t m : project_.unit_order()) {
       const IrModule& module = *project_.modules()[m];
       result.functions_total += static_cast<int>(module.functions.size());
       entries.push_back(&cache_.File(project_.sources().Path(module.file)));
-      if (carry_allowed && entries.back()->functions.size() == module.functions.size()) {
+      const bool detect_carried =
+          carry_allowed && entries.back()->functions.size() == module.functions.size();
+      entry_carried.push_back(carry_tail && detect_carried && !changed[module.file] &&
+                              !project_.SharesTouchedName(module.file));
+      // Peer contributions are replaced for the recompiled and removed files,
+      // every re-detected one, and every live file when the statistics start
+      // over.
+      if ((!warm || !detect_carried) && !changed[module.file]) {
+        changed[module.file] = 1;
+        changed_.push_back(module.file);
+      }
+      if (detect_carried) {
         continue;  // carried
       }
       redetected.push_back(entries.size() - 1);
@@ -260,12 +309,22 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
       }
     }
     detect.candidates.reserve(count);
-    for (const FileCacheEntry* entry : entries) {
-      for (const FunctionDetect& fn : entry->functions) {
+    tail.carried.reserve(count);
+    for (size_t e = 0; e < entries.size(); ++e) {
+      const size_t begin = detect.candidates.size();
+      for (const FunctionDetect& fn : entries[e]->functions) {
         detect.candidates.insert(detect.candidates.end(), fn.candidates.begin(),
                                  fn.candidates.end());
         detect.quarantined.insert(detect.quarantined.end(), fn.quarantined.begin(),
                                   fn.quarantined.end());
+      }
+      entry_candidates.push_back(detect.candidates.size() - begin);
+      tail.carried.resize(detect.candidates.size(), entry_carried[e]);
+      if (!entry_carried[e]) {
+        // Re-runs from its detect state.
+        for (size_t i = begin; i < detect.candidates.size(); ++i) {
+          detect.candidates[i].pruned_by = PruneReason::kNone;
+        }
       }
     }
     TallyCheckerRun(runnable, detect);
@@ -277,22 +336,46 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     cache_.StoreToDisk(project_.sources().Path(module.file), *entries[i], module);
   }
 
-  // --- Every later stage runs in full over the assembled candidate set -----
-  AnalysisReport report = analysis_.RunWithDetect(project_, repo, std::move(detect), &stages);
+  // --- The later stages, carrying what the change left alone ---------------
+  // The prune stage writes the verdicts back into the entries: every
+  // candidate of a file that re-ran, and, when a signature group flipped,
+  // the carried ones too (their parameter candidates matched again).
+  tail.peers = &peers_;
+  tail.changed = changed_;
+  tail.keep = [&](const std::vector<UnusedDefCandidate>& raw) {
+    const bool rematched = peers_.group_flips() > 0;
+    size_t k = 0;
+    for (size_t e = 0; e < entries.size(); ++e) {
+      if (entry_carried[e] && !rematched) {
+        k += entry_candidates[e];
+        continue;
+      }
+      for (FunctionDetect& fn : entries[e]->functions) {
+        for (UnusedDefCandidate& cand : fn.candidates) {
+          KeepTail(cand, raw[k++]);
+        }
+      }
+    }
+    warm_tail_ = true;
+  };
+  AnalysisReport report =
+      analysis_.RunWithDetect(project_, repo, std::move(detect), &stages, &tail);
+  tail_repo_ = repo;
 
   // Fingerprint-keyed delta against the previous analysis.
-  std::set<std::string> fingerprints;
+  std::vector<std::string> fingerprints;
+  fingerprints.reserve(report.findings.size());
   for (const UnusedDefCandidate& finding : report.findings) {
-    fingerprints.insert(finding.fingerprint);
+    fingerprints.push_back(finding.fingerprint);
   }
+  std::sort(fingerprints.begin(), fingerprints.end());
+  fingerprints.erase(std::unique(fingerprints.begin(), fingerprints.end()), fingerprints.end());
   for (const std::string& fp : fingerprints) {
-    prev_fingerprints_.count(fp) > 0 ? ++result.findings_carried : ++result.findings_new;
+    result.findings_carried +=
+        std::binary_search(prev_fingerprints_.begin(), prev_fingerprints_.end(), fp) ? 1 : 0;
   }
-  for (const std::string& fp : prev_fingerprints_) {
-    if (fingerprints.count(fp) == 0) {
-      ++result.findings_fixed;
-    }
-  }
+  result.findings_new = static_cast<int>(fingerprints.size()) - result.findings_carried;
+  result.findings_fixed = static_cast<int>(prev_fingerprints_.size()) - result.findings_carried;
   prev_fingerprints_ = std::move(fingerprints);
 
   if (opt.collect_metrics) {

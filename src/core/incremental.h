@@ -32,10 +32,21 @@
 //    its own, so a function_local() checker's result depends only on its own
 //    file; a checker with function_local() == false disables carry-over. The
 //    detect outcome copies each candidate once, straight from the entries.
-//  * Every stage after detection (authorship, cross-scope filter, pruning
-//    with its GLOBAL peer statistics, ranking, fingerprints) re-runs each
-//    time over the complete assembled candidate set, through the same
-//    Analysis::RunWithDetect code path a full run uses.
+//  * The stages after detection run through the same
+//    Analysis::RunWithDetect code path a full run uses, over the complete
+//    assembled candidate set, and do work in proportion to the change. Peer
+//    statistics stay warm: only recompiled, re-detected or removed files'
+//    contributions are replaced, and only the names they list are decided
+//    again. A file's classification and prune verdicts carry when its
+//    detect results carried and it defines or calls no name the update
+//    touched — a candidate reads other files only through those names' index
+//    entries and their files' blame — except that a carried parameter
+//    candidate whose signature group flipped is matched again. Nothing
+//    carries while stale-code pruning is on, or when a commit batch left a
+//    touched path's bytes unchanged (its blame may still have moved). The
+//    verdicts are written back into the cache entries in the prune stage.
+//    Cross-scope filtering, ranking and fingerprints run over every
+//    candidate or finding.
 
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
@@ -126,9 +137,17 @@ class IncrementalEngine {
   std::set<std::string> pending_;  // paths touched since the last analysis
   std::vector<QuarantinedUnit> cache_quarantine_;  // corrupt disk entries of a sync
   std::vector<FileCacheEntry*> restored_;          // disk-tier hits of a sync
+  std::vector<FileId> changed_;                    // files a sync recompiled or removed
+  // The post-detect state the next analysis may carry: the peer statistics,
+  // and the verdicts the entries' candidates hold. Warm only after an
+  // analysis whose prune stage kept them, against the same kind of input.
+  PeerStats peers_;
+  bool warm_tail_ = false;
+  const Repository* tail_repo_ = nullptr;
   bool took_snapshot_ = false;
-  // Fingerprints of the previous report's findings (carried/new/fixed delta).
-  std::set<std::string> prev_fingerprints_;
+  // Fingerprints of the previous report's findings, sorted and distinct
+  // (carried/new/fixed delta).
+  std::vector<std::string> prev_fingerprints_;
 };
 
 // Canonical configuration key for the cache: folds in everything besides

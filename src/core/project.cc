@@ -355,14 +355,22 @@ void Project::Touch(SharerMap::value_type& name) {
 }
 
 void Project::AddShare(FileId file) {
-  const IndexShare& share = files_[file].share;
+  IndexShare& share = files_[file].share;
   for (uint32_t pos = 0; pos < share.names.size(); ++pos) {
     const std::string_view name = share.names[pos].name;
     auto it = sharers_.find(name);
     if (it == sharers_.end()) {
       it = sharers_.emplace(std::string(name), Sharers()).first;
+      if (free_ids_.empty()) {
+        it->second.id = static_cast<uint32_t>(entries_.size());
+        entries_.push_back(nullptr);
+      } else {
+        it->second.id = free_ids_.back();
+        free_ids_.pop_back();
+      }
     }
     it->second.files.emplace_back(file, pos);
+    share.names[pos].id = it->second.id;
     Touch(*it);
   }
 }
@@ -389,11 +397,12 @@ void Project::BuildDerived() {
   diags_ = DiagnosticEngine();
   quarantined_.clear();
   for (size_t i : unit_order_) {
-    const FileRecord& record = files_[i];
+    FileRecord& record = files_[i];
     diags_.Append(record.diags);
     if (record.quarantine.has_value()) {
       quarantined_.push_back(*record.quarantine);
     }
+    record.shares_touched = false;
   }
   // Each touched name merges its sharers' entries in unit order: the last
   // definer wins (with its own first IR function of the name), and the call
@@ -403,6 +412,8 @@ void Project::BuildDerived() {
     sharers.touched = false;
     if (sharers.files.empty()) {
       index_.erase(name->first);
+      entries_[sharers.id] = nullptr;
+      free_ids_.push_back(sharers.id);
       sharers_.erase(sharers_.find(name->first));
       continue;
     }
@@ -414,6 +425,7 @@ void Project::BuildDerived() {
     for (const auto& [file, pos] : sharers.files) {
       const IndexShare::Name& entry = files_[file].share.names[pos];
       site_count += entry.sites_end - entry.sites_begin;
+      files_[file].shares_touched = true;
     }
     info.call_sites.reserve(site_count);
     for (const auto& [file, pos] : sharers.files) {
@@ -428,7 +440,9 @@ void Project::BuildDerived() {
         info.call_sites.push_back(*share.sites[s]);
       }
     }
-    index_[name->first] = std::move(info);
+    FunctionInfo& entry = index_[name->first];
+    entry = std::move(info);
+    entries_[sharers.id] = &entry;
   }
   touched_.clear();
 }

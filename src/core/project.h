@@ -183,7 +183,19 @@ class Project {
   // project, live path-sorted slots after incremental mutations.
   const std::vector<size_t>& unit_order() const { return unit_order_; }
 
- private:
+  // Every indexed name has a dense id below NameIdBound(), stable while the
+  // name stays indexed. An id a name gives up in one update is handed out
+  // again in a later one at the earliest, so a consumer that follows every
+  // update never sees one id stand for two names at once.
+  static constexpr uint32_t kNoName = UINT32_MAX;
+  uint32_t NameId(std::string_view name) const {
+    auto it = sharers_.find(name);
+    return it == sharers_.end() ? kNoName : it->second.id;
+  }
+  uint32_t NameIdBound() const { return static_cast<uint32_t>(entries_.size()); }
+  // The index entry of an indexed name's id; null for an unused id.
+  const FunctionInfo* IndexEntry(uint32_t id) const { return entries_[id]; }
+
   // One file's share of the function index: every name the file defines or
   // calls. It points into the file's own AST and IR, so it leaves the index
   // before they are freed.
@@ -194,13 +206,23 @@ class Project {
       const IrFunction* ir = nullptr;     // the file's first IR function of `name`
       uint32_t sites_begin = 0;           // its call sites: sites[begin, end)
       uint32_t sites_end = 0;
+      uint32_t id = kNoName;              // see NameId()
     };
     std::vector<Name> names;
     // Call sites grouped by callee name, each group in function order and
     // then call order. The index keeps the one copy of each site.
     std::vector<const CallSite*> sites;
   };
+  const IndexShare& index_share(FileId file) const { return files_.at(file).share; }
 
+  // True when the live `file` defines or calls a name whose index entry the
+  // last build or FinishUpdate() rebuilt: every name of a fresh build, and
+  // after an update the names the changed files' old and new shares list.
+  // A file that shares none of them sees every index entry it reads as it
+  // was before the update.
+  bool SharesTouchedName(FileId file) const { return files_.at(file).shares_touched; }
+
+ private:
   // Everything kept about one file. Compiling or removing the file rewrites
   // its record whole.
   struct FileRecord {
@@ -211,6 +233,7 @@ class Project {
     FileMemory memory;
     IndexShare share;
     bool live = true;
+    bool shares_touched = false;  // see SharesTouchedName()
   };
 
   // The live files whose share lists one name, as (file, position in its
@@ -219,6 +242,7 @@ class Project {
   struct Sharers {
     std::vector<std::pair<FileId, uint32_t>> files;
     bool touched = false;
+    uint32_t id = kNoName;
   };
   struct NameHash {
     using is_transparent = void;
@@ -253,6 +277,8 @@ class Project {
   std::vector<std::unique_ptr<IrModule>> modules_;
   std::map<std::string, FunctionInfo> index_;
   SharerMap sharers_;                           // per indexed name
+  std::vector<const FunctionInfo*> entries_;    // by name id
+  std::vector<uint32_t> free_ids_;              // ids given up by earlier updates
   std::vector<SharerMap::value_type*> touched_;  // names awaiting their rebuild
   std::vector<QuarantinedUnit> quarantined_;
   StageRecord build_stage_;

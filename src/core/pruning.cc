@@ -1,12 +1,10 @@
 #include "src/core/pruning.h"
 
 #include <algorithm>
-#include <functional>
+#include <climits>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <string>
-#include <tuple>
 
 #include "src/support/metrics.h"
 #include "src/support/string_util.h"
@@ -201,214 +199,24 @@ std::string SignatureOf(const FunctionDecl* decl) {
   return sig;
 }
 
-// Peer-group verdicts from one pass over the function index. A function's
-// slot is its position in the index, which is sorted by name. Each slot's
-// return value is one peer group; each parameter position of a signature
-// (defined functions with the same SignatureOf) is another. Only the
-// verdict, "customarily ignored" or not, is kept per group, so matching a
-// candidate is a lookup. The per-candidate and per-slot passes run across
-// `jobs` lanes, each lane writing only its own slots.
-class PeerMatcher {
- public:
-  PeerMatcher(const Project& project, const std::vector<UnusedDefCandidate>& universe,
-              const PruneOptions& options, int jobs) {
-    functions_.reserve(project.function_index().size());
-    for (const auto& entry : project.function_index()) {
-      functions_.push_back(&entry);
-    }
-    const size_t slots = functions_.size();
-    // Slot s's parameter i is entry param_base[s] + i of the flat tables.
-    std::vector<size_t> param_base(slots + 1, 0);
-    for (size_t slot = 0; slot < slots; ++slot) {
-      param_base[slot + 1] = param_base[slot] + Arity(slot);
-    }
-
-    // Which values the universe shows unused: parameters, by (function
-    // slot, position), and assigned call results. A call site's result is
-    // unused when it is ignored at the call or when the variable it was
-    // assigned to is itself an unused definition; the store and the call
-    // share a line but not a column, so assigned-but-unused results are
-    // matched to call sites by (callee slot, file, line).
-    std::vector<size_t> peer_slot(universe.size(), kNoSlot);
-    ParallelFor(jobs, universe.size(), [&](size_t i) {
-      const UnusedDefCandidate& cand = universe[i];
-      if (cand.checker != "unused-def") {
-        return;  // peer statistics are defined over unused definitions only
-      }
-      if (cand.is_param && cand.var != nullptr) {
-        peer_slot[i] = SlotOf(cand.function);
-      } else if (!cand.callee_name.empty() && !cand.is_synthetic) {
-        peer_slot[i] = SlotOf(cand.callee_name);
-      }
-    });
-    std::vector<std::tuple<size_t, FileId, int>> unused_assigned;
-    std::vector<bool> unused_param(param_base.back(), false);
-    for (size_t i = 0; i < universe.size(); ++i) {
-      const size_t slot = peer_slot[i];
-      if (slot == kNoSlot) {
-        continue;
-      }
-      const UnusedDefCandidate& cand = universe[i];
-      if (cand.is_param && cand.var != nullptr) {
-        const size_t param = static_cast<size_t>(cand.var->param_index);
-        if (param < Arity(slot)) {
-          unused_param[param_base[slot] + param] = true;
-        }
-      } else {
-        unused_assigned.emplace_back(slot, cand.def_loc.file, cand.def_loc.line);
-      }
-    }
-    std::sort(unused_assigned.begin(), unused_assigned.end());
-
-    auto over_threshold = [&options](int total, int unused) {
-      return total > options.peer_min_occurrences &&
-             static_cast<double>(unused) > options.peer_unused_fraction * total;
-    };
-
-    // Per slot: the return-value verdict (every call site of the name is an
-    // occurrence) and, for a defined function, its signature and the hash
-    // that groups it.
-    retval_ignored_.resize(slots);
-    std::vector<std::string> signature(slots);
-    std::vector<size_t> signature_hash(slots);
-    ParallelFor(jobs, slots, [&](size_t slot) {
-      auto by_slot = [](const auto& key, size_t s) { return std::get<0>(key) < s; };
-      auto first = std::lower_bound(unused_assigned.begin(), unused_assigned.end(), slot, by_slot);
-      auto last = std::lower_bound(first, unused_assigned.end(), slot + 1, by_slot);
-      const FunctionInfo& info = functions_[slot]->second;
-      int unused = 0;
-      for (const CallSite& site : info.call_sites) {
-        if (!site.result_assigned ||
-            std::binary_search(first, last, std::make_tuple(slot, site.loc.file, site.loc.line))) {
-          ++unused;
-        }
-      }
-      retval_ignored_[slot] = over_threshold(static_cast<int>(info.call_sites.size()), unused);
-      if (info.def_decl != nullptr) {
-        signature[slot] = SignatureOf(info.def_decl);
-        signature_hash[slot] = std::hash<std::string>()(signature[slot]);
-      }
-    });
-
-    // Parameters: peers are the same position of functions with identical
-    // signatures. Sorting by (hash, slot) lines each signature's functions
-    // up in index order; a group's positions are those of its first one.
-    std::vector<size_t> defined;
-    for (size_t slot = 0; slot < slots; ++slot) {
-      if (functions_[slot]->second.def_decl != nullptr) {
-        defined.push_back(slot);
-      }
-    }
-    std::sort(defined.begin(), defined.end(), [&](size_t a, size_t b) {
-      return std::tie(signature_hash[a], a) < std::tie(signature_hash[b], b);
-    });
-    param_group_.assign(slots, {0, 0});
-    for (size_t begin = 0, end = 0; begin < defined.size(); begin = end) {
-      const size_t hash = signature_hash[defined[begin]];
-      auto hash_end = std::find_if(defined.begin() + begin, defined.end(),
-                                   [&](size_t slot) { return signature_hash[slot] != hash; });
-      // Another signature with the same hash would share the run: move this
-      // signature's functions to its front, keeping index order on both sides.
-      auto same = [&](size_t slot) { return signature[slot] == signature[defined[begin]]; };
-      end = std::stable_partition(defined.begin() + begin + 1, hash_end, same) - defined.begin();
-
-      const std::pair<size_t, size_t> group{param_ignored_.size(), Arity(defined[begin])};
-      for (size_t param = 0; param < group.second; ++param) {
-        int total = 0;
-        int unused = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if (param < Arity(defined[i])) {
-            ++total;
-            unused += unused_param[param_base[defined[i]] + param] ? 1 : 0;
-          }
-        }
-        param_ignored_.push_back(over_threshold(total, unused));
-      }
-      for (size_t i = begin; i < end; ++i) {
-        param_group_[defined[i]] = group;
-      }
-    }
-  }
-
-  bool Matches(const UnusedDefCandidate& cand) const {
-    if (cand.is_param && cand.var != nullptr) {
-      const size_t slot = SlotOf(cand.function);
-      if (slot == kNoSlot || functions_[slot]->second.def_decl == nullptr) {
-        return false;
-      }
-      const auto [first, count] = param_group_[slot];
-      const size_t param = static_cast<size_t>(cand.var->param_index);
-      return param < count && param_ignored_[first + param];
-    }
-    if (!cand.callee_name.empty()) {
-      const size_t slot = SlotOf(cand.callee_name);
-      return slot != kNoSlot && retval_ignored_[slot];
-    }
-    return false;
-  }
-
- private:
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-  // The slot of the function called `name`, or kNoSlot.
-  size_t SlotOf(const std::string& name) const {
-    auto it = std::lower_bound(
-        functions_.begin(), functions_.end(), name,
-        [](const FunctionEntry* entry, const std::string& key) { return entry->first < key; });
-    return it != functions_.end() && (*it)->first == name
-               ? static_cast<size_t>(it - functions_.begin())
-               : kNoSlot;
-  }
-
-  // Parameter count of a defined function; 0 for one known only by calls.
-  size_t Arity(size_t slot) const {
-    const FunctionDecl* decl = functions_[slot]->second.def_decl;
-    return decl != nullptr ? decl->params.size() : 0;
-  }
-
-  using FunctionEntry = std::pair<const std::string, FunctionInfo>;
-  std::vector<const FunctionEntry*> functions_;  // by slot
-  std::vector<char> retval_ignored_;             // by slot
-  // By slot (defined functions): the signature group's first entry in
-  // param_ignored_ and its parameter count.
-  std::vector<std::pair<size_t, size_t>> param_group_;
-  std::vector<bool> param_ignored_;
-};
-
 // --- The pipeline -------------------------------------------------------------
 
 // Runs patterns 1-4 in pipeline order on one candidate and returns the first
-// that matches, counting each test in `counts`.
+// that matches.
 PruneReason MatchPatterns(const Project& project, const UnusedDefCandidate& cand,
                           const PruneOptions& options, CursorMatcher& cursor,
-                          const PeerMatcher* peers, PruneStats& counts) {
-  if (options.config_dependency) {
-    ++counts.config_tested;
-    if (MatchesConfigDependency(project, cand)) {
-      ++counts.config_dependency;
-      return PruneReason::kConfigDependency;
-    }
+                          const PeerStats& peers) {
+  if (options.config_dependency && MatchesConfigDependency(project, cand)) {
+    return PruneReason::kConfigDependency;
   }
-  if (options.cursor) {
-    ++counts.cursor_tested;
-    if (cursor.Matches(cand)) {
-      ++counts.cursor;
-      return PruneReason::kCursor;
-    }
+  if (options.cursor && cursor.Matches(cand)) {
+    return PruneReason::kCursor;
   }
-  if (options.unused_hints) {
-    ++counts.hints_tested;
-    if (MatchesUnusedHint(project, cand)) {
-      ++counts.unused_hints;
-      return PruneReason::kUnusedHint;
-    }
+  if (options.unused_hints && MatchesUnusedHint(project, cand)) {
+    return PruneReason::kUnusedHint;
   }
-  if (options.peer_definition) {
-    ++counts.peer_tested;
-    if (peers->Matches(cand)) {
-      ++counts.peer_definition;
-      return PruneReason::kPeerDefinition;
-    }
+  if (options.peer_definition && peers.Matches(project, cand)) {
+    return PruneReason::kPeerDefinition;
   }
   return PruneReason::kNone;
 }
@@ -416,59 +224,332 @@ PruneReason MatchPatterns(const Project& project, const UnusedDefCandidate& cand
 // The §5 patterns model intentional *unused definitions* (cursor loops,
 // config-guarded uses, customarily-ignored values); other checkers' findings
 // pass through unpruned — keeping a checker's findings identical whether it
-// runs alone or alongside others. Already-pruned candidates are not retried.
-bool Prunable(const UnusedDefCandidate& cand) {
-  return cand.pruned_by == PruneReason::kNone && cand.checker == "unused-def";
-}
+// runs alone or alongside others.
+bool IsUnusedDef(const UnusedDefCandidate& cand) { return cand.checker == "unused-def"; }
+
+// A parameter candidate: its peers are the same position of same-signature
+// functions.
+bool IsParamPeer(const UnusedDefCandidate& cand) { return cand.is_param && cand.var != nullptr; }
 
 }  // namespace
 
+// --- Pattern 4: peer statistics -------------------------------------------------
+
+PeerStats::PeerStats(const PruneOptions& options)
+    : min_occurrences_(options.peer_min_occurrences),
+      unused_fraction_(options.peer_unused_fraction) {}
+
+bool PeerStats::Over(int64_t total, int64_t unused) const {
+  return total > min_occurrences_ &&
+         static_cast<double>(unused) > unused_fraction_ * static_cast<double>(total);
+}
+
+void PeerStats::Touch(uint32_t id) {
+  if (!names_[id].dirty) {
+    names_[id].dirty = true;
+    dirty_.push_back(id);
+  }
+}
+
+void PeerStats::Touch(GroupMap::value_type& group) {
+  if (!group.second.dirty) {
+    group.second.dirty = true;
+    dirty_groups_.push_back(&group);
+  }
+}
+
+void PeerStats::Add(const Contribution& contribution, int sign) {
+  for (const Contribution::Callee& callee : contribution.names) {
+    NameStats& name = names_[callee.id];
+    name.refs += sign;
+    name.sites += sign * static_cast<int>(callee.sites);
+    name.unused_sites += sign * static_cast<int>(callee.unused);
+    Touch(callee.id);
+  }
+  for (const auto& [id, param] : contribution.params) {
+    NameStats& name = names_[id];
+    name.refs += sign;
+    if (name.unused_params.size() <= param) {
+      name.unused_params.resize(param + 1, 0);
+    }
+    name.unused_params[param] += sign;
+    Touch(id);
+  }
+}
+
+PeerStats::Contribution PeerStats::Compute(const Project& project, FileId file,
+                                           const UnusedDefCandidate* const* first,
+                                           const UnusedDefCandidate* const* last) {
+  Contribution contribution;
+  // Call results this file assigns to an unused definition, by callee and
+  // line: the store and the call share a line but not a column.
+  std::vector<std::pair<std::string_view, int>> assigned;
+  for (const UnusedDefCandidate* const* it = first; it != last; ++it) {
+    const UnusedDefCandidate& cand = **it;
+    if (IsParamPeer(cand)) {
+      const uint32_t id = project.NameId(cand.function);
+      if (id != Project::kNoName && cand.var->param_index >= 0) {
+        contribution.params.emplace_back(id, static_cast<uint32_t>(cand.var->param_index));
+      }
+    } else if (!cand.callee_name.empty() && !cand.is_synthetic) {
+      assigned.emplace_back(cand.callee_name, cand.def_loc.line);
+    }
+  }
+  std::sort(assigned.begin(), assigned.end());
+  const Project::IndexShare& share = project.index_share(file);
+  contribution.names.reserve(share.names.size());
+  for (const Project::IndexShare::Name& name : share.names) {
+    auto lo =
+        std::lower_bound(assigned.begin(), assigned.end(), std::make_pair(name.name, INT_MIN));
+    auto hi = std::lower_bound(lo, assigned.end(), std::make_pair(name.name, INT_MAX));
+    uint32_t unused = 0;
+    for (uint32_t s = name.sites_begin; s < name.sites_end; ++s) {
+      const CallSite& site = *share.sites[s];
+      if (!site.result_assigned ||
+          std::binary_search(lo, hi, std::make_pair(name.name, site.loc.line))) {
+        ++unused;
+      }
+    }
+    contribution.names.push_back({name.id, name.sites_end - name.sites_begin, unused});
+  }
+  return contribution;
+}
+
+void PeerStats::Update(const Project& project, const std::vector<UnusedDefCandidate>& candidates,
+                       const std::vector<size_t>& indices, const std::vector<FileId>& files,
+                       int jobs) {
+  ++update_;
+  retval_flips_ = 0;
+  group_flips_ = 0;
+  const size_t num_files = static_cast<size_t>(project.sources().NumFiles());
+  if (files_.size() < num_files) {
+    files_.resize(num_files);
+  }
+  if (names_.size() < project.NameIdBound()) {
+    names_.resize(project.NameIdBound());
+  }
+
+  // Bucket the unused-def candidates of `files` by file: each candidate's
+  // bucket across the lanes, then a counting sort.
+  constexpr uint32_t kNotGiven = UINT32_MAX;
+  std::vector<uint32_t> given(num_files, kNotGiven);
+  for (size_t k = 0; k < files.size(); ++k) {
+    given[files[k]] = static_cast<uint32_t>(k);
+  }
+  std::vector<uint32_t> bucket(indices.size());
+  ParallelFor(jobs, indices.size(), [&](size_t j) {
+    const UnusedDefCandidate& cand = candidates[indices[j]];
+    const FileId file = cand.def_loc.file;
+    bucket[j] = IsUnusedDef(cand) && file >= 0 && static_cast<size_t>(file) < num_files
+                    ? given[file]
+                    : kNotGiven;
+  });
+  std::vector<size_t> begin(files.size() + 1, 0);
+  for (uint32_t b : bucket) {
+    if (b != kNotGiven) {
+      ++begin[b + 1];
+    }
+  }
+  for (size_t k = 0; k < files.size(); ++k) {
+    begin[k + 1] += begin[k];
+  }
+  std::vector<const UnusedDefCandidate*> bucketed(begin.back());
+  {
+    std::vector<size_t> next(begin.begin(), begin.end() - 1);
+    for (size_t j = 0; j < indices.size(); ++j) {
+      if (bucket[j] != kNotGiven) {
+        bucketed[next[bucket[j]]++] = &candidates[indices[j]];
+      }
+    }
+  }
+
+  // Each live file's new contribution, computed on the lanes; then,
+  // serially, the old contributions go and the new ones come in.
+  std::vector<Contribution> fresh(files.size());
+  ParallelFor(jobs, files.size(), [&](size_t k) {
+    if (project.IsLive(files[k])) {
+      fresh[k] = Compute(project, files[k], bucketed.data() + begin[k],
+                         bucketed.data() + begin[k + 1]);
+    }
+  });
+  for (FileId file : files) {
+    Add(files_[file], -1);
+  }
+  for (size_t k = 0; k < files.size(); ++k) {
+    Add(fresh[k], +1);
+    files_[files[k]] = std::move(fresh[k]);
+  }
+  Decide(project, jobs);
+}
+
+void PeerStats::Leave(NameStats& name) {
+  if (name.group == nullptr) {
+    return;
+  }
+  Group& group = name.group->second;
+  --group.members;
+  for (size_t p = 0; p < name.counted.size(); ++p) {
+    group.unused[p] -= name.counted[p];
+  }
+  Touch(*name.group);
+  name.group = nullptr;
+  name.counted.clear();
+}
+
+void PeerStats::Decide(const Project& project, int jobs) {
+  // A name whose index entry has a definition joins that signature's group;
+  // the signatures are spelled out on the lanes.
+  auto definition = [&](uint32_t id) -> const FunctionDecl* {
+    const FunctionInfo* entry = project.IndexEntry(id);
+    return names_[id].refs > 0 && entry != nullptr ? entry->def_decl : nullptr;
+  };
+  std::vector<std::string> signature(dirty_.size());
+  ParallelFor(jobs, dirty_.size(), [&](size_t i) {
+    if (const FunctionDecl* def = definition(dirty_[i])) {
+      signature[i] = SignatureOf(def);
+    }
+  });
+  for (size_t i = 0; i < dirty_.size(); ++i) {
+    NameStats& name = names_[dirty_[i]];
+    name.dirty = false;
+    Leave(name);
+    if (name.refs == 0) {
+      name = NameStats();  // the id is free until a later update
+      continue;
+    }
+    const bool ignored = Over(name.sites, name.unused_sites);
+    if (ignored != name.retval_ignored) {
+      name.retval_ignored = ignored;
+      ++retval_flips_;
+    }
+    const FunctionDecl* def = definition(dirty_[i]);
+    if (def == nullptr) {
+      continue;
+    }
+    auto [it, added] = groups_.try_emplace(std::move(signature[i]));
+    Group& group = it->second;
+    const size_t arity = def->params.size();
+    if (added) {
+      group.unused.assign(arity, 0);
+      group.ignored.assign(arity, 0);
+    }
+    ++group.members;
+    if (!name.unused_params.empty()) {
+      name.counted.assign(arity, 0);
+      for (size_t p = 0; p < arity && p < name.unused_params.size(); ++p) {
+        name.counted[p] = name.unused_params[p] > 0 ? 1 : 0;
+        group.unused[p] += name.counted[p];
+      }
+    }
+    name.group = &*it;
+    Touch(*it);
+  }
+  dirty_.clear();
+  for (GroupMap::value_type* entry : dirty_groups_) {
+    Group& group = entry->second;
+    group.dirty = false;
+    if (group.members == 0) {
+      groups_.erase(groups_.find(entry->first));
+      continue;
+    }
+    bool flipped = false;
+    for (size_t p = 0; p < group.ignored.size(); ++p) {
+      const char ignored = Over(group.members, group.unused[p]) ? 1 : 0;
+      flipped = flipped || ignored != group.ignored[p];
+      group.ignored[p] = ignored;
+    }
+    if (flipped) {
+      group.flipped = update_;
+      ++group_flips_;
+    }
+  }
+  dirty_groups_.clear();
+}
+
+const PeerStats::NameStats* PeerStats::Find(const Project& project,
+                                            const std::string& name) const {
+  const uint32_t id = project.NameId(name);
+  return id < names_.size() ? &names_[id] : nullptr;
+}
+
+bool PeerStats::Matches(const Project& project, const UnusedDefCandidate& cand) const {
+  if (IsParamPeer(cand)) {
+    const NameStats* name = Find(project, cand.function);
+    if (name == nullptr || name->group == nullptr) {
+      return false;
+    }
+    const size_t param = static_cast<size_t>(cand.var->param_index);
+    const Group& group = name->group->second;
+    return param < group.ignored.size() && group.ignored[param];
+  }
+  if (!cand.callee_name.empty()) {
+    const NameStats* name = Find(project, cand.callee_name);
+    return name != nullptr && name->retval_ignored;
+  }
+  return false;
+}
+
+bool PeerStats::GroupFlipped(const Project& project, const UnusedDefCandidate& cand) const {
+  if (!IsParamPeer(cand)) {
+    return false;
+  }
+  const NameStats* name = Find(project, cand.function);
+  return name != nullptr && name->group != nullptr && name->group->second.flipped == update_;
+}
+
+// --- Pruning ----------------------------------------------------------------------
+
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
-                      const std::vector<size_t>& targets,
-                      const std::vector<UnusedDefCandidate>& peer_universe,
-                      const PruneOptions& options, const Repository* repo, int jobs) {
+                      const std::vector<size_t>& targets, const PeerStats& peers,
+                      const std::vector<char>& carried, const PruneOptions& options,
+                      const Repository* repo, int jobs) {
   PruneStats stats;
   stats.original = static_cast<int>(targets.size());
 
-  std::unique_ptr<PeerMatcher> peers;
-  if (options.peer_definition) {
-    TraceSpan span("prune.peer_stats", "pipeline");
-    peers = std::make_unique<PeerMatcher>(project, peer_universe, options, jobs);
+  // Which targets count (unused-def candidates that are carried or not yet
+  // pruned), each one's reason, and the positions whose patterns run: every
+  // counted target that is not carried, and the carried parameter candidates
+  // whose signature group flipped. Verdicts land in `reasons` and reach the
+  // candidates only after every pattern ran, so a stage that throws marks
+  // nothing.
+  std::vector<char> counted(targets.size(), 0);
+  std::vector<PruneReason> reasons(targets.size(), PruneReason::kNone);
+  std::vector<size_t> match;
+  const bool flips = options.peer_definition && peers.group_flips() > 0;
+  for (size_t k = 0; k < targets.size(); ++k) {
+    const UnusedDefCandidate& cand = candidates[targets[k]];
+    if (!IsUnusedDef(cand)) {
+      continue;
+    }
+    if (!carried.empty() && carried[targets[k]]) {
+      counted[k] = 1;
+      if (flips && peers.GroupFlipped(project, cand)) {
+        match.push_back(k);
+      } else {
+        reasons[k] = cand.pruned_by;
+      }
+    } else if (cand.pruned_by == PruneReason::kNone) {
+      counted[k] = 1;
+      match.push_back(k);
+    }
   }
 
-  // Verdicts land here and reach the candidates only after every pattern
-  // ran, so a stage that throws marks nothing.
-  std::vector<PruneReason> reasons(targets.size(), PruneReason::kNone);
   {
     TraceSpan span("prune.match", "pipeline");
     span.Arg("candidates", static_cast<int64_t>(targets.size()));
+    span.Arg("matched", static_cast<int64_t>(match.size()));
     // Contiguous chunks, each with its own cursor increment table
     // (candidates of one function are adjacent, so a function's increments
-    // are counted about once) and its own counters, summed in chunk order
-    // afterwards.
-    const size_t chunks =
-        std::min(targets.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
-    std::vector<PruneStats> counts(chunks);
+    // are counted about once).
+    const size_t chunks = std::min(match.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
     ParallelFor(jobs, chunks, [&](size_t chunk) {
       CursorMatcher cursor;
-      const size_t end = targets.size() * (chunk + 1) / chunks;
-      for (size_t k = targets.size() * chunk / chunks; k < end; ++k) {
-        const UnusedDefCandidate& cand = candidates[targets[k]];
-        if (Prunable(cand)) {
-          reasons[k] = MatchPatterns(project, cand, options, cursor, peers.get(), counts[chunk]);
-        }
+      const size_t end = match.size() * (chunk + 1) / chunks;
+      for (size_t m = match.size() * chunk / chunks; m < end; ++m) {
+        const size_t k = match[m];
+        reasons[k] = MatchPatterns(project, candidates[targets[k]], options, cursor, peers);
       }
     });
-    for (const PruneStats& chunk : counts) {
-      stats.config_dependency += chunk.config_dependency;
-      stats.cursor += chunk.cursor;
-      stats.unused_hints += chunk.unused_hints;
-      stats.peer_definition += chunk.peer_definition;
-      stats.config_tested += chunk.config_tested;
-      stats.cursor_tested += chunk.cursor_tested;
-      stats.hints_tested += chunk.hints_tested;
-      stats.peer_tested += chunk.peer_tested;
-    }
   }
 
   // The stale-code extension reads Repository::Blame, which is not safe to
@@ -477,24 +558,43 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
   if (options.stale_code) {
     TraceSpan span("prune.stale_code", "pipeline");
     StaleCodeMatcher stale(project, repo, options);
-    for (size_t k = 0; k < targets.size(); ++k) {
-      const UnusedDefCandidate& cand = candidates[targets[k]];
-      if (reasons[k] != PruneReason::kNone || !Prunable(cand)) {
-        continue;
-      }
-      ++stats.stale_tested;
-      if (stale.Matches(cand)) {
+    for (size_t k : match) {
+      if (reasons[k] == PruneReason::kNone && stale.Matches(candidates[targets[k]])) {
         reasons[k] = PruneReason::kStaleCode;
-        ++stats.stale_code;
       }
     }
   }
 
+  for (size_t k : match) {
+    candidates[targets[k]].pruned_by = reasons[k];
+  }
+
+  // Each counted target was tested by the patterns in pipeline order up to
+  // the one that matched.
+  int tested = 0;
   for (size_t k = 0; k < targets.size(); ++k) {
-    if (reasons[k] != PruneReason::kNone) {
-      candidates[targets[k]].pruned_by = reasons[k];
+    if (!counted[k]) {
+      continue;
+    }
+    ++tested;
+    switch (reasons[k]) {
+      case PruneReason::kConfigDependency: ++stats.config_dependency; break;
+      case PruneReason::kCursor: ++stats.cursor; break;
+      case PruneReason::kUnusedHint: ++stats.unused_hints; break;
+      case PruneReason::kPeerDefinition: ++stats.peer_definition; break;
+      case PruneReason::kStaleCode: ++stats.stale_code; break;
+      case PruneReason::kNone: break;
     }
   }
+  auto test = [&](bool enabled, int& tested_count, int matched) {
+    tested_count = enabled ? tested : 0;
+    tested -= matched;
+  };
+  test(options.config_dependency, stats.config_tested, stats.config_dependency);
+  test(options.cursor, stats.cursor_tested, stats.cursor);
+  test(options.unused_hints, stats.hints_tested, stats.unused_hints);
+  test(options.peer_definition, stats.peer_tested, stats.peer_definition);
+  test(options.stale_code, stats.stale_tested, stats.stale_code);
   stats.remaining = stats.original - stats.TotalPruned();
 
   if (MetricsEnabled()) {
@@ -524,10 +624,22 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
                       const PruneOptions& options,
                       const std::vector<UnusedDefCandidate>* peer_universe,
                       const Repository* repo, int jobs) {
-  std::vector<size_t> all(candidates.size());
-  std::iota(all.begin(), all.end(), 0);
-  return RunPruning(project, candidates, all,
-                    peer_universe != nullptr ? *peer_universe : candidates, options, repo, jobs);
+  const std::vector<UnusedDefCandidate>& universe =
+      peer_universe != nullptr ? *peer_universe : candidates;
+  PeerStats peers(options);
+  if (options.peer_definition) {
+    TraceSpan span("prune.peer_stats", "pipeline");
+    std::vector<size_t> all(universe.size());
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<FileId> files;
+    for (size_t m : project.unit_order()) {
+      files.push_back(static_cast<FileId>(m));
+    }
+    peers.Update(project, universe, all, files, jobs);
+  }
+  std::vector<size_t> targets(candidates.size());
+  std::iota(targets.begin(), targets.end(), 0);
+  return RunPruning(project, candidates, targets, peers, {}, options, repo, jobs);
 }
 
 }  // namespace vc

@@ -15,10 +15,16 @@
 //      same parameter position of same-signature functions) also leave the
 //      value unused; with > 10 occurrences and > half unused, the value is
 //      evidently one developers do not care about (printf's return value).
+//      The verdicts come from PeerStats, which the incremental engine keeps
+//      warm across commits.
 
 #ifndef VALUECHECK_SRC_CORE_PRUNING_H_
 #define VALUECHECK_SRC_CORE_PRUNING_H_
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/project.h"
@@ -69,21 +75,133 @@ struct PruneStats {
   }
 };
 
-// Prunes candidates[i] for every i in `targets`, in place: a pruned
-// candidate's `pruned_by` records the pattern that matched, and the others
-// are left untouched. Peer-definition usage statistics come from
-// `peer_universe` (the complete pre-filter candidate set: a value may be
-// "usually unused" even when most of those unused sites are same-author); it
-// may be `candidates` itself. Patterns 1-4 run across up to `jobs` lanes; the
-// marks and the statistics are the same at any `jobs`. `repo` is only needed
-// when options.stale_code is enabled.
-PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
-                      const std::vector<size_t>& targets,
-                      const std::vector<UnusedDefCandidate>& peer_universe,
-                      const PruneOptions& options, const Repository* repo, int jobs);
+// Peer-definition statistics (pattern 4), assembled from per-file
+// contributions. A file contributes, for each name it calls, its call sites
+// and how many of them leave the result unused — not assigned, or assigned to
+// an unused-def candidate on the site's line — and, for each function it
+// defines, the positions of its unused-parameter candidates. A name's return
+// value is customarily ignored when its sites summed over every file pass the
+// thresholds. A parameter position is customarily ignored when enough of the
+// functions whose index definitions share one signature leave it unused; a
+// duplicate name counts once, with the definition the index chose (the last
+// in path order) and the marks of every file that defines it.
+//
+// Names are the project's name ids. Update() replaces the contributions of
+// the files it is given and re-decides only the names they list and those
+// names' signature groups, so a warm instance that follows every project
+// update decides exactly what a fresh one built over every file decides,
+// provided every file whose index share or candidates changed is among those
+// replaced. It records which verdicts flipped.
+class PeerStats {
+ public:
+  explicit PeerStats(const PruneOptions& options = PruneOptions());
+  // Names point into the group table, which a copy would not share.
+  PeerStats(const PeerStats&) = delete;
+  PeerStats& operator=(const PeerStats&) = delete;
+  PeerStats(PeerStats&&) = default;
+  PeerStats& operator=(PeerStats&&) = default;
 
-// The same over every candidate of the list. Peer statistics are computed
-// over `peer_universe` when given, otherwise over `candidates` itself.
+  // Replaces the contribution of each of `files`: a live file's is recomputed
+  // from its index share and the unused-def candidates among
+  // candidates[indices] that lie in it, a tombstoned file's is taken out.
+  // Then re-decides every name a replaced contribution listed, old or new,
+  // and the signature groups those names leave or join. The per-file work
+  // runs across up to `jobs` lanes.
+  void Update(const Project& project, const std::vector<UnusedDefCandidate>& candidates,
+              const std::vector<size_t>& indices, const std::vector<FileId>& files, int jobs);
+
+  // Pattern 4 on one candidate of `project` (the project of the last
+  // Update()): its callee's return value, or its parameter's position in its
+  // signature group, is customarily ignored.
+  bool Matches(const Project& project, const UnusedDefCandidate& cand) const;
+  // True for a parameter candidate whose signature group's verdict flipped
+  // in the last Update().
+  bool GroupFlipped(const Project& project, const UnusedDefCandidate& cand) const;
+
+  // Verdicts the last Update() flipped.
+  int retval_flips() const { return retval_flips_; }
+  int group_flips() const { return group_flips_; }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const { return std::hash<std::string_view>()(name); }
+  };
+  // A signature group, keyed by the signature.
+  struct Group {
+    int members = 0;
+    std::vector<int> unused;    // per position: members leaving it unused
+    std::vector<char> ignored;  // per position: the verdict
+    bool dirty = false;
+    uint64_t flipped = 0;       // the Update() that last flipped a verdict
+  };
+  using GroupMap = std::unordered_map<std::string, Group, Hash, std::equal_to<>>;
+  // One name's sums over the contributions, and its verdicts; by name id.
+  struct NameStats {
+    int refs = 0;  // contribution entries naming it
+    int sites = 0;
+    int unused_sites = 0;
+    bool dirty = false;
+    bool retval_ignored = false;
+    std::vector<int> unused_params;         // per position: contributions marking it
+    GroupMap::value_type* group = nullptr;  // of the name's index definition
+    std::vector<char> counted;              // per position: counted in `group`
+  };
+  // One file's contribution, by name id: per name of its index share, its
+  // call sites and how many leave the result unused; and its unused
+  // parameter positions.
+  struct Contribution {
+    struct Callee {
+      uint32_t id;
+      uint32_t sites;
+      uint32_t unused;
+    };
+    std::vector<Callee> names;
+    std::vector<std::pair<uint32_t, uint32_t>> params;
+  };
+
+  bool Over(int64_t total, int64_t unused) const;
+  static Contribution Compute(const Project& project, FileId file,
+                              const UnusedDefCandidate* const* first,
+                              const UnusedDefCandidate* const* last);
+  const NameStats* Find(const Project& project, const std::string& name) const;
+  void Add(const Contribution& contribution, int sign);
+  void Touch(uint32_t id);
+  void Touch(GroupMap::value_type& group);
+  void Leave(NameStats& name);
+  void Decide(const Project& project, int jobs);
+
+  int min_occurrences_;
+  double unused_fraction_;
+  std::vector<NameStats> names_;       // by name id
+  GroupMap groups_;
+  std::vector<Contribution> files_;    // by FileId
+  std::vector<uint32_t> dirty_;        // name ids
+  std::vector<GroupMap::value_type*> dirty_groups_;
+  uint64_t update_ = 0;
+  int retval_flips_ = 0;
+  int group_flips_ = 0;
+};
+
+// Prunes candidates[targets[k]] in place: a pruned candidate's `pruned_by`
+// records the first pattern that matched, and the others are left
+// untouched. `peers` must be up to date for this project (PeerStats::Update).
+// A target flagged in `carried` (indexed like `candidates`; empty means none)
+// keeps the reason it holds, except a parameter candidate whose signature
+// group flipped, which matches again; an unused-def target that is not
+// carried is matched unless it is already pruned. Patterns 1-4 run across up
+// to `jobs` lanes; the marks are the same at any `jobs`, and the statistics
+// are counted from the final reasons. `repo` is only needed when
+// options.stale_code is enabled.
+PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
+                      const std::vector<size_t>& targets, const PeerStats& peers,
+                      const std::vector<char>& carried, const PruneOptions& options,
+                      const Repository* repo, int jobs);
+
+// The same over every candidate of the list, with peer statistics built
+// from `peer_universe` (the complete pre-filter candidate set: a value may be
+// "usually unused" even when most of those unused sites are same-author)
+// when given, otherwise from `candidates` itself.
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
                       const PruneOptions& options = PruneOptions(),
                       const std::vector<UnusedDefCandidate>* peer_universe = nullptr,

@@ -13,14 +13,19 @@ namespace testing {
 
 namespace {
 
+// Every module calls the library function `peer_log` this many times.
+constexpr int kPeerSites = 4;
+
 // Per-module mutable state. `version` selects the generated body, `touches`
-// counts appended blank lines, `rename_gen` selects the file path, and
-// `entry_params` the arity of the module's stable export.
+// counts appended blank lines, `rename_gen` selects the file path,
+// `entry_params` the arity of the module's stable export, and
+// `peer_ignored` how many of its peer_log calls ignore the result.
 struct ModuleState {
   int version = 0;
   int rename_gen = 0;
   int touches = 0;
   int entry_params = 1;  // 1 or 2
+  int peer_ignored = 2;  // 2 or 3 of kPeerSites
 };
 
 std::string ModulePath(int module, int rename_gen) {
@@ -54,6 +59,15 @@ std::string ModuleContent(const HistoryGenOptions& options, int module,
   content += "  int acc = a + " + std::to_string(module + state.version) + ";\n";
   if (state.entry_params == 2) {
     content += "  acc = acc + b;\n";
+  }
+  content += "  return acc;\n}\n";
+  // The peer sites. With two of four ignored in every module, exactly half
+  // of peer_log's results are ignored: not customarily. One module ignoring
+  // a third tips it past half (with more than ten sites), and every ignored
+  // result in every module is then pruned as a peer definition.
+  content += "int mod" + std::to_string(module) + "_peer(int x) {\n  int acc = x;\n";
+  for (int i = 0; i < kPeerSites; ++i) {
+    content += i < state.peer_ignored ? "  peer_log(acc);\n" : "  acc = acc + peer_log(acc);\n";
   }
   content += "  return acc;\n}\n";
   content.append(static_cast<size_t>(state.touches), '\n');
@@ -112,7 +126,13 @@ Repository GenerateHistory(const HistoryGenOptions& options) {
     ModuleState& state = pick->second;
 
     uint64_t op = rng.NextBelow(100);
-    if (op < 60 && op >= 45) {
+    if (op < 45 && op >= 35) {
+      // Peer flip: only this module changes, but peer_log's verdict can flip
+      // at every other module's call sites.
+      state.peer_ignored = 5 - state.peer_ignored;
+      files[ModulePath(module, state.rename_gen)] = ModuleContent(options, module, state);
+      message = "peer sites of mod" + std::to_string(module);
+    } else if (op < 60 && op >= 45) {
       // Whitespace-only touch: hash changes, semantics don't.
       ++state.touches;
       files[ModulePath(module, state.rename_gen)] = ModuleContent(options, module, state);

@@ -18,7 +18,11 @@
 //   * rename    — the module's file moves, content byte-identical
 //                 (delete + write at the new path);
 //   * signature — `modN_entry` flips between 1- and 2-parameter forms and
-//                 glue is rewritten to match (cross-file signature change).
+//                 glue is rewritten to match (cross-file signature change);
+//   * peer      — a module ignores one more (or one fewer) result of the
+//                 library call every module makes four times, which can
+//                 flip that callee's peer verdict at the call sites of
+//                 modules the commit does not touch.
 //
 // Determinism contract: the same HistoryGenOptions yields a byte-identical
 // Repository on every platform (vc::Rng only, no unordered iteration).

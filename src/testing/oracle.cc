@@ -35,6 +35,10 @@ void AppendCandidate(std::string& out, const UnusedDefCandidate& cand) {
   out += cand.is_field_slot ? "f" : "-";
   out += cand.overwritten ? "o" : "-";
   out += '|';
+  out += std::to_string(cand.def_author);
+  out += ',';
+  out += std::to_string(cand.responsible_author);
+  out += '|';
   out += cand.callee_name;
   out += '|';
   for (const SourceLoc& loc : cand.overwriter_locs) {
@@ -65,25 +69,6 @@ AnalysisReport AnalyzeForDegraded(const TestProgram& program, int jobs, uint64_t
     options.fault = FaultInjector(seed, rate);
   }
   return Analysis(options).RunOnSources(program.ToSources());
-}
-
-// Deterministic one-line-per-unit rendering of the quarantine list, compared
-// byte for byte across job counts.
-std::string SerializeQuarantine(const AnalysisReport& report) {
-  std::string out;
-  for (const QuarantinedUnit& unit : report.quarantined) {
-    out += unit.path;
-    out += '|';
-    out += unit.function;
-    out += '|';
-    out += unit.stage;
-    out += '|';
-    out += unit.reason;
-    out += '|';
-    out += unit.checker;
-    out += '\n';
-  }
-  return out;
 }
 
 std::string JoinFingerprints(const std::set<std::string>& set) {
@@ -178,6 +163,23 @@ std::string OracleRunner::SerializeFindings(const AnalysisReport& report) {
   out += "non_cross_scope|" + std::to_string(report.non_cross_scope) + "\n";
   out += "diagnostics|" + std::to_string(report.diagnostic_warnings) + "|" +
          std::to_string(report.diagnostic_errors) + "\n";
+  return out;
+}
+
+std::string OracleRunner::SerializeQuarantine(const AnalysisReport& report) {
+  std::string out;
+  for (const QuarantinedUnit& unit : report.quarantined) {
+    out += unit.path;
+    out += '|';
+    out += unit.function;
+    out += '|';
+    out += unit.stage;
+    out += '|';
+    out += unit.reason;
+    out += '|';
+    out += unit.checker;
+    out += '\n';
+  }
   return out;
 }
 
@@ -401,19 +403,24 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
     // after holding a Project mutated through those states to a fresh
     // build's function index. Serial plus the widest job count — the
     // jobs_determinism oracle already covers the middle.
+    // Two authors alternate commit by commit, so cross-file calls cross an
+    // authorship boundary and classification has cross-scope verdicts to get
+    // right (with one author, nearly every candidate is non-cross-scope).
     Repository repo;
-    AuthorId author = repo.AddAuthor("fuzz");
+    const AuthorId authors[2] = {repo.AddAuthor("fuzz-a"), repo.AddAuthor("fuzz-b")};
+    size_t commits = 0;
+    auto next_author = [&] { return authors[commits++ % 2]; };
     int64_t timestamp = 1'650'000'000;
     std::vector<std::pair<std::string, std::string>> sources = program.ToSources();
     std::vector<std::pair<std::string, std::string>> state;
     std::vector<std::vector<std::pair<std::string, std::string>>> states;
     for (const auto& [path, content] : sources) {
-      repo.AddCommit(author, timestamp += 60, "add " + path, {{path, content}});
+      repo.AddCommit(next_author(), timestamp += 60, "add " + path, {{path, content}});
       state.emplace_back(path, content);
       states.push_back(state);
     }
     state.front().second += "\nint inc_probe(int z) {\n  int w = z + 1;\n  return w;\n}\n";
-    repo.AddCommit(author, timestamp += 60, "probe edit", {state.front()});
+    repo.AddCommit(next_author(), timestamp += 60, "probe edit", {state.front()});
     states.push_back(state);
     state.pop_back();
     states.push_back(state);

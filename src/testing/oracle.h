@@ -18,7 +18,8 @@
 //                       quarantine list and findings are identical at every
 //                       job count
 //   incremental_equivalence — replaying the program as a commit-per-file
-//                       history (plus a final edit) through the incremental
+//                       history (two alternating authors, plus a final
+//                       edit) through the incremental
 //                       engine yields, at every commit, exactly the findings
 //                       and raw candidates a full run over the truncated
 //                       repository yields; the same states as snapshots
@@ -111,9 +112,14 @@ class OracleRunner {
   AnalysisReport Analyze(const TestProgram& program, int jobs, bool collect_metrics) const;
 
   // Deterministic serialization of everything the determinism contract
-  // covers: findings (with fingerprints), raw candidates, prune statistics,
-  // diagnostics counts. Timings and pool stats are deliberately excluded.
+  // covers: findings (with fingerprints), raw candidates (with kind,
+  // cross-scope bit, both authors and prune reason), prune statistics, the
+  // non-cross-scope count, diagnostics counts. Timings and pool stats are
+  // deliberately excluded.
   static std::string SerializeFindings(const AnalysisReport& report);
+
+  // Deterministic one-line-per-unit rendering of the quarantine list.
+  static std::string SerializeQuarantine(const AnalysisReport& report);
 
   // The checker-qualified fingerprint set ("checker:fingerprint") the
   // metamorphic oracle compares (ordinal suffixes make duplicates distinct,

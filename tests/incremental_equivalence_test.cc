@@ -1,10 +1,13 @@
 // The incremental engine's differential battery: at EVERY commit of a
-// history, the engine's report must be byte-identical (CSV rendering and
-// fingerprint sequence) to a fresh full analysis of the repository truncated
-// at that commit — at jobs 1, 2, and 8, with and without the disk cache,
+// history, the engine's report must be byte-identical (CSV rendering,
+// fingerprint sequence, and the whole serialized report: raw candidates with
+// their classification and prune reason, prune statistics, the quarantine
+// list) to a fresh full analysis of the repository truncated at that commit —
+// at jobs 1, 2, and 8, with and without the disk cache,
 // across the edit shapes real repositories produce (file adds, deletes,
 // renames, signature changes, cross-file callee edits, whitespace touches,
-// peer-verdict flips in untouched files).
+// peer-verdict flips in untouched files, of a callee's return value and of a
+// parameter signature group).
 //
 // The synthesized histories come from src/testing/history_gen.h, which emits
 // exactly those shapes by construction; the hand-written history below pins
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "src/support/memstats.h"
 #include "src/support/metrics.h"
 #include "src/testing/history_gen.h"
+#include "src/testing/oracle.h"
 
 namespace vc {
 namespace {
@@ -32,6 +37,18 @@ std::vector<std::string> Fingerprints(const AnalysisReport& report) {
     prints.push_back(cand.fingerprint);
   }
   return prints;
+}
+
+// The whole report, not only what the CSV shows: a wrong carried
+// classification or prune verdict on a candidate the filter or pruning drops
+// would leave the findings alone.
+void ExpectSameReport(const AnalysisReport& report, const AnalysisReport& fresh,
+                      CommitId commit) {
+  using testing::OracleRunner;
+  ASSERT_EQ(OracleRunner::SerializeFindings(report), OracleRunner::SerializeFindings(fresh))
+      << "report divergence at commit " << commit << ", jobs=" << report.jobs;
+  ASSERT_EQ(OracleRunner::SerializeQuarantine(report), OracleRunner::SerializeQuarantine(fresh))
+      << "quarantine divergence at commit " << commit;
 }
 
 // Replays `repo` through one warm engine and diffs every commit against a
@@ -50,6 +67,7 @@ void ExpectReplayEquivalent(const Repository& repo, const AnalysisOptions& optio
         << "), jobs=" << options.jobs;
     ASSERT_EQ(Fingerprints(result.report), Fingerprints(fresh))
         << "fingerprint divergence at commit " << commit;
+    ExpectSameReport(result.report, fresh, commit);
   }
 }
 
@@ -264,6 +282,78 @@ TEST(IncrementalEquivalence, PeerVerdictFlipReachesUntouchedFiles) {
   }
 }
 
+// A parameter position's peer verdict is decided over every function with
+// the same signature. One commit to loud.c leaves one more `b` unused and
+// tips the position past half, which flips the verdict of quiet.c's
+// parameters although quiet.c is untouched and shares no name with loud.c:
+// its carried verdicts must be matched again. The next commit flips back.
+TEST(IncrementalEquivalence, PeerParamGroupFlipReachesUntouchedFiles) {
+  auto ignores = [](const std::string& name) {
+    return "int " + name + "(int a, int b) {\n  return a;\n}\n";
+  };
+  auto uses = [](const std::string& name) {
+    return "int " + name + "(int a, int b) {\n  return a + b;\n}\n";
+  };
+  std::string quiet;
+  std::string loud;
+  for (int i = 0; i < 6; ++i) {
+    quiet += ignores("quiet_" + std::to_string(i));
+    loud += uses("loud_" + std::to_string(i));
+  }
+  // 12 functions, 6 leave `b` unused: not more than half, so each unused
+  // `b` is a finding. 7 is more than half: every unused `b` is pruned.
+  std::string tipped = ignores("loud_0") + loud.substr(uses("loud_0").size());
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  repo.AddCommit(alice, 100, "create", {{"quiet.c", quiet}, {"loud.c", loud}});
+  repo.AddCommit(bob, 200, "leave one more b unused", {{"loud.c", tipped}});
+  repo.AddCommit(bob, 300, "use it again", {{"loud.c", loud}});
+
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // keep every unpruned parameter visible
+  auto quiet_findings = [](const AnalysisReport& report) {
+    int count = 0;
+    for (const UnusedDefCandidate& cand : report.findings) {
+      count += cand.file == "quiet.c" && cand.is_param ? 1 : 0;
+    }
+    return count;
+  };
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    IncrementalEngine engine(options);
+    IncrementalResult before = engine.AnalyzeCommit(repo, 0);
+    IncrementalResult flipped = engine.AnalyzeCommit(repo, 1);
+    IncrementalResult back = engine.AnalyzeCommit(repo, 2);
+    EXPECT_EQ(quiet_findings(before.report), 6) << "jobs=" << jobs;
+    EXPECT_EQ(quiet_findings(flipped.report), 0) << "jobs=" << jobs;
+    EXPECT_EQ(flipped.report.prune_stats.peer_definition, 7) << "jobs=" << jobs;
+    EXPECT_EQ(quiet_findings(back.report), 6) << "jobs=" << jobs;
+    EXPECT_EQ(flipped.functions_dirty, 6);  // loud.c alone; quiet.c carried
+    EXPECT_EQ(back.functions_dirty, 6);
+    ExpectReplayEquivalent(repo, options);
+  }
+}
+
+// The generator's peer shape rewrites one module, yet flips peer_log's
+// verdict at the call sites of the modules it leaves alone: a peer commit
+// that prunes or restores more sites than the module itself has.
+TEST(IncrementalEquivalence, GeneratedPeerShapeFlipsUntouchedModules) {
+  Repository repo = testing::GenerateHistory(SmallHistory(7, 24));
+  IncrementalEngine engine{AnalysisOptions()};
+  int previous = 0;
+  int flips = 0;
+  for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
+    const int peer = engine.AnalyzeCommit(repo, commit).report.prune_stats.peer_definition;
+    if (repo.GetCommit(commit).message.rfind("peer sites of", 0) == 0 &&
+        std::abs(peer - previous) > 4) {
+      ++flips;
+    }
+    previous = peer;
+  }
+  EXPECT_GE(flips, 1);
+}
+
 TEST(IncrementalEquivalence, DiskCacheColdRestartStaysEquivalent) {
   std::filesystem::path dir = std::filesystem::temp_directory_path() /
                               ("vc_inc_equiv_" + std::to_string(::getpid()));
@@ -289,6 +379,7 @@ TEST(IncrementalEquivalence, DiskCacheColdRestartStaysEquivalent) {
           commit == 0 ? std::move(first) : engine.AnalyzeCommit(repo, commit);
       AnalysisReport fresh = full.RunOnRepository(repo.PrefixCopy(commit));
       ASSERT_EQ(result.report.ToCsv(), fresh.ToCsv()) << "disk-restored divergence at " << commit;
+      ExpectSameReport(result.report, fresh, commit);
     }
   }
   std::filesystem::remove_all(dir);

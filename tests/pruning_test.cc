@@ -270,6 +270,35 @@ TEST(Pruning, PeerParamGroupsBySignature) {
   EXPECT_EQ(p2.stats.peer_definition, 0);
 }
 
+TEST(Pruning, PeerCountsEveryAssignedSiteOnALineWithADeadResult) {
+  // 12 klog sites: 5 ignored, 5 assigned and used, and one line assigning two
+  // results of which only `a` is dead. Dead results are matched to call sites
+  // by line, so both sites on that line count as unused: 7 of 12, more than
+  // half, and every dead klog result is pruned.
+  std::string code = PeerCode(5, 5);
+  code += "int two(int v) {\n  int a = klog(v); int b = klog(v);\n  return b;\n}\n";
+  Pruned p = RunPrune(code);
+  EXPECT_EQ(ReasonOf(p, "a"), PruneReason::kPeerDefinition);
+  EXPECT_EQ(p.stats.peer_definition, 6);
+}
+
+TEST(Pruning, PeerParamGroupCountsADuplicateNameWithEveryDefinersMarks) {
+  // 11 same-signature functions, 6 leaving `b` unused, plus `dup`, defined
+  // in two files: it is one member of the group, and the losing definer's
+  // unused `b` marks it. 7 of 12 is more than half.
+  std::string peers;
+  for (int i = 0; i < 11; ++i) {
+    peers += "int p" + std::to_string(i) + "(int a, int b) { return a" +
+             (i < 6 ? "" : " + b") + "; }\n";
+  }
+  Project project = Project::FromSources({{"a.c", "int dup(int a, int b) { return a; }\n"},
+                                          {"b.c", "int dup(int a, int b) { return a + b; }\n"},
+                                          {"peers.c", peers}});
+  std::vector<UnusedDefCandidate> candidates = DetectAll(project);
+  PruneStats stats = RunPruning(project, candidates);
+  EXPECT_EQ(stats.peer_definition, 7);
+}
+
 TEST(Pruning, PeerUniverseSeparateFromPrunedList) {
   // The cross-scope pool contains one candidate, but the usage universe
   // (all candidates) shows the callee is widely ignored: still pruned.

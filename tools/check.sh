@@ -281,9 +281,10 @@ scaling_smoke() {
 }
 
 # Incremental smoke: synthesize a commit history (vc_corpusgen --history),
-# analyze it cold (full run at the head commit) and via --incremental replay,
-# and require byte-identical CSV findings — the engine's equivalence
-# contract, end to end through the real binary. A second replay over the same
+# analyze it cold (full run at the head commit) and via --incremental replay
+# at one and at eight jobs, and require byte-identical CSV findings — the
+# engine's equivalence contract, end to end through the real binary. A
+# second replay over the same
 # --cache-dir must report cache reuse (disk loads and carried detect
 # results), and the incremental run's Prometheus dump must contain a
 # well-formed vc_cache_* family (vc_obs_lint prom --require-cache). That run
@@ -341,6 +342,20 @@ incremental_smoke() {
   if ! cmp -s "${tmp}/full.csv" "${tmp}/inc.csv"; then
     echo "incremental smoke: incremental findings differ from the full run" >&2
     diff "${tmp}/full.csv" "${tmp}/inc.csv" | head -20 >&2
+    return 1
+  fi
+  # The replay's post-detect tail carries verdicts across its lanes too:
+  # eight lanes must match the full run byte for byte.
+  rc=0
+  "${vc}" analyze --history "${tmp}/history.vchist" --incremental --jobs 8 --format=csv \
+    >"${tmp}/inc-j8.csv" 2>/dev/null || rc=$?
+  if [ "${rc}" -ge 2 ]; then
+    echo "incremental smoke: incremental analyze --jobs 8 failed (exit ${rc})" >&2
+    return 1
+  fi
+  if ! cmp -s "${tmp}/full.csv" "${tmp}/inc-j8.csv"; then
+    echo "incremental smoke: incremental findings at --jobs 8 differ from the full run" >&2
+    diff "${tmp}/full.csv" "${tmp}/inc-j8.csv" | head -20 >&2
     return 1
   fi
   # Cold-restart replay over the populated cache dir: still identical, and
