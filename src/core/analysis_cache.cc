@@ -2,8 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
+#include "src/support/file_util.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 #include "src/support/metrics.h"
@@ -164,8 +165,8 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
   if (cache_dir_.empty()) {
     return false;
   }
-  std::ifstream in(DiskPath(path), std::ios::binary);
-  if (!in) {
+  std::optional<std::string> text = ReadWholeFile(DiskPath(path));
+  if (!text.has_value()) {
     return false;  // plain miss: never cached
   }
   const auto corrupt = [&](const std::string& why) {
@@ -173,10 +174,8 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
     quarantine.push_back({path, "", "cache", "corrupt cache entry: " + why, ""});
     return false;
   };
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   std::string error;
-  std::optional<JsonValue> doc = ParseJson(buffer.str(), &error);
+  std::optional<JsonValue> doc = ParseJson(*text, &error);
   if (!doc || !doc->IsObject()) {
     return corrupt(error.empty() ? "not an object" : error);
   }

@@ -152,8 +152,8 @@ std::vector<MetricRow> MetricsRegistry::Snapshot() const {
     row.count = histogram->count();
     row.sum_seconds = histogram->sum_seconds();
     row.mean_seconds = histogram->mean_seconds();
-    row.p50_seconds = histogram->PercentileSeconds(0.5);
-    row.p95_seconds = histogram->PercentileSeconds(0.95);
+    row.p50_seconds = histogram->ValueAtQuantile(0.5);
+    row.p95_seconds = histogram->ValueAtQuantile(0.95);
     row.max_seconds = histogram->max_seconds();
     sorted[name] = std::move(row);
   }

@@ -73,8 +73,6 @@ class Histogram {
     RecordNanos(seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e9));
   }
   void RecordNanos(uint64_t nanos);
-  // Compatibility shim for call sites that measure in microseconds.
-  void RecordMicros(uint64_t micros) { RecordNanos(micros * 1000); }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum_seconds() const {
@@ -93,8 +91,6 @@ class Histogram {
     return static_cast<double>(ValueAtQuantileNanos(q)) / 1e9;
   }
   uint64_t ValueAtQuantileNanos(double q) const;
-  // Back-compat alias kept for existing call sites.
-  double PercentileSeconds(double p) const { return ValueAtQuantile(p); }
 
   uint64_t BucketCount(int bucket) const {
     return buckets_[bucket].load(std::memory_order_relaxed);

@@ -4,90 +4,40 @@
 #include <fstream>
 #include <map>
 
+#include "src/support/span_analysis.h"
+
 namespace vc {
 
 namespace {
 
-// Frame names must not contain the collapsed format's separators.
-std::string SanitizeFrame(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == ';' || c == ' ' || c == '\n' || c == '\t') {
-      c = '_';
-    }
+// Adds each frame's self time under its full stack, depth first.
+void FoldSelfTime(const SpanGraph& graph, int idx, const std::string& prefix,
+                  std::map<std::string, uint64_t>& weights) {
+  const SpanNode& node = graph.nodes[idx];
+  std::string stack = prefix.empty() ? node.name : prefix + ";" + node.name;
+  for (int child : node.children) {
+    FoldSelfTime(graph, child, stack, weights);
   }
-  return out;
+  if (node.self_micros > 0) {
+    weights[stack] += static_cast<uint64_t>(node.self_micros);
+  }
 }
-
-struct OpenFrame {
-  std::string name;
-  int64_t end_ts = 0;       // exclusive end of the span
-  int64_t dur = 0;          // total duration
-  int64_t children_dur = 0; // duration covered by direct children
-};
 
 }  // namespace
 
-std::string CollapseTraceEvents(std::vector<TraceEvent> events) {
-  // Group by thread: containment only makes sense within one thread's spans.
-  std::map<int, std::vector<const TraceEvent*>> by_tid;
-  for (const TraceEvent& event : events) {
-    by_tid[event.tid].push_back(&event);
-  }
-
+std::string CollapseTraceEvents(const std::vector<TraceEvent>& events) {
+  SpanGraph graph = SpanGraph::Build(events);
   std::map<std::string, uint64_t> weights;
-  for (auto& [tid, spans] : by_tid) {
-    // Parents sort before children: earlier start first, and on a tie the
-    // longer (outer) span first.
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const TraceEvent* a, const TraceEvent* b) {
-                       if (a->ts_micros != b->ts_micros) {
-                         return a->ts_micros < b->ts_micros;
-                       }
-                       return a->dur_micros > b->dur_micros;
-                     });
-    std::vector<OpenFrame> stack;
-    auto pop = [&] {
-      OpenFrame frame = stack.back();
-      // Path is the full open stack including the frame being closed.
-      std::string path;
-      for (const OpenFrame& f : stack) {
-        if (!path.empty()) {
-          path += ';';
-        }
-        path += f.name;
-      }
-      stack.pop_back();
-      int64_t self = frame.dur - frame.children_dur;
-      if (self > 0) {
-        weights[path] += static_cast<uint64_t>(self);
-      }
-    };
-    for (const TraceEvent* span : spans) {
-      while (!stack.empty() && span->ts_micros >= stack.back().end_ts) {
-        pop();
-      }
-      if (!stack.empty()) {
-        stack.back().children_dur += span->dur_micros;
-      }
-      OpenFrame frame;
-      frame.name = SanitizeFrame(span->name);
-      frame.end_ts = span->ts_micros + span->dur_micros;
-      frame.dur = span->dur_micros;
-      stack.push_back(std::move(frame));
-    }
-    while (!stack.empty()) {
-      pop();
-    }
+  for (int root : graph.roots) {
+    FoldSelfTime(graph, root, "", weights);
   }
 
   // Degenerate traces (every span sub-microsecond) would fold to nothing;
   // keep at least the top-level spans visible with a 1µs floor.
-  if (weights.empty() && !events.empty()) {
-    for (const TraceEvent& event : events) {
-      std::string name = SanitizeFrame(event.name);
-      uint64_t w = event.dur_micros > 0 ? static_cast<uint64_t>(event.dur_micros) : 1;
-      weights[name] = std::max(weights[name], w);
+  if (weights.empty()) {
+    for (const SpanNode& node : graph.nodes) {
+      uint64_t w = node.dur_micros > 0 ? static_cast<uint64_t>(node.dur_micros) : 1;
+      weights[node.name] = std::max(weights[node.name], w);
     }
   }
 

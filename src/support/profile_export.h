@@ -1,12 +1,12 @@
-// Collapsed-stack profile export: folds the TraceCollector's flat complete
-// spans into flamegraph.pl's collapsed format — one line per unique stack,
+// Collapsed-stack profile export: folds the TraceCollector's spans into
+// flamegraph.pl's collapsed format — one line per unique stack,
 // "frame;frame;frame <weight>", weight in microseconds of self time.
 //
-// Stacks are reconstructed per thread by time-interval containment: spans are
-// sorted by (start asc, duration desc) and a span nests under the innermost
-// still-open span that contains it. Self time is a span's duration minus the
-// total duration of its direct children, clamped at zero. Output lines are
-// sorted, so identical traces fold to byte-identical profiles.
+// Stacks are the recorded span tree (SpanGraph::Build, span_analysis.h), the
+// same tree the perf report reads: a span on a pool worker sits under the
+// parallel_for that ran it, on any thread. A frame's self time is its
+// duration minus the durations of its children on the same thread. Output
+// lines are sorted, so identical traces fold to byte-identical profiles.
 
 #ifndef VALUECHECK_SRC_SUPPORT_PROFILE_EXPORT_H_
 #define VALUECHECK_SRC_SUPPORT_PROFILE_EXPORT_H_
@@ -19,7 +19,7 @@
 namespace vc {
 
 // Pure fold over a span list (testable without the global collector).
-std::string CollapseTraceEvents(std::vector<TraceEvent> events);
+std::string CollapseTraceEvents(const std::vector<TraceEvent>& events);
 
 // Folds TraceCollector::Global()'s buffered spans and writes them to `path`.
 // Returns false on I/O failure.

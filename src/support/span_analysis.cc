@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "src/support/json_writer.h"
@@ -17,17 +17,56 @@ int64_t EndMicros(const SpanNode& node) {
   return node.ts_micros + node.dur_micros;
 }
 
-// Deterministic event order: start ascending, longer spans first at equal
-// start (so a parent precedes the children it contains), then tid and name
-// as total-order tie breakers.
-bool EventBefore(const TraceEvent& a, const TraceEvent& b) {
-  if (a.ts_micros != b.ts_micros) return a.ts_micros < b.ts_micros;
-  if (a.dur_micros != b.dur_micros) return a.dur_micros > b.dur_micros;
-  if (a.tid != b.tid) return a.tid < b.tid;
-  return a.name < b.name;
+// Deterministic node order: start ascending, longer spans first at equal
+// start, then tid, name and span id as total-order tie breakers.
+bool EventBefore(const TraceEvent* a, const TraceEvent* b) {
+  if (a->ts_micros != b->ts_micros) return a->ts_micros < b->ts_micros;
+  if (a->dur_micros != b->dur_micros) return a->dur_micros > b->dur_micros;
+  if (a->tid != b->tid) return a->tid < b->tid;
+  if (a->name != b->name) return a->name < b->name;
+  return a->span < b->span;
+}
+
+// Frame names must not contain the folded format's separators.
+std::string SanitizeFrame(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    if (c == ';' || c == ' ' || c == '\n' || c == '\t') {
+      c = '_';
+    }
+  }
+  return out;
 }
 
 double Clamp01(double v) { return v < 0 ? 0 : (v > 1 ? 1 : v); }
+
+// Fills self_micros and critical_micros below and at `idx`. Children on the
+// node's tid ran inside it one after another; child groups on different tids
+// ran in parallel, so only the heaviest lane extends the chain. Clamping to
+// the node's own duration keeps chains inside their containing span — and
+// total critical path under wall time — by construction.
+void FillChains(SpanGraph& graph, int idx) {
+  int64_t own_cover = 0;
+  std::map<int, int64_t> lane_chain;  // child tid -> summed chain
+  for (int child : graph.nodes[idx].children) {
+    FillChains(graph, child);
+    const SpanNode& c = graph.nodes[child];
+    if (c.tid == graph.nodes[idx].tid) {
+      own_cover += c.dur_micros;
+    }
+    lane_chain[c.tid] += c.critical_micros;
+  }
+  SpanNode& node = graph.nodes[idx];
+  node.self_micros = std::max<int64_t>(0, node.dur_micros - own_cover);
+  int64_t best = 0;
+  for (const auto& [tid, chain] : lane_chain) {
+    if (node.critical_lane < 0 || chain > best) {  // ties: the lower tid
+      best = chain;
+      node.critical_lane = tid;
+    }
+  }
+  node.critical_micros = std::min(node.dur_micros, node.self_micros + best);
+}
 
 }  // namespace
 
@@ -36,149 +75,77 @@ SpanGraph SpanGraph::Build(const std::vector<TraceEvent>& events) {
   if (events.empty()) {
     return graph;
   }
-
-  std::vector<TraceEvent> sorted = events;
+  std::vector<const TraceEvent*> sorted;
+  sorted.reserve(events.size());
+  for (const TraceEvent& event : events) {
+    sorted.push_back(&event);
+  }
   std::stable_sort(sorted.begin(), sorted.end(), EventBefore);
 
-  graph.nodes.reserve(sorted.size());
-  graph.window_begin_micros = sorted.front().ts_micros;
-  graph.window_end_micros = sorted.front().ts_micros;
-  for (const TraceEvent& event : sorted) {
-    SpanNode node;
-    node.name = event.name;
-    node.tid = event.tid;
-    node.ts_micros = event.ts_micros;
-    node.dur_micros = std::max<int64_t>(0, event.dur_micros);
-    graph.window_end_micros =
-        std::max(graph.window_end_micros, EndMicros(node));
-    graph.nodes.push_back(std::move(node));
-  }
-
-  // One containment sweep in global start order. Each tid keeps a stack of
-  // open frames; a node nests under the top of its own tid's stack, and a
-  // node opening a tid's stack takes a fork edge from another tid.
-  std::map<int, std::vector<int>> open;  // tid -> stack of node indices
-  for (size_t idx = 0; idx < graph.nodes.size(); ++idx) {
-    SpanNode& node = graph.nodes[idx];
-    for (auto& [tid, stack] : open) {
-      while (!stack.empty() &&
-             EndMicros(graph.nodes[stack.back()]) <= node.ts_micros) {
-        stack.pop_back();
-      }
-    }
-    std::vector<int>& own = open[node.tid];
-    int parent = -1;
-    if (!own.empty()) {
-      parent = own.back();
-    }
-    // Deepest (= latest-starting) containing open frame on another tid, ties
-    // toward the lower tid. The first pass takes only the pool's fork spans:
-    // a sibling lane's span can contain a worker's span but never forked it.
-    for (int pass = 0; pass < 2 && parent < 0; ++pass) {
-      for (const auto& [tid, stack] : open) {
-        if (tid == node.tid) continue;
-        for (size_t d = stack.size(); d-- > 0;) {
-          int cand = stack[d];
-          if (EndMicros(graph.nodes[cand]) < EndMicros(node) ||
-              (pass == 0 && std::strcmp(sorted[cand].category, "threadpool") != 0)) {
-            continue;
-          }
-          if (parent < 0 ||
-              graph.nodes[cand].ts_micros > graph.nodes[parent].ts_micros) {
-            parent = cand;
-          }
-          break;  // frames below start no later: the first hit is the deepest
-        }
-      }
-    }
-    if (parent >= 0) {
-      node.parent = parent;
-      graph.nodes[parent].children.push_back(static_cast<int>(idx));
-    } else {
-      graph.roots.push_back(static_cast<int>(idx));
-    }
-    own.push_back(static_cast<int>(idx));
-  }
-
-  // Critical path, bottom-up. Parents always precede children in index
-  // order (the sweep assigns parents from already-visited nodes), so a
-  // reverse pass sees every child before its parent. Children on the same
-  // tid are sequential; child groups on different tids run in parallel, so
-  // only the heaviest lane extends the chain. Clamping to the node's own
-  // duration keeps chains inside their containing span — and total critical
-  // path under wall time — by construction.
-  for (size_t i = graph.nodes.size(); i-- > 0;) {
+  graph.nodes.resize(sorted.size());
+  graph.window_begin_micros = sorted.front()->ts_micros;
+  graph.window_end_micros = sorted.front()->ts_micros;
+  std::unordered_map<uint64_t, int> by_span;  // span id -> node index
+  by_span.reserve(sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
     SpanNode& node = graph.nodes[i];
-    if (node.children.empty()) {
-      node.critical_micros = node.dur_micros;
+    node.name = SanitizeFrame(sorted[i]->name);
+    node.tid = sorted[i]->tid;
+    node.ts_micros = sorted[i]->ts_micros;
+    node.dur_micros = std::max<int64_t>(0, sorted[i]->dur_micros);
+    graph.window_end_micros = std::max(graph.window_end_micros, EndMicros(node));
+    if (sorted[i]->span != 0) {
+      by_span.emplace(sorted[i]->span, static_cast<int>(i));
+    }
+  }
+  // Link by recorded parent ids. An absent parent (0 included) makes the
+  // node a root.
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    auto parent = by_span.find(sorted[i]->parent);
+    if (parent == by_span.end()) {
+      graph.roots.push_back(static_cast<int>(i));
       continue;
     }
-    int64_t own_cover = 0;
-    std::map<int, int64_t> lane_chain;  // child tid -> summed chain
-    for (int child : node.children) {
-      const SpanNode& c = graph.nodes[child];
-      if (c.tid == node.tid) {
-        own_cover += c.dur_micros;
-      }
-      lane_chain[c.tid] += c.critical_micros;
-    }
-    int64_t self = std::max<int64_t>(0, node.dur_micros - own_cover);
-    int64_t best = 0;
-    for (const auto& [tid, chain] : lane_chain) {
-      best = std::max(best, chain);
-    }
-    node.critical_micros = std::min(node.dur_micros, self + best);
+    graph.nodes[i].parent = parent->second;
+    graph.nodes[parent->second].children.push_back(static_cast<int>(i));
   }
-
+  for (int root : graph.roots) {
+    FillChains(graph, root);
+  }
   return graph;
 }
 
 namespace {
 
-// Picks the lane (child tid group) carrying the node's critical chain;
-// ties break toward the lower tid. Returns the lane's summed chain.
-int64_t CriticalLane(const SpanGraph& graph, const SpanNode& node,
-                     int& lane_tid) {
-  std::map<int, int64_t> lane_chain;
-  for (int child : node.children) {
-    lane_chain[graph.nodes[child].tid] += graph.nodes[child].critical_micros;
-  }
-  lane_tid = -1;
-  int64_t best = -1;
-  for (const auto& [tid, chain] : lane_chain) {
-    if (chain > best) {
-      best = chain;
-      lane_tid = tid;
-    }
-  }
-  return best < 0 ? 0 : best;
-}
-
-// Walks the critical chain, folding each frame's uncovered contribution
-// into an ordered stack -> seconds aggregation (repeated frames like a
-// per-function detect span collapse into one listing line).
+// Walks the critical chain, folding each frame's contribution into an
+// ordered stack -> seconds aggregation (repeated frames like a per-function
+// detect span collapse into one listing line). A frame that adds no time is
+// not listed: its contribution is at most its self time, so every listed
+// stack carries self time in the collapsed-stack profile too.
 void FoldCriticalPath(const SpanGraph& graph, int idx,
                       const std::string& prefix,
                       std::vector<std::string>& order,
                       std::map<std::string, double>& folded) {
   const SpanNode& node = graph.nodes[idx];
   std::string stack = prefix.empty() ? node.name : prefix + ";" + node.name;
-  int lane_tid = -1;
-  int64_t lane = node.children.empty() ? 0 : CriticalLane(graph, node, lane_tid);
-  double self_seconds =
-      static_cast<double>(std::max<int64_t>(0, node.critical_micros - lane)) /
-      1e6;
-  if (self_seconds > 0 || node.children.empty()) {
+  int64_t lane = 0;
+  for (int child : node.children) {
+    if (graph.nodes[child].tid == node.critical_lane) {
+      lane += graph.nodes[child].critical_micros;
+    }
+  }
+  if (node.critical_micros > lane) {
+    double seconds = static_cast<double>(node.critical_micros - lane) / 1e6;
     auto it = folded.find(stack);
     if (it == folded.end()) {
       order.push_back(stack);
-      folded[stack] = self_seconds;
+      folded[stack] = seconds;
     } else {
-      it->second += self_seconds;
+      it->second += seconds;
     }
   }
   for (int child : node.children) {
-    if (graph.nodes[child].tid == lane_tid) {
+    if (graph.nodes[child].tid == node.critical_lane) {
       FoldCriticalPath(graph, child, stack, order, folded);
     }
   }
@@ -251,7 +218,7 @@ PerfReport AnalyzeSpans(const std::vector<TraceEvent>& events,
                             : static_cast<double>(window) / 1e6;
 
   // Critical path: roots are sequential phases of the run; overlapping
-  // roots (parallel work the attachment pass could not anchor) would
+  // roots (spans whose parent was dropped by the buffer cap) would
   // double-count, so the total is clamped to the observation window and to
   // the wall clock.
   int64_t total_cp = 0;

@@ -6,26 +6,28 @@
 // time actually goes.
 //
 // Span-graph model. TraceCollector buffers complete ("ph":"X") spans per
-// thread; a span's tid is the stable registration index of the emitting
-// thread. The graph is rebuilt from timestamps alone:
-//   * Same-tid nesting comes from a containment sweep per tid (sort by
-//     start ascending, duration descending; a span starting before the top
-//     of the open-frame stack ends is its child) — the same idiom the
-//     collapsed-stack profile exporter uses.
-//   * Cross-tid fork/join edges come from time containment: a root span on
-//     a worker tid is attached to the deepest parallel_for span on another
-//     tid whose [start, end] window contains it, or, when none does, to the
-//     deepest containing span on another tid.
+// thread, each carrying its own id and the id of the span that was current
+// on its thread when it opened (a pool lane's current span is the loop's
+// parallel_for, so worker spans name the fork that ran them). Build links
+// nodes by those recorded ids; nothing is inferred from timestamps. A span
+// whose parent is absent (dropped by the buffer cap, or opened before
+// Enable()) is a root. The same graph feeds the perf report, the
+// collapsed-stack profile (profile_export.h) and the scalability bench.
+//
+// Self time. A node's self time is its duration minus the durations of its
+// children on the same thread; children on other threads ran in parallel
+// and do not reduce it.
 //
 // Critical path. The longest dependent chain through the graph, computed
-// bottom-up: a node's chain is its uncovered self time plus the largest
-// per-tid chain among its children (children on the same tid are
-// sequential; groups on different tids run in parallel, so only the
-// heaviest lane counts), clamped to the node's own duration — a span's
+// bottom-up: a node's chain is its self time plus the largest per-tid
+// chain among its children (children on the same tid are sequential;
+// groups on different tids run in parallel, so only the heaviest lane
+// counts), clamped to the node's own duration — a span's
 // dependents cannot outlast the span that contains them, which also makes
 // total critical path <= wall time by construction. The chain is rendered
 // as a folded listing ("a;b;c <seconds>") compatible with flamegraph
-// tooling.
+// tooling; only frames that add time to the chain are listed, so every
+// listed stack is also a stack of the collapsed-stack profile.
 //
 // Serial fraction. An Amdahl fit from the measured wall time T, the summed
 // per-worker busy time W and the observed worker count n: solving
@@ -49,26 +51,29 @@
 
 namespace vc {
 
-// One node of the reconstructed span graph.
+// One node of the span graph.
 struct SpanNode {
-  std::string name;
+  std::string name;                // folded-stack frame: ';', ' ', tab, newline -> '_'
   int tid = 0;
   int64_t ts_micros = 0;
   int64_t dur_micros = 0;
   int parent = -1;                 // index into SpanGraph::nodes; -1 = root
   std::vector<int> children;       // node indices in start order
+  int64_t self_micros = 0;         // duration minus same-tid children, >= 0
   int64_t critical_micros = 0;     // longest dependent chain through this node
+  int critical_lane = -1;          // child tid whose chain extends it; -1 = none
 };
 
-// The reconstructed graph plus the global observation window.
+// The recorded span tree plus the global observation window.
 struct SpanGraph {
-  std::vector<SpanNode> nodes;
-  std::vector<int> roots;          // unparented nodes in (ts, tid) order
+  std::vector<SpanNode> nodes;     // in (ts, -dur, tid, name, span id) order
+  std::vector<int> roots;          // unparented nodes, in node order
   int64_t window_begin_micros = 0;
   int64_t window_end_micros = 0;
 
-  // Builds the graph (containment sweep + cross-tid attachment) and fills
-  // critical_micros bottom-up. Events may arrive in any order.
+  // Links nodes by their recorded parent ids and fills self_micros,
+  // critical_micros and critical_lane bottom-up. Events may arrive in any
+  // order; a parent need not precede its children in node order.
   static SpanGraph Build(const std::vector<TraceEvent>& events);
 };
 

@@ -36,8 +36,8 @@ struct ForState {
   };
 
   explicit ForState(ThreadPool* owner, size_t lane_count, size_t total,
-                    const std::function<void(size_t)>& body_fn)
-      : pool(owner), body(body_fn), remaining(total) {
+                    const std::function<void(size_t)>& body_fn, uint64_t fork)
+      : pool(owner), body(body_fn), fork_span(fork), remaining(total) {
     lanes.reserve(lane_count);
     for (size_t i = 0; i < lane_count; ++i) {
       lanes.push_back(std::make_unique<Lane>());
@@ -96,10 +96,13 @@ struct ForState {
 
   // Claims chunks until none remain anywhere, running the body over each.
   // Every popped chunk is credited to `remaining` whether it ran fully or was
-  // skipped after an abort, so completion is always reached.
+  // skipped after an abort, so completion is always reached. The lane adopts
+  // the loop's parallel_for span, so spans the body opens record it as their
+  // parent on whichever thread runs the lane.
   void RunLane(size_t self) {
     bool was_in_region = tls_in_parallel_region;
     tls_in_parallel_region = true;
+    uint64_t outer_span = SetCurrentTraceSpan(fork_span);
     Chunk chunk;
     while (PopOrSteal(self, chunk)) {
       size_t len = chunk.second - chunk.first;
@@ -126,6 +129,7 @@ struct ForState {
         done_cv.notify_all();
       }
     }
+    SetCurrentTraceSpan(outer_span);
     tls_in_parallel_region = was_in_region;
   }
 
@@ -153,6 +157,7 @@ struct ForState {
 
   ThreadPool* pool;
   const std::function<void(size_t)>& body;
+  const uint64_t fork_span;  // the loop's parallel_for span id; 0 when untraced
   std::vector<std::unique_ptr<Lane>> lanes;
   std::atomic<size_t> remaining;
   std::atomic<uint64_t> chunks_claimed{0};
@@ -302,11 +307,11 @@ void ThreadPool::ParallelFor(int jobs, size_t n,
   }
 
   size_t lane_count = std::min(static_cast<size_t>(jobs), n);
-  auto state = std::make_shared<ForState>(this, lane_count, n, body);
   parallel_fors_.fetch_add(1, std::memory_order_relaxed);
   TraceSpan span("parallel_for", "threadpool");
   span.Arg("n", static_cast<int64_t>(n));
   span.Arg("lanes", static_cast<int64_t>(lane_count));
+  auto state = std::make_shared<ForState>(this, lane_count, n, body, span.id());
 
   // Chunks several times smaller than a lane's fair share keep the stealing
   // granular without swamping the deques for huge n.

@@ -26,6 +26,10 @@
 // wanting per-phase numbers diff two snapshots. The pool keeps no per-worker
 // books: per-worker busy time, idle time and utilization come from trace
 // spans (AnalyzeSpans, src/support/span_analysis.h).
+//
+// Tracing: a pooled ParallelFor opens one `parallel_for` span and hands it to
+// every lane, which makes it the lane thread's current span while it runs,
+// so spans the body opens record the loop as their parent on any thread.
 
 #ifndef VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_
 #define VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_

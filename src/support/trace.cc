@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
 
 #include "src/support/json_writer.h"
 #include "src/support/metrics.h"
@@ -15,7 +16,19 @@ namespace {
 // outlive epochs), so the cached pointer stays valid for the process's life.
 thread_local TraceCollector::ThreadBuffer* tls_buffer = nullptr;
 
+// The innermost open span of this thread (0 = none): the parent of the next
+// span it opens.
+thread_local uint64_t tls_current_span = 0;
+
+// Span ids are never reused, not even across epochs, so a span still open
+// when Enable() starts a new epoch cannot alias a new one.
+std::atomic<uint64_t> next_span_id{1};
+
 }  // namespace
+
+uint64_t SetCurrentTraceSpan(uint64_t span) {
+  return std::exchange(tls_current_span, span);
+}
 
 TraceCollector& TraceCollector::Global() {
   static TraceCollector* collector = new TraceCollector();  // never destroyed
@@ -72,9 +85,7 @@ std::vector<TraceEvent> TraceCollector::SnapshotEvents() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& buffer : buffers_) {
-      for (const TraceEvent& event : buffer->events) {
-        events.push_back(event);
-      }
+      events.insert(events.end(), buffer->events.begin(), buffer->events.end());
     }
   }
   std::stable_sort(events.begin(), events.end(),
@@ -88,42 +99,27 @@ std::vector<TraceEvent> TraceCollector::SnapshotEvents() const {
 }
 
 std::string TraceCollector::ToJson() const {
-  std::vector<const TraceEvent*> events;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& buffer : buffers_) {
-      for (const TraceEvent& event : buffer->events) {
-        events.push_back(&event);
-      }
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) {
-                     if (a->ts_micros != b->ts_micros) {
-                       return a->ts_micros < b->ts_micros;
-                     }
-                     return a->tid < b->tid;
-                   });
-
   JsonWriter json;
   json.BeginObject();
   json.Key("traceEvents").BeginArray();
-  for (const TraceEvent* event : events) {
+  for (const TraceEvent& event : SnapshotEvents()) {
     json.BeginObject();
-    json.String("name", event->name);
-    json.String("cat", event->category);
+    json.String("name", event.name);
+    json.String("cat", event.category);
     json.String("ph", "X");
-    json.Int("ts", event->ts_micros);
-    json.Int("dur", event->dur_micros);
+    json.Int("ts", event.ts_micros);
+    json.Int("dur", event.dur_micros);
     json.Int("pid", 1);
-    json.Int("tid", event->tid);
-    if (!event->args.empty()) {
-      json.Key("args").BeginObject();
-      for (const auto& [key, value] : event->args) {
-        json.String(key, value);
-      }
-      json.EndObject();
+    json.Int("tid", event.tid);
+    json.Key("args").BeginObject();
+    json.Int("span", static_cast<int64_t>(event.span));
+    if (event.parent != 0) {
+      json.Int("parent", static_cast<int64_t>(event.parent));
     }
+    for (const auto& [key, value] : event.args) {
+      json.String(key, value);
+    }
+    json.EndObject();
     json.EndObject();
   }
   json.EndArray();
@@ -157,9 +153,11 @@ void TraceCollector::Clear() {
   dropped_.store(0, std::memory_order_relaxed);
 }
 
-void TraceSpan::Begin(std::string name, const char* category) {
-  event_.name = std::move(name);
+void TraceSpan::Begin(const char* name, const char* category) {
+  event_.name = name;
   event_.category = category;
+  event_.span = next_span_id.fetch_add(1, std::memory_order_relaxed);
+  event_.parent = SetCurrentTraceSpan(event_.span);
   event_.ts_micros = TraceCollector::Global().NowMicros();
 }
 
@@ -167,6 +165,7 @@ void TraceSpan::End() {
   if (!active_) {
     return;
   }
+  tls_current_span = event_.parent;
   TraceCollector& collector = TraceCollector::Global();
   if (!collector.enabled()) {
     return;  // tracing stopped mid-span; drop the event

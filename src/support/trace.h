@@ -11,6 +11,14 @@
 //     construction and emits one complete ("ph":"X") event at destruction.
 //     When tracing is disabled the span is two relaxed atomic loads and
 //     nothing else — no clock reads, no allocation.
+//   * The span tree is recorded, not inferred: an active span takes a
+//     process-unique id and records the thread's current span as its parent,
+//     becomes the current span itself, and restores its parent on close.
+//     ThreadPool lanes adopt their loop's parallel_for span (see
+//     SetCurrentTraceSpan), so a span opened on a worker names the fork that
+//     ran it. Consumers link spans by these ids (SpanGraph::Build); a span
+//     whose parent is absent from the buffers (dropped by the cap, or opened
+//     before Enable()) is a root.
 //   * Export (ToJson/WriteJson) and Clear must not race with live spans: call
 //     them only when no analysis is in flight (the pipeline joins all worker
 //     lanes before returning, so "after Analysis::Run returns" is safe).
@@ -39,6 +47,8 @@ struct TraceEvent {
   int64_t ts_micros = 0;   // start, relative to Enable()
   int64_t dur_micros = 0;  // duration
   int tid = 0;             // registration index of the emitting thread
+  uint64_t span = 0;       // process-unique id; 0 = none
+  uint64_t parent = 0;     // id of the span current when this one opened; 0 = root
   std::vector<std::pair<std::string, std::string>> args;
 };
 
@@ -76,12 +86,13 @@ class TraceCollector {
     thread_buffer_cap_.store(cap, std::memory_order_relaxed);
   }
 
-  // Stable-ordered copy of every buffered event, sorted by (ts, tid) like
-  // ToJson(); input for the collapsed-stack profile exporter.
+  // Stable-ordered copy of every buffered event, sorted by (ts, tid); the
+  // input of every exporter.
   std::vector<TraceEvent> SnapshotEvents() const;
 
   // Chrome trace-event JSON: {"traceEvents":[...],"displayTimeUnit":"ms"}.
-  // Events are ordered by (ts, tid) so output is layout-stable.
+  // Events are ordered by (ts, tid) so output is layout-stable; each carries
+  // its "span" id and, unless it is a root, its "parent" id under "args".
   std::string ToJson() const;
   // Writes ToJson() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
@@ -110,20 +121,19 @@ class TraceCollector {
 
 inline bool TraceEnabled() { return TraceCollector::Global().enabled(); }
 
-// RAII scope producing one complete trace event. Name/category must outlive
-// the span when passed as const char* (string literals in practice); dynamic
-// names use the std::string overload.
+// Makes `span` the calling thread's current span, the parent of the spans it
+// opens next, and returns the previous one. A ThreadPool lane adopts its
+// loop's parallel_for span with it and restores the old value when done.
+uint64_t SetCurrentTraceSpan(uint64_t span);
+
+// RAII scope producing one complete trace event. The category must outlive
+// the span (string literals in practice).
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "pipeline")
       : active_(TraceEnabled()) {
     if (active_) {
       Begin(name, category);
-    }
-  }
-  TraceSpan(std::string name, const char* category) : active_(TraceEnabled()) {
-    if (active_) {
-      Begin(std::move(name), category);
     }
   }
   ~TraceSpan() { End(); }
@@ -143,8 +153,11 @@ class TraceSpan {
     }
   }
 
+  // The span's id; 0 when tracing was off at construction.
+  uint64_t id() const { return event_.span; }
+
  private:
-  void Begin(std::string name, const char* category);
+  void Begin(const char* name, const char* category);
   void End();
 
   bool active_;

@@ -610,6 +610,29 @@ TEST_F(CliTest, TopLimitsTextOutput) {
   EXPECT_NE(result.output.find("... 3 more"), std::string::npos);
 }
 
+TEST_F(CliTest, MalformedTopValueExitsTwo) {
+  std::string path = Write("buggy.c", kBuggy);
+  for (const char* bad : {"abc", "2x", "-1"}) {
+    RunResult result = RunCli(path + " --top " + bad);
+    EXPECT_EQ(result.exit_code, 2) << bad << ": " << result.output;
+    EXPECT_NE(result.output.find("--top expects a non-negative integer"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("warning:"), std::string::npos) << result.output;
+  }
+}
+
+TEST_F(CliTest, MalformedDefineValueExitsTwo) {
+  std::string path = Write("buggy.c", kBuggy);
+  RunResult result = RunCli(path + " --define X=abc");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--define expects NAME or NAME=INTEGER"), std::string::npos)
+      << result.output;
+  // Whole-value decimal, hex and octal integers stay accepted.
+  for (const char* good : {"X=12", "X=0x1f", "X=017", "X=-3", "X"}) {
+    EXPECT_EQ(RunCli(path + " --define " + good).exit_code, 1) << good;
+  }
+}
+
 // --- Fault isolation ----------------------------------------------------------
 
 TEST_F(CliTest, FaultInjectRateOneDegradesGracefully) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,9 +83,9 @@ TEST(Gauge, SetOverwrites) {
 
 TEST(Histogram, ExactCountSumMinMax) {
   Histogram histogram;
-  histogram.RecordMicros(10);
-  histogram.RecordMicros(100);
-  histogram.RecordMicros(1000);
+  histogram.RecordNanos(10000);
+  histogram.RecordNanos(100000);
+  histogram.RecordNanos(1000000);
   EXPECT_EQ(histogram.count(), 3u);
   EXPECT_DOUBLE_EQ(histogram.sum_seconds(), 1110e-6);
   EXPECT_DOUBLE_EQ(histogram.min_seconds(), 10e-6);
@@ -122,13 +123,6 @@ TEST(Histogram, SubMicrosecondSamplesStayDistinct) {
   EXPECT_DOUBLE_EQ(histogram.sum_seconds(), 1000e-9);
 }
 
-TEST(Histogram, MicrosShimScalesToNanos) {
-  Histogram histogram;
-  histogram.RecordMicros(1);  // 1000 ns -> bucket 9: [512, 1024)
-  EXPECT_EQ(histogram.BucketCount(9), 1u);
-  EXPECT_DOUBLE_EQ(histogram.sum_seconds(), 1e-6);
-}
-
 TEST(Histogram, ConcurrentRecordsKeepCountAndSumExact) {
   Histogram histogram;
   constexpr int kThreads = 8;
@@ -137,7 +131,7 @@ TEST(Histogram, ConcurrentRecordsKeepCountAndSumExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&histogram] {
       for (int i = 0; i < kPerThread; ++i) {
-        histogram.RecordMicros(static_cast<uint64_t>(i % 512));
+        histogram.RecordNanos(static_cast<uint64_t>(i % 512) * 1000);
       }
     });
   }
@@ -165,12 +159,12 @@ TEST(Histogram, ConcurrentRecordsKeepCountAndSumExact) {
 TEST(Histogram, PercentilesBracketTheDistribution) {
   Histogram histogram;
   for (int i = 0; i < 99; ++i) {
-    histogram.RecordMicros(10);  // bucket [8, 16)
+    histogram.RecordNanos(10000);  // bucket [8192, 16384) ns
   }
-  histogram.RecordMicros(100000);  // one large outlier
-  double p50 = histogram.PercentileSeconds(0.50);
-  double p95 = histogram.PercentileSeconds(0.95);
-  double p100 = histogram.PercentileSeconds(1.0);
+  histogram.RecordNanos(100000000);  // one large outlier
+  double p50 = histogram.ValueAtQuantile(0.50);
+  double p95 = histogram.ValueAtQuantile(0.95);
+  double p100 = histogram.ValueAtQuantile(1.0);
   // p50/p95 land in the [8192,16384)ns bucket; upper bound is 16.384µs.
   EXPECT_GE(p50, 10e-6);
   EXPECT_LE(p50, 16.384e-6);
@@ -178,7 +172,7 @@ TEST(Histogram, PercentilesBracketTheDistribution) {
   // The max percentile must see the outlier (clamped to observed max).
   EXPECT_GE(p100, 64e-3);
   EXPECT_LE(p100, 100e-3 + 1e-9);
-  EXPECT_DOUBLE_EQ(Histogram().PercentileSeconds(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(Histogram().ValueAtQuantile(0.5), 0.0);
 }
 
 TEST(Histogram, ValueAtQuantileWalksBucketBoundaries) {
@@ -186,13 +180,13 @@ TEST(Histogram, ValueAtQuantileWalksBucketBoundaries) {
   // 50 samples in [8192,16384)ns, 45 in [65536,131072)ns, 5 in ~[1.05,2.1)ms:
   // the p50/p95/p99 ranks land in the first, second, and third group.
   for (int i = 0; i < 50; ++i) {
-    histogram.RecordMicros(10);
+    histogram.RecordNanos(10000);
   }
   for (int i = 0; i < 45; ++i) {
-    histogram.RecordMicros(100);
+    histogram.RecordNanos(100000);
   }
   for (int i = 0; i < 5; ++i) {
-    histogram.RecordMicros(2000);
+    histogram.RecordNanos(2000000);
   }
   EXPECT_EQ(histogram.ValueAtQuantileNanos(0.50), 16384u);
   EXPECT_EQ(histogram.ValueAtQuantileNanos(0.95), 131072u);
@@ -204,7 +198,7 @@ TEST(Histogram, ValueAtQuantileWalksBucketBoundaries) {
 
 TEST(Histogram, ValueAtQuantileClampsToObservedMax) {
   Histogram histogram;
-  histogram.RecordMicros(10);  // bucket upper bound 16384ns, max 10000ns
+  histogram.RecordNanos(10000);  // bucket upper bound 16384ns, max 10000ns
   EXPECT_EQ(histogram.ValueAtQuantileNanos(1.0), 10000u);
   EXPECT_EQ(histogram.ValueAtQuantileNanos(0.0), 10000u);  // single sample
 }
@@ -213,7 +207,7 @@ TEST(Histogram, ValueAtQuantileEdgeCases) {
   EXPECT_EQ(Histogram().ValueAtQuantileNanos(0.5), 0u);  // empty histogram
   Histogram histogram;
   for (int i = 0; i < 4; ++i) {
-    histogram.RecordMicros(1);  // all in one bucket
+    histogram.RecordNanos(1000);  // all in one bucket
   }
   // Out-of-range quantiles clamp instead of indexing past the counts.
   EXPECT_EQ(histogram.ValueAtQuantileNanos(-1.0), histogram.ValueAtQuantileNanos(0.0));
@@ -224,7 +218,7 @@ TEST(Histogram, ValueAtQuantileEdgeCases) {
 
 TEST(Histogram, ResetClearsEverything) {
   Histogram histogram;
-  histogram.RecordMicros(123);
+  histogram.RecordNanos(123000);
   histogram.Reset();
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_DOUBLE_EQ(histogram.sum_seconds(), 0.0);
@@ -248,7 +242,7 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndTyped) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("test.snapshot.zebra").Add(1);
   registry.GetGauge("test.snapshot.alpha").Set(5);
-  registry.GetHistogram("test.snapshot.mid").RecordMicros(50);
+  registry.GetHistogram("test.snapshot.mid").RecordNanos(50000);
 
   std::vector<MetricRow> rows = registry.Snapshot();
   ASSERT_GE(rows.size(), 3u);
@@ -470,6 +464,40 @@ TEST(Trace, EnableStartsFreshEpoch) {
   std::string json = collector.ToJson();
   EXPECT_EQ(json.find("first_epoch"), std::string::npos);
   EXPECT_NE(json.find("second_epoch"), std::string::npos);
+  collector.Clear();
+}
+
+TEST(Trace, SpansRecordTheirParentAndRestoreItOnClose) {
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Disable();
+  {
+    TraceSpan before_enable("before_enable", "test");  // inactive: never a parent
+    collector.Enable();
+    TraceSpan outer("outer", "test");
+    { TraceSpan inner("inner", "test"); }
+    { TraceSpan second("second", "test"); }
+  }
+  { TraceSpan after("after", "test"); }
+  collector.Disable();
+  std::map<std::string, TraceEvent> by_name;
+  for (const TraceEvent& event : collector.SnapshotEvents()) {
+    by_name[event.name] = event;
+  }
+  ASSERT_EQ(by_name.size(), 4u);
+  const uint64_t outer = by_name["outer"].span;
+  EXPECT_NE(outer, 0u);
+  EXPECT_EQ(by_name["outer"].parent, 0u);
+  EXPECT_EQ(by_name["inner"].parent, outer);
+  EXPECT_EQ(by_name["second"].parent, outer);  // inner restored outer on close
+  EXPECT_EQ(by_name["after"].parent, 0u);      // outer restored "none" on close
+  EXPECT_NE(by_name["inner"].span, by_name["second"].span);
+
+  // The trace JSON carries both ids under args.
+  std::string json = collector.ToJson();
+  EXPECT_NE(json.find("\"args\":{\"span\":" + std::to_string(by_name["inner"].span) +
+                      ",\"parent\":" + std::to_string(outer) + "}"),
+            std::string::npos)
+      << json;
   collector.Clear();
 }
 

@@ -179,12 +179,13 @@ TEST(ProgressMeter, RendersCountsThroughputAndStopsCleanly) {
 // ---------------------------------------------------------------------------
 
 TEST(ProfileExport, NestedSpansCollapseToSelfTimeStacks) {
+  // Fields: name, category, ts, dur, tid, span id, parent id, args.
   std::vector<TraceEvent> events;
   // Thread 0: run [0,100) containing detect [10,40) containing check [20,25).
-  events.push_back({"run", "pipeline", 0, 100, 0, {}});
-  events.push_back({"detect", "pipeline", 10, 30, 0, {}});
-  events.push_back({"check", "pipeline", 20, 5, 0, {}});
-  std::string folded = CollapseTraceEvents(std::move(events));
+  events.push_back({"run", "pipeline", 0, 100, 0, 1, 0, {}});
+  events.push_back({"detect", "pipeline", 10, 30, 0, 2, 1, {}});
+  events.push_back({"check", "pipeline", 20, 5, 0, 3, 2, {}});
+  std::string folded = CollapseTraceEvents(events);
   // Self times: run 100-30=70, detect 30-5=25, check 5.
   EXPECT_NE(folded.find("run 70\n"), std::string::npos);
   EXPECT_NE(folded.find("run;detect 25\n"), std::string::npos);
@@ -202,20 +203,22 @@ TEST(ProfileExport, NestedSpansCollapseToSelfTimeStacks) {
   EXPECT_EQ(total, 100u);
 }
 
-TEST(ProfileExport, SeparatesThreadsAndSanitizesFrames) {
+TEST(ProfileExport, CrossThreadChildrenKeepParentSelfTimeAndFramesAreSanitized) {
   std::vector<TraceEvent> events;
-  events.push_back({"outer span;x", "pipeline", 0, 50, 1, {}});
-  events.push_back({"inner", "pipeline", 5, 10, 2, {}});  // different tid: no nesting
-  std::string folded = CollapseTraceEvents(std::move(events));
-  EXPECT_NE(folded.find("outer_span_x 50\n"), std::string::npos);
-  EXPECT_NE(folded.find("inner 10\n"), std::string::npos);
-  EXPECT_EQ(folded.find(";"), std::string::npos);
+  events.push_back({"outer span;x", "pipeline", 0, 50, 1, 1, 0, {}});
+  // Two lanes forked by the outer span on other threads. The second lies
+  // inside the first in time but was recorded under the outer span.
+  events.push_back({"inner", "pipeline", 5, 10, 2, 2, 1, {}});
+  events.push_back({"lane", "pipeline", 6, 8, 3, 3, 1, {}});
+  std::string folded = CollapseTraceEvents(events);
+  // Children on other threads do not reduce the outer frame's self time.
+  EXPECT_EQ(folded, "outer_span_x 50\nouter_span_x;inner 10\nouter_span_x;lane 8\n");
 }
 
 TEST(ProfileExport, DegenerateZeroDurationTraceStillEmits) {
   std::vector<TraceEvent> events;
-  events.push_back({"blink", "pipeline", 0, 0, 0, {}});
-  std::string folded = CollapseTraceEvents(std::move(events));
+  events.push_back({"blink", "pipeline", 0, 0, 0, 1, 0, {}});
+  std::string folded = CollapseTraceEvents(events);
   EXPECT_EQ(folded, "blink 1\n");
 }
 

@@ -1,29 +1,42 @@
-// Tests for the scalability observatory's span analytics: span-graph
-// reconstruction (same-tid nesting + cross-tid fork edges), critical-path
-// computation and its wall-clock clamp, busy/idle utilization, the Amdahl
-// serial-fraction fit, dropped-span accounting, and the stable-field-order
-// JSON rendering — plus structural determinism of the whole report under
-// input shuffling.
+// Tests for the scalability observatory's span analytics: the span graph
+// linked by recorded parent ids (same-tid nesting, cross-tid fork edges,
+// timestamp ties), critical-path computation and its wall-clock clamp,
+// busy/idle utilization, the Amdahl serial-fraction fit, dropped-span
+// accounting, and the stable-field-order JSON rendering — plus structural
+// determinism of the whole report under input shuffling, and one recorded
+// tree of a parallel run shared by the perf report and the folded profile.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/analysis.h"
 #include "src/support/json_reader.h"
+#include "src/support/profile_export.h"
 #include "src/support/span_analysis.h"
 #include "src/support/trace.h"
+#include "src/testing/corpusgen.h"
 
 namespace vc {
 namespace {
 
-TraceEvent Ev(const char* name, int tid, int64_t ts, int64_t dur) {
+// A recorded span: `span` is its id, `parent` the id of the span that was
+// current on its thread when it opened (0 = root).
+TraceEvent Ev(const char* name, int tid, int64_t ts, int64_t dur, uint64_t span,
+              uint64_t parent = 0) {
   TraceEvent event;
   event.name = name;
   event.tid = tid;
   event.ts_micros = ts;
   event.dur_micros = dur;
+  event.span = span;
+  event.parent = parent;
   return event;
 }
 
@@ -67,10 +80,10 @@ TEST(SpanAnalysis, SingleThreadNestingAndCriticalPath) {
   // root [0,1000] containing child [100,500) (with grandchild [150,250))
   // and sibling [600,900).
   std::vector<TraceEvent> events = {
-      Ev("root", 0, 0, 1000),
-      Ev("child", 0, 100, 400),
-      Ev("grandchild", 0, 150, 100),
-      Ev("sibling", 0, 600, 300),
+      Ev("root", 0, 0, 1000, 1),
+      Ev("child", 0, 100, 400, 2, 1),
+      Ev("grandchild", 0, 150, 100, 3, 2),
+      Ev("sibling", 0, 600, 300, 4, 1),
   };
   SpanGraph graph = SpanGraph::Build(events);
   ASSERT_EQ(graph.nodes.size(), 4u);
@@ -116,12 +129,12 @@ TEST(SpanAnalysis, SingleThreadNestingAndCriticalPath) {
 // ---------------------------------------------------------------------------
 
 TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
-  // Two worker lanes whose windows overlap (neither contains the other), so
-  // cross-tid attachment anchors both to the containing run span on tid 0.
+  // Two worker lanes whose windows overlap, both recorded under the run span
+  // on tid 0.
   std::vector<TraceEvent> events = {
-      Ev("run", 0, 0, 1000),
-      Ev("lane_a", 1, 100, 600),
-      Ev("lane_b", 2, 150, 600),
+      Ev("run", 0, 0, 1000, 1),
+      Ev("lane_a", 1, 100, 600, 2, 1),
+      Ev("lane_b", 2, 150, 600, 3, 1),
   };
   SpanGraph graph = SpanGraph::Build(events);
   ASSERT_EQ(graph.roots.size(), 1u);
@@ -131,9 +144,10 @@ TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
   EXPECT_EQ(graph.nodes[run.children[0]].parent, graph.roots[0]);
   EXPECT_EQ(graph.nodes[run.children[1]].name, "lane_b");
 
-  // Uncovered self time (1000, nothing on tid 0 is covered by same-tid
-  // children) + heaviest lane (600) would be 1600 — the clamp caps the
-  // chain at the containing span's own duration.
+  // Self time (1000: children on other tids do not reduce it) + heaviest
+  // lane (600) would be 1600 — the clamp caps the chain at the containing
+  // span's own duration.
+  EXPECT_EQ(run.self_micros, 1000);
   EXPECT_EQ(run.critical_micros, 1000);
 
   PerfReport report = AnalyzeSpans(events, Inputs());
@@ -152,10 +166,10 @@ TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
 
 TEST(SpanAnalysis, WorkerSpansForkFromParallelForNotFromSiblingLanes) {
   // Two lanes of one parallel_for: lane 3's fn lies inside lane 2's fn in
-  // time, but only the parallel_for forked it.
-  TraceEvent fork = Ev("parallel_for", 1, 100, 700);
-  fork.category = "threadpool";
-  std::vector<TraceEvent> events = {fork, Ev("fn", 2, 150, 600), Ev("fn", 3, 200, 300)};
+  // time, but both recorded the parallel_for as their parent.
+  std::vector<TraceEvent> events = {Ev("parallel_for", 1, 100, 700, 1),
+                                    Ev("fn", 2, 150, 600, 2, 1),
+                                    Ev("fn", 3, 200, 300, 3, 1)};
   SpanGraph graph = SpanGraph::Build(events);
   ASSERT_EQ(graph.roots.size(), 1u);
   const SpanNode& parallel_for = graph.nodes[graph.roots[0]];
@@ -171,8 +185,44 @@ TEST(SpanAnalysis, WorkerSpansForkFromParallelForNotFromSiblingLanes) {
   }
 }
 
+TEST(SpanAnalysis, TimestampTiesKeepTheRecordedParent) {
+  // A stage and the one step inside it round to the same start and duration,
+  // and the child's name sorts first, so node order puts the child before
+  // its parent. The recorded ids still make "stage" the parent, and the
+  // result matches the same tree with the parent sorting first.
+  auto tree = [](const char* parent, const char* child) {
+    return std::vector<TraceEvent>{Ev(parent, 0, 100, 500, 1), Ev(child, 0, 100, 500, 2, 1),
+                                   Ev("fn", 1, 150, 300, 3, 2)};
+  };
+  std::vector<TraceEvent> tied = tree("stage", "apply");
+  SpanGraph graph = SpanGraph::Build(tied);
+  EXPECT_EQ(graph.nodes[0].name, "apply");  // the child precedes its parent
+  ASSERT_EQ(graph.roots.size(), 1u);
+  const SpanNode& stage = graph.nodes[graph.roots[0]];
+  EXPECT_EQ(stage.name, "stage");
+  ASSERT_EQ(stage.children.size(), 1u);
+  EXPECT_EQ(graph.nodes[stage.children[0]].name, "apply");
+  EXPECT_EQ(stage.self_micros, 0);
+  EXPECT_EQ(stage.critical_micros, 500);
+
+  PerfReport tied_report = AnalyzeSpans(tied, Inputs());
+  std::vector<std::string> tied_stacks;
+  for (const CriticalPathStep& step : tied_report.critical_path) {
+    tied_stacks.push_back(step.stack);
+  }
+  EXPECT_EQ(tied_stacks, (std::vector<std::string>{"stage;apply", "stage;apply;fn"}));
+
+  // Renaming so the parent sorts first changes nothing but the names.
+  PerfReport ordered_report = AnalyzeSpans(tree("stage", "work"), Inputs());
+  EXPECT_EQ(tied_report.critical_path_seconds, ordered_report.critical_path_seconds);
+  ASSERT_EQ(tied_report.critical_path.size(), ordered_report.critical_path.size());
+  for (size_t i = 0; i < tied_report.critical_path.size(); ++i) {
+    EXPECT_EQ(tied_report.critical_path[i].seconds, ordered_report.critical_path[i].seconds);
+  }
+}
+
 TEST(SpanAnalysis, ExplicitWallClampWhenSpansOutlastTheClock) {
-  std::vector<TraceEvent> events = {Ev("run", 0, 0, 1000)};
+  std::vector<TraceEvent> events = {Ev("run", 0, 0, 1000, 1)};
   PerfInputs inputs = Inputs(/*wall=*/500e-6);
   PerfReport report = AnalyzeSpans(events, inputs);
   EXPECT_DOUBLE_EQ(report.wall_seconds, 500e-6);
@@ -187,8 +237,8 @@ TEST(SpanAnalysis, ExplicitWallClampWhenSpansOutlastTheClock) {
 TEST(SpanAnalysis, OverlappingSpansBusyUnionAndTimelineBounds) {
   // [0,500) and [400,800) overlap by 100us: union is 800us, not 900.
   std::vector<TraceEvent> events = {
-      Ev("a", 3, 0, 500),
-      Ev("b", 3, 400, 400),
+      Ev("a", 3, 0, 500, 1),
+      Ev("b", 3, 400, 400, 2),
   };
   PerfInputs inputs = Inputs();
   inputs.timeline_buckets = 8;
@@ -208,8 +258,8 @@ TEST(SpanAnalysis, OverlappingSpansBusyUnionAndTimelineBounds) {
 TEST(SpanAnalysis, IdleGapShowsInUtilizationAndTimeline) {
   // Busy [0,250) and [750,1000): half the window idle.
   std::vector<TraceEvent> events = {
-      Ev("a", 1, 0, 250),
-      Ev("b", 1, 750, 250),
+      Ev("a", 1, 0, 250, 1),
+      Ev("b", 1, 750, 250, 2),
   };
   PerfInputs inputs = Inputs();
   inputs.timeline_buckets = 4;
@@ -232,7 +282,7 @@ TEST(SpanAnalysis, IdleGapShowsInUtilizationAndTimeline) {
 TEST(SpanAnalysis, DroppedSpanCountPassesThrough) {
   PerfInputs inputs = Inputs();
   inputs.dropped_spans = 7;
-  PerfReport report = AnalyzeSpans({Ev("run", 0, 0, 100)}, inputs);
+  PerfReport report = AnalyzeSpans({Ev("run", 0, 0, 100, 1)}, inputs);
   EXPECT_EQ(report.dropped_spans, 7u);
   EXPECT_NE(PerfReportToJson(report).find("\"dropped_spans\":7"),
             std::string::npos);
@@ -266,10 +316,10 @@ TEST(SpanAnalysis, CapOverflowedCollectorStillAnalyzable) {
 
 TEST(SpanAnalysis, ReportIsInvariantUnderInputShuffles) {
   std::vector<TraceEvent> events = {
-      Ev("run", 0, 0, 2000),     Ev("parse", 0, 100, 800),
-      Ev("lane_a", 1, 150, 600), Ev("file1", 1, 200, 200),
-      Ev("file2", 1, 450, 250),  Ev("lane_b", 2, 150, 400),
-      Ev("detect", 0, 1000, 900), Ev("fn", 2, 1100, 300),
+      Ev("run", 0, 0, 2000, 1),          Ev("parse", 0, 100, 800, 2, 1),
+      Ev("lane_a", 1, 150, 600, 3, 2),   Ev("file1", 1, 200, 200, 4, 3),
+      Ev("file2", 1, 450, 250, 5, 3),    Ev("lane_b", 2, 150, 400, 6, 2),
+      Ev("detect", 0, 1000, 900, 7, 1),  Ev("fn", 2, 1100, 300, 8, 7),
   };
   PerfInputs inputs = Inputs(/*wall=*/0.002, /*jobs=*/2);
   std::string baseline = PerfReportToJson(AnalyzeSpans(events, inputs));
@@ -285,7 +335,7 @@ TEST(SpanAnalysis, ReportIsInvariantUnderInputShuffles) {
 }
 
 TEST(SpanAnalysis, JsonFieldOrderIsStable) {
-  PerfReport report = AnalyzeSpans({Ev("run", 0, 0, 100)}, Inputs());
+  PerfReport report = AnalyzeSpans({Ev("run", 0, 0, 100, 1)}, Inputs());
   std::string json = PerfReportToJson(report);
   const char* order[] = {"\"schema_version\":", "\"wall_seconds\":", "\"jobs\":",
                          "\"hardware_threads\":", "\"span_count\":",
@@ -298,6 +348,72 @@ TEST(SpanAnalysis, JsonFieldOrderIsStable) {
     size_t pos = json.find(key, cursor);
     ASSERT_NE(pos, std::string::npos) << key;
     cursor = pos;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One recorded tree of a real parallel run
+// ---------------------------------------------------------------------------
+
+TEST(SpanAnalysis, ParallelRunRecordsOneTreeForEveryExporter) {
+  testing::CorpusProfile profile;
+  ASSERT_TRUE(testing::MakeCorpusProfile("linux-like", "small", 1, &profile));
+  profile.files = 100;
+  const std::vector<std::pair<std::string, std::string>> sources =
+      testing::GenerateCorpusSources(profile);
+  AnalysisOptions options;
+  options.jobs = 4;
+  Analysis analysis(options);
+
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Enable();
+  analysis.RunOnSources(sources);
+  collector.Disable();
+  std::vector<TraceEvent> events = collector.SnapshotEvents();
+  collector.Clear();
+
+  std::map<uint64_t, const TraceEvent*> by_span;
+  int caller_tid = -1;
+  for (const TraceEvent& event : events) {
+    by_span[event.span] = &event;
+    if (event.name == "analysis.run") {
+      caller_tid = event.tid;
+    }
+  }
+  ASSERT_NE(caller_tid, -1);
+
+  // Every span a pool worker opened names the parallel_for, on another
+  // thread, that ran its lane.
+  size_t worker_spans = 0;
+  for (const TraceEvent& event : events) {
+    if (event.tid == caller_tid) {
+      continue;
+    }
+    ++worker_spans;
+    auto parent = by_span.find(event.parent);
+    ASSERT_NE(parent, by_span.end()) << event.name << " on tid " << event.tid;
+    EXPECT_EQ(parent->second->name, "parallel_for") << event.name;
+    EXPECT_NE(parent->second->tid, event.tid) << event.name;
+  }
+  EXPECT_GT(worker_spans, 0u) << "no lane ran on a pool worker; the check is vacuous";
+
+  // The folded profile roots worker frames in the stages that ran them.
+  std::string folded = CollapseTraceEvents(events);
+  std::set<std::string> folded_stacks;
+  std::istringstream lines(folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(line.rfind("detect_fn", 0), 0u) << line;
+    EXPECT_NE(line.rfind("parse_lower", 0), 0u) << line;
+    folded_stacks.insert(line.substr(0, line.rfind(' ')));
+  }
+
+  // The perf report walks the same tree: each critical-path stack is a
+  // profile stack.
+  PerfReport report = AnalyzeSpans(events, Inputs(0.0, 4));
+  ASSERT_FALSE(report.critical_path.empty());
+  for (const CriticalPathStep& step : report.critical_path) {
+    EXPECT_EQ(folded_stacks.count(step.stack), 1u) << step.stack;
   }
 }
 

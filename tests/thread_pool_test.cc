@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/support/metrics.h"
+#include "src/support/trace.h"
 
 #include <atomic>
 #include <chrono>
@@ -251,6 +252,41 @@ TEST(ThreadPool, ManyMoreChunksThanLanesBalances) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(counts[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ThreadPool, LanesAdoptTheParallelForSpan) {
+  // Sleep-bound iterations put lanes on several threads; every span a lane
+  // opens records the loop's parallel_for span as its parent, on any thread,
+  // and a later span on the caller is a root again.
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Enable();
+  ThreadPool pool(4);
+  pool.ParallelFor(4, 8, [](size_t) {
+    TraceSpan span("lane_body", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  { TraceSpan after("after_loop", "test"); }
+  collector.Disable();
+  std::vector<TraceEvent> events = collector.SnapshotEvents();
+  collector.Clear();
+
+  const TraceEvent* fork = nullptr;
+  for (const TraceEvent& event : events) {
+    if (event.name == "parallel_for") {
+      fork = &event;
+    }
+  }
+  ASSERT_NE(fork, nullptr);
+  std::set<int> lane_tids;
+  for (const TraceEvent& event : events) {
+    if (event.name == "lane_body") {
+      EXPECT_EQ(event.parent, fork->span);
+      lane_tids.insert(event.tid);
+    } else if (event.name == "after_loop") {
+      EXPECT_EQ(event.parent, 0u);
+    }
+  }
+  EXPECT_GT(lane_tids.size(), 1u);
 }
 
 }  // namespace

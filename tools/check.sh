@@ -183,10 +183,11 @@ fault_smoke() {
 }
 
 # Observability smoke: one analyze with every observability channel on
-# (--progress heartbeat, --events JSONL, --profile collapsed stacks,
-# --metrics-out Prometheus dump) must produce well-formed artifacts — each
-# validated structurally by vc_obs_lint — and byte-identical stdout findings
-# versus a flag-less run: instrumentation may never perturb results.
+# (--progress heartbeat, --events JSONL, --metrics-out Prometheus dump, and
+# every exporter of the one recorded span set: --trace, --profile collapsed
+# stacks, --perf-report) must produce well-formed artifacts — each validated
+# structurally by vc_obs_lint — and byte-identical stdout findings versus a
+# flag-less run: instrumentation may never perturb results.
 observability_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -207,7 +208,9 @@ observability_smoke() {
   rc=0
   "${vc}" analyze --jobs 2 --metrics --progress \
     --events "${tmp}/events.jsonl" \
+    --trace "${tmp}/trace.json" \
     --profile "${tmp}/profile.folded" \
+    --perf-report "${tmp}/perf.json" \
     --metrics-out "${tmp}/metrics.prom" \
     examples/corpus >"${tmp}/instrumented.out" 2>/dev/null || rc=$?
   if [ "${rc}" -ge 2 ]; then
@@ -225,6 +228,8 @@ observability_smoke() {
     echo "observability smoke: Prometheus dump failed lint" >&2; return 1; }
   "${lint}" folded "${tmp}/profile.folded" || {
     echo "observability smoke: collapsed profile failed lint" >&2; return 1; }
+  "${lint}" perf "${tmp}/perf.json" || {
+    echo "observability smoke: perf report failed lint" >&2; return 1; }
   echo "observability smoke: ok"
 }
 

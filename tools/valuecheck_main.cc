@@ -44,6 +44,7 @@
 // stdout are byte-identical with any combination of them on or off.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +52,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -66,6 +68,7 @@
 #include "src/core/run_diff.h"
 #include "src/server/server.h"
 #include "src/support/events.h"
+#include "src/support/file_util.h"
 #include "src/support/logging.h"
 #include "src/support/memstats.h"
 #include "src/support/metrics.h"
@@ -82,14 +85,28 @@
 namespace {
 
 std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> bytes = vc::ReadWholeFile(path);
+  if (!bytes.has_value()) {
     std::fprintf(stderr, "valuecheck: cannot read %s\n", path.c_str());
     std::exit(2);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return std::move(*bytes);
+}
+
+// Parses a flag's non-negative integer value (`--jobs`, `--top`); anything
+// else ("abc", "2x", "-1", out of int range) is a complaint on stderr.
+bool ParseNonNegativeInt(const char* flag, const std::string& value, int& into) {
+  char* end = nullptr;
+  errno = 0;
+  long parsed = std::strtol(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || parsed < 0 || errno == ERANGE ||
+      parsed > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "valuecheck: %s expects a non-negative integer, got '%s'\n", flag,
+                 value.c_str());
+    return false;
+  }
+  into = static_cast<int>(parsed);
+  return true;
 }
 
 int64_t NowMs() {
@@ -200,15 +217,7 @@ const FlagSpec kFlags[] = {
      "(default 1; 0 = all hardware threads; output is identical\n"
      "at any value)",
      [](CliOptions& o, const std::string& v) {
-       char* end = nullptr;
-       long jobs = std::strtol(v.c_str(), &end, 10);
-       if (end == v.c_str() || *end != '\0' || jobs < 0) {
-         std::fprintf(stderr, "valuecheck: --jobs expects a non-negative integer, got '%s'\n",
-                      v.c_str());
-         return false;
-       }
-       o.analysis.jobs = static_cast<int>(jobs);
-       return true;
+       return ParseNonNegativeInt("--jobs", v, o.analysis.jobs);
      }},
     {"--format", "FMT", "output control",
      "output format: text (default), csv, json, sarif",
@@ -312,10 +321,7 @@ const FlagSpec kFlags[] = {
      }},
     {"--top", "K", "output control",
      "print only the K highest-ranked findings (text mode)",
-     [](CliOptions& o, const std::string& v) {
-       o.top = std::atoi(v.c_str());
-       return true;
-     }},
+     [](CliOptions& o, const std::string& v) { return ParseNonNegativeInt("--top", v, o.top); }},
     {"--all-scopes", nullptr, "AnalysisOptions::cross_scope_only",
      "keep non-cross-scope findings even in history mode",
      [](CliOptions& o, const std::string&) {
@@ -346,15 +352,24 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--define", "NAME[=V]", "AnalysisOptions::config",
-     "define a preprocessor macro for #if evaluation",
+     "define a preprocessor macro for #if evaluation (V: an\n"
+     "integer, decimal, 0x hex or 0 octal)",
      [](CliOptions& o, const std::string& v) {
        size_t eq = v.find('=');
        if (eq == std::string::npos) {
          o.analysis.config.Define(v);
-       } else {
-         o.analysis.config.Define(v.substr(0, eq),
-                                  std::strtoll(v.c_str() + eq + 1, nullptr, 0));
+         return true;
        }
+       const char* value = v.c_str() + eq + 1;
+       char* end = nullptr;
+       errno = 0;
+       long long parsed = std::strtoll(value, &end, 0);
+       if (end == value || *end != '\0' || errno == ERANGE) {
+         std::fprintf(stderr, "valuecheck: --define expects NAME or NAME=INTEGER, got '%s'\n",
+                      v.c_str());
+         return false;
+       }
+       o.analysis.config.Define(v.substr(0, eq), parsed);
        return true;
      }},
     {"--no-prune-config", nullptr, "AnalysisOptions::prune.config_dependency",

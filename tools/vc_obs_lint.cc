@@ -33,15 +33,19 @@
 //                             category that reads zero while memory is
 //                             tracked has no producer
 //   vc_obs_lint folded FILE   collapsed-stack: every line is
-//                             `frame(;frame)* <positive integer>`, and the
-//                             file is non-empty
+//                             `frame(;frame)* <positive integer>` with no
+//                             two identical adjacent frames, and the file
+//                             is non-empty
 //   vc_obs_lint perf FILE     --perf-report JSON: required fields in the
 //                             schema's stable order, critical-path time
 //                             <= wall time, every utilization in [0, 1],
 //                             worker ids dense from 0, and no folded stack
-//                             with two identical adjacent frames (the pool
-//                             runs nested loops inline, so `a;a` is always
-//                             an attribution artifact)
+//                             with two identical adjacent frames
+//
+// Both stack listings come from the recorded span tree, where a pool
+// worker's frames sit under the parallel_for that ran them. The pool runs
+// nested loops inline and no span opens inside one of its own name, so an
+// `a;a` pair in either listing is always an attribution artifact.
 //
 // Exit 0 on success (prints one summary line), 1 on any violation (first
 // violation printed with its line number), 2 on usage/IO errors.
@@ -64,6 +68,19 @@ namespace {
 int Fail(const std::string& path, int line_no, const std::string& message) {
   std::fprintf(stderr, "vc_obs_lint: %s:%d: %s\n", path.c_str(), line_no, message.c_str());
   return 1;
+}
+
+// The first frame of a `a;b;c` stack that repeats its predecessor, or "".
+std::string SelfNestedFrame(const std::string& stack) {
+  std::istringstream frames(stack);
+  std::string frame, previous;
+  while (std::getline(frames, frame, ';')) {
+    if (frame == previous) {
+      return frame;
+    }
+    previous = frame;
+  }
+  return "";
 }
 
 std::optional<std::vector<std::string>> ReadLines(const std::string& path) {
@@ -408,14 +425,10 @@ int LintPerf(const std::string& path) {
     if (stack.empty()) {
       return Fail(path, 1, "empty stack in critical_path.folded");
     }
-    std::istringstream frames(stack);
-    std::string frame, previous;
-    while (std::getline(frames, frame, ';')) {
-      if (frame == previous) {
-        return Fail(path, 1, "self-nested frame '" + frame + "' in critical_path.folded stack '" +
-                                 stack + "'");
-      }
-      previous = frame;
+    const std::string repeated = SelfNestedFrame(stack);
+    if (!repeated.empty()) {
+      return Fail(path, 1, "self-nested frame '" + repeated +
+                               "' in critical_path.folded stack '" + stack + "'");
     }
     if (step.GetDouble("seconds", -1) < 0) {
       return Fail(path, 1, "negative seconds in critical_path.folded");
@@ -496,6 +509,10 @@ int LintFolded(const std::string& path) {
     const std::string stack = line.substr(0, space);
     if (stack.front() == ';' || stack.back() == ';' || stack.find(";;") != std::string::npos) {
       return Fail(path, line_no, "malformed frame list '" + stack + "'");
+    }
+    const std::string repeated = SelfNestedFrame(stack);
+    if (!repeated.empty()) {
+      return Fail(path, line_no, "self-nested frame '" + repeated + "' in stack '" + stack + "'");
     }
     ++stacks;
   }
