@@ -8,7 +8,7 @@
 // degree over paper-shaped synthesized corpora (corpusgen's many-small-files
 // "linux-like" and fewer-huge-files "mysql-like" profiles) with best-of-N
 // timing, and emits speedup + utilization + imbalance per sweep point into
-// result/BENCH_scalability.json (schema 3) and the run ledger. Speedup is
+// result/BENCH_scalability.json (schema 4) and the run ledger. Speedup is
 // bounded by the hardware: on a machine with fewer than 2 cores every point
 // is recorded with "underprovisioned": true instead of pretending the flat
 // curve means anything. Scale defaults to "small"; set VC_BENCH_SCALE to
@@ -47,7 +47,7 @@ std::string FormatSeconds(double seconds) {
 }
 
 // One sweep point: best-of-N wall time over a corpusgen profile at one jobs
-// degree, plus span analytics (utilization, imbalance, critical path) from
+// degree, plus span analytics (utilization, imbalance, serial fraction) from
 // one additional traced rep — the traced rep is excluded from the timing so
 // instrumentation overhead never shows up in the speedup curve.
 struct SweepPoint {
@@ -176,16 +176,18 @@ int main() {
                 hardware);
   }
 
-  TableWriter sweep_table({"Profile", "#LOC", "jobs", "Best Time", "Speedup", "Util",
-                           "Imbalance", "Critical Path", "steals"});
+  TableWriter sweep_table(
+      {"Profile", "#LOC", "jobs", "Best Time", "Speedup", "Util", "Imbalance", "steals"});
   JsonWriter json;
   json.BeginObject();
   json.String("bench", "scalability");
   // v1 carried only jobs/seconds/speedup per sweep point; v2 added per-stage
   // seconds and thread-pool activity; v3 sweeps corpusgen profiles with
   // best-of-N timing and adds real hardware_threads, the underprovisioned
-  // flag, and span-analytics (utilization/imbalance/critical-path) per point.
-  json.Int("schema_version", 3);
+  // flag, and span-analytics (utilization/imbalance/critical-path) per point;
+  // v4 drops critical_path_seconds, which was the summed duration of the root
+  // spans by construction.
+  json.Int("schema_version", 4);
   json.Int("hardware_threads", hardware);
   json.Bool("underprovisioned", underprovisioned);
   json.String("scale", scale);
@@ -240,9 +242,7 @@ int main() {
           {profile.name, std::to_string(loc), std::to_string(jobs),
            FormatSeconds(point.best_seconds), FormatDouble(speedup, 2) + "x",
            FormatDouble(point.perf.mean_utilization, 2),
-           FormatDouble(point.perf.imbalance_ratio, 2),
-           FormatSeconds(point.perf.critical_path_seconds),
-           std::to_string(point.pool.steals)});
+           FormatDouble(point.perf.imbalance_ratio, 2), std::to_string(point.pool.steals)});
 
       json.BeginObject();
       json.Int("jobs", jobs);
@@ -253,7 +253,6 @@ int main() {
       json.Bool("underprovisioned", underprovisioned);
       json.Double("utilization", point.perf.mean_utilization);
       json.Double("imbalance_ratio", point.perf.imbalance_ratio);
-      json.Double("critical_path_seconds", point.perf.critical_path_seconds);
       json.Double("serial_fraction", point.perf.serial_fraction);
       json.Int("findings", static_cast<int64_t>(point.findings));
       json.Key("stages").BeginObject();
@@ -285,7 +284,6 @@ int main() {
       record.metrics.pool_idle_seconds = point.pool.worker_idle_seconds;
       record.metrics.perf_collected = true;
       record.metrics.perf_wall_seconds = point.perf.wall_seconds;
-      record.metrics.perf_critical_path_seconds = point.perf.critical_path_seconds;
       record.metrics.perf_serial_fraction = point.perf.serial_fraction;
       record.metrics.perf_utilization = point.perf.mean_utilization;
       record.metrics.perf_max_busy_seconds = point.perf.max_busy_seconds;

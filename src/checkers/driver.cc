@@ -100,10 +100,6 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
       }
     }
   });
-
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter("detect.functions").Add(work.size());
-  }
   return per_function;
 }
 
@@ -140,21 +136,6 @@ void TallyCheckerRun(const std::vector<const Checker*>& runnable, CheckerRunResu
           .Emit();
     }
   }
-  if (MetricsEnabled()) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter("detect.candidates").Add(result.candidates.size());
-    for (size_t c = 0; c < runnable.size(); ++c) {
-      registry.GetCounter("detect." + runnable[c]->name() + ".candidates")
-          .Add(per_checker_counts[c]);
-    }
-    size_t function_records = 0;
-    for (const QuarantinedUnit& unit : result.quarantined) {
-      function_records += unit.stage == "detect" ? 1 : 0;
-    }
-    if (function_records > 0) {
-      registry.GetCounter("fault.quarantined.detect").Add(function_records);
-    }
-  }
 }
 
 CheckerRunResult RunCheckers(const Project& project, const std::vector<const Checker*>& checkers,
@@ -177,6 +158,7 @@ CheckerRunResult RunCheckers(const Project& project, const std::vector<const Che
 
   std::vector<FunctionDetect> per_function =
       RunCheckersOnFunctions(project, runnable, jobs, budget, fault, isolate, work);
+  result.functions = work.size();
   size_t count = 0;
   for (const FunctionDetect& fn : per_function) {
     count += fn.candidates.size();

@@ -30,6 +30,8 @@ namespace vc {
 
 struct CheckerRunResult {
   std::vector<UnusedDefCandidate> candidates;
+  // Functions RunCheckers ran through the checkers.
+  size_t functions = 0;
   // Unsupported-checker records (stage "checker") first, then per-function
   // records in visit order.
   std::vector<QuarantinedUnit> quarantined;
@@ -47,9 +49,7 @@ struct CheckerRunResult {
 // `isolate` false, worker exceptions propagate (the pre-framework
 // non-isolated path; unsupported checkers are still quarantined — that is a
 // capability fact, not a fault); otherwise they quarantine as described
-// above. Metrics: the legacy detect.functions / detect.candidates /
-// fault.quarantined.detect counters plus per-checker
-// detect.<name>.candidates.
+// above.
 CheckerRunResult RunCheckers(const Project& project, const std::vector<const Checker*>& checkers,
                              const ProjectTraits& traits, int jobs,
                              const ResourceBudget* budget, const FaultInjector* fault,
@@ -85,15 +85,13 @@ std::vector<const Checker*> GateCheckers(const Project& project,
 // records, in full-run order) into `result`: counts the candidates per
 // runnable checker by the checker_index the driver stamped — into
 // `result.per_checker`, in `runnable` order — and emits the checker_done
-// events and the detect.candidates / per-checker / fault.quarantined.detect
-// metrics (the last counts the per-function, stage "detect", records).
+// events.
 void TallyCheckerRun(const std::vector<const Checker*>& runnable, CheckerRunResult& result);
 
 // Work-list core of RunCheckers: runs already-capability-gated `runnable`
 // over an explicit work list, returning per-item results in work order (the
 // merge the full-project driver performs is then a plain concatenation).
 // Each candidate's checker_index is its checker's position in `runnable`.
-// Emits the same detect.* metrics, scoped to the items actually run.
 std::vector<FunctionDetect> RunCheckersOnFunctions(
     const Project& project, const std::vector<const Checker*>& runnable, int jobs,
     const ResourceBudget* budget, const FaultInjector* fault, bool isolate,

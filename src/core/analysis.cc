@@ -76,7 +76,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     StageScope scope(Stage::kDetect, report.stages[Stage::kDetect]);
     detect = RunCheckers(project, checkers, options_.traits, options_.jobs, &options_.budget,
                          &options_.fault, /*isolate=*/true);
-    scope.Arg("candidates", detect.candidates.size());
+    scope.Count(kDetectFunctions, static_cast<int64_t>(detect.functions))
+        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates.size()));
   }
   std::vector<UnusedDefCandidate> candidates = std::move(detect.candidates);
   for (QuarantinedUnit& unit : detect.quarantined) {
@@ -128,7 +129,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     }
     AuthorshipAnalyzer authorship(project, repo);
     authorship.ClassifyAll(candidates, rerun, options_.jobs);
-    scope.Arg("classified", rerun.size());
+    scope.Count(kAuthorshipClassified, static_cast<int64_t>(rerun.size()));
   }
   // From here on the candidates live in the report; later stages refer to
   // them by index and mark them in place.
@@ -148,7 +149,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       }
       pool.push_back(i);
     }
-    scope.Arg("kept", pool.size()).Arg("dropped", report.non_cross_scope);
+    scope.Count(kFilterKept, static_cast<int64_t>(pool.size()))
+        .Count(kFilterDropped, report.non_cross_scope);
   }
 
   // 4. Prune intentional patterns. Peer statistics always use the complete
@@ -181,7 +183,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
         report.findings.push_back(raw[i]);
       }
     }
-    scope.Arg("survivors", report.findings.size());
+    scope.Count(kPruneSurvivors, static_cast<int64_t>(report.findings.size()));
   }
 
   // 5. Rank by code familiarity.
@@ -194,6 +196,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       // Findings keep their pre-rank (deterministic pool) order.
       report.quarantined.push_back({"", "", "rank", std::string("stage failed: ") + e.what(), ""});
     }
+    scope.Count(kRankScored, static_cast<int64_t>(rank_stats.scored))
+        .Count(kRankUnknown, static_cast<int64_t>(rank_stats.unknown));
   }
 
   // Injected prune/rank faults act as a post-stage filter keyed on the
@@ -219,11 +223,6 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       }
       if (recorded.insert(unit + "#" + stage).second) {
         report.quarantined.push_back({cand.file, cand.function, stage, "injected fault", ""});
-        if (collect) {
-          MetricsRegistry::Global()
-              .GetCounter(std::string("fault.quarantined.") + stage)
-              .Add(1);
-        }
       }
     }
     report.findings = std::move(kept);
@@ -267,26 +266,54 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     mem.categories[static_cast<int>(MemCategory::kIrInstructions)] = parse_mem.ir;
     mem.categories[static_cast<int>(MemCategory::kInternedStrings)] = parse_mem.strings;
     mem.peak_rss_bytes = MemoryTracker::Global().peak_rss_bytes();
-    mem.PublishRegistryGauges();
 
-    StageMetrics& stage = report.stage;
-    stage.files_parsed = project.unit_order().size();
-    for (size_t i : project.unit_order()) {
-      stage.functions_analyzed += project.modules()[i]->functions.size();
-    }
-    stage.candidates_detected = raw.size();
-    stage.rank_scored = rank_stats.scored;
-    stage.rank_unknown = rank_stats.unknown;
-    stage.rank_model_seconds = rank_stats.model_seconds;
-    stage.pool = ThreadPool::Global().stats().Delta(pool_before);
-    if (LogEnabled(LogLevel::kDebug)) {
-      VC_LOG_DEBUG("pipeline: " + std::to_string(stage.candidates_detected) +
-                   " candidate(s) across " + std::to_string(stage.functions_analyzed) +
-                   " function(s); " + std::to_string(report.findings.size()) +
-                   " finding(s) after filter+prune");
-    }
+    report.stage.rank_model_seconds = rank_stats.model_seconds;
+    report.stage.pool = ThreadPool::Global().stats().Delta(pool_before);
+  }
+  if (LogEnabled(LogLevel::kDebug)) {
+    const StageRecord& detected = report.stages[Stage::kDetect];
+    VC_LOG_DEBUG("pipeline: " + std::to_string(detected.counts[kDetectCandidates]) +
+                 " candidate(s) across " + std::to_string(detected.counts[kDetectFunctions]) +
+                 " function(s); " + std::to_string(report.findings.size()) +
+                 " finding(s) after filter+prune");
+  }
+  if (MetricsEnabled()) {
+    PublishRunMetrics(report);
   }
   return report;
+}
+
+void PublishRunMetrics(const AnalysisReport& report) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto add = [&](const std::string& name, int64_t value) {
+    registry.GetCounter(name).Add(static_cast<uint64_t>(value));
+  };
+  const StageRecords& stages = report.stages;
+  add("parse.files", stages[Stage::kParse].counts[kParseFiles]);
+  add("detect.functions", stages[Stage::kDetect].counts[kDetectFunctions]);
+  add("detect.candidates", stages[Stage::kDetect].counts[kDetectCandidates]);
+  for (const AnalysisReport::CheckerStat& stat : report.checker_stats) {
+    add("detect." + stat.name + ".candidates", static_cast<int64_t>(stat.candidates));
+  }
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    add(std::string("prune.") + pattern.name + ".tested", report.prune_stats.*pattern.tested);
+    add(std::string("prune.") + pattern.name + ".pruned", report.prune_stats.*pattern.pruned);
+  }
+  add("rank.scored", stages[Stage::kRank].counts[kRankScored]);
+  add("rank.unknown", stages[Stage::kRank].counts[kRankUnknown]);
+  for (const QuarantinedUnit& unit : report.quarantined) {
+    add("fault.quarantined." + unit.stage, 1);
+  }
+  if (report.memory.collected) {
+    const MemoryStats& mem = report.memory;
+    for (int c = 0; c < kMemCategoryCount; ++c) {
+      const std::string base = std::string("mem.") + MemCategoryName(static_cast<MemCategory>(c));
+      registry.GetGauge(base + ".bytes").Set(static_cast<int64_t>(mem.categories[c].bytes));
+      registry.GetGauge(base + ".objects").Set(static_cast<int64_t>(mem.categories[c].objects));
+    }
+    registry.GetGauge("mem.tracked_bytes").Set(static_cast<int64_t>(mem.TrackedBytes()));
+    registry.GetGauge("mem.peak_rss_bytes").Set(static_cast<int64_t>(mem.peak_rss_bytes));
+  }
 }
 
 AnalysisReport Analysis::RunOnRepository(const Repository& repo) const {

@@ -69,10 +69,10 @@ struct AnalysisOptions {
   // Parallel worker lanes for parse/lower and detection. 1 = serial,
   // 0 = all hardware threads. Results are identical at any value.
   int jobs = 1;
-  // Populate AnalysisReport::stage (per-stage counters, per-pattern prune
-  // counters, thread-pool activity) and memory, and feed the global
-  // MetricsRegistry. Findings are byte-identical with the switch on or off;
-  // the cost when off is a handful of relaxed atomic loads per run.
+  // Populate AnalysisReport::stage (ranking model time, thread-pool
+  // activity) and memory, and feed the global MetricsRegistry. Findings are
+  // byte-identical with the switch on or off; the cost when off is a handful
+  // of relaxed atomic loads per run.
   bool collect_metrics = false;
   // Per-unit resource limits. A unit over budget is quarantined (see
   // AnalysisReport::quarantined), not fatal. Defaults are unlimited.
@@ -84,23 +84,17 @@ struct AnalysisOptions {
   FaultInjector fault;
 };
 
-// Per-stage counters (see DESIGN.md §"Observability"; stage times live in
-// AnalysisReport::stages). They aggregate in slot-indexed merge order, so all
-// but the pool's idle time are deterministic at any job count.
+// Run detail beyond the stage records' counts (see DESIGN.md
+// §"Observability"; stage times and counts live in AnalysisReport::stages).
 struct StageMetrics {
   // False when the producing run had collect_metrics off; consumers (the JSON
   // report, the CLI --metrics table) skip the block entirely.
   bool collected = false;
-  uint64_t files_parsed = 0;
-  uint64_t functions_analyzed = 0;
-  uint64_t candidates_detected = 0;
-  // Ranking detail: candidates scored by the familiarity model vs. assigned
-  // the unknown-author sentinel, and time inside model evaluation alone.
-  uint64_t rank_scored = 0;
-  uint64_t rank_unknown = 0;
+  // Time inside the ranking model's evaluation alone.
   double rank_model_seconds = 0.0;
   // Global-pool activity attributable to this run (delta of two snapshots;
-  // approximate if other analyses share the pool concurrently).
+  // approximate if other analyses share the pool concurrently). All but the
+  // idle time are deterministic at any job count.
   ThreadPoolStats pool;
 };
 
@@ -116,8 +110,10 @@ struct AnalysisReport {
   // Wall clock of the whole pipeline, parse included: never less than the
   // sum of `stages`.
   double analysis_seconds = 0.0;
-  // One record per stage, always filled. Parse is the analyzed project's
-  // build (or the incremental engine's sync).
+  // One record per stage, its seconds and counts, always filled. Parse is
+  // the analyzed project's build (or the incremental engine's sync), and
+  // counts the files that compiled; detect counts the functions that ran
+  // through the checkers. Every sink reads the counts here.
   StageRecords stages;
   // Worker lanes the report was produced with (after 0 → hardware resolution).
   int jobs = 1;
@@ -184,6 +180,15 @@ struct TailCarry {
   // candidates, unless the stage fell back.
   std::function<void(const std::vector<UnusedDefCandidate>&)> keep;
 };
+
+// Writes a finished run's counters and gauges into the global
+// MetricsRegistry, each under its name: parse.files, detect.functions,
+// detect.candidates, detect.<checker>.candidates,
+// prune.<pattern>.tested/pruned, rank.scored/unknown,
+// fault.quarantined.<stage> (one per quarantine record) and, when memory was
+// collected, the mem.* gauges. Analysis runs call it whenever the registry
+// is enabled.
+void PublishRunMetrics(const AnalysisReport& report);
 
 class Analysis {
  public:

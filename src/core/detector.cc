@@ -23,13 +23,6 @@ const char* CandidateKindName(CandidateKind kind) {
 
 const char* PruneReasonName(PruneReason reason) { return kPruneNames[static_cast<int>(reason)]; }
 
-std::vector<UnusedDefCandidate> DetectInFunction(const Project& project, FileId file,
-                                                 const IrFunction& func, BudgetMeter* meter) {
-  LivenessResult liveness = ComputeLiveness(func, meter);
-  DefineSetResult defines = ComputeDefineSets(func, meter);
-  return DetectInFunctionWith(project, file, func, liveness, defines, meter);
-}
-
 std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, FileId file,
                                                      const IrFunction& func,
                                                      const LivenessResult& liveness,

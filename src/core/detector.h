@@ -21,18 +21,12 @@
 
 namespace vc {
 
-// Detects candidates in one lowered function. `file` is the unit's file id
-// (for paths in the report). A non-null `meter` bounds the work (liveness /
-// define-set fix points + replay, one step per instruction) and may throw
-// BudgetExceededError.
-std::vector<UnusedDefCandidate> DetectInFunction(const Project& project, FileId file,
-                                                 const IrFunction& func,
-                                                 BudgetMeter* meter = nullptr);
-
-// The replay half of DetectInFunction, over caller-supplied fix points. The
-// checker framework calls this with CheckerContext's memoized analyses so N
-// checkers share one liveness/define-set computation; DetectInFunction is
-// the compute-then-replay composition.
+// Detects candidates in one lowered function from its liveness and
+// define-set fix points. `file` is the unit's file id (for paths in the
+// report). The checker framework calls this with CheckerContext's memoized
+// analyses, so N checkers share one liveness/define-set computation. A
+// non-null `meter` bounds the replay (one step per instruction) and may
+// throw BudgetExceededError.
 std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, FileId file,
                                                      const IrFunction& func,
                                                      const LivenessResult& liveness,

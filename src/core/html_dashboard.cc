@@ -314,19 +314,17 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
     out += "</div>\n";
   }
 
-  // Scalability observatory: utilization/imbalance/critical-path trends over
+  // Scalability observatory: utilization and imbalance trends over
   // the runs that produced a perf report (--perf-report or the scalability
   // bench). Pre-v3 records carry no perf block and contribute no points.
   std::vector<double> util_trend;
   std::vector<double> imbalance_trend;
-  std::vector<double> critical_trend;
   for (const RunRecord& run : runs) {
     if (!run.metrics.perf_collected) {
       continue;
     }
     util_trend.push_back(100.0 * run.metrics.perf_utilization);
     imbalance_trend.push_back(run.metrics.perf_imbalance_ratio);
-    critical_trend.push_back(run.metrics.perf_critical_path_seconds);
   }
   if (!util_trend.empty()) {
     out += "<h2>Scalability (" + std::to_string(util_trend.size()) +
@@ -335,8 +333,6 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
            Sparkline(util_trend, 1) + "</div>";
     out += "<div class=\"card\"><h3>imbalance (max/mean busy)</h3>" +
            Sparkline(imbalance_trend, 2) + "</div>";
-    out += "<div class=\"card\"><h3>critical path seconds</h3>" +
-           Sparkline(critical_trend, 3) + "</div>";
     out += "</div>\n";
   }
 

@@ -208,6 +208,7 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     result.files_reparsed = static_cast<int>(cache_.stats().parse_misses - misses);
     same_bytes = repo != nullptr && cache_.stats().parse_hits > hits;
     project_.FinishUpdate();
+    scope.Count(kParseFiles, result.files_reparsed);
   }
 
   // --- Detect stage: changed files through the checkers, rest from cache ---
@@ -328,7 +329,8 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
       }
     }
     TallyCheckerRun(runnable, detect);
-    scope.Arg("candidates", detect.candidates.size());
+    scope.Count(kDetectFunctions, result.functions_dirty)
+        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates.size()));
   }
 
   for (size_t i : redetected) {

@@ -84,12 +84,7 @@ void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
   }
   CompileSlots(slots, config, jobs, fault, budget);
   BuildDerived();
-  if (MetricsEnabled() && !quarantined_.empty()) {
-    MetricsRegistry::Global().GetCounter("fault.quarantined.parse").Add(quarantined_.size());
-  }
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter("parse.files").Add(n);
-  }
+  scope.Count(kParseFiles, static_cast<int64_t>(n));
   if (LogEnabled(LogLevel::kInfo)) {
     VC_LOG_INFO("parsed " + std::to_string(n) + " file(s), " +
                 std::to_string(diags_.ErrorCount()) + " error(s), " +
@@ -285,9 +280,6 @@ std::vector<FileId> Project::UpsertFiles(std::vector<std::pair<std::string, std:
     slots.push_back(file);
   }
   CompileSlots(slots, config, jobs, fault, budget);
-  if (MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter("parse.files").Add(slots.size());
-  }
   return slots;
 }
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <string>
 
-#include "src/support/metrics.h"
 #include "src/support/string_util.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
@@ -586,37 +585,11 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
       case PruneReason::kNone: break;
     }
   }
-  auto test = [&](bool enabled, int& tested_count, int matched) {
-    tested_count = enabled ? tested : 0;
-    tested -= matched;
-  };
-  test(options.config_dependency, stats.config_tested, stats.config_dependency);
-  test(options.cursor, stats.cursor_tested, stats.cursor);
-  test(options.unused_hints, stats.hints_tested, stats.unused_hints);
-  test(options.peer_definition, stats.peer_tested, stats.peer_definition);
-  test(options.stale_code, stats.stale_tested, stats.stale_code);
-  stats.remaining = stats.original - stats.TotalPruned();
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    struct {
-      const char* name;
-      int tested;
-      int matched;
-    } patterns[] = {
-        {"config_dependency", stats.config_tested, stats.config_dependency},
-        {"cursor", stats.cursor_tested, stats.cursor},
-        {"unused_hints", stats.hints_tested, stats.unused_hints},
-        {"peer_definition", stats.peer_tested, stats.peer_definition},
-        {"stale_code", stats.stale_tested, stats.stale_code},
-    };
-    for (const auto& pattern : patterns) {
-      registry.GetCounter(std::string("prune.") + pattern.name + ".tested")
-          .Add(static_cast<uint64_t>(pattern.tested));
-      registry.GetCounter(std::string("prune.") + pattern.name + ".pruned")
-          .Add(static_cast<uint64_t>(pattern.matched));
-    }
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    stats.*pattern.tested = options.*pattern.enabled ? tested : 0;
+    tested -= stats.*pattern.pruned;
   }
+  stats.remaining = stats.original - stats.TotalPruned();
   return stats;
 }
 

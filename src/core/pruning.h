@@ -75,6 +75,27 @@ struct PruneStats {
   }
 };
 
+// The five patterns, named once, in pipeline order: the JSON prune_patterns
+// block, the --metrics rows, the ledger record, the published
+// prune.<pattern>.tested/pruned counters and RunPruning's tested counts all
+// loop over this table.
+struct PrunePattern {
+  const char* name;  // "config_dependency", "cursor", ...
+  bool PruneOptions::*enabled;
+  int PruneStats::*tested;
+  int PruneStats::*pruned;
+};
+inline constexpr PrunePattern kPrunePatterns[] = {
+    {"config_dependency", &PruneOptions::config_dependency, &PruneStats::config_tested,
+     &PruneStats::config_dependency},
+    {"cursor", &PruneOptions::cursor, &PruneStats::cursor_tested, &PruneStats::cursor},
+    {"unused_hints", &PruneOptions::unused_hints, &PruneStats::hints_tested,
+     &PruneStats::unused_hints},
+    {"peer_definition", &PruneOptions::peer_definition, &PruneStats::peer_tested,
+     &PruneStats::peer_definition},
+    {"stale_code", &PruneOptions::stale_code, &PruneStats::stale_tested, &PruneStats::stale_code},
+};
+
 // Peer-definition statistics (pattern 4), assembled from per-file
 // contributions. A file contributes, for each name it calls, its call sites
 // and how many of them leave the result unused — not assigned, or assigned to

@@ -63,11 +63,6 @@ void RankCandidates(std::vector<UnusedDefCandidate>& candidates, const Repositor
                        return a.def_loc < b.def_loc;
                      });
   }
-  if (measure) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter("rank.scored").Add(local.scored);
-    registry.GetCounter("rank.unknown").Add(local.unknown);
-  }
   if (stats != nullptr) {
     *stats = local;
   }

@@ -1,5 +1,7 @@
 #include "src/core/report_formats.h"
 
+#include <algorithm>
+
 #include "src/checkers/checker.h"
 #include "src/checkers/registry.h"
 #include "src/core/incremental.h"
@@ -142,11 +144,9 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
 
   json.Key("prune_stats").BeginObject();
   json.Int("candidates", report.prune_stats.original);
-  json.Int("config_dependency", report.prune_stats.config_dependency);
-  json.Int("cursor", report.prune_stats.cursor);
-  json.Int("unused_hints", report.prune_stats.unused_hints);
-  json.Int("peer_definition", report.prune_stats.peer_definition);
-  json.Int("stale_code", report.prune_stats.stale_code);
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    json.Int(pattern.name, report.prune_stats.*pattern.pruned);
+  }
   json.Int("remaining", report.prune_stats.remaining);
   json.EndObject();
 
@@ -162,33 +162,24 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     }
     json.EndObject();  // stages
 
+    const StageRecords& stages = report.stages;
     json.Key("counters").BeginObject();
-    json.Int("files_parsed", static_cast<int64_t>(stage.files_parsed));
-    json.Int("functions_analyzed", static_cast<int64_t>(stage.functions_analyzed));
-    json.Int("candidates_detected", static_cast<int64_t>(stage.candidates_detected));
-    json.Int("rank_scored", static_cast<int64_t>(stage.rank_scored));
-    json.Int("rank_unknown", static_cast<int64_t>(stage.rank_unknown));
+    json.Int("files_parsed", stages[Stage::kParse].counts[kParseFiles]);
+    json.Int("functions_analyzed", stages[Stage::kDetect].counts[kDetectFunctions]);
+    json.Int("candidates_detected", stages[Stage::kDetect].counts[kDetectCandidates]);
+    json.Int("rank_scored", stages[Stage::kRank].counts[kRankScored]);
+    json.Int("rank_unknown", stages[Stage::kRank].counts[kRankUnknown]);
     json.Double("rank_model_seconds", stage.rank_model_seconds);
     json.EndObject();
 
     json.Key("prune_patterns").BeginObject();
-    const PruneStats& prune = report.prune_stats;
-    struct {
-      const char* name;
-      int tested;
-      int pruned;
-    } patterns[] = {
-        {"config_dependency", prune.config_tested, prune.config_dependency},
-        {"cursor", prune.cursor_tested, prune.cursor},
-        {"unused_hints", prune.hints_tested, prune.unused_hints},
-        {"peer_definition", prune.peer_tested, prune.peer_definition},
-        {"stale_code", prune.stale_tested, prune.stale_code},
-    };
-    for (const auto& pattern : patterns) {
+    for (const PrunePattern& pattern : kPrunePatterns) {
+      const int tested = report.prune_stats.*pattern.tested;
+      const int pruned = report.prune_stats.*pattern.pruned;
       json.Key(pattern.name).BeginObject();
-      json.Int("tested", pattern.tested);
-      json.Int("pruned", pattern.pruned);
-      json.Int("rejected", pattern.tested - pattern.pruned);
+      json.Int("tested", tested);
+      json.Int("pruned", pruned);
+      json.Int("rejected", tested - pruned);
       json.EndObject();
     }
     json.EndObject();  // prune_patterns
@@ -343,40 +334,35 @@ std::string RenderStageMetricsTable(const AnalysisReport& report) {
   }
   const StageMetrics& stage = report.stage;
   const PruneStats& prune = report.prune_stats;
+  const StageRecord& parse = report.stages[Stage::kParse];
+  const StageRecord& detect = report.stages[Stage::kDetect];
+  const StageRecord& rank = report.stages[Stage::kRank];
   auto ms = [](double seconds) { return FormatDouble(seconds * 1e3, 3); };
 
   TableWriter table({"stage", "ms", "detail"});
-  table.AddRow({"parse", ms(report.stages[Stage::kParse].seconds),
-                std::to_string(stage.files_parsed) + " file(s)"});
-  table.AddRow({"detect", ms(report.stages[Stage::kDetect].seconds),
-                std::to_string(stage.functions_analyzed) + " function(s), " +
-                    std::to_string(stage.candidates_detected) + " candidate(s)"});
+  table.AddRow({"parse", ms(parse.seconds),
+                std::to_string(parse.counts[kParseFiles]) + " file(s)"});
+  table.AddRow({"detect", ms(detect.seconds),
+                std::to_string(detect.counts[kDetectFunctions]) + " function(s), " +
+                    std::to_string(detect.counts[kDetectCandidates]) + " candidate(s)"});
   table.AddRow({"authorship", ms(report.stages[Stage::kAuthorship].seconds), ""});
   table.AddRow({"cross-scope-filter", ms(report.stages[Stage::kCrossScopeFilter].seconds),
                 std::to_string(report.non_cross_scope) + " dropped"});
   table.AddRow({"prune", ms(report.stages[Stage::kPrune].seconds),
                 std::to_string(prune.TotalPruned()) + "/" + std::to_string(prune.original) +
                     " pruned"});
-  struct {
-    const char* name;
-    int tested;
-    int pruned;
-  } patterns[] = {
-      {"prune:config-dependency", prune.config_tested, prune.config_dependency},
-      {"prune:cursor", prune.cursor_tested, prune.cursor},
-      {"prune:unused-hints", prune.hints_tested, prune.unused_hints},
-      {"prune:peer-definition", prune.peer_tested, prune.peer_definition},
-      {"prune:stale-code", prune.stale_tested, prune.stale_code},
-  };
-  for (const auto& pattern : patterns) {
-    table.AddRow({pattern.name, "",
-                  std::to_string(pattern.pruned) + " pruned / " +
-                      std::to_string(pattern.tested - pattern.pruned) + " rejected of " +
-                      std::to_string(pattern.tested) + " tested"});
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    std::string label = std::string("prune:") + pattern.name;
+    std::replace(label.begin(), label.end(), '_', '-');
+    const int tested = prune.*pattern.tested;
+    const int pruned = prune.*pattern.pruned;
+    table.AddRow({label, "",
+                  std::to_string(pruned) + " pruned / " + std::to_string(tested - pruned) +
+                      " rejected of " + std::to_string(tested) + " tested"});
   }
-  table.AddRow({"rank", ms(report.stages[Stage::kRank].seconds),
-                std::to_string(stage.rank_scored) + " scored, " +
-                    std::to_string(stage.rank_unknown) + " unknown; model " +
+  table.AddRow({"rank", ms(rank.seconds),
+                std::to_string(rank.counts[kRankScored]) + " scored, " +
+                    std::to_string(rank.counts[kRankUnknown]) + " unknown; model " +
                     ms(stage.rank_model_seconds) + "ms"});
   table.AddRow({"total", ms(report.analysis_seconds), "jobs=" + std::to_string(report.jobs)});
 

@@ -26,10 +26,10 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo = 
 
 std::string ReportToSarif(const AnalysisReport& report);
 
-// Aligned text table of the report's StageMetrics block: one row per pipeline
-// stage (parse, detect, authorship, cross-scope filter, prune + one row per
-// pruning pattern, rank) plus thread-pool activity. Empty string when the
-// report was produced without collect_metrics.
+// Aligned text table of the report's stage records and StageMetrics block:
+// one row per pipeline stage (parse, detect, authorship, cross-scope filter,
+// prune + one row per pruning pattern, rank) plus thread-pool activity.
+// Empty string when the report was produced without collect_metrics.
 std::string RenderStageMetricsTable(const AnalysisReport& report);
 
 }  // namespace vc

@@ -63,21 +63,17 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
   m.filter_seconds = report.stages[Stage::kCrossScopeFilter].seconds;
   m.prune_seconds = report.stages[Stage::kPrune].seconds;
   m.rank_seconds = report.stages[Stage::kRank].seconds;
-  m.files_parsed = static_cast<int64_t>(report.stage.files_parsed);
-  m.functions_analyzed = static_cast<int64_t>(report.stage.functions_analyzed);
-  m.candidates_detected = static_cast<int64_t>(report.stage.candidates_detected);
+  m.files_parsed = report.stages[Stage::kParse].counts[kParseFiles];
+  m.functions_analyzed = report.stages[Stage::kDetect].counts[kDetectFunctions];
+  m.candidates_detected = report.stages[Stage::kDetect].counts[kDetectCandidates];
   const PruneStats& prune = report.prune_stats;
   m.prune_original = prune.original;
   m.prune_total = prune.TotalPruned();
   m.prune_remaining = prune.remaining;
   m.quarantined_units = static_cast<int64_t>(report.quarantined.size());
-  m.prune_patterns = {
-      {"config_dependency", prune.config_tested, prune.config_dependency},
-      {"cursor", prune.cursor_tested, prune.cursor},
-      {"unused_hints", prune.hints_tested, prune.unused_hints},
-      {"peer_definition", prune.peer_tested, prune.peer_definition},
-      {"stale_code", prune.stale_tested, prune.stale_code},
-  };
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    m.prune_patterns.push_back({pattern.name, prune.*pattern.tested, prune.*pattern.pruned});
+  }
   m.pool_workers = report.stage.pool.workers;
   m.pool_tasks = static_cast<int64_t>(report.stage.pool.tasks_executed);
   m.pool_steals = static_cast<int64_t>(report.stage.pool.steals);

@@ -14,6 +14,13 @@ const char* StageName(Stage stage) {
   return kNames[static_cast<int>(stage)];
 }
 
+const char* StageCountName(Stage stage, int index) {
+  static constexpr const char* kNames[kStageCount][kMaxStageCounts] = {
+      {"files"},           {"functions", "candidates"}, {"classified"},
+      {"kept", "dropped"}, {"survivors"},               {"scored", "unknown"}};
+  return kNames[static_cast<int>(stage)][index];
+}
+
 StageScope::StageScope(Stage stage, StageRecord& record)
     : stage_(stage), record_(record), span_(StageName(stage), "pipeline") {
   if (RunEventsEnabled()) {
@@ -38,21 +45,14 @@ StageScope::~StageScope() {
     MemoryTracker::Global().SampleRss();
     record_.rss_bytes = MemoryTracker::Global().peak_rss_bytes();
   }
-  if (RunEventsEnabled()) {
-    RunEvent event("stage_end");
+  RunEvent event("stage_end");  // inert unless the event log is open
+  if (RunEventsEnabled()) {       // no string is built while it is closed
     event.Str("stage", StageName(stage_));
-    for (int i = 0; i < arg_count_; ++i) {
-      event.Num(args_[i].first, args_[i].second);
-    }
   }
-}
-
-StageScope& StageScope::Arg(const char* key, int64_t value) {
-  span_.Arg(key, value);
-  if (arg_count_ < kMaxArgs) {
-    args_[arg_count_++] = {key, value};
+  for (int i = 0; i < kMaxStageCounts && StageCountName(stage_, i) != nullptr; ++i) {
+    span_.Arg(StageCountName(stage_, i), record_.counts[i]);
+    event.Num(StageCountName(stage_, i), record_.counts[i]);
   }
-  return *this;
 }
 
 }  // namespace vc

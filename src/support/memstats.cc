@@ -6,8 +6,6 @@
 #include <fstream>
 #include <string>
 
-#include "src/support/metrics.h"
-
 namespace vc {
 
 const char* MemCategoryName(MemCategory category) {
@@ -33,17 +31,6 @@ void MemoryTracker::SampleRss() {
   while (rss > seen &&
          !peak_rss_.compare_exchange_weak(seen, rss, std::memory_order_relaxed)) {
   }
-}
-
-void MemoryStats::PublishRegistryGauges() const {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  for (int c = 0; c < kMemCategoryCount; ++c) {
-    std::string base = std::string("mem.") + MemCategoryName(static_cast<MemCategory>(c));
-    registry.GetGauge(base + ".bytes").Set(static_cast<int64_t>(categories[c].bytes));
-    registry.GetGauge(base + ".objects").Set(static_cast<int64_t>(categories[c].objects));
-  }
-  registry.GetGauge("mem.tracked_bytes").Set(static_cast<int64_t>(TrackedBytes()));
-  registry.GetGauge("mem.peak_rss_bytes").Set(static_cast<int64_t>(peak_rss_bytes));
 }
 
 uint64_t ProcessPeakRssBytes() {

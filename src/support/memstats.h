@@ -95,11 +95,6 @@ struct MemoryStats {
     }
     return total;
   }
-
-  // Sets the mem.* gauges in the MetricsRegistry (mem.<category>.bytes /
-  // mem.<category>.objects, mem.tracked_bytes, mem.peak_rss_bytes) for the
-  // Prometheus dump.
-  void PublishRegistryGauges() const;
 };
 
 }  // namespace vc

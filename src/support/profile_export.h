@@ -3,8 +3,9 @@
 // "frame;frame;frame <weight>", weight in microseconds of self time.
 //
 // Stacks are the recorded span tree (SpanGraph::Build, span_analysis.h), the
-// same tree the perf report reads: a span on a pool worker sits under the
-// parallel_for that ran it, on any thread. A frame's self time is its
+// same tree the perf report reads: a span on a pool worker sits under its
+// lane, and the lane under the parallel_for that ran it, on any thread
+// (`…;parallel_for;lane;detect_fn`). A frame's self time is its
 // duration minus the durations of its children on the same thread. Output
 // lines are sorted, so identical traces fold to byte-identical profiles.
 

@@ -83,7 +83,6 @@ void WriteMetrics(JsonWriter& json, const LedgerMetrics& m) {
     json.Key("perf").BeginObject();
     json.Bool("collected", true);
     json.Double("wall_seconds", m.perf_wall_seconds);
-    json.Double("critical_path_seconds", m.perf_critical_path_seconds);
     json.Double("serial_fraction", m.perf_serial_fraction);
     json.Double("utilization", m.perf_utilization);
     json.Double("max_busy_seconds", m.perf_max_busy_seconds);
@@ -182,7 +181,6 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
     const JsonValue& perf = value.Get("perf");
     m.perf_collected = perf.GetBool("collected");
     m.perf_wall_seconds = perf.GetDouble("wall_seconds");
-    m.perf_critical_path_seconds = perf.GetDouble("critical_path_seconds");
     m.perf_serial_fraction = perf.GetDouble("serial_fraction");
     m.perf_utilization = perf.GetDouble("utilization");
     m.perf_max_busy_seconds = perf.GetDouble("max_busy_seconds");

@@ -96,7 +96,6 @@ struct LedgerMetrics {
   // (perf_collected false) in pre-v3 records and runs without --perf-report.
   bool perf_collected = false;
   double perf_wall_seconds = 0.0;
-  double perf_critical_path_seconds = 0.0;
   double perf_serial_fraction = 0.0;
   double perf_utilization = 0.0;  // mean across observed workers
   double perf_max_busy_seconds = 0.0;

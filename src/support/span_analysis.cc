@@ -40,34 +40,6 @@ std::string SanitizeFrame(const std::string& name) {
 
 double Clamp01(double v) { return v < 0 ? 0 : (v > 1 ? 1 : v); }
 
-// Fills self_micros and critical_micros below and at `idx`. Children on the
-// node's tid ran inside it one after another; child groups on different tids
-// ran in parallel, so only the heaviest lane extends the chain. Clamping to
-// the node's own duration keeps chains inside their containing span — and
-// total critical path under wall time — by construction.
-void FillChains(SpanGraph& graph, int idx) {
-  int64_t own_cover = 0;
-  std::map<int, int64_t> lane_chain;  // child tid -> summed chain
-  for (int child : graph.nodes[idx].children) {
-    FillChains(graph, child);
-    const SpanNode& c = graph.nodes[child];
-    if (c.tid == graph.nodes[idx].tid) {
-      own_cover += c.dur_micros;
-    }
-    lane_chain[c.tid] += c.critical_micros;
-  }
-  SpanNode& node = graph.nodes[idx];
-  node.self_micros = std::max<int64_t>(0, node.dur_micros - own_cover);
-  int64_t best = 0;
-  for (const auto& [tid, chain] : lane_chain) {
-    if (node.critical_lane < 0 || chain > best) {  // ties: the lower tid
-      best = chain;
-      node.critical_lane = tid;
-    }
-  }
-  node.critical_micros = std::min(node.dur_micros, node.self_micros + best);
-}
-
 }  // namespace
 
 SpanGraph SpanGraph::Build(const std::vector<TraceEvent>& events) {
@@ -93,63 +65,36 @@ SpanGraph SpanGraph::Build(const std::vector<TraceEvent>& events) {
     node.tid = sorted[i]->tid;
     node.ts_micros = sorted[i]->ts_micros;
     node.dur_micros = std::max<int64_t>(0, sorted[i]->dur_micros);
+    node.self_micros = node.dur_micros;
     graph.window_end_micros = std::max(graph.window_end_micros, EndMicros(node));
     if (sorted[i]->span != 0) {
       by_span.emplace(sorted[i]->span, static_cast<int>(i));
     }
   }
   // Link by recorded parent ids. An absent parent (0 included) makes the
-  // node a root.
+  // node a root. A child on its parent's thread ran inside it and leaves the
+  // parent's self time.
   for (size_t i = 0; i < sorted.size(); ++i) {
     auto parent = by_span.find(sorted[i]->parent);
     if (parent == by_span.end()) {
       graph.roots.push_back(static_cast<int>(i));
       continue;
     }
-    graph.nodes[i].parent = parent->second;
-    graph.nodes[parent->second].children.push_back(static_cast<int>(i));
+    SpanNode& node = graph.nodes[i];
+    SpanNode& up = graph.nodes[parent->second];
+    node.parent = parent->second;
+    up.children.push_back(static_cast<int>(i));
+    if (up.tid == node.tid) {
+      up.self_micros -= node.dur_micros;
+    }
   }
-  for (int root : graph.roots) {
-    FillChains(graph, root);
+  for (SpanNode& node : graph.nodes) {
+    node.self_micros = std::max<int64_t>(0, node.self_micros);
   }
   return graph;
 }
 
 namespace {
-
-// Walks the critical chain, folding each frame's contribution into an
-// ordered stack -> seconds aggregation (repeated frames like a per-function
-// detect span collapse into one listing line). A frame that adds no time is
-// not listed: its contribution is at most its self time, so every listed
-// stack carries self time in the collapsed-stack profile too.
-void FoldCriticalPath(const SpanGraph& graph, int idx,
-                      const std::string& prefix,
-                      std::vector<std::string>& order,
-                      std::map<std::string, double>& folded) {
-  const SpanNode& node = graph.nodes[idx];
-  std::string stack = prefix.empty() ? node.name : prefix + ";" + node.name;
-  int64_t lane = 0;
-  for (int child : node.children) {
-    if (graph.nodes[child].tid == node.critical_lane) {
-      lane += graph.nodes[child].critical_micros;
-    }
-  }
-  if (node.critical_micros > lane) {
-    double seconds = static_cast<double>(node.critical_micros - lane) / 1e6;
-    auto it = folded.find(stack);
-    if (it == folded.end()) {
-      order.push_back(stack);
-      folded[stack] = seconds;
-    } else {
-      it->second += seconds;
-    }
-  }
-  for (int child : node.children) {
-    if (graph.nodes[child].tid == node.critical_lane) {
-      FoldCriticalPath(graph, child, stack, order, folded);
-    }
-  }
-}
 
 // Union length of a set of [begin, end) intervals, plus a bucketized busy
 // fraction timeline over [window_begin, window_end).
@@ -216,32 +161,6 @@ PerfReport AnalyzeSpans(const std::vector<TraceEvent>& events,
   report.wall_seconds = inputs.wall_seconds > 0
                             ? inputs.wall_seconds
                             : static_cast<double>(window) / 1e6;
-
-  // Critical path: roots are sequential phases of the run; overlapping
-  // roots (spans whose parent was dropped by the buffer cap) would
-  // double-count, so the total is clamped to the observation window and to
-  // the wall clock.
-  int64_t total_cp = 0;
-  for (int root : graph.roots) {
-    total_cp += graph.nodes[root].critical_micros;
-  }
-  total_cp = std::min(total_cp, window);
-  report.critical_path_seconds =
-      std::min(static_cast<double>(total_cp) / 1e6, report.wall_seconds);
-  report.critical_path_fraction =
-      report.wall_seconds > 0
-          ? Clamp01(report.critical_path_seconds / report.wall_seconds)
-          : 0.0;
-  {
-    std::vector<std::string> order;
-    std::map<std::string, double> folded;
-    for (int root : graph.roots) {
-      FoldCriticalPath(graph, root, "", order, folded);
-    }
-    for (const std::string& stack : order) {
-      report.critical_path.push_back({stack, folded[stack]});
-    }
-  }
 
   // Per-worker busy/idle over the shared observation window.
   std::map<int, std::vector<std::pair<int64_t, int64_t>>> per_tid;
@@ -314,19 +233,6 @@ std::string PerfReportToJson(const PerfReport& report) {
   json.Int("hardware_threads", report.hardware_threads);
   json.Int("span_count", static_cast<int64_t>(report.span_count));
   json.Int("dropped_spans", static_cast<int64_t>(report.dropped_spans));
-
-  json.Key("critical_path").BeginObject();
-  json.Double("seconds", report.critical_path_seconds);
-  json.Double("fraction", report.critical_path_fraction);
-  json.Key("folded").BeginArray();
-  for (const CriticalPathStep& step : report.critical_path) {
-    json.BeginObject();
-    json.String("stack", step.stack);
-    json.Double("seconds", step.seconds);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
 
   json.Double("serial_fraction", report.serial_fraction);
   json.Double("total_busy_seconds", report.total_busy_seconds);

@@ -94,15 +94,23 @@ struct ForState {
     }
   }
 
-  // Claims chunks until none remain anywhere, running the body over each.
-  // Every popped chunk is credited to `remaining` whether it ran fully or was
-  // skipped after an abort, so completion is always reached. The lane adopts
-  // the loop's parallel_for span, so spans the body opens record it as their
-  // parent on whichever thread runs the lane.
+  // Runs one lane on the calling thread under the loop's parallel_for span.
   void RunLane(size_t self) {
     bool was_in_region = tls_in_parallel_region;
     tls_in_parallel_region = true;
     uint64_t outer_span = SetCurrentTraceSpan(fork_span);
+    RunChunks(self);
+    SetCurrentTraceSpan(outer_span);
+    tls_in_parallel_region = was_in_region;
+  }
+
+  // Claims chunks until none remain anywhere, running the body over each,
+  // inside one `lane` span: spans the body opens record the lane as their
+  // parent, and its busy time counts for the thread that ran it. Every
+  // popped chunk is credited to `remaining` whether it ran fully or was
+  // skipped after an abort, so completion is always reached.
+  void RunChunks(size_t self) {
+    TraceSpan lane_span("lane", "threadpool");
     Chunk chunk;
     while (PopOrSteal(self, chunk)) {
       size_t len = chunk.second - chunk.first;
@@ -129,8 +137,6 @@ struct ForState {
         done_cv.notify_all();
       }
     }
-    SetCurrentTraceSpan(outer_span);
-    tls_in_parallel_region = was_in_region;
   }
 
   // Waits until every chunk is credited AND every submitted lane task has

@@ -28,8 +28,9 @@
 // spans (AnalyzeSpans, src/support/span_analysis.h).
 //
 // Tracing: a pooled ParallelFor opens one `parallel_for` span and hands it to
-// every lane, which makes it the lane thread's current span while it runs,
-// so spans the body opens record the loop as their parent on any thread.
+// every lane. Each lane opens a `lane` span under it on the thread that runs
+// the lane, so spans the body opens record their lane as their parent, and
+// the lane names the loop, on any thread.
 
 #ifndef VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_
 #define VALUECHECK_SRC_SUPPORT_THREAD_POOL_H_

@@ -14,9 +14,10 @@
 //   * The span tree is recorded, not inferred: an active span takes a
 //     process-unique id and records the thread's current span as its parent,
 //     becomes the current span itself, and restores its parent on close.
-//     ThreadPool lanes adopt their loop's parallel_for span (see
-//     SetCurrentTraceSpan), so a span opened on a worker names the fork that
-//     ran it. Consumers link spans by these ids (SpanGraph::Build); a span
+//     A ThreadPool lane adopts its loop's parallel_for span (see
+//     SetCurrentTraceSpan) and opens a `lane` span under it, so a span opened
+//     on a worker names its lane, and the lane the fork that ran it.
+//     Consumers link spans by these ids (SpanGraph::Build); a span
 //     whose parent is absent from the buffers (dropped by the cap, or opened
 //     before Enable()) is a root.
 //   * Export (ToJson/WriteJson) and Clear must not race with live spans: call

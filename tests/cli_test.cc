@@ -517,15 +517,15 @@ TEST_F(CliTest, PerfReportWritesAnalyticsWithoutPerturbingFindings) {
   std::string perf((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   // Stable field order from the first byte; vc_obs_lint perf checks the rest.
-  EXPECT_EQ(perf.rfind("{\"schema_version\":1,\"wall_seconds\":", 0), 0u)
+  EXPECT_EQ(perf.rfind("{\"schema_version\":2,\"wall_seconds\":", 0), 0u)
       << perf.substr(0, 120);
   for (const char* key :
-       {"\"critical_path\":{", "\"folded\":[", "\"serial_fraction\":",
-        "\"workers\":[", "\"utilization\":", "\"timeline\":[",
+       {"\"serial_fraction\":", "\"workers\":[", "\"utilization\":", "\"timeline\":[",
         "\"mean_utilization\":", "\"imbalance\":{", "\"steals\":{",
         "\"latency_ns_log2\":["}) {
     EXPECT_NE(perf.find(key), std::string::npos) << key;
   }
+  EXPECT_EQ(perf.find("critical_path"), std::string::npos);
 }
 
 TEST_F(CliTest, IncrementalPerfReportWallCoversTheWholeReplay) {

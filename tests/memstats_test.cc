@@ -1,5 +1,5 @@
-// Memory-accounting substrate tests: RSS sampling, registry gauge
-// publication from a run's MemoryStats, and the run-level attribution
+// Memory-accounting substrate tests: RSS sampling, the run publisher's
+// gauges from a report's MemoryStats, and the run-level attribution
 // equality that the pipeline-facing tests in parallel_determinism_test.cc
 // rely on.
 
@@ -34,12 +34,14 @@ TEST(MemoryTracker, RssSampleKeepsHighWaterMark) {
 }
 
 TEST(MemoryTracker, PublishRegistryGaugesExportsMemMetrics) {
-  MemoryStats stats;
+  // The run publisher sets the mem.* gauges from a report's MemoryStats.
+  AnalysisReport report;
+  MemoryStats& stats = report.memory;
   stats.collected = true;
   stats.categories[static_cast<int>(MemCategory::kAstNodes)] = {1234, 10};
   stats.categories[static_cast<int>(MemCategory::kIrInstructions)] = {500, 5};
   stats.peak_rss_bytes = ProcessPeakRssBytes();
-  stats.PublishRegistryGauges();
+  PublishRunMetrics(report);
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   EXPECT_EQ(registry.GetGauge("mem.ast_nodes.bytes").value(), 1234);

@@ -11,16 +11,20 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/checkers/registry.h"
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
 #include "src/core/stage.h"
+#include "src/corpus/generator.h"
+#include "src/corpus/profile.h"
 #include "src/support/events.h"
 #include "src/support/json_reader.h"
 #include "src/support/metrics.h"
@@ -305,9 +309,34 @@ int64_t SumNanos(const Histogram& histogram) {
   return std::llround(histogram.sum_seconds() * 1e9);
 }
 
+// The registry counter a stage count is published under, or null.
+const char* PublishedName(Stage stage, int index) {
+  switch (stage) {
+    case Stage::kParse:
+      return "parse.files";
+    case Stage::kDetect:
+      return index == kDetectFunctions ? "detect.functions" : "detect.candidates";
+    case Stage::kRank:
+      return index == kRankScored ? "rank.scored" : "rank.unknown";
+    default:
+      return nullptr;
+  }
+}
+
+// Calls `fn(stage, index, name)` for every count a stage reports.
+void ForEachStageCount(const std::function<void(Stage, int, const char*)>& fn) {
+  for (Stage stage : kStages) {
+    for (int i = 0; i < kMaxStageCounts && StageCountName(stage, i) != nullptr; ++i) {
+      fn(stage, i, StageCountName(stage, i));
+    }
+  }
+}
+
 // Runs one analysis path with events, trace and metrics on, then checks that
 // every stage reached every sink exactly once and that the sinks agree with
-// the report's stage record.
+// the report's stage record: its seconds, and each of its counts in the
+// stage_end fields, the stage span's args and the registry delta around the
+// call.
 void ExpectEveryStageOnce(const std::string& label,
                           const std::function<AnalysisReport()>& analyze) {
   SCOPED_TRACE(label);
@@ -317,6 +346,13 @@ void ExpectEveryStageOnce(const std::string& label,
     counts_before.push_back(StageHistogram(stage).count());
     sums_before.push_back(SumNanos(StageHistogram(stage)));
   }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  std::map<std::string, uint64_t> published_before;
+  ForEachStageCount([&](Stage stage, int index, const char*) {
+    if (const char* name = PublishedName(stage, index)) {
+      published_before[name] = registry.GetCounter(name).value();
+    }
+  });
   std::string events_path = TempPath("vc_events_stages.jsonl");
   ASSERT_TRUE(RunEventLog::Global().Open(events_path));
   TraceCollector::Global().Enable();
@@ -334,12 +370,16 @@ void ExpectEveryStageOnce(const std::string& label,
   // stage_start/stage_end pairs in Stage order (per-file parse_file events
   // carry no Stage name and are skipped).
   std::vector<std::string> sequence;
+  std::map<std::string, JsonValue> stage_ends;
   for (const std::string& line : ReadLines(events_path)) {
     std::optional<JsonValue> value = ParseJson(line);
     ASSERT_TRUE(value.has_value()) << line;
     const std::string event = value->GetString("event");
     if ((event == "stage_start" || event == "stage_end") && is_stage(value->GetString("stage"))) {
       sequence.push_back(event + ":" + value->GetString("stage"));
+      if (event == "stage_end") {
+        stage_ends[value->GetString("stage")] = *value;
+      }
     }
   }
   std::remove(events_path.c_str());
@@ -351,13 +391,28 @@ void ExpectEveryStageOnce(const std::string& label,
   EXPECT_EQ(sequence, expected);
 
   std::vector<std::string> spans;
+  std::map<std::string, std::map<std::string, std::string>> span_args;
   for (const TraceEvent& event : TraceCollector::Global().SnapshotEvents()) {
     if (std::strcmp(event.category, "pipeline") == 0 && is_stage(event.name)) {
       spans.push_back(event.name);
+      span_args[event.name].insert(event.args.begin(), event.args.end());
     }
   }
   TraceCollector::Global().Clear();
   EXPECT_EQ(spans, stage_names);
+
+  // Each count the record holds reached every sink with the same value.
+  ForEachStageCount([&](Stage stage, int index, const char* name) {
+    const int64_t count = report.stages[stage].counts[index];
+    SCOPED_TRACE(std::string(StageName(stage)) + " " + name);
+    EXPECT_GE(count, 0);
+    EXPECT_EQ(stage_ends[StageName(stage)].GetInt(name, -1), count);
+    EXPECT_EQ(span_args[StageName(stage)][name], std::to_string(count));
+    if (const char* published = PublishedName(stage, index)) {
+      EXPECT_EQ(registry.GetCounter(published).value() - published_before[published],
+                static_cast<uint64_t>(count));
+    }
+  });
 
   // The JSON memory.stages rows read the stage records.
   ASSERT_TRUE(report.memory.collected);
@@ -410,9 +465,114 @@ TEST(Observability, EveryStageFeedsEverySinkOnce) {
   options.jobs = 2;
   IncrementalEngine engine(options);
   for (CommitId commit = 0; commit <= head; ++commit) {
-    ExpectEveryStageOnce("AnalyzeCommit " + std::to_string(commit),
-                         [&] { return engine.AnalyzeCommit(repo, commit).report; });
+    IncrementalResult result;
+    ExpectEveryStageOnce("AnalyzeCommit " + std::to_string(commit), [&] {
+      result = engine.AnalyzeCommit(repo, commit);
+      return result.report;
+    });
+    // An engine commit counts its own work.
+    EXPECT_EQ(result.report.stages[Stage::kParse].counts[kParseFiles], result.files_reparsed);
+    EXPECT_EQ(result.report.stages[Stage::kDetect].counts[kDetectFunctions],
+              result.functions_dirty);
   }
+  IncrementalEngine snapshots(options);
+  for (const std::string& content : {v1, v2}) {
+    IncrementalResult result;
+    ExpectEveryStageOnce("AnalyzeSnapshot", [&] {
+      result = snapshots.AnalyzeSnapshot({{"a.c", content}});
+      return result.report;
+    });
+    EXPECT_EQ(result.report.stages[Stage::kParse].counts[kParseFiles], result.files_reparsed);
+    EXPECT_EQ(result.report.stages[Stage::kDetect].counts[kDetectFunctions],
+              result.functions_dirty);
+  }
+  MetricsRegistry::Global().Disable();
+  MemoryTracker::Global().Disable();
+}
+
+// Every per-run counter and gauge DESIGN §9 names is in the registry after a
+// run with metrics on, with the value of the report field it publishes.
+TEST(Observability, RunPublishesEveryCounterAndGaugeOnce) {
+  GeneratedApp app = GenerateApp(NfsGaneshaProfile().Scaled(0.1));
+  AnalysisOptions options;
+  options.jobs = 2;
+  options.collect_metrics = true;
+  options.prune.stale_code = true;  // all five patterns test candidates
+  Analysis analysis(options);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+
+  std::vector<std::string> names = {"parse.files", "detect.functions", "detect.candidates",
+                                    "rank.scored", "rank.unknown"};
+  for (const Checker* checker : CheckerRegistry::Global().Resolve(options.checkers)) {
+    names.push_back("detect." + checker->name() + ".candidates");
+  }
+  for (const char* pattern :
+       {"config_dependency", "cursor", "unused_hints", "peer_definition", "stale_code"}) {
+    names.push_back(std::string("prune.") + pattern + ".tested");
+    names.push_back(std::string("prune.") + pattern + ".pruned");
+  }
+  std::map<std::string, uint64_t> before;
+  for (const std::string& name : names) {
+    before[name] = registry.GetCounter(name).value();
+  }
+  AnalysisReport report = analysis.RunOnRepository(app.repo);
+  std::map<std::string, uint64_t> published;
+  for (const std::string& name : names) {
+    published[name] = registry.GetCounter(name).value() - before[name];
+  }
+
+  size_t functions = 0;
+  for (size_t m : report.owned_project->unit_order()) {
+    functions += report.owned_project->modules()[m]->functions.size();
+  }
+  EXPECT_EQ(published["parse.files"], report.owned_project->unit_order().size());
+  EXPECT_EQ(published["detect.functions"], functions);
+  EXPECT_EQ(published["detect.candidates"], report.raw_candidates.size());
+  EXPECT_GT(published["detect.candidates"], 0u);
+  for (const AnalysisReport::CheckerStat& stat : report.checker_stats) {
+    EXPECT_EQ(published["detect." + stat.name + ".candidates"], stat.candidates) << stat.name;
+  }
+  const PruneStats& prune = report.prune_stats;
+  const std::vector<std::pair<const char*, std::pair<int, int>>> patterns = {
+      {"config_dependency", {prune.config_tested, prune.config_dependency}},
+      {"cursor", {prune.cursor_tested, prune.cursor}},
+      {"unused_hints", {prune.hints_tested, prune.unused_hints}},
+      {"peer_definition", {prune.peer_tested, prune.peer_definition}},
+      {"stale_code", {prune.stale_tested, prune.stale_code}},
+  };
+  for (const auto& [pattern, counts] : patterns) {
+    EXPECT_GT(counts.first, 0) << pattern;
+    EXPECT_EQ(published[std::string("prune.") + pattern + ".tested"],
+              static_cast<uint64_t>(counts.first))
+        << pattern;
+    EXPECT_EQ(published[std::string("prune.") + pattern + ".pruned"],
+              static_cast<uint64_t>(counts.second))
+        << pattern;
+  }
+  size_t scored = 0;
+  for (const UnusedDefCandidate& finding : report.findings) {
+    scored += finding.responsible_author != kInvalidAuthor ? 1 : 0;
+  }
+  EXPECT_GT(scored, 0u);
+  EXPECT_EQ(published["rank.scored"], scored);
+  EXPECT_EQ(published["rank.unknown"], report.findings.size() - scored);
+
+  ASSERT_TRUE(report.memory.collected);
+  const MemoryStats& mem = report.memory;
+  for (int c = 0; c < kMemCategoryCount; ++c) {
+    const std::string base = std::string("mem.") + MemCategoryName(static_cast<MemCategory>(c));
+    EXPECT_EQ(registry.GetGauge(base + ".bytes").value(),
+              static_cast<int64_t>(mem.categories[c].bytes))
+        << base;
+    EXPECT_EQ(registry.GetGauge(base + ".objects").value(),
+              static_cast<int64_t>(mem.categories[c].objects))
+        << base;
+  }
+  EXPECT_EQ(registry.GetGauge("mem.tracked_bytes").value(),
+            static_cast<int64_t>(mem.TrackedBytes()));
+  EXPECT_GT(mem.TrackedBytes(), 0u);
+  EXPECT_EQ(registry.GetGauge("mem.peak_rss_bytes").value(),
+            static_cast<int64_t>(mem.peak_rss_bytes));
   MetricsRegistry::Global().Disable();
   MemoryTracker::Global().Disable();
 }

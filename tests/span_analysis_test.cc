@@ -1,7 +1,6 @@
 // Tests for the scalability observatory's span analytics: the span graph
 // linked by recorded parent ids (same-tid nesting, cross-tid fork edges,
-// timestamp ties), critical-path computation and its wall-clock clamp,
-// busy/idle utilization, the Amdahl serial-fraction fit, dropped-span
+// timestamp ties), self time, busy/idle utilization, the Amdahl serial-fraction fit, dropped-span
 // accounting, and the stable-field-order JSON rendering — plus structural
 // determinism of the whole report under input shuffling, and one recorded
 // tree of a parallel run shared by the perf report and the folded profile.
@@ -55,8 +54,6 @@ PerfInputs Inputs(double wall = 0.0, int jobs = 1) {
 TEST(SpanAnalysis, EmptyTraceYieldsStructurallyCompleteReport) {
   PerfReport report = AnalyzeSpans({}, Inputs());
   EXPECT_EQ(report.span_count, 0u);
-  EXPECT_EQ(report.critical_path_seconds, 0.0);
-  EXPECT_TRUE(report.critical_path.empty());
   EXPECT_TRUE(report.workers.empty());
   EXPECT_EQ(report.mean_utilization, 0.0);
   EXPECT_EQ(report.serial_fraction, 1.0);  // no measured work = serial
@@ -67,7 +64,7 @@ TEST(SpanAnalysis, EmptyTraceYieldsStructurallyCompleteReport) {
   std::optional<JsonValue> value = ParseJson(json, &error);
   ASSERT_TRUE(value.has_value()) << error;
   EXPECT_EQ(value->GetInt("schema_version", -1), PerfReport::kSchemaVersion);
-  EXPECT_TRUE(value->Has("critical_path"));
+  EXPECT_FALSE(value->Has("critical_path"));
   EXPECT_TRUE(value->Has("workers"));
   EXPECT_TRUE(value->Has("steals"));
 }
@@ -76,7 +73,7 @@ TEST(SpanAnalysis, EmptyTraceYieldsStructurallyCompleteReport) {
 // Same-tid nesting
 // ---------------------------------------------------------------------------
 
-TEST(SpanAnalysis, SingleThreadNestingAndCriticalPath) {
+TEST(SpanAnalysis, SingleThreadNestingAndSelfTime) {
   // root [0,1000] containing child [100,500) (with grandchild [150,250))
   // and sibling [600,900).
   std::vector<TraceEvent> events = {
@@ -94,28 +91,18 @@ TEST(SpanAnalysis, SingleThreadNestingAndCriticalPath) {
   ASSERT_EQ(root.children.size(), 2u);
   EXPECT_EQ(graph.nodes[root.children[0]].name, "child");
   EXPECT_EQ(graph.nodes[root.children[1]].name, "sibling");
-  EXPECT_EQ(graph.nodes[root.children[0]].children.size(), 1u);
+  const SpanNode& child = graph.nodes[root.children[0]];
+  EXPECT_EQ(child.children.size(), 1u);
 
-  // Same-tid children are sequential: the chain is the whole root span.
-  EXPECT_EQ(root.critical_micros, 1000);
+  // Same-tid children ran inside their parent: each node's self time is its
+  // duration minus theirs.
+  EXPECT_EQ(root.self_micros, 1000 - 400 - 300);
+  EXPECT_EQ(child.self_micros, 400 - 100);
+  EXPECT_EQ(graph.nodes[child.children[0]].self_micros, 100);
+  EXPECT_EQ(graph.nodes[root.children[1]].self_micros, 300);
 
   PerfReport report = AnalyzeSpans(events, Inputs());
   EXPECT_DOUBLE_EQ(report.wall_seconds, 0.001);  // window = 1000us
-  EXPECT_DOUBLE_EQ(report.critical_path_seconds, 0.001);
-  EXPECT_DOUBLE_EQ(report.critical_path_fraction, 1.0);
-
-  // Folded listing covers the full chain, in first-seen stack order, and its
-  // contributions sum to the critical path.
-  std::vector<std::string> stacks;
-  double total = 0.0;
-  for (const CriticalPathStep& step : report.critical_path) {
-    stacks.push_back(step.stack);
-    total += step.seconds;
-  }
-  EXPECT_EQ(stacks, (std::vector<std::string>{
-                        "root", "root;child", "root;child;grandchild",
-                        "root;sibling"}));
-  EXPECT_NEAR(total, report.critical_path_seconds, 1e-9);
 
   // One worker, fully busy (intervals cover the window).
   ASSERT_EQ(report.workers.size(), 1u);
@@ -128,7 +115,7 @@ TEST(SpanAnalysis, SingleThreadNestingAndCriticalPath) {
 // Cross-tid fork edges + the wall clamp
 // ---------------------------------------------------------------------------
 
-TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
+TEST(SpanAnalysis, CrossTidForkJoinLeavesParentSelfTime) {
   // Two worker lanes whose windows overlap, both recorded under the run span
   // on tid 0.
   std::vector<TraceEvent> events = {
@@ -144,14 +131,10 @@ TEST(SpanAnalysis, CrossTidForkJoinAttachesAndClampsToWall) {
   EXPECT_EQ(graph.nodes[run.children[0]].parent, graph.roots[0]);
   EXPECT_EQ(graph.nodes[run.children[1]].name, "lane_b");
 
-  // Self time (1000: children on other tids do not reduce it) + heaviest
-  // lane (600) would be 1600 — the clamp caps the chain at the containing
-  // span's own duration.
+  // Children on other tids ran in parallel and do not reduce self time.
   EXPECT_EQ(run.self_micros, 1000);
-  EXPECT_EQ(run.critical_micros, 1000);
 
   PerfReport report = AnalyzeSpans(events, Inputs());
-  EXPECT_LE(report.critical_path_seconds, report.wall_seconds);
   ASSERT_EQ(report.workers.size(), 3u);
   EXPECT_DOUBLE_EQ(report.workers[0].busy_seconds, 1000e-6);
   EXPECT_DOUBLE_EQ(report.workers[1].busy_seconds, 600e-6);
@@ -180,9 +163,7 @@ TEST(SpanAnalysis, WorkerSpansForkFromParallelForNotFromSiblingLanes) {
     EXPECT_EQ(graph.nodes[child].parent, graph.roots[0]);
     EXPECT_TRUE(graph.nodes[child].children.empty());
   }
-  for (const CriticalPathStep& step : AnalyzeSpans(events, Inputs()).critical_path) {
-    EXPECT_EQ(step.stack.find("fn;fn"), std::string::npos) << step.stack;
-  }
+  EXPECT_EQ(CollapseTraceEvents(events).find("fn;fn"), std::string::npos);
 }
 
 TEST(SpanAnalysis, TimestampTiesKeepTheRecordedParent) {
@@ -203,22 +184,13 @@ TEST(SpanAnalysis, TimestampTiesKeepTheRecordedParent) {
   ASSERT_EQ(stage.children.size(), 1u);
   EXPECT_EQ(graph.nodes[stage.children[0]].name, "apply");
   EXPECT_EQ(stage.self_micros, 0);
-  EXPECT_EQ(stage.critical_micros, 500);
-
-  PerfReport tied_report = AnalyzeSpans(tied, Inputs());
-  std::vector<std::string> tied_stacks;
-  for (const CriticalPathStep& step : tied_report.critical_path) {
-    tied_stacks.push_back(step.stack);
-  }
-  EXPECT_EQ(tied_stacks, (std::vector<std::string>{"stage;apply", "stage;apply;fn"}));
+  EXPECT_EQ(graph.nodes[stage.children[0]].self_micros, 500);
 
   // Renaming so the parent sorts first changes nothing but the names.
-  PerfReport ordered_report = AnalyzeSpans(tree("stage", "work"), Inputs());
-  EXPECT_EQ(tied_report.critical_path_seconds, ordered_report.critical_path_seconds);
-  ASSERT_EQ(tied_report.critical_path.size(), ordered_report.critical_path.size());
-  for (size_t i = 0; i < tied_report.critical_path.size(); ++i) {
-    EXPECT_EQ(tied_report.critical_path[i].seconds, ordered_report.critical_path[i].seconds);
-  }
+  std::string tied_folded = CollapseTraceEvents(tied);
+  EXPECT_EQ(tied_folded, "stage;apply 500\nstage;apply;fn 300\n");
+  std::string ordered_folded = CollapseTraceEvents(tree("stage", "work"));
+  EXPECT_EQ(ordered_folded, "stage;work 500\nstage;work;fn 300\n");
 }
 
 TEST(SpanAnalysis, ExplicitWallClampWhenSpansOutlastTheClock) {
@@ -226,8 +198,9 @@ TEST(SpanAnalysis, ExplicitWallClampWhenSpansOutlastTheClock) {
   PerfInputs inputs = Inputs(/*wall=*/500e-6);
   PerfReport report = AnalyzeSpans(events, inputs);
   EXPECT_DOUBLE_EQ(report.wall_seconds, 500e-6);
-  EXPECT_LE(report.critical_path_seconds, report.wall_seconds);
-  EXPECT_DOUBLE_EQ(report.critical_path_fraction, 1.0);
+  // Busy time still reads the span window.
+  ASSERT_EQ(report.workers.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.workers[0].busy_seconds, 1000e-6);
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +277,8 @@ TEST(SpanAnalysis, CapOverflowedCollectorStillAnalyzable) {
   PerfReport report = AnalyzeSpans(collector.SnapshotEvents(), inputs);
   EXPECT_EQ(report.span_count, 2u);
   EXPECT_EQ(report.dropped_spans, 2u);
-  EXPECT_LE(report.critical_path_seconds, report.wall_seconds + 1e-9);
+  EXPECT_GE(report.serial_fraction, 0.0);
+  EXPECT_LE(report.serial_fraction, 1.0);
 
   collector.SetThreadBufferCapForTest(saved_cap);
   collector.Clear();
@@ -339,8 +313,8 @@ TEST(SpanAnalysis, JsonFieldOrderIsStable) {
   std::string json = PerfReportToJson(report);
   const char* order[] = {"\"schema_version\":", "\"wall_seconds\":", "\"jobs\":",
                          "\"hardware_threads\":", "\"span_count\":",
-                         "\"dropped_spans\":",   "\"critical_path\":",
-                         "\"serial_fraction\":", "\"total_busy_seconds\":",
+                         "\"dropped_spans\":",   "\"serial_fraction\":",
+                         "\"total_busy_seconds\":",
                          "\"workers\":",         "\"mean_utilization\":",
                          "\"imbalance\":",       "\"steals\":"};
   size_t cursor = 0;
@@ -382,38 +356,60 @@ TEST(SpanAnalysis, ParallelRunRecordsOneTreeForEveryExporter) {
   }
   ASSERT_NE(caller_tid, -1);
 
-  // Every span a pool worker opened names the parallel_for, on another
-  // thread, that ran its lane.
-  size_t worker_spans = 0;
+  // Every lane a pool worker ran names the parallel_for, on another thread,
+  // that forked it; every other span a worker opened sits under a span of
+  // its own thread, up to its lane.
+  size_t worker_lanes = 0;
+  std::set<std::string> forked_by;  // what the parallel_for of each lane ran under
   for (const TraceEvent& event : events) {
+    auto parent = by_span.find(event.parent);
+    if (event.name == "lane") {
+      ASSERT_NE(parent, by_span.end());
+      EXPECT_EQ(parent->second->name, "parallel_for");
+      auto loop_parent = by_span.find(parent->second->parent);
+      ASSERT_NE(loop_parent, by_span.end());
+      forked_by.insert(loop_parent->second->name);
+    }
     if (event.tid == caller_tid) {
       continue;
     }
-    ++worker_spans;
-    auto parent = by_span.find(event.parent);
     ASSERT_NE(parent, by_span.end()) << event.name << " on tid " << event.tid;
-    EXPECT_EQ(parent->second->name, "parallel_for") << event.name;
-    EXPECT_NE(parent->second->tid, event.tid) << event.name;
+    if (event.name == "lane") {
+      ++worker_lanes;
+      EXPECT_NE(parent->second->tid, event.tid);
+    } else {
+      EXPECT_EQ(parent->second->tid, event.tid) << event.name;
+    }
   }
-  EXPECT_GT(worker_spans, 0u) << "no lane ran on a pool worker; the check is vacuous";
+  EXPECT_GT(worker_lanes, 0u) << "no lane ran on a pool worker; the check is vacuous";
+  // The loops whose bodies open no span record their lanes too.
+  EXPECT_EQ(forked_by.count("authorship"), 1u);
+  EXPECT_EQ(forked_by.count("prune.peer_stats"), 1u);
 
-  // The folded profile roots worker frames in the stages that ran them.
+  // The folded profile roots worker frames in the lanes, and the lanes in
+  // the stages that ran them.
   std::string folded = CollapseTraceEvents(events);
-  std::set<std::string> folded_stacks;
   std::istringstream lines(folded);
   std::string line;
+  bool lane_frames = false;
   while (std::getline(lines, line)) {
     EXPECT_NE(line.rfind("detect_fn", 0), 0u) << line;
     EXPECT_NE(line.rfind("parse_lower", 0), 0u) << line;
-    folded_stacks.insert(line.substr(0, line.rfind(' ')));
+    EXPECT_NE(line.rfind("lane", 0), 0u) << line;
+    lane_frames = lane_frames || line.find(";parallel_for;lane;detect_fn ") != std::string::npos;
   }
+  EXPECT_TRUE(lane_frames) << folded;
 
-  // The perf report walks the same tree: each critical-path stack is a
-  // profile stack.
+  // The perf report reads the same spans: every thread that ran one is a
+  // worker with busy time.
   PerfReport report = AnalyzeSpans(events, Inputs(0.0, 4));
-  ASSERT_FALSE(report.critical_path.empty());
-  for (const CriticalPathStep& step : report.critical_path) {
-    EXPECT_EQ(folded_stacks.count(step.stack), 1u) << step.stack;
+  std::set<int> tids;
+  for (const TraceEvent& event : events) {
+    tids.insert(event.tid);
+  }
+  ASSERT_EQ(report.workers.size(), tids.size());
+  for (const WorkerUtilization& worker : report.workers) {
+    EXPECT_GT(worker.busy_seconds, 0.0) << "tid " << worker.tid;
   }
 }
 

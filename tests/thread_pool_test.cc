@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -255,9 +256,10 @@ TEST(ThreadPool, ManyMoreChunksThanLanesBalances) {
 }
 
 TEST(ThreadPool, LanesAdoptTheParallelForSpan) {
-  // Sleep-bound iterations put lanes on several threads; every span a lane
-  // opens records the loop's parallel_for span as its parent, on any thread,
-  // and a later span on the caller is a root again.
+  // Sleep-bound iterations put lanes on several threads; every lane opens a
+  // `lane` span under the loop's parallel_for span, on any thread, every
+  // span the body opens records its lane as its parent, and a later span on
+  // the caller is a root again.
   TraceCollector& collector = TraceCollector::Global();
   collector.Enable();
   ThreadPool pool(4);
@@ -271,16 +273,23 @@ TEST(ThreadPool, LanesAdoptTheParallelForSpan) {
   collector.Clear();
 
   const TraceEvent* fork = nullptr;
+  std::map<uint64_t, int> lanes;  // lane span id -> tid
   for (const TraceEvent& event : events) {
     if (event.name == "parallel_for") {
       fork = &event;
+    } else if (event.name == "lane") {
+      lanes[event.span] = event.tid;
     }
   }
   ASSERT_NE(fork, nullptr);
+  EXPECT_EQ(lanes.size(), 4u);  // one per lane
   std::set<int> lane_tids;
   for (const TraceEvent& event : events) {
-    if (event.name == "lane_body") {
+    if (event.name == "lane") {
       EXPECT_EQ(event.parent, fork->span);
+    } else if (event.name == "lane_body") {
+      ASSERT_EQ(lanes.count(event.parent), 1u);
+      EXPECT_EQ(lanes[event.parent], event.tid);
       lane_tids.insert(event.tid);
     } else if (event.name == "after_loop") {
       EXPECT_EQ(event.parent, 0u);

@@ -294,7 +294,8 @@ scaling_smoke() {
 # results), and the incremental run's Prometheus dump must contain a
 # well-formed vc_cache_* family (vc_obs_lint prom --require-cache). That run
 # also writes its event stream and perf report, which must pass
-# `vc_obs_lint events` and `vc_obs_lint perf`.
+# `vc_obs_lint events` and `vc_obs_lint perf`, and its events, dump and
+# summary line must count the same parse and detect work.
 incremental_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -398,6 +399,38 @@ incremental_smoke() {
   if [ -z "${inc_mem}" ] || [ "${inc_mem}" = 0 ] || [ "${inc_mem}" != "${full_mem}" ]; then
     echo "incremental smoke: replay vc_mem_tracked_bytes '${inc_mem}'," \
       "full run '${full_mem}'" >&2
+    return 1
+  fi
+  # One tally per stage: the replay's stage_end events, its Prometheus dump
+  # and its summary line count the same work — the files each commit
+  # recompiled (parse `files`, vc_parse_files_total, parse cache misses) and
+  # the functions it re-ran (detect `functions`, vc_detect_functions_total,
+  # recomputed detect results).
+  local events_work prom_work summary_work
+  events_work="$(awk '
+    /"event":"stage_end"/ && /"stage":"parse"[,}]/ {
+      if (match($0, /"files":[0-9]+/)) files += substr($0, RSTART + 8, RLENGTH - 8)
+      else missing = 1
+    }
+    /"event":"stage_end"/ && /"stage":"detect"[,}]/ {
+      if (match($0, /"functions":[0-9]+/)) fns += substr($0, RSTART + 12, RLENGTH - 12)
+      else missing = 1
+    }
+    END { if (missing) print "missing"; else print files + 0, fns + 0 }' "${tmp}/inc.events.jsonl")"
+  prom_work="$(awk '$1 == "vc_parse_files_total" { files = $2 }
+    $1 == "vc_detect_functions_total" { fns = $2 }
+    END { print files, fns }' "${tmp}/inc.prom")"
+  summary_work="$(awk '/incremental replay:/ {
+      for (i = 2; i <= NF; ++i) {
+        if ($i == "miss;") misses = $(i - 1)
+        if ($i == "recomputed);") recomputed = $(i - 1)
+      }
+    }
+    END { print misses, recomputed }' "${tmp}/inc2.err")"
+  if [ "${events_work}" != "${prom_work}" ] || [ "${events_work}" != "${summary_work}" ]; then
+    echo "incremental smoke: replay sinks disagree on files parsed and functions run:" \
+      "stage_end events '${events_work}', Prometheus '${prom_work}'," \
+      "summary line '${summary_work}'" >&2
     return 1
   fi
   "${lint}" prom "${tmp}/inc.prom" --require-cache || {

@@ -264,10 +264,10 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--perf-report", "FILE", "observability",
-     "write per-run performance analytics as JSON: critical path\n"
-     "(folded listing), Amdahl serial fraction, per-worker\n"
-     "utilization timelines, imbalance and steal-latency stats;\n"
-     "validate with `vc_obs_lint perf FILE`",
+     "write per-run performance analytics as JSON: Amdahl serial\n"
+     "fraction, per-worker busy time and utilization timelines\n"
+     "(every pool lane included), imbalance and steal-latency\n"
+     "stats; validate with `vc_obs_lint perf FILE`",
      [](CliOptions& o, const std::string& v) {
        o.perf_report_path = v;
        o.analysis.collect_metrics = true;
@@ -947,7 +947,6 @@ int RunAnalyze(const std::vector<std::string>& args) {
     if (perf.has_value()) {
       record.metrics.perf_collected = true;
       record.metrics.perf_wall_seconds = perf->wall_seconds;
-      record.metrics.perf_critical_path_seconds = perf->critical_path_seconds;
       record.metrics.perf_serial_fraction = perf->serial_fraction;
       record.metrics.perf_utilization = perf->mean_utilization;
       record.metrics.perf_max_busy_seconds = perf->max_busy_seconds;

@@ -37,15 +37,14 @@
 //                             two identical adjacent frames, and the file
 //                             is non-empty
 //   vc_obs_lint perf FILE     --perf-report JSON: required fields in the
-//                             schema's stable order, critical-path time
-//                             <= wall time, every utilization in [0, 1],
-//                             worker ids dense from 0, and no folded stack
-//                             with two identical adjacent frames
+//                             schema's stable order, serial fraction and
+//                             every utilization in [0, 1], and worker ids
+//                             dense from 0
 //
-// Both stack listings come from the recorded span tree, where a pool
-// worker's frames sit under the parallel_for that ran them. The pool runs
-// nested loops inline and no span opens inside one of its own name, so an
-// `a;a` pair in either listing is always an attribution artifact.
+// The folded listing comes from the recorded span tree, where a pool
+// worker's frames sit under the lane that ran them. The pool runs nested
+// loops inline and no span opens inside one of its own name, so an `a;a`
+// pair in it is always an attribution artifact.
 //
 // Exit 0 on success (prints one summary line), 1 on any violation (first
 // violation printed with its line number), 2 on usage/IO errors.
@@ -360,10 +359,9 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
 }
 
 // Perf-report lint: the contract of `valuecheck analyze --perf-report`.
-// Structural validity plus the physical invariants the span analytics
-// guarantee by construction — critical path no longer than the wall clock,
-// every utilization a fraction, worker ids dense from 0 — and the stable
-// top-level field order the schema promises.
+// Structural validity plus the invariants the span analytics guarantee by
+// construction — every fraction in [0, 1], worker ids dense from 0 — and the
+// stable top-level field order the schema promises.
 int LintPerf(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -380,11 +378,10 @@ int LintPerf(const std::string& path) {
     return Fail(path, 1, "perf report is not a JSON object");
   }
   static const char* kFieldOrder[] = {
-      "schema_version", "wall_seconds",       "jobs",
-      "hardware_threads", "span_count",       "dropped_spans",
-      "critical_path",  "serial_fraction",    "total_busy_seconds",
-      "workers",        "mean_utilization",   "imbalance",
-      "steals"};
+      "schema_version",   "wall_seconds",       "jobs",
+      "hardware_threads", "span_count",         "dropped_spans",
+      "serial_fraction",  "total_busy_seconds", "workers",
+      "mean_utilization", "imbalance",          "steals"};
   size_t cursor = 0;
   for (const char* key : kFieldOrder) {
     if (!value->Has(key)) {
@@ -409,30 +406,6 @@ int LintPerf(const std::string& path) {
   }
   if (value->GetInt("span_count", -1) < 0 || value->GetInt("dropped_spans", -1) < 0) {
     return Fail(path, 1, "negative span_count/dropped_spans");
-  }
-  const vc::JsonValue& cp = value->Get("critical_path");
-  double cp_seconds = cp.GetDouble("seconds");
-  if (cp_seconds < 0 || cp_seconds > wall * (1.0 + 1e-6) + 1e-9) {
-    return Fail(path, 1, "critical_path.seconds " + std::to_string(cp_seconds) +
-                             " exceeds wall_seconds " + std::to_string(wall));
-  }
-  double cp_fraction = cp.GetDouble("fraction");
-  if (cp_fraction < 0 || cp_fraction > 1) {
-    return Fail(path, 1, "critical_path.fraction outside [0, 1]");
-  }
-  for (const vc::JsonValue& step : cp.Get("folded").Items()) {
-    const std::string stack = step.GetString("stack");
-    if (stack.empty()) {
-      return Fail(path, 1, "empty stack in critical_path.folded");
-    }
-    const std::string repeated = SelfNestedFrame(stack);
-    if (!repeated.empty()) {
-      return Fail(path, 1, "self-nested frame '" + repeated +
-                               "' in critical_path.folded stack '" + stack + "'");
-    }
-    if (step.GetDouble("seconds", -1) < 0) {
-      return Fail(path, 1, "negative seconds in critical_path.folded");
-    }
   }
   double serial = value->GetDouble("serial_fraction");
   if (serial < 0 || serial > 1) {
