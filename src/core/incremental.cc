@@ -76,11 +76,8 @@ IncrementalEngine::IncrementalEngine(AnalysisOptions options, IncrementalOptions
       peers_(analysis_.options().prune) {}
 
 void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
-  while (repo_.NumAuthors() < source.NumAuthors()) {
-    repo_.AddAuthor(source.GetAuthor(repo_.NumAuthors()).name);
-  }
-  const Commit& c = source.GetCommit(commit);
-  repo_.AddCommit(c.author, c.timestamp, c.message, c.files, c.deleted);
+  repo_.AddCommitFrom(source, commit);
+  const Commit& c = repo_.GetCommit(commit);
   for (const auto& [path, content] : c.files) {
     pending_.insert(path);
   }

@@ -22,9 +22,12 @@
 //  * For commits, the engine owns a Repository replica fed commit by
 //    commit, so blame, authorship, stale-code matching, and ranking
 //    familiarity all see a repository whose head IS the analyzed commit —
-//    the same view a full run over the prefix copy sees. Head blame advances
-//    through resumable per-path replay states (O(commit delta),
-//    byte-identical to replay). A snapshot's later stages see no repository.
+//    the same view a full run over the prefix copy sees. The replica shares
+//    the source's immutable commits (Repository::AddCommitFrom) instead of
+//    copying their contents, and stays valid if the source goes away. Head
+//    blame advances through resumable per-path replay states (O(commit
+//    delta), byte-identical to replay). A snapshot's later stages see no
+//    repository.
 //  * One carry rule: a file's detect results are carried exactly when its
 //    content hash matched, from the AnalysisCache (memory tier always; a
 //    --cache-dir disk tier persists across processes). Every function of a
@@ -117,7 +120,8 @@ class IncrementalEngine {
   void set_jobs(int jobs) { analysis_.options().jobs = jobs; }
 
  private:
-  // Ingests exactly one commit into the replica and the pending-path set.
+  // Ingests exactly one commit, shared with `source`, into the replica and
+  // the pending-path set.
   void Ingest(const Repository& source, CommitId commit);
   // The sync both inputs share: brings each of `files` — distinct paths,
   // each with its content, null when deleted — to that state, recompiling

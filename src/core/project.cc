@@ -17,16 +17,7 @@ namespace vc {
 
 Project Project::FromRepository(const Repository& repo, Config config, int jobs,
                                 const FaultInjector* fault, const ResourceBudget* budget) {
-  Project project;
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const std::string& path : repo.ListFiles()) {
-    std::optional<std::string> content = repo.Head(path);
-    if (content.has_value()) {
-      files.emplace_back(path, std::move(*content));
-    }
-  }
-  project.CompileAll(std::move(files), config, jobs, fault, budget);
-  return project;
+  return FromRepositoryAt(repo, repo.NumCommits() - 1, std::move(config), jobs, fault, budget);
 }
 
 Project Project::FromRepositoryAt(const Repository& repo, CommitId commit, Config config,
@@ -34,11 +25,8 @@ Project Project::FromRepositoryAt(const Repository& repo, CommitId commit, Confi
                                   const ResourceBudget* budget) {
   Project project;
   std::vector<std::pair<std::string, std::string>> files;
-  for (const std::string& path : repo.ListFiles()) {
-    std::optional<std::string> content = repo.FileAt(path, commit);
-    if (content.has_value()) {
-      files.emplace_back(path, std::move(*content));
-    }
+  for (const std::string& path : repo.ListFilesAt(commit)) {
+    files.emplace_back(path, *repo.FileAt(path, commit));
   }
   project.CompileAll(std::move(files), config, jobs, fault, budget);
   return project;

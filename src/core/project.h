@@ -96,8 +96,9 @@ class Project {
                                 const FaultInjector* fault = nullptr,
                                 const ResourceBudget* budget = nullptr);
 
-  // Same, but at a historical commit (used by the preliminary-study
-  // reproduction, which compares two snapshots years apart).
+  // Same, but at a historical commit: every file live at `commit`, including
+  // ones deleted later (used by the preliminary-study reproduction, which
+  // compares two snapshots years apart).
   static Project FromRepositoryAt(const Repository& repo, CommitId commit,
                                   Config config = Config(), int jobs = 1,
                                   const FaultInjector* fault = nullptr,

@@ -1,30 +1,69 @@
 #include "src/vcs/history_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <map>
 
 #include "src/support/string_util.h"
-#include "src/vcs/diff.h"
 
 namespace vc {
 
 namespace {
 
-struct Cursor {
-  std::vector<std::string_view> lines;
-  size_t index = 0;
+// Reads a history forward once, a line at a time, in place. A line ends at
+// '\n' or at the end of the text; a final '\n' starts no further line.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
 
-  bool Done() const { return index >= lines.size(); }
-  std::string_view Peek() const { return lines[index]; }
-  std::string_view Take() { return lines[index++]; }
-  int LineNo() const { return static_cast<int>(index) + 1; }
+  bool Done() const { return pos_ >= text_.size(); }
+  size_t pos() const { return pos_; }  // start of the next line
+
+  std::string_view Take() {
+    const size_t end = std::min(text_.find('\n', pos_), text_.size());
+    std::string_view line = text_.substr(pos_, end - pos_);
+    pos_ = std::min(end + 1, text_.size());
+    return line;
+  }
+
+  // Takes a content block's lines through its close, the first line whose
+  // trimmed text is ">>>", and returns the bytes before the close; nullopt
+  // when no line closes it. Only lines containing ">>>" are looked at, and
+  // a line that is not a close is skipped whole.
+  std::optional<std::string_view> TakeBlock() {
+    const size_t begin = pos_;
+    size_t from = begin;
+    while (from < text_.size()) {
+      const size_t at = text_.find(">>>", from);
+      if (at == std::string_view::npos) {
+        return std::nullopt;
+      }
+      // A block starts right after a '\n', so its lines' starts are found
+      // without leaving it.
+      const size_t line_begin = text_.rfind('\n', at) + 1;
+      const size_t line_end = std::min(text_.find('\n', at), text_.size());
+      if (Trim(text_.substr(line_begin, line_end - line_begin)) == ">>>") {
+        pos_ = std::min(line_end + 1, text_.size());
+        return text_.substr(begin, line_begin - begin);
+      }
+      from = line_end + 1;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
 };
 
-bool Fail(std::string* error, int line, const std::string& message) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line) + ": " + message;
+// The 1-based number of the line starting at `pos`. Past the last line it is
+// one more than the number of lines, whether or not the text ends in '\n'.
+int LineNumber(std::string_view text, size_t pos) {
+  int line = 1 + static_cast<int>(std::count(text.begin(), text.begin() + pos, '\n'));
+  if (pos == text.size() && !text.empty() && text.back() != '\n') {
+    ++line;
   }
-  return false;
+  return line;
 }
 
 }  // namespace
@@ -32,8 +71,14 @@ bool Fail(std::string* error, int line, const std::string& message) {
 std::optional<Repository> LoadHistory(const std::string& text, std::string* error) {
   Repository repo;
   std::map<std::string, AuthorId> authors;
-  Cursor cursor;
-  cursor.lines = SplitLines(text);
+  LineReader reader(text);
+  // Line numbers are counted only here, on the way out with an error.
+  auto fail = [&](size_t line_begin, const std::string& message) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(LineNumber(text, line_begin)) + ": " + message;
+    }
+    return std::nullopt;
+  };
 
   auto intern_author = [&](const std::string& name) {
     auto it = authors.find(name);
@@ -45,17 +90,15 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
     return id;
   };
 
-  while (!cursor.Done()) {
-    std::string_view line = Trim(cursor.Peek());
+  while (!reader.Done()) {
+    const size_t commit_at = reader.pos();
+    std::string_view line = Trim(reader.Take());
     if (line.empty() || line.front() == '#') {
-      cursor.Take();
       continue;
     }
     if (line != "commit") {
-      Fail(error, cursor.LineNo(), "expected 'commit', got '" + std::string(line) + "'");
-      return std::nullopt;
+      return fail(commit_at, "expected 'commit', got '" + std::string(line) + "'");
     }
-    cursor.Take();
 
     std::string author_name;
     int64_t timestamp = 0;
@@ -65,17 +108,13 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
     bool ended = false;
     // A path written or deleted twice in one commit would be logged twice,
     // so it is an error.
-    auto named_twice = [&](const std::string& path, int at) {
-      if (writes.count(path) == 0 && deletes.count(path) == 0) {
-        return false;
-      }
-      Fail(error, at, "'" + path + "' named twice in one commit");
-      return true;
+    auto named_twice = [&](const std::string& path) {
+      return writes.count(path) > 0 || deletes.count(path) > 0;
     };
 
-    while (!cursor.Done() && !ended) {
-      int at = cursor.LineNo();
-      std::string_view directive = Trim(cursor.Take());
+    while (!reader.Done() && !ended) {
+      const size_t at = reader.pos();
+      std::string_view directive = Trim(reader.Take());
       if (directive.empty() || directive.front() == '#') {
         continue;
       }
@@ -88,54 +127,38 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
         const char* end = value.data() + value.size();
         auto [parsed_end, status] = std::from_chars(value.data(), end, timestamp);
         if (status != std::errc() || parsed_end != end) {
-          Fail(error, at, "time '" + std::string(value) + "' is not an integer");
-          return std::nullopt;
+          return fail(at, "time '" + std::string(value) + "' is not an integer");
         }
       } else if (directive.rfind("message ", 0) == 0) {
         message = std::string(Trim(directive.substr(8)));
       } else if (directive.rfind("delete ", 0) == 0) {
         std::string path(Trim(directive.substr(7)));
-        if (named_twice(path, at)) {
-          return std::nullopt;
+        if (named_twice(path)) {
+          return fail(at, "'" + path + "' named twice in one commit");
         }
         deletes.insert(std::move(path));
       } else if (directive.rfind("write ", 0) == 0) {
         std::string path(Trim(directive.substr(6)));
-        if (named_twice(path, at)) {
-          return std::nullopt;
+        if (named_twice(path)) {
+          return fail(at, "'" + path + "' named twice in one commit");
         }
-        if (cursor.Done() || Trim(cursor.Take()) != "<<<") {
-          Fail(error, at, "expected '<<<' after 'write " + path + "'");
-          return std::nullopt;
+        if (reader.Done() || Trim(reader.Take()) != "<<<") {
+          return fail(at, "expected '<<<' after 'write " + path + "'");
         }
-        std::string content;
-        bool closed = false;
-        while (!cursor.Done()) {
-          std::string_view content_line = cursor.Take();
-          if (Trim(content_line) == ">>>") {
-            closed = true;
-            break;
-          }
-          content += std::string(content_line);
-          content += '\n';
+        std::optional<std::string_view> content = reader.TakeBlock();
+        if (!content.has_value()) {
+          return fail(at, "unterminated content block for '" + path + "'");
         }
-        if (!closed) {
-          Fail(error, at, "unterminated content block for '" + path + "'");
-          return std::nullopt;
-        }
-        writes[path] = std::move(content);
+        writes.emplace(std::move(path), std::string(*content));
       } else {
-        Fail(error, at, "unknown directive '" + std::string(directive) + "'");
-        return std::nullopt;
+        return fail(at, "unknown directive '" + std::string(directive) + "'");
       }
     }
     if (!ended) {
-      Fail(error, cursor.LineNo(), "commit block missing 'end'");
-      return std::nullopt;
+      return fail(reader.pos(), "commit block missing 'end'");
     }
     if (author_name.empty()) {
-      Fail(error, cursor.LineNo(), "commit block missing 'author'");
-      return std::nullopt;
+      return fail(reader.pos(), "commit block missing 'author'");
     }
     repo.AddCommit(intern_author(author_name), timestamp, std::move(message),
                    std::move(writes), std::move(deletes));

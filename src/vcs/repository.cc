@@ -1,5 +1,8 @@
 #include "src/vcs/repository.h"
 
+#include <algorithm>
+#include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include "src/support/thread_pool.h"
@@ -23,64 +26,84 @@ AuthorId Repository::FindAuthor(const std::string& name) const {
 CommitId Repository::AddCommit(AuthorId author, int64_t timestamp, std::string message,
                                std::map<std::string, std::string> changed_files,
                                std::set<std::string> deleted_files) {
-  Commit commit;
-  commit.id = static_cast<CommitId>(commits_.size());
-  commit.author = author;
-  commit.timestamp = timestamp;
-  commit.message = std::move(message);
-  commit.files = std::move(changed_files);
-  commit.deleted = std::move(deleted_files);
+  auto commit = std::make_shared<Commit>();
+  commit->id = static_cast<CommitId>(commits_.size());
+  commit->author = author;
+  commit->timestamp = timestamp;
+  commit->message = std::move(message);
+  commit->files = std::move(changed_files);
+  commit->deleted = std::move(deleted_files);
+  Append(std::move(commit));
+  return commits_.back()->id;
+}
+
+CommitId Repository::AddCommitFrom(const Repository& source, CommitId id) {
+  if (id != NumCommits() || id >= source.NumCommits()) {
+    throw std::invalid_argument("Repository::AddCommitFrom: commit " + std::to_string(id) +
+                                " is not the next commit of this repository and of the source");
+  }
+  while (NumAuthors() < source.NumAuthors()) {
+    AddAuthor(source.GetAuthor(NumAuthors()).name);
+  }
+  Append(source.commits_[id]);
+  return id;
+}
+
+void Repository::Append(std::shared_ptr<const Commit> commit) {
   // Cached blame states are NOT invalidated here: they record how far into
   // the per-file log they have folded, and Blame() lazily advances them over
   // the new entries.
-  for (const auto& [path, content] : commit.files) {
-    file_log_[path].push_back(commit.id);
+  for (const auto& [path, content] : commit->files) {
+    file_log_[path].push_back(commit->id);
   }
-  for (const std::string& path : commit.deleted) {
-    file_log_[path].push_back(commit.id);
+  for (const std::string& path : commit->deleted) {
+    file_log_[path].push_back(commit->id);
   }
   commits_.push_back(std::move(commit));
-  return commits_.back().id;
+}
+
+const std::string* Repository::ContentAt(const std::string& path,
+                                         const std::vector<CommitId>& log,
+                                         CommitId commit) const {
+  // Every log entry touches the path, so the newest one <= commit decides.
+  auto newest = std::upper_bound(log.begin(), log.end(), commit);
+  if (newest == log.begin()) {
+    return nullptr;
+  }
+  const Commit& c = *commits_[*std::prev(newest)];
+  if (c.deleted.count(path) > 0) {
+    return nullptr;
+  }
+  auto file_it = c.files.find(path);
+  return file_it == c.files.end() ? nullptr : &file_it->second;
 }
 
 std::optional<std::string> Repository::FileAt(const std::string& path, CommitId commit) const {
   auto it = file_log_.find(path);
-  if (it == file_log_.end()) {
+  const std::string* content =
+      it == file_log_.end() ? nullptr : ContentAt(path, it->second, commit);
+  if (content == nullptr) {
     return std::nullopt;
   }
-  // Walk the per-file log backwards to the newest touch <= commit.
-  const std::vector<CommitId>& log = it->second;
-  for (size_t i = log.size(); i-- > 0;) {
-    if (log[i] > commit) {
-      continue;
-    }
-    const Commit& c = commits_[log[i]];
-    if (c.deleted.count(path) > 0) {
-      return std::nullopt;
-    }
-    auto file_it = c.files.find(path);
-    if (file_it != c.files.end()) {
-      return file_it->second;
-    }
-  }
-  return std::nullopt;
+  return *content;
 }
 
 std::optional<std::string> Repository::Head(const std::string& path) const {
-  if (commits_.empty()) {
-    return std::nullopt;
-  }
-  return FileAt(path, static_cast<CommitId>(commits_.size() - 1));
+  return FileAt(path, static_cast<CommitId>(commits_.size()) - 1);
 }
 
-std::vector<std::string> Repository::ListFiles() const {
+std::vector<std::string> Repository::ListFilesAt(CommitId commit) const {
   std::vector<std::string> files;
   for (const auto& [path, log] : file_log_) {
-    if (Head(path).has_value()) {
+    if (ContentAt(path, log, commit) != nullptr) {
       files.push_back(path);
     }
   }
   return files;
+}
+
+std::vector<std::string> Repository::ListFiles() const {
+  return ListFilesAt(static_cast<CommitId>(commits_.size()) - 1);
 }
 
 std::vector<CommitId> Repository::LogOf(const std::string& path) const {
@@ -100,7 +123,7 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
     if (commit_id > up_to) {
       break;
     }
-    const Commit& commit = commits_[commit_id];
+    const Commit& commit = *commits_[commit_id];
     if (commit.deleted.count(path) > 0) {
       state.attribution.clear();
       state.line_ends.clear();
@@ -117,7 +140,7 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
       // (Re)creation: every line belongs to this commit.
       state.attribution.assign(new_lines.size(), {commit_id, commit.author});
     } else {
-      std::string_view content = commits_[state.content_commit].files.at(path);
+      std::string_view content = commits_[state.content_commit]->files.at(path);
       std::vector<std::string_view> old_lines;
       old_lines.reserve(state.line_ends.size());
       size_t begin = 0;
@@ -179,15 +202,9 @@ void Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) cons
 
 Repository Repository::PrefixCopy(CommitId up_to) const {
   Repository copy;
-  for (const Author& author : authors_) {
-    copy.AddAuthor(author.name);
-  }
-  for (const Commit& commit : commits_) {
-    if (commit.id > up_to) {
-      break;
-    }
-    copy.AddCommit(commit.author, commit.timestamp, commit.message, commit.files,
-                   commit.deleted);
+  copy.authors_ = authors_;
+  for (CommitId id = 0; id <= up_to && id < NumCommits(); ++id) {
+    copy.AddCommitFrom(*this, id);
   }
   return copy;
 }

@@ -7,12 +7,20 @@
 // reconstructs blame by replaying the history with Myers diffs: unchanged
 // lines keep their attribution, inserted lines are attributed to the commit
 // that introduced them.
+//
+// A commit is immutable once added, and repositories share commits instead
+// of copying them: a copy, a PrefixCopy and AddCommitFrom hold the same
+// Commit objects by shared ownership. A PrefixCopy costs O(commits) pointer
+// copies plus the per-path logs (a plain copy also copies the blame cache),
+// never the file contents, and each stays valid when the repository it was
+// taken from goes away.
 
 #ifndef VALUECHECK_SRC_VCS_REPOSITORY_H_
 #define VALUECHECK_SRC_VCS_REPOSITORY_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -57,13 +65,25 @@ class Repository {
   CommitId AddCommit(AuthorId author, int64_t timestamp, std::string message,
                      std::map<std::string, std::string> changed_files,
                      std::set<std::string> deleted_files = {});
-  const Commit& GetCommit(CommitId id) const { return commits_[id]; }
+  // Appends commit `id` of `source` by sharing it; throws
+  // std::invalid_argument unless `id` == NumCommits() (ids are positions, so
+  // the commit keeps its id) and `source` has it. Author ids are positions
+  // too: this repository's authors must be a prefix of `source`'s, and any
+  // it lacks are appended first.
+  CommitId AddCommitFrom(const Repository& source, CommitId id);
+  // The reference stays valid across later AddCommit/AddCommitFrom calls.
+  const Commit& GetCommit(CommitId id) const { return *commits_[id]; }
   int NumCommits() const { return static_cast<int>(commits_.size()); }
 
   // File contents as of `commit` (inclusive); nullopt if absent or deleted.
+  // The newest commit at or before `commit` that touches the path decides,
+  // and a delete wins over a write in the same commit.
   std::optional<std::string> FileAt(const std::string& path, CommitId commit) const;
   std::optional<std::string> Head(const std::string& path) const;
-  std::vector<std::string> ListFiles() const;
+  // Sorted paths live as of `commit` (inclusive): those FileAt finds,
+  // decided from the per-path logs without copying any content.
+  std::vector<std::string> ListFilesAt(CommitId commit) const;
+  std::vector<std::string> ListFiles() const;  // ListFilesAt(head)
 
   // Commits that changed `path`, oldest first.
   std::vector<CommitId> LogOf(const std::string& path) const;
@@ -82,9 +102,10 @@ class Repository {
   void WarmBlame(const std::vector<std::string>& paths, int jobs) const;
 
   // A new repository containing the same authors and commits 0..up_to — the
-  // repository as it existed right after `up_to` landed. This is the baseline
-  // the incremental engine is proven equivalent against: analyzing
-  // PrefixCopy(c) from scratch must match the engine's per-commit result.
+  // repository as it existed right after `up_to` landed — sharing those
+  // commits. This is the baseline the incremental engine is proven
+  // equivalent against: analyzing PrefixCopy(c) from scratch must match the
+  // engine's per-commit result.
   Repository PrefixCopy(CommitId up_to) const;
 
  private:
@@ -104,6 +125,14 @@ class Repository {
     size_t log_index = 0;  // next entry of the path's commit log to apply
   };
 
+  // Appends a commit whose id is NumCommits() and logs the paths it touches.
+  void Append(std::shared_ptr<const Commit> commit);
+
+  // The content of the path whose log is `log` as of `commit` (see FileAt);
+  // null when absent or deleted.
+  const std::string* ContentAt(const std::string& path, const std::vector<CommitId>& log,
+                               CommitId commit) const;
+
   // Advances `state` through every log entry of `path` with id <= up_to.
   // Starting from a default state this reproduces BlameAt(path, up_to).
   // Reads only commits_ and file_log_, so different states may advance on
@@ -111,7 +140,7 @@ class Repository {
   void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
 
   std::vector<Author> authors_;
-  std::vector<Commit> commits_;
+  std::vector<std::shared_ptr<const Commit>> commits_;
   // Per path: ids of commits touching it (including deletions), oldest first.
   std::map<std::string, std::vector<CommitId>> file_log_;
   // Head-blame cache as resumable states; Blame() advances a path's state to

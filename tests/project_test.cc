@@ -60,6 +60,21 @@ TEST(Project, FromRepositoryAtHistoricalCommit) {
   EXPECT_EQ(project.FindFunction("two"), nullptr);
 }
 
+TEST(Project, FromRepositoryAtKeepsFilesDeletedLater) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  repo.AddCommit(a, 1, "base", {{"keep.c", "int kept(void) {\n  return 0;\n}\n"}});
+  CommitId c1 = repo.AddCommit(a, 2, "add", {{"gone.c", "int gone(void) {\n  return 1;\n}\n"}});
+  CommitId c2 = repo.AddCommit(a, 3, "delete", {}, {"gone.c"});
+  Project then = Project::FromRepositoryAt(repo, c1);
+  EXPECT_NE(then.FindFunction("gone"), nullptr);
+  EXPECT_NE(then.FindFunction("kept"), nullptr);
+  EXPECT_EQ(then.sources().NumFiles(), 2);
+  Project now = Project::FromRepositoryAt(repo, c2);
+  EXPECT_EQ(now.FindFunction("gone"), nullptr);
+  EXPECT_EQ(now.sources().NumFiles(), 1);
+}
+
 TEST(Project, TotalLinesSkipsBlank) {
   Project project = Project::FromSources({{"a.c", "int g_x;\n\n\nint g_y;\n"}});
   EXPECT_EQ(project.TotalLines(), 2);

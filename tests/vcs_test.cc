@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "src/corpus/generator.h"
@@ -419,8 +421,6 @@ TEST(Repository, RecreatedFileOwnedByRecreator) {
   EXPECT_EQ(blame[0].author, b);
 }
 
-// --- Parallel blame warm-up ----------------------------------------------------------
-
 std::vector<std::pair<CommitId, AuthorId>> Origins(const std::vector<LineOrigin>& blame) {
   std::vector<std::pair<CommitId, AuthorId>> origins;
   for (const LineOrigin& origin : blame) {
@@ -428,6 +428,106 @@ std::vector<std::pair<CommitId, AuthorId>> Origins(const std::vector<LineOrigin>
   }
   return origins;
 }
+
+TEST(Repository, ListFilesAtKeepsFilesDeletedLater) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  CommitId c0 = repo.AddCommit(a, 1, "create", {{"f.c", "f\n"}, {"g.c", "g\n"}});
+  CommitId c1 = repo.AddCommit(a, 2, "drop f", {}, {"f.c"});
+  // Written and deleted by one commit: the delete wins, as in FileAt.
+  CommitId c2 = repo.AddCommit(a, 3, "both", {{"h.c", "h\n"}}, {"h.c"});
+  EXPECT_EQ(repo.ListFilesAt(c0), (std::vector<std::string>{"f.c", "g.c"}));
+  EXPECT_EQ(repo.ListFilesAt(c1), (std::vector<std::string>{"g.c"}));
+  EXPECT_EQ(repo.ListFilesAt(c2), (std::vector<std::string>{"g.c"}));
+  EXPECT_FALSE(repo.FileAt("h.c", c2).has_value());
+  EXPECT_EQ(repo.ListFiles(), repo.ListFilesAt(c2));
+  EXPECT_TRUE(repo.ListFilesAt(kInvalidCommit).empty());
+  EXPECT_TRUE(Repository().ListFiles().empty());
+}
+
+// --- Shared commits --------------------------------------------------------------
+
+TEST(Repository, CopiesShareCommitObjects) {
+  Repository source = GenerateApp(NfsGaneshaProfile().Scaled(0.1)).repo;
+  ASSERT_GE(source.NumCommits(), 4);
+  const CommitId up_to = source.NumCommits() / 2;
+  Repository prefix = source.PrefixCopy(up_to);
+  ASSERT_EQ(prefix.NumCommits(), up_to + 1);
+  EXPECT_EQ(prefix.NumAuthors(), source.NumAuthors());
+  Repository replica;
+  for (CommitId id = 0; id < source.NumCommits(); ++id) {
+    EXPECT_EQ(replica.AddCommitFrom(source, id), id);
+  }
+  EXPECT_EQ(replica.NumAuthors(), source.NumAuthors());
+  for (CommitId id = 0; id < source.NumCommits(); ++id) {
+    EXPECT_EQ(&replica.GetCommit(id), &source.GetCommit(id)) << id;
+    if (id <= up_to) {
+      EXPECT_EQ(&prefix.GetCommit(id), &source.GetCommit(id)) << id;
+    }
+  }
+  EXPECT_EQ(replica.ListFiles(), source.ListFiles());
+}
+
+TEST(Repository, AddCommitFromRejectsAnythingButTheNextId) {
+  Repository source;
+  AuthorId a = source.AddAuthor("a");
+  source.AddCommit(a, 1, "c0", {{"f.c", "1\n"}});
+  source.AddCommit(a, 2, "c1", {{"f.c", "2\n"}});
+  Repository copy;
+  EXPECT_THROW(copy.AddCommitFrom(source, 1), std::invalid_argument);
+  EXPECT_THROW(copy.AddCommitFrom(source, -1), std::invalid_argument);
+  EXPECT_EQ(copy.AddCommitFrom(source, 0), 0);
+  EXPECT_THROW(copy.AddCommitFrom(source, 0), std::invalid_argument);
+  EXPECT_EQ(copy.AddCommitFrom(source, 1), 1);
+  EXPECT_THROW(copy.AddCommitFrom(source, 2), std::invalid_argument);  // source has no 2
+  EXPECT_EQ(copy.NumCommits(), 2);
+}
+
+TEST(Repository, CopyStaysRightAfterTheSourceGrowsOrGoesAway) {
+  auto source = std::make_unique<Repository>(GenerateApp(NfsGaneshaProfile().Scaled(0.1)).repo);
+  const CommitId head = source->NumCommits() - 1;
+  const std::vector<std::string> paths = source->ListFiles();
+  ASSERT_FALSE(paths.empty());
+  Repository copy = source->PrefixCopy(head);
+  // The source moves on: every live file is rewritten, one deleted.
+  AuthorId late = source->AddAuthor("late");
+  for (const std::string& path : paths) {
+    source->AddCommit(late, 1, "rewrite", {{path, "int late;\n" + *source->Head(path)}});
+  }
+  source->AddCommit(late, 2, "remove", {}, {paths.front()});
+  for (const std::string& path : paths) {
+    EXPECT_EQ(Origins(copy.Blame(path)), Origins(source->BlameAt(path, head))) << path;
+    EXPECT_EQ(copy.FileAt(path, head), source->FileAt(path, head)) << path;
+  }
+  // Blame and content outlive the repository the copy was taken from.
+  std::vector<std::optional<std::string>> contents;
+  std::vector<std::vector<std::pair<CommitId, AuthorId>>> blames;
+  for (const std::string& path : paths) {
+    contents.push_back(source->FileAt(path, head));
+    blames.push_back(Origins(source->BlameAt(path, head)));
+  }
+  source.reset();
+  Repository fresh = copy.PrefixCopy(head);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(copy.Head(paths[i]), contents[i]) << paths[i];
+    EXPECT_EQ(Origins(fresh.Blame(paths[i])), blames[i]) << paths[i];
+  }
+}
+
+TEST(Repository, CommitReferenceSurvivesLaterCommits) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  repo.AddCommit(a, 1, "first", {{"f.c", "int f;\n"}});
+  const Commit& first = repo.GetCommit(0);
+  for (int i = 1; i <= 200; ++i) {
+    repo.AddCommit(a, 1 + i, "more", {{"f.c", "int f" + std::to_string(i) + ";\n"}});
+  }
+  EXPECT_EQ(&first, &repo.GetCommit(0));
+  EXPECT_EQ(first.message, "first");
+  EXPECT_EQ(first.files.at("f.c"), "int f;\n");
+}
+
+// --- Parallel blame warm-up ----------------------------------------------------------
 
 // Nine files over 386 commits; the profile scaled to 0.1 has only two files,
 // too few to fill eight lanes.

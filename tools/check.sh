@@ -337,6 +337,35 @@ incremental_smoke() {
       return 1
     fi
   done
+  # Odd histories through the real loader: without its final newline the
+  # history loads to the same findings; cut inside its first content block
+  # it is rejected (exit 2) with the line number of that block's write.
+  head -c -1 "${tmp}/history.vchist" >"${tmp}/no-newline.vchist"
+  rc=0
+  "${vc}" analyze --history "${tmp}/no-newline.vchist" --format=csv \
+    >"${tmp}/no-newline.csv" 2>/dev/null || rc=$?
+  if [ "${rc}" -ge 2 ]; then
+    echo "incremental smoke: analyze without a final newline failed (exit ${rc})" >&2
+    return 1
+  fi
+  if ! cmp -s "${tmp}/full.csv" "${tmp}/no-newline.csv"; then
+    echo "incremental smoke: a history without its final newline changed the findings" >&2
+    diff "${tmp}/full.csv" "${tmp}/no-newline.csv" | head -20 >&2
+    return 1
+  fi
+  local open_line
+  open_line="$(grep -n -m1 -x '<<<' "${tmp}/history.vchist" | cut -d: -f1)"
+  head -n "$((open_line + 1))" "${tmp}/history.vchist" | head -c -1 >"${tmp}/cut.vchist"
+  rc=0
+  "${vc}" analyze --history "${tmp}/cut.vchist" --format=csv \
+    >/dev/null 2>"${tmp}/cut.err" || rc=$?
+  local want="line $((open_line - 1)): unterminated content block"
+  if [ "${rc}" -ne 2 ] || ! grep -q "${want}" "${tmp}/cut.err"; then
+    echo "incremental smoke: a history cut inside a content block exited ${rc}," \
+      "want 2 with '${want}'" >&2
+    cat "${tmp}/cut.err" >&2
+    return 1
+  fi
   rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
     --cache-dir "${tmp}/cache" --format=csv \
