@@ -122,32 +122,49 @@ std::vector<const Checker*> GateCheckers(const Project& project,
   return runnable;
 }
 
-void TallyCheckerRun(const std::vector<const Checker*>& runnable, CheckerRunResult& result) {
-  std::vector<uint64_t> per_checker_counts(runnable.size(), 0);
-  for (const UnusedDefCandidate& cand : result.candidates) {
-    ++per_checker_counts[cand.checker_index];
+void TallyCheckerRun(const std::vector<const Checker*>& runnable,
+                     const std::vector<CandidateSlices::Slice>& finished, DetectSlices& detect) {
+  std::vector<uint64_t> counts(runnable.size(), 0);
+  detect.candidates = 0;
+  for (size_t i = 0; i < detect.slices.size(); ++i) {
+    const CandidateSlice& slice = detect.At(i, finished);
+    detect.candidates += slice.candidates.size();
+    for (size_t c = 0; c < slice.per_checker.size(); ++c) {
+      counts[c] += slice.per_checker[c];
+    }
   }
+  detect.per_checker.clear();
   for (size_t c = 0; c < runnable.size(); ++c) {
-    result.per_checker.push_back({runnable[c]->name(), per_checker_counts[c]});
+    detect.per_checker.push_back({runnable[c]->name(), counts[c]});
     if (RunEventsEnabled()) {
       RunEvent("checker_done")
           .Str("checker", runnable[c]->name())
-          .Num("candidates", per_checker_counts[c])
+          .Num("candidates", counts[c])
           .Emit();
     }
   }
 }
 
-CheckerRunResult RunCheckers(const Project& project, const std::vector<const Checker*>& checkers,
-                             const ProjectTraits& traits, int jobs,
-                             const ResourceBudget* budget, const FaultInjector* fault,
-                             bool isolate) {
-  CheckerRunResult result;
-  std::vector<const Checker*> runnable = GateCheckers(project, checkers, traits, result.quarantined);
+std::shared_ptr<CandidateSlice> SliceFunctions(std::span<FunctionDetect> functions) {
+  auto slice = std::make_shared<CandidateSlice>();
+  size_t count = 0;
+  for (const FunctionDetect& fn : functions) {
+    count += fn.candidates.size();
+  }
+  slice->candidates.reserve(count);
+  slice->functions.reserve(functions.size());
+  for (FunctionDetect& fn : functions) {
+    slice->AddFunction(std::move(fn.candidates), std::move(fn.quarantined));
+  }
+  slice->CountDetect();
+  return slice;
+}
 
-  // Flatten the iteration space so the pool can balance uneven functions.
-  // unit_order() keeps the visit order stable whether the project was built
-  // fresh or mutated incrementally.
+namespace {
+
+// Every function of the project, in unit order. unit_order() keeps the visit
+// order stable whether the project was built fresh or mutated incrementally.
+std::vector<CheckerWorkItem> AllFunctions(const Project& project) {
   std::vector<CheckerWorkItem> work;
   for (size_t m : project.unit_order()) {
     const auto& module = project.modules()[m];
@@ -155,21 +172,55 @@ CheckerRunResult RunCheckers(const Project& project, const std::vector<const Che
       work.push_back({module->file, func.get()});
     }
   }
+  return work;
+}
 
+}  // namespace
+
+DetectSlices RunCheckersSliced(const Project& project, const std::vector<const Checker*>& checkers,
+                               const ProjectTraits& traits, int jobs,
+                               const ResourceBudget* budget, const FaultInjector* fault,
+                               bool isolate) {
+  DetectSlices result;
+  std::vector<const Checker*> runnable = GateCheckers(project, checkers, traits, result.quarantined);
+  // The flattened iteration space lets the pool balance uneven functions.
+  const std::vector<CheckerWorkItem> work = AllFunctions(project);
   std::vector<FunctionDetect> per_function =
       RunCheckersOnFunctions(project, runnable, jobs, budget, fault, isolate, work);
   result.functions = work.size();
-  size_t count = 0;
-  for (const FunctionDetect& fn : per_function) {
-    count += fn.candidates.size();
+
+  // Each file's functions are a contiguous run of the work list.
+  const std::vector<size_t>& units = project.unit_order();
+  std::vector<size_t> begin(units.size() + 1, 0);
+  for (size_t i = 0; i < units.size(); ++i) {
+    begin[i + 1] = begin[i] + project.modules()[units[i]]->functions.size();
   }
-  result.candidates.reserve(count);
-  for (FunctionDetect& fn : per_function) {
-    std::move(fn.candidates.begin(), fn.candidates.end(), std::back_inserter(result.candidates));
-    std::move(fn.quarantined.begin(), fn.quarantined.end(),
+  result.slices.resize(units.size());
+  ParallelFor(jobs, units.size(), [&](size_t i) {
+    result.slices[i] = SliceFunctions(
+        std::span<FunctionDetect>(per_function).subspan(begin[i], begin[i + 1] - begin[i]));
+  });
+  TallyCheckerRun(runnable, {}, result);
+  return result;
+}
+
+CheckerRunResult RunCheckers(const Project& project, const std::vector<const Checker*>& checkers,
+                             const ProjectTraits& traits, int jobs,
+                             const ResourceBudget* budget, const FaultInjector* fault,
+                             bool isolate) {
+  DetectSlices detect =
+      RunCheckersSliced(project, checkers, traits, jobs, budget, fault, isolate);
+  CheckerRunResult result;
+  result.functions = detect.functions;
+  result.quarantined = std::move(detect.quarantined);
+  result.per_checker = std::move(detect.per_checker);
+  result.candidates.reserve(detect.candidates);
+  for (const std::shared_ptr<CandidateSlice>& slice : detect.slices) {
+    std::move(slice->candidates.begin(), slice->candidates.end(),
+              std::back_inserter(result.candidates));
+    std::move(slice->quarantined.begin(), slice->quarantined.end(),
               std::back_inserter(result.quarantined));
   }
-  TallyCheckerRun(runnable, result);
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "src/core/analysis.h"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 
@@ -30,13 +31,30 @@ AnalysisReport Analysis::Run(const Project& project, const Repository* repo) con
 }
 
 AnalysisReport Analysis::RunWithDetect(const Project& project, const Repository* repo,
-                                       CheckerRunResult detect, const StageRecords* upstream,
-                                       TailCarry* carry) const {
-  return RunImpl(project, repo, &detect, upstream, carry);
+                                       DetectSlices detect, const StageRecords& upstream,
+                                       TailCarry& carry) const {
+  return RunImpl(project, repo, &detect, &upstream, &carry);
+}
+
+AnalysisReport Analysis::RunWithDetect(const Project& project, const Repository* repo,
+                                       CheckerRunResult detect,
+                                       const StageRecords* upstream) const {
+  // Nothing carries, and no stage reads which file a slice holds, so the
+  // flat result travels as one slice.
+  auto slice = std::make_shared<CandidateSlice>();
+  slice->candidates = std::move(detect.candidates);
+  slice->CountDetect();
+  DetectSlices sliced;
+  sliced.slices.push_back(std::move(slice));
+  sliced.quarantined = std::move(detect.quarantined);
+  sliced.per_checker = std::move(detect.per_checker);
+  sliced.candidates = sliced.slices[0]->candidates.size();
+  sliced.functions = detect.functions;
+  return RunImpl(project, repo, &sliced, upstream, nullptr);
 }
 
 AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
-                                 CheckerRunResult* precomputed, const StageRecords* upstream,
+                                 DetectSlices* precomputed, const StageRecords* upstream,
                                  TailCarry* carry) const {
   const bool collect = options_.collect_metrics;
   TraceSpan run_span("analysis.run", "pipeline");
@@ -62,24 +80,23 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
 
   // 1. Detection: run every enabled checker over every function (parallel
   // per function; merged in deterministic module/function, then checker
-  // registration order). Per-function isolation: a worker that throws, busts
-  // the budget, or trips an injected fault quarantines that function (or that
-  // checker on that function) alone.
+  // registration order, into one slice per file). Per-function isolation: a
+  // worker that throws, busts the budget, or trips an injected fault
+  // quarantines that function (or that checker on that function) alone.
   std::vector<const Checker*> checkers = CheckerRegistry::Global().Resolve(options_.checkers);
   for (const Checker* checker : checkers) {
     report.checkers.push_back(checker->name());
   }
-  CheckerRunResult detect;
+  DetectSlices detect;
   if (precomputed != nullptr) {
     detect = std::move(*precomputed);
   } else {
     StageScope scope(Stage::kDetect, report.stages[Stage::kDetect]);
-    detect = RunCheckers(project, checkers, options_.traits, options_.jobs, &options_.budget,
-                         &options_.fault, /*isolate=*/true);
+    detect = RunCheckersSliced(project, checkers, options_.traits, options_.jobs,
+                               &options_.budget, &options_.fault, /*isolate=*/true);
     scope.Count(kDetectFunctions, static_cast<int64_t>(detect.functions))
-        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates.size()));
+        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates));
   }
-  std::vector<UnusedDefCandidate> candidates = std::move(detect.candidates);
   for (QuarantinedUnit& unit : detect.quarantined) {
     report.quarantined.push_back(std::move(unit));
   }
@@ -95,7 +112,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   }
 
   // What this run carries. A full run carries nothing: every name is new to
-  // its fresh peer statistics, and every candidate re-runs.
+  // its fresh peer statistics, and every slice is fresh.
   TailCarry full;
   PeerStats fresh_peers(options_.prune);
   if (carry == nullptr) {
@@ -105,13 +122,24 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     }
     carry = &full;
   }
-  std::vector<size_t> rerun;
-  rerun.reserve(carry->carried.empty() ? candidates.size() : 0);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (carry->carried.empty() || !carry->carried[i]) {
-      rerun.push_back(i);
+  // Per live file: its fresh slice, which every later stage reads and the
+  // prune stage finishes, or (when null) the finished slice the run carries.
+  std::vector<std::shared_ptr<CandidateSlice>>& fresh = detect.slices;
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    const std::vector<QuarantinedUnit>& records = detect.At(i, carry->finished).quarantined;
+    report.quarantined.insert(report.quarantined.end(), records.begin(), records.end());
+  }
+  std::vector<UnusedDefCandidate*> rerun;
+  for (const std::shared_ptr<CandidateSlice>& slice : fresh) {
+    if (slice != nullptr) {
+      for (UnusedDefCandidate& cand : slice->candidates) {
+        rerun.push_back(&cand);
+      }
     }
   }
+  const auto in_pool = [&](const UnusedDefCandidate& cand) {
+    return InPrunePool(cand, options_.cross_scope_only);
+  };
 
   // 2. Classify authorship (cross-scope scenarios of §3.1).
   {
@@ -128,29 +156,27 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       repo->WarmBlame(paths, options_.jobs);
     }
     AuthorshipAnalyzer authorship(project, repo);
-    authorship.ClassifyAll(candidates, rerun, options_.jobs);
+    authorship.ClassifyAll(rerun, options_.jobs);
     scope.Count(kAuthorshipClassified, static_cast<int64_t>(rerun.size()));
   }
-  // From here on the candidates live in the report; later stages refer to
-  // them by index and mark them in place.
-  report.raw_candidates = std::move(candidates);
-  const std::vector<UnusedDefCandidate>& raw = report.raw_candidates;
 
   // 3. Cross-scope filter: only definitions on developer-interaction
-  // boundaries continue (unless the ablation disables the filter).
-  std::vector<size_t> pool;
+  // boundaries continue (unless the ablation disables the filter). A fresh
+  // slice counts its pool; a carried one holds its counts.
   {
     StageScope scope(Stage::kCrossScopeFilter, report.stages[Stage::kCrossScopeFilter]);
-    pool.reserve(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (options_.cross_scope_only && !raw[i].cross_scope) {
-        ++report.non_cross_scope;
-        continue;
+    int64_t kept = 0;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      if (CandidateSlice* slice = fresh[i].get()) {
+        slice->kept = static_cast<uint32_t>(
+            std::count_if(slice->candidates.begin(), slice->candidates.end(), in_pool));
+        slice->dropped = static_cast<uint32_t>(slice->candidates.size()) - slice->kept;
       }
-      pool.push_back(i);
+      const CandidateSlice& counted = detect.At(i, carry->finished);
+      kept += counted.kept;
+      report.non_cross_scope += static_cast<int>(counted.dropped);
     }
-    scope.Count(kFilterKept, static_cast<int64_t>(pool.size()))
-        .Count(kFilterDropped, report.non_cross_scope);
+    scope.Count(kFilterKept, kept).Count(kFilterDropped, report.non_cross_scope);
   }
 
   // 4. Prune intentional patterns. Peer statistics always use the complete
@@ -159,28 +185,85 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   {
     StageScope scope(Stage::kPrune, report.stages[Stage::kPrune]);
     try {
+      const PeerStats& peers = *carry->peers;
       if (options_.prune.peer_definition) {
         TraceSpan span("prune.peer_stats", "pipeline");
-        carry->peers->Update(project, raw, rerun, carry->changed, options_.jobs);
+        carry->peers->Update(project, rerun, carry->changed, options_.jobs);
         span.Arg("files", static_cast<int64_t>(carry->changed.size()));
-        span.Arg("flips", carry->peers->retval_flips() + carry->peers->group_flips());
+        span.Arg("flips", peers.retval_flips() + peers.group_flips());
       }
-      report.prune_stats = RunPruning(project, report.raw_candidates, pool, *carry->peers,
-                                      carry->carried, options_.prune, repo, options_.jobs);
-      if (carry->keep) {
-        carry->keep(raw);
+      // Every pool target of a fresh slice is matched. So is a carried
+      // parameter target whose signature group flipped, in a copy of its
+      // slice that the stage then finishes like a fresh one.
+      std::vector<UnusedDefCandidate*> match;
+      for (const std::shared_ptr<CandidateSlice>& slice : fresh) {
+        if (slice != nullptr) {
+          for (UnusedDefCandidate& cand : slice->candidates) {
+            if (in_pool(cand) && IsPruneTarget(cand)) {
+              match.push_back(&cand);
+            }
+          }
+        }
       }
+      if (options_.prune.peer_definition && peers.group_flips() > 0) {
+        for (size_t i = 0; i < fresh.size(); ++i) {
+          if (fresh[i] != nullptr) {
+            continue;
+          }
+          const CandidateSlice& carried = *carry->finished[i];
+          std::vector<uint32_t> flipped;
+          for (uint32_t p : carried.params) {
+            const UnusedDefCandidate& cand = carried.candidates[p];
+            if (in_pool(cand) && IsPruneTarget(cand) && peers.GroupFlipped(project, cand)) {
+              flipped.push_back(p);
+            }
+          }
+          if (!flipped.empty()) {
+            fresh[i] = std::make_shared<CandidateSlice>(carried);
+            for (uint32_t p : flipped) {
+              match.push_back(&fresh[i]->candidates[p]);
+            }
+          }
+        }
+      }
+      MatchPruning(project, match, peers, options_.prune, repo, options_.jobs);
+      for (const std::shared_ptr<CandidateSlice>& slice : fresh) {
+        if (slice != nullptr) {
+          CountPruned(*slice, options_.cross_scope_only, options_.prune);
+        }
+      }
+      carry->kept = true;
     } catch (const std::exception& e) {
       // Stage-level fallback: a pruning crash degrades to "nothing pruned"
-      // (findings become a superset) rather than killing the run.
-      for (UnusedDefCandidate& cand : report.raw_candidates) {
-        cand.pruned_by = PruneReason::kNone;
+      // (findings become a superset) rather than killing the run. Every
+      // slice becomes an unpruned copy; a published slice is never written.
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        if (fresh[i] == nullptr) {
+          fresh[i] = std::make_shared<CandidateSlice>(*carry->finished[i]);
+        }
+        CandidateSlice& slice = *fresh[i];
+        slice.prune = PruneStats();
+        slice.survivors.clear();
+        for (size_t k = 0; k < slice.candidates.size(); ++k) {
+          slice.candidates[k].pruned_by = PruneReason::kNone;
+          if (in_pool(slice.candidates[k])) {
+            slice.survivors.push_back(static_cast<uint32_t>(k));
+          }
+        }
       }
       report.quarantined.push_back({"", "", "prune", std::string("stage failed: ") + e.what(), ""});
     }
-    for (size_t i : pool) {
-      if (raw[i].pruned_by == PruneReason::kNone) {
-        report.findings.push_back(raw[i]);
+    size_t survivors = 0;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      report.raw_candidates.push_back(fresh[i] != nullptr ? std::move(fresh[i])
+                                                          : carry->finished[i]);
+      survivors += report.raw_candidates.slices().back()->survivors.size();
+    }
+    report.findings.reserve(survivors);
+    for (const CandidateSlices::Slice& slice : report.raw_candidates.slices()) {
+      report.prune_stats += slice->prune;
+      for (uint32_t p : slice->survivors) {
+        report.findings.push_back(slice->candidates[p]);
       }
     }
     scope.Count(kPruneSurvivors, static_cast<int64_t>(report.findings.size()));

@@ -24,7 +24,6 @@
 #ifndef VALUECHECK_SRC_CORE_ANALYSIS_H_
 #define VALUECHECK_SRC_CORE_ANALYSIS_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -99,13 +98,18 @@ struct StageMetrics {
 };
 
 struct AnalysisReport {
-  // Final, ranked findings (pruned and, by default, cross-scope only).
+  // Final, ranked findings (pruned and, by default, cross-scope only):
+  // copies of the slices' survivors, taken in pool order.
   std::vector<UnusedDefCandidate> findings;
-  // All candidates as detected, before authorship filtering and pruning
-  // (pruned_by records what pruned each one).
-  std::vector<UnusedDefCandidate> raw_candidates;
+  // Every candidate as detected, with its classification and pruned_by (what
+  // pruned it, if anything): one immutable slice per live file, in unit
+  // order, shared with the incremental engine's cache and with the reports
+  // of other commits that left the file alone. Iterating it yields the
+  // candidates in detect order; size() counts them.
+  CandidateSlices raw_candidates;
+  // Prune statistics over the whole pool, summed from the slices'.
   PruneStats prune_stats;
-  // Candidates surviving pruning but dropped by the cross-scope filter.
+  // Candidates the cross-scope filter dropped.
   int non_cross_scope = 0;
   // Wall clock of the whole pipeline, parse included: never less than the
   // sum of `stages`.
@@ -163,7 +167,7 @@ struct AnalysisReport {
 
 // What an incremental analysis hands the post-detect tail (DESIGN.md §18).
 // A full run carries nothing: its peer statistics are built from every file,
-// and every candidate is classified and matched.
+// and every slice is fresh.
 struct TailCarry {
   // Peer statistics kept across analyses. The prune stage replaces the
   // contributions of `changed` — the files recompiled, re-detected or
@@ -171,14 +175,13 @@ struct TailCarry {
   // names they list.
   PeerStats* peers = nullptr;
   std::vector<FileId> changed;
-  // Per detect candidate: 1 when the classification and prune verdict it
-  // holds (cross_scope, kind, def_author, responsible_author, pruned_by)
-  // carry; 0 when it re-runs from its detect state with pruned_by reset.
-  // Empty: nothing carries.
-  std::vector<char> carried;
-  // Called at the end of the prune stage with the classified and pruned
-  // candidates, unless the stage fell back.
-  std::function<void(const std::vector<UnusedDefCandidate>&)> keep;
+  // Per live file, in unit order: the finished slice the analysis carries
+  // (its classification and prune verdicts hold), or null where the detect
+  // outcome holds a fresh slice that re-runs. Empty: nothing carries.
+  std::vector<std::shared_ptr<const CandidateSlice>> finished;
+  // Set when the prune stage finished every slice; false after its
+  // fallback, whose unpruned slices no later analysis may carry.
+  bool kept = false;
 };
 
 // Writes a finished run's counters and gauges into the global
@@ -206,17 +209,21 @@ class Analysis {
 
   // Advanced entry point for the incremental engine: runs every stage after
   // detection (authorship, cross-scope filter, prune, rank, fingerprint) over
-  // a detect-stage result assembled elsewhere — a mix of cached and freshly
-  // run functions. Byte-identical to Run() when `detect` holds exactly what
-  // RunCheckers would have produced for this project, and `carry` (default:
-  // nothing carried) holds what the previous analysis decided for every
-  // candidate it flags and peer statistics of the previous project.
-  // `upstream` holds the caller's parse and detect records (default: the
-  // project's build).
+  // a detect-stage outcome assembled elsewhere — fresh slices of re-run
+  // files, and the finished slices `carry` holds for the rest. Byte-identical
+  // to Run() when the slices hold exactly what RunCheckersSliced would have
+  // produced for this project, and `carry` holds finished slices whose
+  // verdicts still hold and peer statistics of the previous project. The
+  // fresh slices are finished in place, then published in the report.
+  // `upstream` holds the caller's parse and detect records.
+  AnalysisReport RunWithDetect(const Project& project, const Repository* repo,
+                               DetectSlices detect, const StageRecords& upstream,
+                               TailCarry& carry) const;
+  // The same over a flat detect result (RunCheckers), held as one slice,
+  // with nothing carried; `upstream` defaults to the project's build.
   AnalysisReport RunWithDetect(const Project& project, const Repository* repo,
                                CheckerRunResult detect,
-                               const StageRecords* upstream = nullptr,
-                               TailCarry* carry = nullptr) const;
+                               const StageRecords* upstream = nullptr) const;
 
   // Builds the project (parallel parse/lower under options().jobs and
   // options().config), then runs; the report owns the project.
@@ -232,9 +239,9 @@ class Analysis {
 
  private:
   // Shared pipeline body: with `precomputed` null, runs detection itself
-  // (Run); otherwise consumes the caller's detect result (RunWithDetect).
+  // (Run); otherwise consumes the caller's detect outcome (RunWithDetect).
   AnalysisReport RunImpl(const Project& project, const Repository* repo,
-                         CheckerRunResult* precomputed, const StageRecords* upstream,
+                         DetectSlices* precomputed, const StageRecords* upstream,
                          TailCarry* carry) const;
 
   AnalysisOptions options_;

@@ -100,11 +100,12 @@ UnusedDefCandidate ReadCandidate(const JsonValue& value) {
   return cand;
 }
 
-// Restores the pointer fields of a loaded result against the live module:
-// the function's IR, each candidate's slot-table VarDecl, and the FileId of
-// every location.
-void RebindFunctionDetect(FunctionDetect& detect, const IrFunction& func, FileId file) {
-  for (UnusedDefCandidate& cand : detect.candidates) {
+// Restores the pointer fields of a loaded function's candidates against the
+// live module: the function's IR, each candidate's slot-table VarDecl, and
+// the FileId of every location.
+void RebindCandidates(std::vector<UnusedDefCandidate>& candidates, const IrFunction& func,
+                      FileId file) {
+  for (UnusedDefCandidate& cand : candidates) {
     cand.ir_func = &func;
     cand.var = (cand.slot != kInvalidSlot && cand.slot < func.slots.size())
                    ? func.slots[cand.slot].var
@@ -116,21 +117,16 @@ void RebindFunctionDetect(FunctionDetect& detect, const IrFunction& func, FileId
   }
 }
 
-// A result is disk-serializable only when rebinding can reproduce it exactly:
-// every candidate's VarDecl must be reachable through its slot. The clang and
+// A candidate is disk-serializable only when rebinding can reproduce it
+// exactly: its VarDecl must be reachable through its slot. The clang and
 // infer baselines attach AST VarDecls without a slot; their files stay in the
 // memory tier (pointers remain valid there) and re-detect across processes.
-bool DiskSafe(const FunctionDetect& detect, const IrFunction& func) {
-  for (const UnusedDefCandidate& cand : detect.candidates) {
-    if (cand.var == nullptr) {
-      continue;
-    }
-    if (cand.slot == kInvalidSlot || cand.slot >= func.slots.size() ||
-        func.slots[cand.slot].var != cand.var) {
-      return false;
-    }
+bool DiskSafe(const UnusedDefCandidate& cand, const IrFunction& func) {
+  if (cand.var == nullptr) {
+    return true;
   }
-  return true;
+  return cand.slot != kInvalidSlot && cand.slot < func.slots.size() &&
+         func.slots[cand.slot].var == cand.var;
 }
 
 }  // namespace
@@ -159,20 +155,20 @@ std::string AnalysisCache::DiskPath(const std::string& path) const {
       .string();
 }
 
-bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
-                                 const IrModule& module, std::vector<FunctionDetect>& out,
-                                 std::vector<QuarantinedUnit>& quarantine) {
+std::shared_ptr<CandidateSlice> AnalysisCache::LoadFromDisk(
+    const std::string& path, uint64_t content_hash, const IrModule& module,
+    std::vector<QuarantinedUnit>& quarantine) {
   if (cache_dir_.empty()) {
-    return false;
+    return nullptr;
   }
   std::optional<std::string> text = ReadWholeFile(DiskPath(path));
   if (!text.has_value()) {
-    return false;  // plain miss: never cached
+    return nullptr;  // plain miss: never cached
   }
-  const auto corrupt = [&](const std::string& why) {
+  const auto corrupt = [&](const std::string& why) -> std::shared_ptr<CandidateSlice> {
     ++stats_.disk_corrupt;
     quarantine.push_back({path, "", "cache", "corrupt cache entry: " + why, ""});
-    return false;
+    return nullptr;
   };
   std::string error;
   std::optional<JsonValue> doc = ParseJson(*text, &error);
@@ -182,7 +178,7 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
   if (doc->GetInt("schema_version") != kCacheSchemaVersion ||
       doc->GetString("config_key") != config_key_ ||
       doc->GetString("content_hash") != HashHex(content_hash)) {
-    return false;  // stale: configuration or content moved on
+    return nullptr;  // stale: configuration or content moved on
   }
   const JsonValue& functions = doc->Get("functions");
   if (!functions.IsArray()) {
@@ -193,37 +189,41 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
   if (functions.Items().size() != module.functions.size()) {
     return corrupt("function count differs from the compiled file");
   }
-  std::vector<FunctionDetect> loaded(module.functions.size());
-  for (size_t i = 0; i < loaded.size(); ++i) {
+  auto slice = std::make_shared<CandidateSlice>();
+  for (size_t i = 0; i < module.functions.size(); ++i) {
     const JsonValue& fn = functions.Items()[i];
     const IrFunction& func = *module.functions[i];
     if (!fn.IsObject() || fn.GetString("name") != func.name) {
       return corrupt("function record " + std::to_string(i) + " does not name '" + func.name +
                      "'");
     }
+    std::vector<UnusedDefCandidate> candidates;
     for (const JsonValue& cand : fn.Get("candidates").Items()) {
-      loaded[i].candidates.push_back(ReadCandidate(cand));
+      candidates.push_back(ReadCandidate(cand));
     }
+    RebindCandidates(candidates, func, module.file);
+    std::vector<QuarantinedUnit> records;
     for (const JsonValue& unit : fn.Get("quarantined").Items()) {
-      loaded[i].quarantined.push_back({unit.GetString("path"), unit.GetString("function"),
-                                       unit.GetString("stage"), unit.GetString("reason"),
-                                       unit.GetString("checker")});
+      records.push_back({unit.GetString("path"), unit.GetString("function"),
+                         unit.GetString("stage"), unit.GetString("reason"),
+                         unit.GetString("checker")});
     }
-    RebindFunctionDetect(loaded[i], func, module.file);
+    slice->AddFunction(std::move(candidates), std::move(records));
   }
-  out = std::move(loaded);
   ++stats_.disk_loads;
-  return true;
+  return slice;
 }
 
-void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& entry,
-                                const IrModule& module) {
-  if (cache_dir_.empty() || entry.functions.size() != module.functions.size()) {
+void AnalysisCache::StoreToDisk(const std::string& path, uint64_t content_hash,
+                                const CandidateSlice& slice, const IrModule& module) {
+  if (cache_dir_.empty() || slice.functions.size() != module.functions.size()) {
     return;
   }
-  for (size_t i = 0; i < entry.functions.size(); ++i) {
-    if (!DiskSafe(entry.functions[i], *module.functions[i])) {
-      return;
+  for (size_t i = 0, k = 0; i < slice.functions.size(); ++i) {
+    for (; k < slice.functions[i].candidates; ++k) {
+      if (!DiskSafe(slice.candidates[k], *module.functions[i])) {
+        return;
+      }
     }
   }
   JsonWriter json;
@@ -231,18 +231,20 @@ void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& e
       .Int("schema_version", kCacheSchemaVersion)
       .String("config_key", config_key_)
       .String("path", path)
-      .String("content_hash", HashHex(entry.content_hash));
+      .String("content_hash", HashHex(content_hash));
   json.Key("functions").BeginArray();
-  for (size_t i = 0; i < entry.functions.size(); ++i) {
-    const FunctionDetect& detect = entry.functions[i];
+  CandidateSlice::FunctionEnd begin;
+  for (size_t i = 0; i < slice.functions.size(); ++i) {
+    const CandidateSlice::FunctionEnd& end = slice.functions[i];
     json.BeginObject().String("name", module.functions[i]->name);
     json.Key("candidates").BeginArray();
-    for (const UnusedDefCandidate& cand : detect.candidates) {
-      WriteCandidate(json, cand);
+    for (uint32_t k = begin.candidates; k < end.candidates; ++k) {
+      WriteCandidate(json, slice.candidates[k]);
     }
     json.EndArray();
     json.Key("quarantined").BeginArray();
-    for (const QuarantinedUnit& unit : detect.quarantined) {
+    for (uint32_t k = begin.quarantined; k < end.quarantined; ++k) {
+      const QuarantinedUnit& unit = slice.quarantined[k];
       json.BeginObject()
           .String("path", unit.path)
           .String("function", unit.function)
@@ -252,6 +254,7 @@ void AnalysisCache::StoreToDisk(const std::string& path, const FileCacheEntry& e
           .EndObject();
     }
     json.EndArray().EndObject();
+    begin = end;
   }
   json.EndArray().EndObject();
 
@@ -289,7 +292,7 @@ void AnalysisCache::PublishMetrics() {
   registry.GetGauge("cache.files").Set(static_cast<int64_t>(files_.size()));
   uint64_t functions = 0;
   for (const auto& [path, entry] : files_) {
-    functions += entry.functions.size();
+    functions += entry.functions();
   }
   registry.GetGauge("cache.functions").Set(static_cast<int64_t>(functions));
 }

@@ -5,10 +5,11 @@
 //
 //  * The memory tier is the per-path FileCacheEntry map: the engine's
 //    persistent Project already holds the parsed TU and lowered IR, so the
-//    entry only stores the content hash (parse-skip decision) and one detect
-//    result per function in module order (carry-over decision). Candidate
-//    pointers stay valid because a slot's AST/IR is only replaced when its
-//    content changes — which also invalidates the entry.
+//    entry only stores the content hash (parse-skip decision) and the file's
+//    finished candidate slice (carry-over decision), which the reports that
+//    carry the file share. Candidate pointers stay valid because a slot's
+//    AST/IR is only replaced when its content changes — which also
+//    invalidates the entry.
 //  * The disk tier (--cache-dir) serializes entries as one JSON file per
 //    source path, keyed by content hash AND a config key folding in the
 //    preprocessor macros, the enabled checker list, project traits, budget
@@ -26,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,14 +62,19 @@ struct CacheStats {
   }
 };
 
-// One file's cached detect-stage state.
+// One file's cached state.
 struct FileCacheEntry {
   uint64_t content_hash = 0;
-  // One result per function of the file's module, in module order. Identical
-  // content lowers to the same functions in the same order, so the file
-  // carries exactly when the vector holds one result per function; anything
-  // else means every function of the file must be (re)detected.
-  std::vector<FunctionDetect> functions;
+  // The file's slice as the last analysis finished it: the detect results of
+  // every function of the file's module, in module order, and the verdicts
+  // they were given. Identical content lowers to the same functions in the
+  // same order, so the file carries exactly when the slice covers one
+  // function per function of the module; anything else means every
+  // function of the file must be (re)detected. Null until a detect result
+  // is stored; a file without functions needs none.
+  std::shared_ptr<const CandidateSlice> slice;
+
+  size_t functions() const { return slice != nullptr ? slice->functions.size() : 0; }
 };
 
 class AnalysisCache {
@@ -76,21 +83,28 @@ class AnalysisCache {
   // configuration string (see MakeConfigKey in incremental.cc).
   AnalysisCache(std::string cache_dir, std::string config_key);
 
-  // Memory tier: get-or-create / drop the entry for a path.
+  // Memory tier: get-or-create / look up / drop the entry for a path.
   FileCacheEntry& File(const std::string& path) { return files_[path]; }
+  const FileCacheEntry* Find(const std::string& path) const {
+    auto it = files_.find(path);
+    return it != files_.end() ? &it->second : nullptr;
+  }
   void Remove(const std::string& path) { files_.erase(path); }
 
   // Disk tier. Load validates the header (schema version, config key,
   // content hash) and the function list against `module`, the file's freshly
-  // compiled IR; on a hit it fills `out` with results rebound to `module`. A
-  // stale or absent entry is a plain miss; a corrupt one (unparsable, or a
+  // compiled IR; on a hit it returns the detect results as a slice rebound to
+  // `module`, whose candidates' checker indexes are still to be set. A stale
+  // or absent entry is a plain miss (null); a corrupt one (unparsable, or a
   // function count or name that disagrees with `module`) also appends a
-  // "cache"-stage quarantine record. Store writes atomically (tmp + rename),
-  // skips entries rebinding could not reproduce, and is a no-op without a
-  // cache dir.
-  bool LoadFromDisk(const std::string& path, uint64_t content_hash, const IrModule& module,
-                    std::vector<FunctionDetect>& out, std::vector<QuarantinedUnit>& quarantine);
-  void StoreToDisk(const std::string& path, const FileCacheEntry& entry, const IrModule& module);
+  // "cache"-stage quarantine record. Store writes a slice's detect results
+  // atomically (tmp + rename), skips slices rebinding could not reproduce,
+  // and is a no-op without a cache dir.
+  std::shared_ptr<CandidateSlice> LoadFromDisk(const std::string& path, uint64_t content_hash,
+                                               const IrModule& module,
+                                               std::vector<QuarantinedUnit>& quarantine);
+  void StoreToDisk(const std::string& path, uint64_t content_hash, const CandidateSlice& slice,
+                   const IrModule& module);
 
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }

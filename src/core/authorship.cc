@@ -1,7 +1,5 @@
 #include "src/core/authorship.h"
 
-#include <numeric>
-
 #include "src/support/thread_pool.h"
 
 namespace vc {
@@ -34,21 +32,24 @@ const std::vector<LineOrigin>& AuthorshipAnalyzer::BlameOf(FileId file) const {
   return *slot;
 }
 
-void AuthorshipAnalyzer::ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
-                                     const std::vector<size_t>& targets, int jobs) const {
+void AuthorshipAnalyzer::ClassifyAll(std::span<UnusedDefCandidate* const> targets,
+                                     int jobs) const {
   if (repo_ != nullptr && !targets.empty()) {
     for (FileId file = 0; file < project_.sources().NumFiles(); ++file) {
       BlameOf(file);
     }
   }
-  ParallelFor(jobs, targets.size(), [&](size_t k) { Classify(candidates[targets[k]]); });
+  ParallelFor(jobs, targets.size(), [&](size_t k) { Classify(*targets[k]); });
 }
 
 void AuthorshipAnalyzer::ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
                                      int jobs) const {
-  std::vector<size_t> all(candidates.size());
-  std::iota(all.begin(), all.end(), 0);
-  ClassifyAll(candidates, all, jobs);
+  std::vector<UnusedDefCandidate*> all;
+  all.reserve(candidates.size());
+  for (UnusedDefCandidate& cand : candidates) {
+    all.push_back(&cand);
+  }
+  ClassifyAll(all, jobs);
 }
 
 bool AuthorshipAnalyzer::AllDifferent(AuthorId author,

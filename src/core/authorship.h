@@ -13,6 +13,7 @@
 #define VALUECHECK_SRC_CORE_AUTHORSHIP_H_
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/core/project.h"
@@ -39,13 +40,12 @@ class AuthorshipAnalyzer {
   // Fills cross_scope / kind / def_author / responsible_author.
   void Classify(UnusedDefCandidate& cand) const;
 
-  // Classifies candidates[targets[k]] for every k across up to `jobs` lanes.
-  // Blame of every project file is resolved serially first, so the lanes
-  // only read it; each candidate's classification depends on nothing but the
+  // Classifies every one of `targets` across up to `jobs` lanes. Blame of
+  // every project file is resolved serially first, so the lanes only read
+  // it; each candidate's classification depends on nothing but the
   // candidate, so the result is the same at any `jobs`.
-  void ClassifyAll(std::vector<UnusedDefCandidate>& candidates,
-                   const std::vector<size_t>& targets, int jobs) const;
-  // The same over every candidate.
+  void ClassifyAll(std::span<UnusedDefCandidate* const> targets, int jobs) const;
+  // The same over every candidate of the list.
   void ClassifyAll(std::vector<UnusedDefCandidate>& candidates, int jobs = 1) const;
 
  private:

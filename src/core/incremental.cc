@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -19,29 +21,27 @@ namespace {
 
 // Sets each candidate's checker_index from its checker name; false when a
 // name is not in `runnable`.
-bool IndexCheckers(const std::vector<const Checker*>& runnable,
-                   std::vector<FunctionDetect>& functions) {
-  for (FunctionDetect& fn : functions) {
-    for (UnusedDefCandidate& cand : fn.candidates) {
-      auto it = std::find_if(runnable.begin(), runnable.end(), [&](const Checker* checker) {
-        return checker->name() == cand.checker;
-      });
-      if (it == runnable.end()) {
-        return false;
-      }
-      cand.checker_index = static_cast<int>(it - runnable.begin());
+bool IndexCheckers(const std::vector<const Checker*>& runnable, CandidateSlice& slice) {
+  for (UnusedDefCandidate& cand : slice.candidates) {
+    auto it = std::find_if(runnable.begin(), runnable.end(), [&](const Checker* checker) {
+      return checker->name() == cand.checker;
+    });
+    if (it == runnable.end()) {
+      return false;
     }
+    cand.checker_index = static_cast<int>(it - runnable.begin());
   }
   return true;
 }
 
-// Copies what classification and pruning decided for a candidate.
-void KeepTail(UnusedDefCandidate& kept, const UnusedDefCandidate& ran) {
-  kept.cross_scope = ran.cross_scope;
-  kept.kind = ran.kind;
-  kept.def_author = ran.def_author;
-  kept.responsible_author = ran.responsible_author;
-  kept.pruned_by = ran.pruned_by;
+// A copy of a finished slice that re-runs every stage after detection: its
+// candidates hold their detect state, with no prune verdict.
+std::shared_ptr<CandidateSlice> RerunCopy(const CandidateSlice& slice) {
+  auto copy = std::make_shared<CandidateSlice>(slice);
+  for (UnusedDefCandidate& cand : copy->candidates) {
+    cand.pruned_by = PruneReason::kNone;
+  }
+  return copy;
 }
 
 }  // namespace
@@ -114,7 +114,7 @@ int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::
     ++cache_.stats().parse_misses;
     ++changed;
     entry.content_hash = hash;
-    entry.functions.clear();
+    entry.slice.reset();
     misses.emplace_back(path, *content);
     miss_entries.push_back(&entry);
   }
@@ -127,9 +127,10 @@ int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::
   changed_.insert(changed_.end(), ids.begin(), ids.end());
   for (size_t k = 0; k < ids.size(); ++k) {
     FileCacheEntry& entry = *miss_entries[k];
-    if (cache_.LoadFromDisk(project_.sources().Path(ids[k]), entry.content_hash,
-                            *project_.modules()[ids[k]], entry.functions, cache_quarantine_)) {
-      restored_.push_back(&entry);
+    if (std::shared_ptr<CandidateSlice> slice =
+            cache_.LoadFromDisk(project_.sources().Path(ids[k]), entry.content_hash,
+                                *project_.modules()[ids[k]], cache_quarantine_)) {
+      restored_.emplace_back(&entry, std::move(slice));
     }
   }
   return changed;
@@ -209,11 +210,9 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
   }
 
   // --- Detect stage: changed files through the checkers, rest from cache ---
-  CheckerRunResult detect;
+  DetectSlices detect;
   std::vector<FileCacheEntry*> entries;  // per live file, in unit order
   std::vector<size_t> redetected;        // indexes into `entries`
-  std::vector<char> entry_carried;       // per entry: its post-detect verdicts carry
-  std::vector<size_t> entry_candidates;  // per entry: its candidate count
   TailCarry tail;
   {
     StageScope scope(Stage::kDetect, stages[Stage::kDetect]);
@@ -235,9 +234,10 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
 
     // Disk-restored results name their checkers; index them against this
     // run's. A result naming a checker that is not running re-detects.
-    for (FileCacheEntry* entry : restored_) {
-      if (!IndexCheckers(runnable, entry->functions)) {
-        entry->functions.clear();
+    for (auto& [entry, slice] : restored_) {
+      if (IndexCheckers(runnable, *slice)) {
+        slice->CountDetect();
+        entry->slice = std::move(slice);
       }
     }
     restored_.clear();
@@ -256,20 +256,23 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
       changed[file] = 1;
     }
 
-    // The carry rule: a file's results carry exactly when its entry holds one
-    // per function — its content hash matched, or the disk tier restored it.
-    // Every function of any other file re-runs. Its post-detect verdicts
-    // carry too when it was not recompiled and shares no name the update
-    // touched.
+    // The carry rule: a file's results carry exactly when its entry's slice
+    // covers every function — its content hash matched, or the disk tier
+    // restored it. Every function of any other file re-runs. Its finished
+    // slice carries whole when the file was not recompiled and shares no
+    // name the update touched; otherwise a copy re-runs the later stages.
     std::vector<CheckerWorkItem> work;
     for (size_t m : project_.unit_order()) {
       const IrModule& module = *project_.modules()[m];
       result.functions_total += static_cast<int>(module.functions.size());
-      entries.push_back(&cache_.File(project_.sources().Path(module.file)));
-      const bool detect_carried =
-          carry_allowed && entries.back()->functions.size() == module.functions.size();
-      entry_carried.push_back(carry_tail && detect_carried && !changed[module.file] &&
-                              !project_.SharesTouchedName(module.file));
+      FileCacheEntry& entry = cache_.File(project_.sources().Path(module.file));
+      entries.push_back(&entry);
+      const bool detect_carried = carry_allowed && entry.functions() == module.functions.size();
+      if (detect_carried && entry.slice == nullptr) {
+        entry.slice = std::make_shared<const CandidateSlice>();  // a file without functions
+      }
+      const bool tail_carried = carry_tail && detect_carried && !changed[module.file] &&
+                                !project_.SharesTouchedName(module.file);
       // Peer contributions are replaced for the recompiled and removed files,
       // every re-detected one, and every live file when the statistics start
       // over.
@@ -277,8 +280,10 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
         changed[module.file] = 1;
         changed_.push_back(module.file);
       }
+      tail.finished.push_back(tail_carried ? entry.slice : nullptr);
+      detect.slices.push_back(detect_carried && !tail_carried ? RerunCopy(*entry.slice) : nullptr);
       if (detect_carried) {
-        continue;  // carried
+        continue;
       }
       redetected.push_back(entries.size() - 1);
       for (const auto& func : module.functions) {
@@ -289,77 +294,43 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     cache_.stats().detect_recomputed += work.size();
     cache_.stats().detect_carried += result.functions_total - work.size();
 
-    std::vector<FunctionDetect> fresh = RunCheckersOnFunctions(
+    std::vector<FunctionDetect> ran = RunCheckersOnFunctions(
         project_, runnable, opt.jobs, &opt.budget, &opt.fault, /*isolate=*/true, work);
-    auto next = std::make_move_iterator(fresh.begin());
+    size_t next = 0;
     for (size_t i : redetected) {
       const size_t count = project_.modules()[project_.unit_order()[i]]->functions.size();
-      entries[i]->functions.assign(next, next + static_cast<std::ptrdiff_t>(count));
-      next += static_cast<std::ptrdiff_t>(count);
+      detect.slices[i] = SliceFunctions(std::span<FunctionDetect>(ran).subspan(next, count));
+      next += count;
     }
 
-    // Assemble the COMPLETE detect outcome in full-run order (every live
-    // function, carried or fresh), copying each result once from its entry.
-    size_t count = 0;
-    for (const FileCacheEntry* entry : entries) {
-      for (const FunctionDetect& fn : entry->functions) {
-        count += fn.candidates.size();
-      }
-    }
-    detect.candidates.reserve(count);
-    tail.carried.reserve(count);
-    for (size_t e = 0; e < entries.size(); ++e) {
-      const size_t begin = detect.candidates.size();
-      for (const FunctionDetect& fn : entries[e]->functions) {
-        detect.candidates.insert(detect.candidates.end(), fn.candidates.begin(),
-                                 fn.candidates.end());
-        detect.quarantined.insert(detect.quarantined.end(), fn.quarantined.begin(),
-                                  fn.quarantined.end());
-      }
-      entry_candidates.push_back(detect.candidates.size() - begin);
-      tail.carried.resize(detect.candidates.size(), entry_carried[e]);
-      if (!entry_carried[e]) {
-        // Re-runs from its detect state.
-        for (size_t i = begin; i < detect.candidates.size(); ++i) {
-          detect.candidates[i].pruned_by = PruneReason::kNone;
-        }
-      }
-    }
-    TallyCheckerRun(runnable, detect);
+    // The detect tallies of every live file, carried or fresh, from its slice.
+    TallyCheckerRun(runnable, tail.finished, detect);
     scope.Count(kDetectFunctions, result.functions_dirty)
-        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates.size()));
+        .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates));
   }
 
   for (size_t i : redetected) {
     const IrModule& module = *project_.modules()[project_.unit_order()[i]];
-    cache_.StoreToDisk(project_.sources().Path(module.file), *entries[i], module);
+    cache_.StoreToDisk(project_.sources().Path(module.file), entries[i]->content_hash,
+                       *detect.slices[i], module);
   }
 
   // --- The later stages, carrying what the change left alone ---------------
-  // The prune stage writes the verdicts back into the entries: every
-  // candidate of a file that re-ran, and, when a signature group flipped,
-  // the carried ones too (their parameter candidates matched again).
   tail.peers = &peers_;
   tail.changed = changed_;
-  tail.keep = [&](const std::vector<UnusedDefCandidate>& raw) {
-    const bool rematched = peers_.group_flips() > 0;
-    size_t k = 0;
-    for (size_t e = 0; e < entries.size(); ++e) {
-      if (entry_carried[e] && !rematched) {
-        k += entry_candidates[e];
-        continue;
-      }
-      for (FunctionDetect& fn : entries[e]->functions) {
-        for (UnusedDefCandidate& cand : fn.candidates) {
-          KeepTail(cand, raw[k++]);
-        }
-      }
-    }
-    warm_tail_ = true;
-  };
   AnalysisReport report =
-      analysis_.RunWithDetect(project_, repo, std::move(detect), &stages, &tail);
+      analysis_.RunWithDetect(project_, repo, std::move(detect), stages, tail);
   tail_repo_ = repo;
+  warm_tail_ = tail.kept;
+  // Each entry keeps the slice the report published for its file: the one it
+  // carried, or the re-run one the prune stage finished. A carried entry is
+  // left alone, so its slice's reference count is not touched.
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const CandidateSlices::Slice& published = report.raw_candidates.slices()[i];
+    if (entries[i]->slice != published) {
+      entries[i]->slice = published;
+    }
+  }
 
   // Fingerprint-keyed delta against the previous analysis.
   std::vector<std::string> fingerprints;

@@ -33,28 +33,36 @@
 //    --cache-dir disk tier persists across processes). Every function of a
 //    recompiled, cold-start or disk-missed file re-runs. Each file lowers on
 //    its own, so a function_local() checker's result depends only on its own
-//    file; a checker with function_local() == false disables carry-over. The
-//    detect outcome copies each candidate once, straight from the entries.
+//    file; a checker with function_local() == false disables carry-over.
+//  * Each live file's candidates are one slice (CandidateSlice) with its own
+//    tallies, which its cache entry owns and every report that carries the
+//    file shares; a published slice is never written. A carried file's slice
+//    goes into the report as a pointer copy, so an analysis copies, scans
+//    and frees only the slices of the files it re-runs.
 //  * The stages after detection run through the same
-//    Analysis::RunWithDetect code path a full run uses, over the complete
-//    assembled candidate set, and do work in proportion to the change. Peer
+//    Analysis::RunWithDetect code path a full run uses, over every live
+//    file's slice, and do work in proportion to the change. Peer
 //    statistics stay warm: only recompiled, re-detected or removed files'
 //    contributions are replaced, and only the names they list are decided
 //    again. A file's classification and prune verdicts carry when its
 //    detect results carried and it defines or calls no name the update
 //    touched — a candidate reads other files only through those names' index
 //    entries and their files' blame — except that a carried parameter
-//    candidate whose signature group flipped is matched again. Nothing
+//    candidate whose signature group flipped is matched again, in a copy of
+//    its slice (copy on write, paid only when a group flips). Nothing
 //    carries while stale-code pruning is on, or when a commit batch left a
 //    touched path's bytes unchanged (its blame may still have moved). The
-//    verdicts are written back into the cache entries in the prune stage.
-//    Cross-scope filtering, ranking and fingerprints run over every
-//    candidate or finding.
+//    classification, the cross-scope filter and the prune patterns read only
+//    the re-run slices; the report's totals (per-checker counts, filter and
+//    prune statistics) are sums of every slice's tallies, and its findings
+//    are copies of the slices' survivors. The entries keep the slices the
+//    report publishes. Ranking and fingerprints run over the findings.
 
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -112,6 +120,8 @@ class IncrementalEngine {
       const std::vector<std::pair<std::string, std::string>>& files);
 
   const CacheStats& cache_stats() const { return cache_.stats(); }
+  // The per-path entries, each holding its file's finished slice.
+  const AnalysisCache& cache() const { return cache_; }
 
   // Adjusts worker parallelism between analyses. Jobs is deliberately absent
   // from MakeCacheConfigKey — findings are byte-identical at any job count —
@@ -140,11 +150,12 @@ class IncrementalEngine {
   AnalysisCache cache_;
   std::set<std::string> pending_;  // paths touched since the last analysis
   std::vector<QuarantinedUnit> cache_quarantine_;  // corrupt disk entries of a sync
-  std::vector<FileCacheEntry*> restored_;          // disk-tier hits of a sync
+  // Disk-tier hits of a sync, with the slices they restored.
+  std::vector<std::pair<FileCacheEntry*, std::shared_ptr<CandidateSlice>>> restored_;
   std::vector<FileId> changed_;                    // files a sync recompiled or removed
   // The post-detect state the next analysis may carry: the peer statistics,
-  // and the verdicts the entries' candidates hold. Warm only after an
-  // analysis whose prune stage kept them, against the same kind of input.
+  // and the verdicts the entries' slices hold. Warm only after an analysis
+  // whose prune stage finished every slice, against the same kind of input.
   PeerStats peers_;
   bool warm_tail_ = false;
   const Repository* tail_repo_ = nullptr;

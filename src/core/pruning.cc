@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <map>
-#include <numeric>
 #include <string>
 
 #include "src/support/string_util.h"
@@ -220,17 +219,35 @@ PruneReason MatchPatterns(const Project& project, const UnusedDefCandidate& cand
   return PruneReason::kNone;
 }
 
-// The §5 patterns model intentional *unused definitions* (cursor loops,
-// config-guarded uses, customarily-ignored values); other checkers' findings
-// pass through unpruned — keeping a checker's findings identical whether it
-// runs alone or alongside others.
-bool IsUnusedDef(const UnusedDefCandidate& cand) { return cand.checker == "unused-def"; }
-
 // A parameter candidate: its peers are the same position of same-signature
 // functions.
 bool IsParamPeer(const UnusedDefCandidate& cand) { return cand.is_param && cand.var != nullptr; }
 
+// Adds a tested candidate's verdict to the count of the pattern it names.
+void CountReason(PruneStats& stats, PruneReason reason) {
+  switch (reason) {
+    case PruneReason::kConfigDependency: ++stats.config_dependency; break;
+    case PruneReason::kCursor: ++stats.cursor; break;
+    case PruneReason::kUnusedHint: ++stats.unused_hints; break;
+    case PruneReason::kPeerDefinition: ++stats.peer_definition; break;
+    case PruneReason::kStaleCode: ++stats.stale_code; break;
+    case PruneReason::kNone: break;
+  }
+}
+
+// `tested` candidates met the patterns in pipeline order: each pattern
+// tested those no earlier pattern pruned.
+void CountTested(PruneStats& stats, int tested, const PruneOptions& options) {
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    stats.*pattern.tested = options.*pattern.enabled ? tested : 0;
+    tested -= stats.*pattern.pruned;
+  }
+  stats.remaining = stats.original - stats.TotalPruned();
+}
+
 }  // namespace
+
+bool IsPruneTarget(const UnusedDefCandidate& cand) { return cand.checker == "unused-def"; }
 
 // --- Pattern 4: peer statistics -------------------------------------------------
 
@@ -314,9 +331,9 @@ PeerStats::Contribution PeerStats::Compute(const Project& project, FileId file,
   return contribution;
 }
 
-void PeerStats::Update(const Project& project, const std::vector<UnusedDefCandidate>& candidates,
-                       const std::vector<size_t>& indices, const std::vector<FileId>& files,
-                       int jobs) {
+void PeerStats::Update(const Project& project,
+                       std::span<const UnusedDefCandidate* const> candidates,
+                       const std::vector<FileId>& files, int jobs) {
   ++update_;
   retval_flips_ = 0;
   group_flips_ = 0;
@@ -335,11 +352,11 @@ void PeerStats::Update(const Project& project, const std::vector<UnusedDefCandid
   for (size_t k = 0; k < files.size(); ++k) {
     given[files[k]] = static_cast<uint32_t>(k);
   }
-  std::vector<uint32_t> bucket(indices.size());
-  ParallelFor(jobs, indices.size(), [&](size_t j) {
-    const UnusedDefCandidate& cand = candidates[indices[j]];
+  std::vector<uint32_t> bucket(candidates.size());
+  ParallelFor(jobs, candidates.size(), [&](size_t j) {
+    const UnusedDefCandidate& cand = *candidates[j];
     const FileId file = cand.def_loc.file;
-    bucket[j] = IsUnusedDef(cand) && file >= 0 && static_cast<size_t>(file) < num_files
+    bucket[j] = IsPruneTarget(cand) && file >= 0 && static_cast<size_t>(file) < num_files
                     ? given[file]
                     : kNotGiven;
   });
@@ -355,9 +372,9 @@ void PeerStats::Update(const Project& project, const std::vector<UnusedDefCandid
   std::vector<const UnusedDefCandidate*> bucketed(begin.back());
   {
     std::vector<size_t> next(begin.begin(), begin.end() - 1);
-    for (size_t j = 0; j < indices.size(); ++j) {
+    for (size_t j = 0; j < candidates.size(); ++j) {
       if (bucket[j] != kNotGiven) {
-        bucketed[next[bucket[j]]++] = &candidates[indices[j]];
+        bucketed[next[bucket[j]]++] = candidates[j];
       }
     }
   }
@@ -498,55 +515,22 @@ bool PeerStats::GroupFlipped(const Project& project, const UnusedDefCandidate& c
 
 // --- Pruning ----------------------------------------------------------------------
 
-PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
-                      const std::vector<size_t>& targets, const PeerStats& peers,
-                      const std::vector<char>& carried, const PruneOptions& options,
-                      const Repository* repo, int jobs) {
-  PruneStats stats;
-  stats.original = static_cast<int>(targets.size());
-
-  // Which targets count (unused-def candidates that are carried or not yet
-  // pruned), each one's reason, and the positions whose patterns run: every
-  // counted target that is not carried, and the carried parameter candidates
-  // whose signature group flipped. Verdicts land in `reasons` and reach the
-  // candidates only after every pattern ran, so a stage that throws marks
-  // nothing.
-  std::vector<char> counted(targets.size(), 0);
+void MatchPruning(const Project& project, std::span<UnusedDefCandidate* const> targets,
+                  const PeerStats& peers, const PruneOptions& options, const Repository* repo,
+                  int jobs) {
   std::vector<PruneReason> reasons(targets.size(), PruneReason::kNone);
-  std::vector<size_t> match;
-  const bool flips = options.peer_definition && peers.group_flips() > 0;
-  for (size_t k = 0; k < targets.size(); ++k) {
-    const UnusedDefCandidate& cand = candidates[targets[k]];
-    if (!IsUnusedDef(cand)) {
-      continue;
-    }
-    if (!carried.empty() && carried[targets[k]]) {
-      counted[k] = 1;
-      if (flips && peers.GroupFlipped(project, cand)) {
-        match.push_back(k);
-      } else {
-        reasons[k] = cand.pruned_by;
-      }
-    } else if (cand.pruned_by == PruneReason::kNone) {
-      counted[k] = 1;
-      match.push_back(k);
-    }
-  }
-
   {
     TraceSpan span("prune.match", "pipeline");
-    span.Arg("candidates", static_cast<int64_t>(targets.size()));
-    span.Arg("matched", static_cast<int64_t>(match.size()));
+    span.Arg("matched", static_cast<int64_t>(targets.size()));
     // Contiguous chunks, each with its own cursor increment table
     // (candidates of one function are adjacent, so a function's increments
     // are counted about once).
-    const size_t chunks = std::min(match.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
+    const size_t chunks = std::min(targets.size(), static_cast<size_t>(ResolveJobs(jobs)) * 4);
     ParallelFor(jobs, chunks, [&](size_t chunk) {
       CursorMatcher cursor;
-      const size_t end = match.size() * (chunk + 1) / chunks;
-      for (size_t m = match.size() * chunk / chunks; m < end; ++m) {
-        const size_t k = match[m];
-        reasons[k] = MatchPatterns(project, candidates[targets[k]], options, cursor, peers);
+      const size_t end = targets.size() * (chunk + 1) / chunks;
+      for (size_t k = targets.size() * chunk / chunks; k < end; ++k) {
+        reasons[k] = MatchPatterns(project, *targets[k], options, cursor, peers);
       }
     });
   }
@@ -557,40 +541,38 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
   if (options.stale_code) {
     TraceSpan span("prune.stale_code", "pipeline");
     StaleCodeMatcher stale(project, repo, options);
-    for (size_t k : match) {
-      if (reasons[k] == PruneReason::kNone && stale.Matches(candidates[targets[k]])) {
+    for (size_t k = 0; k < targets.size(); ++k) {
+      if (reasons[k] == PruneReason::kNone && stale.Matches(*targets[k])) {
         reasons[k] = PruneReason::kStaleCode;
       }
     }
   }
 
-  for (size_t k : match) {
-    candidates[targets[k]].pruned_by = reasons[k];
-  }
-
-  // Each counted target was tested by the patterns in pipeline order up to
-  // the one that matched.
-  int tested = 0;
   for (size_t k = 0; k < targets.size(); ++k) {
-    if (!counted[k]) {
+    targets[k]->pruned_by = reasons[k];
+  }
+}
+
+void CountPruned(CandidateSlice& slice, bool cross_scope_only, const PruneOptions& options) {
+  PruneStats stats;
+  stats.original = static_cast<int>(slice.kept);
+  int tested = 0;
+  slice.survivors.clear();
+  for (size_t i = 0; i < slice.candidates.size(); ++i) {
+    const UnusedDefCandidate& cand = slice.candidates[i];
+    if (!InPrunePool(cand, cross_scope_only)) {
       continue;
     }
-    ++tested;
-    switch (reasons[k]) {
-      case PruneReason::kConfigDependency: ++stats.config_dependency; break;
-      case PruneReason::kCursor: ++stats.cursor; break;
-      case PruneReason::kUnusedHint: ++stats.unused_hints; break;
-      case PruneReason::kPeerDefinition: ++stats.peer_definition; break;
-      case PruneReason::kStaleCode: ++stats.stale_code; break;
-      case PruneReason::kNone: break;
+    if (IsPruneTarget(cand)) {
+      ++tested;
+      CountReason(stats, cand.pruned_by);
+    }
+    if (cand.pruned_by == PruneReason::kNone) {
+      slice.survivors.push_back(static_cast<uint32_t>(i));
     }
   }
-  for (const PrunePattern& pattern : kPrunePatterns) {
-    stats.*pattern.tested = options.*pattern.enabled ? tested : 0;
-    tested -= stats.*pattern.pruned;
-  }
-  stats.remaining = stats.original - stats.TotalPruned();
-  return stats;
+  CountTested(stats, tested, options);
+  slice.prune = stats;
 }
 
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
@@ -602,17 +584,31 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
   PeerStats peers(options);
   if (options.peer_definition) {
     TraceSpan span("prune.peer_stats", "pipeline");
-    std::vector<size_t> all(universe.size());
-    std::iota(all.begin(), all.end(), 0);
+    std::vector<const UnusedDefCandidate*> all;
+    all.reserve(universe.size());
+    for (const UnusedDefCandidate& cand : universe) {
+      all.push_back(&cand);
+    }
     std::vector<FileId> files;
     for (size_t m : project.unit_order()) {
       files.push_back(static_cast<FileId>(m));
     }
-    peers.Update(project, universe, all, files, jobs);
+    peers.Update(project, all, files, jobs);
   }
-  std::vector<size_t> targets(candidates.size());
-  std::iota(targets.begin(), targets.end(), 0);
-  return RunPruning(project, candidates, targets, peers, {}, options, repo, jobs);
+  std::vector<UnusedDefCandidate*> targets;
+  for (UnusedDefCandidate& cand : candidates) {
+    if (IsPruneTarget(cand) && cand.pruned_by == PruneReason::kNone) {
+      targets.push_back(&cand);
+    }
+  }
+  MatchPruning(project, targets, peers, options, repo, jobs);
+  PruneStats stats;
+  stats.original = static_cast<int>(candidates.size());
+  for (const UnusedDefCandidate* cand : targets) {
+    CountReason(stats, cand->pruned_by);
+  }
+  CountTested(stats, static_cast<int>(targets.size()), options);
+  return stats;
 }
 
 }  // namespace vc

@@ -22,6 +22,7 @@
 #define VALUECHECK_SRC_CORE_PRUNING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -50,29 +51,6 @@ struct PruneOptions {
   int stale_days = 730;
   // Reference timestamp for staleness; 0 = the repository's newest commit.
   int64_t now_timestamp = 0;
-};
-
-struct PruneStats {
-  int original = 0;
-  int config_dependency = 0;
-  int cursor = 0;
-  int unused_hints = 0;
-  int peer_definition = 0;
-  int stale_code = 0;
-  int remaining = 0;
-
-  // Observability: candidates each pattern examined (a candidate charged to
-  // an earlier pattern is never tested by later ones, matching pipeline
-  // order). rejected = tested - matched, where matched is the count above.
-  int config_tested = 0;
-  int cursor_tested = 0;
-  int hints_tested = 0;
-  int peer_tested = 0;
-  int stale_tested = 0;
-
-  int TotalPruned() const {
-    return config_dependency + cursor + unused_hints + peer_definition + stale_code;
-  }
 };
 
 // The five patterns, named once, in pipeline order: the JSON prune_patterns
@@ -123,13 +101,13 @@ class PeerStats {
   PeerStats& operator=(PeerStats&&) = default;
 
   // Replaces the contribution of each of `files`: a live file's is recomputed
-  // from its index share and the unused-def candidates among
-  // candidates[indices] that lie in it, a tombstoned file's is taken out.
-  // Then re-decides every name a replaced contribution listed, old or new,
-  // and the signature groups those names leave or join. The per-file work
-  // runs across up to `jobs` lanes.
-  void Update(const Project& project, const std::vector<UnusedDefCandidate>& candidates,
-              const std::vector<size_t>& indices, const std::vector<FileId>& files, int jobs);
+  // from its index share and the unused-def candidates among `candidates`
+  // that lie in it, a tombstoned file's is taken out. Then re-decides every
+  // name a replaced contribution listed, old or new, and the signature
+  // groups those names leave or join. The per-file work runs across up to
+  // `jobs` lanes.
+  void Update(const Project& project, std::span<const UnusedDefCandidate* const> candidates,
+              const std::vector<FileId>& files, int jobs);
 
   // Pattern 4 on one candidate of `project` (the project of the last
   // Update()): its callee's return value, or its parameter's position in its
@@ -204,25 +182,41 @@ class PeerStats {
   int group_flips_ = 0;
 };
 
-// Prunes candidates[targets[k]] in place: a pruned candidate's `pruned_by`
-// records the first pattern that matched, and the others are left
-// untouched. `peers` must be up to date for this project (PeerStats::Update).
-// A target flagged in `carried` (indexed like `candidates`; empty means none)
-// keeps the reason it holds, except a parameter candidate whose signature
-// group flipped, which matches again; an unused-def target that is not
-// carried is matched unless it is already pruned. Patterns 1-4 run across up
-// to `jobs` lanes; the marks are the same at any `jobs`, and the statistics
-// are counted from the final reasons. `repo` is only needed when
-// options.stale_code is enabled.
-PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
-                      const std::vector<size_t>& targets, const PeerStats& peers,
-                      const std::vector<char>& carried, const PruneOptions& options,
-                      const Repository* repo, int jobs);
+// The §5 patterns model intentional *unused definitions* (cursor loops,
+// config-guarded uses, customarily-ignored values): only unused-def
+// candidates are tested, and other checkers' findings pass through
+// unpruned — keeping a checker's findings identical whether it runs alone or
+// alongside others.
+bool IsPruneTarget(const UnusedDefCandidate& cand);
 
-// The same over every candidate of the list, with peer statistics built
-// from `peer_universe` (the complete pre-filter candidate set: a value may be
-// "usually unused" even when most of those unused sites are same-author)
-// when given, otherwise from `candidates` itself.
+// The prune pool: what the cross-scope filter keeps, every candidate when
+// the filter is off (`cross_scope_only` false).
+inline bool InPrunePool(const UnusedDefCandidate& cand, bool cross_scope_only) {
+  return !cross_scope_only || cand.cross_scope;
+}
+
+// Runs patterns 1-4 (and stale code when enabled) on each of `targets` in
+// pipeline order and records the first that matched in its `pruned_by`
+// (kNone when none did). `peers` must be up to date for this project
+// (PeerStats::Update). The patterns run across up to `jobs` lanes, so the
+// reasons are the same at any `jobs`; they reach the candidates only after
+// every pattern ran, so a call that throws marks nothing. `repo` is only
+// needed when options.stale_code is enabled.
+void MatchPruning(const Project& project, std::span<UnusedDefCandidate* const> targets,
+                  const PeerStats& peers, const PruneOptions& options, const Repository* repo,
+                  int jobs);
+
+// Finishes a slice whose pool (InPrunePool; `kept` of its candidates) holds
+// its final reasons: counts its prune statistics, where each unused-def pool
+// member was tested by the enabled patterns in pipeline order up to the one
+// that pruned it, and lists its survivors.
+void CountPruned(CandidateSlice& slice, bool cross_scope_only, const PruneOptions& options);
+
+// Prunes every unused-def candidate of the list not already pruned, with
+// peer statistics built from `peer_universe` (the complete pre-filter
+// candidate set: a value may be "usually unused" even when most of those
+// unused sites are same-author) when given, otherwise from `candidates`
+// itself. The statistics count the list as the pool.
 PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& candidates,
                       const PruneOptions& options = PruneOptions(),
                       const std::vector<UnusedDefCandidate>* peer_universe = nullptr,

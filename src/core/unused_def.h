@@ -1,15 +1,21 @@
 // The unit of work flowing through ValueCheck's pipeline: one unused
 // definition candidate, from detection (locations only), through authorship
 // classification (cross-scope or not), pruning (reason recorded), to ranking
-// (familiarity score attached).
+// (familiarity score attached). A run holds its candidates as one slice per
+// file (CandidateSlice), each with its own tallies.
 
 #ifndef VALUECHECK_SRC_CORE_UNUSED_DEF_H_
 #define VALUECHECK_SRC_CORE_UNUSED_DEF_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/ir/ir.h"
+#include "src/support/fault.h"
 #include "src/support/source_location.h"
 #include "src/vcs/repository.h"
 
@@ -107,6 +113,131 @@ struct UnusedDefCandidate {
   // name, and downstream stages resolve the callee through the live function
   // index by name anyway.
   bool FromCall() const { return !callee_name.empty() || is_synthetic; }
+};
+
+struct PruneStats {
+  int original = 0;
+  int config_dependency = 0;
+  int cursor = 0;
+  int unused_hints = 0;
+  int peer_definition = 0;
+  int stale_code = 0;
+  int remaining = 0;
+
+  // Observability: candidates each pattern examined (a candidate charged to
+  // an earlier pattern is never tested by later ones, matching pipeline
+  // order). rejected = tested - matched, where matched is the count above.
+  int config_tested = 0;
+  int cursor_tested = 0;
+  int hints_tested = 0;
+  int peer_tested = 0;
+  int stale_tested = 0;
+
+  int TotalPruned() const {
+    return config_dependency + cursor + unused_hints + peer_definition + stale_code;
+  }
+  // Every field counts candidates, so the statistics of a candidate set are
+  // the sum of its parts'.
+  PruneStats& operator+=(const PruneStats& other);
+};
+
+// One file's raw candidates, in detect order, with the file's detect-stage
+// quarantine records and its tallies. The detect stage fills it, the stages
+// after detection finish it, and it is then published as
+// std::shared_ptr<const CandidateSlice> and never written again: reports and
+// the incremental engine's cache entries share it, so an analysis copies,
+// scans and frees only the files it re-runs.
+struct CandidateSlice {
+  std::vector<UnusedDefCandidate> candidates;
+  std::vector<QuarantinedUnit> quarantined;
+  // Per function of the file's module, in module order: where its candidates
+  // and its quarantine records end.
+  struct FunctionEnd {
+    uint32_t candidates = 0;
+    uint32_t quarantined = 0;
+  };
+  std::vector<FunctionEnd> functions;
+
+  // --- Detect tallies (CountDetect) ---
+  std::vector<uint32_t> per_checker;  // candidates per checker_index
+  std::vector<uint32_t> params;       // positions of parameter candidates
+
+  // --- Set when the stages after detection finish the slice ---
+  uint32_t kept = 0;     // candidates the cross-scope filter kept: the prune pool
+  uint32_t dropped = 0;  // and those it dropped
+  PruneStats prune;      // over the pool
+  std::vector<uint32_t> survivors;  // positions of pool members no pattern pruned
+
+  // Appends one function's detect output (its candidates and records, in
+  // detect order) as the slice's next function. The function's own buffers
+  // are freed on return, so a slice built function by function holds the
+  // detect output about once.
+  void AddFunction(std::vector<UnusedDefCandidate> found, std::vector<QuarantinedUnit> records);
+  // Recounts the detect tallies from the candidates.
+  void CountDetect();
+};
+
+// A run's raw candidates: one shared slice per live file, in unit order.
+// Iteration flattens them into the detect-order candidate sequence.
+class CandidateSlices {
+ public:
+  using Slice = std::shared_ptr<const CandidateSlice>;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = UnusedDefCandidate;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const UnusedDefCandidate*;
+    using reference = const UnusedDefCandidate&;
+
+    const_iterator() = default;
+    reference operator*() const { return (*slice_)->candidates[index_]; }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      if (++index_ == (*slice_)->candidates.size()) {
+        ++slice_;
+        index_ = 0;
+        SkipEmpty();
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const const_iterator& other) const = default;
+
+   private:
+    friend class CandidateSlices;
+    const_iterator(const Slice* slice, const Slice* end) : slice_(slice), end_(end) { SkipEmpty(); }
+    void SkipEmpty() {
+      while (slice_ != end_ && (*slice_)->candidates.empty()) {
+        ++slice_;
+      }
+    }
+    const Slice* slice_ = nullptr;
+    const Slice* end_ = nullptr;
+    size_t index_ = 0;
+  };
+
+  const_iterator begin() const { return {slices_.data(), slices_.data() + slices_.size()}; }
+  const_iterator end() const {
+    return {slices_.data() + slices_.size(), slices_.data() + slices_.size()};
+  }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::vector<Slice>& slices() const { return slices_; }
+
+  void push_back(Slice slice) {
+    size_ += slice->candidates.size();
+    slices_.push_back(std::move(slice));
+  }
+
+ private:
+  std::vector<Slice> slices_;
+  size_t size_ = 0;
 };
 
 }  // namespace vc

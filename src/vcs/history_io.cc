@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
+#include <stdexcept>
+#include <string_view>
 
 #include "src/support/string_util.h"
 
@@ -64,6 +66,36 @@ int LineNumber(std::string_view text, size_t pos) {
     ++line;
   }
   return line;
+}
+
+// Throws std::invalid_argument unless a path, author name or message reads
+// back as written: loading takes the rest of its directive's line, trimmed.
+void CheckField(CommitId id, const char* what, const std::string& value) {
+  const char* problem = nullptr;
+  if (value.find('\n') != std::string::npos) {
+    problem = "holds a newline";
+  } else if (value.empty() || Trim(value).size() != value.size()) {
+    problem = "is empty or has leading or trailing whitespace, which loading would trim";
+  }
+  if (problem != nullptr) {
+    throw std::invalid_argument("SaveHistory: commit " + std::to_string(id) + ": " + what +
+                                " '" + value + "' " + problem);
+  }
+}
+
+// Throws std::invalid_argument when a line of `content` would close its
+// content block: its trimmed text is ">>>".
+void CheckContent(CommitId id, const std::string& path, std::string_view content) {
+  for (size_t at = content.find(">>>"); at != std::string_view::npos;
+       at = content.find(">>>", at + 3)) {
+    const size_t line_begin = at == 0 ? 0 : content.rfind('\n', at - 1) + 1;
+    const size_t line_end = std::min(content.find('\n', at), content.size());
+    if (Trim(content.substr(line_begin, line_end - line_begin)) == ">>>") {
+      throw std::invalid_argument("SaveHistory: commit " + std::to_string(id) + ": '" + path +
+                                  "' has a line that reads '>>>', which would close its "
+                                  "content block");
+    }
+  }
 }
 
 }  // namespace
@@ -170,11 +202,18 @@ std::string SaveHistory(const Repository& repo) {
   std::string out;
   for (CommitId id = 0; id < repo.NumCommits(); ++id) {
     const Commit& commit = repo.GetCommit(id);
+    const std::string& author = repo.GetAuthor(commit.author).name;
+    CheckField(id, "author", author);
     out += "commit\n";
-    out += "author " + repo.GetAuthor(commit.author).name + "\n";
+    out += "author " + author + "\n";
     out += "time " + std::to_string(commit.timestamp) + "\n";
-    out += "message " + commit.message + "\n";
+    if (!commit.message.empty()) {  // no directive loads as an empty message
+      CheckField(id, "message", commit.message);
+      out += "message " + commit.message + "\n";
+    }
     for (const auto& [path, content] : commit.files) {
+      CheckField(id, "path", path);
+      CheckContent(id, path, content);
       out += "write " + path + "\n<<<\n";
       out += content;
       if (!content.empty() && content.back() != '\n') {
@@ -183,6 +222,7 @@ std::string SaveHistory(const Repository& repo) {
       out += ">>>\n";
     }
     for (const std::string& path : commit.deleted) {
+      CheckField(id, "path", path);
       out += "delete " + path + "\n";
     }
     out += "end\n";

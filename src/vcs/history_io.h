@@ -17,10 +17,11 @@
 // with surrounding whitespace trimmed (so "\r\n" endings work). A write's
 // content is the bytes between its `<<<` line and the first later line
 // whose trimmed text is `>>>`, verbatim: every content line keeps its '\n',
-// and a content line can hold anything else, `>>>>` or `a >>> b` included.
-// `write`/`delete` may repeat within a commit, naming each path at most
-// once; `#` starts a comment line outside content blocks. SaveHistory emits
-// the same format, so histories round-trip.
+// so content always ends in '\n' (or is empty), and a content line can hold
+// anything else, `>>>>` or `a >>> b` included. `write`/`delete` may repeat
+// within a commit, naming each path at most once; `#` starts a comment line
+// outside content blocks. SaveHistory emits the same format, so histories
+// round-trip, except that a file without a final '\n' gains one.
 
 #ifndef VALUECHECK_SRC_VCS_HISTORY_IO_H_
 #define VALUECHECK_SRC_VCS_HISTORY_IO_H_
@@ -37,6 +38,12 @@ namespace vc {
 // line-numbered message.
 std::optional<Repository> LoadHistory(const std::string& text, std::string* error);
 
+// Writes `repo` in the format above; an empty message is written as no
+// `message` directive. Throws std::invalid_argument, naming the commit and
+// what it cannot write, for what would not read back: a content line whose
+// trimmed text is `>>>`; a path, author or message that holds a '\n'; and
+// one that has leading or trailing whitespace, which loading would trim, or
+// an empty path or author.
 std::string SaveHistory(const Repository& repo);
 
 }  // namespace vc

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/core/analysis.h"
 #include "src/corpus/eval.h"
@@ -233,6 +236,76 @@ TEST(Reproduction, WithoutAuthorshipPoolNear2259) {
     pool += static_cast<int>(run.report.findings.size());
   }
   EXPECT_NEAR(pool, 2259, 25);
+}
+
+// A report's tallies are sums of its per-file slices' tallies. Recounted
+// over the flattened raw candidates, each one matches: per checker, the
+// cross-scope filter's, every prune pattern's, and the survivors.
+void ExpectTalliesRecount(const AnalysisReport& report, const AnalysisOptions& options,
+                          const std::string& app) {
+  std::vector<uint64_t> candidates(report.checker_stats.size(), 0);
+  std::vector<uint64_t> findings(report.checker_stats.size(), 0);
+  int kept = 0;
+  int dropped = 0;
+  int tested = 0;
+  int survivors = 0;
+  std::map<PruneReason, int> pruned;
+  for (const UnusedDefCandidate& cand : report.raw_candidates) {
+    ++candidates.at(static_cast<size_t>(cand.checker_index));
+    if (options.cross_scope_only && !cand.cross_scope) {
+      ++dropped;
+      continue;
+    }
+    ++kept;
+    if (cand.checker == "unused-def") {
+      ++tested;
+      ++pruned[cand.pruned_by];
+    }
+    survivors += cand.pruned_by == PruneReason::kNone ? 1 : 0;
+  }
+  for (const UnusedDefCandidate& finding : report.findings) {
+    ++findings.at(static_cast<size_t>(finding.checker_index));
+  }
+  for (size_t c = 0; c < report.checker_stats.size(); ++c) {
+    EXPECT_EQ(report.checker_stats[c].candidates, candidates[c]) << app << " checker " << c;
+    EXPECT_EQ(report.checker_stats[c].findings, findings[c]) << app << " checker " << c;
+  }
+  const StageRecords& stages = report.stages;
+  EXPECT_EQ(stages[Stage::kDetect].counts[kDetectCandidates],
+            static_cast<int64_t>(report.raw_candidates.size()))
+      << app;
+  EXPECT_EQ(stages[Stage::kCrossScopeFilter].counts[kFilterKept], kept) << app;
+  EXPECT_EQ(stages[Stage::kCrossScopeFilter].counts[kFilterDropped], dropped) << app;
+  EXPECT_EQ(report.non_cross_scope, dropped) << app;
+  EXPECT_EQ(stages[Stage::kPrune].counts[kPruneSurvivors], survivors) << app;
+  EXPECT_EQ(static_cast<int>(report.findings.size()), survivors) << app;
+
+  const PruneStats& stats = report.prune_stats;
+  EXPECT_EQ(stats.original, kept) << app;
+  EXPECT_EQ(stats.config_dependency, pruned[PruneReason::kConfigDependency]) << app;
+  EXPECT_EQ(stats.cursor, pruned[PruneReason::kCursor]) << app;
+  EXPECT_EQ(stats.unused_hints, pruned[PruneReason::kUnusedHint]) << app;
+  EXPECT_EQ(stats.peer_definition, pruned[PruneReason::kPeerDefinition]) << app;
+  EXPECT_EQ(stats.stale_code, 0) << app;
+  EXPECT_EQ(stats.remaining, kept - stats.TotalPruned()) << app;
+  // Each pattern tests what no earlier one pruned; stale code is off.
+  EXPECT_EQ(stats.config_tested, tested) << app;
+  EXPECT_EQ(stats.cursor_tested, stats.config_tested - stats.config_dependency) << app;
+  EXPECT_EQ(stats.hints_tested, stats.cursor_tested - stats.cursor) << app;
+  EXPECT_EQ(stats.peer_tested, stats.hints_tested - stats.unused_hints) << app;
+  EXPECT_EQ(stats.stale_tested, 0) << app;
+}
+
+TEST(Reproduction, ReportTalliesEqualARecountOfTheRawCandidates) {
+  for (const ProjectProfile& profile : AllProfiles()) {
+    GeneratedApp app = GenerateApp(profile);
+    AnalysisOptions options;  // every default checker
+    AnalysisReport report = Analysis(options).RunOnRepository(app.repo);
+    ASSERT_GT(report.checker_stats.size(), 1u) << app.name;
+    EXPECT_GT(report.prune_stats.TotalPruned(), 0) << app.name;
+    EXPECT_GT(report.raw_candidates.slices().size(), 1u) << app.name;
+    ExpectTalliesRecount(report, options, app.name);
+  }
 }
 
 TEST(Reproduction, RecallOnPriorBugs) {

@@ -8,6 +8,7 @@
 #include <charconv>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "src/core/analysis.h"
 #include "src/corpus/generator.h"
@@ -141,6 +142,77 @@ TEST(HistoryIo, SaveLoadRoundTrip) {
   ASSERT_EQ(blame.size(), 2u);
   EXPECT_EQ(loaded->GetAuthor(blame[0].author).name, "alice");
   EXPECT_EQ(loaded->GetAuthor(blame[1].author).name, "bob");
+}
+
+// The message SaveHistory throws for `repo`, or "" when it saves.
+std::string SaveRefusal(const Repository& repo) {
+  try {
+    SaveHistory(repo);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(HistoryIo, SaveRefusesAContentLineThatWouldCloseItsBlock) {
+  for (const char* content : {"int a;\n>>>\nint b;\n", ">>>", " \t>>>\r\nint b;\n"}) {
+    Repository repo;
+    repo.AddCommit(repo.AddAuthor("alice"), 1, "create", {{"f.c", content}});
+    EXPECT_EQ(SaveRefusal(repo),
+              "SaveHistory: commit 0: 'f.c' has a line that reads '>>>', which would close its "
+              "content block")
+        << content;
+  }
+  // Other text around the marker is content, and a missing final newline
+  // is added.
+  Repository repo;
+  repo.AddCommit(repo.AddAuthor("alice"), 1, "create", {{"f.c", "a >>> b\n>>>>\nx"}});
+  std::string error;
+  std::optional<Repository> loaded = LoadHistory(SaveHistory(repo), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->Head("f.c").value(), "a >>> b\n>>>>\nx\n");
+}
+
+TEST(HistoryIo, SaveRefusesANewlineInAPathAuthorOrMessage) {
+  Repository path;
+  path.AddCommit(path.AddAuthor("alice"), 1, "create", {{"a\nb.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(path), "SaveHistory: commit 0: path 'a\nb.c' holds a newline");
+  Repository deleted;
+  AuthorId alice = deleted.AddAuthor("alice");
+  deleted.AddCommit(alice, 1, "create", {{"a.c", "x\n"}});
+  deleted.AddCommit(alice, 2, "drop", {}, {"a\nb.c"});
+  EXPECT_EQ(SaveRefusal(deleted), "SaveHistory: commit 1: path 'a\nb.c' holds a newline");
+  Repository author;
+  author.AddCommit(author.AddAuthor("al\nice"), 1, "create", {{"a.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(author), "SaveHistory: commit 0: author 'al\nice' holds a newline");
+  Repository message;
+  message.AddCommit(message.AddAuthor("alice"), 1, "first line\nsecond", {{"a.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(message),
+            "SaveHistory: commit 0: message 'first line\nsecond' holds a newline");
+}
+
+TEST(HistoryIo, SaveRefusesWhitespaceLoadingWouldTrim) {
+  const std::string trimmed =
+      "' is empty or has leading or trailing whitespace, which loading would trim";
+  Repository path;
+  path.AddCommit(path.AddAuthor("alice"), 1, "create", {{" spaced.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(path), "SaveHistory: commit 0: path ' spaced.c" + trimmed);
+  Repository author;
+  author.AddCommit(author.AddAuthor("alice\t"), 1, "create", {{"a.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(author), "SaveHistory: commit 0: author 'alice\t" + trimmed);
+  Repository message;
+  message.AddCommit(message.AddAuthor("alice"), 1, "create ", {{"a.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(message), "SaveHistory: commit 0: message 'create " + trimmed);
+  Repository nameless;
+  nameless.AddCommit(nameless.AddAuthor(""), 1, "create", {{"a.c", "x\n"}});
+  EXPECT_EQ(SaveRefusal(nameless), "SaveHistory: commit 0: author '" + trimmed);
+  // An empty message is written as no directive, and reads back empty.
+  Repository silent;
+  silent.AddCommit(silent.AddAuthor("alice"), 1, "", {{"a.c", "x\n"}});
+  std::string error;
+  std::optional<Repository> loaded = LoadHistory(SaveHistory(silent), &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->GetCommit(0).message, "");
 }
 
 TEST(HistoryIo, PipelineOverLoadedHistoryFindsCrossScopeBug) {

@@ -19,10 +19,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
+#include "src/core/pruning.h"
 #include "src/support/memstats.h"
 #include "src/support/metrics.h"
 #include "src/testing/history_gen.h"
@@ -39,9 +41,37 @@ std::vector<std::string> Fingerprints(const AnalysisReport& report) {
   return prints;
 }
 
+// The tallies an incremental report sums from its slices, each defined
+// equal to a full run's: the per-checker counts, the candidates each prune
+// pattern tested (SerializeFindings covers what each pruned), and the stage
+// counts that describe the whole candidate set (detect's function count and
+// authorship's count describe the work done, so they differ by design).
+std::string Tallies(const AnalysisReport& report) {
+  std::string out;
+  for (const AnalysisReport::CheckerStat& stat : report.checker_stats) {
+    out += stat.name + "|" + std::to_string(stat.candidates) + "|" +
+           std::to_string(stat.findings) + "\n";
+  }
+  for (const PrunePattern& pattern : kPrunePatterns) {
+    out += std::string(pattern.name) + ".tested|" +
+           std::to_string(report.prune_stats.*pattern.tested) + "\n";
+  }
+  const StageRecords& stages = report.stages;
+  const std::pair<Stage, StageCount> counts[] = {
+      {Stage::kDetect, kDetectCandidates},  {Stage::kCrossScopeFilter, kFilterKept},
+      {Stage::kCrossScopeFilter, kFilterDropped}, {Stage::kPrune, kPruneSurvivors},
+      {Stage::kRank, kRankScored},          {Stage::kRank, kRankUnknown}};
+  for (const auto& [stage, index] : counts) {
+    out += std::string(StageName(stage)) + "." + StageCountName(stage, index) + "|" +
+           std::to_string(stages[stage].counts[index]) + "\n";
+  }
+  return out;
+}
+
 // The whole report, not only what the CSV shows: a wrong carried
 // classification or prune verdict on a candidate the filter or pruning drops
-// would leave the findings alone.
+// would leave the findings alone, and a wrong slice tally would leave every
+// candidate alone.
 void ExpectSameReport(const AnalysisReport& report, const AnalysisReport& fresh,
                       CommitId commit) {
   using testing::OracleRunner;
@@ -49,6 +79,7 @@ void ExpectSameReport(const AnalysisReport& report, const AnalysisReport& fresh,
       << "report divergence at commit " << commit << ", jobs=" << report.jobs;
   ASSERT_EQ(OracleRunner::SerializeQuarantine(report), OracleRunner::SerializeQuarantine(fresh))
       << "quarantine divergence at commit " << commit;
+  ASSERT_EQ(Tallies(report), Tallies(fresh)) << "tally divergence at commit " << commit;
 }
 
 // Replays `repo` through one warm engine and diffs every commit against a
@@ -332,6 +363,59 @@ TEST(IncrementalEquivalence, PeerParamGroupFlipReachesUntouchedFiles) {
     EXPECT_EQ(flipped.functions_dirty, 6);  // loud.c alone; quiet.c carried
     EXPECT_EQ(back.functions_dirty, 6);
     ExpectReplayEquivalent(repo, options);
+  }
+}
+
+// A file that no commit touches and that shares no name with the edited one
+// carries its finished slice into every report by pointer. Its candidates
+// are tested by every prune pattern in turn, so a carried slice's counts
+// must still sum to a full run's at every commit.
+TEST(IncrementalEquivalence, CarriedSlicesSumToAFullRunsTallies) {
+  const std::string solo =
+      "int solo_sink(int a, int b) {\n  return a;\n}\n"
+      "int solo_calc(int x) {\n  int t = x * 2;\n  t = x * 3;\n  return t;\n}\n"
+      "int solo_call(int x) {\n  solo_calc(x);\n  return x;\n}\n";
+  auto util = [](int factor) {
+    return "int util_compute(int x) {\n  int t = x * 2;\n  t = x * " + std::to_string(factor) +
+           ";\n  return t;\n}\n";
+  };
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  repo.AddCommit(alice, 100, "create", {{"solo.c", solo}, {"util.c", util(3)}});
+  repo.AddCommit(bob, 200, "rework util", {{"util.c", util(4)}});
+  repo.AddCommit(bob, 300, "rework util again", {{"util.c", util(5)}});
+
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // every candidate is in the prune pool
+  auto solo_slice = [](const AnalysisReport& report) -> const CandidateSlice* {
+    for (const CandidateSlices::Slice& slice : report.raw_candidates.slices()) {
+      if (!slice->candidates.empty() && slice->candidates[0].file == "solo.c") {
+        return slice.get();
+      }
+    }
+    return nullptr;
+  };
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    IncrementalEngine engine(options);
+    Analysis full(options);
+    AnalysisReport previous;
+    for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
+      AnalysisReport report = engine.AnalyzeCommit(repo, commit).report;
+      const CandidateSlice* slice = solo_slice(report);
+      ASSERT_NE(slice, nullptr);
+      for (const PrunePattern& pattern : kPrunePatterns) {
+        if (options.prune.*pattern.enabled) {
+          EXPECT_GT(slice->prune.*pattern.tested, 0) << pattern.name;
+        }
+      }
+      if (commit > 0) {
+        EXPECT_EQ(slice, solo_slice(previous)) << "commit " << commit << ", jobs=" << jobs;
+      }
+      ExpectSameReport(report, full.RunOnRepository(repo.PrefixCopy(commit)), commit);
+      previous = std::move(report);
+    }
   }
 }
 

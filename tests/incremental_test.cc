@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
+#include "src/testing/oracle.h"
 
 namespace vc {
 namespace {
@@ -294,6 +297,194 @@ TEST(Incremental, SnapshotStepsMatchSourcesRunAtEveryStep) {
     EXPECT_TRUE(any_findings);
     EXPECT_TRUE(any_quarantined);
   }
+}
+
+// A history whose commits exercise every way a slice is made anew: a
+// recompiled file (util.c), a carried file whose tail re-runs because it
+// calls a name the commit touched (caller.c), a return-value verdict flip
+// reaching an untouched file (log_it's sites in quiet.c), and a signature
+// group flip reaching an untouched file (the unused `b` of pquiet.c).
+Repository SliceShapesHistory() {
+  auto ignores = [](const std::string& name) {
+    return "int " + name + "(int x) {\n  log_it(x);\n  return x;\n}\n";
+  };
+  auto uses = [](const std::string& name) {
+    return "int " + name + "(int x) {\n  int r = log_it(x);\n  return r;\n}\n";
+  };
+  auto drops_b = [](const std::string& name) {
+    return "int " + name + "(int a, int b) {\n  return a;\n}\n";
+  };
+  auto uses_b = [](const std::string& name) {
+    return "int " + name + "(int a, int b) {\n  return a + b;\n}\n";
+  };
+  std::string quiet, loud, pquiet, ploud;
+  for (int i = 0; i < 6; ++i) {
+    quiet += ignores("quiet_" + std::to_string(i));
+    loud += uses("loud_" + std::to_string(i));
+    pquiet += drops_b("pquiet_" + std::to_string(i));
+    ploud += uses_b("ploud_" + std::to_string(i));
+  }
+  const std::string tipped = ignores("loud_0") + loud.substr(uses("loud_0").size());
+  const std::string ptipped = drops_b("ploud_0") + ploud.substr(uses_b("ploud_0").size());
+  const std::string util = "int util_compute(int x) {\n  int t = x * 2;\n  return t;\n}\n";
+  const std::string util2 =
+      "int util_compute(int x) {\n  int t = x * 2;\n  t = x * 3;\n  return t;\n}\n";
+  const std::string caller =
+      "int caller_run(int x) {\n  int r = util_compute(x);\n  r = util_compute(x + 1);\n"
+      "  return r;\n}\n";
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  AuthorId bob = repo.AddAuthor("bob");
+  repo.AddCommit(alice, 100, "create",
+                 {{"helper.c", "int log_it(int v) {\n  return v + 1;\n}\n"},
+                  {"quiet.c", quiet},
+                  {"loud.c", loud},
+                  {"pquiet.c", pquiet},
+                  {"ploud.c", ploud},
+                  {"util.c", util},
+                  {"caller.c", caller}});
+  repo.AddCommit(bob, 200, "rework util", {{"util.c", util2}});
+  repo.AddCommit(bob, 300, "ignore one more result", {{"loud.c", tipped}});
+  repo.AddCommit(bob, 400, "leave one more b unused", {{"ploud.c", ptipped}});
+  repo.AddCommit(bob, 500, "use the result again", {{"loud.c", loud}});
+  repo.AddCommit(bob, 600, "use b again", {{"ploud.c", ploud}});
+  return repo;
+}
+
+// Everything a reader of a report sees of its candidates and tallies.
+std::string SerializeReport(const AnalysisReport& report) {
+  std::string out = testing::OracleRunner::SerializeFindings(report) +
+                    testing::OracleRunner::SerializeQuarantine(report);
+  for (const AnalysisReport::CheckerStat& stat : report.checker_stats) {
+    out += stat.name + "|" + std::to_string(stat.candidates) + "|" +
+           std::to_string(stat.findings) + "\n";
+  }
+  return out;
+}
+
+// Findings in `path`, parameters only when `params`.
+int FindingsIn(const AnalysisReport& report, const std::string& path, bool params) {
+  int count = 0;
+  for (const UnusedDefCandidate& cand : report.findings) {
+    count += cand.file == path && (!params || cand.is_param) ? 1 : 0;
+  }
+  return count;
+}
+
+AnalysisOptions SliceShapesOptions(int jobs) {
+  AnalysisOptions options;
+  options.cross_scope_only = false;  // keep every unpruned candidate visible
+  options.jobs = jobs;
+  return options;
+}
+
+TEST(IncrementalSlices, PublishedReportNeverChanges) {
+  const Repository repo = SliceShapesHistory();
+  for (int jobs : {1, 4}) {
+    IncrementalEngine engine(SliceShapesOptions(jobs));
+    const AnalysisReport first = engine.AnalyzeCommit(repo, 0).report;
+    const std::string before = SerializeReport(first);
+    ASSERT_EQ(FindingsIn(first, "quiet.c", false), 6);
+    ASSERT_EQ(FindingsIn(first, "pquiet.c", true), 6);
+    std::vector<AnalysisReport> later;
+    for (CommitId commit = 1; commit < repo.NumCommits(); ++commit) {
+      later.push_back(engine.AnalyzeCommit(repo, commit).report);
+    }
+    // The commits did what the history says: both verdicts flipped in the
+    // untouched files, and flipped back.
+    EXPECT_EQ(FindingsIn(later[1], "quiet.c", false), 0) << "jobs=" << jobs;
+    EXPECT_EQ(FindingsIn(later[2], "pquiet.c", true), 0) << "jobs=" << jobs;
+    EXPECT_EQ(FindingsIn(later[4], "quiet.c", false), 6) << "jobs=" << jobs;
+    EXPECT_EQ(FindingsIn(later[4], "pquiet.c", true), 6) << "jobs=" << jobs;
+    EXPECT_EQ(SerializeReport(first), before) << "jobs=" << jobs;
+  }
+}
+
+// The slice of `path` in the engine's cache, and whether `report` holds that
+// very object.
+const CandidateSlice* EntrySlice(const IncrementalEngine& engine, const std::string& path) {
+  const FileCacheEntry* entry = engine.cache().Find(path);
+  return entry != nullptr ? entry->slice.get() : nullptr;
+}
+bool Holds(const AnalysisReport& report, const CandidateSlice* slice) {
+  for (const CandidateSlices::Slice& held : report.raw_candidates.slices()) {
+    if (held.get() == slice) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(IncrementalSlices, UntouchedFilesShareTheirSlices) {
+  const Repository repo = SliceShapesHistory();
+  IncrementalEngine engine(SliceShapesOptions(2));
+  const AnalysisReport first = engine.AnalyzeCommit(repo, 0).report;
+  std::map<std::string, const CandidateSlice*> at_first;
+  for (const char* path : {"quiet.c", "pquiet.c", "util.c", "caller.c", "loud.c"}) {
+    at_first[path] = EntrySlice(engine, path);
+    ASSERT_NE(at_first[path], nullptr) << path;
+    EXPECT_TRUE(Holds(first, at_first[path])) << path;
+  }
+  ASSERT_FALSE(at_first["pquiet.c"]->candidates.empty());
+
+  // Commit 1 recompiles util.c; caller.c calls util_compute, so its slice
+  // re-runs; the other files are untouched and share theirs, by address.
+  const AnalysisReport second = engine.AnalyzeCommit(repo, 1).report;
+  for (const char* path : {"quiet.c", "pquiet.c", "loud.c"}) {
+    EXPECT_EQ(EntrySlice(engine, path), at_first[path]) << path;
+    EXPECT_TRUE(Holds(second, at_first[path])) << path;
+  }
+  for (const char* path : {"util.c", "caller.c"}) {
+    EXPECT_NE(EntrySlice(engine, path), at_first[path]) << path;
+    EXPECT_TRUE(Holds(second, EntrySlice(engine, path))) << path;
+    EXPECT_FALSE(Holds(second, at_first[path])) << path;
+    EXPECT_TRUE(Holds(first, at_first[path])) << path;  // the old report keeps its own
+  }
+
+  // Commit 2 flips log_it's verdict: quiet.c's calls are matched again in a
+  // copy, and pquiet.c (no call of log_it, no flipped group) still shares.
+  const AnalysisReport third = engine.AnalyzeCommit(repo, 2).report;
+  EXPECT_EQ(EntrySlice(engine, "pquiet.c"), at_first["pquiet.c"]);
+  EXPECT_TRUE(Holds(third, at_first["pquiet.c"]));
+  EXPECT_NE(EntrySlice(engine, "quiet.c"), at_first["quiet.c"]);
+
+  // Commit 3 flips the (int, int) group's verdict on `b`: pquiet.c's
+  // parameter candidates are matched again, so its slice is copied on write;
+  // quiet.c, untouched this time, keeps the slice commit 2 made.
+  const CandidateSlice* quiet_at_third = EntrySlice(engine, "quiet.c");
+  const AnalysisReport fourth = engine.AnalyzeCommit(repo, 3).report;
+  EXPECT_NE(EntrySlice(engine, "pquiet.c"), at_first["pquiet.c"]);
+  EXPECT_TRUE(Holds(third, at_first["pquiet.c"]));
+  EXPECT_EQ(EntrySlice(engine, "quiet.c"), quiet_at_third);
+  EXPECT_TRUE(Holds(fourth, quiet_at_third));
+}
+
+// A report is read on one thread while the engine analyzes the next commits
+// on another: the engine never writes a slice a report holds. The TSan
+// configuration of tools/check.sh runs this test.
+TEST(IncrementalSlices, ReportReadableWhileTheEngineMovesOn) {
+  const Repository repo = SliceShapesHistory();
+  IncrementalEngine engine(SliceShapesOptions(2));
+  const AnalysisReport first = engine.AnalyzeCommit(repo, 0).report;
+  const std::string expected = SerializeReport(first);
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    do {
+      mismatches += SerializeReport(first) == expected ? 0 : 1;
+      ++reads;
+    } while (!done.load());
+  });
+  while (reads.load() == 0) {
+    std::this_thread::yield();  // the reader is running before the engine moves on
+  }
+  for (CommitId commit = 1; commit < repo.NumCommits(); ++commit) {
+    engine.AnalyzeCommit(repo, commit);
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Incremental, EngineRejectsInputsItCannotAnswerFor) {

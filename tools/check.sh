@@ -41,6 +41,7 @@ run_config() {
   observability_smoke "${name}" "${build_dir}"
   scaling_smoke "${name}" "${build_dir}"
   incremental_smoke "${name}" "${build_dir}"
+  git_to_vchist_smoke "${name}" "${build_dir}"
   serve_smoke "${name}" "${build_dir}"
   if [ "${name}" = plain ]; then
     perfbench_smoke "${name}" "${build_dir}"
@@ -488,6 +489,84 @@ perfbench_smoke() {
     return 1
   fi
   echo "perfbench smoke: ok"
+}
+
+# git-to-vchist smoke: a generated corpus committed to a temporary git
+# repository converts (tools/git-to-vchist.sh) to a history that loads, and
+# analyzing that history with the cross-scope filter off reports the same
+# (file, line, function, slot) rows as analyzing the work tree. The second
+# commit, with an empty message, drops one file's final newline, renames one
+# file and deletes another; a third adds a line that reads `>>>`, which the
+# tool must refuse.
+git_to_vchist_smoke() {
+  local name="$1"
+  local build_dir="$2"
+  local vc gen
+  vc="$(pwd)/${build_dir}/tools/valuecheck"
+  gen="$(pwd)/${build_dir}/tools/vc_corpusgen"
+  echo "=== [${name}] git-to-vchist smoke ==="
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"; trap - RETURN' RETURN
+  local work="${tmp}/work"
+  local git=(git -C "${work}" -c user.name=smoke -c user.email=smoke@example.invalid
+             -c init.defaultBranch=main)
+  "${gen}" --profile linux-like --scale small --files 6 --quiet --out "${work}" || {
+    echo "git-to-vchist smoke: vc_corpusgen failed" >&2; return 1; }
+  local files=()
+  local path
+  for path in "${work}"/*.c; do
+    files+=("$(basename "${path}")")
+  done
+  if [ "${#files[@]}" -lt 3 ]; then
+    echo "git-to-vchist smoke: expected at least 3 generated files" >&2
+    return 1
+  fi
+  "${git[@]}" init -q && "${git[@]}" add -A && "${git[@]}" commit -qm "import" || {
+    echo "git-to-vchist smoke: git import failed" >&2; return 1; }
+  truncate -s -1 "${work}/${files[0]}"
+  "${git[@]}" mv "${files[1]}" renamed.c && "${git[@]}" rm -q "${files[2]}" &&
+    "${git[@]}" commit -qa --allow-empty-message -m "" || {
+    echo "git-to-vchist smoke: git edit failed" >&2; return 1; }
+
+  bash tools/git-to-vchist.sh "${work}" >"${tmp}/history.vchist" || {
+    echo "git-to-vchist smoke: conversion failed" >&2; return 1; }
+  local rc=0
+  "${vc}" analyze --history "${tmp}/history.vchist" --all-scopes --format=csv \
+    >"${tmp}/history.csv" 2>"${tmp}/history.err" || rc=$?
+  if [ "${rc}" -ge 2 ]; then
+    echo "git-to-vchist smoke: analyze --history failed (exit ${rc}):" >&2
+    cat "${tmp}/history.err" >&2
+    return 1
+  fi
+  rc=0
+  (cd "${work}" && "${vc}" analyze --format=csv .) >"${tmp}/tree.csv" 2>/dev/null || rc=$?
+  if [ "${rc}" -ge 2 ]; then
+    echo "git-to-vchist smoke: analyze over the work tree failed (exit ${rc})" >&2
+    return 1
+  fi
+  # Columns file, line, function, slot; work-tree paths start with "./".
+  tail -n +2 "${tmp}/history.csv" | cut -d, -f1-4 | sort >"${tmp}/history.rows"
+  tail -n +2 "${tmp}/tree.csv" | cut -d, -f1-4 | sed 's|^\./||' | sort >"${tmp}/tree.rows"
+  if [ ! -s "${tmp}/tree.rows" ] || ! cmp -s "${tmp}/history.rows" "${tmp}/tree.rows"; then
+    echo "git-to-vchist smoke: the history's rows differ from the work tree's" >&2
+    diff "${tmp}/history.rows" "${tmp}/tree.rows" | head -20 >&2
+    return 1
+  fi
+
+  printf '/*\n>>>\n*/\n' >>"${work}/renamed.c"
+  "${git[@]}" commit -qam "a line the format cannot hold" || {
+    echo "git-to-vchist smoke: git edit failed" >&2; return 1; }
+  if bash tools/git-to-vchist.sh "${work}" >/dev/null 2>"${tmp}/refusal.err"; then
+    echo "git-to-vchist smoke: a '>>>' line was converted instead of refused" >&2
+    return 1
+  fi
+  if ! grep -q "renamed\.c: a line reads '>>>'" "${tmp}/refusal.err"; then
+    echo "git-to-vchist smoke: the conversion failed, but not with the '>>>' refusal:" >&2
+    cat "${tmp}/refusal.err" >&2
+    return 1
+  fi
+  echo "git-to-vchist smoke: ok ($(wc -l <"${tmp}/tree.rows") rows; $(cat "${tmp}/refusal.err"))"
 }
 
 # Serve smoke: the daemon's robustness contract end to end through the real

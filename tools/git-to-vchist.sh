@@ -8,7 +8,11 @@
 #
 # Every commit that touches the pathspec becomes one vchist commit block with
 # the post-commit content of each touched file. Merge commits are linearized
-# in first-parent order. Binary files and files over 1 MB are skipped.
+# in first-parent order. Binary files and files over 1 MB are skipped. A file
+# without a final newline gets one, as SaveHistory writes it, and a commit
+# with an empty subject gets no `message` directive. A file with a
+# line that reads `>>>` (surrounding whitespace aside) cannot be held by a
+# content block: the tool then fails, naming the commit and the path.
 set -euo pipefail
 
 repo="${1:?usage: git-to-vchist.sh <git-repo-dir> [pathspec...]}"
@@ -19,6 +23,8 @@ if [ "${#pathspec[@]}" -eq 0 ]; then
 fi
 
 git -C "$repo" rev-parse --git-dir > /dev/null
+blob="$(mktemp)"
+trap 'rm -f "$blob"' EXIT
 
 # Oldest-first, first-parent history.
 git -C "$repo" log --first-parent --reverse --format='%H%x09%an%x09%at%x09%s' \
@@ -27,8 +33,12 @@ while IFS=$'\t' read -r sha author time subject; do
   echo "commit"
   echo "author ${author}"
   echo "time ${time}"
-  # vchist messages are single-line; strip tabs/newlines defensively.
-  echo "message $(printf '%s' "$subject" | tr '\t\n' '  ')"
+  # vchist messages are single-line; strip tabs/newlines defensively. An
+  # empty subject is no `message` directive, as SaveHistory writes it.
+  subject="$(printf '%s' "$subject" | tr '\t\n' '  ')"
+  if [ -n "${subject//[[:space:]]/}" ]; then
+    echo "message ${subject}"
+  fi
   # Files this commit touched within the pathspec.
   git -C "$repo" diff-tree --no-commit-id --name-status -r --root "$sha" \
       -- "${pathspec[@]}" |
@@ -45,10 +55,19 @@ while IFS=$'\t' read -r sha author time subject; do
         # Skip binaries and megafiles.
         if git -C "$repo" cat-file -s "${sha}:${path}" 2>/dev/null |
            awk '{exit !($1 <= 1048576)}'; then
-          if git -C "$repo" show "${sha}:${path}" | grep -qI .; then
+          git -C "$repo" show "${sha}:${path}" > "$blob"
+          if grep -qI . "$blob"; then
+            if grep -qE '^[[:space:]]*>>>[[:space:]]*$' "$blob"; then
+              echo "git-to-vchist.sh: commit ${sha}, ${path}: a line reads '>>>'," \
+                   "which would close its content block early" >&2
+              exit 1
+            fi
             echo "write ${path}"
             echo "<<<"
-            git -C "$repo" show "${sha}:${path}"
+            cat "$blob"
+            if [ -n "$(tail -c 1 "$blob")" ]; then
+              echo  # the missing final newline
+            fi
             echo ">>>"
           fi
         fi
