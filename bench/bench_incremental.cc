@@ -13,7 +13,7 @@
 //     incremental replay and a fresh full run — the bench refuses to report
 //     a speedup it cannot prove equivalent.
 //
-// Emits result/BENCH_incremental.json (schema 1), a CSV twin of the sampled
+// Emits result/BENCH_incremental.json (schema 2), a CSV twin of the sampled
 // points, and one run-ledger record per sampled commit (metrics.incremental
 // populated via FillIncrementalMetrics) so the HTML dashboard can chart
 // full-vs-incremental trends bench-to-bench.
@@ -200,8 +200,9 @@ int main() {
   json.String("bench", "incremental");
   // v1: whole-history replay with sampled full-run comparison; per-point
   // full/incremental seconds, dirty-slice sizes, cumulative cache stats,
-  // and the equivalence verdict the speedup is conditional on.
-  json.Int("schema_version", 1);
+  // and the equivalence verdict the speedup is conditional on. v2 drops the
+  // three disk-tier cache counters with the tier itself.
+  json.Int("schema_version", 2);
   json.Int("commits", repo.NumCommits());
   json.Int("sample_stride", stride);
   json.Bool("equivalent", equivalent);
@@ -218,9 +219,6 @@ int main() {
   json.Int("detect_carried", static_cast<int64_t>(cache.detect_carried));
   json.Int("detect_recomputed", static_cast<int64_t>(cache.detect_recomputed));
   json.Double("detect_hit_rate", detect_hit_rate);
-  json.Int("disk_loads", static_cast<int64_t>(cache.disk_loads));
-  json.Int("disk_stores", static_cast<int64_t>(cache.disk_stores));
-  json.Int("disk_corrupt", static_cast<int64_t>(cache.disk_corrupt));
   json.EndObject();
   json.Key("samples").BeginArray();
   for (const SampledPoint& point : samples) {

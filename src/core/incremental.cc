@@ -13,26 +13,13 @@
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
 #include "src/core/stage.h"
+#include "src/support/metrics.h"
+#include "src/support/string_util.h"
 #include "src/support/trace.h"
 
 namespace vc {
 
 namespace {
-
-// Sets each candidate's checker_index from its checker name; false when a
-// name is not in `runnable`.
-bool IndexCheckers(const std::vector<const Checker*>& runnable, CandidateSlice& slice) {
-  for (UnusedDefCandidate& cand : slice.candidates) {
-    auto it = std::find_if(runnable.begin(), runnable.end(), [&](const Checker* checker) {
-      return checker->name() == cand.checker;
-    });
-    if (it == runnable.end()) {
-      return false;
-    }
-    cand.checker_index = static_cast<int>(it - runnable.begin());
-  }
-  return true;
-}
 
 // A copy of a finished slice that re-runs every stage after detection: its
 // candidates hold their detect state, with no prune verdict.
@@ -44,11 +31,30 @@ std::shared_ptr<CandidateSlice> RerunCopy(const CandidateSlice& slice) {
   return copy;
 }
 
+// Adds the increments of one analysis, `now` minus `before`, to the cache.*
+// counters, and sets the occupancy gauges.
+void PublishCacheMetrics(const CacheStats& before, const CacheStats& now, size_t files,
+                         size_t functions) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto add = [&registry](const char* name, uint64_t before, uint64_t now) {
+    if (now > before) {
+      registry.GetCounter(name).Add(static_cast<int64_t>(now - before));
+    }
+  };
+  add("cache.parse.hits", before.parse_hits, now.parse_hits);
+  add("cache.parse.misses", before.parse_misses, now.parse_misses);
+  add("cache.detect.carried", before.detect_carried, now.detect_carried);
+  add("cache.detect.recomputed", before.detect_recomputed, now.detect_recomputed);
+  registry.GetGauge("cache.files").Set(static_cast<int64_t>(files));
+  registry.GetGauge("cache.functions").Set(static_cast<int64_t>(functions));
+}
+
 }  // namespace
 
+uint64_t HashContent(std::string_view text) { return Fnv1a(text); }
+
 std::string MakeCacheConfigKey(const AnalysisOptions& options) {
-  std::string key = "schema=" + std::to_string(kCacheSchemaVersion);
-  key += ";macros=";
+  std::string key = "macros=";
   for (const auto& [name, value] : options.config.macros()) {
     key += name + "=" + std::to_string(value) + ",";
   }
@@ -69,11 +75,13 @@ std::string MakeCacheConfigKey(const AnalysisOptions& options) {
   return key;
 }
 
-IncrementalEngine::IncrementalEngine(AnalysisOptions options, IncrementalOptions inc)
-    : analysis_(std::move(options)),
-      inc_(std::move(inc)),
-      cache_(inc_.cache_dir, MakeCacheConfigKey(analysis_.options())),
-      peers_(analysis_.options().prune) {}
+IncrementalEngine::IncrementalEngine(AnalysisOptions options)
+    : analysis_(std::move(options)), peers_(analysis_.options().prune) {}
+
+const CandidateSlice* IncrementalEngine::FileSlice(std::string_view path) const {
+  const FileId file = project_.sources().FindByPath(path);
+  return file != kInvalidFileId && project_.IsLive(file) ? files_[file].slice.get() : nullptr;
+}
 
 void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
   repo_.AddCommitFrom(source, commit);
@@ -87,36 +95,34 @@ void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
 }
 
 int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::string*>>& files) {
-  // Serial and in order: deletions, content-hash checks, and the FileIds of
-  // new paths. Only the recompiles run across the lanes.
+  // Serial and in order: deletions and content-hash checks. Only the
+  // recompiles run across the lanes.
   int changed = 0;
   std::vector<std::pair<std::string, std::string>> misses;
-  std::vector<FileCacheEntry*> miss_entries;
+  std::vector<uint64_t> miss_hashes;
   for (const auto& [path, content] : files) {
+    const FileId file = project_.sources().FindByPath(path);
     if (content == nullptr) {
-      // Deleted (or never-created) path: tombstone and forget.
-      cache_.Remove(path);
-      const FileId file = project_.sources().FindByPath(path);
+      // Deleted (or never-created) path: tombstone and forget, so content
+      // restored byte-identical recompiles.
       if (project_.RemoveFile(path)) {
+        files_[file] = Entry();
         ++changed;
         changed_.push_back(file);
       }
       continue;
     }
     const uint64_t hash = HashContent(*content);
-    FileCacheEntry& entry = cache_.File(path);
-    if (entry.content_hash == hash) {
+    if (file != kInvalidFileId && files_[file].content_hash == hash) {
       // Byte-identical content (touch, revert): parsed TU, IR, and every
-      // cached detect result stay valid as-is.
-      ++cache_.stats().parse_hits;
+      // carried detect result stay valid as-is.
+      ++stats_.parse_hits;
       continue;
     }
-    ++cache_.stats().parse_misses;
+    ++stats_.parse_misses;
     ++changed;
-    entry.content_hash = hash;
-    entry.slice.reset();
     misses.emplace_back(path, *content);
-    miss_entries.push_back(&entry);
+    miss_hashes.push_back(hash);
   }
   if (misses.empty()) {
     return changed;
@@ -124,15 +130,11 @@ int IncrementalEngine::Sync(const std::vector<std::pair<std::string, const std::
   const AnalysisOptions& opt = analysis_.options();
   const std::vector<FileId> ids =
       project_.UpsertFiles(std::move(misses), opt.config, opt.jobs, &opt.fault, &opt.budget);
-  changed_.insert(changed_.end(), ids.begin(), ids.end());
+  files_.resize(static_cast<size_t>(project_.sources().NumFiles()));
   for (size_t k = 0; k < ids.size(); ++k) {
-    FileCacheEntry& entry = *miss_entries[k];
-    if (std::shared_ptr<CandidateSlice> slice =
-            cache_.LoadFromDisk(project_.sources().Path(ids[k]), entry.content_hash,
-                                *project_.modules()[ids[k]], cache_quarantine_)) {
-      restored_.emplace_back(&entry, std::move(slice));
-    }
+    files_[ids[k]] = Entry{miss_hashes[k], nullptr};
   }
+  changed_.insert(changed_.end(), ids.begin(), ids.end());
   return changed;
 }
 
@@ -193,54 +195,37 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
   auto start = std::chrono::steady_clock::now();
   IncrementalResult result;
   result.commit = commit;
+  const CacheStats before = stats_;
 
   // --- Parse stage: sync the persistent project with the input -------------
   StageRecords stages;  // handed to RunWithDetect, which times the rest
   bool same_bytes = false;  // a commit batch left a touched path's bytes unchanged
   {
     StageScope scope(Stage::kParse, stages[Stage::kParse]);
-    const uint64_t misses = cache_.stats().parse_misses;
-    const uint64_t hits = cache_.stats().parse_hits;
     changed_.clear();
     result.files_changed = sync();
-    result.files_reparsed = static_cast<int>(cache_.stats().parse_misses - misses);
-    same_bytes = repo != nullptr && cache_.stats().parse_hits > hits;
+    result.files_reparsed = static_cast<int>(stats_.parse_misses - before.parse_misses);
+    same_bytes = repo != nullptr && stats_.parse_hits > before.parse_hits;
     project_.FinishUpdate();
     scope.Count(kParseFiles, result.files_reparsed);
   }
 
-  // --- Detect stage: changed files through the checkers, rest from cache ---
+  // --- Detect stage: changed files through the checkers, the rest carried --
+  const std::vector<size_t>& units = project_.unit_order();
   DetectSlices detect;
-  std::vector<FileCacheEntry*> entries;  // per live file, in unit order
-  std::vector<size_t> redetected;        // indexes into `entries`
+  std::vector<size_t> redetected;  // indexes into `units`
   TailCarry tail;
   {
     StageScope scope(Stage::kDetect, stages[Stage::kDetect]);
     std::vector<const Checker*> resolved = CheckerRegistry::Global().Resolve(opt.checkers);
     std::vector<const Checker*> runnable =
         GateCheckers(project_, resolved, opt.traits, detect.quarantined);
-    // Cache-stage records sit between the gate records and the per-function
-    // ones; a corrupt entry degrades to a miss, never to a failed run.
-    for (QuarantinedUnit& unit : cache_quarantine_) {
-      detect.quarantined.push_back(std::move(unit));
-    }
-    cache_quarantine_.clear();
     // A project-global checker can change its verdict on any function after
-    // any edit: the cache is unusable while one is enabled.
+    // any edit: carried results are unusable while one is enabled.
     bool carry_allowed = true;
     for (const Checker* checker : runnable) {
       carry_allowed = carry_allowed && checker->function_local();
     }
-
-    // Disk-restored results name their checkers; index them against this
-    // run's. A result naming a checker that is not running re-detects.
-    for (auto& [entry, slice] : restored_) {
-      if (IndexCheckers(runnable, *slice)) {
-        slice->CountDetect();
-        entry->slice = std::move(slice);
-      }
-    }
-    restored_.clear();
 
     // The post-detect state is warm after an analysis of the same kind of
     // input that kept it; otherwise the peer statistics start over from every
@@ -257,16 +242,15 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     }
 
     // The carry rule: a file's results carry exactly when its entry's slice
-    // covers every function — its content hash matched, or the disk tier
-    // restored it. Every function of any other file re-runs. Its finished
-    // slice carries whole when the file was not recompiled and shares no
-    // name the update touched; otherwise a copy re-runs the later stages.
+    // covers every function, which holds while its content hash matched.
+    // Every function of any other file re-runs. Its finished slice carries
+    // whole when the file was not recompiled and shares no name the update
+    // touched; otherwise a copy re-runs the later stages.
     std::vector<CheckerWorkItem> work;
-    for (size_t m : project_.unit_order()) {
+    for (size_t m : units) {
       const IrModule& module = *project_.modules()[m];
       result.functions_total += static_cast<int>(module.functions.size());
-      FileCacheEntry& entry = cache_.File(project_.sources().Path(module.file));
-      entries.push_back(&entry);
+      Entry& entry = files_[module.file];
       const bool detect_carried = carry_allowed && entry.functions() == module.functions.size();
       if (detect_carried && entry.slice == nullptr) {
         entry.slice = std::make_shared<const CandidateSlice>();  // a file without functions
@@ -285,20 +269,20 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
       if (detect_carried) {
         continue;
       }
-      redetected.push_back(entries.size() - 1);
+      redetected.push_back(detect.slices.size() - 1);
       for (const auto& func : module.functions) {
         work.push_back({module.file, func.get()});
       }
     }
     result.functions_dirty = static_cast<int>(work.size());
-    cache_.stats().detect_recomputed += work.size();
-    cache_.stats().detect_carried += result.functions_total - work.size();
+    stats_.detect_recomputed += work.size();
+    stats_.detect_carried += result.functions_total - work.size();
 
     std::vector<FunctionDetect> ran = RunCheckersOnFunctions(
         project_, runnable, opt.jobs, &opt.budget, &opt.fault, /*isolate=*/true, work);
     size_t next = 0;
     for (size_t i : redetected) {
-      const size_t count = project_.modules()[project_.unit_order()[i]]->functions.size();
+      const size_t count = project_.modules()[units[i]]->functions.size();
       detect.slices[i] = SliceFunctions(std::span<FunctionDetect>(ran).subspan(next, count));
       next += count;
     }
@@ -307,12 +291,6 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     TallyCheckerRun(runnable, tail.finished, detect);
     scope.Count(kDetectFunctions, result.functions_dirty)
         .Count(kDetectCandidates, static_cast<int64_t>(detect.candidates));
-  }
-
-  for (size_t i : redetected) {
-    const IrModule& module = *project_.modules()[project_.unit_order()[i]];
-    cache_.StoreToDisk(project_.sources().Path(module.file), entries[i]->content_hash,
-                       *detect.slices[i], module);
   }
 
   // --- The later stages, carrying what the change left alone ---------------
@@ -325,11 +303,14 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
   // Each entry keeps the slice the report published for its file: the one it
   // carried, or the re-run one the prune stage finished. A carried entry is
   // left alone, so its slice's reference count is not touched.
-  for (size_t i = 0; i < entries.size(); ++i) {
+  size_t functions = 0;
+  for (size_t i = 0; i < units.size(); ++i) {
+    Entry& entry = files_[units[i]];
     const CandidateSlices::Slice& published = report.raw_candidates.slices()[i];
-    if (entries[i]->slice != published) {
-      entries[i]->slice = published;
+    if (entry.slice != published) {
+      entry.slice = published;
     }
+    functions += entry.functions();
   }
 
   // Fingerprint-keyed delta against the previous analysis.
@@ -349,9 +330,9 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
   prev_fingerprints_ = std::move(fingerprints);
 
   if (opt.collect_metrics) {
-    cache_.PublishMetrics();
+    PublishCacheMetrics(before, stats_, units.size(), functions);
   }
-  result.cache = cache_.stats();
+  result.cache = stats_;
   result.report = std::move(report);
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;

@@ -28,15 +28,18 @@
 //    blame advances through resumable per-path replay states (O(commit
 //    delta), byte-identical to replay). A snapshot's later stages see no
 //    repository.
+//  * One per-file table: beside the project's per-FileId records, the engine
+//    keeps one entry per FileId holding the file's content hash and its
+//    finished candidate slice. A path keeps its FileId across recompiles,
+//    deletions and revivals; a deletion resets the entry.
 //  * One carry rule: a file's detect results are carried exactly when its
-//    content hash matched, from the AnalysisCache (memory tier always; a
-//    --cache-dir disk tier persists across processes). Every function of a
-//    recompiled, cold-start or disk-missed file re-runs. Each file lowers on
-//    its own, so a function_local() checker's result depends only on its own
-//    file; a checker with function_local() == false disables carry-over.
+//    content hash matched. Every function of a recompiled or cold-start file
+//    re-runs. Each file lowers on its own, so a function_local() checker's
+//    result depends only on its own file; a checker with function_local() ==
+//    false disables carry-over.
 //  * Each live file's candidates are one slice (CandidateSlice) with its own
-//    tallies, which its cache entry owns and every report that carries the
-//    file shares; a published slice is never written. A carried file's slice
+//    tallies, which its entry owns and every report that carries the file
+//    shares; a published slice is never written. A carried file's slice
 //    goes into the report as a pointer copy, so an analysis copies, scans
 //    and frees only the slices of the files it re-runs.
 //  * The stages after detection run through the same
@@ -61,23 +64,37 @@
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/core/analysis.h"
-#include "src/core/analysis_cache.h"
 #include "src/core/project.h"
 #include "src/vcs/repository.h"
 
 namespace vc {
 
-struct IncrementalOptions {
-  // Disk tier for the analysis cache; empty keeps the cache in memory only.
-  std::string cache_dir;
+// FNV-1a 64-bit. Stable across runs and platforms; collisions would carry a
+// stale result, so the 64-bit width matters.
+uint64_t HashContent(std::string_view text);
+
+// Cumulative engine telemetry; published as cache.* metrics and reported in
+// IncrementalResult.
+struct CacheStats {
+  uint64_t parse_hits = 0;         // files whose content hash matched (no re-parse)
+  uint64_t parse_misses = 0;       // files (re)compiled
+  uint64_t detect_carried = 0;     // functions whose detect results carried
+  uint64_t detect_recomputed = 0;  // functions re-run (files that changed)
+
+  double DetectHitRate() const {
+    const uint64_t total = detect_carried + detect_recomputed;
+    return total == 0 ? 0.0 : static_cast<double>(detect_carried) / static_cast<double>(total);
+  }
 };
 
 // Result of one incremental analysis.
@@ -106,7 +123,7 @@ struct IncrementalResult {
 
 class IncrementalEngine {
  public:
-  explicit IncrementalEngine(AnalysisOptions options, IncrementalOptions inc = {});
+  explicit IncrementalEngine(AnalysisOptions options);
 
   // Feeds `commit` (replaying any skipped predecessors) and produces the
   // complete report at that commit. Commits must not go back past the
@@ -119,9 +136,10 @@ class IncrementalEngine {
   IncrementalResult AnalyzeSnapshot(
       const std::vector<std::pair<std::string, std::string>>& files);
 
-  const CacheStats& cache_stats() const { return cache_.stats(); }
-  // The per-path entries, each holding its file's finished slice.
-  const AnalysisCache& cache() const { return cache_; }
+  const CacheStats& cache_stats() const { return stats_; }
+  // The finished slice the engine holds for `path`: null when the path is
+  // not live or its file has no slice yet.
+  const CandidateSlice* FileSlice(std::string_view path) const;
 
   // Adjusts worker parallelism between analyses. Jobs is deliberately absent
   // from MakeCacheConfigKey — findings are byte-identical at any job count —
@@ -143,16 +161,28 @@ class IncrementalEngine {
   IncrementalResult Analyze(const Repository* repo, CommitId commit,
                             const std::function<int()>& sync);
 
+  // One file's state, kept in the slot of its FileId.
+  struct Entry {
+    uint64_t content_hash = 0;  // 0 until compiled, and again once deleted
+    // The file's slice as the last analysis finished it: the detect results
+    // of every function of the file's module, in module order, and the
+    // verdicts they were given. Identical content lowers to the same
+    // functions in the same order, so the file carries exactly when the
+    // slice covers one function per function of the module; anything else
+    // means every function of the file must be (re)detected. Null until a
+    // detect result is stored.
+    std::shared_ptr<const CandidateSlice> slice;
+
+    size_t functions() const { return slice != nullptr ? slice->functions.size() : 0; }
+  };
+
   Analysis analysis_;
-  IncrementalOptions inc_;
   Repository repo_;    // commit input's replica; head == last ingested commit
   Project project_;    // persistent, mutated in place by each sync
-  AnalysisCache cache_;
+  std::vector<Entry> files_;  // indexed by FileId, beside the project's records
+  CacheStats stats_;
   std::set<std::string> pending_;  // paths touched since the last analysis
-  std::vector<QuarantinedUnit> cache_quarantine_;  // corrupt disk entries of a sync
-  // Disk-tier hits of a sync, with the slices they restored.
-  std::vector<std::pair<FileCacheEntry*, std::shared_ptr<CandidateSlice>>> restored_;
-  std::vector<FileId> changed_;                    // files a sync recompiled or removed
+  std::vector<FileId> changed_;    // files a sync recompiled or removed
   // The post-detect state the next analysis may carry: the peer statistics,
   // and the verdicts the entries' slices hold. Warm only after an analysis
   // whose prune stage finished every slice, against the same kind of input.
@@ -165,10 +195,11 @@ class IncrementalEngine {
   std::vector<std::string> prev_fingerprints_;
 };
 
-// Canonical configuration key for the cache: folds in everything besides
-// file content that invalidates cached detect results — preprocessor macros,
-// the resolved checker list, project traits, budget and fault settings, and
-// the cache schema version. Exposed for the stale-key tests.
+// Canonical configuration key of an engine's carried results: folds in
+// everything besides file content that invalidates them — preprocessor
+// macros, the resolved checker list, project traits, budget and fault
+// settings, and authorship. The daemon's ProjectHost rebuilds its engine when
+// the key changes.
 std::string MakeCacheConfigKey(const AnalysisOptions& options);
 
 }  // namespace vc

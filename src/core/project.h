@@ -48,6 +48,7 @@
 #include "src/support/fault.h"
 #include "src/support/memstats.h"
 #include "src/support/source_manager.h"
+#include "src/support/string_util.h"
 #include "src/vcs/repository.h"
 
 namespace vc {
@@ -245,11 +246,7 @@ class Project {
     bool touched = false;
     uint32_t id = kNoName;
   };
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const { return std::hash<std::string_view>()(name); }
-  };
-  using SharerMap = std::unordered_map<std::string, Sharers, NameHash, std::equal_to<>>;
+  using SharerMap = std::unordered_map<std::string, Sharers, StringViewHash, std::equal_to<>>;
 
   void CompileAll(std::vector<std::pair<std::string, std::string>> files, const Config& config,
                   int jobs, const FaultInjector* fault, const ResourceBudget* budget);

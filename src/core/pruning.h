@@ -30,6 +30,7 @@
 
 #include "src/core/project.h"
 #include "src/core/unused_def.h"
+#include "src/support/string_util.h"
 
 namespace vc {
 
@@ -122,10 +123,6 @@ class PeerStats {
   int group_flips() const { return group_flips_; }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const { return std::hash<std::string_view>()(name); }
-  };
   // A signature group, keyed by the signature.
   struct Group {
     int members = 0;
@@ -134,7 +131,7 @@ class PeerStats {
     bool dirty = false;
     uint64_t flipped = 0;       // the Update() that last flipped a verdict
   };
-  using GroupMap = std::unordered_map<std::string, Group, Hash, std::equal_to<>>;
+  using GroupMap = std::unordered_map<std::string, Group, StringViewHash, std::equal_to<>>;
   // One name's sums over the contributions, and its verdicts; by name id.
   struct NameStats {
     int refs = 0;  // contribution entries naming it

@@ -75,9 +75,10 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
   // deltas, and the parse/detect cache hit counters; v9 drops the
   // "points_to_sets" key from memory.categories (no stage produced it); v10
   // drops the two tracked-byte columns from memory.stages, whose rows are
-  // now {stage, rss_bytes} read from the stage records.
+  // now {stage, rss_bytes} read from the stage records; v11 drops the three
+  // disk-tier counters from incremental.cache with the tier itself.
   // See DESIGN.md §"JSON report schema" for the contract.
-  json.Int("schema_version", 10);
+  json.Int("schema_version", kReportSchemaVersion);
   json.Double("analysis_seconds", report.analysis_seconds);
   json.Double("parse_seconds", report.stages[Stage::kParse].seconds);
   json.Double("detect_seconds", report.stages[Stage::kDetect].seconds);
@@ -135,9 +136,6 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     json.Int("detect_carried", static_cast<int64_t>(cache.detect_carried));
     json.Int("detect_recomputed", static_cast<int64_t>(cache.detect_recomputed));
     json.Double("detect_hit_rate", cache.DetectHitRate());
-    json.Int("disk_loads", static_cast<int64_t>(cache.disk_loads));
-    json.Int("disk_stores", static_cast<int64_t>(cache.disk_stores));
-    json.Int("disk_corrupt", static_cast<int64_t>(cache.disk_corrupt));
     json.EndObject();
     json.EndObject();
   }

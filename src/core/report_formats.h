@@ -17,6 +17,9 @@
 
 namespace vc {
 
+// The JSON report's schema_version (history in report_formats.cc).
+inline constexpr int kReportSchemaVersion = 11;
+
 // `repo` resolves author ids to names; pass null to omit author names.
 // `incremental`, when given, adds the schema-v8 "incremental" block (commit,
 // work accounting, fingerprint deltas, cache hit rates) to the JSON.

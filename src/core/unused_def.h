@@ -109,9 +109,9 @@ struct UnusedDefCandidate {
   // diffs on. 16 hex chars; empty until AssignFingerprints runs.
   std::string fingerprint;
 
-  // Cache-restored candidates (incremental engine disk tier) carry only the
-  // name, and downstream stages resolve the callee through the live function
-  // index by name anyway.
+  // Whether the candidate holds a call's result: a value stored straight
+  // from a call (callee_name) or an ignored result. Downstream stages
+  // resolve the callee through the live function index by name.
   bool FromCall() const { return !callee_name.empty() || is_synthetic; }
 };
 

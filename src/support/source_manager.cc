@@ -22,8 +22,10 @@ FileId SourceManager::AddFile(std::string path, std::string content) {
       file.line_starts.push_back(i + 1);
     }
   }
+  const FileId id = static_cast<FileId>(files_.size());
+  by_path_.try_emplace(file.path, id);
   files_.push_back(std::move(file));
-  return static_cast<FileId>(files_.size() - 1);
+  return id;
 }
 
 void SourceManager::ReplaceContent(FileId id, std::string content) {
@@ -39,12 +41,8 @@ void SourceManager::ReplaceContent(FileId id, std::string content) {
 }
 
 FileId SourceManager::FindByPath(std::string_view path) const {
-  for (size_t i = 0; i < files_.size(); ++i) {
-    if (files_[i].path == path) {
-      return static_cast<FileId>(i);
-    }
-  }
-  return kInvalidFileId;
+  auto it = by_path_.find(path);
+  return it != by_path_.end() ? it->second : kInvalidFileId;
 }
 
 int SourceManager::NumLines(FileId id) const {

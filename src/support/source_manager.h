@@ -6,11 +6,14 @@
 #ifndef VALUECHECK_SRC_SUPPORT_SOURCE_MANAGER_H_
 #define VALUECHECK_SRC_SUPPORT_SOURCE_MANAGER_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/support/source_location.h"
+#include "src/support/string_util.h"
 
 namespace vc {
 
@@ -19,7 +22,8 @@ class SourceManager {
   SourceManager() = default;
 
   // Registers a file. `path` is a display name (also the key used by the VCS
-  // layer); `content` is the full text. Returns the new file's id.
+  // layer); `content` is the full text. Returns the new file's id. A path
+  // registered twice gets two ids; FindByPath names the first.
   FileId AddFile(std::string path, std::string content);
 
   // Replaces the text of an already-registered file in place, recomputing its
@@ -33,7 +37,8 @@ class SourceManager {
   const std::string& Path(FileId id) const { return files_[id].path; }
   const std::string& Content(FileId id) const { return files_[id].content; }
 
-  // Looks up a file id by path; returns kInvalidFileId if not registered.
+  // Looks up a file id by path (one hash lookup); returns kInvalidFileId if
+  // not registered.
   FileId FindByPath(std::string_view path) const;
 
   // Number of lines in the file (a trailing newline does not add a line).
@@ -55,6 +60,10 @@ class SourceManager {
   };
 
   std::vector<File> files_;
+  // Path -> the first id registered under it. Keys are owned copies: a view
+  // into File::path would dangle when files_ reallocates (short strings live
+  // inside the File).
+  std::unordered_map<std::string, FileId, StringViewHash, std::equal_to<>> by_path_;
 };
 
 }  // namespace vc

@@ -5,7 +5,9 @@
 #ifndef VALUECHECK_SRC_SUPPORT_STRING_UTIL_H_
 #define VALUECHECK_SRC_SUPPORT_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +37,13 @@ bool IsIdentChar(char c);
 
 // ASCII lowercase copy (used for case-insensitive flag/keyword parsing).
 std::string ToLower(std::string_view text);
+
+// Hash for std::string-keyed unordered containers that are searched by
+// std::string_view without a copy (pair it with std::equal_to<>).
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const { return std::hash<std::string_view>()(text); }
+};
 
 // The standard 64-bit FNV-1a offset basis.
 inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;

@@ -13,8 +13,15 @@ namespace testing {
 
 namespace {
 
-// Every module calls the library function `peer_log` this many times.
+// Every module's peer function calls its callee this many times.
 constexpr int kPeerSites = 4;
+
+// Every third module is quiet: its peer function calls a helper of its own
+// instead of the library function `peer_log`. A quiet module then shares no
+// name with another module (glue.c aside), so a commit that edits one module
+// leaves the other kind's finished results to carry, and an edit of a quiet
+// module leaves every other module's.
+bool Quiet(int module) { return module % 3 == 2; }
 
 // Per-module mutable state. `version` selects the generated body, `touches`
 // counts appended blank lines, `rename_gen` selects the file path,
@@ -64,10 +71,17 @@ std::string ModuleContent(const HistoryGenOptions& options, int module,
   // The peer sites. With two of four ignored in every module, exactly half
   // of peer_log's results are ignored: not customarily. One module ignoring
   // a third tips it past half (with more than ten sites), and every ignored
-  // result in every module is then pruned as a peer definition.
+  // result in every module is then pruned as a peer definition. A quiet
+  // module calls its own helper at the same sites.
+  const std::string callee =
+      Quiet(module) ? "mod" + std::to_string(module) + "_note" : std::string("peer_log");
+  if (Quiet(module)) {
+    content += "int " + callee + "(int v) {\n  return v + 1;\n}\n";
+  }
   content += "int mod" + std::to_string(module) + "_peer(int x) {\n  int acc = x;\n";
   for (int i = 0; i < kPeerSites; ++i) {
-    content += i < state.peer_ignored ? "  peer_log(acc);\n" : "  acc = acc + peer_log(acc);\n";
+    content += i < state.peer_ignored ? "  " + callee + "(acc);\n"
+                                      : "  acc = acc + " + callee + "(acc);\n";
   }
   content += "  return acc;\n}\n";
   content.append(static_cast<size_t>(state.touches), '\n');
@@ -128,7 +142,8 @@ Repository GenerateHistory(const HistoryGenOptions& options) {
     uint64_t op = rng.NextBelow(100);
     if (op < 45 && op >= 35) {
       // Peer flip: only this module changes, but peer_log's verdict can flip
-      // at every other module's call sites.
+      // at every other module's call sites (a quiet module's helper has too
+      // few sites to flip).
       state.peer_ignored = 5 - state.peer_ignored;
       files[ModulePath(module, state.rename_gen)] = ModuleContent(options, module, state);
       message = "peer sites of mod" + std::to_string(module);

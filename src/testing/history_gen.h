@@ -24,6 +24,11 @@
 //                 flip that callee's peer verdict at the call sites of
 //                 modules the commit does not touch.
 //
+// Every third module (mod2, mod5, ...) is quiet: it makes its four calls to
+// a helper of its own instead of the library call, so it shares no name
+// with any other module. An edit of one kind of module then leaves the
+// other kind's finished results for the engine to carry past detection.
+//
 // Determinism contract: the same HistoryGenOptions yields a byte-identical
 // Repository on every platform (vc::Rng only, no unordered iteration).
 // Authors rotate and timestamps strictly increase so authorship, blame, and

@@ -262,8 +262,9 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
           {OracleKind::kJsonRoundTrip, "", "report JSON does not parse: " + error});
     } else {
       const JsonValue& findings = doc->Get("findings");
-      if (doc->GetInt("schema_version") != 10) {
-        verdict.failures.push_back({OracleKind::kJsonRoundTrip, "", "schema_version != 10"});
+      if (doc->GetInt("schema_version") != kReportSchemaVersion) {
+        verdict.failures.push_back({OracleKind::kJsonRoundTrip, "",
+                                    "schema_version != " + std::to_string(kReportSchemaVersion)});
       } else if (findings.Size() != with_metrics.findings.size()) {
         verdict.failures.push_back(
             {OracleKind::kJsonRoundTrip, "",

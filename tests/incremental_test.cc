@@ -299,6 +299,38 @@ TEST(Incremental, SnapshotStepsMatchSourcesRunAtEveryStep) {
   }
 }
 
+// A snapshot drops a file and a later one restores it byte for byte. The
+// deletion reset the file's entry, so the restore recompiles the file
+// rather than taking its old content hash for a parse hit, and each report
+// equals a sources run over the same files.
+TEST(Incremental, SnapshotRestoreAfterDeleteRecompiles) {
+  const std::string a = "int a_calc(int x) {\n  int t = x * 2;\n  t = x * 3;\n  return t;\n}\n";
+  const std::string b = "int b_calc(int x) {\n  int u = x + 1;\n  u = x + 2;\n  return u;\n}\n";
+  const std::vector<std::pair<std::string, std::string>> both = {{"a.c", a}, {"b.c", b}};
+  const std::vector<std::pair<std::string, std::string>> only_a = {{"a.c", a}};
+  AnalysisOptions options;  // batch sources mode
+  options.cross_scope_only = false;
+  options.ranking.enabled = false;
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    IncrementalEngine engine(options);
+    engine.AnalyzeSnapshot(both);
+    ASSERT_NE(engine.FileSlice("b.c"), nullptr);
+    IncrementalResult dropped = engine.AnalyzeSnapshot(only_a);
+    EXPECT_EQ(dropped.files_changed, 1) << "jobs " << jobs;
+    EXPECT_EQ(engine.FileSlice("b.c"), nullptr) << "jobs " << jobs;
+    EXPECT_EQ(dropped.report.ToCsv(), Analysis(options).RunOnSources(only_a).ToCsv());
+    IncrementalResult restored = engine.AnalyzeSnapshot(both);
+    EXPECT_EQ(restored.files_changed, 1) << "jobs " << jobs;
+    EXPECT_EQ(restored.files_reparsed, 1) << "jobs " << jobs;
+    EXPECT_EQ(restored.functions_dirty, 1) << "jobs " << jobs;  // b.c; a.c carried
+    EXPECT_NE(engine.FileSlice("b.c"), nullptr) << "jobs " << jobs;
+    const AnalysisReport full = Analysis(options).RunOnSources(both);
+    ASSERT_FALSE(full.findings.empty());
+    EXPECT_EQ(restored.report.ToCsv(), full.ToCsv()) << "jobs " << jobs;
+  }
+}
+
 // A history whose commits exercise every way a slice is made anew: a
 // recompiled file (util.c), a carried file whose tail re-runs because it
 // calls a name the commit touched (caller.c), a return-value verdict flip
@@ -400,12 +432,7 @@ TEST(IncrementalSlices, PublishedReportNeverChanges) {
   }
 }
 
-// The slice of `path` in the engine's cache, and whether `report` holds that
-// very object.
-const CandidateSlice* EntrySlice(const IncrementalEngine& engine, const std::string& path) {
-  const FileCacheEntry* entry = engine.cache().Find(path);
-  return entry != nullptr ? entry->slice.get() : nullptr;
-}
+// Whether `report` holds the very slice object `slice`.
 bool Holds(const AnalysisReport& report, const CandidateSlice* slice) {
   for (const CandidateSlices::Slice& held : report.raw_candidates.slices()) {
     if (held.get() == slice) {
@@ -421,7 +448,7 @@ TEST(IncrementalSlices, UntouchedFilesShareTheirSlices) {
   const AnalysisReport first = engine.AnalyzeCommit(repo, 0).report;
   std::map<std::string, const CandidateSlice*> at_first;
   for (const char* path : {"quiet.c", "pquiet.c", "util.c", "caller.c", "loud.c"}) {
-    at_first[path] = EntrySlice(engine, path);
+    at_first[path] = engine.FileSlice(path);
     ASSERT_NE(at_first[path], nullptr) << path;
     EXPECT_TRUE(Holds(first, at_first[path])) << path;
   }
@@ -431,12 +458,12 @@ TEST(IncrementalSlices, UntouchedFilesShareTheirSlices) {
   // re-runs; the other files are untouched and share theirs, by address.
   const AnalysisReport second = engine.AnalyzeCommit(repo, 1).report;
   for (const char* path : {"quiet.c", "pquiet.c", "loud.c"}) {
-    EXPECT_EQ(EntrySlice(engine, path), at_first[path]) << path;
+    EXPECT_EQ(engine.FileSlice(path), at_first[path]) << path;
     EXPECT_TRUE(Holds(second, at_first[path])) << path;
   }
   for (const char* path : {"util.c", "caller.c"}) {
-    EXPECT_NE(EntrySlice(engine, path), at_first[path]) << path;
-    EXPECT_TRUE(Holds(second, EntrySlice(engine, path))) << path;
+    EXPECT_NE(engine.FileSlice(path), at_first[path]) << path;
+    EXPECT_TRUE(Holds(second, engine.FileSlice(path))) << path;
     EXPECT_FALSE(Holds(second, at_first[path])) << path;
     EXPECT_TRUE(Holds(first, at_first[path])) << path;  // the old report keeps its own
   }
@@ -444,18 +471,18 @@ TEST(IncrementalSlices, UntouchedFilesShareTheirSlices) {
   // Commit 2 flips log_it's verdict: quiet.c's calls are matched again in a
   // copy, and pquiet.c (no call of log_it, no flipped group) still shares.
   const AnalysisReport third = engine.AnalyzeCommit(repo, 2).report;
-  EXPECT_EQ(EntrySlice(engine, "pquiet.c"), at_first["pquiet.c"]);
+  EXPECT_EQ(engine.FileSlice("pquiet.c"), at_first["pquiet.c"]);
   EXPECT_TRUE(Holds(third, at_first["pquiet.c"]));
-  EXPECT_NE(EntrySlice(engine, "quiet.c"), at_first["quiet.c"]);
+  EXPECT_NE(engine.FileSlice("quiet.c"), at_first["quiet.c"]);
 
   // Commit 3 flips the (int, int) group's verdict on `b`: pquiet.c's
   // parameter candidates are matched again, so its slice is copied on write;
   // quiet.c, untouched this time, keeps the slice commit 2 made.
-  const CandidateSlice* quiet_at_third = EntrySlice(engine, "quiet.c");
+  const CandidateSlice* quiet_at_third = engine.FileSlice("quiet.c");
   const AnalysisReport fourth = engine.AnalyzeCommit(repo, 3).report;
-  EXPECT_NE(EntrySlice(engine, "pquiet.c"), at_first["pquiet.c"]);
+  EXPECT_NE(engine.FileSlice("pquiet.c"), at_first["pquiet.c"]);
   EXPECT_TRUE(Holds(third, at_first["pquiet.c"]));
-  EXPECT_EQ(EntrySlice(engine, "quiet.c"), quiet_at_third);
+  EXPECT_EQ(engine.FileSlice("quiet.c"), quiet_at_third);
   EXPECT_TRUE(Holds(fourth, quiet_at_third));
 }
 

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/support/diagnostics.h"
 #include "src/support/json_reader.h"
@@ -93,10 +95,34 @@ TEST(SourceManager, TrailingNewlineDoesNotAddLine) {
 
 TEST(SourceManager, FindByPath) {
   SourceManager sm;
-  sm.AddFile("x.c", "");
+  FileId x = sm.AddFile("x.c", "");
   FileId y = sm.AddFile("y.c", "a");
   EXPECT_EQ(sm.FindByPath("y.c"), y);
   EXPECT_EQ(sm.FindByPath("z.c"), kInvalidFileId);
+  EXPECT_EQ(sm.FindByPath(""), kInvalidFileId);
+  // A path registered twice resolves to its first registration.
+  FileId x_again = sm.AddFile("x.c", "int b;\n");
+  EXPECT_NE(x_again, x);
+  EXPECT_EQ(sm.FindByPath("x.c"), x);
+  // New content keeps the id.
+  sm.ReplaceContent(y, "int c;\nint d;\n");
+  EXPECT_EQ(sm.FindByPath("y.c"), y);
+  EXPECT_EQ(sm.NumLines(y), 2);
+  // Many paths, short ones that fit inside a std::string and long ones that
+  // do not, each resolve to their own id as the file list grows.
+  SourceManager many;
+  std::vector<FileId> ids;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string path = i % 2 == 0 ? std::to_string(i) + ".c"
+                                        : "drivers/net/module_" + std::to_string(i) + ".c";
+    ids.push_back(many.AddFile(path, ""));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const std::string path = i % 2 == 0 ? std::to_string(i) + ".c"
+                                        : "drivers/net/module_" + std::to_string(i) + ".c";
+    ASSERT_EQ(many.FindByPath(path), ids[static_cast<size_t>(i)]) << path;
+    ASSERT_EQ(many.Path(ids[static_cast<size_t>(i)]), path);
+  }
 }
 
 TEST(SourceManager, Render) {

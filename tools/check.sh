@@ -290,11 +290,9 @@ scaling_smoke() {
 # analyze it cold (full run at the head commit) and via --incremental replay
 # at one and at eight jobs, and require byte-identical CSV findings — the
 # engine's equivalence contract, end to end through the real binary. A
-# second replay over the same
-# --cache-dir must report cache reuse (disk loads and carried detect
-# results), and the incremental run's Prometheus dump must contain a
-# well-formed vc_cache_* family (vc_obs_lint prom --require-cache). That run
-# also writes its event stream and perf report, which must pass
+# second replay must carry detect results, and its Prometheus dump must
+# contain a well-formed vc_cache_* family (vc_obs_lint prom --require-cache).
+# That run also writes its event stream and perf report, which must pass
 # `vc_obs_lint events` and `vc_obs_lint perf`, and its events, dump and
 # summary line must count the same parse and detect work.
 incremental_smoke() {
@@ -368,8 +366,7 @@ incremental_smoke() {
     return 1
   fi
   rc=0
-  "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
-    --cache-dir "${tmp}/cache" --format=csv \
+  "${vc}" analyze --history "${tmp}/history.vchist" --incremental --format=csv \
     >"${tmp}/inc.csv" 2>"${tmp}/inc.err" || rc=$?
   if [ "${rc}" -ge 2 ]; then
     echo "incremental smoke: incremental analyze failed (exit ${rc})" >&2
@@ -394,30 +391,24 @@ incremental_smoke() {
     diff "${tmp}/full.csv" "${tmp}/inc-j8.csv" | head -20 >&2
     return 1
   fi
-  # Cold-restart replay over the populated cache dir: still identical, and
-  # the cumulative summary line must show the disk tier actually serving
-  # ("disk cache N loaded" with N > 0) plus carried detect results.
+  # A replay with every observability sink on: still identical, and the
+  # cumulative summary line must show carried detect results.
   rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
-    --cache-dir "${tmp}/cache" --metrics-out "${tmp}/inc.prom" --format=csv \
+    --metrics-out "${tmp}/inc.prom" --format=csv \
     --events "${tmp}/inc.events.jsonl" --perf-report "${tmp}/inc.perf.json" \
     >"${tmp}/inc2.csv" 2>"${tmp}/inc2.err" || rc=$?
   if [ "${rc}" -ge 2 ]; then
-    echo "incremental smoke: cached replay failed (exit ${rc})" >&2
+    echo "incremental smoke: observed replay failed (exit ${rc})" >&2
     return 1
   fi
   if ! cmp -s "${tmp}/full.csv" "${tmp}/inc2.csv"; then
-    echo "incremental smoke: cached replay findings differ from the full run" >&2
+    echo "incremental smoke: observed replay findings differ from the full run" >&2
     diff "${tmp}/full.csv" "${tmp}/inc2.csv" | head -20 >&2
     return 1
   fi
-  if ! grep -Eq 'disk cache [1-9][0-9]* loaded' "${tmp}/inc2.err"; then
-    echo "incremental smoke: cached replay reported zero disk cache loads" >&2
-    grep 'incremental replay:' "${tmp}/inc2.err" >&2 || true
-    return 1
-  fi
   if ! grep -Eq '\([1-9][0-9]* carried' "${tmp}/inc2.err"; then
-    echo "incremental smoke: cached replay carried zero detect results" >&2
+    echo "incremental smoke: observed replay carried zero detect results" >&2
     grep 'incremental replay:' "${tmp}/inc2.err" >&2 || true
     return 1
   fi
@@ -453,7 +444,7 @@ incremental_smoke() {
   summary_work="$(awk '/incremental replay:/ {
       for (i = 2; i <= NF; ++i) {
         if ($i == "miss;") misses = $(i - 1)
-        if ($i == "recomputed);") recomputed = $(i - 1)
+        if ($i == "recomputed)") recomputed = $(i - 1)
       }
     }
     END { print misses, recomputed }' "${tmp}/inc2.err")"
@@ -496,8 +487,10 @@ perfbench_smoke() {
 # analyzing that history with the cross-scope filter off reports the same
 # (file, line, function, slot) rows as analyzing the work tree. The second
 # commit, with an empty message, drops one file's final newline, renames one
-# file and deletes another; a third adds a line that reads `>>>`, which the
-# tool must refuse.
+# file and deletes another. A side branch then edits one file and adds
+# `café.c` and `two words.c`, whose names git quotes in its default output,
+# and a --no-ff merge brings that work in. A last commit adds a line that
+# reads `>>>`, which the tool must refuse.
 git_to_vchist_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -518,8 +511,8 @@ git_to_vchist_smoke() {
   for path in "${work}"/*.c; do
     files+=("$(basename "${path}")")
   done
-  if [ "${#files[@]}" -lt 3 ]; then
-    echo "git-to-vchist smoke: expected at least 3 generated files" >&2
+  if [ "${#files[@]}" -lt 4 ]; then
+    echo "git-to-vchist smoke: expected at least 4 generated files" >&2
     return 1
   fi
   "${git[@]}" init -q && "${git[@]}" add -A && "${git[@]}" commit -qm "import" || {
@@ -528,6 +521,17 @@ git_to_vchist_smoke() {
   "${git[@]}" mv "${files[1]}" renamed.c && "${git[@]}" rm -q "${files[2]}" &&
     "${git[@]}" commit -qa --allow-empty-message -m "" || {
     echo "git-to-vchist smoke: git edit failed" >&2; return 1; }
+  "${git[@]}" checkout -qb side || {
+    echo "git-to-vchist smoke: git branch failed" >&2; return 1; }
+  printf 'int side_edit(int x) {\n  int t = x * 2;\n  t = x * 3;\n  return t;\n}\n' \
+    >>"${work}/${files[3]}"
+  printf 'int cafe_calc(int x) {\n  int c = x + 1;\n  c = x + 2;\n  return c;\n}\n' \
+    >"${work}/café.c"
+  printf 'int two_words(int x) {\n  int w = x - 1;\n  w = x - 2;\n  return w;\n}\n' \
+    >"${work}/two words.c"
+  "${git[@]}" add -A && "${git[@]}" commit -qm "side work" &&
+    "${git[@]}" checkout -q main && "${git[@]}" merge -q --no-ff side -m "merge side" || {
+    echo "git-to-vchist smoke: git merge failed" >&2; return 1; }
 
   bash tools/git-to-vchist.sh "${work}" >"${tmp}/history.vchist" || {
     echo "git-to-vchist smoke: conversion failed" >&2; return 1; }
@@ -553,6 +557,12 @@ git_to_vchist_smoke() {
     diff "${tmp}/history.rows" "${tmp}/tree.rows" | head -20 >&2
     return 1
   fi
+  for path in "${files[3]}" "café.c" "two words.c"; do
+    if ! grep -q "^${path},[0-9]*,\(side_edit\|cafe_calc\|two_words\)," "${tmp}/tree.rows"; then
+      echo "git-to-vchist smoke: the work tree has no row for the side branch's ${path}" >&2
+      return 1
+    fi
+  done
 
   printf '/*\n>>>\n*/\n' >>"${work}/renamed.c"
   "${git[@]}" commit -qam "a line the format cannot hold" || {

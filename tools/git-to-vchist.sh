@@ -7,12 +7,17 @@
 # usage: tools/git-to-vchist.sh <git-repo-dir> [pathspec...] > project.vchist
 #
 # Every commit that touches the pathspec becomes one vchist commit block with
-# the post-commit content of each touched file. Merge commits are linearized
-# in first-parent order. Binary files and files over 1 MB are skipped. A file
+# the post-commit content of each touched file. History is linearized in
+# first-parent order, and a merge commit's block holds what the merge brought
+# in: the files it changed against its first parent. Paths are read as git
+# stores them, never quoted, so names with non-ASCII bytes or spaces
+# convert as they are. Binary files and files over 1 MB are skipped. A file
 # without a final newline gets one, as SaveHistory writes it, and a commit
-# with an empty subject gets no `message` directive. A file with a
-# line that reads `>>>` (surrounding whitespace aside) cannot be held by a
-# content block: the tool then fails, naming the commit and the path.
+# with an empty subject gets no `message` directive. Two things a vchist
+# cannot hold make the tool fail, naming the commit and the path: a path
+# with a newline or with leading or trailing whitespace, and a file with a
+# line that reads `>>>` (surrounding whitespace aside), which would close
+# its content block early.
 set -euo pipefail
 
 repo="${1:?usage: git-to-vchist.sh <git-repo-dir> [pathspec...]}"
@@ -39,16 +44,19 @@ while IFS=$'\t' read -r sha author time subject; do
   if [ -n "${subject//[[:space:]]/}" ]; then
     echo "message ${subject}"
   fi
-  # Files this commit touched within the pathspec.
-  git -C "$repo" diff-tree --no-commit-id --name-status -r --root "$sha" \
-      -- "${pathspec[@]}" |
-  while IFS=$'\t' read -r status path _renamed; do
+  # Files this commit touched within the pathspec, against its first parent,
+  # as NUL-terminated status and path fields. diff-tree detects no renames
+  # here: a rename is a D row and an A row.
+  git -C "$repo" diff-tree --no-commit-id --name-status -r --root -z \
+      --diff-merges=first-parent "$sha" -- "${pathspec[@]}" |
+  while IFS= read -r -d '' status && IFS= read -r -d '' path; do
+    if [[ "$path" == *$'\n'* || "$path" =~ ^[[:space:]] || "$path" =~ [[:space:]]$ ]]; then
+      echo "git-to-vchist.sh: commit ${sha}, ${path}: the path has a newline or" \
+           "leading or trailing whitespace, which a vchist path cannot hold" >&2
+      exit 1
+    fi
     case "$status" in
       D)
-        echo "delete ${path}"
-        ;;
-      R*)
-        # Rename: delete the old path; the new one is emitted by its own row.
         echo "delete ${path}"
         ;;
       *)

@@ -159,7 +159,6 @@ struct CliOptions {
   std::string metrics_out_path;
   std::string ledger_dir;
   std::string label;
-  std::string cache_dir;
   bool incremental = false;
   bool metrics = false;
   bool progress = false;
@@ -200,16 +199,6 @@ const FlagSpec kFlags[] = {
      "report printed on stdout is the one for the head commit",
      [](CliOptions& o, const std::string&) {
        o.incremental = true;
-       return true;
-     }},
-    {"--cache-dir", "DIR", "incremental engine",
-     "persist the per-file analysis cache under DIR so a later\n"
-     "--incremental run in a fresh process skips re-analyzing\n"
-     "functions whose file content, checker set, and configuration\n"
-     "are unchanged; corrupt entries degrade to a re-parse via the\n"
-     "quarantine channel, never a failed run",
-     [](CliOptions& o, const std::string& v) {
-       o.cache_dir = v;
        return true;
      }},
     {"--jobs", "N", "AnalysisOptions::jobs",
@@ -573,10 +562,6 @@ bool ParseAnalyzeArgs(const std::vector<std::string>& args, CliOptions& options)
     std::fprintf(stderr, "valuecheck: --incremental requires --history (a commit sequence)\n");
     return false;
   }
-  if (!options.cache_dir.empty() && !options.incremental) {
-    std::fprintf(stderr, "valuecheck: --cache-dir only applies with --incremental\n");
-    return false;
-  }
   return true;
 }
 
@@ -802,9 +787,7 @@ int RunAnalyze(const std::vector<std::string>& args) {
       std::fprintf(stderr, "valuecheck: --incremental: history has no commits\n");
       return 2;
     }
-    IncrementalOptions inc_options;
-    inc_options.cache_dir = options.cache_dir;
-    IncrementalEngine engine(options.analysis, inc_options);
+    IncrementalEngine engine(options.analysis);
     std::string label = options.label.empty() ? options.history_path : options.label;
     for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
       IncrementalResult result = engine.AnalyzeCommit(repo, commit);
@@ -843,16 +826,12 @@ int RunAnalyze(const std::vector<std::string>& args) {
     const CacheStats& cache = inc_head->cache;
     std::fprintf(stderr,
                  "valuecheck: incremental replay: parse cache %llu hit / %llu miss; "
-                 "detect cache %.1f%% hit (%llu carried, %llu recomputed); "
-                 "disk cache %llu loaded, %llu stored, %llu corrupt\n",
+                 "detect cache %.1f%% hit (%llu carried, %llu recomputed)\n",
                  static_cast<unsigned long long>(cache.parse_hits),
                  static_cast<unsigned long long>(cache.parse_misses),
                  cache.DetectHitRate() * 100.0,
                  static_cast<unsigned long long>(cache.detect_carried),
-                 static_cast<unsigned long long>(cache.detect_recomputed),
-                 static_cast<unsigned long long>(cache.disk_loads),
-                 static_cast<unsigned long long>(cache.disk_stores),
-                 static_cast<unsigned long long>(cache.disk_corrupt));
+                 static_cast<unsigned long long>(cache.detect_recomputed));
     report = inc_head->report;
   } else {
     Project project = has_history

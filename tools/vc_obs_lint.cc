@@ -245,8 +245,8 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
       any_vc = true;
     }
     // Incremental cache family: counters and gauges are monotone tallies of
-    // parse/detect/disk traffic — a negative value means the publisher
-    // regressed, not that the run was merely cold.
+    // parse/detect traffic — a negative value means the publisher regressed,
+    // not that the run was merely cold.
     if (name.rfind("vc_cache_", 0) == 0) {
       ++cache_samples;
       if (std::strtod(value.c_str(), nullptr) < 0) {
