@@ -1,17 +1,23 @@
 // Mini-C abstract syntax tree.
 //
-// All nodes are allocated through an AstContext arena and referenced by raw
-// pointer; the arena owns every node for the lifetime of a translation unit.
-// Identifier expressions are resolved to their declarations by the parser, so
-// downstream passes (IR lowering, baselines that walk the AST) never do name
-// lookup themselves.
+// All nodes live in an AstContext arena and are referenced by raw pointer.
+// The arena constructs each node in place in chunks of memory it owns, a few
+// per file, and destroys them in place when the translation unit goes, so
+// building and freeing a file's tree costs a handful of heap blocks rather
+// than one per node. Identifier expressions are resolved to their
+// declarations by the parser, so downstream passes (IR lowering, baselines
+// that walk the AST) never do name lookup themselves.
 
 #ifndef VALUECHECK_SRC_AST_AST_H_
 #define VALUECHECK_SRC_AST_AST_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/ast/type.h"
@@ -26,30 +32,64 @@ class AstNode {
 };
 
 // Arena that owns every AST node of one translation unit plus its type table.
+// Nodes are placement-constructed into chunks that are never zero-filled.
+// The first chunk holds `first_chunk_bytes`, the caller's estimate of the
+// file's node bytes; each later chunk holds an eighth of that (at least
+// kMinChunkBytes), so a file that outgrows its estimate leaves at most one
+// small chunk's tail unused. The destructor runs every node's destructor,
+// through AstNode's virtual one, in construction order.
 class AstContext {
  public:
+  explicit AstContext(size_t first_chunk_bytes)
+      : next_chunk_bytes_(std::max(first_chunk_bytes, kMinChunkBytes)) {}
+  ~AstContext();
+  AstContext(const AstContext&) = delete;
+  AstContext& operator=(const AstContext&) = delete;
+
   template <typename T, typename... Args>
   T* New(Args&&... args) {
-    auto node = std::make_unique<T>(std::forward<Args>(args)...);
-    T* raw = node.get();
+    static_assert(std::is_base_of_v<AstNode, T>);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);  // chunks start there
+    T* node = new (Allocate(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
+    nodes_.push_back(node);
     node_bytes_ += sizeof(T);
     ++node_count_;
-    nodes_.push_back(std::move(node));
-    return raw;
+    return node;
   }
 
   TypeTable& types() { return types_; }
   const TypeTable& types() const { return types_; }
 
   // Exact sizeof-footprint of the arena's nodes (excludes out-of-line vectors
-  // and strings): the arena is per-file single-threaded, so plain counters
-  // stay exact and deterministic. Consumed by the memory tracker.
+  // and strings, and the chunks' unused tails): the arena is per-file
+  // single-threaded, so plain counters stay exact and deterministic.
+  // Consumed by the memory tracker.
   uint64_t node_bytes() const { return node_bytes_; }
   uint64_t node_count() const { return node_count_; }
+  size_t chunk_count() const { return chunks_.size(); }
 
  private:
+  static constexpr size_t kMinChunkBytes = 512;
+
+  // `size` bytes at `align` in the current chunk, opening a new chunk when
+  // they do not fit.
+  void* Allocate(size_t size, size_t align) {
+    size_t offset = (used_ + align - 1) & ~(align - 1);
+    if (chunks_.empty() || offset + size > chunk_bytes_) {
+      NewChunk(size);
+      offset = 0;
+    }
+    used_ = offset + size;
+    return chunks_.back().get() + offset;
+  }
+  void NewChunk(size_t at_least);
+
   TypeTable types_;
-  std::vector<std::unique_ptr<AstNode>> nodes_;
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::vector<AstNode*> nodes_;  // construction order
+  size_t chunk_bytes_ = 0;       // size of chunks_.back()
+  size_t used_ = 0;              // bytes taken from chunks_.back()
+  size_t next_chunk_bytes_;
   uint64_t node_bytes_ = 0;
   uint64_t node_count_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "src/checkers/baseline_checkers.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -114,6 +115,12 @@ std::vector<UnusedDefCandidate> ClangUnusedChecker::Check(CheckerContext& ctx) c
     cand.var = var;
     result.push_back(std::move(cand));
   }
+  // `usage` is in address order, which depends on where the arena put each
+  // declaration; report in declaration order, the same at any job count.
+  std::stable_sort(result.begin(), result.end(),
+                   [](const UnusedDefCandidate& a, const UnusedDefCandidate& b) {
+                     return a.def_loc < b.def_loc;
+                   });
   return result;
 }
 
@@ -312,25 +319,36 @@ std::vector<UnusedDefCandidate> CoverityUnusedChecker::Check(CheckerContext& ctx
   // union over functions is the original whole-project scan). A site whose
   // assigned variable is itself a dead store still counts as "used" here —
   // the checker keys on the syntactic consumption, which is exactly why it
-  // misses the paper's Fig. 8 bug.
-  for (const auto& [name, info] : ctx.project().function_index()) {
-    int total = static_cast<int>(info.call_sites.size());
-    if (total < kMinCallSites) {
-      continue;
+  // misses the paper's Fig. 8 bug. Findings come in callee-name order, then
+  // call order, which fingerprint ordinals depend on.
+  std::vector<const CallSite*> ignored;
+  for (const CallSite& site : func.call_sites) {
+    if (site.callee != nullptr && !site.result_assigned) {
+      ignored.push_back(&site);
     }
-    int used = 0;
-    for (const CallSite& site : info.call_sites) {
-      used += site.result_assigned ? 1 : 0;
-    }
-    if (static_cast<double>(used) < kCheckedFraction * static_cast<double>(total)) {
-      continue;
-    }
-    for (const CallSite& site : info.call_sites) {
-      if (site.result_assigned || site.caller != &func) {
-        continue;
+  }
+  std::stable_sort(ignored.begin(), ignored.end(), [](const CallSite* a, const CallSite* b) {
+    return a->callee->name < b->callee->name;
+  });
+  const std::string* callee = nullptr;
+  bool usually_checked = false;
+  for (const CallSite* site : ignored) {
+    if (callee == nullptr || *callee != site->callee->name) {
+      callee = &site->callee->name;
+      int total = 0;
+      int used = 0;
+      if (const FunctionInfo* info = ctx.project().FindFunction(*callee)) {
+        total = static_cast<int>(info->call_sites.size());
+        for (const CallSite& other : info->call_sites) {
+          used += other.result_assigned ? 1 : 0;
+        }
       }
-      result.push_back(
-          BaselineFinding(ctx, site.loc, name, "CHECKED_RETURN: callers usually use the value"));
+      usually_checked = total >= kMinCallSites &&
+                        static_cast<double>(used) >= kCheckedFraction * static_cast<double>(total);
+    }
+    if (usually_checked) {
+      result.push_back(BaselineFinding(ctx, site->loc, site->callee->name,
+                                       "CHECKED_RETURN: callers usually use the value"));
     }
   }
   return result;

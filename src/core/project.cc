@@ -47,6 +47,20 @@ constexpr uint32_t kUnranked = UINT32_MAX;
 
 }  // namespace
 
+Project::~Project() {
+  if (files_.empty()) {
+    return;
+  }
+  // Freeing a file's tree and IR touches only that file's blocks, so the
+  // lanes that built them free them too; the index and the sources follow
+  // on this thread.
+  TraceSpan span("teardown", "pipeline");
+  ParallelFor(jobs_, files_.size(), [&](size_t i) {
+    files_[i] = FileRecord();
+    modules_[i].reset();
+  });
+}
+
 void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,
                          const Config& config, int jobs, const FaultInjector* fault,
                          const ResourceBudget* budget) {
@@ -84,6 +98,7 @@ void Project::CompileSlots(const std::vector<FileId>& slots, const Config& confi
                            const FaultInjector* fault, const ResourceBudget* budget) {
   // Each lane writes only its own file's record and module; the
   // SourceManager is only read during the parallel phase.
+  jobs_ = jobs;
   ParallelFor(jobs, slots.size(), [&](size_t k) { CompileSlot(slots[k], config, fault, budget); });
   TraceSpan span("build_index", "parse");
   size_t names = 0;
@@ -391,7 +406,6 @@ void Project::BuildDerived() {
     Sharers& sharers = name->second;
     sharers.touched = false;
     if (sharers.files.empty()) {
-      index_.erase(name->first);
       entries_[sharers.id] = nullptr;
       free_ids_.push_back(sharers.id);
       sharers_.erase(sharers_.find(name->first));
@@ -399,7 +413,8 @@ void Project::BuildDerived() {
     }
     std::sort(sharers.files.begin(), sharers.files.end(),
               [&](const auto& a, const auto& b) { return rank_[a.first] < rank_[b.first]; });
-    FunctionInfo info;
+    FunctionInfo& info = sharers.info;
+    info = FunctionInfo();
     info.name = name->first;
     size_t site_count = 0;
     for (const auto& [file, pos] : sharers.files) {
@@ -420,9 +435,7 @@ void Project::BuildDerived() {
         info.call_sites.push_back(*share.sites[s]);
       }
     }
-    FunctionInfo& entry = index_[name->first];
-    entry = std::move(info);
-    entries_[sharers.id] = &entry;
+    entries_[sharers.id] = &info;
   }
   touched_.clear();
 }

@@ -17,21 +17,23 @@
 // the memory total are re-read on every update, and the index is merged from
 // the shares — each update takes the changed files' old shares out, adds
 // their new ones, and rebuilds only the names those shares list. So every
-// view is the same however the project reached its current contents.
+// view is the same however the project reached its current contents. The
+// index is one table: each name's entry sits in the name's own node, and a
+// dense name id leads to it.
 //
 // That independence makes construction embarrassingly parallel: file ids are
 // assigned sequentially up front, then preprocess/parse/lower (and the
 // file's index share) runs across `jobs` worker lanes into per-file records,
 // and the records merge in file order — so the resulting Project is
 // byte-identical at any job count. Incremental updates compile their files
-// the same way.
+// the same way, and destruction releases the records and modules across the
+// lanes of the last build or update.
 
 #ifndef VALUECHECK_SRC_CORE_PROJECT_H_
 #define VALUECHECK_SRC_CORE_PROJECT_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,7 +69,7 @@ struct ProjectTraits {
 
 // Project-wide view of one function name.
 struct FunctionInfo {
-  std::string name;
+  std::string_view name;  // the index's own copy of the name
   // Definition, when the function is defined inside the project.
   const FunctionDecl* def_decl = nullptr;
   const IrFunction* ir = nullptr;
@@ -83,6 +85,10 @@ class Project {
   Project() = default;
   Project(Project&&) = default;
   Project& operator=(Project&&) = default;
+  // Releases each file's record and IR module across the lanes of the last
+  // build or update (jobs=1: serially), inside one `teardown` trace span.
+  // A moved-from project holds no files and releases nothing.
+  ~Project();
 
   // Parses and lowers the head snapshot of every file in `repo`. `jobs` is
   // the number of parallel worker lanes (1 = serial, 0 = all hardware
@@ -120,10 +126,10 @@ class Project {
   const std::vector<std::unique_ptr<IrModule>>& modules() const { return modules_; }
   const PreprocessResult& preprocessing(FileId file) const { return files_.at(file).pp; }
 
-  const std::map<std::string, FunctionInfo>& function_index() const { return index_; }
-  const FunctionInfo* FindFunction(const std::string& name) const {
-    auto it = index_.find(name);
-    return it == index_.end() ? nullptr : &it->second;
+  // The index entry of `name`; null when no live file defines or calls it.
+  const FunctionInfo* FindFunction(std::string_view name) const {
+    auto it = sharers_.find(name);
+    return it == sharers_.end() ? nullptr : entries_[it->second.id];
   }
 
   // Total number of non-empty source lines (for the scalability table).
@@ -240,11 +246,13 @@ class Project {
 
   // The live files whose share lists one name, as (file, position in its
   // share's names), in no particular order; `touched` while the name awaits
-  // its rebuild.
+  // its rebuild. The name's index entry lives here too, where its address
+  // stays put while the name is indexed.
   struct Sharers {
     std::vector<std::pair<FileId, uint32_t>> files;
     bool touched = false;
     uint32_t id = kNoName;
+    FunctionInfo info;
   };
   using SharerMap = std::unordered_map<std::string, Sharers, StringViewHash, std::equal_to<>>;
 
@@ -273,15 +281,15 @@ class Project {
   DiagnosticEngine diags_;
   std::vector<FileRecord> files_;  // indexed by FileId
   std::vector<std::unique_ptr<IrModule>> modules_;
-  std::map<std::string, FunctionInfo> index_;
   SharerMap sharers_;                           // per indexed name
-  std::vector<const FunctionInfo*> entries_;    // by name id
+  std::vector<const FunctionInfo*> entries_;    // by name id; null until built
   std::vector<uint32_t> free_ids_;              // ids given up by earlier updates
   std::vector<SharerMap::value_type*> touched_;  // names awaiting their rebuild
   std::vector<QuarantinedUnit> quarantined_;
   StageRecord build_stage_;
   std::vector<size_t> unit_order_;  // iteration order for derived state
   std::vector<uint32_t> rank_;      // per FileId: position in unit_order_
+  int jobs_ = 1;                    // lanes of the last build or update
 };
 
 }  // namespace vc

@@ -507,9 +507,18 @@ std::string DumpFunctionIndex(const Project& project) {
     return project.sources().Path(file) + ":" + std::to_string(loc.line) + ":" +
            std::to_string(loc.column);
   };
+  std::vector<const FunctionInfo*> entries;
+  for (uint32_t id = 0; id < project.NameIdBound(); ++id) {
+    if (const FunctionInfo* info = project.IndexEntry(id)) {
+      entries.push_back(info);
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const FunctionInfo* a, const FunctionInfo* b) { return a->name < b->name; });
   std::string out;
-  for (const auto& [name, info] : project.function_index()) {
-    out += name + "\n";
+  for (const FunctionInfo* entry : entries) {
+    const FunctionInfo& info = *entry;
+    out += std::string(info.name) + "\n";
     if (info.def_decl != nullptr) {
       out += "  def " + where(info.def_file, info.def_decl->loc) +
              " ir=" + (info.ir != nullptr ? info.ir->name : "-") + "\n";

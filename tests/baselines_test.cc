@@ -241,6 +241,27 @@ TEST(CoverityUnused, CheckedReturnFlagsMinorityIgnorer) {
   EXPECT_EQ(report.findings[0].function, "ig");
 }
 
+// Findings come in callee-name order, then call order, whichever order the
+// function makes its calls in; fingerprint ordinals follow that order.
+TEST(CoverityUnused, CheckedReturnOrdersByCalleeThenCall) {
+  std::string code = "int zeta(int v) { return v; }\nint alpha(int v) { return v + 1; }\n";
+  for (int i = 0; i < 9; ++i) {
+    std::string t = std::to_string(i);
+    code += "int u" + t + "(int v) { int a" + t + " = alpha(v); int z" + t + " = zeta(v); return a" +
+            t + " + z" + t + "; }\n";
+  }
+  code += "void ig(int v) {\n  zeta(v);\n  alpha(v);\n  zeta(v + 1);\n  alpha(v + 1);\n}\n";
+  Project project = Make(code);
+  AnalysisReport report = RunChecker(project, "baseline-coverity");
+  std::vector<std::pair<std::string, int>> found;
+  for (const UnusedDefCandidate& cand : report.findings) {
+    found.emplace_back(cand.slot_name, cand.def_loc.line);
+  }
+  const std::vector<std::pair<std::string, int>> want = {
+      {"alpha", 14}, {"alpha", 16}, {"zeta", 13}, {"zeta", 15}};
+  EXPECT_EQ(found, want);
+}
+
 TEST(CoverityUnused, CheckedReturnRespectsRatio) {
   // 2 checking vs 2 ignoring: 50% < 80%, nothing flagged.
   std::string code = "int chk(int v) { return v; }\n";

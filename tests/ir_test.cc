@@ -1,10 +1,13 @@
 // IR lowering tests: instruction shapes, CFG structure, slots, store
-// annotations, synthetic temps for ignored call results, call-site records.
+// annotations, synthetic temps for ignored call results, call-site records,
+// and a tree that fills several AST arena chunks.
 
 #include <gtest/gtest.h>
 
+#include "src/ast/ast_printer.h"
 #include "src/ir/ir_builder.h"
 #include "src/parser/parser.h"
+#include "src/support/string_util.h"
 
 namespace vc {
 namespace {
@@ -280,6 +283,45 @@ TEST(IrBuilder, DumpContainsSlots) {
   std::string dump = lowered->module->FindFunction("f")->Dump();
   EXPECT_NE(dump.find("store @x"), std::string::npos);
   EXPECT_NE(dump.find("load @a"), std::string::npos);
+}
+
+// A file whose tree fills several arena chunks parses, prints and lowers to
+// the same text as when every node was its own heap block; the pinned
+// digests and sizeof-based footprint are those of that per-node arena.
+TEST(AstArena, FileSpanningSeveralChunksParsesPrintsAndLowersAsBefore) {
+  std::string code =
+      "struct pair {\n  int a;\n  int b;\n};\n"
+      "int g_total;\n"
+      "int helper(int v);\n";
+  for (int i = 0; i < 40; ++i) {
+    const std::string n = std::to_string(i);
+    code += "int f" + n + "(int x, struct pair *p) {\n  int acc = x * " + n +
+            ";\n"
+            "  for (int k = 0; k < x; k++) {\n"
+            "    if (p->a > k) {\n"
+            "      acc += helper(k);\n"
+            "    } else {\n"
+            "      p->b = acc - k;\n"
+            "    }\n"
+            "  }\n"
+            "  g_total = acc;\n"
+            "  return acc ? p->a : p->b;\n"
+            "}\n";
+  }
+  auto lowered = Lower(code);
+  const AstContext& arena = *lowered->unit.context;
+  EXPECT_GE(arena.chunk_count(), 3u);
+  EXPECT_EQ(arena.node_bytes(), 132648u);
+  EXPECT_EQ(arena.node_count(), 2006u);
+  const std::string printed = PrintUnit(lowered->unit);
+  EXPECT_EQ(printed.size(), 9750u);
+  EXPECT_EQ(Fnv1a(printed), 0x6e729b418b12c97eull);
+  std::string ir;
+  for (const auto& func : lowered->module->functions) {
+    ir += func->Dump();
+  }
+  EXPECT_EQ(ir.size(), 39140u);
+  EXPECT_EQ(Fnv1a(ir), 0x5b171bc1ba5c895full);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Project and authorship-layer tests: function index across files (fresh and
-// incrementally updated), snapshot construction, line counting, and the
-// AuthorshipAnalyzer in isolation.
+// Project and authorship-layer tests: function index across files (fresh,
+// incrementally updated, and at any job count), snapshot construction, line
+// counting, releasing a project across lanes, and the AuthorshipAnalyzer in
+// isolation.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,9 @@
 #include "src/core/detector.h"
 #include "src/core/project.h"
 #include "src/core/analysis.h"
+#include "src/support/thread_pool.h"
+#include "src/support/trace.h"
+#include "src/testing/corpusgen.h"
 #include "src/testing/oracle.h"
 
 namespace vc {
@@ -132,10 +136,100 @@ TEST(Project, MemoryTotalTracksLiveFiles) {
   MemoryTracker::Global().Disable();
 }
 
-// The warm function index: one Project driven through UpsertFile /
+std::vector<std::pair<std::string, std::string>> CorpusFiles(int files) {
+  testing::CorpusProfile profile;
+  EXPECT_TRUE(testing::MakeCorpusProfile("linux-like", "small", 1, &profile));
+  profile.files = files;
+  return testing::GenerateCorpusSources(profile);
+}
+
+// Builds at any job count hold the same index, and every indexed name's
+// entry is the one its id leads to.
+TEST(Project, IndexIsTheSameAtAnyJobs) {
+  const std::vector<std::pair<std::string, std::string>> files = CorpusFiles(100);
+  const std::string serial = testing::DumpFunctionIndex(Project::FromSources(files, Config(), 1));
+  for (int jobs : {2, 8}) {
+    EXPECT_EQ(testing::DumpFunctionIndex(Project::FromSources(files, Config(), jobs)), serial)
+        << "jobs " << jobs;
+  }
+  Project project = Project::FromSources(files, Config(), 8);
+  size_t names = 0;
+  for (uint32_t id = 0; id < project.NameIdBound(); ++id) {
+    const FunctionInfo* entry = project.IndexEntry(id);
+    if (entry == nullptr) {
+      continue;
+    }
+    ++names;
+    EXPECT_EQ(project.NameId(entry->name), id) << entry->name;
+    EXPECT_EQ(project.FindFunction(entry->name), project.IndexEntry(project.NameId(entry->name)))
+        << entry->name;
+  }
+  EXPECT_GT(names, 100u);
+  EXPECT_EQ(project.FindFunction("no_such_function"), nullptr);
+}
+
+// Counts the `teardown` spans `body` records.
+template <typename Body>
+size_t TeardownSpans(Body body) {
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+  body();
+  collector.Disable();
+  size_t spans = 0;
+  for (const TraceEvent& event : collector.SnapshotEvents()) {
+    spans += event.name == "teardown" ? 1 : 0;
+  }
+  collector.Clear();
+  return spans;
+}
+
+// A project built at jobs 4 releases its files across lanes when destroyed
+// directly, once after a move (the moved-from project holds no files), and
+// inline inside a ParallelFor body, where nested loops run on the lane.
+TEST(Project, ReleasesAcrossLanesDirectlyAfterMoveAndNested) {
+  const std::vector<std::pair<std::string, std::string>> files = CorpusFiles(40);
+  const std::string index = testing::DumpFunctionIndex(Project::FromSources(files));
+
+  EXPECT_EQ(TeardownSpans([&] { Project project = Project::FromSources(files, Config(), 4); }),
+            1u);
+
+  EXPECT_EQ(TeardownSpans([&] {
+              Project built = Project::FromSources(files, Config(), 4);
+              Project moved(std::move(built));
+              EXPECT_EQ(testing::DumpFunctionIndex(moved), index);
+              Project assigned;
+              assigned = std::move(moved);
+              EXPECT_EQ(testing::DumpFunctionIndex(assigned), index);
+            }),
+            1u);
+
+  EXPECT_EQ(TeardownSpans([&] {
+              std::vector<std::string> dumps(4);
+              ParallelFor(4, dumps.size(), [&](size_t i) {
+                Project project = Project::FromSources(files, Config(), 4);
+                dumps[i] = testing::DumpFunctionIndex(project);
+              });
+              for (const std::string& dump : dumps) {
+                EXPECT_EQ(dump, index);
+              }
+            }),
+            4u);
+
+  // An updated project releases across the lanes of its last update.
+  EXPECT_EQ(TeardownSpans([&] {
+              Project project;
+              project.UpsertFiles(files, Config(), 4);
+              project.FinishUpdate();
+              EXPECT_EQ(testing::DumpFunctionIndex(project), index);
+            }),
+            1u);
+}
+
+// The warm function index: one Project driven through UpsertFiles /
 // RemoveFile / FinishUpdate steps holds, after every step, the index a fresh
-// build over the same live files (in path order) holds.
-TEST(Project, IncrementalIndexEqualsFreshBuild) {
+// build over the same live files (in path order) holds, at any job count.
+void CheckIncrementalIndexEqualsFreshBuild(int jobs) {
   auto defines = [](const std::string& name, int bias) {
     return "int " + name + "(int v) {\n  return v + " + std::to_string(bias) + ";\n}\n";
   };
@@ -160,7 +254,7 @@ TEST(Project, IncrementalIndexEqualsFreshBuild) {
   std::map<std::string, std::string> live;
   auto upsert = [&](const std::string& path, const std::string& content) {
     live[path] = content;
-    project.UpsertFile(path, content, Config(), &fault);
+    project.UpsertFiles({{path, content}}, Config(), jobs, &fault);
   };
   auto remove = [&](const std::string& path) {
     live.erase(path);
@@ -174,7 +268,7 @@ TEST(Project, IncrementalIndexEqualsFreshBuild) {
   auto step = [&](const std::string& what) {
     project.FinishUpdate();
     std::vector<std::pair<std::string, std::string>> files(live.begin(), live.end());
-    Project fresh = Project::FromSources(files, Config(), 1, &fault);
+    Project fresh = Project::FromSources(files, Config(), jobs, &fault);
     EXPECT_EQ(testing::DumpFunctionIndex(project), testing::DumpFunctionIndex(fresh)) << what;
   };
 
@@ -216,6 +310,13 @@ TEST(Project, IncrementalIndexEqualsFreshBuild) {
   ASSERT_EQ(project.quarantined().size(), 1u);
   EXPECT_EQ(project.quarantined()[0].path, "q.c");
   EXPECT_EQ(definer("dup"), "z.c");
+}
+
+TEST(Project, IncrementalIndexEqualsFreshBuild) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    CheckIncrementalIndexEqualsFreshBuild(jobs);
+  }
 }
 
 // A project first built in another order than by path adopts path order at

@@ -385,6 +385,7 @@ TEST(SpanAnalysis, ParallelRunRecordsOneTreeForEveryExporter) {
   // The loops whose bodies open no span record their lanes too.
   EXPECT_EQ(forked_by.count("authorship"), 1u);
   EXPECT_EQ(forked_by.count("prune.peer_stats"), 1u);
+  EXPECT_EQ(forked_by.count("teardown"), 1u);
 
   // The folded profile roots worker frames in the lanes, and the lanes in
   // the stages that ran them.

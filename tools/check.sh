@@ -49,32 +49,48 @@ run_config() {
 }
 
 # Per-checker smoke: every registered checker (from --list-checkers, baselines
-# included) must run alone over the examples corpus without a usage or
-# internal error (exit 0 or 1), and an unknown checker name must be rejected
-# with exit 2 plus the usage text.
+# included) must run alone over a 40-file generated corpus without a usage or
+# internal error (exit 0 or 1) and print byte-identical CSV at --jobs 1 and
+# --jobs 4, and an unknown checker name must be rejected with exit 2 plus the
+# usage text.
 checker_smoke() {
   local name="$1"
   local build_dir="$2"
   local vc="${build_dir}/tools/valuecheck"
+  local gen="${build_dir}/tools/vc_corpusgen"
   echo "=== [${name}] per-checker smoke ==="
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"; trap - RETURN' RETURN
+  "${gen}" --profile linux-like --scale small --files 40 --quiet \
+    --out "${tmp}/corpus" || {
+    echo "checker smoke: vc_corpusgen failed" >&2; return 1; }
   local checkers
   checkers="$("${vc}" --list-checkers | awk -F'|' 'NR > 2 && NF > 2 { gsub(/ /, "", $2); if ($2 != "") print $2 }')"
   if [ "$(printf '%s\n' "${checkers}" | wc -l)" -lt 5 ]; then
     echo "checker smoke: --list-checkers returned fewer than 5 checkers" >&2
     return 1
   fi
-  local checker rc
+  local checker jobs rc
   for checker in ${checkers}; do
-    rc=0
-    "${vc}" analyze --checkers "${checker}" --jobs 2 examples/corpus >/dev/null 2>&1 || rc=$?
-    if [ "${rc}" -ge 2 ]; then
-      echo "checker smoke: --checkers ${checker} failed (exit ${rc})" >&2
+    for jobs in 1 4; do
+      rc=0
+      "${vc}" analyze --checkers "${checker}" --jobs "${jobs}" --format csv "${tmp}/corpus" \
+        >"${tmp}/${checker}.j${jobs}.csv" 2>/dev/null || rc=$?
+      if [ "${rc}" -ge 2 ]; then
+        echo "checker smoke: --checkers ${checker} --jobs ${jobs} failed (exit ${rc})" >&2
+        return 1
+      fi
+    done
+    if ! cmp -s "${tmp}/${checker}.j1.csv" "${tmp}/${checker}.j4.csv"; then
+      echo "checker smoke: --checkers ${checker} CSV differs between --jobs 1 and --jobs 4" >&2
+      diff "${tmp}/${checker}.j1.csv" "${tmp}/${checker}.j4.csv" | head -20 >&2
       return 1
     fi
   done
   rc=0
   local usage
-  usage="$("${vc}" analyze --checkers bogus examples/corpus 2>&1 >/dev/null)" || rc=$?
+  usage="$("${vc}" analyze --checkers bogus "${tmp}/corpus" 2>&1 >/dev/null)" || rc=$?
   if [ "${rc}" -ne 2 ]; then
     echo "checker smoke: --checkers bogus exited ${rc}, want 2" >&2
     return 1
