@@ -160,6 +160,39 @@ void BM_BlameReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BlameReplay)->Arg(20)->Arg(100);
 
+// Blame replay against the edit position: a 4,000-line file and 64 commits
+// that each change one line at its start (0), middle (1) or end (2). Each
+// step splits and diffs only the lines after the opening ones the two
+// versions share, so a step costs less the later its first change sits.
+void BM_BlameReplayEdit(benchmark::State& state) {
+  constexpr int kLines = 4000;
+  constexpr int kCommits = 64;
+  vc::Repository repo;
+  vc::AuthorId author = repo.AddAuthor("dev");
+  std::vector<std::string> lines;
+  for (int i = 0; i < kLines; ++i) {
+    lines.push_back("int line_" + std::to_string(i) + ";");
+  }
+  auto content = [&lines] {
+    std::string text;
+    for (const std::string& line : lines) {
+      text += line + "\n";
+    }
+    return text;
+  };
+  repo.AddCommit(author, 1000, "create", {{"f.c", content()}});
+  const int edited = state.range(0) == 0 ? 0 : state.range(0) == 1 ? kLines / 2 : kLines - 1;
+  for (int commit = 1; commit <= kCommits; ++commit) {
+    lines[edited] = "int edit_" + std::to_string(commit) + ";";
+    repo.AddCommit(author, 1000 + commit, "edit", {{"f.c", content()}});
+  }
+  for (auto _ : state) {
+    auto blame = repo.BlameAt("f.c", repo.NumCommits() - 1);
+    benchmark::DoNotOptimize(blame.size());
+  }
+}
+BENCHMARK(BM_BlameReplayEdit)->Arg(0)->Arg(1)->Arg(2);
+
 }  // namespace
 
 BENCHMARK_MAIN();

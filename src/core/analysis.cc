@@ -153,7 +153,8 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       for (size_t m : project.unit_order()) {
         paths.push_back(project.sources().Path(static_cast<FileId>(m)));
       }
-      repo->WarmBlame(paths, options_.jobs);
+      scope.Count(kAuthorshipBlameLines,
+                  static_cast<int64_t>(repo->WarmBlame(paths, options_.jobs)));
     }
     AuthorshipAnalyzer authorship(project, repo);
     authorship.ClassifyAll(rerun, options_.jobs);

@@ -16,7 +16,7 @@ const char* StageName(Stage stage) {
 
 const char* StageCountName(Stage stage, int index) {
   static constexpr const char* kNames[kStageCount][kMaxStageCounts] = {
-      {"files"},           {"functions", "candidates"}, {"classified"},
+      {"files"},           {"functions", "candidates"}, {"classified", "blame_lines"},
       {"kept", "dropped"}, {"survivors"},               {"scored", "unknown"}};
   return kNames[static_cast<int>(stage)][index];
 }

@@ -31,7 +31,7 @@ const char* StageName(Stage stage);
 // names (span args, stage_end fields) are StageCountName's table:
 //   parse               files (compiled by this run)
 //   detect              functions (run through the checkers), candidates
-//   authorship          classified
+//   authorship          classified, blame_lines (split by the blame warm-up)
 //   cross_scope_filter  kept, dropped
 //   prune               survivors
 //   rank                scored, unknown
@@ -41,6 +41,7 @@ enum StageCount : int {
   kDetectFunctions = 0,
   kDetectCandidates = 1,
   kAuthorshipClassified = 0,
+  kAuthorshipBlameLines = 1,
   kFilterKept = 0,
   kFilterDropped = 1,
   kPruneSurvivors = 0,

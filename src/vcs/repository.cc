@@ -1,8 +1,11 @@
 #include "src/vcs/repository.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "src/support/thread_pool.h"
@@ -111,12 +114,53 @@ std::vector<CommitId> Repository::LogOf(const std::string& path) const {
   return it == file_log_.end() ? std::vector<CommitId>{} : it->second;
 }
 
-void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
-                              BlameReplayState& state) const {
+namespace {
+
+// The number of leading bytes `a` and `b` share: memcmp over 1 KiB blocks,
+// then over 64-byte blocks, then byte by byte.
+size_t CommonPrefixBytes(std::string_view a, std::string_view b) {
+  const size_t limit = std::min(a.size(), b.size());
+  size_t at = 0;
+  for (size_t block : {size_t{1024}, size_t{64}}) {
+    while (at + block <= limit && std::memcmp(a.data() + at, b.data() + at, block) == 0) {
+      at += block;
+    }
+  }
+  while (at < limit && a[at] == b[at]) {
+    ++at;
+  }
+  return at;
+}
+
+// How many opening lines of `old_content`, whose lines end at `old_ends`,
+// are also the opening lines of `next`, found by comparing bytes. Lines
+// ending before the first differing byte are shared. The line ending at it
+// is shared only when it ends there in `next` too: at a '\n', or at the end
+// of `next` if it is not empty there (SplitLines yields no empty last line).
+// The count never exceeds the line-wise common prefix DiffLines trims first.
+size_t SharedOpeningLines(std::string_view old_content, const std::vector<size_t>& old_ends,
+                          std::string_view next) {
+  const size_t diff = CommonPrefixBytes(old_content, next);
+  size_t kept = static_cast<size_t>(std::lower_bound(old_ends.begin(), old_ends.end(), diff) -
+                                    old_ends.begin());
+  if (kept < old_ends.size() && old_ends[kept] == diff) {
+    const size_t begin = kept == 0 ? 0 : old_ends[kept - 1] + 1;
+    if (diff < next.size() ? next[diff] == '\n' : begin < diff) {
+      ++kept;
+    }
+  }
+  return kept;
+}
+
+}  // namespace
+
+size_t Repository::AdvanceBlame(const std::string& path, CommitId up_to,
+                                BlameReplayState& state) const {
   auto it = file_log_.find(path);
   if (it == file_log_.end()) {
-    return;
+    return 0;
   }
+  size_t split = 0;
   const std::vector<CommitId>& log = it->second;
   for (; state.log_index < log.size(); ++state.log_index) {
     CommitId commit_id = log[state.log_index];
@@ -127,7 +171,7 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
     if (commit.deleted.count(path) > 0) {
       state.attribution.clear();
       state.line_ends.clear();
-      state.content_commit = kInvalidCommit;
+      state.content = nullptr;
       continue;
     }
     auto file_it = commit.files.find(path);
@@ -135,37 +179,52 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
       continue;
     }
     const std::string& next = file_it->second;
-    std::vector<std::string_view> new_lines = SplitLines(next);
-    if (state.content_commit == kInvalidCommit) {
+    const LineOrigin inserted{commit_id, commit.author};
+    // The lines both versions open with keep their attribution and line
+    // ends; the tail after them starts at the same offset in both.
+    size_t kept = 0;
+    std::vector<LineOrigin> tail_attribution;
+    std::vector<std::string_view> new_lines;
+    if (state.content == nullptr) {
       // (Re)creation: every line belongs to this commit.
-      state.attribution.assign(new_lines.size(), {commit_id, commit.author});
+      new_lines = SplitLines(next);
+      tail_attribution.assign(new_lines.size(), inserted);
     } else {
-      std::string_view content = commits_[state.content_commit]->files.at(path);
+      const std::string_view old_content = *state.content;
+      kept = SharedOpeningLines(old_content, state.line_ends, next);
+      const size_t tail_begin = kept == 0 ? 0 : state.line_ends[kept - 1] + 1;
+      new_lines = SplitLines(std::string_view(next).substr(std::min(tail_begin, next.size())));
       std::vector<std::string_view> old_lines;
-      old_lines.reserve(state.line_ends.size());
-      size_t begin = 0;
-      for (size_t end : state.line_ends) {
-        old_lines.push_back(content.substr(begin, end - begin));
-        begin = end + 1;
+      old_lines.reserve(state.line_ends.size() - kept);
+      size_t begin = tail_begin;
+      for (size_t i = kept; i < state.line_ends.size(); ++i) {
+        old_lines.push_back(old_content.substr(begin, state.line_ends[i] - begin));
+        begin = state.line_ends[i] + 1;
       }
-      std::vector<LineOrigin> next_attr;
-      next_attr.reserve(new_lines.size());
+      tail_attribution.reserve(new_lines.size());
       for (const Edit& edit : DiffLines(old_lines, new_lines)) {
         if (edit.op == EditOp::kKeep) {
-          next_attr.push_back(state.attribution[edit.old_index]);
+          tail_attribution.push_back(state.attribution[kept + edit.old_index]);
         } else if (edit.op == EditOp::kInsert) {
-          next_attr.push_back({commit_id, commit.author});
+          tail_attribution.push_back(inserted);
         }
       }
-      state.attribution = std::move(next_attr);
     }
-    state.line_ends.clear();
-    state.line_ends.reserve(new_lines.size());
+    split += new_lines.size();
+    if (kept == 0) {
+      state.attribution.swap(tail_attribution);  // no copy when nothing is kept
+    } else {
+      state.attribution.resize(kept);
+      state.attribution.insert(state.attribution.end(), tail_attribution.begin(),
+                               tail_attribution.end());
+    }
+    state.line_ends.resize(kept);
     for (std::string_view line : new_lines) {
       state.line_ends.push_back(static_cast<size_t>(line.data() - next.data()) + line.size());
     }
-    state.content_commit = commit_id;
+    state.content = &next;
   }
+  return split;
 }
 
 const std::vector<LineOrigin>& Repository::Blame(const std::string& path) const {
@@ -181,7 +240,7 @@ std::vector<LineOrigin> Repository::BlameAt(const std::string& path, CommitId co
   return std::move(state.attribution);
 }
 
-void Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) const {
+size_t Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) const {
   // Serially: every cache entry exists before the parallel loop, because
   // inserting into blame_cache_ is not thread-safe. The set drops duplicate
   // paths, which would otherwise fold one state on two lanes.
@@ -196,8 +255,11 @@ void Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) cons
   // In parallel: each lane folds one path's log into that path's own state;
   // commits_, file_log_ and the shape of blame_cache_ stay read-only.
   const CommitId head = static_cast<CommitId>(commits_.size()) - 1;
-  ParallelFor(jobs, behind.size(),
-              [&](size_t i) { AdvanceBlame(*behind[i].first, head, *behind[i].second); });
+  std::vector<size_t> split(behind.size());
+  ParallelFor(jobs, behind.size(), [&](size_t i) {
+    split[i] = AdvanceBlame(*behind[i].first, head, *behind[i].second);
+  });
+  return std::accumulate(split.begin(), split.end(), size_t{0});
 }
 
 Repository Repository::PrefixCopy(CommitId up_to) const {

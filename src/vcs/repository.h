@@ -97,9 +97,10 @@ class Repository {
   // Brings the cached head blame of every path in `paths` up to date across
   // up to `jobs` lanes, so later Blame() calls on them are lookups. Each
   // path's fold depends only on its own log, so the result is the same at
-  // any `jobs`. Duplicate and unknown paths are fine. Not safe to call
+  // any `jobs`, and so is the returned count of lines the folds split (see
+  // AdvanceBlame). Duplicate and unknown paths are fine. Not safe to call
   // concurrently with any other call on this repository.
-  void WarmBlame(const std::vector<std::string>& paths, int jobs) const;
+  size_t WarmBlame(const std::vector<std::string>& paths, int jobs) const;
 
   // A new repository containing the same authors and commits 0..up_to — the
   // repository as it existed right after `up_to` landed — sharing those
@@ -115,12 +116,13 @@ class Repository {
   // per-commit blame O(commit delta) instead of O(history).
   struct BlameReplayState {
     std::vector<LineOrigin> attribution;
-    // The commit whose content of the path is the content at the replay
-    // point (kInvalidCommit while the path does not exist), and the end
-    // offset of each of its lines, so the next step does not split that
-    // content again. Offsets rather than views keep a copied repository's
-    // cache valid.
-    CommitId content_commit = kInvalidCommit;
+    // The content at the replay point (null while the path does not exist)
+    // and the end offset of each of its lines. The next step compares its
+    // bytes with the next version's, keeps the lines the two share at their
+    // start, and splits and diffs only the rest. The content belongs to an
+    // immutable commit that every copy of the repository shares, so the
+    // pointer stays valid in a copied cache.
+    const std::string* content = nullptr;
     std::vector<size_t> line_ends;
     size_t log_index = 0;  // next entry of the path's commit log to apply
   };
@@ -133,11 +135,13 @@ class Repository {
   const std::string* ContentAt(const std::string& path, const std::vector<CommitId>& log,
                                CommitId commit) const;
 
-  // Advances `state` through every log entry of `path` with id <= up_to.
+  // Advances `state` through every log entry of `path` with id <= up_to and
+  // returns how many lines it split: every line of a version that creates
+  // the path, and the lines after the kept opening lines of any other.
   // Starting from a default state this reproduces BlameAt(path, up_to).
   // Reads only commits_ and file_log_, so different states may advance on
   // different threads at once.
-  void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
+  size_t AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
 
   std::vector<Author> authors_;
   std::vector<std::shared_ptr<const Commit>> commits_;

@@ -528,6 +528,40 @@ TEST_F(CliTest, PerfReportWritesAnalyticsWithoutPerturbingFindings) {
   EXPECT_EQ(perf.find("critical_path"), std::string::npos);
 }
 
+// A batch run destroys its project, which records the `teardown` span and
+// lanes, before the spans are analyzed, so the report's wall must cover that
+// too: no worker's span window (busy + idle) may outlast it.
+TEST_F(CliTest, BatchPerfReportWallCoversTheTeardown) {
+  for (int file = 0; file < 12; ++file) {
+    Write("src/f" + std::to_string(file) + ".c", kBuggy);
+  }
+  for (const char* jobs : {"1", "4"}) {
+    std::string perf_path = (dir_ / ("perf_" + std::string(jobs) + ".json")).string();
+    RunResult result = RunCli("analyze --jobs=" + std::string(jobs) + " --perf-report=" +
+                              perf_path + " " + (dir_ / "src").string());
+    EXPECT_LT(result.exit_code, 2) << result.output;
+    std::ifstream perf_in(perf_path);
+    ASSERT_TRUE(perf_in.good()) << "perf report not written: " << perf_path;
+    std::string perf((std::istreambuf_iterator<char>(perf_in)),
+                     std::istreambuf_iterator<char>());
+    auto number_after = [&perf](const std::string& key, size_t from) {
+      size_t at = perf.find("\"" + key + "\":", from);
+      EXPECT_NE(at, std::string::npos) << key;
+      return at == std::string::npos ? 0.0 : std::stod(perf.substr(at + key.size() + 3));
+    };
+    const double wall = number_after("wall_seconds", 0);
+    int workers = 0;
+    for (size_t at = perf.find("\"busy_seconds\":"); at != std::string::npos;
+         at = perf.find("\"busy_seconds\":", at + 1)) {
+      const double window = number_after("busy_seconds", at) + number_after("idle_seconds", at);
+      // 10 us of timestamp rounding, and the JSON's six significant digits.
+      EXPECT_GE(wall, window - (10e-6 + 1e-5 * window)) << "jobs " << jobs;
+      ++workers;
+    }
+    EXPECT_GE(workers, 1) << "jobs " << jobs;
+  }
+}
+
 TEST_F(CliTest, IncrementalPerfReportWallCoversTheWholeReplay) {
   std::string hist;
   for (int commit = 0; commit < 4; ++commit) {

@@ -3,15 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "src/corpus/generator.h"
 #include "src/corpus/profile.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
+#include "src/testing/history_gen.h"
 #include "src/vcs/diff.h"
 #include "src/vcs/repository.h"
 
@@ -306,6 +309,42 @@ TEST(Diff, DuplicatedLineKeepsTheFirstCopy) {
             (Script{{insert, -1, 0}, {keep, 0, 1}, {insert, -1, 2}}));
 }
 
+// The blame fold diffs only what follows the opening lines two versions
+// share, which rests on this: for every p up to the line-wise common prefix,
+// the script of the two tails after p, shifted by p, is the tail of the
+// whole script (DiffLines' and textbook Myers'), which keeps the first p
+// lines.
+TEST(Diff, ScriptAfterASharedPrefixIsTheTailsScriptShifted) {
+  Rng rng(20261019);
+  for (int round = 0; round < 4000; ++round) {
+    const int alphabet = 1 + round % 5;
+    std::vector<std::string> a = RandomLines(rng, alphabet, 14);
+    std::vector<std::string> b = round % 2 == 0 ? Edited(rng, a, alphabet)
+                                                : RandomLines(rng, alphabet, 14);
+    size_t common = 0;
+    while (common < a.size() && common < b.size() && a[common] == b[common]) {
+      ++common;
+    }
+    const Script whole = AsScript(DiffLines(Views(a), Views(b)));
+    ASSERT_EQ(whole, AsScript(ReferenceMyers(Views(a), Views(b)))) << "round " << round;
+    for (size_t p = 0; p <= common; ++p) {
+      const std::vector<std::string> a_tail(a.begin() + p, a.end());
+      const std::vector<std::string> b_tail(b.begin() + p, b.end());
+      const int shift = static_cast<int>(p);
+      Script expected;
+      for (int i = 0; i < shift; ++i) {
+        expected.emplace_back(static_cast<int>(EditOp::kKeep), i, i);
+      }
+      for (const Edit& edit : DiffLines(Views(a_tail), Views(b_tail))) {
+        expected.emplace_back(static_cast<int>(edit.op),
+                              edit.old_index < 0 ? -1 : edit.old_index + shift,
+                              edit.new_index < 0 ? -1 : edit.new_index + shift);
+      }
+      ASSERT_EQ(whole, expected) << "round " << round << ", p " << p;
+    }
+  }
+}
+
 // --- Repository -------------------------------------------------------------------
 
 TEST(Repository, AuthorsInterned) {
@@ -553,14 +592,16 @@ TEST(Repository, WarmBlameMatchesLazyBlameAtAnyJobs) {
   paths.push_back("no/such/file.c");
 
   Repository lazy = history.PrefixCopy(head);
+  std::set<size_t> split_counts;
   for (int jobs : {1, 2, 8}) {
     Repository warm = history.PrefixCopy(head);
-    warm.WarmBlame(paths, jobs);
+    split_counts.insert(warm.WarmBlame(paths, jobs));
     for (const std::string& path : paths) {
       EXPECT_EQ(Origins(warm.Blame(path)), Origins(lazy.Blame(path)))
           << path << " at jobs " << jobs;
     }
   }
+  EXPECT_EQ(split_counts.size(), 1u);  // the same lines split at any jobs
   EXPECT_TRUE(lazy.Blame(live.front()).empty());
 }
 
@@ -593,6 +634,357 @@ TEST(Repository, WarmBlameAdvancesOnlyPathsWithNewCommits) {
     EXPECT_EQ(Origins(repo.Blame(path)), Origins(lazy.Blame(path))) << path;
   }
   EXPECT_EQ(repo.Blame(paths[0]).back().author, late);
+}
+
+// --- The blame fold against the whole-version fold -------------------------------
+
+// The fold as it was before it kept the opening lines two versions share:
+// every version is split whole and diffed whole against the one before. It
+// is the earlier Repository::AdvanceBlame line for line, reading the
+// repository through its public API.
+struct ReferenceBlameState {
+  std::vector<LineOrigin> attribution;
+  CommitId content_commit = kInvalidCommit;
+  std::vector<size_t> line_ends;
+  size_t log_index = 0;
+};
+
+void ReferenceAdvanceBlame(const Repository& repo, const std::string& path, CommitId up_to,
+                           ReferenceBlameState& state) {
+  const std::vector<CommitId> log = repo.LogOf(path);
+  for (; state.log_index < log.size(); ++state.log_index) {
+    CommitId commit_id = log[state.log_index];
+    if (commit_id > up_to) {
+      break;
+    }
+    const Commit& commit = repo.GetCommit(commit_id);
+    if (commit.deleted.count(path) > 0) {
+      state.attribution.clear();
+      state.line_ends.clear();
+      state.content_commit = kInvalidCommit;
+      continue;
+    }
+    auto file_it = commit.files.find(path);
+    if (file_it == commit.files.end()) {
+      continue;
+    }
+    const std::string& next = file_it->second;
+    std::vector<std::string_view> new_lines = SplitLines(next);
+    if (state.content_commit == kInvalidCommit) {
+      // (Re)creation: every line belongs to this commit.
+      state.attribution.assign(new_lines.size(), {commit_id, commit.author});
+    } else {
+      std::string_view content = repo.GetCommit(state.content_commit).files.at(path);
+      std::vector<std::string_view> old_lines;
+      old_lines.reserve(state.line_ends.size());
+      size_t begin = 0;
+      for (size_t end : state.line_ends) {
+        old_lines.push_back(content.substr(begin, end - begin));
+        begin = end + 1;
+      }
+      std::vector<LineOrigin> next_attr;
+      next_attr.reserve(new_lines.size());
+      for (const Edit& edit : DiffLines(old_lines, new_lines)) {
+        if (edit.op == EditOp::kKeep) {
+          next_attr.push_back(state.attribution[edit.old_index]);
+        } else if (edit.op == EditOp::kInsert) {
+          next_attr.push_back({commit_id, commit.author});
+        }
+      }
+      state.attribution = std::move(next_attr);
+    }
+    state.line_ends.clear();
+    state.line_ends.reserve(new_lines.size());
+    for (std::string_view line : new_lines) {
+      state.line_ends.push_back(static_cast<size_t>(line.data() - next.data()) + line.size());
+    }
+    state.content_commit = commit_id;
+  }
+}
+
+// Every path any commit of `repo` writes or deletes.
+std::set<std::string> TouchedPaths(const Repository& repo) {
+  std::set<std::string> paths;
+  for (CommitId id = 0; id < repo.NumCommits(); ++id) {
+    const Commit& commit = repo.GetCommit(id);
+    for (const auto& [path, content] : commit.files) {
+      paths.insert(path);
+    }
+    paths.insert(commit.deleted.begin(), commit.deleted.end());
+  }
+  return paths;
+}
+
+// Requires the fold to give the reference's LineOrigins on `repo`: through
+// BlameAt at every log entry of every path, and through Blame() on a replica
+// that grows one AddCommitFrom at a time, as the incremental engine's does.
+// Returns the number of comparisons.
+int ExpectFoldMatchesReference(const Repository& repo, const std::string& label) {
+  int compared = 0;
+  const std::set<std::string> paths = TouchedPaths(repo);
+  for (const std::string& path : paths) {
+    ReferenceBlameState reference;
+    for (CommitId entry : repo.LogOf(path)) {
+      ReferenceAdvanceBlame(repo, path, entry, reference);
+      EXPECT_EQ(Origins(repo.BlameAt(path, entry)), Origins(reference.attribution))
+          << label << ": BlameAt(" << path << ", " << entry << ")";
+      ++compared;
+    }
+  }
+  Repository replica;
+  std::map<std::string, ReferenceBlameState> references;
+  for (CommitId id = 0; id < repo.NumCommits(); ++id) {
+    replica.AddCommitFrom(repo, id);
+    std::set<std::string> touched = repo.GetCommit(id).deleted;
+    for (const auto& [path, content] : repo.GetCommit(id).files) {
+      touched.insert(path);
+    }
+    for (const std::string& path : touched) {
+      ReferenceAdvanceBlame(repo, path, id, references[path]);
+      EXPECT_EQ(Origins(replica.Blame(path)), Origins(references[path].attribution))
+          << label << ": replica Blame(" << path << ") at " << id;
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+TEST(BlameFold, MatchesTheWholeVersionFoldOnGeneratedHistories) {
+  int compared = 0;
+  for (const ProjectProfile& profile : AllProfiles()) {
+    compared += ExpectFoldMatchesReference(GenerateApp(profile.Scaled(0.1)).repo, profile.name);
+  }
+  for (uint64_t seed : {1, 7, 42}) {
+    testing::HistoryGenOptions options;
+    options.seed = seed;
+    options.commits = 24;
+    compared += ExpectFoldMatchesReference(testing::GenerateHistory(options),
+                                           "history seed " + std::to_string(seed));
+  }
+  EXPECT_GT(compared, 1000);
+}
+
+// One line of a seeded edit sequence: a small alphabet in which "}" and the
+// empty line recur and "\r" bytes appear.
+std::string FoldLine(Rng& rng) {
+  static const char* const kLines[] = {"}", "", "}", "", "{", "int x;", "x = 1;\r", "\r", "y;"};
+  return kLines[rng.NextBelow(std::size(kLines))];
+}
+
+// A version of a file in a seeded edit sequence.
+struct FoldVersion {
+  std::vector<std::string> lines;
+  bool final_newline = true;
+  bool empty_next = false;  // the path's next touch writes an empty version
+
+  std::string Content() const {
+    std::string content;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      content += lines[i];
+      if (i + 1 < lines.size() || final_newline) {
+        content += '\n';
+      }
+    }
+    return content;
+  }
+};
+
+// Replaces, inserts before or deletes the line at `at` (clamped).
+void EditLineAt(Rng& rng, std::vector<std::string>& lines, size_t at) {
+  at = std::min(at, lines.size());
+  switch (rng.NextBelow(3)) {
+    case 0:
+      if (at < lines.size()) {
+        lines[at] = FoldLine(rng);
+        break;
+      }
+      [[fallthrough]];
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), FoldLine(rng));
+      break;
+    default:
+      if (at < lines.size()) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+  }
+}
+
+// A seeded edit sequence over two paths: edits at the first, a middle and
+// the last line, the final newline dropped and restored, a version emptied
+// and refilled, a path deleted and recreated, "\r" bytes, and a version whose
+// first line is empty followed by an empty version.
+Repository SeededEditSequence(uint64_t seed) {
+  Rng rng(seed);
+  Repository repo;
+  for (const char* name : {"ann", "bo", "cy"}) {
+    repo.AddAuthor(name);
+  }
+  const std::string paths[] = {"a.c", "b.c"};
+  std::map<std::string, FoldVersion> live;
+  const int commits = 6 + static_cast<int>(rng.NextBelow(9));
+  for (int c = 0; c < commits; ++c) {
+    std::map<std::string, std::string> writes;
+    std::set<std::string> deletes;
+    for (const std::string& path : paths) {
+      if (c > 0 && rng.NextBelow(3) == 0) {
+        continue;  // this commit leaves the path alone
+      }
+      auto it = live.find(path);
+      if (it == live.end()) {
+        FoldVersion created;
+        for (uint64_t n = rng.NextBelow(7); n > 0; --n) {
+          created.lines.push_back(FoldLine(rng));
+        }
+        created.final_newline = rng.NextBelow(4) != 0;
+        writes[path] = created.Content();
+        live[path] = created;
+        continue;
+      }
+      FoldVersion& version = it->second;
+      std::vector<std::string>& lines = version.lines;
+      if (version.empty_next) {
+        version = FoldVersion();
+        writes[path] = "";
+        continue;
+      }
+      switch (rng.NextBelow(10)) {
+        case 0:
+          EditLineAt(rng, lines, 0);
+          break;
+        case 1:
+          EditLineAt(rng, lines, lines.size() / 2);
+          break;
+        case 2:
+          EditLineAt(rng, lines, lines.empty() ? 0 : lines.size() - 1);
+          break;
+        case 3:
+          version.final_newline = !version.final_newline;
+          break;
+        case 4:
+          lines.clear();  // emptied; a later edit refills it
+          break;
+        case 5:
+          deletes.insert(path);
+          live.erase(it);
+          continue;
+        case 6:
+          // A "\r" joins a line, or a line gains one at its end.
+          if (lines.empty()) {
+            lines.push_back("\r");
+          } else {
+            lines[rng.NextBelow(lines.size())] += '\r';
+          }
+          break;
+        case 7:
+          // The first line empty now ("\n..."), the whole version empty at
+          // the path's next touch.
+          lines.insert(lines.begin(), "");
+          version.empty_next = true;
+          break;
+        default:
+          for (uint64_t n = 1 + rng.NextBelow(3); n > 0; --n) {
+            EditLineAt(rng, lines, rng.NextBelow(lines.size() + 1));
+          }
+      }
+      writes[path] = version.Content();
+    }
+    repo.AddCommit(static_cast<AuthorId>(c % 3), 100 + c, "step", std::move(writes),
+                   std::move(deletes));
+  }
+  return repo;
+}
+
+TEST(BlameFold, MatchesTheWholeVersionFoldOnSeededEditSequences) {
+  int compared = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    compared += ExpectFoldMatchesReference(SeededEditSequence(seed),
+                                           "sequence " + std::to_string(seed));
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(compared, 30000);
+}
+
+// An old version whose first line is empty, then an empty version: the
+// empty line ends where the two contents stop agreeing, at the end of the
+// new one, but the new version has no lines at all, so none is kept.
+TEST(BlameFold, AnEmptiedVersionKeepsNoLine) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  AuthorId b = repo.AddAuthor("b");
+  repo.AddCommit(a, 1, "create", {{"f.c", "\n}\n"}});
+  CommitId emptied = repo.AddCommit(b, 2, "empty", {{"f.c", ""}});
+  repo.AddCommit(b, 3, "refill", {{"f.c", "\n"}});
+  EXPECT_TRUE(repo.BlameAt("f.c", emptied).empty());
+  ASSERT_EQ(repo.Blame("f.c").size(), 1u);
+  EXPECT_EQ(repo.Blame("f.c")[0].commit, 2);
+  ExpectFoldMatchesReference(repo, "emptied");
+}
+
+// A line that ends where the two contents stop agreeing is kept only when it
+// ends there in both: "a" -> "a\n" keeps it, "a" -> "ab" does not, and
+// "a\n" -> "a" keeps it. Each case names whether the new version's last line
+// keeps its origin, and how many lines the step splits.
+TEST(BlameFold, LineEndingAtTheFirstDifferenceIsKeptOnlyWhenItEndsInBoth) {
+  for (const auto& [before, after, kept, split] :
+       std::vector<std::tuple<std::string, std::string, bool, size_t>>{
+           {"a", "a\n", true, 0},
+           {"a", "ab", false, 1},
+           {"a\n", "a", true, 0},
+           {"a\n", "a\nb", false, 1},
+           {"a\nb", "a\nb\n", true, 0},
+           {"a\nb", "a\nbc", false, 1},
+           {"x\n\n}", "x\n", true, 0}}) {
+    Repository repo;
+    AuthorId a = repo.AddAuthor("a");
+    repo.AddAuthor("b");
+    repo.AddCommit(a, 1, "before", {{"f.c", before}});
+    repo.WarmBlame({"f.c"}, 1);
+    repo.AddCommit(a + 1, 2, "after", {{"f.c", after}});
+    EXPECT_EQ(repo.WarmBlame({"f.c"}, 1), split) << before << " -> " << after;
+    const std::vector<LineOrigin>& blame = repo.Blame("f.c");
+    ASSERT_EQ(blame.size(), SplitLines(after).size()) << before << " -> " << after;
+    EXPECT_EQ(blame.back().author == a, kept) << before << " -> " << after;
+    ExpectFoldMatchesReference(repo, before + " -> " + after);
+  }
+}
+
+// The warm-up counts the lines its folds split: a created file's every
+// line, then only what follows the shared opening lines. The whole-version
+// fold split 10,001 lines for the one-line append.
+TEST(Repository, WarmBlameSplitsOnlyWhatFollowsTheSharedOpening) {
+  std::vector<std::string> lines;
+  for (int i = 1; i <= 10000; ++i) {
+    lines.push_back("int v" + std::to_string(i) + ";");
+  }
+  auto join = [](const std::vector<std::string>& ls) {
+    std::string content;
+    for (const std::string& line : ls) {
+      content += line + "\n";
+    }
+    return content;
+  };
+  std::vector<std::string> line_5000_changed = lines;
+  line_5000_changed[4999] = "int changed;";
+  const std::vector<std::string> paths = {"f.c", "g.c"};
+  for (int jobs : {1, 2, 8}) {
+    std::vector<size_t> counts;
+    Repository repo;
+    AuthorId a = repo.AddAuthor("a");
+    AuthorId b = repo.AddAuthor("b");
+    repo.AddCommit(a, 1, "create", {{"f.c", join(lines)}, {"g.c", join(lines)}});
+    counts.push_back(repo.WarmBlame(paths, jobs));
+    repo.AddCommit(b, 2, "append", {{"f.c", join(lines) + "int tail;\n"}});
+    counts.push_back(repo.WarmBlame(paths, jobs));
+    repo.AddCommit(b, 3, "change line 5,000", {{"g.c", join(line_5000_changed)}});
+    counts.push_back(repo.WarmBlame(paths, jobs));
+    counts.push_back(repo.WarmBlame(paths, jobs));  // up to date
+    EXPECT_EQ(repo.Blame("f.c").back().author, b);
+    EXPECT_EQ(repo.Blame("g.c")[4999].author, b);
+    EXPECT_EQ(repo.Blame("g.c")[5000].author, a);
+    EXPECT_EQ(counts, (std::vector<size_t>{20000, 1, 5001, 0})) << "jobs " << jobs;
+  }
 }
 
 }  // namespace

@@ -778,6 +778,10 @@ int RunAnalyze(const std::vector<std::string>& args) {
   Analysis analysis(options.analysis);
   AnalysisReport report;
   std::optional<IncrementalResult> inc_head;
+  // The perf report's wall: a batch run's from just before the project is
+  // built to just after it is destroyed, so it covers the teardown spans.
+  // A replay leaves it at 0, which selects the span window.
+  double perf_wall_seconds = 0.0;
   if (options.incremental) {
     // Replay the whole history commit-by-commit through one warm engine.
     // Each commit's report is complete (equal to a full run truncated at that
@@ -834,14 +838,19 @@ int RunAnalyze(const std::vector<std::string>& args) {
                  static_cast<unsigned long long>(cache.detect_recomputed));
     report = inc_head->report;
   } else {
-    Project project = has_history
-                          ? analysis.BuildFromRepository(repo)
-                          : analysis.BuildFromSources(CollectSources(options.inputs));
-    if (project.diags().HasErrors()) {
-      std::fputs(project.diags().Render(project.sources()).c_str(), stderr);
-      return 2;
+    const auto batch_start = std::chrono::steady_clock::now();
+    {
+      Project project = has_history
+                            ? analysis.BuildFromRepository(repo)
+                            : analysis.BuildFromSources(CollectSources(options.inputs));
+      if (project.diags().HasErrors()) {
+        std::fputs(project.diags().Render(project.sources()).c_str(), stderr);
+        return 2;
+      }
+      report = analysis.Run(project, has_history ? &repo : nullptr);
     }
-    report = analysis.Run(project, has_history ? &repo : nullptr);
+    perf_wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start).count();
   }
 
   // The heartbeat line ends (with a final render + newline) before anything
@@ -898,9 +907,7 @@ int RunAnalyze(const std::vector<std::string>& args) {
     TraceCollector& collector = TraceCollector::Global();
     collector.Disable();
     PerfInputs inputs;
-    // A replay's trace spans every commit, not just the head's report: its
-    // span window is the wall clock (0 selects it).
-    inputs.wall_seconds = options.incremental ? 0.0 : report.analysis_seconds;
+    inputs.wall_seconds = perf_wall_seconds;
     inputs.jobs = report.jobs;
     inputs.hardware_threads = HardwareThreads();
     inputs.dropped_spans = collector.dropped_count();

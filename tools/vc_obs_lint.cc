@@ -38,8 +38,11 @@
 //                             is non-empty
 //   vc_obs_lint perf FILE     --perf-report JSON: required fields in the
 //                             schema's stable order, serial fraction and
-//                             every utilization in [0, 1], and worker ids
-//                             dense from 0
+//                             every utilization in [0, 1], worker ids
+//                             dense from 0, and a wall_seconds that covers
+//                             the span window (any worker's busy + idle
+//                             seconds) up to 10 us of timestamp rounding and
+//                             the report's six significant digits
 //
 // The folded listing comes from the recorded span tree, where a pool
 // worker's frames sit under the lane that ran them. The pool runs nested
@@ -426,8 +429,19 @@ int LintPerf(const std::string& path) {
     if (util < 0 || util > 1) {
       return Fail(path, 1, "worker " + std::to_string(i) + " utilization outside [0, 1]");
     }
-    if (w.GetDouble("busy_seconds", -1) < 0 || w.GetDouble("idle_seconds", -1) < 0) {
+    double busy = w.GetDouble("busy_seconds", -1);
+    double idle = w.GetDouble("idle_seconds", -1);
+    if (busy < 0 || idle < 0) {
       return Fail(path, 1, "worker " + std::to_string(i) + " has negative busy/idle time");
+    }
+    // The serial-fraction fit divides busy time by the wall, so the wall must
+    // cover every span. The slack is 10 us of timestamp rounding plus the
+    // JSON's six significant digits.
+    double window = busy + idle;
+    if (wall < window - (10e-6 + 1e-5 * window)) {
+      return Fail(path, 1, "wall_seconds " + std::to_string(wall) +
+                               " is shorter than the span window " +
+                               std::to_string(window) + " (worker " + std::to_string(i) + ")");
     }
     for (const vc::JsonValue& v : w.Get("timeline").Items()) {
       double f = v.AsDouble(-1);
