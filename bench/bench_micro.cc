@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) for the analysis substrates: parsing,
-// IR lowering, liveness fix points, Andersen's points-to, Myers diff, and
+// Micro-benchmarks (google-benchmark) for the analysis substrates: lexing,
+// parsing, IR lowering, liveness fix points, Andersen's points-to, Myers diff, and
 // blame replay. These are ablation-style measurements for DESIGN.md's design
 // choices (per-function analysis, snapshot storage with diff-based blame).
 
@@ -10,6 +10,8 @@
 #include "src/dataflow/define_sets.h"
 #include "src/dataflow/liveness.h"
 #include "src/ir/ir_builder.h"
+#include "src/lexer/lexer.h"
+#include "src/lexer/preprocessor.h"
 #include "src/parser/parser.h"
 #include "src/pointer/andersen.h"
 #include "src/support/rng.h"
@@ -42,6 +44,36 @@ std::string SyntheticModule(int functions, int blocks_each) {
   return code;
 }
 
+// Tokens of `code` (with the final kEof).
+size_t TokenCount(const std::string& code) {
+  vc::SourceManager sm;
+  const vc::FileId file = sm.AddFile("bench.c", code);
+  vc::DiagnosticEngine diags;
+  return vc::Lex(sm, file, vc::Preprocess(code, vc::Config()), diags).size();
+}
+
+// Reports a front-end pass over `code` as bytes and tokens per second, so the
+// cost per byte and per token reads straight off the output.
+void SetFrontEndRates(benchmark::State& state, const std::string& code) {
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(code.size()));
+  state.counters["tokens"] = benchmark::Counter(static_cast<double>(TokenCount(code)),
+                                                benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_LexModule(benchmark::State& state) {
+  const std::string code = SyntheticModule(static_cast<int>(state.range(0)), 6);
+  vc::SourceManager sm;
+  const vc::FileId file = sm.AddFile("bench.c", code);
+  const vc::PreprocessResult pp = vc::Preprocess(code, vc::Config());
+  for (auto _ : state) {
+    vc::DiagnosticEngine diags;
+    std::vector<vc::Token> tokens = vc::Lex(sm, file, pp, diags);
+    benchmark::DoNotOptimize(tokens.data());
+  }
+  SetFrontEndRates(state, code);
+}
+BENCHMARK(BM_LexModule)->Arg(10)->Arg(100);
+
 void BM_ParseModule(benchmark::State& state) {
   std::string code = SyntheticModule(static_cast<int>(state.range(0)), 6);
   for (auto _ : state) {
@@ -51,6 +83,7 @@ void BM_ParseModule(benchmark::State& state) {
     benchmark::DoNotOptimize(unit.functions.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  SetFrontEndRates(state, code);
 }
 BENCHMARK(BM_ParseModule)->Arg(10)->Arg(100);
 

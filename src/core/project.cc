@@ -1,6 +1,7 @@
 #include "src/core/project.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "src/ir/ir_builder.h"
@@ -12,6 +13,7 @@
 #include "src/support/string_util.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
+#include "src/support/view_map.h"
 
 namespace vc {
 
@@ -105,7 +107,7 @@ void Project::CompileSlots(const std::vector<FileId>& slots, const Config& confi
   for (FileId file : slots) {
     names += files_[file].share.names.size();
   }
-  sharers_.reserve(sharers_.size() + names);
+  ReserveNames(names_ + names);
   touched_.reserve(touched_.size() + names);
   for (FileId file : slots) {
     AddShare(file);
@@ -208,13 +210,15 @@ void Project::BuildShare(size_t i) {
   const TranslationUnit& unit = files_[i].unit;
   const IrModule& module = *modules_[i];
   IndexShare& share = files_[i].share;
-  std::unordered_map<std::string_view, uint32_t> position;
+  // Name -> 1 + its position in share.names; keys view the file's tree.
+  ViewMap<uint32_t> position;
   auto entry = [&](std::string_view name) -> IndexShare::Name& {
-    auto [it, added] = position.try_emplace(name, static_cast<uint32_t>(share.names.size()));
-    if (added) {
+    uint32_t& slot = position[name];
+    if (slot == 0) {
       share.names.push_back({name});
+      slot = static_cast<uint32_t>(share.names.size());
     }
-    return share.names[it->second];
+    return share.names[slot - 1];
   };
   for (const FunctionDecl* func : unit.functions) {
     if (func->IsDefined()) {
@@ -223,9 +227,9 @@ void Project::BuildShare(size_t i) {
   }
   // Only defined names have entries yet: each gets its first IR function.
   for (const auto& func : module.functions) {
-    auto it = position.find(func->name);
-    if (it != position.end() && share.names[it->second].ir == nullptr) {
-      share.names[it->second].ir = func.get();
+    const uint32_t* slot = position.Find(func->name);
+    if (slot != nullptr && share.names[*slot - 1].ir == nullptr) {
+      share.names[*slot - 1].ir = func.get();
     }
   }
   // Group the call sites by callee: count each name's sites into sites_end,
@@ -247,7 +251,7 @@ void Project::BuildShare(size_t i) {
   for (const auto& func : module.functions) {
     for (const CallSite& site : func->call_sites) {
       if (site.callee != nullptr) {
-        IndexShare::Name& name = share.names[position.find(site.callee->name)->second];
+        IndexShare::Name& name = share.names[*position.Find(site.callee->name) - 1];
         share.sites[name.sites_end++] = &site;
       }
     }
@@ -335,52 +339,178 @@ void Project::FinishUpdate() {
   }
   rank_ = std::move(rank);
   if (reordered) {
-    for (SharerMap::value_type& name : sharers_) {
-      Touch(name);
+    for (uint32_t id = 0; id < id_bound_; ++id) {
+      if (Entry(id).live) {
+        Touch(id);
+      }
     }
   }
   BuildDerived();
 }
 
-void Project::Touch(SharerMap::value_type& name) {
-  if (!name.second.touched) {
-    name.second.touched = true;
-    touched_.push_back(&name);
+const Project::NameEntry& Project::Entry(uint32_t id) const {
+  if (id < kFirstChunk) {
+    return chunks_[0][id];
+  }
+  const auto chunk = static_cast<uint32_t>(std::bit_width(id / kFirstChunk));
+  return chunks_[chunk][id - (kFirstChunk << (chunk - 1))];
+}
+
+const FunctionInfo* Project::FindFunction(std::string_view name) const {
+  const uint32_t id = NameId(name);
+  return id == kNoName ? nullptr : &Entry(id).info;
+}
+
+uint32_t Project::FindId(std::string_view name, size_t hash) const {
+  if (ids_.empty()) {
+    return kNoName;
+  }
+  const size_t mask = ids_.size() - 1;
+  const auto tag = static_cast<uint32_t>(hash);
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IdSlot& slot = ids_[i];
+    if (slot.id == kNoName) {
+      return kNoName;
+    }
+    if (slot.hash == tag && Entry(slot.id).info.name == name) {
+      return slot.id;
+    }
+  }
+}
+
+void Project::ReserveNames(size_t names) {
+  size_t size = ids_.empty() ? 64 : ids_.size();
+  while (size < 2 * names) {
+    size *= 2;
+  }
+  if (size == ids_.size()) {
+    return;
+  }
+  std::vector<IdSlot> old = std::exchange(ids_, std::vector<IdSlot>(size));
+  const size_t mask = size - 1;
+  for (const IdSlot& slot : old) {
+    if (slot.id != kNoName) {
+      size_t i = slot.hash & mask;
+      while (ids_[i].id != kNoName) {
+        i = (i + 1) & mask;
+      }
+      ids_[i] = slot;
+    }
+  }
+}
+
+uint32_t Project::AddName(std::string_view name, size_t hash) {
+  ReserveNames(names_ + 1);
+  uint32_t id;
+  if (free_ids_.empty()) {
+    id = id_bound_++;
+    // Chunks 0 and 1 hold kFirstChunk entries each, and every later chunk as
+    // many as all before it.
+    const uint32_t capacity = chunks_.empty() ? 0 : kFirstChunk << (chunks_.size() - 1);
+    if (id == capacity) {
+      chunks_.push_back(std::make_unique<NameEntry[]>(chunks_.empty() ? kFirstChunk : capacity));
+    }
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  NameEntry& entry = Entry(id);
+  entry.info.name = name;
+  entry.hash = static_cast<uint32_t>(hash);
+  entry.live = true;
+  const size_t mask = ids_.size() - 1;
+  size_t i = hash & mask;
+  while (ids_[i].id != kNoName) {
+    i = (i + 1) & mask;
+  }
+  ids_[i] = {id, entry.hash};
+  ++names_;
+  return id;
+}
+
+void Project::DropName(uint32_t id) {
+  const size_t mask = ids_.size() - 1;
+  size_t hole = Entry(id).hash & mask;
+  while (ids_[hole].id != id) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: move each later slot of the probe run whose
+  // home lies at or before the hole into it, so no tombstone is needed.
+  for (size_t j = (hole + 1) & mask; ids_[j].id != kNoName; j = (j + 1) & mask) {
+    const size_t home = ids_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      ids_[hole] = ids_[j];
+      hole = j;
+    }
+  }
+  ids_[hole] = IdSlot();
+  --names_;
+  Entry(id) = NameEntry();
+  free_ids_.push_back(id);
+}
+
+void Project::Touch(uint32_t id) {
+  NameEntry& entry = Entry(id);
+  if (!entry.touched) {
+    entry.touched = true;
+    touched_.push_back(id);
   }
 }
 
 void Project::AddShare(FileId file) {
-  IndexShare& share = files_[file].share;
+  FileRecord& record = files_[file];
+  IndexShare& share = record.share;
+  record.links.assign(share.names.size(), SharerLinks());
   for (uint32_t pos = 0; pos < share.names.size(); ++pos) {
     const std::string_view name = share.names[pos].name;
-    auto it = sharers_.find(name);
-    if (it == sharers_.end()) {
-      it = sharers_.emplace(std::string(name), Sharers()).first;
-      if (free_ids_.empty()) {
-        it->second.id = static_cast<uint32_t>(entries_.size());
-        entries_.push_back(nullptr);
-      } else {
-        it->second.id = free_ids_.back();
-        free_ids_.pop_back();
-      }
+    const size_t hash = HashName(name);
+    uint32_t id = FindId(name, hash);
+    if (id == kNoName) {
+      id = AddName(name, hash);
     }
-    it->second.files.emplace_back(file, pos);
-    share.names[pos].id = it->second.id;
-    Touch(*it);
+    NameEntry& entry = Entry(id);
+    const SharerRef self{file, pos};
+    record.links[pos].next = entry.head;
+    if (entry.head.file != kInvalidFileId) {
+      files_[entry.head.file].links[entry.head.pos].prev = self;
+    }
+    entry.head = self;
+    share.names[pos].id = id;
+    Touch(id);
   }
 }
 
 void Project::TakeShareOut(FileId file) {
-  IndexShare& share = files_[file].share;
-  for (const IndexShare::Name& entry : share.names) {
-    auto it = sharers_.find(entry.name);
-    if (it == sharers_.end()) {
+  FileRecord& record = files_[file];
+  IndexShare& share = record.share;
+  for (uint32_t pos = 0; pos < share.names.size(); ++pos) {
+    const IndexShare::Name& name = share.names[pos];
+    if (name.id == kNoName) {
       continue;  // a compile that threw before its share was added
     }
-    std::erase_if(it->second.files, [&](const auto& sharer) { return sharer.first == file; });
-    Touch(*it);
+    NameEntry& entry = Entry(name.id);
+    const SharerLinks links = record.links[pos];
+    if (links.prev.file == kInvalidFileId) {
+      entry.head = links.next;
+    } else {
+      files_[links.prev.file].links[links.prev.pos].next = links.next;
+    }
+    if (links.next.file != kInvalidFileId) {
+      files_[links.next.file].links[links.next.pos].prev = links.prev;
+    }
+    // The caller frees this file's tree next: an entry that views the name
+    // there moves to another sharer's, or to a parked copy.
+    if (entry.info.name.data() == name.name.data()) {
+      if (entry.head.file != kInvalidFileId) {
+        entry.info.name = SharedName(entry.head);
+      } else {
+        entry.info.name = parked_.emplace_back(name.name);
+      }
+    }
+    Touch(name.id);
   }
   share = IndexShare();
+  record.links = {};
 }
 
 void Project::BuildDerived() {
@@ -402,42 +532,46 @@ void Project::BuildDerived() {
   // Each touched name merges its sharers' entries in unit order: the last
   // definer wins (with its own first IR function of the name), and the call
   // sites concatenate. A name no file defines or calls any more leaves.
-  for (SharerMap::value_type* name : touched_) {
-    Sharers& sharers = name->second;
-    sharers.touched = false;
-    if (sharers.files.empty()) {
-      entries_[sharers.id] = nullptr;
-      free_ids_.push_back(sharers.id);
-      sharers_.erase(sharers_.find(name->first));
+  std::vector<SharerRef> sharers;
+  for (uint32_t id : touched_) {
+    NameEntry& name = Entry(id);
+    name.touched = false;
+    if (name.head.file == kInvalidFileId) {
+      DropName(id);
       continue;
     }
-    std::sort(sharers.files.begin(), sharers.files.end(),
-              [&](const auto& a, const auto& b) { return rank_[a.first] < rank_[b.first]; });
-    FunctionInfo& info = sharers.info;
+    sharers.clear();
+    for (SharerRef ref = name.head; ref.file != kInvalidFileId;
+         ref = files_[ref.file].links[ref.pos].next) {
+      sharers.push_back(ref);
+    }
+    std::sort(sharers.begin(), sharers.end(),
+              [&](SharerRef a, SharerRef b) { return rank_[a.file] < rank_[b.file]; });
+    FunctionInfo& info = name.info;
     info = FunctionInfo();
-    info.name = name->first;
+    info.name = SharedName(sharers.front());
     size_t site_count = 0;
-    for (const auto& [file, pos] : sharers.files) {
-      const IndexShare::Name& entry = files_[file].share.names[pos];
+    for (SharerRef ref : sharers) {
+      const IndexShare::Name& entry = files_[ref.file].share.names[ref.pos];
       site_count += entry.sites_end - entry.sites_begin;
-      files_[file].shares_touched = true;
+      files_[ref.file].shares_touched = true;
     }
     info.call_sites.reserve(site_count);
-    for (const auto& [file, pos] : sharers.files) {
-      const IndexShare& share = files_[file].share;
-      const IndexShare::Name& entry = share.names[pos];
+    for (SharerRef ref : sharers) {
+      const IndexShare& share = files_[ref.file].share;
+      const IndexShare::Name& entry = share.names[ref.pos];
       if (entry.def != nullptr) {
         info.def_decl = entry.def;
         info.ir = entry.ir;
-        info.def_file = file;
+        info.def_file = ref.file;
       }
       for (uint32_t s = entry.sites_begin; s < entry.sites_end; ++s) {
         info.call_sites.push_back(*share.sites[s]);
       }
     }
-    entries_[sharers.id] = &info;
   }
   touched_.clear();
+  parked_.clear();
 }
 
 Project::FileMemory Project::ParseMemoryTotal() const {

@@ -18,8 +18,9 @@
 // the shares — each update takes the changed files' old shares out, adds
 // their new ones, and rebuilds only the names those shares list. So every
 // view is the same however the project reached its current contents. The
-// index is one table: each name's entry sits in the name's own node, and a
-// dense name id leads to it.
+// index is one array of entries indexed by a dense name id, and an
+// open-addressing table from name to id; a name's sharers are linked
+// through the shares themselves, so no name owns a node, a key or a list.
 //
 // That independence makes construction embarrassingly parallel: file ids are
 // assigned sequentially up front, then preprocess/parse/lower (and the
@@ -33,12 +34,12 @@
 #define VALUECHECK_SRC_CORE_PROJECT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,7 +51,6 @@
 #include "src/support/fault.h"
 #include "src/support/memstats.h"
 #include "src/support/source_manager.h"
-#include "src/support/string_util.h"
 #include "src/vcs/repository.h"
 
 namespace vc {
@@ -69,7 +69,7 @@ struct ProjectTraits {
 
 // Project-wide view of one function name.
 struct FunctionInfo {
-  std::string_view name;  // the index's own copy of the name
+  std::string_view name;  // views the name in one of its sharers' trees
   // Definition, when the function is defined inside the project.
   const FunctionDecl* def_decl = nullptr;
   const IrFunction* ir = nullptr;
@@ -127,10 +127,9 @@ class Project {
   const PreprocessResult& preprocessing(FileId file) const { return files_.at(file).pp; }
 
   // The index entry of `name`; null when no live file defines or calls it.
-  const FunctionInfo* FindFunction(std::string_view name) const {
-    auto it = sharers_.find(name);
-    return it == sharers_.end() ? nullptr : entries_[it->second.id];
-  }
+  // An entry's address holds until the next update (UpsertFiles,
+  // RemoveFile, FinishUpdate).
+  const FunctionInfo* FindFunction(std::string_view name) const;
 
   // Total number of non-empty source lines (for the scalability table).
   int TotalLines() const;
@@ -196,13 +195,14 @@ class Project {
   // again in a later one at the earliest, so a consumer that follows every
   // update never sees one id stand for two names at once.
   static constexpr uint32_t kNoName = UINT32_MAX;
-  uint32_t NameId(std::string_view name) const {
-    auto it = sharers_.find(name);
-    return it == sharers_.end() ? kNoName : it->second.id;
+  uint32_t NameId(std::string_view name) const { return FindId(name, HashName(name)); }
+  uint32_t NameIdBound() const { return id_bound_; }
+  // The index entry of an indexed name's id (below NameIdBound()); null for
+  // an unused id. Its address holds until the next update.
+  const FunctionInfo* IndexEntry(uint32_t id) const {
+    const NameEntry& entry = Entry(id);
+    return entry.live ? &entry.info : nullptr;
   }
-  uint32_t NameIdBound() const { return static_cast<uint32_t>(entries_.size()); }
-  // The index entry of an indexed name's id; null for an unused id.
-  const FunctionInfo* IndexEntry(uint32_t id) const { return entries_[id]; }
 
   // One file's share of the function index: every name the file defines or
   // calls. It points into the file's own AST and IR, so it leaves the index
@@ -231,6 +231,17 @@ class Project {
   bool SharesTouchedName(FileId file) const { return files_.at(file).shares_touched; }
 
  private:
+  // A file whose share lists a name, and the name's position in it.
+  struct SharerRef {
+    FileId file = kInvalidFileId;
+    uint32_t pos = 0;
+  };
+  // One share name's neighbours in its name's list of sharers.
+  struct SharerLinks {
+    SharerRef prev;
+    SharerRef next;
+  };
+
   // Everything kept about one file. Compiling or removing the file rewrites
   // its record whole.
   struct FileRecord {
@@ -240,21 +251,48 @@ class Project {
     std::optional<QuarantinedUnit> quarantine;
     FileMemory memory;
     IndexShare share;
+    std::vector<SharerLinks> links;  // per share name, while the share is added
     bool live = true;
     bool shares_touched = false;  // see SharesTouchedName()
   };
 
-  // The live files whose share lists one name, as (file, position in its
-  // share's names), in no particular order; `touched` while the name awaits
-  // its rebuild. The name's index entry lives here too, where its address
-  // stays put while the name is indexed.
-  struct Sharers {
-    std::vector<std::pair<FileId, uint32_t>> files;
-    bool touched = false;
-    uint32_t id = kNoName;
+  // One name of the index. `info.name` views the name in the tree of one of
+  // its sharers, or in `parked_` while a name whose last sharer left awaits
+  // FinishUpdate; so a lookup never reads a freed tree. The sharers are
+  // linked in no particular order; `touched` while the name awaits its
+  // rebuild.
+  struct NameEntry {
     FunctionInfo info;
+    SharerRef head;     // the first sharer, or none
+    uint32_t hash = 0;  // low bits of HashName(info.name)
+    bool live = false;  // the id is in use
+    bool touched = false;
   };
-  using SharerMap = std::unordered_map<std::string, Sharers, StringViewHash, std::equal_to<>>;
+  // An open-addressing slot of the name table.
+  struct IdSlot {
+    uint32_t id = kNoName;
+    uint32_t hash = 0;
+  };
+  // Entries sit in chunks that never move: chunk 0 holds ids
+  // [0, kFirstChunk) and chunk k >= 1 ids [kFirstChunk << (k-1), kFirstChunk << k).
+  static constexpr uint32_t kFirstChunk = 64;
+
+  static size_t HashName(std::string_view name) { return std::hash<std::string_view>()(name); }
+  const NameEntry& Entry(uint32_t id) const;
+  NameEntry& Entry(uint32_t id) {
+    return const_cast<NameEntry&>(static_cast<const Project&>(*this).Entry(id));
+  }
+  // The id of `name` (whose hash is `hash`), or kNoName.
+  uint32_t FindId(std::string_view name, size_t hash) const;
+  // Indexes `name`, which FindId does not know, under a fresh or reused id.
+  uint32_t AddName(std::string_view name, size_t hash);
+  // Takes a name no file shares any more out of the table and frees its id.
+  void DropName(uint32_t id);
+  // Sizes the table for `names` names.
+  void ReserveNames(size_t names);
+  std::string_view SharedName(SharerRef ref) const {
+    return files_[ref.file].share.names[ref.pos].name;
+  }
 
   void CompileAll(std::vector<std::pair<std::string, std::string>> files, const Config& config,
                   int jobs, const FaultInjector* fault, const ResourceBudget* budget);
@@ -272,7 +310,7 @@ class Project {
   // name it lists for rebuild.
   void AddShare(FileId file);
   void TakeShareOut(FileId file);
-  void Touch(SharerMap::value_type& name);
+  void Touch(uint32_t id);
   // Rebuilds diagnostics, the quarantine list and the touched index entries
   // in unit_order_.
   void BuildDerived();
@@ -281,10 +319,13 @@ class Project {
   DiagnosticEngine diags_;
   std::vector<FileRecord> files_;  // indexed by FileId
   std::vector<std::unique_ptr<IrModule>> modules_;
-  SharerMap sharers_;                           // per indexed name
-  std::vector<const FunctionInfo*> entries_;    // by name id; null until built
-  std::vector<uint32_t> free_ids_;              // ids given up by earlier updates
-  std::vector<SharerMap::value_type*> touched_;  // names awaiting their rebuild
+  std::vector<std::unique_ptr<NameEntry[]>> chunks_;  // entries by name id
+  uint32_t id_bound_ = 0;                              // ids handed out so far
+  std::vector<IdSlot> ids_;  // name -> id; a power of two in size, or empty
+  uint32_t names_ = 0;       // names in ids_
+  std::vector<uint32_t> free_ids_;  // ids given up by earlier updates
+  std::vector<uint32_t> touched_;   // names awaiting their rebuild
+  std::deque<std::string> parked_;  // names without a sharer until FinishUpdate
   std::vector<QuarantinedUnit> quarantined_;
   StageRecord build_stage_;
   std::vector<size_t> unit_order_;  // iteration order for derived state

@@ -9,7 +9,7 @@
 #ifndef VALUECHECK_SRC_LEXER_TOKEN_H_
 #define VALUECHECK_SRC_LEXER_TOKEN_H_
 
-#include <string>
+#include <string_view>
 
 #include "src/support/source_location.h"
 
@@ -105,8 +105,11 @@ const char* TokenKindName(TokenKind kind);
 struct Token {
   TokenKind kind = TokenKind::kEof;
   SourceLoc loc;
-  // Spelling for identifiers, literals, and attributes; empty otherwise.
-  std::string text;
+  // Spelling for identifiers, literals, and attributes; empty otherwise. It
+  // views the file's content in the SourceManager, so a token is not kept
+  // past the manager's next AddFile or ReplaceContent; the parser copies
+  // every name the AST keeps.
+  std::string_view text;
   // Decoded value for kIntLiteral / kCharLiteral.
   long long int_value = 0;
 

@@ -1,12 +1,13 @@
 #include "src/parser/parser.h"
 
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/lexer/lexer.h"
 #include "src/support/string_util.h"
+#include "src/support/view_map.h"
 
 namespace vc {
 
@@ -212,31 +213,36 @@ class Parser {
   TypeTable& types() { return ctx().types(); }
 
   // --- Scopes and lookup --------------------------------------------------
+  //
+  // Block scopes are one declaration stack: each open scope marks where its
+  // declarations begin, and a lookup searches from the top, so an inner
+  // declaration, or a later one in the same block, hides an earlier one.
 
-  void PushScope() { scopes_.emplace_back(); }
-  void PopScope() { scopes_.pop_back(); }
+  void PushScope() { scope_marks_.push_back(locals_.size()); }
+  void PopScope() {
+    locals_.resize(scope_marks_.back());
+    scope_marks_.pop_back();
+  }
 
   void Declare(VarDecl* var) {
-    if (!scopes_.empty()) {
-      scopes_.back()[var->name] = var;
+    if (!scope_marks_.empty()) {
+      locals_.emplace_back(var->name, var);
     }
   }
 
-  VarDecl* LookupVar(const std::string& name) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        return found->second;
+  VarDecl* LookupVar(std::string_view name) {
+    for (size_t i = locals_.size(); i-- > 0;) {
+      if (locals_[i].first == name) {
+        return locals_[i].second;
       }
     }
-    auto global = globals_.find(name);
-    return global != globals_.end() ? global->second : nullptr;
+    VarDecl* const* global = globals_.Find(name);
+    return global != nullptr ? *global : nullptr;
   }
 
-  FunctionDecl* LookupOrCreateFunction(const std::string& name, SourceLoc loc) {
-    auto it = functions_.find(name);
-    if (it != functions_.end()) {
-      return it->second;
+  FunctionDecl* LookupOrCreateFunction(std::string_view name, SourceLoc loc) {
+    if (FunctionDecl* const* found = functions_.Find(name)) {
+      return *found;
     }
     // Unknown callee: create an implicit external prototype so that call
     // sites of the same library function group together for peer-definition
@@ -246,7 +252,7 @@ class Parser {
     func->return_type = types().IntType();
     func->is_implicit = true;
     func->loc = loc;
-    functions_[name] = func;
+    functions_[func->name] = func;
     unit_.functions.push_back(func);
     return func;
   }
@@ -313,10 +319,9 @@ class Parser {
         return types().IntType();
       }
       case TokenKind::kIdentifier: {
-        auto it = typedefs_.find(Peek().text);
-        if (it != typedefs_.end()) {
+        if (const Type* const* aliased = typedefs_.Find(Peek().text)) {
           Advance();
-          return it->second;
+          return *aliased;
         }
         if (saw_unsigned) {
           return types().IntType();
@@ -331,15 +336,14 @@ class Parser {
     }
   }
 
-  StructDecl* LookupOrForwardStruct(const std::string& name, SourceLoc loc) {
-    auto it = structs_.find(name);
-    if (it != structs_.end()) {
-      return it->second;
+  StructDecl* LookupOrForwardStruct(std::string_view name, SourceLoc loc) {
+    if (StructDecl* const* found = structs_.Find(name)) {
+      return *found;
     }
     auto* decl = ctx().New<StructDecl>();
     decl->name = name;
     decl->loc = loc;
-    structs_[name] = decl;
+    structs_[decl->name] = decl;
     return decl;
   }
 
@@ -416,9 +420,10 @@ class Parser {
         if (value.kind == TokenKind::kIntLiteral || value.kind == TokenKind::kCharLiteral) {
           next_value = negate ? -value.int_value : value.int_value;
           Advance();
-        } else if (value.kind == TokenKind::kIdentifier &&
-                   enum_constants_.count(value.text) > 0) {
-          next_value = enum_constants_[value.text];
+        } else if (const long long* constant = value.kind == TokenKind::kIdentifier
+                                                   ? enum_constants_.Find(value.text)
+                                                   : nullptr) {
+          next_value = *constant;
           Advance();
         } else {
           Error(value.loc, "expected constant enumerator value");
@@ -549,14 +554,13 @@ class Parser {
   void ParseFunctionRest(bool is_static, const Type* return_type, const Token& name,
                          SourceLoc decl_begin) {
     FunctionDecl* func;
-    auto existing = functions_.find(name.text);
-    if (existing != functions_.end()) {
-      func = existing->second;
+    if (FunctionDecl* const* existing = functions_.Find(name.text)) {
+      func = *existing;
       func->is_implicit = false;
     } else {
       func = ctx().New<FunctionDecl>();
       func->name = name.text;
-      functions_[name.text] = func;
+      functions_[func->name] = func;
       unit_.functions.push_back(func);
     }
     func->return_type = return_type;
@@ -695,7 +699,7 @@ class Parser {
         break;
     }
     if (IsTypeStart(Peek().kind) || At(TokenKind::kKwStatic) || At(TokenKind::kAttribute) ||
-        (At(TokenKind::kIdentifier) && typedefs_.count(Peek().text) > 0 &&
+        (At(TokenKind::kIdentifier) && typedefs_.Contains(Peek().text) &&
          Peek(1).kind != TokenKind::kLParen)) {
       return ParseDeclStmt();
     }
@@ -812,9 +816,10 @@ class Parser {
         if (value.kind == TokenKind::kIntLiteral || value.kind == TokenKind::kCharLiteral) {
           arm.value = negate ? -value.int_value : value.int_value;
           Advance();
-        } else if (value.kind == TokenKind::kIdentifier &&
-                   enum_constants_.count(value.text) > 0) {
-          arm.value = negate ? -enum_constants_[value.text] : enum_constants_[value.text];
+        } else if (const long long* constant = value.kind == TokenKind::kIdentifier
+                                                   ? enum_constants_.Find(value.text)
+                                                   : nullptr) {
+          arm.value = negate ? -*constant : *constant;
           Advance();
         } else {
           Error(value.loc, "expected constant in case label");
@@ -857,7 +862,7 @@ class Parser {
       empty->loc = Advance().loc;
       stmt->init = empty;
     } else if (IsTypeStart(Peek().kind) ||
-               (At(TokenKind::kIdentifier) && typedefs_.count(Peek().text) > 0)) {
+               (At(TokenKind::kIdentifier) && typedefs_.Contains(Peek().text))) {
       stmt->init = ParseDeclStmt();  // consumes the ';'
     } else {
       auto* init = ctx().New<ExprStmt>();
@@ -1171,10 +1176,11 @@ class Parser {
       }
       case TokenKind::kIdentifier: {
         // Enumerator constants are compile-time integers (locals shadow them).
-        if (enum_constants_.count(tok.text) > 0 && LookupVar(tok.text) == nullptr) {
+        const long long* constant = enum_constants_.Find(tok.text);
+        if (constant != nullptr && LookupVar(tok.text) == nullptr) {
           auto* lit = ctx().New<IntLitExpr>();
           lit->loc = tok.loc;
-          lit->value = enum_constants_[tok.text];
+          lit->value = *constant;
           lit->type = types().IntType();
           Advance();
           return lit;
@@ -1187,9 +1193,8 @@ class Parser {
           ident->var = var;
           ident->type = var->type;
         } else {
-          auto func_it = functions_.find(ident->name);
-          if (func_it != functions_.end()) {
-            ident->func = func_it->second;
+          if (FunctionDecl* const* func = functions_.Find(ident->name)) {
+            ident->func = *func;
             ident->type = types().PointerTo(types().VoidType());
           } else if (!At(TokenKind::kLParen)) {
             // Not a call: unknown variable. Report once, then synthesize a
@@ -1237,12 +1242,17 @@ class Parser {
   bool depth_bailed_ = false;
 
   TranslationUnit unit_;
-  std::map<std::string, StructDecl*> structs_;
-  std::map<std::string, const Type*> typedefs_;
-  std::map<std::string, long long> enum_constants_;
-  std::map<std::string, FunctionDecl*> functions_;
-  std::map<std::string, VarDecl*> globals_;
-  std::vector<std::map<std::string, VarDecl*>> scopes_;
+  // Symbol tables. A key views the source or a name the arena owns (a
+  // struct's by its own name, since an anonymous tag is a temporary).
+  ViewMap<StructDecl*> structs_;
+  ViewMap<const Type*> typedefs_;
+  ViewMap<long long> enum_constants_;
+  ViewMap<FunctionDecl*> functions_;
+  ViewMap<VarDecl*> globals_;
+  // The declaration stack of the open block scopes, and where each scope's
+  // declarations begin in it. A name views the VarDecl's own.
+  std::vector<std::pair<std::string_view, VarDecl*>> locals_;
+  std::vector<size_t> scope_marks_;
   FunctionDecl* current_function_ = nullptr;
   int anon_struct_counter_ = 0;
 };

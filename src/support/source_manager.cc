@@ -1,8 +1,31 @@
 #include "src/support/source_manager.h"
 
+#include <cstring>
 #include <utility>
 
 namespace vc {
+
+namespace {
+
+// The byte offset of each line's start: 0, and one past every '\n' except a
+// final one (no line starts after it).
+void IndexLines(const std::string& content, std::vector<size_t>& line_starts) {
+  const char* const begin = content.data();
+  const char* const end = begin + content.size();
+  line_starts.clear();
+  line_starts.push_back(0);
+  for (const char* p = begin; p < end;) {
+    const char* newline =
+        static_cast<const char*>(std::memchr(p, '\n', static_cast<size_t>(end - p)));
+    if (newline == nullptr || newline + 1 == end) {
+      break;
+    }
+    p = newline + 1;
+    line_starts.push_back(static_cast<size_t>(p - begin));
+  }
+}
+
+}  // namespace
 
 std::string ToString(const SourceLoc& loc) {
   if (!loc.IsValid()) {
@@ -16,12 +39,7 @@ FileId SourceManager::AddFile(std::string path, std::string content) {
   File file;
   file.path = std::move(path);
   file.content = std::move(content);
-  file.line_starts.push_back(0);
-  for (size_t i = 0; i < file.content.size(); ++i) {
-    if (file.content[i] == '\n' && i + 1 < file.content.size()) {
-      file.line_starts.push_back(i + 1);
-    }
-  }
+  IndexLines(file.content, file.line_starts);
   const FileId id = static_cast<FileId>(files_.size());
   by_path_.try_emplace(file.path, id);
   files_.push_back(std::move(file));
@@ -31,13 +49,7 @@ FileId SourceManager::AddFile(std::string path, std::string content) {
 void SourceManager::ReplaceContent(FileId id, std::string content) {
   File& file = files_[id];
   file.content = std::move(content);
-  file.line_starts.clear();
-  file.line_starts.push_back(0);
-  for (size_t i = 0; i < file.content.size(); ++i) {
-    if (file.content[i] == '\n' && i + 1 < file.content.size()) {
-      file.line_starts.push_back(i + 1);
-    }
-  }
+  IndexLines(file.content, file.line_starts);
 }
 
 FileId SourceManager::FindByPath(std::string_view path) const {

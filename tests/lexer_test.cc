@@ -10,7 +10,9 @@ namespace vc {
 namespace {
 
 std::vector<Token> LexAll(const std::string& code, const Config& config = Config()) {
-  static SourceManager sm;  // tokens keep no pointers into it; reuse is fine
+  // Tokens view the content in `sm`; each test reads its tokens before the
+  // next AddFile, so one manager serves them all.
+  static SourceManager sm;
   FileId file = sm.AddFile("test.c", code);
   PreprocessResult pp = Preprocess(code, config);
   DiagnosticEngine diags;

@@ -320,5 +320,106 @@ TEST(Parser, ExplicitDepthLimitHonored) {
   (void)unit;
 }
 
+// --- Scopes and symbol tables ------------------------------------------------
+//
+// The parser's tables are keyed by views of the source or of names the AST
+// arena owns, and block scopes are one declaration stack; these pin what a
+// lookup must find. Under tools/check.sh asan a key that views a freed
+// temporary fails here.
+
+// Statement `i` of function `name`'s body.
+const Stmt* StmtOf(const Parsed& parsed, const std::string& name, size_t i) {
+  const FunctionDecl* func = parsed.unit.FindFunction(name);
+  EXPECT_NE(func, nullptr);
+  EXPECT_LT(i, func->body->body.size());
+  return func->body->body[i];
+}
+
+// The variable a `return NAME;` statement reads.
+const VarDecl* ReturnedVar(const Stmt* stmt) {
+  EXPECT_EQ(stmt->kind, StmtKind::kReturn);
+  const Expr* value = static_cast<const ReturnStmt*>(stmt)->value;
+  EXPECT_EQ(value->kind, ExprKind::kIdent);
+  return static_cast<const IdentExpr*>(value)->var;
+}
+
+const VarDecl* DeclaredVar(const Stmt* stmt) {
+  EXPECT_EQ(stmt->kind, StmtKind::kDecl);
+  return static_cast<const DeclStmt*>(stmt)->var;
+}
+
+TEST(ParserScopes, LocalShadowsEnumerator) {
+  auto parsed = Parse(
+      "enum { LIMIT = 7 };\n"
+      "int f(void) { int before = LIMIT; int LIMIT = 3; return LIMIT; }");
+  EXPECT_EQ(BodyOf(*parsed, "f"), "{ (decl int before = 7) (decl int LIMIT = 3) (return LIMIT) }");
+  EXPECT_EQ(ReturnedVar(StmtOf(*parsed, "f", 2)), DeclaredVar(StmtOf(*parsed, "f", 1)));
+}
+
+TEST(ParserScopes, RedeclarationInTheSameBlockWins) {
+  auto parsed = Parse("int f(void) { int x = 1; int x = 2; return x; }");
+  const VarDecl* first = DeclaredVar(StmtOf(*parsed, "f", 0));
+  const VarDecl* second = DeclaredVar(StmtOf(*parsed, "f", 1));
+  EXPECT_NE(first, second);
+  EXPECT_EQ(ReturnedVar(StmtOf(*parsed, "f", 2)), second);
+}
+
+TEST(ParserScopes, InnerShadowEndsWithItsBlock) {
+  auto parsed = Parse("int f(int x) { int y = x; { int y = 2; x = y; } return y; }");
+  const VarDecl* outer = DeclaredVar(StmtOf(*parsed, "f", 0));
+  const auto* block = static_cast<const CompoundStmt*>(StmtOf(*parsed, "f", 1));
+  const VarDecl* inner = DeclaredVar(block->body[0]);
+  const auto* assign =
+      static_cast<const AssignExpr*>(static_cast<const ExprStmt*>(block->body[1])->expr);
+  EXPECT_EQ(static_cast<const IdentExpr*>(assign->rhs)->var, inner);
+  EXPECT_EQ(static_cast<const IdentExpr*>(assign->lhs)->var,
+            parsed->unit.FindFunction("f")->params[0]);
+  EXPECT_EQ(ReturnedVar(StmtOf(*parsed, "f", 2)), outer);
+}
+
+TEST(ParserScopes, TwoAnonymousStructsStayApart) {
+  auto parsed = Parse(
+      "typedef struct { int a; } A;\n"
+      "typedef struct { int b; } B;\n"
+      "int f(A *p, B *q) { return p->a + q->b; }");
+  ASSERT_EQ(parsed->unit.structs.size(), 2u);
+  EXPECT_EQ(parsed->unit.structs[0]->name, "__anon0");
+  EXPECT_EQ(parsed->unit.structs[1]->name, "__anon1");
+  const FunctionDecl* f = parsed->unit.FindFunction("f");
+  EXPECT_EQ(f->params[0]->type->pointee()->struct_decl(), parsed->unit.structs[0]);
+  EXPECT_EQ(f->params[1]->type->pointee()->struct_decl(), parsed->unit.structs[1]);
+  const auto* sum = static_cast<const BinaryExpr*>(
+      static_cast<const ReturnStmt*>(StmtOf(*parsed, "f", 0))->value);
+  EXPECT_EQ(static_cast<const MemberExpr*>(sum->lhs)->field, parsed->unit.structs[0]->fields[0]);
+  EXPECT_EQ(static_cast<const MemberExpr*>(sum->rhs)->field, parsed->unit.structs[1]->fields[0]);
+}
+
+TEST(ParserScopes, TypedefAndVariableShareAName) {
+  auto parsed = Parse(
+      "typedef int count;\n"
+      "int f(void) { count count = 1; return count; }\n"
+      "count g(void) { count n = 2; return n; }");
+  EXPECT_EQ(BodyOf(*parsed, "f"), "{ (decl int count = 1) (return count) }");
+  EXPECT_EQ(ReturnedVar(StmtOf(*parsed, "f", 1)), DeclaredVar(StmtOf(*parsed, "f", 0)));
+  EXPECT_EQ(BodyOf(*parsed, "g"), "{ (decl int n = 2) (return n) }");
+}
+
+TEST(ParserScopes, CallBeforeDefinitionSharesTheImplicitExtern) {
+  auto parsed = Parse(
+      "int caller(void) { return helper(1); }\n"
+      "int helper(int a) { return a; }");
+  int count = 0;
+  for (const FunctionDecl* func : parsed->unit.functions) {
+    count += func->name == "helper" ? 1 : 0;
+  }
+  EXPECT_EQ(count, 1);
+  const FunctionDecl* helper = parsed->unit.FindFunction("helper");
+  EXPECT_TRUE(helper->IsDefined());
+  EXPECT_FALSE(helper->is_implicit);
+  const auto* call = static_cast<const CallExpr*>(
+      static_cast<const ReturnStmt*>(StmtOf(*parsed, "caller", 0))->value);
+  EXPECT_EQ(call->resolved, helper);
+}
+
 }  // namespace
 }  // namespace vc

@@ -319,6 +319,34 @@ TEST(Project, IncrementalIndexEqualsFreshBuild) {
   }
 }
 
+// A name keeps its id while it stays indexed, also across an update that
+// recompiles or removes the file whose tree its entry's name views (the
+// entry then views another sharer's name, or a parked copy); a name that
+// leaves gives its id up to a later update.
+TEST(Project, NameIdsSurviveRecompilingTheirSharers) {
+  const std::string solo = "int solo(int v) {\n  return v;\n}\n";
+  const std::string shared = "int shared(int v) {\n  return v;\n}\n";
+  Project project = Project::FromSources({{"a.c", solo + shared}, {"b.c", shared}});
+  const uint32_t solo_id = project.NameId("solo");
+  const uint32_t shared_id = project.NameId("shared");
+  ASSERT_NE(solo_id, Project::kNoName);
+  ASSERT_NE(shared_id, Project::kNoName);
+
+  project.UpsertFile("a.c", "int other(int v) {\n  return v;\n}\n" + solo + shared, Config());
+  project.FinishUpdate();
+  EXPECT_EQ(project.NameId("solo"), solo_id);
+  EXPECT_EQ(project.NameId("shared"), shared_id);
+  EXPECT_EQ(project.IndexEntry(solo_id)->name, "solo");
+
+  ASSERT_TRUE(project.RemoveFile("a.c"));
+  project.FinishUpdate();
+  EXPECT_EQ(project.NameId("solo"), Project::kNoName);
+  EXPECT_EQ(project.IndexEntry(solo_id), nullptr);
+  EXPECT_EQ(project.NameId("shared"), shared_id);
+  EXPECT_EQ(project.IndexEntry(shared_id)->name, "shared");
+  EXPECT_EQ(project.sources().Path(project.FindFunction("shared")->def_file), "b.c");
+}
+
 // A project first built in another order than by path adopts path order at
 // its first update, and its index follows.
 TEST(Project, IndexFollowsPathOrderAfterUnsortedBuild) {

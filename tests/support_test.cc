@@ -93,6 +93,38 @@ TEST(SourceManager, TrailingNewlineDoesNotAddLine) {
   EXPECT_EQ(sm.Line(id, 2), "two");
 }
 
+// The line table: no line starts after a final '\n', and a '\r' before a
+// '\n' stays in its line. ReplaceContent rebuilds the table the same way.
+TEST(SourceManager, LineTableEdges) {
+  struct Case {
+    std::string content;
+    std::vector<std::string> lines;
+  };
+  const std::vector<Case> cases = {
+      {"", {}},
+      {"abc", {"abc"}},
+      {"abc\n", {"abc"}},
+      {"\n", {""}},
+      {"\n\n", {"", ""}},
+      {"a\n\nb", {"a", "", "b"}},
+      {"a\r\nb\r\n", {"a\r", "b\r"}},
+      {"\r\n", {"\r"}},
+  };
+  SourceManager sm;
+  const FileId replaced = sm.AddFile("replaced.c", "x\ny\nz\n");
+  for (const Case& c : cases) {
+    const FileId id = sm.AddFile("c.c", c.content);
+    sm.ReplaceContent(replaced, c.content);
+    for (FileId file : {id, replaced}) {
+      ASSERT_EQ(sm.NumLines(file), static_cast<int>(c.lines.size())) << '"' << c.content << '"';
+      for (size_t i = 0; i < c.lines.size(); ++i) {
+        EXPECT_EQ(sm.Line(file, static_cast<int>(i) + 1), c.lines[i]) << '"' << c.content << '"';
+      }
+      EXPECT_EQ(sm.Line(file, static_cast<int>(c.lines.size()) + 1), "");
+    }
+  }
+}
+
 TEST(SourceManager, FindByPath) {
   SourceManager sm;
   FileId x = sm.AddFile("x.c", "");

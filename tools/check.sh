@@ -520,6 +520,8 @@ git_to_vchist_smoke() {
   local work="${tmp}/work"
   local git=(git -C "${work}" -c user.name=smoke -c user.email=smoke@example.invalid
              -c init.defaultBranch=main)
+  # The side branch's author; the first author merges the branch.
+  local side_git=(git -C "${work}" -c user.name=sider -c user.email=sider@example.invalid)
   "${gen}" --profile linux-like --scale small --files 6 --quiet --out "${work}" || {
     echo "git-to-vchist smoke: vc_corpusgen failed" >&2; return 1; }
   local files=()
@@ -545,7 +547,7 @@ git_to_vchist_smoke() {
     >"${work}/café.c"
   printf 'int two_words(int x) {\n  int w = x - 1;\n  w = x - 2;\n  return w;\n}\n' \
     >"${work}/two words.c"
-  "${git[@]}" add -A && "${git[@]}" commit -qm "side work" &&
+  "${side_git[@]}" add -A && "${side_git[@]}" commit -qm "side work" &&
     "${git[@]}" checkout -q main && "${git[@]}" merge -q --no-ff side -m "merge side" || {
     echo "git-to-vchist smoke: git merge failed" >&2; return 1; }
 
@@ -576,6 +578,16 @@ git_to_vchist_smoke() {
   for path in "${files[3]}" "café.c" "two words.c"; do
     if ! grep -q "^${path},[0-9]*,\(side_edit\|cafe_calc\|two_words\)," "${tmp}/tree.rows"; then
       echo "git-to-vchist smoke: the work tree has no row for the side branch's ${path}" >&2
+      return 1
+    fi
+    # The side branch's lines belong to its author, not to the merger.
+    if ! awk -v path="${path}" '
+        $0 == "commit" { author = "" }
+        /^author / { author = substr($0, 8) }
+        $0 == "write " path && author == "sider" { found = 1 }
+        END { exit !found }' "${tmp}/history.vchist"; then
+      echo "git-to-vchist smoke: ${path} is not written in a block by the side branch's" \
+           "author" >&2
       return 1
     fi
   done
