@@ -11,6 +11,7 @@
 #include "src/dataflow/liveness.h"
 #include "src/pointer/andersen.h"
 #include "src/pointer/flow_sensitive.h"
+#include "src/testing/oracle.h"
 
 namespace {
 
@@ -38,7 +39,8 @@ int main() {
   using namespace vc;
 
   TableWriter table({"Workload", "Functions", "Andersen time", "Flow-sens. time",
-                     "Andersen |pts|", "Flow-sens. |pts|", "Alias-rule disagreements"});
+                     "Andersen |pts|", "Flow-sens. |pts|", "Alias-rule disagreements",
+                     "Pointees outside address-taken"});
 
   struct Workload {
     std::string name;
@@ -60,6 +62,7 @@ int main() {
     size_t andersen_size = 0;
     size_t flow_size = 0;
     int disagreements = 0;
+    size_t outside_taken = 0;
 
     for (const auto& module : project.modules()) {
       for (const auto& func : module->functions) {
@@ -85,6 +88,9 @@ int main() {
             ++disagreements;
           }
         }
+        // The question the product does ask: does the detector's alias rule
+        // (the address-taken set) cover every slot Andersen admits?
+        outside_taken += testing::PointeesOutsideAddressTaken(*func).size();
       }
     }
 
@@ -92,13 +98,14 @@ int main() {
                   FormatDouble(andersen_seconds * 1000.0, 1) + "ms",
                   FormatDouble(flow_seconds * 1000.0, 1) + "ms",
                   std::to_string(andersen_size), std::to_string(flow_size),
-                  std::to_string(disagreements)});
+                  std::to_string(disagreements), std::to_string(outside_taken)});
   }
 
   EmitTable("=== Ablation: Andersen vs flow-sensitive points-to (§4.1 design choice) ===",
             table, "ablation_pointer_analysis.csv");
   std::printf("expected shape: flow-sensitive pays more time for smaller points-to sets,\n"
               "but the alias-rule answers ValueCheck consumes agree (column = 0), matching\n"
-              "the paper's rationale for choosing Andersen's analysis.\n");
+              "the paper's rationale for choosing Andersen's analysis; and the address-taken\n"
+              "set the detector suppresses covers every Andersen pointee (last column = 0).\n");
   return 0;
 }

@@ -230,9 +230,7 @@ std::vector<UnusedDefCandidate> InferUnusedChecker::Check(CheckerContext& ctx) c
   // Same flow-sensitive liveness engine (shared through the context),
   // different envelope: infer's dead store reports explicit assignments to
   // whole local variables only.
-  for (UnusedDefCandidate& cand :
-       DetectInFunctionWith(ctx.project(), ctx.file(), ctx.func(), ctx.liveness(),
-                            ctx.defines(), ctx.meter())) {
+  for (UnusedDefCandidate& cand : DetectInFunctionWith(ctx)) {
     if (cand.is_param || cand.is_synthetic || cand.is_field_slot) {
       continue;  // outside the Dead Store checker's scope
     }

@@ -1,6 +1,6 @@
 #include "src/checkers/dead_global_store.h"
 
-#include <map>
+#include <vector>
 
 namespace vc {
 
@@ -14,32 +14,44 @@ std::vector<UnusedDefCandidate> DeadGlobalStoreChecker::Check(CheckerContext& ct
            !slot.IsFieldSlot();
   };
 
+  // Pending global stores: written in this block, not yet observable. Flat
+  // by slot and reused across the thread's functions; `pending_slots` lists
+  // the slots set since the last clear.
+  thread_local std::vector<const Instruction*> pending;
+  thread_local std::vector<SlotId> pending_slots;
+  pending.assign(func.slots.size(), nullptr);
+  pending_slots.clear();
+  auto clear_pending = [&] {
+    for (SlotId slot : pending_slots) {
+      pending[slot] = nullptr;
+    }
+    pending_slots.clear();
+  };
+
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
       ctx.meter()->Charge(block->insts.size() + 1);
     }
-    // Pending global stores: written in this block, not yet observable.
-    std::map<SlotId, const Instruction*> pending;
+    clear_pending();
     for (const Instruction& inst : block->insts) {
       switch (inst.op) {
         case Opcode::kLoad:
         case Opcode::kAddrSlot:
-          pending.erase(inst.slot);
+          pending[inst.slot] = nullptr;
           break;
         case Opcode::kCall:
         case Opcode::kLoadInd:
         case Opcode::kStoreInd:
           // A call (or indirect memory op) may read any global.
-          pending.clear();
+          clear_pending();
           break;
         case Opcode::kStore: {
           if (!eligible(inst.slot)) {
-            pending.erase(inst.slot);
+            pending[inst.slot] = nullptr;
             break;
           }
-          auto it = pending.find(inst.slot);
-          if (it != pending.end() && !(it->second->loc == inst.loc)) {
-            const Instruction* dead = it->second;
+          const Instruction* dead = pending[inst.slot];
+          if (dead != nullptr && !(dead->loc == inst.loc)) {
             const Slot& slot = func.slots[inst.slot];
             UnusedDefCandidate cand;
             cand.function = func.name;
@@ -53,6 +65,9 @@ std::vector<UnusedDefCandidate> DeadGlobalStoreChecker::Check(CheckerContext& ct
             cand.overwriter_locs.push_back(inst.loc);
             cand.kind = CandidateKind::kDeadGlobalStore;
             candidates.push_back(std::move(cand));
+          }
+          if (dead == nullptr) {
+            pending_slots.push_back(inst.slot);
           }
           pending[inst.slot] = &inst;
           break;

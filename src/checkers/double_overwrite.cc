@@ -25,6 +25,29 @@ void IntersectInto(PendingMap& into, const PendingMap& other) {
   }
 }
 
+// Charges `meter` what the fix point below charges when nothing can ever be
+// pending: every out-state stays empty, so a sweep changes something only
+// where a block first gets one, which it does once a pred has one or when
+// it has no preds.
+void ChargeEmptySweeps(const IrFunction& func, BudgetMeter& meter) {
+  SlotSet has_out(static_cast<int>(func.blocks.size()));
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const auto& block : func.blocks) {
+      meter.Charge(block->insts.size() + 1);
+      bool seeded = block->preds.empty();
+      for (BlockId pred : block->preds) {
+        seeded |= has_out.Contains(pred);
+      }
+      if (seeded && !has_out.Contains(block->id)) {
+        has_out.Add(block->id);
+        changed = true;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ctx) const {
@@ -36,9 +59,21 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
   // findings from double-reporting one dead store.
   auto eligible = [&](SlotId id) {
     const Slot& slot = func.slots[id];
-    return slot.var != nullptr && !slot.var->is_global && !slot.is_synthetic &&
-           !slot.IsFieldSlot() && address_taken.Contains(id);
+    return address_taken.Contains(id) && slot.var != nullptr && !slot.var->is_global &&
+           !slot.is_synthetic && !slot.IsFieldSlot();
   };
+  // A function that takes no local's address can report nothing; it still
+  // pays the meter what the sweeps would have charged.
+  bool any_eligible = false;
+  for (SlotId id = 0; id < func.slots.size() && !any_eligible; ++id) {
+    any_eligible = eligible(id);
+  }
+  if (!any_eligible) {
+    if (ctx.meter() != nullptr) {
+      ChargeEmptySweeps(func, *ctx.meter());
+    }
+    return {};
+  }
 
   // One forward transfer of `inst` over `pending`; when `report` is non-null,
   // records (killed store, overwriter) pairs.

@@ -53,7 +53,13 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
         cand.checker_index = static_cast<int>(c);
         cand.fingerprint_ns = checker->fingerprint_namespace();
         cand.from_baseline = checker->is_baseline();
-        per_function[i].candidates.push_back(std::move(cand));
+      }
+      std::vector<UnusedDefCandidate>& candidates = per_function[i].candidates;
+      if (candidates.empty()) {
+        candidates = std::move(found);
+      } else {
+        candidates.insert(candidates.end(), std::make_move_iterator(found.begin()),
+                          std::make_move_iterator(found.end()));
       }
     };
 
@@ -70,7 +76,7 @@ std::vector<FunctionDetect> RunCheckersOnFunctions(
     // must live inside the worker body — ParallelFor rethrows and cancels
     // remaining chunks.
     try {
-      if (fault != nullptr) {
+      if (fault != nullptr && fault->enabled()) {
         fault->MaybeFault(fault_sites::kDetectFunction, path + ":" + work[i].func->name);
       }
     } catch (const std::exception& e) {

@@ -1,29 +1,41 @@
 #include "src/checkers/out_param.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <vector>
 
 namespace vc {
 
 std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) const {
   const IrFunction& func = ctx.func();
   const LivenessResult& liveness = ctx.liveness();
+  const SlotEvents& events = ctx.events();
   std::vector<UnusedDefCandidate> candidates;
 
-  // Prepass: which value is the address of which slot, and how many times
-  // each slot's address is taken. A slot whose address is taken more than
-  // once may be read later through a saved pointer — out of the envelope.
-  std::map<ValueId, SlotId> addr_of;
-  std::map<SlotId, int> addr_count;
+  // Prepass over the address-of events: which value is the address of which
+  // slot, and how many times each slot's address is taken. A slot whose
+  // address is taken more than once may be read later through a saved
+  // pointer — out of the envelope. Flat by value and by slot, reused across
+  // the thread's functions.
+  thread_local std::vector<SlotId> addr_of;
+  thread_local std::vector<int> addr_count;
+  thread_local std::vector<SlotId> out_args;
+  bool any_addr = false;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
-      if (inst.op == Opcode::kAddrSlot && inst.result != kNoValue) {
-        addr_of[inst.result] = inst.slot;
-        ++addr_count[inst.slot];
+    for (const SlotEvent& event : events.Block(block->id)) {
+      const Instruction& inst = block->insts[event.inst];
+      if (event.op != Opcode::kAddrSlot || inst.result == kNoValue) {
+        continue;
       }
+      if (!any_addr) {
+        addr_of.assign(func.next_value, kInvalidSlot);
+        addr_count.assign(func.slots.size(), 0);
+        any_addr = true;
+      }
+      addr_of[inst.result] = event.slot;
+      ++addr_count[event.slot];
     }
   }
-  if (addr_of.empty()) {
+  if (!any_addr) {
     return candidates;
   }
 
@@ -36,21 +48,24 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
   // Backward replay from each block's live-out: at a direct call taking
   // &slot, the live set holds exactly the slots read on some path after the
   // call. Not live there means the callee's write is never consumed.
+  SlotSet& live = ctx.replay_live();
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
       ctx.meter()->Charge(block->insts.size() + 1);
     }
-    SlotSet live = liveness.live_out[block->id];
+    live = liveness.live_out[block->id];
     for (size_t j = block->insts.size(); j-- > 0;) {
       const Instruction& inst = block->insts[j];
       if (inst.op == Opcode::kCall && inst.callee != nullptr) {
-        std::set<SlotId> out_args;
+        // The distinct slots whose address the call takes, in slot order.
+        out_args.clear();
         for (ValueId v : inst.operands) {
-          auto it = addr_of.find(v);
-          if (it != addr_of.end()) {
-            out_args.insert(it->second);
+          if (addr_of[v] != kInvalidSlot) {
+            out_args.push_back(addr_of[v]);
           }
         }
+        std::sort(out_args.begin(), out_args.end());
+        out_args.erase(std::unique(out_args.begin(), out_args.end()), out_args.end());
         for (SlotId x : out_args) {
           if (!eligible(x) || live.Contains(x)) {
             continue;
@@ -69,7 +84,7 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
           candidates.push_back(std::move(cand));
         }
       }
-      ApplyLivenessTransfer(func, inst, live);
+      ApplyLivenessTransfer(events, inst.op, inst.slot, live);
     }
   }
   return candidates;

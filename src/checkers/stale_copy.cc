@@ -1,88 +1,115 @@
 #include "src/checkers/stale_copy.h"
 
-#include <map>
+#include <vector>
 
 namespace vc {
+
+namespace {
+
+struct CopyInfo {
+  SlotId src = kInvalidSlot;  // kInvalidSlot: the slot holds no tracked copy
+  SourceLoc copy_loc;
+  bool stale = false;
+  SourceLoc mod_loc;
+  bool listed = false;  // in Scan::listed
+};
+
+// The scan's flat state, reused across the thread's functions.
+struct Scan {
+  SlotSet eligible;
+  std::vector<CopyInfo> copies;  // by copy slot
+  std::vector<SlotId> listed;    // slots whose copies[] entry this block set
+  // By value: the slot it was loaded from, valid while loaded_in holds the
+  // current block's stamp.
+  std::vector<SlotId> loaded_from;
+  std::vector<uint32_t> loaded_in;
+};
+
+}  // namespace
 
 std::vector<UnusedDefCandidate> StaleCopyChecker::Check(CheckerContext& ctx) const {
   const IrFunction& func = ctx.func();
   const SlotSet& address_taken = ctx.address_taken();
+  const SlotEvents& events = ctx.events();
   std::vector<UnusedDefCandidate> candidates;
 
-  auto eligible = [&](SlotId id) {
+  thread_local Scan scan;
+  scan.eligible.Reset(func.slots.size());
+  for (SlotId id = 0; id < func.slots.size(); ++id) {
     const Slot& slot = func.slots[id];
-    return slot.var != nullptr && !slot.var->is_global && !slot.is_synthetic &&
-           !slot.IsFieldSlot() && !address_taken.Contains(id);
-  };
-
-  struct CopyInfo {
-    SlotId src = kInvalidSlot;
-    SourceLoc copy_loc;
-    bool stale = false;
-    SourceLoc mod_loc;
-  };
+    if (slot.var != nullptr && !slot.var->is_global && !slot.is_synthetic &&
+        !slot.IsFieldSlot() && !address_taken.Contains(id)) {
+      scan.eligible.Add(id);
+    }
+  }
+  scan.copies.assign(func.slots.size(), CopyInfo());
+  scan.listed.clear();
+  scan.loaded_from.resize(func.next_value);
+  scan.loaded_in.assign(func.next_value, 0);
 
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
       ctx.meter()->Charge(block->insts.size() + 1);
     }
-    std::map<SlotId, CopyInfo> copies;       // keyed by the copy slot
-    std::map<ValueId, SlotId> loaded_from;   // value -> slot it was loaded from
-    for (const Instruction& inst : block->insts) {
-      switch (inst.op) {
-        case Opcode::kLoad: {
-          auto it = copies.find(inst.slot);
-          if (it != copies.end() && it->second.stale) {
-            const Slot& slot = func.slots[inst.slot];
-            UnusedDefCandidate cand;
-            cand.function = func.name;
-            cand.slot_name = slot.name;
-            cand.file = ctx.path();
-            cand.def_loc = it->second.copy_loc;
-            cand.ir_func = &func;
-            cand.slot = inst.slot;
-            cand.var = slot.var;
-            cand.overwritten = true;
-            cand.overwriter_locs.push_back(it->second.mod_loc);
-            cand.kind = CandidateKind::kStaleCopy;
-            candidates.push_back(std::move(cand));
-            copies.erase(it);  // one report per copy
-          }
-          if (inst.result != kNoValue && eligible(inst.slot)) {
-            loaded_from[inst.result] = inst.slot;
-          }
-          break;
+    const uint32_t stamp = static_cast<uint32_t>(block->id) + 1;
+    for (SlotId slot : scan.listed) {  // the copies are per block
+      scan.copies[slot] = CopyInfo();
+    }
+    scan.listed.clear();
+    // Address-of events need nothing: eligibility already excludes
+    // address-taken slots function-wide.
+    for (const SlotEvent& event : events.Block(block->id)) {
+      const Instruction& inst = block->insts[event.inst];
+      if (event.op == Opcode::kLoad) {
+        CopyInfo& copy = scan.copies[event.slot];
+        if (copy.src != kInvalidSlot && copy.stale) {
+          const Slot& slot = func.slots[event.slot];
+          UnusedDefCandidate cand;
+          cand.function = func.name;
+          cand.slot_name = slot.name;
+          cand.file = ctx.path();
+          cand.def_loc = copy.copy_loc;
+          cand.ir_func = &func;
+          cand.slot = event.slot;
+          cand.var = slot.var;
+          cand.overwritten = true;
+          cand.overwriter_locs.push_back(copy.mod_loc);
+          cand.kind = CandidateKind::kStaleCopy;
+          candidates.push_back(std::move(cand));
+          copy.src = kInvalidSlot;  // one report per copy
         }
-        case Opcode::kStore: {
-          // A store to the source invalidates its copies — unless it is the
-          // cursor/post-increment idiom (`old = x; x++;` snapshots x on
-          // purpose), which drops the pair instead of flagging it.
-          for (auto it = copies.begin(); it != copies.end();) {
-            if (it->second.src == inst.slot) {
-              if (inst.is_increment) {
-                it = copies.erase(it);
-                continue;
-              }
-              it->second.stale = true;
-              it->second.mod_loc = inst.loc;
-            }
-            ++it;
-          }
-          copies.erase(inst.slot);  // the copy itself was rewritten
-          if (eligible(inst.slot) && !inst.is_increment && !inst.operands.empty()) {
-            auto src = loaded_from.find(inst.operands[0]);
-            if (src != loaded_from.end() && src->second != inst.slot) {
-              copies[inst.slot] = CopyInfo{src->second, inst.loc, false, SourceLoc()};
-            }
-          }
-          break;
+        if (inst.result != kNoValue && scan.eligible.Contains(event.slot)) {
+          scan.loaded_from[inst.result] = event.slot;
+          scan.loaded_in[inst.result] = stamp;
         }
-        case Opcode::kAddrSlot:
-          // eligible() already excludes address-taken slots function-wide;
-          // nothing tracked here can be affected.
-          break;
-        default:
-          break;
+      } else if (event.op == Opcode::kStore) {
+        // A store to the source invalidates its copies — unless it is the
+        // cursor/post-increment idiom (`old = x; x++;` snapshots x on
+        // purpose), which drops the pair instead of flagging it.
+        for (SlotId copy_slot : scan.listed) {
+          CopyInfo& copy = scan.copies[copy_slot];
+          if (copy.src != event.slot) {
+            continue;
+          }
+          if (inst.is_increment) {
+            copy.src = kInvalidSlot;
+          } else {
+            copy.stale = true;
+            copy.mod_loc = inst.loc;
+          }
+        }
+        scan.copies[event.slot].src = kInvalidSlot;  // the copy itself was rewritten
+        if (scan.eligible.Contains(event.slot) && !inst.is_increment && !inst.operands.empty()) {
+          const ValueId value = inst.operands[0];
+          if (scan.loaded_in[value] == stamp && scan.loaded_from[value] != event.slot) {
+            CopyInfo& copy = scan.copies[event.slot];
+            copy = CopyInfo{scan.loaded_from[value], inst.loc, false, SourceLoc(), copy.listed};
+            if (!copy.listed) {
+              copy.listed = true;
+              scan.listed.push_back(event.slot);
+            }
+          }
+        }
       }
     }
   }

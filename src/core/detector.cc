@@ -2,8 +2,6 @@
 
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
-#include "src/dataflow/define_sets.h"
-#include "src/dataflow/liveness.h"
 
 namespace vc {
 
@@ -23,20 +21,20 @@ const char* CandidateKindName(CandidateKind kind) {
 
 const char* PruneReasonName(PruneReason reason) { return kPruneNames[static_cast<int>(reason)]; }
 
-std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, FileId file,
-                                                     const IrFunction& func,
-                                                     const LivenessResult& liveness,
-                                                     const DefineSetResult& defines,
-                                                     BudgetMeter* meter) {
+std::vector<UnusedDefCandidate> DetectInFunctionWith(CheckerContext& ctx) {
+  const LivenessResult& liveness = ctx.liveness();
+  const DefineSetResult& defines = ctx.defines();
+  const SlotEvents& events = ctx.events();
+  const IrFunction& func = ctx.func();
+  BudgetMeter* meter = ctx.meter();
   std::vector<UnusedDefCandidate> candidates;
-  const std::string& path = project.sources().Path(file);
 
   auto make_candidate = [&](SlotId slot_id, SourceLoc loc) {
     UnusedDefCandidate cand;
     const Slot& slot = func.slots[slot_id];
     cand.function = func.name;
     cand.slot_name = slot.name;
-    cand.file = path;
+    cand.file = ctx.path();
     cand.def_loc = loc;
     cand.ir_func = &func;
     cand.slot = slot_id;
@@ -46,45 +44,43 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
     return cand;
   };
 
-  // Replay every block from its out-state, checking stores against the live
-  // set before applying their own transfer (the state "after" the store in
-  // program order).
+  // Replay every block's slot events from its out-state, checking stores
+  // against the live set before applying their own transfer (the state
+  // "after" the store in program order).
+  SlotSet& live = ctx.replay_live();
+  DefineMap& defs = ctx.replay_defines();
   for (const auto& block : func.blocks) {
-    SlotSet live = liveness.live_out[block->id];
-    DefineMap defs = defines.out[block->id];
+    live = liveness.live_out[block->id];
+    defs = defines.out[block->id];
     if (meter != nullptr) {
       meter->Charge(block->insts.size() + 1);
     }
-    for (size_t j = block->insts.size(); j-- > 0;) {
-      const Instruction& inst = block->insts[j];
-      if (inst.op == Opcode::kStore) {
-        const Slot& slot = func.slots[inst.slot];
-        bool skip = false;
-        if (slot.var != nullptr && slot.var->is_global) {
-          skip = true;  // shared variables are out of scope (§3.1)
-        }
-        if (slot.is_synthetic && !inst.is_synthetic_store) {
-          skip = true;  // lowering fallback temps are not real definitions
-        }
-        if (liveness.address_taken.Contains(inst.slot)) {
-          skip = true;  // may be used through a pointer (checkAlias)
-        }
-        if (!skip && !live.Contains(inst.slot)) {
-          UnusedDefCandidate cand = make_candidate(inst.slot, inst.loc);
+    const std::span<const SlotEvent> block_events = events.Block(block->id);
+    for (size_t k = block_events.size(); k-- > 0;) {
+      const SlotEvent& event = block_events[k];
+      if (event.op == Opcode::kStore && !live.Contains(event.slot) &&
+          !liveness.address_taken.Contains(event.slot)) {  // else: may be used through a pointer
+        const Instruction& inst = block->insts[event.inst];
+        const Slot& slot = func.slots[event.slot];
+        const bool global = slot.var != nullptr && slot.var->is_global;  // out of scope (§3.1)
+        // Lowering fallback temps are not real definitions.
+        const bool fallback_temp = slot.is_synthetic && !inst.is_synthetic_store;
+        if (!global && !fallback_temp) {
+          UnusedDefCandidate cand = make_candidate(event.slot, inst.loc);
           if (inst.origin_callee != nullptr) {
             cand.callee_name = inst.origin_callee->name;
           }
           cand.is_increment = inst.is_increment;
           cand.increment_amount = inst.increment_amount;
-          if (const std::vector<SourceLoc>* overwriters = defs.Find(inst.slot)) {
-            cand.overwritten = true;
-            cand.overwriter_locs = *overwriters;
-          }
+          cand.overwriter_locs = defs.Find(events, event.slot);
+          cand.overwritten = !cand.overwriter_locs.empty();
           candidates.push_back(std::move(cand));
         }
       }
-      ApplyLivenessTransfer(func, inst, live);
-      ApplyDefineTransfer(func, inst, defs);
+      ApplyLivenessTransfer(events, event.op, event.slot, live);
+      if (event.op == Opcode::kStore) {
+        defs.Replace(events, event.slot, event.store);
+      }
     }
   }
 
@@ -100,10 +96,8 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
       const Slot& slot = func.slots[param_slot];
       UnusedDefCandidate cand = make_candidate(param_slot, slot.var->loc);
       cand.is_param = true;
-      if (const std::vector<SourceLoc>* overwriters = entry_defs.Find(param_slot)) {
-        cand.overwritten = true;
-        cand.overwriter_locs = *overwriters;
-      }
+      cand.overwriter_locs = entry_defs.Find(events, param_slot);
+      cand.overwritten = !cand.overwriter_locs.empty();
       candidates.push_back(std::move(cand));
     }
   }

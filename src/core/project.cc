@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <type_traits>
 
 #include "src/ir/ir_builder.h"
 #include "src/parser/parser.h"
@@ -54,13 +55,27 @@ Project::~Project() {
     return;
   }
   // Freeing a file's tree and IR touches only that file's blocks, so the
-  // lanes that built them free them too; the index and the sources follow
-  // on this thread.
+  // lanes that built them free them too; the index, the sources and the
+  // diagnostics follow on this thread, inside the span, so that the span
+  // covers the whole release.
   TraceSpan span("teardown", "pipeline");
   ParallelFor(jobs_, files_.size(), [&](size_t i) {
     files_[i] = FileRecord();
     modules_[i].reset();
   });
+  auto release = [](auto& container) { std::decay_t<decltype(container)>().swap(container); };
+  release(files_);
+  release(modules_);
+  release(chunks_);
+  release(ids_);
+  release(free_ids_);
+  release(touched_);
+  release(parked_);
+  release(quarantined_);
+  release(unit_order_);
+  release(rank_);
+  sm_ = SourceManager();
+  diags_ = DiagnosticEngine();
 }
 
 void Project::CompileAll(std::vector<std::pair<std::string, std::string>> files,

@@ -2,46 +2,23 @@
 
 namespace vc {
 
-void ApplyDefineTransfer(const IrFunction& func, const Instruction& inst, DefineMap& defs) {
-  if (inst.op != Opcode::kStore) {
-    return;
+void ComputeDefineSets(const SlotEvents& events, BudgetMeter* meter, DefineSetResult& result) {
+  const IrFunction& func = events.func();
+  const size_t num_blocks = func.blocks.size();
+  result.in.resize(num_blocks);
+  result.out.resize(num_blocks);
+  for (size_t i = 0; i < num_blocks; ++i) {
+    result.in[i].Reset(events);
+    result.out[i].Reset(events);
   }
-  defs.Replace(inst.slot, inst.loc);
+  result.iterations =
+      SweepToFixPoint(func, SlotSet::WordsFor(events.num_stores()), events.define_gen(),
+                      events.define_kill(), result.in, result.out, meter);
 }
 
-DefineSetResult ComputeDefineSets(const IrFunction& func, BudgetMeter* meter) {
+DefineSetResult ComputeDefineSets(const SlotEvents& events, BudgetMeter* meter) {
   DefineSetResult result;
-  const size_t num_blocks = func.blocks.size();
-  result.in.assign(num_blocks, DefineMap());
-  result.out.assign(num_blocks, DefineMap());
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++result.iterations;
-    for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
-      if (meter != nullptr) {
-        meter->Charge(block.insts.size() + 1);
-      }
-      DefineMap out;
-      for (BlockId succ : block.succs) {
-        out.UnionWith(result.in[succ]);
-      }
-      DefineMap in = out;
-      for (size_t j = block.insts.size(); j-- > 0;) {
-        ApplyDefineTransfer(func, block.insts[j], in);
-      }
-      if (!(out == result.out[i])) {
-        result.out[i] = std::move(out);
-        changed = true;
-      }
-      if (!(in == result.in[i])) {
-        result.in[i] = std::move(in);
-        changed = true;
-      }
-    }
-  }
+  ComputeDefineSets(events, meter, result);
   return result;
 }
 

@@ -6,52 +6,57 @@
 // definitions; the authorship phase compares their authors against the
 // store's author to classify a cross-scope overwritten definition (§3.1
 // scenario 3 and the overwritten-parameter variant of scenario 2).
+//
+// It is reaching definitions run backward over the function's numbered
+// stores (SlotEvents): a state is a bitset of store numbers, a store clears
+// its slot's number range and sets its own bit, and the meet is union.
 
 #ifndef VALUECHECK_SRC_DATAFLOW_DEFINE_SETS_H_
 #define VALUECHECK_SRC_DATAFLOW_DEFINE_SETS_H_
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
+#include "src/dataflow/slot_events.h"
+#include "src/dataflow/slot_set.h"
 #include "src/ir/ir.h"
 #include "src/support/fault.h"
 
 namespace vc {
 
-// The nearest next definitions of each slot, keyed by slot id. Values are the
-// source locations of the overwriting stores, sorted and deduplicated.
+// The nearest next definitions of each slot at one point: a set of the
+// function's store numbers (SlotEvents), so one slot's next definitions are
+// its stores in the set.
 class DefineMap {
  public:
-  void Replace(SlotId slot, SourceLoc loc) { defs_[slot] = {loc}; }
+  // Empties the map and sizes it for `events`' stores.
+  void Reset(const SlotEvents& events) { stores_.Reset(events.num_stores()); }
 
-  void Clear(SlotId slot) { defs_.erase(slot); }
-
-  const std::vector<SourceLoc>* Find(SlotId slot) const {
-    auto it = defs_.find(slot);
-    return it == defs_.end() ? nullptr : &it->second;
+  // A store's backward transfer: store number `store` becomes `slot`'s only
+  // next definition.
+  void Replace(const SlotEvents& events, SlotId slot, int32_t store) {
+    events.ReplaceStore(slot, store, stores_.words());
   }
 
-  // this = union(this, other) per slot. Returns true if this changed.
-  bool UnionWith(const DefineMap& other) {
-    bool changed = false;
-    for (const auto& [slot, locs] : other.defs_) {
-      std::vector<SourceLoc>& mine = defs_[slot];
-      for (const SourceLoc& loc : locs) {
-        if (std::find(mine.begin(), mine.end(), loc) == mine.end()) {
-          mine.push_back(loc);
-          changed = true;
-        }
+  // The locations of `slot`'s next definitions, sorted and distinct; empty
+  // when the slot has none. Built on each call, so only a report pays.
+  std::vector<SourceLoc> Find(const SlotEvents& events, SlotId slot) const {
+    std::vector<SourceLoc> locs;
+    for (int store = events.StoresBegin(slot); store < events.StoresEnd(slot); ++store) {
+      if (stores_.Contains(store)) {
+        locs.push_back(events.StoreLoc(store));
       }
-      std::sort(mine.begin(), mine.end());
     }
-    return changed;
+    return locs;
   }
 
-  friend bool operator==(const DefineMap& a, const DefineMap& b) { return a.defs_ == b.defs_; }
+  // this = union(this, other). Returns true if this changed.
+  bool UnionWith(const DefineMap& other) { return stores_.UnionWith(other.stores_); }
+
+  // The set's words (SweepToFixPoint's state).
+  uint64_t* words() { return stores_.words(); }
 
  private:
-  std::map<SlotId, std::vector<SourceLoc>> defs_;
+  SlotSet stores_;
 };
 
 struct DefineSetResult {
@@ -62,13 +67,13 @@ struct DefineSetResult {
   int iterations = 0;
 };
 
-// Applies one instruction's backward transfer: a store to slot s replaces the
-// next-definition set of s with {this store}.
-void ApplyDefineTransfer(const IrFunction& func, const Instruction& inst, DefineMap& defs);
+// Runs the analysis to its fix point into `result`, reusing its buffers, in
+// the same sweeps as ComputeLiveness. A non-null `meter` is charged one step
+// per instruction per block visit and may throw BudgetExceededError.
+void ComputeDefineSets(const SlotEvents& events, BudgetMeter* meter, DefineSetResult& result);
 
-// A non-null `meter` is charged one step per instruction per pass and may
-// throw BudgetExceededError (see ComputeLiveness).
-DefineSetResult ComputeDefineSets(const IrFunction& func, BudgetMeter* meter = nullptr);
+// The same into a fresh result, whose maps answer Find() with `events`.
+DefineSetResult ComputeDefineSets(const SlotEvents& events, BudgetMeter* meter = nullptr);
 
 }  // namespace vc
 

@@ -4,112 +4,48 @@ namespace vc {
 
 namespace {
 
-bool IsStructVarSlot(const IrFunction& func, SlotId slot) {
-  const Slot& s = func.slots[slot];
-  return s.var != nullptr && s.field_index < 0 && s.var->type != nullptr &&
-         s.var->type->IsStruct();
-}
-
-// Applies `fn` to every field slot of the same variable as `slot` (which must
-// be a whole-variable slot).
-template <typename Fn>
-void ForEachFieldSlot(const IrFunction& func, SlotId slot, Fn fn) {
-  const VarDecl* var = func.slots[slot].var;
-  for (SlotId other = 0; other < func.slots.size(); ++other) {
-    const Slot& candidate = func.slots[other];
-    if (candidate.var == var && candidate.field_index >= 0) {
-      fn(other);
+void ComputeAddressTaken(const SlotEvents& events, SlotSet& taken) {
+  taken.Reset(events.num_slots());
+  const IrFunction& func = events.func();
+  for (const auto& block : func.blocks) {
+    for (const SlotEvent& event : events.Block(block->id)) {
+      // Taking a field's address escapes that field; its parent variable
+      // stays precise. A whole struct's mask escapes its fields too.
+      if (event.op == Opcode::kAddrSlot) {
+        events.AddMask(event.slot, taken.words());
+      }
     }
   }
 }
 
 }  // namespace
 
-void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, SlotSet& live) {
-  switch (inst.op) {
-    case Opcode::kLoad:
-      live.Add(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        // Reading the whole struct reads each field.
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Add(field); });
-      }
-      break;
-    case Opcode::kStore:
-      live.Remove(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        // Overwriting the whole struct overwrites each field.
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Remove(field); });
-      }
-      break;
-    case Opcode::kAddrSlot:
-      // Escaped address: the slot may be read through a pointer after this
-      // point, so treat the address-taking itself as a use (conservative, the
-      // paper's rule from §4.1 "Pointer and Alias").
-      live.Add(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Add(field); });
-      }
-      break;
-    default:
-      // Loads/stores through pointers and all value operations touch no slot
-      // directly; escaped slots are handled by the address-taken suppression.
-      break;
+void ComputeLiveness(const SlotEvents& events, BudgetMeter* meter, LivenessResult& result) {
+  const IrFunction& func = events.func();
+  const size_t num_blocks = func.blocks.size();
+  result.live_in.resize(num_blocks);
+  result.live_out.resize(num_blocks);
+  for (size_t i = 0; i < num_blocks; ++i) {
+    result.live_in[i].Reset(events.num_slots());
+    result.live_out[i].Reset(events.num_slots());
   }
-}
+  ComputeAddressTaken(events, result.address_taken);
 
-SlotSet ComputeAddressTaken(const IrFunction& func) {
-  SlotSet taken(func.slots.size());
-  for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
-      if (inst.op == Opcode::kAddrSlot) {
-        taken.Add(inst.slot);
-        if (IsStructVarSlot(func, inst.slot)) {
-          ForEachFieldSlot(func, inst.slot, [&taken](SlotId field) { taken.Add(field); });
-        }
-        // Taking a field's address escapes that field; its parent variable
-        // stays precise.
-      }
-    }
-  }
-  return taken;
+  result.iterations =
+      SweepToFixPoint(func, SlotSet::WordsFor(events.num_slots()), events.live_gen(),
+                      events.live_kill(), result.live_in, result.live_out, meter);
 }
 
 LivenessResult ComputeLiveness(const IrFunction& func, BudgetMeter* meter) {
   LivenessResult result;
-  const size_t num_blocks = func.blocks.size();
-  result.live_in.assign(num_blocks, SlotSet(func.slots.size()));
-  result.live_out.assign(num_blocks, SlotSet(func.slots.size()));
-  result.address_taken = ComputeAddressTaken(func);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++result.iterations;
-    // Reverse block order converges quickly for reducible CFGs.
-    for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
-      if (meter != nullptr) {
-        meter->Charge(block.insts.size() + 1);
-      }
-      SlotSet out(func.slots.size());
-      for (BlockId succ : block.succs) {
-        out.UnionWith(result.live_in[succ]);
-      }
-      SlotSet in = out;
-      for (size_t j = block.insts.size(); j-- > 0;) {
-        ApplyLivenessTransfer(func, block.insts[j], in);
-      }
-      if (!(out == result.live_out[i])) {
-        result.live_out[i] = std::move(out);
-        changed = true;
-      }
-      if (!(in == result.live_in[i])) {
-        result.live_in[i] = std::move(in);
-        changed = true;
-      }
-    }
-  }
+  ComputeLiveness(SlotEvents(func), meter, result);
   return result;
+}
+
+SlotSet ComputeAddressTaken(const IrFunction& func) {
+  SlotSet taken;
+  ComputeAddressTaken(SlotEvents(func), taken);
+  return taken;
 }
 
 }  // namespace vc

@@ -1,14 +1,40 @@
 #include "src/ir/ir.h"
 
+#include <algorithm>
+
 namespace vc {
 
 SlotId SlotTable::ForVar(const VarDecl* var) { return ForField(var, -1); }
 
+size_t SlotTable::Probe(const VarDecl* var, int field_index) const {
+  const size_t mask = index_.size() - 1;
+  uint64_t key = reinterpret_cast<uintptr_t>(var) ^ (static_cast<uint64_t>(field_index + 1) << 48);
+  key *= 0x9E3779B97F4A7C15ull;
+  for (size_t pos = static_cast<size_t>(key >> 32) & mask;; pos = (pos + 1) & mask) {
+    const SlotId id = index_[pos];
+    if (id == kInvalidSlot ||
+        (slots_[id].var == var && slots_[id].field_index == field_index)) {
+      return pos;
+    }
+  }
+}
+
+void SlotTable::Rehash(size_t capacity) {
+  index_.assign(capacity, kInvalidSlot);
+  for (SlotId id = 0; id < size(); ++id) {
+    if (!slots_[id].is_synthetic) {
+      index_[Probe(slots_[id].var, slots_[id].field_index)] = id;
+    }
+  }
+}
+
 SlotId SlotTable::ForField(const VarDecl* var, int field_index) {
-  auto key = std::make_pair(var, field_index);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    return it->second;
+  if (2 * (keyed_ + 1) > static_cast<int>(index_.size())) {
+    Rehash(index_.empty() ? 8 : 2 * index_.size());
+  }
+  const size_t pos = Probe(var, field_index);
+  if (index_[pos] != kInvalidSlot) {
+    return index_[pos];
   }
   Slot slot;
   slot.var = var;
@@ -21,7 +47,8 @@ SlotId SlotTable::ForField(const VarDecl* var, int field_index) {
   }
   SlotId id = static_cast<SlotId>(slots_.size());
   slots_.push_back(std::move(slot));
-  index_[key] = id;
+  index_[pos] = id;
+  ++keyed_;
   return id;
 }
 
@@ -32,6 +59,45 @@ SlotId SlotTable::NewSyntheticTemp() {
   SlotId id = static_cast<SlotId>(slots_.size());
   slots_.push_back(std::move(slot));
   return id;
+}
+
+void OperandList::Assign(const ValueId* values, size_t count) {
+  if (count > capacity_) {
+    Release();
+    Grow(static_cast<uint32_t>(count));
+  }
+  std::copy(values, values + count, data());
+  size_ = static_cast<uint32_t>(count);
+}
+
+void OperandList::Grow(uint32_t capacity) {
+  auto* heap = new ValueId[capacity];
+  std::copy(begin(), end(), heap);
+  if (on_heap()) {
+    delete[] heap_;
+  }
+  heap_ = heap;
+  capacity_ = capacity;
+}
+
+void OperandList::Take(OperandList& other) {
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (other.on_heap()) {
+    heap_ = other.heap_;
+  } else {
+    std::copy(other.begin(), other.end(), inline_);
+  }
+  other.size_ = 0;
+  other.capacity_ = kInline;
+}
+
+void OperandList::Release() {
+  if (on_heap()) {
+    delete[] heap_;
+  }
+  size_ = 0;
+  capacity_ = kInline;
 }
 
 void IrFunction::ComputeEdges() {
@@ -165,7 +231,9 @@ IrFootprint FunctionFootprint(const IrFunction& func) {
     fp.bytes += block->insts.size() * sizeof(Instruction);
     fp.instructions += block->insts.size();
     for (const Instruction& inst : block->insts) {
-      fp.bytes += inst.operands.size() * sizeof(ValueId);
+      if (inst.operands.on_heap()) {
+        fp.bytes += inst.operands.size() * sizeof(ValueId);
+      }
     }
   }
   return fp;

@@ -17,7 +17,8 @@
 #ifndef VALUECHECK_SRC_IR_IR_H_
 #define VALUECHECK_SRC_IR_IR_H_
 
-#include <map>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,16 +61,25 @@ class SlotTable {
   // Const lookups that never create slots; return kInvalidSlot when absent.
   SlotId FindVar(const VarDecl* var) const { return Find(var, -1); }
   SlotId Find(const VarDecl* var, int field_index) const {
-    auto it = index_.find(std::make_pair(var, field_index));
-    return it == index_.end() ? kInvalidSlot : it->second;
+    return index_.empty() ? kInvalidSlot : index_[Probe(var, field_index)];
   }
 
   const Slot& operator[](SlotId id) const { return slots_[id]; }
   int size() const { return static_cast<int>(slots_.size()); }
 
  private:
+  // The index_ position that holds (var, field_index)'s slot, or the empty
+  // position where it would go. index_ must not be empty.
+  size_t Probe(const VarDecl* var, int field_index) const;
+  // Rebuilds index_ at `capacity` positions (a power of two).
+  void Rehash(size_t capacity);
+
   std::vector<Slot> slots_;
-  std::map<std::pair<const VarDecl*, int>, SlotId> index_;
+  // Open-addressing table over the variable slots (synthetic temps have no
+  // key): each position holds a slot id or kInvalidSlot, at most half full,
+  // probed linearly from the key's hash. Empty until the first variable.
+  std::vector<SlotId> index_;
+  int keyed_ = 0;  // slots in index_
   int next_temp_ = 0;
 };
 
@@ -90,11 +100,74 @@ enum class Opcode {
   kCondBr,     // condbr <operand0>, <succ0>, <succ1>
 };
 
+// An instruction's operand values: up to kInline of them inline, more on the
+// heap. Nearly every instruction has at most two (a call's arguments and the
+// `?:` value are the exceptions), so most lists never allocate.
+class OperandList {
+ public:
+  static constexpr uint32_t kInline = 2;
+
+  OperandList() = default;
+  OperandList(std::initializer_list<ValueId> values) { Assign(values.begin(), values.size()); }
+  OperandList(const OperandList& other) { Assign(other.begin(), other.size()); }
+  OperandList(OperandList&& other) noexcept { Take(other); }
+  OperandList& operator=(const OperandList& other) {
+    if (this != &other) {
+      Assign(other.begin(), other.size());
+    }
+    return *this;
+  }
+  OperandList& operator=(OperandList&& other) noexcept {
+    if (this != &other) {
+      Release();
+      Take(other);
+    }
+    return *this;
+  }
+  OperandList& operator=(std::initializer_list<ValueId> values) {
+    Assign(values.begin(), values.size());
+    return *this;
+  }
+  ~OperandList() { Release(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // True when the values live on the heap (more than kInline of them ever).
+  bool on_heap() const { return capacity_ > kInline; }
+  ValueId operator[](size_t i) const { return data()[i]; }
+  ValueId& operator[](size_t i) { return data()[i]; }
+  const ValueId* begin() const { return data(); }
+  const ValueId* end() const { return data() + size_; }
+
+  void push_back(ValueId value) {
+    if (size_ == capacity_) {
+      Grow(capacity_ * 2);
+    }
+    data()[size_++] = value;
+  }
+  void clear() { size_ = 0; }
+
+ private:
+  const ValueId* data() const { return on_heap() ? heap_ : inline_; }
+  ValueId* data() { return on_heap() ? heap_ : inline_; }
+  void Assign(const ValueId* values, size_t count);
+  void Grow(uint32_t capacity);
+  void Take(OperandList& other);
+  void Release();
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInline;
+  union {
+    ValueId inline_[kInline] = {};
+    ValueId* heap_;
+  };
+};
+
 struct Instruction {
   Opcode op = Opcode::kConst;
   ValueId result = kNoValue;
   SlotId slot = kInvalidSlot;
-  std::vector<ValueId> operands;
+  OperandList operands;
   SourceLoc loc;
 
   long long const_value = 0;  // kConst
@@ -191,8 +264,9 @@ class IrModule {
 
 // Sizeof-based memory footprint of lowered IR, for the memory tracker.
 // Counts element sizes (not vector capacities) so the result is exact and
-// identical at any --jobs value; out-of-line string storage is attributed to
-// the interned-strings category by the caller, not here.
+// identical at any --jobs value; operands count only when they live on the
+// heap, and out-of-line string storage is attributed to the interned-strings
+// category by the caller, not here.
 struct IrFootprint {
   uint64_t bytes = 0;
   uint64_t instructions = 0;

@@ -1,5 +1,7 @@
 #include "src/ir/ir_builder.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace vc {
@@ -45,12 +47,23 @@ bool IsConstExpr(const Expr* expr, long long* value) {
   }
 }
 
+// Each block's instructions while its function lowers, by block id. They
+// move into exactly sized vectors when the function is done, so a block
+// allocates once, not once per doubling; the staging vectors stay with the
+// thread and keep their capacity.
+thread_local std::vector<std::vector<Instruction>> staged_insts;
+
 class FunctionLowering {
  public:
   explicit FunctionLowering(const FunctionDecl* decl) : decl_(decl) {
     func_ = std::make_unique<IrFunction>();
     func_->name = decl->name;
     func_->decl = decl;
+  }
+  ~FunctionLowering() {
+    for (size_t b = 0; b < staged_blocks_; ++b) {
+      staged_insts[b].clear();
+    }
   }
 
   // Registers the whole-variable slot and, for struct-typed variables, one
@@ -79,6 +92,11 @@ class FunctionLowering {
       ret.loc = decl_->range.end.IsValid() ? decl_->range.end : decl_->loc;
       Append(std::move(ret));
     }
+    for (const auto& block : func_->blocks) {
+      std::vector<Instruction>& staged = Staged(*block);
+      block->insts.assign(std::make_move_iterator(staged.begin()),
+                          std::make_move_iterator(staged.end()));
+    }
     func_->ComputeEdges();
     return std::move(func_);
   }
@@ -86,13 +104,22 @@ class FunctionLowering {
  private:
   // --- Instruction emission ----------------------------------------------
 
-  bool Terminated() const {
-    const Instruction* term = cur_->Terminator();
-    if (term == nullptr) {
+  std::vector<Instruction>& Staged(const BasicBlock& block) {
+    const size_t id = static_cast<size_t>(block.id);
+    if (id >= staged_insts.size()) {
+      staged_insts.resize(id + 1);
+    }
+    staged_blocks_ = std::max(staged_blocks_, id + 1);
+    return staged_insts[id];
+  }
+
+  bool Terminated() {
+    const std::vector<Instruction>& insts = Staged(*cur_);
+    if (insts.empty()) {
       return false;
     }
-    return term->op == Opcode::kRet || term->op == Opcode::kBr ||
-           term->op == Opcode::kCondBr;
+    const Opcode op = insts.back().op;
+    return op == Opcode::kRet || op == Opcode::kBr || op == Opcode::kCondBr;
   }
 
   ValueId Append(Instruction inst, bool produces_value = false) {
@@ -104,8 +131,9 @@ class FunctionLowering {
     if (produces_value) {
       inst.result = func_->next_value++;
     }
-    cur_->insts.push_back(std::move(inst));
-    return cur_->insts.back().result;
+    std::vector<Instruction>& insts = Staged(*cur_);
+    insts.push_back(std::move(inst));
+    return insts.back().result;
   }
 
   ValueId EmitConst(long long value, SourceLoc loc) {
@@ -725,6 +753,7 @@ class FunctionLowering {
   std::unique_ptr<IrFunction> func_;
   BasicBlock* cur_ = nullptr;
   std::vector<LoopContext> loops_;
+  size_t staged_blocks_ = 0;  // staged_insts entries this function used
 };
 
 }  // namespace

@@ -200,13 +200,20 @@ class LineScanner {
       const int col = static_cast<int>(i) + 1;
       const char next = i + 1 < n ? text[i + 1] : '\0';
 
-      // Identifiers and keywords; __attribute__((...)) is an attribute.
+      // Identifiers and keywords. The word __attribute__ itself, then
+      // optional spaces and "((", is an attribute up to the first "))".
       if (cls & kIdentStart) {
         const size_t start = i;
-        if (c == '_' && text.substr(i).starts_with("__attribute__")) {
-          size_t open = text.find("((", i);
-          size_t close = (open == std::string_view::npos) ? std::string_view::npos
-                                                          : text.find("))", open);
+        constexpr std::string_view kAttribute = "__attribute__";
+        const size_t after = i + kAttribute.size();
+        if (c == '_' && text.substr(i).starts_with(kAttribute) &&
+            (after == n || !Is(text[after], kIdentChar))) {
+          size_t open = after;
+          while (open < n && Is(text[open], kSpace)) {
+            ++open;
+          }
+          const size_t close = text.substr(open).starts_with("((") ? text.find("))", open)
+                                                                   : std::string_view::npos;
           if (close == std::string_view::npos) {
             diags_.Error({file_, line, col}, "unterminated __attribute__");
             return;

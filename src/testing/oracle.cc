@@ -5,6 +5,8 @@
 
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
+#include "src/dataflow/liveness.h"
+#include "src/pointer/andersen.h"
 #include "src/support/json_reader.h"
 
 namespace vc {
@@ -100,6 +102,8 @@ const char* OracleKindName(OracleKind kind) {
       return "degraded_run";
     case OracleKind::kIncrementalEquivalence:
       return "incremental_equivalence";
+    case OracleKind::kAliasSoundness:
+      return "alias_soundness";
   }
   return "unknown";
 }
@@ -117,7 +121,7 @@ std::vector<OracleKind> AllOracles() {
   return {OracleKind::kCleanFrontend,  OracleKind::kJobsDeterminism,
           OracleKind::kMetricsParity,  OracleKind::kJsonRoundTrip,
           OracleKind::kMetamorphic,    OracleKind::kDegradedRun,
-          OracleKind::kIncrementalEquivalence};
+          OracleKind::kIncrementalEquivalence, OracleKind::kAliasSoundness};
 }
 
 bool OracleVerdict::Failed(OracleKind kind) const {
@@ -499,7 +503,42 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
     }
   }
 
+  if (Enabled(OracleKind::kAliasSoundness)) {
+    const Project project = Project::FromSources(program.ToSources());
+    for (const auto& module : project.modules()) {
+      for (const auto& func : module->functions) {
+        std::vector<SlotId> outside = PointeesOutsideAddressTaken(*func);
+        if (outside.empty()) {
+          continue;
+        }
+        std::string slots;
+        for (SlotId slot : outside) {
+          slots += " " + func->slots[slot].name;
+        }
+        verdict.failures.push_back(
+            {OracleKind::kAliasSoundness, "",
+             project.sources().Path(module->file) + ":" + func->name +
+                 ": pointees outside the address-taken set:" + slots});
+      }
+    }
+  }
+
   return verdict;
+}
+
+std::vector<SlotId> PointeesOutsideAddressTaken(const IrFunction& func) {
+  std::vector<SlotId> outside;
+  const PointsTo points_to(func);
+  if (points_to.capped()) {
+    return outside;
+  }
+  const SlotSet taken = ComputeAddressTaken(func);
+  for (SlotId slot = 0; slot < func.slots.size(); ++slot) {
+    if (points_to.SlotIsPointee(slot) && !taken.Contains(slot)) {
+      outside.push_back(slot);
+    }
+  }
+  return outside;
 }
 
 std::string DumpFunctionIndex(const Project& project) {

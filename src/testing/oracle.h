@@ -26,6 +26,10 @@
 //                       equal sources-mode runs; and one Project mutated
 //                       through the states keeps a function index equal to
 //                       a fresh build's at each
+//   alias_soundness   — in every function, each slot Andersen's points-to
+//                       admits as a pointee lies in the address-taken set
+//                       the detector's alias rule suppresses (otherwise an
+//                       indirect read could reach a store reported dead)
 //
 // OracleOptions::parallel_fault is the harness's own test hook: a corruption
 // applied to parallel (jobs > 1) reports before comparison, simulating a
@@ -57,6 +61,7 @@ enum class OracleKind {
   kMetamorphic,
   kDegradedRun,
   kIncrementalEquivalence,
+  kAliasSoundness,
 };
 
 const char* OracleKindName(OracleKind kind);
@@ -138,6 +143,12 @@ class OracleRunner {
 // finding — the shape of a real slot-merge bug. Used by --inject-bug and the
 // harness self-tests.
 std::function<void(AnalysisReport&)> DropOverwrittenFindingsFault();
+
+// The slots of `func` that Andersen's points-to admits as pointees but the
+// address-taken set (ComputeAddressTaken, the detector's alias rule) leaves
+// out, in slot order. Empty when the solve hit its iteration ceiling: that
+// top state admits every slot and so claims nothing.
+std::vector<SlotId> PointeesOutsideAddressTaken(const IrFunction& func);
 
 // Canonical text of a project's function index: per name, in name order, the
 // definition's path, line and column and its IR function's name, then each

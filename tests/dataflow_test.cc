@@ -103,6 +103,7 @@ TEST(Liveness, StructWholeCopyUsesFields) {
   const IrFunction& func = a->Fn("f");
   LivenessResult live = ComputeLiveness(func);
   // No field store is dead: the whole-struct load at the call uses them.
+  SlotEvents events(func);
   for (const auto& block : func.blocks) {
     SlotSet set = live.live_out[block->id];
     for (size_t i = block->insts.size(); i-- > 0;) {
@@ -111,7 +112,7 @@ TEST(Liveness, StructWholeCopyUsesFields) {
         EXPECT_TRUE(set.Contains(inst.slot))
             << "field store to " << func.slots[inst.slot].name << " appears dead";
       }
-      ApplyLivenessTransfer(func, inst, set);
+      ApplyLivenessTransfer(events, inst.op, inst.slot, set);
     }
   }
 }
@@ -191,6 +192,48 @@ TEST(SlotSet, GrowsOnDemand) {
   EXPECT_FALSE(set.Contains(99));
 }
 
+TEST(SlotSet, WordsPastTheFirstCopyAndCount) {
+  SlotSet a(200);
+  a.Add(3);
+  a.Add(64);
+  a.Add(199);
+  SlotSet b = a;
+  EXPECT_TRUE(b == a);
+  EXPECT_EQ(b.Count(), 3);
+  b.Reset(10);  // keeps its words, drops its members
+  EXPECT_EQ(b.Count(), 0);
+  b = a;
+  EXPECT_TRUE(b.Contains(199));
+  SlotSet moved = std::move(b);
+  EXPECT_TRUE(moved.Contains(64));
+  EXPECT_FALSE(moved.UnionWith(a));
+}
+
+TEST(SlotEvents, StructMaskCoversItsFieldsAndStoresAreNumberedPerSlot) {
+  auto a = Analyze(
+      "struct s { int x; int y; };\n"
+      "int f(int m) {\n"
+      "  struct s v;\n"
+      "  int w = m;\n"    // line 4
+      "  v.x = m;\n"      // line 5
+      "  w = 2;\n"        // line 6
+      "  v.y = w;\n"
+      "  return v.x + w;\n"
+      "}");
+  const IrFunction& func = a->Fn("f");
+  SlotEvents events(func);
+  SlotSet live(func.slots.size());
+  events.AddMask(SlotNamed(func, "v"), live.words());
+  EXPECT_TRUE(live.Contains(SlotNamed(func, "v")));
+  EXPECT_TRUE(live.Contains(SlotNamed(func, "v#0")));
+  EXPECT_TRUE(live.Contains(SlotNamed(func, "v#1")));
+  EXPECT_FALSE(live.Contains(SlotNamed(func, "w")));
+  SlotId w = SlotNamed(func, "w");
+  ASSERT_EQ(events.StoresEnd(w) - events.StoresBegin(w), 2);
+  EXPECT_EQ(events.StoreLoc(events.StoresBegin(w)).line, 4);
+  EXPECT_EQ(events.StoreLoc(events.StoresBegin(w) + 1).line, 6);
+}
+
 // --- DefineSets ------------------------------------------------------------------
 
 TEST(DefineSets, RecordsNearestOverwriter) {
@@ -202,24 +245,27 @@ TEST(DefineSets, RecordsNearestOverwriter) {
       "  return ret;\n"
       "}");
   const IrFunction& func = a->Fn("f");
-  DefineSetResult defs = ComputeDefineSets(func);
+  SlotEvents events(func);
+  DefineSetResult defs = ComputeDefineSets(events);
   SlotId ret = SlotNamed(func, "ret");
-  // Replay the entry block: before line 3's store, the define set must hold
-  // line 4's store.
-  const BasicBlock& entry = *func.blocks[0];
+  // Replay the entry block's stores: before line 3's store, the define set
+  // must hold line 4's store.
   DefineMap map = defs.out[0];
-  const std::vector<SourceLoc>* found = nullptr;
-  for (size_t i = entry.insts.size(); i-- > 0;) {
-    const Instruction& inst = entry.insts[i];
-    if (inst.op == Opcode::kStore && inst.slot == ret && inst.loc.line == 3) {
-      found = map.Find(ret);
+  std::vector<SourceLoc> found;
+  const std::span<const SlotEvent> entry = events.Block(0);
+  for (size_t i = entry.size(); i-- > 0;) {
+    const SlotEvent& event = entry[i];
+    if (event.op != Opcode::kStore) {
+      continue;
+    }
+    if (event.slot == ret && func.blocks[0]->insts[event.inst].loc.line == 3) {
+      found = map.Find(events, ret);
       break;
     }
-    ApplyDefineTransfer(func, inst, map);
+    map.Replace(events, event.slot, event.store);
   }
-  ASSERT_NE(found, nullptr);
-  ASSERT_EQ(found->size(), 1u);
-  EXPECT_EQ((*found)[0].line, 4);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].line, 4);
 }
 
 TEST(DefineSets, BranchesUnionOverwriters) {
@@ -234,23 +280,24 @@ TEST(DefineSets, BranchesUnionOverwriters) {
       "  return v;\n"
       "}");
   const IrFunction& func = a->Fn("f");
-  DefineSetResult defs = ComputeDefineSets(func);
+  SlotEvents events(func);
+  DefineSetResult defs = ComputeDefineSets(events);
   SlotId v = SlotNamed(func, "v");
   // At the entry block's in-state... the define set after line 2's store is
   // what we want: union of both branch stores.
   const DefineMap& entry_out = defs.out[0];
-  const std::vector<SourceLoc>* overwriters = entry_out.Find(v);
-  ASSERT_NE(overwriters, nullptr);
-  ASSERT_EQ(overwriters->size(), 2u);
-  EXPECT_EQ((*overwriters)[0].line, 4);
-  EXPECT_EQ((*overwriters)[1].line, 6);
+  std::vector<SourceLoc> overwriters = entry_out.Find(events, v);
+  ASSERT_EQ(overwriters.size(), 2u);
+  EXPECT_EQ(overwriters[0].line, 4);
+  EXPECT_EQ(overwriters[1].line, 6);
 }
 
 TEST(DefineSets, NoOverwriterForFinalStore) {
   auto a = Analyze("int f(int m) { int v = m; return v; }");
   const IrFunction& func = a->Fn("f");
-  DefineSetResult defs = ComputeDefineSets(func);
-  EXPECT_EQ(defs.out[0].Find(SlotNamed(func, "v")), nullptr);
+  SlotEvents events(func);
+  DefineSetResult defs = ComputeDefineSets(events);
+  EXPECT_TRUE(defs.out[0].Find(events, SlotNamed(func, "v")).empty());
 }
 
 TEST(DefineSets, LoopOverwriterSeen) {
@@ -264,21 +311,31 @@ TEST(DefineSets, LoopOverwriterSeen) {
       "  return v;\n"
       "}");
   const IrFunction& func = a->Fn("f");
-  DefineSetResult defs = ComputeDefineSets(func);
-  const std::vector<SourceLoc>* overwriters = defs.out[0].Find(SlotNamed(func, "v"));
-  ASSERT_NE(overwriters, nullptr);
-  EXPECT_EQ((*overwriters)[0].line, 4);
+  SlotEvents events(func);
+  DefineSetResult defs = ComputeDefineSets(events);
+  std::vector<SourceLoc> overwriters = defs.out[0].Find(events, SlotNamed(func, "v"));
+  ASSERT_FALSE(overwriters.empty());
+  EXPECT_EQ(overwriters[0].line, 4);
 }
 
 TEST(DefineMap, UnionDeduplicates) {
+  auto analyzed = Analyze("int f(int m) { int v = m; v = 2; return v; }");
+  const IrFunction& func = analyzed->Fn("f");
+  SlotEvents events(func);
+  SlotId v = SlotNamed(func, "v");
+  ASSERT_EQ(events.StoresEnd(v) - events.StoresBegin(v), 2);
   DefineMap a;
   DefineMap b;
-  a.Replace(1, {0, 10, 1});
-  b.Replace(1, {0, 10, 1});
+  a.Reset(events);
+  b.Reset(events);
+  a.Replace(events, v, events.StoresBegin(v));
+  b.Replace(events, v, events.StoresBegin(v));
   EXPECT_FALSE(a.UnionWith(b));
-  b.Replace(1, {0, 20, 1});
+  b.Replace(events, v, events.StoresBegin(v) + 1);
   EXPECT_TRUE(a.UnionWith(b));
-  EXPECT_EQ(a.Find(1)->size(), 2u);
+  EXPECT_EQ(a.Find(events, v).size(), 2u);
+  a.Replace(events, v, events.StoresBegin(v));  // clears both, keeps one
+  EXPECT_EQ(a.Find(events, v).size(), 1u);
 }
 
 }  // namespace

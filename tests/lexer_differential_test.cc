@@ -1,7 +1,8 @@
 // Differential test of the lexer. The scanner from before tokens viewed the
 // source — a std::map keyword table, <cctype> calls, a std::string per
 // spelling and strtoll — is kept verbatim below as ReferenceLex, with its own
-// token type. Lex must give the same tokens (kind, location, spelling,
+// token type; only its __attribute__ rule changed since, together with
+// Lex's (the word itself, optional spaces, then "(("). Lex must give the same tokens (kind, location, spelling,
 // integer value) and the same diagnostics (count, location, message) on the
 // head files of the four generated apps, on testgen programs, and on seeded
 // byte mutations of both that reach every error path and literal edge case.
@@ -129,11 +130,17 @@ class ReferenceScanner {
         continue;
       }
 
-      // Attributes: __attribute__((...))
-      if (c == '_' && text.substr(i).rfind("__attribute__", 0) == 0) {
-        size_t open = text.find("((", i);
-        size_t close = (open == std::string_view::npos) ? std::string_view::npos
-                                                        : text.find("))", open);
+      // Attributes: the word __attribute__, optional spaces, then ((...))
+      const size_t after = i + 13;
+      if (c == '_' && text.substr(i).rfind("__attribute__", 0) == 0 &&
+          (after == n ||
+           !(std::isalnum(static_cast<unsigned char>(text[after])) || text[after] == '_'))) {
+        size_t open = after;
+        while (open < n && std::isspace(static_cast<unsigned char>(text[open]))) {
+          ++open;
+        }
+        size_t close = text.substr(open).rfind("((", 0) == 0 ? text.find("))", open)
+                                                            : std::string_view::npos;
         if (close == std::string_view::npos) {
           diags_.Error({file_, line, col}, "unterminated __attribute__");
           return;
@@ -485,7 +492,8 @@ std::vector<std::pair<std::string, std::string>> TestgenFiles(int seeds) {
 const std::vector<std::string>& Snippets() {
   static const std::vector<std::string> kSnippets = {
       "[[", "]]", "[[maybe_unused", "[[maybe_unused]]", "__attribute__((",
-      "__attribute__((unused", "__attribute__", "__attribute__((unused))", "))", "'", "'\\",
+      "__attribute__((unused", "__attribute__", "__attribute__((unused))",
+      "__attribute__ ((unused))", "__attribute__count", "))", "'", "'\\",
       "'a", "'\\n'", "'\\q'", "''", "\"", "\"abc\\\"", "\"\\", "@", "$", "`", "\\", "#",
       std::string(1, '\0'), "\x80", "\xff", "/*", "*/", "//", "/", "\r\n", "\r", "\t", "\v",
       "\f", "0", "00", "0x", "0X", "0xg", "0x_", "07", "08", "019", "0777", "0x7fffffffffffffff",

@@ -102,6 +102,21 @@ TEST(Lexer, AttributeGnu) {
   EXPECT_EQ(tokens[2].text, "__attribute__((unused))");
 }
 
+TEST(Lexer, AttributeIsTheWholeWordThenParens) {
+  // A longer word is an identifier, even with "((" and "))" later on the line.
+  auto tokens = LexAll("int __attribute__count = 1; return g((a)) + __attribute__count;");
+  ASSERT_GE(tokens.size(), 3u);
+  EXPECT_EQ(tokens[1].kind, TokenKind::kIdentifier);
+  EXPECT_EQ(tokens[1].text, "__attribute__count");
+  EXPECT_EQ(tokens[tokens.size() - 3].text, "__attribute__count");
+  EXPECT_EQ(tokens[tokens.size() - 2].kind, TokenKind::kSemi);
+  // Spaces may sit between the word and "((".
+  tokens = LexAll("__attribute__ ((unused))");
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kAttribute);
+  EXPECT_EQ(tokens[0].text, "__attribute__ ((unused))");
+}
+
 TEST(Lexer, LocationsAreOneBased) {
   auto tokens = LexAll("int x;\n  foo();");
   EXPECT_EQ(tokens[0].loc.line, 1);

@@ -109,8 +109,9 @@ checker_smoke() {
 # Differential fuzz smoke: a fixed-seed vc_fuzz campaign (~200 generated
 # programs, every oracle `vc_fuzz --help` lists: parse cleanliness, --jobs
 # determinism, metrics parity, JSON round-trip, metamorphic fingerprint
-# stability, degraded-run subset, incremental equivalence). Time-boxed to
-# 30s so sanitizer-slowed builds stop at the budget instead of timing out.
+# stability, degraded-run subset, incremental equivalence, alias soundness).
+# Time-boxed to 30s so sanitizer-slowed builds stop at the budget instead of
+# timing out.
 fuzz_smoke() {
   local name="$1"
   local build_dir="$2"
