@@ -1,96 +1,69 @@
 // Mini-C abstract syntax tree.
 //
 // All nodes live in an AstContext arena and are referenced by raw pointer.
-// The arena constructs each node in place in chunks of memory it owns, a few
-// per file, and destroys them in place when the translation unit goes, so
-// building and freeing a file's tree costs a handful of heap blocks rather
-// than one per node. Identifier expressions are resolved to their
-// declarations by the parser, so downstream passes (IR lowering, baselines
-// that walk the AST) never do name lookup themselves.
+// Every node is trivially destructible: names are string views and child
+// lists are spans, both copied into the same arena, so freeing a file's tree
+// frees a handful of chunks and runs no destructor. Identifier expressions
+// are resolved to their declarations by the parser, so downstream passes (IR
+// lowering, baselines that walk the AST) never do name lookup themselves.
 
 #ifndef VALUECHECK_SRC_AST_AST_H_
 #define VALUECHECK_SRC_AST_AST_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
-#include <string>
+#include <span>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/ast/type.h"
 #include "src/lexer/token.h"
+#include "src/support/arena.h"
 #include "src/support/source_location.h"
 
 namespace vc {
 
-class AstNode {
- public:
-  virtual ~AstNode() = default;
-};
+// Base of every node. It has no virtual members: a node's kind field says
+// what it is, and nothing is ever destroyed through a base pointer.
+struct AstNode {};
 
-// Arena that owns every AST node of one translation unit plus its type table.
-// Nodes are placement-constructed into chunks that are never zero-filled.
-// The first chunk holds `first_chunk_bytes`, the caller's estimate of the
-// file's node bytes; each later chunk holds an eighth of that (at least
-// kMinChunkBytes), so a file that outgrows its estimate leaves at most one
-// small chunk's tail unused. The destructor runs every node's destructor,
-// through AstNode's virtual one, in construction order.
+// The arena that owns every AST node of one translation unit, their names
+// and child lists, plus the unit's type table. `first_chunk_bytes` is the
+// caller's estimate of the tree's bytes (see Arena for the chunk policy).
 class AstContext {
  public:
-  explicit AstContext(size_t first_chunk_bytes)
-      : next_chunk_bytes_(std::max(first_chunk_bytes, kMinChunkBytes)) {}
-  ~AstContext();
+  explicit AstContext(size_t first_chunk_bytes) : arena_(first_chunk_bytes) {}
   AstContext(const AstContext&) = delete;
   AstContext& operator=(const AstContext&) = delete;
 
   template <typename T, typename... Args>
   T* New(Args&&... args) {
     static_assert(std::is_base_of_v<AstNode, T>);
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);  // chunks start there
-    T* node = new (Allocate(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
-    nodes_.push_back(node);
-    node_bytes_ += sizeof(T);
     ++node_count_;
-    return node;
+    return arena_.New<T>(std::forward<Args>(args)...);
   }
+
+  // Where the parser copies names, string literals and finished child
+  // lists.
+  Arena& arena() { return arena_; }
 
   TypeTable& types() { return types_; }
   const TypeTable& types() const { return types_; }
 
-  // Exact sizeof-footprint of the arena's nodes (excludes out-of-line vectors
-  // and strings, and the chunks' unused tails): the arena is per-file
-  // single-threaded, so plain counters stay exact and deterministic.
+  // Bytes the tree takes in the arena: its nodes, names and child lists
+  // (not the chunks' unused tails). The arena is per-file and
+  // single-threaded, so the figure is exact and the same at any --jobs.
   // Consumed by the memory tracker.
-  uint64_t node_bytes() const { return node_bytes_; }
+  uint64_t node_bytes() const { return arena_.bytes_used(); }
   uint64_t node_count() const { return node_count_; }
-  size_t chunk_count() const { return chunks_.size(); }
+  size_t chunk_count() const { return arena_.chunk_count(); }
 
  private:
-  static constexpr size_t kMinChunkBytes = 512;
-
-  // `size` bytes at `align` in the current chunk, opening a new chunk when
-  // they do not fit.
-  void* Allocate(size_t size, size_t align) {
-    size_t offset = (used_ + align - 1) & ~(align - 1);
-    if (chunks_.empty() || offset + size > chunk_bytes_) {
-      NewChunk(size);
-      offset = 0;
-    }
-    used_ = offset + size;
-    return chunks_.back().get() + offset;
-  }
-  void NewChunk(size_t at_least);
-
   TypeTable types_;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  std::vector<AstNode*> nodes_;  // construction order
-  size_t chunk_bytes_ = 0;       // size of chunks_.back()
-  size_t used_ = 0;              // bytes taken from chunks_.back()
-  size_t next_chunk_bytes_;
-  uint64_t node_bytes_ = 0;
+  Arena arena_;
   uint64_t node_count_ = 0;
 };
 
@@ -101,18 +74,18 @@ class AstContext {
 struct FunctionDecl;
 
 struct FieldDecl : AstNode {
-  std::string name;
+  std::string_view name;
   const Type* type = nullptr;
   int index = 0;  // position within the struct; forms the slot name "v#index"
   SourceLoc loc;
 };
 
 struct StructDecl : AstNode {
-  std::string name;
-  std::vector<FieldDecl*> fields;
+  std::string_view name;
+  std::span<FieldDecl* const> fields;
   SourceLoc loc;
 
-  const FieldDecl* FindField(const std::string& field_name) const {
+  const FieldDecl* FindField(std::string_view field_name) const {
     for (const FieldDecl* field : fields) {
       if (field->name == field_name) {
         return field;
@@ -123,7 +96,7 @@ struct StructDecl : AstNode {
 };
 
 struct VarDecl : AstNode {
-  std::string name;
+  std::string_view name;
   const Type* type = nullptr;
   SourceLoc loc;
   bool is_param = false;
@@ -176,7 +149,7 @@ struct CharLitExpr : Expr {
 
 struct StrLitExpr : Expr {
   StrLitExpr() : Expr(ExprKind::kStrLit) {}
-  std::string value;
+  std::string_view value;
 };
 
 struct BoolLitExpr : Expr {
@@ -192,7 +165,7 @@ struct NullLitExpr : Expr {
 // function. Exactly one of `var` / `func` is set after resolution.
 struct IdentExpr : Expr {
   IdentExpr() : Expr(ExprKind::kIdent) {}
-  std::string name;
+  std::string_view name;
   VarDecl* var = nullptr;
   FunctionDecl* func = nullptr;
 };
@@ -223,7 +196,7 @@ struct AssignExpr : Expr {
 struct CallExpr : Expr {
   CallExpr() : Expr(ExprKind::kCall) {}
   Expr* callee = nullptr;  // IdentExpr (direct) or arbitrary expr (indirect)
-  std::vector<Expr*> args;
+  std::span<Expr* const> args;
   // Resolved for direct calls to functions declared in the same translation
   // unit (definition or prototype); null for indirect calls through pointers.
   FunctionDecl* resolved = nullptr;
@@ -232,7 +205,7 @@ struct CallExpr : Expr {
 struct MemberExpr : Expr {
   MemberExpr() : Expr(ExprKind::kMember) {}
   Expr* base = nullptr;
-  std::string member;
+  std::string_view member;
   bool is_arrow = false;
   const FieldDecl* field = nullptr;  // resolved when base type is known
 };
@@ -291,7 +264,7 @@ struct Stmt : AstNode {
 
 struct CompoundStmt : Stmt {
   CompoundStmt() : Stmt(StmtKind::kCompound) {}
-  std::vector<Stmt*> body;
+  std::span<Stmt* const> body;
 };
 
 struct DeclStmt : Stmt {
@@ -330,13 +303,13 @@ struct SwitchCase {
   bool is_default = false;
   long long value = 0;
   SourceLoc loc;
-  std::vector<Stmt*> body;
+  std::span<Stmt* const> body;
 };
 
 struct SwitchStmt : Stmt {
   SwitchStmt() : Stmt(StmtKind::kSwitch) {}
   Expr* cond = nullptr;
-  std::vector<SwitchCase> cases;
+  std::span<const SwitchCase> cases;
 };
 
 struct ForStmt : Stmt {
@@ -369,9 +342,9 @@ struct EmptyStmt : Stmt {
 // ---------------------------------------------------------------------------
 
 struct FunctionDecl : AstNode {
-  std::string name;
+  std::string_view name;
   const Type* return_type = nullptr;
-  std::vector<VarDecl*> params;
+  std::span<VarDecl* const> params;
   CompoundStmt* body = nullptr;  // null for prototypes / external functions
   SourceLoc loc;                 // location of the function name
   SourceRange range;             // whole definition, for per-function scans
@@ -392,7 +365,7 @@ struct TranslationUnit {
   std::vector<FunctionDecl*> functions;  // definitions and prototypes
   std::vector<VarDecl*> globals;
 
-  FunctionDecl* FindFunction(const std::string& name) const {
+  FunctionDecl* FindFunction(std::string_view name) const {
     for (FunctionDecl* func : functions) {
       if (func->name == name) {
         return func;

@@ -20,13 +20,13 @@ std::string PrintExpr(const Expr* expr) {
     case ExprKind::kCharLit:
       return "'" + std::to_string(static_cast<const CharLitExpr*>(expr)->value) + "'";
     case ExprKind::kStrLit:
-      return "\"" + static_cast<const StrLitExpr*>(expr)->value + "\"";
+      return "\"" + std::string(static_cast<const StrLitExpr*>(expr)->value) + "\"";
     case ExprKind::kBoolLit:
       return static_cast<const BoolLitExpr*>(expr)->value ? "true" : "false";
     case ExprKind::kNullLit:
       return "null";
     case ExprKind::kIdent:
-      return static_cast<const IdentExpr*>(expr)->name;
+      return std::string(static_cast<const IdentExpr*>(expr)->name);
     case ExprKind::kBinary: {
       const auto* bin = static_cast<const BinaryExpr*>(expr);
       return "(" + OpName(bin->op) + " " + PrintExpr(bin->lhs) + " " + PrintExpr(bin->rhs) + ")";
@@ -52,7 +52,7 @@ std::string PrintExpr(const Expr* expr) {
     case ExprKind::kMember: {
       const auto* member = static_cast<const MemberExpr*>(expr);
       return "(" + std::string(member->is_arrow ? "->" : ".") + " " + PrintExpr(member->base) +
-             " " + member->member + ")";
+             " " + std::string(member->member) + ")";
     }
     case ExprKind::kIndex: {
       const auto* index = static_cast<const IndexExpr*>(expr);
@@ -89,7 +89,8 @@ std::string PrintStmt(const Stmt* stmt) {
     }
     case StmtKind::kDecl: {
       const auto* decl = static_cast<const DeclStmt*>(stmt);
-      std::string out = "(decl " + decl->var->type->ToString() + " " + decl->var->name;
+      std::string out = "(decl " + decl->var->type->ToString() + " ";
+      out += decl->var->name;
       if (decl->init != nullptr) {
         out += " = " + PrintExpr(decl->init);
       }
@@ -146,12 +147,15 @@ std::string PrintStmt(const Stmt* stmt) {
 }
 
 std::string PrintFunction(const FunctionDecl* func) {
-  std::string out = func->return_type->ToString() + " " + func->name + "(";
+  std::string out = func->return_type->ToString() + " ";
+  out += func->name;
+  out += "(";
   for (size_t i = 0; i < func->params.size(); ++i) {
     if (i > 0) {
       out += ", ";
     }
-    out += func->params[i]->type->ToString() + " " + func->params[i]->name;
+    out += func->params[i]->type->ToString() + " ";
+    out += func->params[i]->name;
   }
   out += ")";
   if (func->body != nullptr) {
@@ -165,9 +169,13 @@ std::string PrintFunction(const FunctionDecl* func) {
 std::string PrintUnit(const TranslationUnit& unit) {
   std::string out;
   for (const StructDecl* s : unit.structs) {
-    out += "struct " + s->name + " {";
+    out += "struct ";
+    out += s->name;
+    out += " {";
     for (const FieldDecl* field : s->fields) {
-      out += " " + field->type->ToString() + " " + field->name + ";";
+      out += " " + field->type->ToString() + " ";
+      out += field->name;
+      out += ";";
     }
     out += " };\n";
   }

@@ -60,7 +60,7 @@ void Type::AppendTo(std::string& out) const {
       return;
     case TypeKind::kStruct:
       out += "struct ";
-      out += struct_decl_ != nullptr ? struct_decl_->name : std::string("<anon>");
+      out += struct_decl_ != nullptr ? struct_decl_->name : std::string_view("<anon>");
       return;
     case TypeKind::kPointer:
       if (pointee_ != nullptr) {

@@ -18,7 +18,7 @@ constexpr int kMinCallSites = 2;
 constexpr double kCheckedFraction = 0.8;
 
 // Shared candidate skeleton for AST-level baseline findings.
-UnusedDefCandidate BaselineFinding(CheckerContext& ctx, SourceLoc loc, const std::string& slot,
+UnusedDefCandidate BaselineFinding(CheckerContext& ctx, SourceLoc loc, std::string_view slot,
                                    const std::string& description) {
   UnusedDefCandidate cand;
   cand.function = ctx.func().name;
@@ -164,7 +164,7 @@ std::vector<UnusedDefCandidate> SmatchUnusedChecker::Check(CheckerContext& ctx) 
     }
   });
 
-  auto report = [&](const VarDecl* var, SourceLoc loc, const std::string& slot) {
+  auto report = [&](const VarDecl* var, SourceLoc loc, std::string_view slot) {
     UnusedDefCandidate cand = BaselineFinding(ctx, loc, slot, "return value is never used");
     cand.var = var;
     result.push_back(std::move(cand));
@@ -244,14 +244,14 @@ std::vector<UnusedDefCandidate> InferUnusedChecker::Check(CheckerContext& ctx) c
     // are not flagged by the real tool.
     const Instruction* store = nullptr;
     for (const auto& block : cand.ir_func->blocks) {
-      for (const Instruction& inst : block->insts) {
+      for (const Instruction& inst : block.insts) {
         if (inst.op == Opcode::kStore && inst.slot == cand.slot && inst.loc == cand.def_loc) {
           store = &inst;
         }
       }
     }
     if (store != nullptr && store->is_decl_init && store->is_const_store &&
-        store->const_value == 0) {
+        store->const_value() == 0) {
       continue;
     }
     cand.note = "dead store: value written is never read";
@@ -276,7 +276,7 @@ std::vector<UnusedDefCandidate> CoverityUnusedChecker::Check(CheckerContext& ctx
   // why cross-block overwrites escape it while full liveness catches them.
   for (const auto& block : func.blocks) {
     std::map<SlotId, const Instruction*> pending;
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       switch (inst.op) {
         case Opcode::kLoad:
         case Opcode::kAddrSlot:
@@ -298,7 +298,7 @@ std::vector<UnusedDefCandidate> CoverityUnusedChecker::Check(CheckerContext& ctx
           bool eligible = !slot.is_synthetic && !slot.IsFieldSlot() && slot.var != nullptr &&
                           !slot.var->is_param && !slot.var->is_global &&
                           !slot.var->has_unused_attr && !inst.is_increment &&
-                          !(inst.is_decl_init && inst.is_const_store && inst.const_value == 0);
+                          !(inst.is_decl_init && inst.is_const_store && inst.const_value() == 0);
           if (eligible) {
             pending[inst.slot] = &inst;
           } else {
@@ -328,7 +328,7 @@ std::vector<UnusedDefCandidate> CoverityUnusedChecker::Check(CheckerContext& ctx
   std::stable_sort(ignored.begin(), ignored.end(), [](const CallSite* a, const CallSite* b) {
     return a->callee->name < b->callee->name;
   });
-  const std::string* callee = nullptr;
+  const std::string_view* callee = nullptr;
   bool usually_checked = false;
   for (const CallSite* site : ignored) {
     if (callee == nullptr || *callee != site->callee->name) {

@@ -30,10 +30,10 @@ std::vector<UnusedDefCandidate> DeadGlobalStoreChecker::Check(CheckerContext& ct
 
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
-      ctx.meter()->Charge(block->insts.size() + 1);
+      ctx.meter()->Charge(block.insts.size() + 1);
     }
     clear_pending();
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       switch (inst.op) {
         case Opcode::kLoad:
         case Opcode::kAddrSlot:

@@ -35,13 +35,13 @@ void ChargeEmptySweeps(const IrFunction& func, BudgetMeter& meter) {
   while (changed) {
     changed = false;
     for (const auto& block : func.blocks) {
-      meter.Charge(block->insts.size() + 1);
-      bool seeded = block->preds.empty();
-      for (BlockId pred : block->preds) {
+      meter.Charge(block.insts.size() + 1);
+      bool seeded = block.preds.empty();
+      for (BlockId pred : block.preds) {
         seeded |= has_out.Contains(pred);
       }
-      if (seeded && !has_out.Contains(block->id)) {
-        has_out.Add(block->id);
+      if (seeded && !has_out.Contains(block.id)) {
+        has_out.Add(block.id);
         changed = true;
       }
     }
@@ -138,11 +138,11 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
     changed = false;
     for (const auto& block : func.blocks) {
       if (ctx.meter() != nullptr) {
-        ctx.meter()->Charge(block->insts.size() + 1);
+        ctx.meter()->Charge(block.insts.size() + 1);
       }
       PendingMap in;
       bool first = true;
-      for (BlockId pred : block->preds) {
+      for (BlockId pred : block.preds) {
         if (!has_out[pred]) {
           continue;
         }
@@ -153,15 +153,15 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
           IntersectInto(in, out[pred]);
         }
       }
-      if (first && !block->preds.empty()) {
+      if (first && !block.preds.empty()) {
         continue;  // every pred is still TOP: stay TOP, revisit next pass
       }
-      for (const Instruction& inst : block->insts) {
+      for (const Instruction& inst : block.insts) {
         transfer(inst, in, nullptr);
       }
-      if (!has_out[block->id] || !(out[block->id] == in)) {
-        out[block->id] = std::move(in);
-        has_out[block->id] = true;
+      if (!has_out[block.id] || !(out[block.id] == in)) {
+        out[block.id] = std::move(in);
+        has_out[block.id] = true;
         changed = true;
       }
     }
@@ -173,7 +173,7 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
   for (const auto& block : func.blocks) {
     PendingMap in;
     bool first = true;
-    for (BlockId pred : block->preds) {
+    for (BlockId pred : block.preds) {
       if (!has_out[pred]) {
         continue;
       }
@@ -185,7 +185,7 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
       }
     }
     std::vector<std::pair<SourceLoc, SourceLoc>> report;
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       SlotId slot = inst.slot;
       size_t before = report.size();
       transfer(inst, in, &report);

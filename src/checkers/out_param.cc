@@ -21,8 +21,8 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
   thread_local std::vector<SlotId> out_args;
   bool any_addr = false;
   for (const auto& block : func.blocks) {
-    for (const SlotEvent& event : events.Block(block->id)) {
-      const Instruction& inst = block->insts[event.inst];
+    for (const SlotEvent& event : events.Block(block.id)) {
+      const Instruction& inst = block.insts[event.inst];
       if (event.op != Opcode::kAddrSlot || inst.result == kNoValue) {
         continue;
       }
@@ -51,12 +51,12 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
   SlotSet& live = ctx.replay_live();
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
-      ctx.meter()->Charge(block->insts.size() + 1);
+      ctx.meter()->Charge(block.insts.size() + 1);
     }
-    live = liveness.live_out[block->id];
-    for (size_t j = block->insts.size(); j-- > 0;) {
-      const Instruction& inst = block->insts[j];
-      if (inst.op == Opcode::kCall && inst.callee != nullptr) {
+    live = liveness.live_out[block.id];
+    for (size_t j = block.insts.size(); j-- > 0;) {
+      const Instruction& inst = block.insts[j];
+      if (inst.op == Opcode::kCall && inst.callee() != nullptr) {
         // The distinct slots whose address the call takes, in slot order.
         out_args.clear();
         for (ValueId v : inst.operands) {
@@ -79,7 +79,7 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
           cand.ir_func = &func;
           cand.slot = x;
           cand.var = slot.var;
-          cand.callee_name = inst.callee->name;
+          cand.callee_name = inst.callee()->name;
           cand.kind = CandidateKind::kOutParamUnused;
           candidates.push_back(std::move(cand));
         }

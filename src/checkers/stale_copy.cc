@@ -49,17 +49,17 @@ std::vector<UnusedDefCandidate> StaleCopyChecker::Check(CheckerContext& ctx) con
 
   for (const auto& block : func.blocks) {
     if (ctx.meter() != nullptr) {
-      ctx.meter()->Charge(block->insts.size() + 1);
+      ctx.meter()->Charge(block.insts.size() + 1);
     }
-    const uint32_t stamp = static_cast<uint32_t>(block->id) + 1;
+    const uint32_t stamp = static_cast<uint32_t>(block.id) + 1;
     for (SlotId slot : scan.listed) {  // the copies are per block
       scan.copies[slot] = CopyInfo();
     }
     scan.listed.clear();
     // Address-of events need nothing: eligibility already excludes
     // address-taken slots function-wide.
-    for (const SlotEvent& event : events.Block(block->id)) {
-      const Instruction& inst = block->insts[event.inst];
+    for (const SlotEvent& event : events.Block(block.id)) {
+      const Instruction& inst = block.insts[event.inst];
       if (event.op == Opcode::kLoad) {
         CopyInfo& copy = scan.copies[event.slot];
         if (copy.src != kInvalidSlot && copy.stale) {

@@ -13,14 +13,15 @@ DepGraph::DepGraph(const Project& project) {
           alias_affected_.insert(func->name);
           continue;
         }
-        callees_[func->name].insert(site.callee->name);
-        callers_[site.callee->name].insert(func->name);
+        const std::string callee(site.callee->name);
+        callees_[func->name].insert(callee);
+        callers_[callee].insert(func->name);
       }
       for (const auto& block : func->blocks) {
-        for (const Instruction& inst : block->insts) {
-          if (inst.op == Opcode::kAddrFunc && inst.callee != nullptr) {
+        for (const Instruction& inst : block.insts) {
+          if (inst.op == Opcode::kAddrFunc && inst.callee() != nullptr) {
             // Address-taken function: a potential indirect-call target.
-            alias_affected_.insert(inst.callee->name);
+            alias_affected_.emplace(inst.callee()->name);
           }
         }
       }

@@ -50,28 +50,28 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(CheckerContext& ctx) {
   SlotSet& live = ctx.replay_live();
   DefineMap& defs = ctx.replay_defines();
   for (const auto& block : func.blocks) {
-    live = liveness.live_out[block->id];
-    defs = defines.out[block->id];
+    live = liveness.live_out[block.id];
+    defs = defines.out[block.id];
     if (meter != nullptr) {
-      meter->Charge(block->insts.size() + 1);
+      meter->Charge(block.insts.size() + 1);
     }
-    const std::span<const SlotEvent> block_events = events.Block(block->id);
+    const std::span<const SlotEvent> block_events = events.Block(block.id);
     for (size_t k = block_events.size(); k-- > 0;) {
       const SlotEvent& event = block_events[k];
       if (event.op == Opcode::kStore && !live.Contains(event.slot) &&
           !liveness.address_taken.Contains(event.slot)) {  // else: may be used through a pointer
-        const Instruction& inst = block->insts[event.inst];
+        const Instruction& inst = block.insts[event.inst];
         const Slot& slot = func.slots[event.slot];
         const bool global = slot.var != nullptr && slot.var->is_global;  // out of scope (§3.1)
         // Lowering fallback temps are not real definitions.
         const bool fallback_temp = slot.is_synthetic && !inst.is_synthetic_store;
         if (!global && !fallback_temp) {
           UnusedDefCandidate cand = make_candidate(event.slot, inst.loc);
-          if (inst.origin_callee != nullptr) {
-            cand.callee_name = inst.origin_callee->name;
+          if (inst.origin_callee() != nullptr) {
+            cand.callee_name = inst.origin_callee()->name;
           }
           cand.is_increment = inst.is_increment;
-          cand.increment_amount = inst.increment_amount;
+          cand.increment_amount = inst.increment_amount();
           cand.overwriter_locs = defs.Find(events, event.slot);
           cand.overwritten = !cand.overwriter_locs.empty();
           candidates.push_back(std::move(cand));

@@ -75,9 +75,9 @@ class CursorMatcher {
     auto [it, inserted] = cache_.try_emplace(&func);
     if (inserted) {
       for (const auto& block : func.blocks) {
-        for (const Instruction& inst : block->insts) {
+        for (const Instruction& inst : block.insts) {
           if (inst.op == Opcode::kStore && inst.is_increment) {
-            it->second.emplace_back(inst.slot, inst.increment_amount);
+            it->second.emplace_back(inst.slot, inst.increment_amount());
           }
         }
       }

@@ -8,7 +8,7 @@ void ComputeAddressTaken(const SlotEvents& events, SlotSet& taken) {
   taken.Reset(events.num_slots());
   const IrFunction& func = events.func();
   for (const auto& block : func.blocks) {
-    for (const SlotEvent& event : events.Block(block->id)) {
+    for (const SlotEvent& event : events.Block(block.id)) {
       // Taking a field's address escapes that field; its parent variable
       // stays precise. A whole struct's mask escapes its fields too.
       if (event.op == Opcode::kAddrSlot) {

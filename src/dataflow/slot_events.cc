@@ -22,7 +22,7 @@ void SlotEvents::Build(const IrFunction& func) {
   block_begin_.resize(func.blocks.size() + 1);
   for (size_t b = 0; b < func.blocks.size(); ++b) {
     block_begin_[b] = static_cast<uint32_t>(events_.size());
-    const std::vector<Instruction>& insts = func.blocks[b]->insts;
+    const std::span<const Instruction> insts = func.blocks[b].insts;
     for (size_t j = 0; j < insts.size(); ++j) {
       const Instruction& inst = insts[j];
       if (inst.op != Opcode::kLoad && inst.op != Opcode::kStore && inst.op != Opcode::kAddrSlot) {

@@ -139,7 +139,7 @@ int SweepToFixPoint(const IrFunction& func, uint32_t num_words, const uint64_t* 
     changed = false;
     ++sweeps;
     for (size_t i = func.blocks.size(); i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
+      const BasicBlock& block = func.blocks[i];
       if (meter != nullptr) {
         meter->Charge(block.insts.size() + 1);
       }

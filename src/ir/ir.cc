@@ -4,124 +4,31 @@
 
 namespace vc {
 
-SlotId SlotTable::ForVar(const VarDecl* var) { return ForField(var, -1); }
-
-size_t SlotTable::Probe(const VarDecl* var, int field_index) const {
-  const size_t mask = index_.size() - 1;
+size_t SlotTable::Probe(std::span<const Slot> slots, std::span<const SlotId> index,
+                        const VarDecl* var, int field_index) {
+  const size_t mask = index.size() - 1;
   uint64_t key = reinterpret_cast<uintptr_t>(var) ^ (static_cast<uint64_t>(field_index + 1) << 48);
   key *= 0x9E3779B97F4A7C15ull;
   for (size_t pos = static_cast<size_t>(key >> 32) & mask;; pos = (pos + 1) & mask) {
-    const SlotId id = index_[pos];
-    if (id == kInvalidSlot ||
-        (slots_[id].var == var && slots_[id].field_index == field_index)) {
+    const SlotId id = index[pos];
+    if (id == kInvalidSlot || (slots[id].var == var && slots[id].field_index == field_index)) {
       return pos;
     }
   }
 }
 
-void SlotTable::Rehash(size_t capacity) {
-  index_.assign(capacity, kInvalidSlot);
-  for (SlotId id = 0; id < size(); ++id) {
-    if (!slots_[id].is_synthetic) {
-      index_[Probe(slots_[id].var, slots_[id].field_index)] = id;
+OperandList OperandList::Of(std::span<const ValueId> values, Arena& arena) {
+  OperandList list;
+  if (values.size() <= kInline) {
+    for (ValueId value : values) {
+      list.push_back(value);
     }
+    return list;
   }
-}
-
-SlotId SlotTable::ForField(const VarDecl* var, int field_index) {
-  if (2 * (keyed_ + 1) > static_cast<int>(index_.size())) {
-    Rehash(index_.empty() ? 8 : 2 * index_.size());
-  }
-  const size_t pos = Probe(var, field_index);
-  if (index_[pos] != kInvalidSlot) {
-    return index_[pos];
-  }
-  Slot slot;
-  slot.var = var;
-  slot.field_index = field_index;
-  slot.name = var->name;
-  if (field_index >= 0) {
-    slot.name += "#" + std::to_string(field_index);
-  } else {
-    slot.is_param = var->is_param;
-  }
-  SlotId id = static_cast<SlotId>(slots_.size());
-  slots_.push_back(std::move(slot));
-  index_[pos] = id;
-  ++keyed_;
-  return id;
-}
-
-SlotId SlotTable::NewSyntheticTemp() {
-  Slot slot;
-  slot.name = "_tmp" + std::to_string(next_temp_++);
-  slot.is_synthetic = true;
-  SlotId id = static_cast<SlotId>(slots_.size());
-  slots_.push_back(std::move(slot));
-  return id;
-}
-
-void OperandList::Assign(const ValueId* values, size_t count) {
-  if (count > capacity_) {
-    Release();
-    Grow(static_cast<uint32_t>(count));
-  }
-  std::copy(values, values + count, data());
-  size_ = static_cast<uint32_t>(count);
-}
-
-void OperandList::Grow(uint32_t capacity) {
-  auto* heap = new ValueId[capacity];
-  std::copy(begin(), end(), heap);
-  if (on_heap()) {
-    delete[] heap_;
-  }
-  heap_ = heap;
-  capacity_ = capacity;
-}
-
-void OperandList::Take(OperandList& other) {
-  size_ = other.size_;
-  capacity_ = other.capacity_;
-  if (other.on_heap()) {
-    heap_ = other.heap_;
-  } else {
-    std::copy(other.begin(), other.end(), inline_);
-  }
-  other.size_ = 0;
-  other.capacity_ = kInline;
-}
-
-void OperandList::Release() {
-  if (on_heap()) {
-    delete[] heap_;
-  }
-  size_ = 0;
-  capacity_ = kInline;
-}
-
-void IrFunction::ComputeEdges() {
-  for (auto& block : blocks) {
-    block->succs.clear();
-    block->preds.clear();
-  }
-  for (auto& block : blocks) {
-    const Instruction* term = block->Terminator();
-    if (term == nullptr) {
-      continue;
-    }
-    if (term->op == Opcode::kBr) {
-      block->succs.push_back(term->succ0);
-    } else if (term->op == Opcode::kCondBr) {
-      block->succs.push_back(term->succ0);
-      block->succs.push_back(term->succ1);
-    }
-  }
-  for (auto& block : blocks) {
-    for (BlockId succ : block->succs) {
-      blocks[succ]->preds.push_back(block->id);
-    }
-  }
+  const ValueId* copy = arena.Copy(values).data();
+  list.size_ = static_cast<uint32_t>(values.size());
+  std::memcpy(list.slots_, &copy, sizeof(copy));
+  return list;
 }
 
 namespace {
@@ -164,29 +71,31 @@ const char* OpcodeName(Opcode op) {
 
 std::string IrFunction::Dump() const {
   std::string out = "function " + name + ":\n";
-  for (const auto& block : blocks) {
-    out += "bb" + std::to_string(block->id) + ":";
-    if (!block->succs.empty()) {
+  for (const BasicBlock& block : blocks) {
+    out += "bb" + std::to_string(block.id) + ":";
+    if (!block.succs.empty()) {
       out += "  ; succs:";
-      for (BlockId succ : block->succs) {
+      for (BlockId succ : block.succs) {
         out += " bb" + std::to_string(succ);
       }
     }
     out += "\n";
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       out += "  ";
       if (inst.result != kNoValue) {
         out += "%" + std::to_string(inst.result) + " = ";
       }
       out += OpcodeName(inst.op);
       if (inst.slot != kInvalidSlot) {
-        out += " @" + slots[inst.slot].name;
+        out += " @";
+        out += slots[inst.slot].name;
       }
       if (inst.op == Opcode::kConst) {
-        out += " " + std::to_string(inst.const_value);
+        out += " " + std::to_string(inst.const_value());
       }
-      if (inst.callee != nullptr) {
-        out += " " + inst.callee->name;
+      if (const FunctionDecl* callee = inst.callee()) {
+        out += " ";
+        out += callee->name;
       }
       for (ValueId operand : inst.operands) {
         out += " %" + std::to_string(operand);
@@ -201,7 +110,7 @@ std::string IrFunction::Dump() const {
         out += "  ; ignored-result";
       }
       if (inst.is_increment) {
-        out += "  ; increment " + std::to_string(inst.increment_amount);
+        out += "  ; increment " + std::to_string(inst.increment_amount());
       }
       out += "\n";
     }
@@ -209,7 +118,7 @@ std::string IrFunction::Dump() const {
   return out;
 }
 
-IrFunction* IrModule::FindFunction(const std::string& name) const {
+IrFunction* IrModule::FindFunction(std::string_view name) const {
   for (const auto& func : functions) {
     if (func->name == name) {
       return func.get();
@@ -225,13 +134,13 @@ IrFootprint FunctionFootprint(const IrFunction& func) {
   fp.bytes += func.param_slots.size() * sizeof(SlotId);
   fp.bytes += func.return_locs.size() * sizeof(SourceLoc);
   fp.bytes += func.call_sites.size() * sizeof(CallSite);
-  for (const auto& block : func.blocks) {
+  for (const BasicBlock& block : func.blocks) {
     fp.bytes += sizeof(BasicBlock);
-    fp.bytes += (block->succs.size() + block->preds.size()) * sizeof(BlockId);
-    fp.bytes += block->insts.size() * sizeof(Instruction);
-    fp.instructions += block->insts.size();
-    for (const Instruction& inst : block->insts) {
-      if (inst.operands.on_heap()) {
+    fp.bytes += (block.succs.size() + block.preds.size()) * sizeof(BlockId);
+    fp.bytes += block.insts.size() * sizeof(Instruction);
+    fp.instructions += block.insts.size();
+    for (const Instruction& inst : block.insts) {
+      if (inst.operands.in_arena()) {
         fp.bytes += inst.operands.size() * sizeof(ValueId);
       }
     }

@@ -1,8 +1,11 @@
 #include "src/ir/ir_builder.h"
 
-#include <algorithm>
-#include <iterator>
+#include <cstring>
+#include <span>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace vc {
 
@@ -47,74 +50,225 @@ bool IsConstExpr(const Expr* expr, long long* value) {
   }
 }
 
-// Each block's instructions while its function lowers, by block id. They
-// move into exactly sized vectors when the function is done, so a block
-// allocates once, not once per doubling; the staging vectors stay with the
-// thread and keep their capacity.
-thread_local std::vector<std::vector<Instruction>> staged_insts;
+// The module arena's first chunk, in bytes per byte of the unit's tree
+// (AstContext::node_bytes). A module takes 0.87-1.29 of its tree over the
+// four paper apps (1.07-1.40 on the linux-like profile); as for the tree,
+// the estimate sits at the low end, which leaves about 4 % of the module
+// unused on both.
+constexpr double kIrBytesPerAstByte = 0.8;
+
+// A function's IR while it lowers, kept by the thread between functions so
+// its vectors keep their capacity: each block's instructions by block id,
+// the slots and their index, and the function's lists. Finish() copies each
+// into the module's arena at exact size.
+struct Staging {
+  std::vector<std::vector<Instruction>> insts;
+  size_t blocks = 0;  // insts entries the current function uses
+  std::vector<Slot> slots;
+  std::vector<SlotId> index;
+  int keyed = 0;  // slots in index
+  std::vector<SlotId> param_slots;
+  std::vector<SourceLoc> return_locs;
+  std::vector<CallSite> call_sites;
+  std::vector<ValueId> operands;  // calls' operands while their arguments lower
+  std::vector<size_t> preds_at;    // per block, where its predecessors go
+  std::string names;
+  std::vector<size_t> name_ends;
+
+  void Reset() {
+    for (size_t b = 0; b < blocks; ++b) {
+      insts[b].clear();
+    }
+    blocks = 0;
+    slots.clear();
+    index.clear();
+    keyed = 0;
+    param_slots.clear();
+    return_locs.clear();
+    call_sites.clear();
+    operands.clear();
+  }
+};
+
+thread_local Staging staging;
 
 class FunctionLowering {
  public:
-  explicit FunctionLowering(const FunctionDecl* decl) : decl_(decl) {
+  FunctionLowering(const FunctionDecl* decl, Arena& arena)
+      : decl_(decl), arena_(arena), st_(staging) {
     func_ = std::make_unique<IrFunction>();
     func_->name = decl->name;
     func_->decl = decl;
   }
-  ~FunctionLowering() {
-    for (size_t b = 0; b < staged_blocks_; ++b) {
-      staged_insts[b].clear();
-    }
-  }
+  ~FunctionLowering() { st_.Reset(); }
 
   // Registers the whole-variable slot and, for struct-typed variables, one
   // slot per field. Pre-creating field slots means the points-to analysis can
   // resolve `p->f` field-sensitively even when the field is never accessed
   // directly through the variable.
   SlotId EnsureSlots(const VarDecl* var) {
-    SlotId slot = func_->slots.ForVar(var);
+    SlotId slot = ForVar(var);
     if (var->type != nullptr && var->type->IsStruct() && var->type->struct_decl() != nullptr) {
       for (const FieldDecl* field : var->type->struct_decl()->fields) {
-        func_->slots.ForField(var, field->index);
+        ForField(var, field->index);
       }
     }
     return slot;
   }
 
   std::unique_ptr<IrFunction> Run() {
-    cur_ = func_->NewBlock();
+    cur_ = NewBlock();
     for (const VarDecl* param : decl_->params) {
-      func_->param_slots.push_back(EnsureSlots(param));
+      st_.param_slots.push_back(EnsureSlots(param));
     }
     EmitStmt(decl_->body);
     if (!Terminated()) {
       Instruction ret;
       ret.op = Opcode::kRet;
       ret.loc = decl_->range.end.IsValid() ? decl_->range.end : decl_->loc;
-      Append(std::move(ret));
+      Append(ret);
     }
-    for (const auto& block : func_->blocks) {
-      std::vector<Instruction>& staged = Staged(*block);
-      block->insts.assign(std::make_move_iterator(staged.begin()),
-                          std::make_move_iterator(staged.end()));
-    }
-    func_->ComputeEdges();
+    Finish();
     return std::move(func_);
   }
 
  private:
-  // --- Instruction emission ----------------------------------------------
+  // --- Slots ------------------------------------------------------------------
 
-  std::vector<Instruction>& Staged(const BasicBlock& block) {
-    const size_t id = static_cast<size_t>(block.id);
-    if (id >= staged_insts.size()) {
-      staged_insts.resize(id + 1);
+  SlotId ForVar(const VarDecl* var) { return ForField(var, -1); }
+
+  SlotId ForField(const VarDecl* var, int field_index) {
+    if (2 * (st_.keyed + 1) > static_cast<int>(st_.index.size())) {
+      Rehash(st_.index.empty() ? 8 : 2 * st_.index.size());
     }
-    staged_blocks_ = std::max(staged_blocks_, id + 1);
-    return staged_insts[id];
+    const size_t pos = SlotTable::Probe(st_.slots, st_.index, var, field_index);
+    if (st_.index[pos] != kInvalidSlot) {
+      return st_.index[pos];
+    }
+    Slot slot;
+    slot.var = var;
+    slot.field_index = field_index;
+    slot.is_param = field_index < 0 && var->is_param;
+    const SlotId id = static_cast<SlotId>(st_.slots.size());
+    st_.slots.push_back(slot);
+    st_.index[pos] = id;
+    ++st_.keyed;
+    return id;
   }
 
+  // A fresh synthetic temp slot (ignored call result).
+  SlotId NewSyntheticTemp() {
+    Slot slot;
+    slot.is_synthetic = true;
+    const SlotId id = static_cast<SlotId>(st_.slots.size());
+    st_.slots.push_back(slot);
+    return id;
+  }
+
+  // Rebuilds the index at `capacity` positions (a power of two).
+  void Rehash(size_t capacity) {
+    st_.index.assign(capacity, kInvalidSlot);
+    for (SlotId id = 0; id < static_cast<SlotId>(st_.slots.size()); ++id) {
+      const Slot& slot = st_.slots[id];
+      if (!slot.is_synthetic) {
+        st_.index[SlotTable::Probe(st_.slots, st_.index, slot.var, slot.field_index)] = id;
+      }
+    }
+  }
+
+  // --- Blocks -----------------------------------------------------------------
+
+  BlockId NewBlock() {
+    if (st_.blocks == st_.insts.size()) {
+      st_.insts.emplace_back();
+    }
+    return static_cast<BlockId>(st_.blocks++);
+  }
+
+  // Copies the staged function into the arena: each block's instructions
+  // (one memcpy per block) and edges, the slots with their names, the index
+  // and the function's lists.
+  void Finish() {
+    const size_t count = st_.blocks;
+    std::span<BasicBlock> blocks = arena_.NewArray<BasicBlock>(count);
+    // Successors come from each terminator; predecessors are listed in the
+    // order the blocks name them. Each kind is one array, sliced per block.
+    st_.preds_at.assign(count + 1, 0);
+    size_t edges = 0;
+    for (size_t b = 0; b < count; ++b) {
+      blocks[b].id = static_cast<BlockId>(b);
+      blocks[b].insts = arena_.Copy(st_.insts[b]);
+      ForEachSuccessor(st_.insts[b], [&](BlockId succ) {
+        ++st_.preds_at[static_cast<size_t>(succ) + 1];
+        ++edges;
+      });
+    }
+    std::span<BlockId> succs = arena_.NewArray<BlockId>(edges);
+    std::span<BlockId> preds = arena_.NewArray<BlockId>(edges);
+    for (size_t b = 0; b < count; ++b) {
+      st_.preds_at[b + 1] += st_.preds_at[b];
+      blocks[b].preds = preds.subspan(st_.preds_at[b], st_.preds_at[b + 1] - st_.preds_at[b]);
+    }
+    size_t succ_at = 0;
+    for (size_t b = 0; b < count; ++b) {
+      const size_t first = succ_at;
+      ForEachSuccessor(st_.insts[b], [&](BlockId succ) {
+        succs[succ_at++] = succ;
+        preds[st_.preds_at[static_cast<size_t>(succ)]++] = static_cast<BlockId>(b);
+      });
+      blocks[b].succs = succs.subspan(first, succ_at - first);
+    }
+    func_->blocks = blocks;
+
+    // Slot names ("v", "v#<field>" or "_tmp<N>") go into one arena string.
+    st_.names.clear();
+    st_.name_ends.clear();
+    int temps = 0;
+    for (const Slot& slot : st_.slots) {
+      if (slot.is_synthetic) {
+        st_.names += "_tmp";
+        st_.names += std::to_string(temps++);
+      } else {
+        st_.names += slot.var->name;
+        if (slot.field_index >= 0) {
+          st_.names += '#';
+          st_.names += std::to_string(slot.field_index);
+        }
+      }
+      st_.name_ends.push_back(st_.names.size());
+    }
+    const std::string_view names = arena_.CopyString(st_.names);
+    std::span<Slot> slots = arena_.Copy(st_.slots);
+    size_t name_at = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      slots[i].name = names.substr(name_at, st_.name_ends[i] - name_at);
+      name_at = st_.name_ends[i];
+    }
+    func_->slots = SlotTable(slots, arena_.Copy(st_.index));
+    func_->param_slots = arena_.Copy(st_.param_slots);
+    func_->return_locs = arena_.Copy(st_.return_locs);
+    func_->call_sites = arena_.Copy(st_.call_sites);
+  }
+
+  // Calls `fn` with each successor of a block, read off its terminator.
+  template <typename Fn>
+  static void ForEachSuccessor(const std::vector<Instruction>& insts, Fn fn) {
+    if (insts.empty()) {
+      return;
+    }
+    const Instruction& term = insts.back();
+    if (term.op == Opcode::kBr || term.op == Opcode::kCondBr) {
+      fn(term.succ0);
+    }
+    if (term.op == Opcode::kCondBr) {
+      fn(term.succ1);
+    }
+  }
+
+  // --- Instruction emission ----------------------------------------------
+
   bool Terminated() {
-    const std::vector<Instruction>& insts = Staged(*cur_);
+    const std::vector<Instruction>& insts = st_.insts[static_cast<size_t>(cur_)];
     if (insts.empty()) {
       return false;
     }
@@ -126,22 +280,21 @@ class FunctionLowering {
     if (Terminated()) {
       // Dead code after return/break/continue still lowers (its loads/stores
       // participate in liveness of unreachable blocks) into a fresh block.
-      cur_ = func_->NewBlock();
+      cur_ = NewBlock();
     }
     if (produces_value) {
       inst.result = func_->next_value++;
     }
-    std::vector<Instruction>& insts = Staged(*cur_);
-    insts.push_back(std::move(inst));
-    return insts.back().result;
+    st_.insts[static_cast<size_t>(cur_)].push_back(inst);
+    return inst.result;
   }
 
   ValueId EmitConst(long long value, SourceLoc loc) {
     Instruction inst;
     inst.op = Opcode::kConst;
-    inst.const_value = value;
+    inst.number = value;
     inst.loc = loc;
-    return Append(std::move(inst), /*produces_value=*/true);
+    return Append(inst, /*produces_value=*/true);
   }
 
   ValueId EmitLoadLValue(const LValue& lv, SourceLoc loc) {
@@ -154,44 +307,42 @@ class FunctionLowering {
       inst.op = Opcode::kLoadInd;
       inst.operands.push_back(lv.addr);
     }
-    return Append(std::move(inst), /*produces_value=*/true);
+    return Append(inst, /*produces_value=*/true);
   }
 
   void EmitStoreLValue(const LValue& lv, ValueId value, Instruction annotations) {
-    Instruction inst = std::move(annotations);  // carries loc + store flags
-    inst.operands.clear();
+    Instruction inst = annotations;  // carries loc + store annotations
     if (lv.is_slot) {
       inst.op = Opcode::kStore;
       inst.slot = lv.slot;
-      inst.operands.push_back(value);
+      inst.operands = {value};
     } else {
       inst.op = Opcode::kStoreInd;
       inst.slot = kInvalidSlot;
-      inst.operands.push_back(lv.addr);
-      inst.operands.push_back(value);
+      inst.operands = {lv.addr, value};
     }
-    Append(std::move(inst));
+    Append(inst);
   }
 
-  void EmitBr(BasicBlock* target, SourceLoc loc) {
+  void EmitBr(BlockId target, SourceLoc loc) {
     if (Terminated()) {
       return;
     }
     Instruction inst;
     inst.op = Opcode::kBr;
-    inst.succ0 = target->id;
+    inst.succ0 = target;
     inst.loc = loc;
-    Append(std::move(inst));
+    Append(inst);
   }
 
-  void EmitCondBr(ValueId cond, BasicBlock* then_bb, BasicBlock* else_bb, SourceLoc loc) {
+  void EmitCondBr(ValueId cond, BlockId then_bb, BlockId else_bb, SourceLoc loc) {
     Instruction inst;
     inst.op = Opcode::kCondBr;
     inst.operands.push_back(cond);
-    inst.succ0 = then_bb->id;
-    inst.succ1 = else_bb->id;
+    inst.succ0 = then_bb;
+    inst.succ1 = else_bb;
     inst.loc = loc;
-    Append(std::move(inst));
+    Append(inst);
   }
 
   // --- LValues -------------------------------------------------------------
@@ -201,7 +352,7 @@ class FunctionLowering {
     LValue lv;
     if (expr == nullptr) {
       lv.is_slot = true;
-      lv.slot = func_->slots.NewSyntheticTemp();
+      lv.slot = NewSyntheticTemp();
       return lv;
     }
     switch (expr->kind) {
@@ -209,7 +360,7 @@ class FunctionLowering {
         const auto* ident = static_cast<const IdentExpr*>(expr);
         if (ident->var != nullptr) {
           lv.is_slot = true;
-          lv.slot = func_->slots.ForVar(ident->var);
+          lv.slot = ForVar(ident->var);
           return lv;
         }
         break;
@@ -222,8 +373,8 @@ class FunctionLowering {
           if (base_ident->var != nullptr) {
             lv.is_slot = true;
             lv.slot = (member->field != nullptr)
-                          ? func_->slots.ForField(base_ident->var, member->field->index)
-                          : func_->slots.ForVar(base_ident->var);
+                          ? ForField(base_ident->var, member->field->index)
+                          : ForVar(base_ident->var);
             return lv;
           }
         }
@@ -240,7 +391,7 @@ class FunctionLowering {
         inst.operands.push_back(base_addr);
         inst.field_index = member->field != nullptr ? member->field->index : -1;
         inst.loc = member->loc;
-        lv.addr = Append(std::move(inst), /*produces_value=*/true);
+        lv.addr = Append(inst, /*produces_value=*/true);
         return lv;
       }
       case ExprKind::kUnary: {
@@ -259,7 +410,7 @@ class FunctionLowering {
         inst.op = Opcode::kBinOp;
         inst.operands = {base, idx};
         inst.loc = index->loc;
-        lv.addr = Append(std::move(inst), /*produces_value=*/true);
+        lv.addr = Append(inst, /*produces_value=*/true);
         return lv;
       }
       default:
@@ -268,7 +419,7 @@ class FunctionLowering {
     // Non-lvalue fallback: write goes to a synthetic temp so lowering stays
     // total on malformed input.
     lv.is_slot = true;
-    lv.slot = func_->slots.NewSyntheticTemp();
+    lv.slot = NewSyntheticTemp();
     return lv;
   }
 
@@ -281,7 +432,7 @@ class FunctionLowering {
     inst.op = Opcode::kAddrSlot;
     inst.slot = lv.slot;
     inst.loc = loc;
-    return Append(std::move(inst), /*produces_value=*/true);
+    return Append(inst, /*produces_value=*/true);
   }
 
   // --- Expressions ----------------------------------------------------------
@@ -308,9 +459,9 @@ class FunctionLowering {
         if (ident->func != nullptr) {
           Instruction inst;
           inst.op = Opcode::kAddrFunc;
-          inst.callee = ident->func;
+          inst.function = ident->func;
           inst.loc = ident->loc;
-          return Append(std::move(inst), /*produces_value=*/true);
+          return Append(inst, /*produces_value=*/true);
         }
         LValue lv = EmitLValue(expr);
         return EmitLoadLValue(lv, expr->loc);
@@ -334,7 +485,7 @@ class FunctionLowering {
         inst.op = Opcode::kBinOp;
         inst.operands = {lhs, rhs};
         inst.loc = bin->loc;
-        return Append(std::move(inst), /*produces_value=*/true);
+        return Append(inst, /*produces_value=*/true);
       }
       case ExprKind::kCond: {
         const auto* cond = static_cast<const CondExpr*>(expr);
@@ -343,9 +494,10 @@ class FunctionLowering {
         ValueId e = EmitExpr(cond->else_expr);
         Instruction inst;
         inst.op = Opcode::kBinOp;
-        inst.operands = {c, t, e};
+        const ValueId operands[] = {c, t, e};
+        inst.operands = OperandList::Of(operands, arena_);
         inst.loc = cond->loc;
-        return Append(std::move(inst), /*produces_value=*/true);
+        return Append(inst, /*produces_value=*/true);
       }
       case ExprKind::kUnary:
         return EmitUnary(static_cast<const UnaryExpr*>(expr));
@@ -366,9 +518,9 @@ class FunctionLowering {
           if (ident->func != nullptr) {
             Instruction inst;
             inst.op = Opcode::kAddrFunc;
-            inst.callee = ident->func;
+            inst.function = ident->func;
             inst.loc = unary->loc;
-            return Append(std::move(inst), /*produces_value=*/true);
+            return Append(inst, /*produces_value=*/true);
           }
         }
         LValue lv = EmitLValue(unary->operand);
@@ -387,12 +539,12 @@ class FunctionLowering {
         add.op = Opcode::kBinOp;
         add.operands = {old_value, one};
         add.loc = unary->loc;
-        ValueId new_value = Append(std::move(add), /*produces_value=*/true);
+        ValueId new_value = Append(add, /*produces_value=*/true);
         Instruction store;
         store.loc = unary->loc;
         store.is_increment = true;
-        store.increment_amount = unary->op == TokenKind::kPlusPlus ? 1 : -1;
-        EmitStoreLValue(lv, new_value, std::move(store));
+        store.number = unary->op == TokenKind::kPlusPlus ? 1 : -1;
+        EmitStoreLValue(lv, new_value, store);
         return unary->is_postfix ? old_value : new_value;
       }
       default: {
@@ -401,7 +553,7 @@ class FunctionLowering {
         inst.op = Opcode::kUnOp;
         inst.operands.push_back(operand);
         inst.loc = unary->loc;
-        return Append(std::move(inst), /*produces_value=*/true);
+        return Append(inst, /*produces_value=*/true);
       }
     }
   }
@@ -460,12 +612,12 @@ class FunctionLowering {
     if (assign->op == TokenKind::kAssign) {
       rhs = EmitExpr(assign->rhs);
       if (bare_rhs != nullptr && bare_rhs->kind == ExprKind::kCall) {
-        store.origin_callee = static_cast<const CallExpr*>(bare_rhs)->resolved;
+        store.function = static_cast<const CallExpr*>(bare_rhs)->resolved;
       }
       long long const_value = 0;
       if (IsConstExpr(bare_rhs, &const_value)) {
         store.is_const_store = true;
-        store.const_value = const_value;
+        store.number = const_value;
       }
     } else {
       LValue lhs_lv = EmitLValue(assign->lhs);
@@ -475,17 +627,17 @@ class FunctionLowering {
       bin.op = Opcode::kBinOp;
       bin.operands = {old_value, rhs_value};
       bin.loc = assign->loc;
-      rhs = Append(std::move(bin), /*produces_value=*/true);
+      rhs = Append(bin, /*produces_value=*/true);
     }
 
     long long amount = 0;
     if (IsIncrementShape(assign, &amount)) {
       store.is_increment = true;
-      store.increment_amount = amount;
+      store.number = amount;
     }
 
     LValue lv = EmitLValue(assign->lhs);
-    EmitStoreLValue(lv, rhs, std::move(store));
+    EmitStoreLValue(lv, rhs, store);
     return rhs;
   }
 
@@ -493,22 +645,29 @@ class FunctionLowering {
     Instruction inst;
     inst.op = Opcode::kCall;
     inst.loc = call->loc;
-    inst.callee = call->resolved;
+    inst.function = call->resolved;
+    // The operands stack up while the arguments lower (they may hold calls).
+    const size_t mark = st_.operands.size();
     if (call->resolved == nullptr) {
       // Indirect call: operand 0 is the callee value.
-      inst.operands.push_back(EmitExpr(call->callee));
+      const ValueId callee = EmitExpr(call->callee);
+      st_.operands.push_back(callee);
     }
     for (const Expr* arg : call->args) {
-      inst.operands.push_back(EmitExpr(arg));
+      const ValueId value = EmitExpr(arg);
+      st_.operands.push_back(value);
     }
-    ValueId result = Append(std::move(inst), /*produces_value=*/true);
+    inst.operands = OperandList::Of(
+        std::span<const ValueId>(st_.operands.data() + mark, st_.operands.size() - mark), arena_);
+    st_.operands.resize(mark);
+    ValueId result = Append(inst, /*produces_value=*/true);
 
     CallSite site;
     site.callee = call->resolved;
     site.caller = func_.get();
     site.loc = call->loc;
     site.result_assigned = result_assigned;
-    func_->call_sites.push_back(site);
+    st_.call_sites.push_back(site);
     return result;
   }
 
@@ -536,17 +695,17 @@ class FunctionLowering {
         store.loc = decl->loc;
         store.is_decl_init = true;
         if (bare_init != nullptr && bare_init->kind == ExprKind::kCall) {
-          store.origin_callee = static_cast<const CallExpr*>(bare_init)->resolved;
+          store.function = static_cast<const CallExpr*>(bare_init)->resolved;
         }
         long long const_value = 0;
         if (IsConstExpr(bare_init, &const_value)) {
           store.is_const_store = true;
-          store.const_value = const_value;
+          store.number = const_value;
         }
         LValue lv;
         lv.is_slot = true;
-        lv.slot = func_->slots.ForVar(decl->var);
-        EmitStoreLValue(lv, value, std::move(store));
+        lv.slot = ForVar(decl->var);
+        EmitStoreLValue(lv, value, store);
         return;
       }
       case StmtKind::kExpr: {
@@ -560,15 +719,15 @@ class FunctionLowering {
                               call->resolved->return_type->IsVoid();
           ValueId value = EmitCall(call, /*result_assigned=*/returns_void);
           if (!returns_void) {
-            func_->call_sites.back().result_assigned = false;
+            st_.call_sites.back().result_assigned = false;
             Instruction store;
             store.loc = call->loc;
             store.is_synthetic_store = true;
-            store.origin_callee = call->resolved;
+            store.function = call->resolved;
             LValue lv;
             lv.is_slot = true;
-            lv.slot = func_->slots.NewSyntheticTemp();
-            EmitStoreLValue(lv, value, std::move(store));
+            lv.slot = NewSyntheticTemp();
+            EmitStoreLValue(lv, value, store);
           }
           return;
         }
@@ -578,9 +737,9 @@ class FunctionLowering {
       case StmtKind::kIf: {
         const auto* if_stmt = static_cast<const IfStmt*>(stmt);
         ValueId cond = EmitExpr(if_stmt->cond);
-        BasicBlock* then_bb = func_->NewBlock();
-        BasicBlock* merge_bb = func_->NewBlock();
-        BasicBlock* else_bb = if_stmt->else_stmt != nullptr ? func_->NewBlock() : merge_bb;
+        BlockId then_bb = NewBlock();
+        BlockId merge_bb = NewBlock();
+        BlockId else_bb = if_stmt->else_stmt != nullptr ? NewBlock() : merge_bb;
         EmitCondBr(cond, then_bb, else_bb, if_stmt->loc);
         cur_ = then_bb;
         EmitStmt(if_stmt->then_stmt);
@@ -595,14 +754,14 @@ class FunctionLowering {
       }
       case StmtKind::kWhile: {
         const auto* while_stmt = static_cast<const WhileStmt*>(stmt);
-        BasicBlock* header = func_->NewBlock();
+        BlockId header = NewBlock();
         EmitBr(header, while_stmt->loc);
         cur_ = header;
         ValueId cond = EmitExpr(while_stmt->cond);
-        BasicBlock* body = func_->NewBlock();
-        BasicBlock* exit = func_->NewBlock();
+        BlockId body = NewBlock();
+        BlockId exit = NewBlock();
         EmitCondBr(cond, body, exit, while_stmt->loc);
-        loops_.push_back({exit->id, header->id});
+        loops_.push_back({exit, header});
         cur_ = body;
         EmitStmt(while_stmt->body);
         EmitBr(header, while_stmt->loc);
@@ -612,11 +771,11 @@ class FunctionLowering {
       }
       case StmtKind::kDoWhile: {
         const auto* do_stmt = static_cast<const DoWhileStmt*>(stmt);
-        BasicBlock* body = func_->NewBlock();
-        BasicBlock* cond_bb = func_->NewBlock();
-        BasicBlock* exit = func_->NewBlock();
+        BlockId body = NewBlock();
+        BlockId cond_bb = NewBlock();
+        BlockId exit = NewBlock();
         EmitBr(body, do_stmt->loc);
-        loops_.push_back({exit->id, cond_bb->id});
+        loops_.push_back({exit, cond_bb});
         cur_ = body;
         EmitStmt(do_stmt->body);
         EmitBr(cond_bb, do_stmt->loc);
@@ -630,16 +789,16 @@ class FunctionLowering {
       case StmtKind::kSwitch: {
         const auto* switch_stmt = static_cast<const SwitchStmt*>(stmt);
         ValueId value = EmitExpr(switch_stmt->cond);
-        BasicBlock* exit = func_->NewBlock();
+        BlockId exit = NewBlock();
 
         // One body block per arm, allocated up front so fallthrough edges can
         // point forward.
-        std::vector<BasicBlock*> bodies;
+        std::vector<BlockId> bodies;
         bodies.reserve(switch_stmt->cases.size());
         const SwitchCase* default_case = nullptr;
         size_t default_index = 0;
         for (size_t i = 0; i < switch_stmt->cases.size(); ++i) {
-          bodies.push_back(func_->NewBlock());
+          bodies.push_back(NewBlock());
           if (switch_stmt->cases[i].is_default) {
             default_case = &switch_stmt->cases[i];
             default_index = i;
@@ -658,8 +817,8 @@ class FunctionLowering {
           cmp.op = Opcode::kBinOp;
           cmp.operands = {value, constant};
           cmp.loc = arm.loc;
-          ValueId matched = Append(std::move(cmp), /*produces_value=*/true);
-          BasicBlock* next_test = func_->NewBlock();
+          ValueId matched = Append(cmp, /*produces_value=*/true);
+          BlockId next_test = NewBlock();
           EmitCondBr(matched, bodies[i], next_test, arm.loc);
           cur_ = next_test;
         }
@@ -669,7 +828,7 @@ class FunctionLowering {
         // into the next arm's body. `continue` still targets the enclosing
         // loop (kInvalidTarget when there is none).
         BlockId enclosing_continue = loops_.empty() ? -1 : loops_.back().continue_target;
-        loops_.push_back({exit->id, enclosing_continue});
+        loops_.push_back({exit, enclosing_continue});
         for (size_t i = 0; i < switch_stmt->cases.size(); ++i) {
           cur_ = bodies[i];
           for (const Stmt* child : switch_stmt->cases[i].body) {
@@ -684,19 +843,19 @@ class FunctionLowering {
       case StmtKind::kFor: {
         const auto* for_stmt = static_cast<const ForStmt*>(stmt);
         EmitStmt(for_stmt->init);
-        BasicBlock* header = func_->NewBlock();
+        BlockId header = NewBlock();
         EmitBr(header, for_stmt->loc);
         cur_ = header;
-        BasicBlock* body = func_->NewBlock();
-        BasicBlock* step_bb = func_->NewBlock();
-        BasicBlock* exit = func_->NewBlock();
+        BlockId body = NewBlock();
+        BlockId step_bb = NewBlock();
+        BlockId exit = NewBlock();
         if (for_stmt->cond != nullptr) {
           ValueId cond = EmitExpr(for_stmt->cond);
           EmitCondBr(cond, body, exit, for_stmt->loc);
         } else {
           EmitBr(body, for_stmt->loc);
         }
-        loops_.push_back({exit->id, step_bb->id});
+        loops_.push_back({exit, step_bb});
         cur_ = body;
         EmitStmt(for_stmt->body);
         EmitBr(step_bb, for_stmt->loc);
@@ -717,8 +876,8 @@ class FunctionLowering {
         if (ret->value != nullptr) {
           inst.operands.push_back(EmitExpr(ret->value));
         }
-        func_->return_locs.push_back(ret->loc);
-        Append(std::move(inst));
+        st_.return_locs.push_back(ret->loc);
+        Append(inst);
         return;
       }
       case StmtKind::kBreak:
@@ -727,7 +886,7 @@ class FunctionLowering {
           inst.op = Opcode::kBr;
           inst.succ0 = loops_.back().break_target;
           inst.loc = stmt->loc;
-          Append(std::move(inst));
+          Append(inst);
         }
         return;
       case StmtKind::kContinue:
@@ -736,7 +895,7 @@ class FunctionLowering {
           inst.op = Opcode::kBr;
           inst.succ0 = loops_.back().continue_target;
           inst.loc = stmt->loc;
-          Append(std::move(inst));
+          Append(inst);
         }
         return;
       case StmtKind::kEmpty:
@@ -750,25 +909,24 @@ class FunctionLowering {
   };
 
   const FunctionDecl* decl_;
+  Arena& arena_;
+  Staging& st_;
   std::unique_ptr<IrFunction> func_;
-  BasicBlock* cur_ = nullptr;
+  BlockId cur_ = 0;
   std::vector<LoopContext> loops_;
-  size_t staged_blocks_ = 0;  // staged_insts entries this function used
 };
 
 }  // namespace
 
-std::unique_ptr<IrFunction> LowerFunction(const FunctionDecl* func) {
-  FunctionLowering lowering(func);
-  return lowering.Run();
-}
-
 std::unique_ptr<IrModule> LowerUnit(const TranslationUnit& unit) {
-  auto module = std::make_unique<IrModule>();
+  const uint64_t ast_bytes = unit.context != nullptr ? unit.context->node_bytes() : 0;
+  auto module =
+      std::make_unique<IrModule>(static_cast<size_t>(ast_bytes * kIrBytesPerAstByte));
   module->file = unit.file;
   for (const FunctionDecl* func : unit.functions) {
     if (func->IsDefined()) {
-      module->functions.push_back(LowerFunction(func));
+      FunctionLowering lowering(func, module->arena);
+      module->functions.push_back(lowering.Run());
     }
   }
   return module;

@@ -12,12 +12,10 @@
 
 namespace vc {
 
-// Lowers all defined functions of `unit`. The unit (and its AST arena) must
-// outlive the returned module: IR instructions point into the AST.
+// Lowers all defined functions of `unit` into a module that holds them in
+// its own arena. The unit (and its AST arena) must outlive the returned
+// module: IR instructions point into the AST.
 std::unique_ptr<IrModule> LowerUnit(const TranslationUnit& unit);
-
-// Lowers a single function (used by tests and incremental analysis).
-std::unique_ptr<IrFunction> LowerFunction(const FunctionDecl* func);
 
 }  // namespace vc
 

@@ -82,13 +82,14 @@ int BinaryPrecedence(TokenKind kind) {
   }
 }
 
-// The AST arena's first chunk, in sizeof-bytes of nodes per token. Generated
-// files take 23-50 (about 33 on the linux-like corpus profile, 41 over the
-// four paper apps). An estimate above a file's need leaves the difference
-// allocated but unused, so the first chunk sits at the low end: most files
-// fill it and spill into one or a few eighth-sized chunks, and the unused
-// tail stays a few percent of the tree.
-constexpr size_t kNodeBytesPerToken = 32;
+// The AST arena's first chunk, in bytes of the tree (nodes, names and child
+// lists) per token. Generated files take 24-39: about 27 on the linux-like
+// corpus profile and 34 over the four paper apps, whose tenth percentile is
+// 31. An estimate above a file's need leaves the difference allocated but
+// unused, so the first chunk sits at the low end: most files fill it and
+// spill into one or a few eighth-sized chunks, and the unused tails stay
+// near 5 % of the tree on both corpora.
+constexpr size_t kNodeBytesPerToken = 26;
 
 class Parser {
  public:
@@ -212,6 +213,15 @@ class Parser {
   AstContext& ctx() { return *unit_.context; }
   TypeTable& types() { return ctx().types(); }
 
+  // Copies `stack` from `mark` into the arena and pops it back to `mark`.
+  template <typename T>
+  std::span<T> TakeList(std::vector<T>& stack, size_t mark) {
+    std::span<T> list =
+        ctx().arena().Copy(std::span<const T>(stack.data() + mark, stack.size() - mark));
+    stack.resize(mark);
+    return list;
+  }
+
   // --- Scopes and lookup --------------------------------------------------
   //
   // Block scopes are one declaration stack: each open scope marks where its
@@ -240,6 +250,7 @@ class Parser {
     return global != nullptr ? *global : nullptr;
   }
 
+  // `name` is already the arena's (an identifier expression's name).
   FunctionDecl* LookupOrCreateFunction(std::string_view name, SourceLoc loc) {
     if (FunctionDecl* const* found = functions_.Find(name)) {
       return *found;
@@ -341,7 +352,7 @@ class Parser {
       return *found;
     }
     auto* decl = ctx().New<StructDecl>();
-    decl->name = name;
+    decl->name = ctx().arena().CopyString(name);
     decl->loc = loc;
     structs_[decl->name] = decl;
     return decl;
@@ -491,8 +502,15 @@ class Parser {
     unit_.structs.push_back(decl);
   }
 
-  // Parses "{ fields }" into `decl` (the closing brace included).
+  // Parses "{ fields }" into `decl` (the closing brace included), after
+  // any fields an earlier definition gave it.
   void ParseStructFields(StructDecl* decl) {
+    fields_.assign(decl->fields.begin(), decl->fields.end());
+    ParseFieldList();
+    decl->fields = TakeList(fields_, 0);
+  }
+
+  void ParseFieldList() {
     Expect(TokenKind::kLBrace, "'{'");
     while (!At(TokenKind::kRBrace) && !At(TokenKind::kEof)) {
       const Type* base = ParseBaseType();
@@ -513,11 +531,11 @@ class Parser {
           field_type = types().PointerTo(field_type);
         }
         auto* field = ctx().New<FieldDecl>();
-        field->name = field_name.text;
+        field->name = ctx().arena().CopyString(field_name.text);
         field->type = field_type;
-        field->index = static_cast<int>(decl->fields.size());
+        field->index = static_cast<int>(fields_.size());
         field->loc = field_name.loc;
-        decl->fields.push_back(field);
+        fields_.push_back(field);
       } while (Accept(TokenKind::kComma));
       Expect(TokenKind::kSemi, "';'");
     }
@@ -527,7 +545,7 @@ class Parser {
   void ParseGlobalRest(const Type* type, const Token& name) {
     while (true) {
       auto* var = ctx().New<VarDecl>();
-      var->name = name.text;
+      var->name = ctx().arena().CopyString(name.text);
       var->type = type;
       var->loc = name.loc;
       var->is_global = true;
@@ -559,7 +577,7 @@ class Parser {
       func->is_implicit = false;
     } else {
       func = ctx().New<FunctionDecl>();
-      func->name = name.text;
+      func->name = ctx().arena().CopyString(name.text);
       functions_[func->name] = func;
       unit_.functions.push_back(func);
     }
@@ -569,7 +587,7 @@ class Parser {
     func->range.begin = decl_begin;
 
     // Parameters.
-    std::vector<VarDecl*> params;
+    params_.clear();
     Expect(TokenKind::kLParen, "'('");
     if (At(TokenKind::kKwVoid) && Peek(1).kind == TokenKind::kRParen) {
       Advance();
@@ -582,7 +600,7 @@ class Parser {
         break;
       }
       const Type* param_type = ParsePointers(base);
-      std::string param_name;
+      std::string_view param_name;
       SourceLoc param_loc = Peek().loc;
       if (At(TokenKind::kIdentifier)) {
         const Token& tok = Advance();
@@ -598,16 +616,16 @@ class Parser {
         param_type = types().PointerTo(param_type);
       }
       auto* param = ctx().New<VarDecl>();
-      param->name = param_name.empty()
-                        ? "_arg" + std::to_string(params.size())
-                        : param_name;
+      param->name = !param_name.empty()
+                        ? ctx().arena().CopyString(param_name)
+                        : ctx().arena().CopyString("_arg" + std::to_string(params_.size()));
       param->type = param_type;
       param->loc = param_loc;
       param->is_param = true;
-      param->param_index = static_cast<int>(params.size());
+      param->param_index = static_cast<int>(params_.size());
       param->has_unused_attr = hint;
       param->owner = func;
-      params.push_back(param);
+      params_.push_back(param);
       if (!Accept(TokenKind::kComma)) {
         break;
       }
@@ -617,13 +635,13 @@ class Parser {
     if (Accept(TokenKind::kSemi)) {
       // Prototype: keep parameter list if this is the first sighting.
       if (func->params.empty()) {
-        func->params = std::move(params);
+        func->params = TakeList(params_, 0);
       }
       func->range.end = Peek().loc;
       return;
     }
 
-    func->params = std::move(params);
+    func->params = TakeList(params_, 0);
     current_function_ = func;
     PushScope();
     for (VarDecl* param : func->params) {
@@ -642,16 +660,18 @@ class Parser {
     compound->loc = Peek().loc;
     Expect(TokenKind::kLBrace, "'{'");
     PushScope();
+    const size_t mark = stmts_.size();
     while (!At(TokenKind::kRBrace) && !At(TokenKind::kEof)) {
       size_t before = pos_;
       Stmt* stmt = ParseStmt();
       if (stmt != nullptr) {
-        compound->body.push_back(stmt);
+        stmts_.push_back(stmt);
       }
       if (pos_ == before) {
         Advance();
       }
     }
+    compound->body = TakeList(stmts_, mark);
     last_consumed_loc_ = Peek().loc;
     Expect(TokenKind::kRBrace, "'}'");
     PopScope();
@@ -723,7 +743,7 @@ class Parser {
 
     // A single DeclStmt per declarator; comma lists expand to a compound
     // wrapper so each variable keeps its own init expression and location.
-    std::vector<Stmt*> decls;
+    const size_t mark = stmts_.size();
     do {
       const Type* var_type = ParsePointers(base);
       bool var_hint = ConsumeAttributes() || hint;
@@ -737,7 +757,7 @@ class Parser {
         var_type = types().PointerTo(var_type);
       }
       auto* var = ctx().New<VarDecl>();
-      var->name = name.text;
+      var->name = ctx().arena().CopyString(name.text);
       var->type = var_type;
       var->loc = name.loc;
       var->has_unused_attr = var_hint;
@@ -750,16 +770,18 @@ class Parser {
       if (Accept(TokenKind::kAssign)) {
         stmt->init = ParseAssignmentExpr();
       }
-      decls.push_back(stmt);
+      stmts_.push_back(stmt);
     } while (Accept(TokenKind::kComma));
     Expect(TokenKind::kSemi, "';'");
 
-    if (decls.size() == 1) {
-      return decls[0];
+    if (stmts_.size() == mark + 1) {
+      Stmt* only = stmts_.back();
+      stmts_.pop_back();
+      return only;
     }
     auto* compound = ctx().New<CompoundStmt>();
-    compound->loc = decls[0]->loc;
-    compound->body = std::move(decls);
+    compound->loc = stmts_[mark]->loc;
+    compound->body = TakeList(stmts_, mark);
     return compound;
   }
 
@@ -806,6 +828,7 @@ class Parser {
     Expect(TokenKind::kRParen, "')'");
     Expect(TokenKind::kLBrace, "'{'");
     PushScope();
+    const size_t case_mark = cases_.size();
     while (!At(TokenKind::kRBrace) && !At(TokenKind::kEof)) {
       SwitchCase arm;
       if (At(TokenKind::kKwCase)) {
@@ -834,19 +857,22 @@ class Parser {
         break;
       }
       Expect(TokenKind::kColon, "':'");
+      const size_t mark = stmts_.size();
       while (!At(TokenKind::kKwCase) && !At(TokenKind::kKwDefault) &&
              !At(TokenKind::kRBrace) && !At(TokenKind::kEof)) {
         size_t before = pos_;
         Stmt* child = ParseStmt();
         if (child != nullptr) {
-          arm.body.push_back(child);
+          stmts_.push_back(child);
         }
         if (pos_ == before) {
           Advance();
         }
       }
-      stmt->cases.push_back(std::move(arm));
+      arm.body = TakeList(stmts_, mark);
+      cases_.push_back(arm);
     }
+    stmt->cases = TakeList(cases_, case_mark);
     PopScope();
     Expect(TokenKind::kRBrace, "'}'");
     return stmt;
@@ -1049,12 +1075,14 @@ class Parser {
           auto* call = ctx().New<CallExpr>();
           call->loc = expr != nullptr ? expr->loc : loc;
           call->callee = expr;
+          const size_t mark = exprs_.size();
           while (!At(TokenKind::kRParen) && !At(TokenKind::kEof)) {
-            call->args.push_back(ParseAssignmentExpr());
+            exprs_.push_back(ParseAssignmentExpr());
             if (!Accept(TokenKind::kComma)) {
               break;
             }
           }
+          call->args = TakeList(exprs_, mark);
           Expect(TokenKind::kRParen, "')'");
           if (expr != nullptr && expr->kind == ExprKind::kIdent) {
             auto* ident = static_cast<IdentExpr*>(expr);
@@ -1091,8 +1119,10 @@ class Parser {
           member->loc = loc;
           member->base = expr;
           member->is_arrow = arrow;
-          member->member = Expect(TokenKind::kIdentifier, "member name").text;
-          member->field = ResolveField(expr, arrow, member->member);
+          const std::string_view name = Expect(TokenKind::kIdentifier, "member name").text;
+          member->field = ResolveField(expr, arrow, name);
+          member->member =
+              member->field != nullptr ? member->field->name : ctx().arena().CopyString(name);
           member->type = member->field != nullptr ? member->field->type : types().IntType();
           expr = member;
           break;
@@ -1114,7 +1144,7 @@ class Parser {
     }
   }
 
-  const FieldDecl* ResolveField(const Expr* base, bool arrow, const std::string& member) {
+  const FieldDecl* ResolveField(const Expr* base, bool arrow, std::string_view member) {
     if (base == nullptr || base->type == nullptr) {
       return nullptr;
     }
@@ -1153,7 +1183,7 @@ class Parser {
       case TokenKind::kStringLiteral: {
         auto* lit = ctx().New<StrLitExpr>();
         lit->loc = tok.loc;
-        lit->value = tok.text;
+        lit->value = ctx().arena().CopyString(tok.text);
         lit->type = types().PointerTo(types().CharType());
         Advance();
         return lit;
@@ -1185,21 +1215,27 @@ class Parser {
           Advance();
           return lit;
         }
+        // The name views its declaration's, so an identifier copies its
+        // text only when nothing declares it.
         auto* ident = ctx().New<IdentExpr>();
         ident->loc = tok.loc;
-        ident->name = tok.text;
         Advance();
-        if (VarDecl* var = LookupVar(ident->name)) {
+        if (VarDecl* var = LookupVar(tok.text)) {
+          ident->name = var->name;
           ident->var = var;
           ident->type = var->type;
         } else {
-          if (FunctionDecl* const* func = functions_.Find(ident->name)) {
+          if (FunctionDecl* const* func = functions_.Find(tok.text)) {
+            ident->name = (*func)->name;
             ident->func = *func;
             ident->type = types().PointerTo(types().VoidType());
-          } else if (!At(TokenKind::kLParen)) {
+            return ident;
+          }
+          ident->name = ctx().arena().CopyString(tok.text);
+          if (!At(TokenKind::kLParen)) {
             // Not a call: unknown variable. Report once, then synthesize a
             // declaration so the rest of the function still parses/analyzes.
-            Error(ident->loc, "use of undeclared identifier '" + ident->name + "'");
+            Error(ident->loc, "use of undeclared identifier '" + std::string(ident->name) + "'");
             auto* var = ctx().New<VarDecl>();
             var->name = ident->name;
             var->type = types().IntType();
@@ -1240,6 +1276,15 @@ class Parser {
   int depth_ = 0;
   int max_depth_ = kDefaultParseDepth;
   bool depth_bailed_ = false;
+
+  // Staging for child lists while their parse is open: each list is the
+  // top of its stack from a mark, copied into the arena at exact size when
+  // the list ends. Fields and parameters never nest.
+  std::vector<Stmt*> stmts_;
+  std::vector<Expr*> exprs_;
+  std::vector<SwitchCase> cases_;
+  std::vector<FieldDecl*> fields_;
+  std::vector<VarDecl*> params_;
 
   TranslationUnit unit_;
   // Symbol tables. A key views the source or a name the arena owns (a

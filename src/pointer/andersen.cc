@@ -72,14 +72,14 @@ void PointsTo::Solve(const IrFunction& func) {
     changed = g_force_nonconvergence.load(std::memory_order_relaxed);
     ++iterations_;
     for (const auto& block : func.blocks) {
-      for (const Instruction& inst : block->insts) {
+      for (const Instruction& inst : block.insts) {
         switch (inst.op) {
           case Opcode::kAddrSlot: {
             changed |= values_[inst.result].slots.insert(inst.slot).second;
             break;
           }
           case Opcode::kAddrFunc: {
-            changed |= values_[inst.result].funcs.insert(inst.callee).second;
+            changed |= values_[inst.result].funcs.insert(inst.callee()).second;
             break;
           }
           case Opcode::kLoad: {

@@ -74,7 +74,7 @@ void FlowSensitivePointsTo::Transfer(const IrFunction& func, const Instruction& 
     }
     case Opcode::kAddrFunc: {
       NodeState node;
-      node.funcs.insert(inst.callee);
+      node.funcs.insert(inst.callee());
       set_value(inst.result, node);
       break;
     }
@@ -171,22 +171,22 @@ void FlowSensitivePointsTo::Solve(const IrFunction& func) {
     ++iterations_;
     for (const auto& block : func.blocks) {
       SlotMap in;
-      for (BlockId pred : block->preds) {
+      for (BlockId pred : block.preds) {
         MergeMap(in, block_out[pred]);
       }
-      changed |= MergeMap(block_in_[block->id], in);
-      SlotMap out = block_in_[block->id];
-      for (const Instruction& inst : block->insts) {
+      changed |= MergeMap(block_in_[block.id], in);
+      SlotMap out = block_in_[block.id];
+      for (const Instruction& inst : block.insts) {
         Transfer(func, inst, out, /*record_values=*/false);
       }
-      changed |= MergeMap(block_out[block->id], out);
+      changed |= MergeMap(block_out[block.id], out);
     }
   }
 
   // Final pass: record value states from converged block in-states.
   for (const auto& block : func.blocks) {
-    SlotMap state = block_in_[block->id];
-    for (const Instruction& inst : block->insts) {
+    SlotMap state = block_in_[block.id];
+    for (const Instruction& inst : block.insts) {
       Transfer(func, inst, state, /*record_values=*/true);
     }
   }

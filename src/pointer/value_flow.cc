@@ -22,24 +22,24 @@ ValueFlowGraph::ValueFlowGraph(const IrFunction& func, const PointsTo& pts) {
   };
 
   for (const auto& block : func.blocks) {
-    for (size_t i = 0; i < block->insts.size(); ++i) {
-      const Instruction& inst = block->insts[i];
+    for (size_t i = 0; i < block.insts.size(); ++i) {
+      const Instruction& inst = block.insts[i];
       const int index = static_cast<int>(i);
       switch (inst.op) {
         case Opcode::kLoad:
-          record(inst.slot, inst, block->id, index, /*is_def=*/false, /*indirect=*/false);
+          record(inst.slot, inst, block.id, index, /*is_def=*/false, /*indirect=*/false);
           break;
         case Opcode::kStore:
-          record(inst.slot, inst, block->id, index, /*is_def=*/true, /*indirect=*/false);
+          record(inst.slot, inst, block.id, index, /*is_def=*/true, /*indirect=*/false);
           break;
         case Opcode::kLoadInd:
           for (SlotId pointee : pts.SlotsPointedBy(inst.operands[0])) {
-            record(pointee, inst, block->id, index, /*is_def=*/false, /*indirect=*/true);
+            record(pointee, inst, block.id, index, /*is_def=*/false, /*indirect=*/true);
           }
           break;
         case Opcode::kStoreInd:
           for (SlotId pointee : pts.SlotsPointedBy(inst.operands[0])) {
-            record(pointee, inst, block->id, index, /*is_def=*/true, /*indirect=*/true);
+            record(pointee, inst, block.id, index, /*is_def=*/true, /*indirect=*/true);
           }
           break;
         default:
@@ -78,7 +78,7 @@ int ValueFlowGraph::NumIncrementDefs(SlotId slot, long long step) const {
     if (!access.is_def || access.is_indirect || !access.inst->is_increment) {
       continue;
     }
-    if (step == 0 || access.inst->increment_amount == step) {
+    if (step == 0 || access.inst->increment_amount() == step) {
       ++n;
     }
   }

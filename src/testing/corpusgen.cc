@@ -79,6 +79,7 @@ bool MakeCorpusProfile(const std::string& name, const std::string& scale,
   profile.per_file.max_files = 1;
   profile.per_file.max_functions_per_file = shape.max_functions_per_file;
   profile.per_file.max_stmts_per_function = shape.max_stmts_per_function;
+  profile.per_file.gen_field_pointers = false;
   *out = profile;
   return true;
 }

@@ -513,7 +513,8 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
         }
         std::string slots;
         for (SlotId slot : outside) {
-          slots += " " + func->slots[slot].name;
+          slots += ' ';
+          slots += func->slots[slot].name;
         }
         verdict.failures.push_back(
             {OracleKind::kAliasSoundness, "",

@@ -305,6 +305,7 @@ class Generator {
       kDeclFromCall,
       kStoreThroughPtr,
       kStructField,
+      kFieldThroughPtr,
       kIf,
       kWhile,
       kFor,
@@ -326,6 +327,9 @@ class Generator {
         2.0,                                   // kDeclFromCall
         options_.gen_pointers ? 0.8 : 0.0,     // kStoreThroughPtr
         options_.gen_structs ? 1.0 : 0.0,      // kStructField
+        options_.gen_structs && options_.gen_pointers && options_.gen_field_pointers
+            ? 0.4
+            : 0.0,  // kFieldThroughPtr
         depth < options_.max_block_depth ? 1.4 : 0.0,  // kIf
         depth < options_.max_block_depth ? 0.6 : 0.0,  // kWhile
         depth < options_.max_block_depth ? 0.9 : 0.0,  // kFor
@@ -473,6 +477,24 @@ class Generator {
         const StructPlan& plan = structs_[static_cast<size_t>(sv->struct_index)];
         const std::string& field = plan.fields[rng_.NextBelow(plan.fields.size())];
         Line(pad + sv->name + "." + field + " = " + IntExpr(0) + ";");
+        return 1;
+      }
+      case kFieldThroughPtr: {
+        // A local struct's fields reached through a pointer to it: a store
+        // and a load through `p->f`, so points-to lands on its field slots.
+        const Var* sv = PickVar(Kind::kStructVal, true);
+        if (sv == nullptr) {
+          return EmitStmt(indent, depth, budget);
+        }
+        const StructPlan& plan = structs_[static_cast<size_t>(sv->struct_index)];
+        const std::string ptr = MintName("p");
+        Line(pad + "struct " + plan.name + "* " + ptr + " = &" + sv->name + ";");
+        Line(pad + ptr + "->" + plan.fields[rng_.NextBelow(plan.fields.size())] + " = " +
+             IntExpr(0) + ";");
+        Var v = NewVar(Kind::kInt);
+        Line(pad + "int " + v.name + " = " + ptr + "->" +
+             plan.fields[rng_.NextBelow(plan.fields.size())] + ";");
+        scope_.push_back(v);
         return 1;
       }
       case kIf: {

@@ -55,6 +55,9 @@ struct GenOptions {
   bool gen_typedefs = true;
   bool gen_globals = true;
   bool gen_pointers = true;
+  // `struct S* p = &v; p->f = ...; ... = p->f;` (needs structs and pointers).
+  // Corpus profiles turn it off: their recorded answers predate the shape.
+  bool gen_field_pointers = true;
   // Prefixes applied to every minted identifier / emitted file path. The
   // corpus profile generator (corpusgen.h) uses them to combine many
   // independently generated programs into one project without identifier or

@@ -172,7 +172,7 @@ DefineSetResult ComputeDefineSets(const IrFunction& func, BudgetMeter* meter) {
     changed = false;
     ++result.iterations;
     for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
+      const BasicBlock& block = func.blocks[i];
       if (meter != nullptr) {
         meter->Charge(block.insts.size() + 1);
       }
@@ -255,7 +255,7 @@ void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, Slot
 SlotSet ComputeAddressTaken(const IrFunction& func) {
   SlotSet taken(func.slots.size());
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kAddrSlot) {
         taken.Add(inst.slot);
         if (IsStructVarSlot(func, inst.slot)) {
@@ -282,7 +282,7 @@ LivenessResult ComputeLiveness(const IrFunction& func, BudgetMeter* meter) {
     ++result.iterations;
     // Reverse block order converges quickly for reducible CFGs.
     for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
+      const BasicBlock& block = func.blocks[i];
       if (meter != nullptr) {
         meter->Charge(block.insts.size() + 1);
       }
@@ -334,13 +334,13 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
   // set before applying their own transfer (the state "after" the store in
   // program order).
   for (const auto& block : func.blocks) {
-    SlotSet live = liveness.live_out[block->id];
-    DefineMap defs = defines.out[block->id];
+    SlotSet live = liveness.live_out[block.id];
+    DefineMap defs = defines.out[block.id];
     if (meter != nullptr) {
-      meter->Charge(block->insts.size() + 1);
+      meter->Charge(block.insts.size() + 1);
     }
-    for (size_t j = block->insts.size(); j-- > 0;) {
-      const Instruction& inst = block->insts[j];
+    for (size_t j = block.insts.size(); j-- > 0;) {
+      const Instruction& inst = block.insts[j];
       if (inst.op == Opcode::kStore) {
         const Slot& slot = func.slots[inst.slot];
         bool skip = false;
@@ -355,11 +355,11 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
         }
         if (!skip && !live.Contains(inst.slot)) {
           UnusedDefCandidate cand = make_candidate(inst.slot, inst.loc);
-          if (inst.origin_callee != nullptr) {
-            cand.callee_name = inst.origin_callee->name;
+          if (inst.origin_callee() != nullptr) {
+            cand.callee_name = inst.origin_callee()->name;
           }
           cand.is_increment = inst.is_increment;
-          cand.increment_amount = inst.increment_amount;
+          cand.increment_amount = inst.increment_amount();
           if (const std::vector<SourceLoc>* overwriters = defs.Find(inst.slot)) {
             cand.overwritten = true;
             cand.overwriter_locs = *overwriters;
@@ -504,11 +504,11 @@ std::vector<UnusedDefCandidate> DoubleOverwriteCheck(Context& ctx) {
     changed = false;
     for (const auto& block : func.blocks) {
       if (ctx.meter() != nullptr) {
-        ctx.meter()->Charge(block->insts.size() + 1);
+        ctx.meter()->Charge(block.insts.size() + 1);
       }
       PendingMap in;
       bool first = true;
-      for (BlockId pred : block->preds) {
+      for (BlockId pred : block.preds) {
         if (!has_out[pred]) {
           continue;
         }
@@ -519,15 +519,15 @@ std::vector<UnusedDefCandidate> DoubleOverwriteCheck(Context& ctx) {
           IntersectInto(in, out[pred]);
         }
       }
-      if (first && !block->preds.empty()) {
+      if (first && !block.preds.empty()) {
         continue;  // every pred is still TOP: stay TOP, revisit next pass
       }
-      for (const Instruction& inst : block->insts) {
+      for (const Instruction& inst : block.insts) {
         transfer(inst, in, nullptr);
       }
-      if (!has_out[block->id] || !(out[block->id] == in)) {
-        out[block->id] = std::move(in);
-        has_out[block->id] = true;
+      if (!has_out[block.id] || !(out[block.id] == in)) {
+        out[block.id] = std::move(in);
+        has_out[block.id] = true;
         changed = true;
       }
     }
@@ -539,7 +539,7 @@ std::vector<UnusedDefCandidate> DoubleOverwriteCheck(Context& ctx) {
   for (const auto& block : func.blocks) {
     PendingMap in;
     bool first = true;
-    for (BlockId pred : block->preds) {
+    for (BlockId pred : block.preds) {
       if (!has_out[pred]) {
         continue;
       }
@@ -551,7 +551,7 @@ std::vector<UnusedDefCandidate> DoubleOverwriteCheck(Context& ctx) {
       }
     }
     std::vector<std::pair<SourceLoc, SourceLoc>> report;
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       SlotId slot = inst.slot;
       size_t before = report.size();
       transfer(inst, in, &report);
@@ -666,7 +666,8 @@ void ExpectSameKernel(const Project& project, Coverage& coverage) {
       }
       for (size_t b = 0; b < func.blocks.size(); ++b) {
         for (SlotId slot = 0; slot < func.slots.size(); ++slot) {
-          const std::string at = where + " bb" + std::to_string(b) + " " + func.slots[slot].name;
+          const std::string at =
+              where + " bb" + std::to_string(b) + " " + std::string(func.slots[slot].name);
           ASSERT_EQ(live.live_in[b].Contains(slot), ref_live.live_in[b].Contains(slot))
               << at << ": live-in";
           ASSERT_EQ(live.live_out[b].Contains(slot), ref_live.live_out[b].Contains(slot))

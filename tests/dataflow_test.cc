@@ -81,9 +81,9 @@ TEST(Liveness, LoopCarriedUseReachesFixPoint) {
   SlotId acc = SlotNamed(func, "acc");
   bool acc_live_somewhere_in_loop = false;
   for (const auto& block : func.blocks) {
-    for (BlockId succ : block->succs) {
-      if (succ < block->id) {  // back edge source: loop latch
-        acc_live_somewhere_in_loop = live.live_out[block->id].Contains(acc);
+    for (BlockId succ : block.succs) {
+      if (succ < block.id) {  // back edge source: loop latch
+        acc_live_somewhere_in_loop = live.live_out[block.id].Contains(acc);
       }
     }
   }
@@ -105,9 +105,9 @@ TEST(Liveness, StructWholeCopyUsesFields) {
   // No field store is dead: the whole-struct load at the call uses them.
   SlotEvents events(func);
   for (const auto& block : func.blocks) {
-    SlotSet set = live.live_out[block->id];
-    for (size_t i = block->insts.size(); i-- > 0;) {
-      const Instruction& inst = block->insts[i];
+    SlotSet set = live.live_out[block.id];
+    for (size_t i = block.insts.size(); i-- > 0;) {
+      const Instruction& inst = block.insts[i];
       if (inst.op == Opcode::kStore) {
         EXPECT_TRUE(set.Contains(inst.slot))
             << "field store to " << func.slots[inst.slot].name << " appears dead";
@@ -258,7 +258,7 @@ TEST(DefineSets, RecordsNearestOverwriter) {
     if (event.op != Opcode::kStore) {
       continue;
     }
-    if (event.slot == ret && func.blocks[0]->insts[event.inst].loc.line == 3) {
+    if (event.slot == ret && func.blocks[0].insts[event.inst].loc.line == 3) {
       found = map.Find(events, ret);
       break;
     }

@@ -42,7 +42,7 @@ template <typename Pts>
 std::set<SlotId> FinalDerefTargets(const IrFunction& func, const Pts& pts) {
   std::set<SlotId> result;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         result = pts.SlotsPointedBy(inst.operands[0]);
       }
@@ -152,10 +152,10 @@ TEST(FlowSensitive, FunctionPointers) {
   SlotId fp = SlotNamed(func, "fp");
   std::set<std::string> names;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoad && inst.slot == fp) {
         for (const FunctionDecl* callee : flow.FunctionsPointedBy(inst.result)) {
-          names.insert(callee->name);
+          names.emplace(callee->name);
         }
       }
     }
@@ -169,7 +169,7 @@ TEST(FlowSensitive, CallResultUnknown) {
   const IrFunction& func = *a->module->FindFunction("f");
   FlowSensitivePointsTo flow(func);
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         EXPECT_TRUE(flow.PointsToUnknown(inst.operands[0]));
       }

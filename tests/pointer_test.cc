@@ -48,7 +48,7 @@ TEST(Andersen, AddressFlowThroughCopy) {
   // The LoadInd at `*q` must be able to reach x: find the LoadInd operand.
   bool load_sees_x = false;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         load_sees_x = pts.SlotsPointedBy(inst.operands[0]).count(SlotNamed(func, "x")) > 0;
       }
@@ -73,7 +73,7 @@ TEST(Andersen, BranchMergesPointees) {
   bool sees_x = false;
   bool sees_y = false;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         const auto& set = pts.SlotsPointedBy(inst.operands[0]);
         sees_x = set.count(SlotNamed(func, "x")) > 0;
@@ -101,7 +101,7 @@ TEST(Andersen, FieldSensitiveFieldPtr) {
   // The StoreInd through p->b must target exactly the v#1 slot.
   bool store_targets_field = false;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kStoreInd) {
         const auto& set = pts.SlotsPointedBy(inst.operands[0]);
         store_targets_field = set.count(vb) > 0 && set.count(SlotNamed(func, "v#0")) == 0;
@@ -130,10 +130,10 @@ TEST(Andersen, FunctionPointerResolution) {
   ASSERT_NE(fp, kInvalidSlot);
   std::set<std::string> names;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoad && inst.slot == fp) {
         for (const FunctionDecl* callee : pts.FunctionsPointedBy(inst.result)) {
-          names.insert(callee->name);
+          names.emplace(callee->name);
         }
       }
     }
@@ -146,7 +146,7 @@ TEST(Andersen, CallResultIsUnknown) {
   const IrFunction& func = *a->module->FindFunction("f");
   PointsTo pts(func);
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         EXPECT_TRUE(pts.PointsToUnknown(inst.operands[0]));
       }
@@ -166,7 +166,7 @@ TEST(Andersen, PointerArithmeticPreservesPointees) {
   PointsTo pts(func);
   bool sees_x = false;
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
+    for (const Instruction& inst : block.insts) {
       if (inst.op == Opcode::kLoadInd) {
         sees_x = pts.SlotsPointedBy(inst.operands[0]).count(SlotNamed(func, "x")) > 0;
       }

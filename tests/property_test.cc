@@ -148,7 +148,7 @@ BlockEffect EffectOf(const BasicBlock& block, SlotId slot, size_t from_index) {
 // True iff a load of `slot` is reachable from just after instruction
 // (block_id, index) without passing a store to `slot`.
 bool UseReachable(const IrFunction& func, SlotId slot, BlockId block_id, size_t index) {
-  BlockEffect first = EffectOf(*func.blocks[block_id], slot, index + 1);
+  BlockEffect first = EffectOf(func.blocks[block_id], slot, index + 1);
   if (first == BlockEffect::kUseFirst) {
     return true;
   }
@@ -156,21 +156,21 @@ bool UseReachable(const IrFunction& func, SlotId slot, BlockId block_id, size_t 
     return false;
   }
   std::set<BlockId> visited;
-  std::deque<BlockId> queue(func.blocks[block_id]->succs.begin(),
-                            func.blocks[block_id]->succs.end());
+  std::deque<BlockId> queue(func.blocks[block_id].succs.begin(),
+                            func.blocks[block_id].succs.end());
   while (!queue.empty()) {
     BlockId next = queue.front();
     queue.pop_front();
     if (!visited.insert(next).second) {
       continue;
     }
-    switch (EffectOf(*func.blocks[next], slot, 0)) {
+    switch (EffectOf(func.blocks[next], slot, 0)) {
       case BlockEffect::kUseFirst:
         return true;
       case BlockEffect::kKillFirst:
         break;
       case BlockEffect::kTransparent:
-        for (BlockId succ : func.blocks[next]->succs) {
+        for (BlockId succ : func.blocks[next].succs) {
           queue.push_back(succ);
         }
         break;
@@ -197,7 +197,7 @@ TEST_P(DetectorProperty, ReportsExactlyTheDeadStores) {
     }
     // Locate the exact store instruction.
     for (const auto& block : cand.ir_func->blocks) {
-      for (const Instruction& inst : block->insts) {
+      for (const Instruction& inst : block.insts) {
         if (inst.op == Opcode::kStore && inst.slot == cand.slot && inst.loc == cand.def_loc) {
           reported.insert({cand.ir_func, &inst});
         }
@@ -209,8 +209,8 @@ TEST_P(DetectorProperty, ReportsExactlyTheDeadStores) {
     for (const auto& func : module->functions) {
       SlotSet taken = ComputeAddressTaken(*func);
       for (const auto& block : func->blocks) {
-        for (size_t i = 0; i < block->insts.size(); ++i) {
-          const Instruction& inst = block->insts[i];
+        for (size_t i = 0; i < block.insts.size(); ++i) {
+          const Instruction& inst = block.insts[i];
           if (inst.op != Opcode::kStore) {
             continue;
           }
@@ -225,7 +225,7 @@ TEST_P(DetectorProperty, ReportsExactlyTheDeadStores) {
             continue;
           }
           bool is_reported = reported.count({func.get(), &inst}) > 0;
-          bool oracle_dead = !UseReachable(*func, inst.slot, block->id, i);
+          bool oracle_dead = !UseReachable(*func, inst.slot, block.id, i);
           EXPECT_EQ(is_reported, oracle_dead)
               << "function " << func->name << " store to " << slot.name << " at line "
               << inst.loc.line << "\n"
@@ -252,7 +252,7 @@ TEST_P(DetectorProperty, ParamCandidatesMatchEntryReachability) {
         }
         // Reachability of a use from function entry, before any store.
         bool used;
-        BlockEffect entry = EffectOf(*func->blocks[0], param, 0);
+        BlockEffect entry = EffectOf(func->blocks[0], param, 0);
         if (entry == BlockEffect::kUseFirst) {
           used = true;
         } else if (entry == BlockEffect::kKillFirst) {

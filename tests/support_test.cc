@@ -1,13 +1,21 @@
 // Unit tests for the support layer: string utilities, source manager,
-// diagnostics, table writer, least-squares regression, deterministic RNG.
+// diagnostics, table writer, least-squares regression, deterministic RNG,
+// the chunk arena.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/ir/ir_builder.h"
+#include "src/parser/parser.h"
+#include "src/support/arena.h"
 #include "src/support/diagnostics.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
@@ -19,6 +27,120 @@
 
 namespace vc {
 namespace {
+
+// --- Arena -----------------------------------------------------------------
+
+template <typename T>
+bool Aligned(const T* p) {
+  return reinterpret_cast<uintptr_t>(p) % alignof(T) == 0;
+}
+
+struct alignas(16) Wide {
+  char bytes[24];
+};
+
+TEST(Arena, EachNewIsAlignedForItsType) {
+  Arena arena;
+  for (int round = 0; round < 40; ++round) {  // several chunks' worth
+    char* c = arena.New<char>('x');
+    int16_t* h = arena.New<int16_t>(int16_t{7});
+    double* d = arena.New<double>(2.5);
+    Wide* w = arena.New<Wide>();
+    std::span<int32_t> ints = arena.NewArray<int32_t>(3);
+    std::string_view text = arena.CopyString("abc");
+    std::span<uint64_t> words = arena.Copy(std::vector<uint64_t>{1, 2});
+    EXPECT_TRUE(Aligned(h) && Aligned(d) && Aligned(w) && Aligned(ints.data()) &&
+                Aligned(words.data()))
+        << "round " << round;
+    EXPECT_EQ(*c, 'x');
+    EXPECT_EQ(*h, 7);
+    EXPECT_EQ(*d, 2.5);
+    EXPECT_EQ(ints[0] + ints[1] + ints[2], 0);  // value-initialized
+    EXPECT_EQ(text, "abc");
+    EXPECT_EQ(words[1], 2u);
+  }
+  EXPECT_GT(arena.chunk_count(), 1u);
+}
+
+TEST(Arena, RequestLargerThanAChunkGetsItsOwnAndTheTailStaysInUse) {
+  Arena arena(Arena::kMinChunkBytes);
+  const int64_t* first = arena.New<int64_t>(1);
+  std::vector<uint32_t> big(4096);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint32_t>(i * 7);
+  }
+  std::span<uint32_t> copy = arena.Copy(big);
+  ASSERT_EQ(copy.size(), big.size());
+  EXPECT_TRUE(std::equal(copy.begin(), copy.end(), big.begin()));
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  // The first chunk's tail takes the next small request.
+  const int64_t* second = arena.New<int64_t>(2);
+  EXPECT_EQ(second, first + 1);
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  EXPECT_EQ(arena.bytes_used(), 2 * sizeof(int64_t) + big.size() * sizeof(uint32_t));
+  EXPECT_EQ(*first, 1);
+}
+
+TEST(Arena, EmptySpansAndStringsTakeNoBytes) {
+  Arena arena;
+  EXPECT_TRUE(arena.Copy(std::vector<int>{}).empty());
+  EXPECT_TRUE(arena.NewArray<double>(0).empty());
+  EXPECT_TRUE(arena.CopyString("").empty());
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  EXPECT_EQ(arena.chunk_count(), 0u);
+}
+
+TEST(Arena, CopyThatMissesTheChunkTailOpensANewChunk) {
+  Arena arena(Arena::kMinChunkBytes);
+  std::span<char> head = arena.NewArray<char>(Arena::kMinChunkBytes - 8);
+  std::memset(head.data(), 'h', head.size());
+  const std::string text(100, 't');
+  const std::string_view copy = arena.CopyString(text);
+  EXPECT_EQ(copy, text);
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  EXPECT_EQ(std::string_view(head.data(), head.size()), std::string(head.size(), 'h'));
+  EXPECT_EQ(arena.bytes_used(), head.size() + text.size());
+}
+
+TEST(Arena, ViewsSurviveAMoveOfTheirOwner) {
+  Arena arena;
+  const std::string_view name = arena.CopyString("counter");
+  const std::span<int> list = arena.Copy(std::vector<int>{4, 5, 6});
+  Arena moved = std::move(arena);
+  EXPECT_EQ(name, "counter");
+  EXPECT_EQ(list[2], 6);
+  Arena assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(name, "counter");
+  EXPECT_EQ(list[0], 4);
+  EXPECT_EQ(assigned.chunk_count(), 1u);
+}
+
+// perfbench move-assigns ParseFile's result into a unit declared earlier.
+TEST(Arena, TranslationUnitMoveKeepsNamesAndListsValid) {
+  SourceManager sm;
+  DiagnosticEngine diags;
+  TranslationUnit unit;
+  unit = ParseString(sm, "move.c",
+                     "struct pair { int a; int b; };\n"
+                     "int g(int v);\n"
+                     "int f(int x, struct pair *p) { int y = g(x); p->b = y; return y; }\n",
+                     diags);
+  ASSERT_FALSE(diags.HasErrors());
+  const FunctionDecl* f = unit.FindFunction("f");
+  ASSERT_NE(f, nullptr);
+  const std::string_view f_name = f->name;
+  TranslationUnit moved = std::move(unit);
+  EXPECT_EQ(f_name, "f");
+  ASSERT_EQ(moved.FindFunction("f"), f);
+  ASSERT_EQ(f->params.size(), 2u);
+  EXPECT_EQ(f->params[1]->name, "p");
+  ASSERT_EQ(moved.structs.size(), 1u);
+  EXPECT_EQ(moved.structs[0]->fields[1]->name, "b");
+  const std::unique_ptr<IrModule> module = LowerUnit(moved);
+  ASSERT_EQ(module->functions.size(), 1u);
+  EXPECT_NE(module->functions[0]->Dump().find("call g"), std::string::npos);
+}
 
 // --- string_util -----------------------------------------------------------
 
