@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <set>
+#include <string_view>
 
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
 #include "src/core/authorship.h"
 #include "src/core/detector.h"
-#include "src/core/fingerprint.h"
 #include "src/support/events.h"
 #include "src/support/logging.h"
 #include "src/support/memstats.h"
@@ -148,7 +149,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       // Replaying history for blame is the bulk of this stage; do it for
       // every analyzed file across the lanes first, so classification below
       // only looks blame up. Blame is per-path, so this stays deterministic.
-      std::vector<std::string> paths;
+      std::vector<std::string_view> paths;
       paths.reserve(project.unit_order().size());
       for (size_t m : project.unit_order()) {
         paths.push_back(project.sources().Path(static_cast<FileId>(m)));
@@ -221,6 +222,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
           }
           if (!flipped.empty()) {
             fresh[i] = std::make_shared<CandidateSlice>(carried);
+            fresh[i]->ClearRanked();
             for (uint32_t p : flipped) {
               match.push_back(&fresh[i]->candidates[p]);
             }
@@ -243,6 +245,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
           fresh[i] = std::make_shared<CandidateSlice>(*carry->finished[i]);
         }
         CandidateSlice& slice = *fresh[i];
+        slice.ClearRanked();
         slice.prune = PruneStats();
         slice.survivors.clear();
         for (size_t k = 0; k < slice.candidates.size(); ++k) {
@@ -254,47 +257,93 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
       }
       report.quarantined.push_back({"", "", "prune", std::string("stage failed: ") + e.what(), ""});
     }
-    size_t survivors = 0;
+    int64_t survivors = 0;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      const CandidateSlice& slice = detect.At(i, carry->finished);
+      report.prune_stats += slice.prune;
+      survivors += static_cast<int64_t>(slice.survivors.size());
+    }
+    scope.Count(kPruneSurvivors, survivors);
+  }
+
+  // 5. Rank by code familiarity. Each fresh slice's survivors get their
+  // familiarity and fingerprints across the lanes. A carried slice holds
+  // both: they read only the slice's candidates and its file's commit log,
+  // which every carried slice's file kept. The slices are then published,
+  // and the findings are a ranked view over their survivors.
+  double model_seconds = 0.0;
+  {
+    StageScope scope(Stage::kRank, report.stages[Stage::kRank]);
+    bool ranked = options_.ranking.enabled;
+    try {
+      std::vector<CandidateSlice*> finishing;
+      for (const std::shared_ptr<CandidateSlice>& slice : fresh) {
+        if (slice != nullptr) {
+          finishing.push_back(slice.get());
+        }
+      }
+      Histogram* histogram =
+          MetricsEnabled() ? &MetricsRegistry::Global().GetHistogram("rank.model_seconds")
+                           : nullptr;
+      std::vector<double> seconds(finishing.size(), 0.0);
+      ParallelFor(options_.jobs, finishing.size(), [&](size_t k) {
+        seconds[k] = RankSlice(*finishing[k], repo, options_.ranking, histogram);
+      });
+      model_seconds = std::accumulate(seconds.begin(), seconds.end(), 0.0);
+    } catch (const std::exception& e) {
+      // Findings keep their pool order, unscored, with fingerprints numbered
+      // in that order. Every slice becomes such a copy, which no later
+      // analysis carries; a published slice is never written.
+      ranked = false;
+      carry->kept = false;
+      RankingOptions unranked = options_.ranking;
+      unranked.enabled = false;
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        if (fresh[i] == nullptr) {
+          fresh[i] = std::make_shared<CandidateSlice>(*carry->finished[i]);
+        }
+        fresh[i]->ClearRanked();
+        RankSlice(*fresh[i], repo, unranked, nullptr);
+      }
+      report.quarantined.push_back({"", "", "rank", std::string("stage failed: ") + e.what(), ""});
+    }
     for (size_t i = 0; i < fresh.size(); ++i) {
       report.raw_candidates.push_back(fresh[i] != nullptr ? std::move(fresh[i])
                                                           : carry->finished[i]);
-      survivors += report.raw_candidates.slices().back()->survivors.size();
     }
-    report.findings.reserve(survivors);
+    std::vector<const UnusedDefCandidate*>& findings = report.findings.positions();
+    findings.reserve(static_cast<size_t>(report.stages[Stage::kPrune].counts[kPruneSurvivors]));
+    int64_t scored = 0;
+    int64_t unknown = 0;
     for (const CandidateSlices::Slice& slice : report.raw_candidates.slices()) {
-      report.prune_stats += slice->prune;
+      scored += slice->scored;
+      unknown += slice->unknown;
+      for (size_t c = 0; c < slice->survivors_per_checker.size(); ++c) {
+        report.checker_stats[c].findings += slice->survivors_per_checker[c];
+      }
       for (uint32_t p : slice->survivors) {
-        report.findings.push_back(slice->candidates[p]);
+        findings.push_back(&slice->candidates[p]);
       }
     }
-    scope.Count(kPruneSurvivors, static_cast<int64_t>(report.findings.size()));
-  }
-
-  // 5. Rank by code familiarity.
-  RankStats rank_stats;
-  {
-    StageScope scope(Stage::kRank, report.stages[Stage::kRank]);
-    try {
-      RankCandidates(report.findings, repo, options_.ranking, &rank_stats);
-    } catch (const std::exception& e) {
-      // Findings keep their pre-rank (deterministic pool) order.
-      report.quarantined.push_back({"", "", "rank", std::string("stage failed: ") + e.what(), ""});
+    if (ranked) {
+      SortRanked(findings);
     }
-    scope.Count(kRankScored, static_cast<int64_t>(rank_stats.scored))
-        .Count(kRankUnknown, static_cast<int64_t>(rank_stats.unknown));
+    scope.Count(kRankScored, scored).Count(kRankUnknown, unknown);
   }
 
   // Injected prune/rank faults act as a post-stage filter keyed on the
   // finding's function. Crucially the quarantined function's candidates were
   // still part of the peer-statistics universe above, so every surviving
   // finding is byte-identical to the clean run's and the result is a strict
-  // subset — the isolation contract the degraded_run oracle checks.
+  // subset — the isolation contract the degraded_run oracle checks. A
+  // fingerprint's ordinal counts only findings of its own function, so the
+  // filter renumbers none of the rest.
   if (options_.fault.enabled()) {
-    std::vector<UnusedDefCandidate> kept;
+    std::vector<const UnusedDefCandidate*>& findings = report.findings.positions();
     std::set<std::string> recorded;
-    kept.reserve(report.findings.size());
-    for (UnusedDefCandidate& cand : report.findings) {
-      const std::string unit = cand.file + ":" + cand.function;
+    size_t kept = 0;
+    for (const UnusedDefCandidate* cand : findings) {
+      const std::string unit = cand->file + ":" + cand->function;
       const char* stage = nullptr;
       if (options_.fault.ShouldFault(fault_sites::kPruneFunction, unit)) {
         stage = "prune";
@@ -302,31 +351,21 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
         stage = "rank";
       }
       if (stage == nullptr) {
-        kept.push_back(std::move(cand));
+        findings[kept++] = cand;
         continue;
       }
+      --report.checker_stats[cand->checker_index].findings;
       if (recorded.insert(unit + "#" + stage).second) {
-        report.quarantined.push_back({cand.file, cand.function, stage, "injected fault", ""});
+        report.quarantined.push_back({cand->file, cand->function, stage, "injected fault", ""});
       }
     }
-    report.findings = std::move(kept);
+    findings.resize(kept);
   }
 
   report.degraded = !report.quarantined.empty();
 
-  // 6. Stamp stable identities for cross-run tracking. Runs over the final
-  // finding list (deterministic at any job count), so fingerprints are too.
-  // Duplicate-shape ordinals are function-local, so dropping a quarantined
-  // function never renumbers another function's fingerprints.
-  AssignFingerprints(report.findings);
-
   const std::chrono::duration<double> run_wall = std::chrono::steady_clock::now() - start;
   report.analysis_seconds = upstream_seconds + run_wall.count();
-
-  // checker_stats follows the runnable checker order the driver indexed by.
-  for (const UnusedDefCandidate& cand : report.findings) {
-    ++report.checker_stats[cand.checker_index].findings;
-  }
 
   if (RunEventsEnabled()) {
     for (const QuarantinedUnit& unit : report.quarantined) {
@@ -351,7 +390,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     mem.categories[static_cast<int>(MemCategory::kInternedStrings)] = parse_mem.strings;
     mem.peak_rss_bytes = MemoryTracker::Global().peak_rss_bytes();
 
-    report.stage.rank_model_seconds = rank_stats.model_seconds;
+    report.stage.rank_model_seconds = model_seconds;
     report.stage.pool = ThreadPool::Global().stats().Delta(pool_before);
   }
   if (LogEnabled(LogLevel::kDebug)) {

@@ -24,6 +24,7 @@
 #ifndef VALUECHECK_SRC_CORE_ANALYSIS_H_
 #define VALUECHECK_SRC_CORE_ANALYSIS_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -89,7 +90,8 @@ struct StageMetrics {
   // False when the producing run had collect_metrics off; consumers (the JSON
   // report, the CLI --metrics table) skip the block entirely.
   bool collected = false;
-  // Time inside the ranking model's evaluation alone.
+  // Time inside the ranking model's evaluation alone, over the slices this
+  // run scored (an incremental run scores only the slices it re-ran).
   double rank_model_seconds = 0.0;
   // Global-pool activity attributable to this run (delta of two snapshots;
   // approximate if other analyses share the pool concurrently). All but the
@@ -98,14 +100,17 @@ struct StageMetrics {
 };
 
 struct AnalysisReport {
-  // Final, ranked findings (pruned and, by default, cross-scope only):
-  // copies of the slices' survivors, taken in pool order.
-  std::vector<UnusedDefCandidate> findings;
+  // Final, ranked findings (pruned and, by default, cross-scope only): a
+  // view of the survivors that raw_candidates' slices hold, each with its
+  // familiarity and fingerprint. Ranking orders it by familiarity, path,
+  // definition location and pool position; unranked, it keeps pool order.
+  FindingsView findings;
   // Every candidate as detected, with its classification and pruned_by (what
-  // pruned it, if anything): one immutable slice per live file, in unit
-  // order, shared with the incremental engine's cache and with the reports
-  // of other commits that left the file alone. Iterating it yields the
-  // candidates in detect order; size() counts them.
+  // pruned it, if anything), and on each survivor its familiarity and
+  // fingerprint: one immutable slice per live file, in unit order, shared
+  // with the incremental engine's cache and with the reports of other
+  // commits that left the file alone. Iterating it yields the candidates in
+  // detect order; size() counts them.
   CandidateSlices raw_candidates;
   // Prune statistics over the whole pool, summed from the slices'.
   PruneStats prune_stats;
@@ -153,12 +158,9 @@ struct AnalysisReport {
   // report.
   std::shared_ptr<Project> owned_project;
 
-  // The first `k` findings (the report cutoff of Fig. 9).
+  // Copies of the first `k` findings (the report cutoff of Fig. 9).
   std::vector<UnusedDefCandidate> Top(size_t k) const {
-    if (k >= findings.size()) {
-      return findings;
-    }
-    return {findings.begin(), findings.begin() + static_cast<long>(k)};
+    return {findings.begin(), findings.begin() + static_cast<long>(std::min(k, findings.size()))};
   }
 
   // CSV rows: file, line, function, slot, kind, familiarity.
@@ -176,11 +178,12 @@ struct TailCarry {
   PeerStats* peers = nullptr;
   std::vector<FileId> changed;
   // Per live file, in unit order: the finished slice the analysis carries
-  // (its classification and prune verdicts hold), or null where the detect
-  // outcome holds a fresh slice that re-runs. Empty: nothing carries.
+  // (its classification, prune verdicts, familiarity and fingerprints hold),
+  // or null where the detect outcome holds a fresh slice that re-runs.
+  // Empty: nothing carries.
   std::vector<std::shared_ptr<const CandidateSlice>> finished;
-  // Set when the prune stage finished every slice; false after its
-  // fallback, whose unpruned slices no later analysis may carry.
+  // Set when the prune and rank stages finished every slice; false after
+  // either's fallback, whose slices no later analysis may carry.
   bool kept = false;
 };
 

@@ -1,6 +1,7 @@
 #include "src/core/fingerprint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <tuple>
 
 #include "src/support/string_util.h"
@@ -79,13 +80,19 @@ std::string FingerprintHash(const std::string& key) {
   return Hex16(Fnv1a(key, kFingerprintSeed));
 }
 
-void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates) {
-  // Group same-key findings, then number each group in source order. The
+uint64_t FingerprintValue(std::string_view fingerprint) {
+  uint64_t value = 0;
+  std::from_chars(fingerprint.data(), fingerprint.data() + fingerprint.size(), value, 16);
+  return value;
+}
+
+void AssignFingerprints(std::span<UnusedDefCandidate* const> candidates) {
+  // Group same-key candidates, then number each group in source order. The
   // ordinal always participates in the hash (a singleton is occurrence 1), so
   // pasting a duplicate *below* an existing finding never renames it. One
-  // sort by (key hash, key, line, column, list position) lines each group up
-  // in numbering order, and FNV-1a continues from the key's hash over the
-  // "#N" suffix, so each key is hashed once.
+  // sort by (key hash, key, line, column, familiarity, position) lines each
+  // group up in numbering order, and FNV-1a continues from the key's hash
+  // over the "#N" suffix, so each key is hashed once.
   struct Entry {
     uint64_t hash;
     std::string key;
@@ -94,13 +101,13 @@ void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates) {
   std::vector<Entry> entries;
   entries.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    std::string key = FingerprintKey(candidates[i]);
+    std::string key = FingerprintKey(*candidates[i]);
     const uint64_t hash = Fnv1a(key, kFingerprintSeed);
     entries.push_back({hash, std::move(key), i});
   }
   auto order = [&](const Entry& e) {
-    const SourceLoc& loc = candidates[e.index].def_loc;
-    return std::make_tuple(loc.line, loc.column, e.index);
+    const UnusedDefCandidate& cand = *candidates[e.index];
+    return std::make_tuple(cand.def_loc.line, cand.def_loc.column, cand.familiarity, e.index);
   };
   std::sort(entries.begin(), entries.end(), [&](const Entry& a, const Entry& b) {
     if (a.hash != b.hash) {
@@ -119,9 +126,18 @@ void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates) {
     }
     for (size_t k = begin; k < end; ++k) {
       const std::string suffix = "#" + std::to_string(k - begin + 1);
-      candidates[entries[k].index].fingerprint = Hex16(Fnv1a(suffix, first.hash));
+      candidates[entries[k].index]->fingerprint = Hex16(Fnv1a(suffix, first.hash));
     }
   }
+}
+
+void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates) {
+  std::vector<UnusedDefCandidate*> all;
+  all.reserve(candidates.size());
+  for (UnusedDefCandidate& cand : candidates) {
+    all.push_back(&cand);
+  }
+  AssignFingerprints(all);
 }
 
 }  // namespace vc

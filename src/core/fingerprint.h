@@ -28,7 +28,9 @@
 #define VALUECHECK_SRC_CORE_FINGERPRINT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/unused_def.h"
@@ -43,10 +45,19 @@ std::string FingerprintKey(const UnusedDefCandidate& candidate);
 // basis — rendered as 16 hex digits.
 std::string FingerprintHash(const std::string& key);
 
-// Fills `fingerprint` on every candidate: hash of FingerprintKey plus a
-// "#N" occurrence suffix for same-key duplicates, numbered in (line, column)
-// order within the list. Deterministic for any input order — ties are
-// resolved by source position, not list position.
+// The hash a fingerprint spells: its 16 hex digits read back as the 64-bit
+// value they render. Two fingerprints are equal exactly when their values
+// are.
+uint64_t FingerprintValue(std::string_view fingerprint);
+
+// Fills `fingerprint` on each of `candidates`: hash of FingerprintKey plus a
+// "#N" occurrence suffix for same-key duplicates, numbered in (line, column,
+// familiarity, position in `candidates`) order. Same-key candidates share a
+// file and a function, so a file's finished slice numbers its survivors on
+// its own; a ranked list gives two same-key findings at one location the
+// same order, because ranking compares familiarity first and is stable.
+void AssignFingerprints(std::span<UnusedDefCandidate* const> candidates);
+// The same over every candidate of the list.
 void AssignFingerprints(std::vector<UnusedDefCandidate>& candidates);
 
 }  // namespace vc

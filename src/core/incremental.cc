@@ -12,6 +12,7 @@
 
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
+#include "src/core/fingerprint.h"
 #include "src/core/stage.h"
 #include "src/support/metrics.h"
 #include "src/support/string_util.h"
@@ -22,9 +23,11 @@ namespace vc {
 namespace {
 
 // A copy of a finished slice that re-runs every stage after detection: its
-// candidates hold their detect state, with no prune verdict.
+// candidates hold their detect state, with no prune verdict, familiarity or
+// fingerprint.
 std::shared_ptr<CandidateSlice> RerunCopy(const CandidateSlice& slice) {
   auto copy = std::make_shared<CandidateSlice>(slice);
+  copy->ClearRanked();
   for (UnusedDefCandidate& cand : copy->candidates) {
     cand.pruned_by = PruneReason::kNone;
   }
@@ -313,15 +316,16 @@ IncrementalResult IncrementalEngine::Analyze(const Repository* repo, CommitId co
     functions += entry.functions();
   }
 
-  // Fingerprint-keyed delta against the previous analysis.
-  std::vector<std::string> fingerprints;
+  // Fingerprint-keyed delta against the previous analysis, over the values
+  // the fingerprints spell.
+  std::vector<uint64_t> fingerprints;
   fingerprints.reserve(report.findings.size());
   for (const UnusedDefCandidate& finding : report.findings) {
-    fingerprints.push_back(finding.fingerprint);
+    fingerprints.push_back(FingerprintValue(finding.fingerprint));
   }
   std::sort(fingerprints.begin(), fingerprints.end());
   fingerprints.erase(std::unique(fingerprints.begin(), fingerprints.end()), fingerprints.end());
-  for (const std::string& fp : fingerprints) {
+  for (uint64_t fp : fingerprints) {
     result.findings_carried +=
         std::binary_search(prev_fingerprints_.begin(), prev_fingerprints_.end(), fp) ? 1 : 0;
   }

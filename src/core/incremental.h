@@ -55,11 +55,14 @@
 //    its slice (copy on write, paid only when a group flips). Nothing
 //    carries while stale-code pruning is on, or when a commit batch left a
 //    touched path's bytes unchanged (its blame may still have moved). The
-//    classification, the cross-scope filter and the prune patterns read only
-//    the re-run slices; the report's totals (per-checker counts, filter and
-//    prune statistics) are sums of every slice's tallies, and its findings
-//    are copies of the slices' survivors. The entries keep the slices the
-//    report publishes. Ranking and fingerprints run over the findings.
+//    classification, the cross-scope filter, the prune patterns and the
+//    rank stage read only the re-run slices: the rank stage gives their
+//    survivors familiarity and fingerprints, which read only the slice's
+//    candidates and its file's commit log, so a carried slice keeps both.
+//    The report's totals (per-checker counts, filter, prune and rank
+//    statistics) are sums of every slice's tallies, and its findings are a
+//    ranked view over the slices' survivors. The entries keep the slices the
+//    report publishes.
 
 #ifndef VALUECHECK_SRC_CORE_INCREMENTAL_H_
 #define VALUECHECK_SRC_CORE_INCREMENTAL_H_
@@ -118,7 +121,7 @@ struct IncrementalResult {
   double seconds = 0.0;      // this call, end to end
 
   // Convenience accessor kept for callers that only consume findings.
-  const std::vector<UnusedDefCandidate>& findings() const { return report.findings; }
+  const FindingsView& findings() const { return report.findings; }
 };
 
 class IncrementalEngine {
@@ -190,9 +193,9 @@ class IncrementalEngine {
   bool warm_tail_ = false;
   const Repository* tail_repo_ = nullptr;
   bool took_snapshot_ = false;
-  // Fingerprints of the previous report's findings, sorted and distinct
-  // (carried/new/fixed delta).
-  std::vector<std::string> prev_fingerprints_;
+  // Fingerprint values of the previous report's findings, sorted and
+  // distinct (carried/new/fixed delta).
+  std::vector<uint64_t> prev_fingerprints_;
 };
 
 // Canonical configuration key of an engine's carried results: folds in

@@ -45,4 +45,11 @@ void CandidateSlice::CountDetect() {
   }
 }
 
+void CandidateSlice::ClearRanked() {
+  for (uint32_t p : survivors) {
+    candidates[p].familiarity = 0.0;
+    candidates[p].fingerprint.clear();
+  }
+}
+
 }  // namespace vc

@@ -2,11 +2,13 @@
 // definition candidate, from detection (locations only), through authorship
 // classification (cross-scope or not), pruning (reason recorded), to ranking
 // (familiarity score attached). A run holds its candidates as one slice per
-// file (CandidateSlice), each with its own tallies.
+// file (CandidateSlice), each with its own tallies, and its findings as a
+// ranked view over the slices' survivors (FindingsView).
 
 #ifndef VALUECHECK_SRC_CORE_UNUSED_DEF_H_
 #define VALUECHECK_SRC_CORE_UNUSED_DEF_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -87,7 +89,7 @@ struct UnusedDefCandidate {
   // --- Filled by pruning ---
   PruneReason pruned_by = PruneReason::kNone;
 
-  // --- Filled by ranking ---
+  // --- Filled by ranking, on survivors only ---
   double familiarity = 0.0;
 
   // --- Filled by the checker driver (src/checkers/driver.cc) ---
@@ -104,7 +106,7 @@ struct UnusedDefCandidate {
   // (the baseline tools' original description strings live here).
   std::string note;
 
-  // --- Filled at report assembly (src/core/fingerprint.h) ---
+  // --- Filled by the rank stage, on survivors only (src/core/fingerprint.h) ---
   // Stable content-based identity, line-shift-robust; what the run ledger
   // diffs on. 16 hex chars; empty until AssignFingerprints runs.
   std::string fingerprint;
@@ -143,7 +145,8 @@ struct PruneStats {
 
 // One file's raw candidates, in detect order, with the file's detect-stage
 // quarantine records and its tallies. The detect stage fills it, the stages
-// after detection finish it, and it is then published as
+// after detection finish it (the rank stage last, with each survivor's
+// familiarity and fingerprint), and it is then published as
 // std::shared_ptr<const CandidateSlice> and never written again: reports and
 // the incremental engine's cache entries share it, so an analysis copies,
 // scans and frees only the files it re-runs.
@@ -167,6 +170,12 @@ struct CandidateSlice {
   uint32_t dropped = 0;  // and those it dropped
   PruneStats prune;      // over the pool
   std::vector<uint32_t> survivors;  // positions of pool members no pattern pruned
+  // The rank stage gives each survivor its familiarity and fingerprint, and
+  // counts them: survivors the familiarity model scored, those with no
+  // attributable author, and survivors per checker_index.
+  uint32_t scored = 0;
+  uint32_t unknown = 0;
+  std::vector<uint32_t> survivors_per_checker;
 
   // Appends one function's detect output (its candidates and records, in
   // detect order) as the slice's next function. The function's own buffers
@@ -175,6 +184,9 @@ struct CandidateSlice {
   void AddFunction(std::vector<UnusedDefCandidate> found, std::vector<QuarantinedUnit> records);
   // Recounts the detect tallies from the candidates.
   void CountDetect();
+  // Clears the survivors' familiarity and fingerprints, in a copy whose
+  // survivors the stages after detection decide again.
+  void ClearRanked();
 };
 
 // A run's raw candidates: one shared slice per live file, in unit order.
@@ -238,6 +250,73 @@ class CandidateSlices {
  private:
   std::vector<Slice> slices_;
   size_t size_ = 0;
+};
+
+// A run's findings: pointers to the survivors its slices hold, in ranked
+// order, read like a const std::vector<UnusedDefCandidate>. The report that
+// holds the view holds those slices too, so copying or moving the report
+// keeps every pointer valid; a caller that keeps findings past its report
+// copies them out.
+class FindingsView {
+ public:
+  using value_type = UnusedDefCandidate;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = UnusedDefCandidate;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const UnusedDefCandidate*;
+    using reference = const UnusedDefCandidate&;
+
+    const_iterator() = default;
+    explicit const_iterator(const UnusedDefCandidate* const* at) : at_(at) {}
+    reference operator*() const { return **at_; }
+    pointer operator->() const { return *at_; }
+    reference operator[](difference_type n) const { return *at_[n]; }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    const_iterator operator++(int) { return const_iterator(at_++); }
+    const_iterator& operator--() {
+      --at_;
+      return *this;
+    }
+    const_iterator operator--(int) { return const_iterator(at_--); }
+    const_iterator& operator+=(difference_type n) {
+      at_ += n;
+      return *this;
+    }
+    const_iterator& operator-=(difference_type n) {
+      at_ -= n;
+      return *this;
+    }
+    friend const_iterator operator+(const_iterator it, difference_type n) { return it += n; }
+    friend const_iterator operator+(difference_type n, const_iterator it) { return it += n; }
+    friend const_iterator operator-(const_iterator it, difference_type n) { return it -= n; }
+    friend difference_type operator-(const const_iterator& a, const const_iterator& b) {
+      return a.at_ - b.at_;
+    }
+    auto operator<=>(const const_iterator& other) const = default;
+
+   private:
+    const UnusedDefCandidate* const* at_ = nullptr;
+  };
+  const_iterator begin() const { return const_iterator(items_.data()); }
+  const_iterator end() const { return const_iterator(items_.data() + items_.size()); }
+  size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
+  const UnusedDefCandidate& operator[](size_t i) const { return *items_[i]; }
+  const UnusedDefCandidate& front() const { return *items_.front(); }
+  const UnusedDefCandidate& back() const { return *items_.back(); }
+
+  // The pointers themselves, which the run fills, ranking reorders and
+  // filters drop.
+  std::vector<const UnusedDefCandidate*>& positions() { return items_; }
+
+ private:
+  std::vector<const UnusedDefCandidate*> items_;
 };
 
 }  // namespace vc

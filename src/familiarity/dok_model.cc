@@ -9,7 +9,7 @@ namespace vc {
 DokFeatures ComputeDokFeatures(const Repository& repo, AuthorId author,
                                const std::string& path) {
   DokFeatures features;
-  std::vector<CommitId> log = repo.LogOf(path);
+  const std::vector<CommitId>& log = repo.LogOf(path);
   for (size_t i = 0; i < log.size(); ++i) {
     const Commit& commit = repo.GetCommit(log[i]);
     if (i == 0 && commit.author == author) {

@@ -574,10 +574,8 @@ std::string DumpFunctionIndex(const Project& project) {
 
 std::function<void(AnalysisReport&)> DropOverwrittenFindingsFault() {
   return [](AnalysisReport& report) {
-    report.findings.erase(
-        std::remove_if(report.findings.begin(), report.findings.end(),
-                       [](const UnusedDefCandidate& cand) { return cand.overwritten; }),
-        report.findings.end());
+    std::erase_if(report.findings.positions(),
+                  [](const UnusedDefCandidate* cand) { return cand->overwritten; });
   };
 }
 

@@ -109,9 +109,10 @@ std::vector<std::string> Repository::ListFiles() const {
   return ListFilesAt(static_cast<CommitId>(commits_.size()) - 1);
 }
 
-std::vector<CommitId> Repository::LogOf(const std::string& path) const {
+const std::vector<CommitId>& Repository::LogOf(const std::string& path) const {
+  static const std::vector<CommitId> kNoLog;
   auto it = file_log_.find(path);
-  return it == file_log_.end() ? std::vector<CommitId>{} : it->second;
+  return it == file_log_.end() ? kNoLog : it->second;
 }
 
 namespace {
@@ -240,24 +241,32 @@ std::vector<LineOrigin> Repository::BlameAt(const std::string& path, CommitId co
   return std::move(state.attribution);
 }
 
-size_t Repository::WarmBlame(const std::vector<std::string>& paths, int jobs) const {
+size_t Repository::WarmBlame(const std::vector<std::string_view>& paths, int jobs) const {
   // Serially: every cache entry exists before the parallel loop, because
-  // inserting into blame_cache_ is not thread-safe. The set drops duplicate
-  // paths, which would otherwise fold one state on two lanes.
-  std::vector<std::pair<const std::string*, BlameReplayState*>> behind;
-  for (const std::string& path : std::set<std::string>(paths.begin(), paths.end())) {
+  // inserting into blame_cache_ is not thread-safe. A path listed twice
+  // names one entry, listed once, so no state folds on two lanes.
+  std::vector<std::map<std::string, BlameReplayState, std::less<>>::value_type*> behind;
+  for (std::string_view path : paths) {
     auto log = file_log_.find(path);
-    auto entry = blame_cache_.try_emplace(path).first;
-    if (log != file_log_.end() && entry->second.log_index < log->second.size()) {
-      behind.emplace_back(&entry->first, &entry->second);
+    if (log == file_log_.end()) {
+      continue;
+    }
+    auto entry = blame_cache_.find(path);
+    if (entry == blame_cache_.end()) {
+      entry = blame_cache_.try_emplace(std::string(path)).first;
+    }
+    if (entry->second.log_index < log->second.size()) {
+      behind.push_back(&*entry);
     }
   }
+  std::sort(behind.begin(), behind.end());
+  behind.erase(std::unique(behind.begin(), behind.end()), behind.end());
   // In parallel: each lane folds one path's log into that path's own state;
   // commits_, file_log_ and the shape of blame_cache_ stay read-only.
   const CommitId head = static_cast<CommitId>(commits_.size()) - 1;
   std::vector<size_t> split(behind.size());
   ParallelFor(jobs, behind.size(), [&](size_t i) {
-    split[i] = AdvanceBlame(*behind[i].first, head, *behind[i].second);
+    split[i] = AdvanceBlame(behind[i]->first, head, behind[i]->second);
   });
   return std::accumulate(split.begin(), split.end(), size_t{0});
 }

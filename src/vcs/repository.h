@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/vcs/diff.h"
@@ -85,8 +86,9 @@ class Repository {
   std::vector<std::string> ListFilesAt(CommitId commit) const;
   std::vector<std::string> ListFiles() const;  // ListFilesAt(head)
 
-  // Commits that changed `path`, oldest first.
-  std::vector<CommitId> LogOf(const std::string& path) const;
+  // Commits that changed `path`, oldest first; empty for an unknown path.
+  // The reference stays valid until the next commit is added.
+  const std::vector<CommitId>& LogOf(const std::string& path) const;
 
   // Line attribution for head (or historical) contents. One entry per line.
   // Head results are cached as resumable replay states: a commit touching the
@@ -100,7 +102,7 @@ class Repository {
   // any `jobs`, and so is the returned count of lines the folds split (see
   // AdvanceBlame). Duplicate and unknown paths are fine. Not safe to call
   // concurrently with any other call on this repository.
-  size_t WarmBlame(const std::vector<std::string>& paths, int jobs) const;
+  size_t WarmBlame(const std::vector<std::string_view>& paths, int jobs) const;
 
   // A new repository containing the same authors and commits 0..up_to — the
   // repository as it existed right after `up_to` landed — sharing those
@@ -146,10 +148,10 @@ class Repository {
   std::vector<Author> authors_;
   std::vector<std::shared_ptr<const Commit>> commits_;
   // Per path: ids of commits touching it (including deletions), oldest first.
-  std::map<std::string, std::vector<CommitId>> file_log_;
+  std::map<std::string, std::vector<CommitId>, std::less<>> file_log_;
   // Head-blame cache as resumable states; Blame() advances a path's state to
   // the current head on demand, so AddCommit never discards earlier work.
-  mutable std::map<std::string, BlameReplayState> blame_cache_;
+  mutable std::map<std::string, BlameReplayState, std::less<>> blame_cache_;
 };
 
 }  // namespace vc

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "src/core/authorship.h"
 #include "src/core/detector.h"
@@ -399,6 +402,26 @@ TEST(CorePipeline, RankingOrdersByFamiliarity) {
   EXPECT_EQ(report.findings[0].responsible_author, newcomer);
   EXPECT_EQ(report.findings[1].responsible_author, veteran);
   EXPECT_LT(report.findings[0].familiarity, report.findings[1].familiarity);
+}
+
+// A report's findings point into the slices it shares: a copy or a move of
+// the report reads them after the original is gone.
+TEST(CorePipeline, ReportCopiesAndMovesKeepTheirFindings) {
+  AnalysisOptions options;
+  options.cross_scope_only = false;
+  options.ranking.enabled = false;
+  std::optional<AnalysisReport> original = Analysis(options).RunOnSources(
+      {{"a.c", "int f(void) {\n  int x = 1;\n  x = 2;\n  return x;\n}\n"},
+       {"b.c", "int g(int y) {\n  int z = y;\n  z = 3;\n  return z;\n}\n"}});
+  ASSERT_EQ(original->findings.size(), 2u);
+  const std::string csv = original->ToCsv();
+  AnalysisReport copy = *original;
+  AnalysisReport moved = std::move(*original);
+  original.reset();
+  EXPECT_EQ(moved.ToCsv(), csv);
+  moved = AnalysisReport();
+  EXPECT_EQ(copy.ToCsv(), csv);
+  EXPECT_EQ(copy.findings[1].file, "b.c");
 }
 
 }  // namespace

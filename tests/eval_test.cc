@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/corpus/eval.h"
 #include "src/corpus/ground_truth.h"
 #include "src/corpus/synthetic_file.h"
@@ -12,6 +16,17 @@ namespace vc {
 namespace {
 
 // --- GroundTruth ---------------------------------------------------------------
+
+// Gives `report` the hand-built `findings`, in order: the survivors of one
+// more slice its raw candidates hold.
+void SetFindings(AnalysisReport& report, std::vector<UnusedDefCandidate> findings) {
+  auto slice = std::make_shared<CandidateSlice>();
+  slice->candidates = std::move(findings);
+  for (const UnusedDefCandidate& cand : slice->candidates) {
+    report.findings.positions().push_back(&cand);
+  }
+  report.raw_candidates.push_back(std::move(slice));
+}
 
 GtSite MakeSite(const std::string& file, int line, bool real, int alt = -1) {
   GtSite site;
@@ -104,7 +119,7 @@ TEST(Eval, CheckerQuarantinePropagatesAsError) {
   cand.file = "a.c";
   cand.def_loc.line = 10;
   cand.checker = "baseline-smatch";
-  report.findings.push_back(cand);
+  SetFindings(report, {cand});
   report.quarantined.push_back({"", "", "checker", "boom", "baseline-smatch"});
   ToolEval eval = EvaluateChecker(truth, "t", report, "baseline-smatch");
   EXPECT_FALSE(eval.ok);
@@ -121,12 +136,11 @@ TEST(Eval, CheckerSliceScoresOnlyItsOwnFindings) {
   mine.file = "a.c";
   mine.def_loc.line = 10;
   mine.checker = "double-overwrite";
-  report.findings.push_back(mine);
   UnusedDefCandidate other;
   other.file = "a.c";
   other.def_loc.line = 20;
   other.checker = "unused-def";
-  report.findings.push_back(other);
+  SetFindings(report, {mine, other});
   ToolEval eval = EvaluateChecker(truth, "t", report, "double-overwrite");
   EXPECT_TRUE(eval.ok);
   EXPECT_EQ(eval.found, 1);

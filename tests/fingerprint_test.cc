@@ -25,7 +25,8 @@ std::vector<UnusedDefCandidate> Findings(
   AnalysisOptions options;
   options.cross_scope_only = false;
   options.ranking.enabled = false;
-  return Analysis(options).RunOnSources(files).findings;
+  const AnalysisReport report = Analysis(options).RunOnSources(files);
+  return {report.findings.begin(), report.findings.end()};
 }
 
 const UnusedDefCandidate* FindBySlot(const std::vector<UnusedDefCandidate>& findings,

@@ -222,9 +222,8 @@ Repository EditShapesHistory() {
   // while bob's definition is the project's.
   std::string dup_a = "int dup_value(int v) {\n  return v + 1;\n}\n";
   std::string dup_b = "int dup_value(int v) {\n  return v + 2;\n}\n";
-  repo.AddCommit(alice, 800, "add dup_value twice",
-                 {{"dup_a.c", dup_a},
-                  {"dup_user.c", "int dup_user(int v) {\n  dup_value(v);\n  return v;\n}\n"}});
+  std::string dup_user = "int dup_user(int v) {\n  dup_value(v);\n  return v;\n}\n";
+  repo.AddCommit(alice, 800, "add dup_value twice", {{"dup_a.c", dup_a}, {"dup_user.c", dup_user}});
   repo.AddCommit(bob, 810, "define dup_value again", {{"dup_b.c", dup_b}});
   // Removing the winning definer hands the name back to dup_a.c.
   repo.AddCommit(bob, 900, "drop the winning definer", {}, {"dup_b.c"});
@@ -232,6 +231,12 @@ Repository EditShapesHistory() {
   // Editing only the losing definer leaves dup_b.c the winner.
   repo.AddCommit(alice, 1100, "edit the losing definer",
                  {{"dup_a.c", "int dup_value(int v) {\n  return v + 3;\n}\n"}});
+
+  // A log-only change: a third author rewrites dup_user.c byte for byte. Its
+  // candidates and blame stay, but alice's acceptances on the file, and so
+  // her finding's familiarity, change.
+  AuthorId carol = repo.AddAuthor("carol");
+  repo.AddCommit(carol, 1200, "rewrite dup_user unchanged", {{"dup_user.c", dup_user}});
 
   return repo;
 }
@@ -243,6 +248,30 @@ TEST(IncrementalEquivalence, HandWrittenEditShapes) {
     options.jobs = jobs;
     ExpectReplayEquivalent(repo, options);
   }
+}
+
+// The byte-for-byte rewrite that closes EditShapesHistory leaves every
+// candidate of dup_user.c as it was, but not the familiarity of its finding:
+// the engine re-scores it rather than carry the slice.
+TEST(IncrementalEquivalence, ByteIdenticalRewriteRescoresItsFindings) {
+  Repository repo = EditShapesHistory();
+  const CommitId last = repo.NumCommits() - 1;
+  IncrementalEngine engine{AnalysisOptions()};
+  auto dup_user_finding = [](const AnalysisReport& report) {
+    for (const UnusedDefCandidate& finding : report.findings) {
+      if (finding.file == "dup_user.c") {
+        return finding;
+      }
+    }
+    ADD_FAILURE() << "no finding in dup_user.c";
+    return UnusedDefCandidate();
+  };
+  const UnusedDefCandidate before = dup_user_finding(engine.AnalyzeCommit(repo, last - 1).report);
+  const IncrementalResult result = engine.AnalyzeCommit(repo, last);
+  const UnusedDefCandidate after = dup_user_finding(result.report);
+  EXPECT_EQ(result.files_reparsed, 0);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_NE(after.familiarity, before.familiarity);
 }
 
 // With metrics on, the engine reports the memory its project holds resident.

@@ -595,7 +595,7 @@ TEST(Repository, WarmBlameMatchesLazyBlameAtAnyJobs) {
   std::set<size_t> split_counts;
   for (int jobs : {1, 2, 8}) {
     Repository warm = history.PrefixCopy(head);
-    split_counts.insert(warm.WarmBlame(paths, jobs));
+    split_counts.insert(warm.WarmBlame(Views(paths), jobs));
     for (const std::string& path : paths) {
       EXPECT_EQ(Origins(warm.Blame(path)), Origins(lazy.Blame(path)))
           << path << " at jobs " << jobs;
@@ -610,11 +610,11 @@ TEST(Repository, WarmBlameAdvancesOnlyPathsWithNewCommits) {
   std::vector<std::string> paths = repo.ListFiles();
   ASSERT_GE(paths.size(), 4u);
   paths.push_back("later.c");
-  repo.WarmBlame(paths, 2);
+  repo.WarmBlame(Views(paths), 2);
 
   // Up to date: nothing is scheduled.
   ThreadPoolStats before = ThreadPool::Global().stats();
-  repo.WarmBlame(paths, 2);
+  repo.WarmBlame(Views(paths), 2);
   EXPECT_EQ(ThreadPool::Global().stats().Delta(before).parallel_fors, 0u);
 
   AuthorId late = repo.AddAuthor("late");
@@ -622,7 +622,7 @@ TEST(Repository, WarmBlameAdvancesOnlyPathsWithNewCommits) {
   repo.AddCommit(late, 2, "remove", {}, {paths[1]});
   repo.AddCommit(late, 3, "create", {{"later.c", "int only;\n"}});
   before = ThreadPool::Global().stats();
-  repo.WarmBlame(paths, 2);
+  repo.WarmBlame(Views(paths), 2);
   ThreadPoolStats delta = ThreadPool::Global().stats().Delta(before);
   // One loop over the three touched paths (below 16 items at two lanes the
   // pool deals one item per chunk).
@@ -974,12 +974,12 @@ TEST(Repository, WarmBlameSplitsOnlyWhatFollowsTheSharedOpening) {
     AuthorId a = repo.AddAuthor("a");
     AuthorId b = repo.AddAuthor("b");
     repo.AddCommit(a, 1, "create", {{"f.c", join(lines)}, {"g.c", join(lines)}});
-    counts.push_back(repo.WarmBlame(paths, jobs));
+    counts.push_back(repo.WarmBlame(Views(paths), jobs));
     repo.AddCommit(b, 2, "append", {{"f.c", join(lines) + "int tail;\n"}});
-    counts.push_back(repo.WarmBlame(paths, jobs));
+    counts.push_back(repo.WarmBlame(Views(paths), jobs));
     repo.AddCommit(b, 3, "change line 5,000", {{"g.c", join(line_5000_changed)}});
-    counts.push_back(repo.WarmBlame(paths, jobs));
-    counts.push_back(repo.WarmBlame(paths, jobs));  // up to date
+    counts.push_back(repo.WarmBlame(Views(paths), jobs));
+    counts.push_back(repo.WarmBlame(Views(paths), jobs));  // up to date
     EXPECT_EQ(repo.Blame("f.c").back().author, b);
     EXPECT_EQ(repo.Blame("g.c")[4999].author, b);
     EXPECT_EQ(repo.Blame("g.c")[5000].author, a);

@@ -408,6 +408,30 @@ incremental_smoke() {
     diff "${tmp}/full.csv" "${tmp}/inc-j8.csv" | head -20 >&2
     return 1
   fi
+  # CSV carries no fingerprint, and a carried slice keeps its findings'
+  # fingerprints: the replay's SARIF (partialFingerprints) must match the
+  # full run's byte for byte, at one lane and at eight.
+  rc=0
+  "${vc}" analyze --history "${tmp}/history.vchist" --format=sarif \
+    >"${tmp}/full.sarif" 2>/dev/null || rc=$?
+  if [ "${rc}" -ge 2 ]; then
+    echo "incremental smoke: full SARIF analyze failed (exit ${rc})" >&2
+    return 1
+  fi
+  for jobs in 1 8; do
+    rc=0
+    "${vc}" analyze --history "${tmp}/history.vchist" --incremental --jobs "${jobs}" \
+      --format=sarif >"${tmp}/inc-j${jobs}.sarif" 2>/dev/null || rc=$?
+    if [ "${rc}" -ge 2 ]; then
+      echo "incremental smoke: incremental SARIF --jobs ${jobs} failed (exit ${rc})" >&2
+      return 1
+    fi
+    if ! cmp -s "${tmp}/full.sarif" "${tmp}/inc-j${jobs}.sarif"; then
+      echo "incremental smoke: incremental SARIF at --jobs ${jobs} differs from the full run" >&2
+      diff "${tmp}/full.sarif" "${tmp}/inc-j${jobs}.sarif" | head -20 >&2
+      return 1
+    fi
+  done
   # A replay with every observability sink on: still identical, and the
   # cumulative summary line must show carried detect results.
   rc=0
